@@ -1,24 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race test-no-mmap fuzz-smoke metrics-smoke bench-shards bench-shards-smoke bench-cascade bench-cascade-smoke bench-refine bench-refine-smoke bench-flat bench-flat-smoke bench-knn bench-knn-smoke bench-cache bench-cache-smoke bench-wal bench-wal-smoke crash-tests
+.PHONY: ci fmt vet surface build test race test-no-mmap fuzz-smoke metrics-smoke bench-smoke crash-tests
 
-# Full gate: formatting, static checks, build, the whole test suite
-# (including the fault-injection recovery tests) under the race detector,
-# the flat-engine suite re-run with mmap disabled (the eager-read fallback
-# must behave identically), a short fuzz pass over the envelope/lower-bound
-# oracles and the mmap snapshot reader, the observability smoke (boots
-# twsimd, scrapes /metrics, validates the exposition), and short benchmark
-# smokes for the sharded engine, the refine cascade (including the banded
-# leg with its brute-force banded oracle), intra-query parallel refinement,
-# the flat-vs-Guttman index engine comparison (bit-identity + zero-alloc
-# walk), the envelope-ordered k-NN harness (ordering on/off bit-identity +
-# conservation law), and the result-cache/serving-under-load harness
-# (zero-work hit path, cached-vs-uncached bit-identity under interleaved
-# writes, real 429 shedding through an HTTP server), the WAL crash-simulation
-# suite (torn tail, corrupt middle record, duplicate replay — each recovered
-# state compared record-for-record against a never-crashed database), and the
-# WAL write-path smoke with its kill-and-reopen acked-loss check.
-ci: fmt vet build race test-no-mmap fuzz-smoke metrics-smoke bench-shards-smoke bench-cascade-smoke bench-refine-smoke bench-flat-smoke bench-knn-smoke bench-cache-smoke crash-tests bench-wal-smoke
+# Full gate: formatting, static checks (vet plus the query-surface check),
+# build, the whole test suite (including the fault-injection recovery tests)
+# under the race detector, the flat-engine suite re-run with mmap disabled
+# (the eager-read fallback must behave identically), a short fuzz pass over
+# the envelope/lower-bound oracles and the mmap snapshot reader, the
+# observability smoke (boots twsimd, scrapes /metrics, validates the
+# exposition), the WAL crash-simulation suite (torn tail, corrupt middle
+# record, duplicate replay — each recovered state compared record-for-record
+# against a never-crashed database), and the benchmark's smoke run.
+ci: fmt vet surface build race test-no-mmap fuzz-smoke metrics-smoke crash-tests bench-smoke
 
 # The flat-engine packages once more with TWSIM_NO_MMAP=1: every snapshot
 # open goes through the eager read-and-checksum fallback instead of the
@@ -63,90 +56,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Sharded query engine throughput at 1/4/GOMAXPROCS shards on the synthetic
-# random-walk workload; writes BENCH_shard.json.
-bench-shards:
-	$(GO) run ./cmd/benchshards
+# The repository's one benchmark at toy scale (< 5 s, no output kept): builds
+# and spawns a real twsimd, runs all four workloads over HTTP, and checks
+# every answer — distances recomputed bit-exact, full scans for no false
+# dismissal, the conservation law on the /metrics delta, and kill -9 plus
+# read-back of every acknowledged write on the WAL workload. Full runs and
+# `-compare` are described in cmd/bench/README.md.
+bench-smoke:
+	$(GO) run ./cmd/bench -smoke >/dev/null
 
-# Tiny workload, no output file: proves the harness runs end to end.
-bench-shards-smoke:
-	$(GO) run ./cmd/benchshards -smoke >/dev/null
-
-# Refine-cascade benchmark: DTW-call reduction, per-tier prune counts,
-# kernel ns/op vs the pre-kernel baseline, and steady-state allocs/op on the
-# benchshards workload plus a mixed-length variant; writes BENCH_cascade.json.
-bench-cascade:
-	$(GO) run ./cmd/benchcascade
-
-# Tiny workload, no output file or kernel timings; also verifies cascade and
-# baseline results are bit-identical on the smoke corpus.
-bench-cascade-smoke:
-	$(GO) run ./cmd/benchcascade -smoke >/dev/null
-
-# Intra-query parallel refinement + decoded-sequence cache: qps/latency and
-# pool/cache hit rates at 1/2/4/GOMAXPROCS refine workers on the benchshards
-# workload; writes BENCH_refine.json.
-bench-refine:
-	$(GO) run ./cmd/benchrefine
-
-# Tiny workload, no output file; also verifies every worker budget's results
-# are bit-identical to the serial baseline on the smoke corpus.
-bench-refine-smoke:
-	$(GO) run ./cmd/benchrefine -smoke >/dev/null
-
-# Flat-engine vs Guttman R-tree: raw filter-walk ns/op (with the 1.3x
-# speedup fence and the zero-allocation steady-state check) plus end-to-end
-# qps per engine at GOMAXPROCS=1 and full width, with bit-identity between
-# engines enforced; writes BENCH_flat.json.
-bench-flat:
-	$(GO) run ./cmd/benchflat
-
-# Tiny workload, no output file; keeps the alloc check and bit-identity
-# verification, relaxes the speedup fence (smoke sizes are noise-bound).
-bench-flat-smoke:
-	$(GO) run ./cmd/benchflat -smoke >/dev/null
-
-# Envelope-ordered k-NN: exact DTW calls, frontier pushes/re-pushes, and
-# qps for k in {1,10,100} x engines {guttman,flat} x bands {0,8}, ordering
-# on vs off, with on/off bit-identity and the conservation law enforced on
-# every row; writes BENCH_knn.json. Full mode fails unless ordering cuts
-# exact DTW calls by >= 30% at k=10 band=8 on both engines.
-bench-knn:
-	$(GO) run ./cmd/benchknn
-
-# Tiny workload, no output file; keeps bit-identity and conservation
-# checks, skips the reduction fence (smoke sizes are noise-bound).
-bench-knn-smoke:
-	$(GO) run ./cmd/benchknn -smoke >/dev/null
-
-# Result cache + serving under load: cold-vs-hot query latency (with the
-# 10x hot-hit fence and the zero-work hit check), hit ratio under a Zipf
-# query mix with interleaved writes (cached results verified bit-identical
-# against an uncached twin), and an overload leg through a real HTTP
-# server with admission limits (accepted p50/p99, 429 counts); writes
-# BENCH_cache.json.
-bench-cache:
-	$(GO) run ./cmd/benchcache
-
-# Tiny workload, no output file; keeps the zero-work hit check, the
-# bit-identity verification, and the 429 shedding check, skips the 10x
-# latency fence (smoke sizes are noise-bound).
-bench-cache-smoke:
-	$(GO) run ./cmd/benchcache -smoke >/dev/null
-
-# Group-commit WAL write path: acknowledge p50/p99, throughput, and
-# fsyncs-per-op at 1/4/16 concurrent writers, WAL on vs off, plus a
-# copy-dir kill-and-reopen check that no acknowledged write is lost;
-# writes BENCH_wal.json. Full mode fails unless 16 writers amortize to
-# under one fsync per write and the 16-writer p99 stays within the flush
-# interval plus a calibrated fsync allowance.
-bench-wal:
-	$(GO) run ./cmd/benchwal
-
-# Tiny workload, no output file; keeps the kill-and-reopen acked-loss
-# check, skips the latency/fsync fences (smoke sizes are noise-bound).
-bench-wal-smoke:
-	$(GO) run ./cmd/benchwal -smoke >/dev/null
+# The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
+# plus the paper-API wrappers. Fails if a deleted variant, option or alias
+# reappears in the non-test Go of the root package, internal/shard,
+# internal/server, cmd/ or examples/, so the cross-product cannot grow back
+# one wrapper at a time (internal/core keeps its own NearestKShared*
+# searcher methods and the NoCascade reference path).
+SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|NearestKStats\b|NearestKStatsBand\b|NearestKShared\b|NearestKSharedWorkers|NearestKStatsWorkers|NearestKStatsBandWorkers\b|SearchBatchBand\b|DisableCascade|DisableEnvOrdering|NoEnvOrder|SplitStrategy
+surface:
+	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "deleted query-surface identifiers are back:"; echo "$$out"; exit 1; \
+	fi
 
 # The WAL crash-simulation suite on its own: torn final record, CRC-corrupt
 # middle record, duplicate replay after a mid-checkpoint crash, plus the

@@ -27,38 +27,22 @@ type Backend interface {
 	Remove(id ID) (bool, error)
 	// Get fetches a stored sequence.
 	Get(id ID) ([]float64, error)
-	// Search runs the paper's range similarity query under the backend's
-	// default band (Options.Band; 0 = the paper's unconstrained distance).
-	Search(query []float64, epsilon float64) (*Result, error)
-	// SearchBand is Search under an explicit Sakoe–Chiba band half-width
-	// for this call (0 = unconstrained, ≥ 1 = banded, negative = error).
-	SearchBand(query []float64, epsilon float64, band int) (*Result, error)
-	// NearestK runs the exact k-NN extension under the default band.
-	NearestK(query []float64, k int) ([]Match, error)
-	// NearestKBand is NearestK under an explicit band half-width.
-	NearestKBand(query []float64, k, band int) ([]Match, error)
-	// NearestKStats is NearestK returning the full Result — matches plus
-	// work counters and the request ID — so serving layers can export k-NN
-	// traffic into the same metrics as range searches.
-	NearestKStats(query []float64, k int) (*Result, error)
-	// NearestKStatsBand is NearestKStats under an explicit band half-width.
-	NearestKStatsBand(query []float64, k, band int) (*Result, error)
-	// SearchBatch runs many range queries concurrently under the default
-	// band.
-	SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*Result, error)
-	// SearchBatchBand is SearchBatch under an explicit band half-width.
-	SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error)
-	// SearchCtx is SearchBand governed by a context: a done context (client
+	// SearchCtx runs the paper's range similarity query under an explicit
+	// Sakoe–Chiba band half-width (0 = the paper's unconstrained distance,
+	// ≥ 1 = banded, negative = error; pass DefaultBand() for the backend's
+	// configured default), governed by a context: a done context (client
 	// disconnect, deadline) abandons the query at its next candidate
 	// boundary and returns the context's error; Options.QueryDeadline, when
-	// set, caps execution time on top. A nil context never cancels. A
-	// completed query is bit-identical to SearchBand.
+	// set, caps execution time on top. A nil context never cancels.
 	SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error)
-	// NearestKCtx is NearestKStatsBand governed by a context (see SearchCtx).
+	// NearestKCtx runs the exact k-NN extension under an explicit band and
+	// a context (see SearchCtx), returning the full Result — matches plus
+	// work counters and the request ID — so serving layers can export k-NN
+	// traffic into the same metrics as range searches.
 	NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error)
-	// SearchBatchCtx is SearchBatchBand governed by a context: a done
-	// context stops dispatching and abandons in-flight queries, failing the
-	// whole batch with the context's error.
+	// SearchBatchCtx runs many range queries concurrently under one band
+	// and one context: a done context stops dispatching and abandons
+	// in-flight queries, failing the whole batch with the context's error.
 	SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error)
 	// DefaultBand returns the band half-width queries run under when no
 	// per-call override is given (Options.Band) — serving layers use it to
@@ -120,63 +104,22 @@ func (db *DB) AddBatch(values [][]float64) ([]ID, error) {
 	return ids, nil
 }
 
-// SharedBound is a cross-partition pruning bound for concurrent k-NN
-// searches over disjoint partitions of one logical database; see
-// DB.NearestKShared. The sharded engine wires one through every fan-out
-// automatically — constructing one by hand is only needed when composing
-// partitions manually.
-type SharedBound = core.SharedBound
-
-// NewSharedBound returns a SharedBound initialized to +Inf.
-func NewSharedBound() *SharedBound { return core.NewSharedBound() }
-
-// NearestKShared is NearestK with an optional shared pruning bound: when
-// several databases partition one logical data set, concurrent per-
-// partition searches publishing into one SharedBound prune each other, and
-// the merged, re-sorted, truncated-to-k union of their results equals the
-// unpartitioned answer. A nil bound makes it identical to NearestK. The
-// returned matches are the walk's survivors (at most k, ascending); under
-// a shared bound they need not be this partition's own true top-k.
-func (db *DB) NearestKShared(query []float64, k int, bound *SharedBound) ([]Match, error) {
-	return db.NearestKSharedWorkers(query, k, bound, db.opts.refineWorkers())
-}
-
-// NearestKSharedWorkers is NearestKShared with an explicit intra-query
-// verification worker count for this call (≤ 1 means serial), overriding
-// Options.RefineWorkers. The sharded engine uses it to spread one refine
-// budget across shards; results are bit-identical at every worker count.
-func (db *DB) NearestKSharedWorkers(query []float64, k int, bound *SharedBound, workers int) ([]Match, error) {
-	ms, _, err := db.NearestKStatsWorkers(query, k, bound, workers)
-	return ms, err
-}
-
-// NearestKStatsWorkers is NearestKSharedWorkers with the query's work
-// counters returned alongside the matches, under the database's default
-// band (Options.Band).
-func (db *DB) NearestKStatsWorkers(query []float64, k int, bound *SharedBound, workers int) ([]Match, QueryStats, error) {
-	return db.NearestKStatsBandWorkers(query, k, db.opts.Band, bound, workers)
-}
-
-// NearestKStatsBandWorkers is NearestKStatsBandWorkersCtx with no context.
-func (db *DB) NearestKStatsBandWorkers(query []float64, k, band int, bound *SharedBound, workers int) ([]Match, QueryStats, error) {
-	return db.NearestKStatsBandWorkersCtx(nil, query, k, band, bound, workers)
-}
-
-// NearestKStatsBandWorkersCtx is the most general k-NN entry point:
-// explicit context (nil never cancels; a done context abandons the walk at
-// its next candidate boundary), Sakoe–Chiba band half-width
-// (0 = unconstrained), optional cross-partition shared bound, and explicit
-// worker count. It is the form the sharded engine calls per shard, so k-NN
-// work shows up in per-shard counters and the exported conservation law
+// NearestKStatsBandWorkersCtx is the per-partition k-NN walk: explicit
+// context (nil never cancels; a done context abandons the walk at its next
+// candidate boundary), Sakoe–Chiba band half-width (0 = unconstrained),
+// optional cross-partition shared bound, and explicit worker count (≤ 1
+// means serial; results are bit-identical at every count). Concurrent walks
+// over disjoint partitions publishing into one bound prune each other, and
+// the merged, re-sorted, truncated-to-k union of their survivors equals the
+// unpartitioned answer — so under a bound the survivors (at most k,
+// ascending) need not be this partition's own true top-k; nil means no
+// bound. The walk bypasses the result cache, the deadline and the
+// slow-query log, which act once at the top level (NearestKCtx). It is the
+// form the sharded engine calls per shard (shard.Store), so k-NN work shows
+// up in per-shard counters and the exported conservation law
 // (Candidates = ΣPruned + DTWCalls) covers k-NN traffic too.
-func (db *DB) NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *SharedBound, workers int) ([]Match, QueryStats, error) {
-	if len(query) == 0 {
-		return nil, QueryStats{}, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := validateBand(band); err != nil {
+func (db *DB) NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]Match, QueryStats, error) {
+	if err := validateQuery(query, band); err != nil {
 		return nil, QueryStats{}, err
 	}
 	return db.searcher(ctx, workers, band).NearestKSharedStats(seq.Sequence(query), k, bound)

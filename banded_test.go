@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,13 +11,19 @@ import (
 	twsim "repro"
 )
 
-// bandedBrute is the no-false-dismissal oracle for the banded query mode: a
-// linear scan computing the exact banded distance for every live sequence,
-// sorted the way Search reports matches (distance, then ID).
-func bandedBrute(data [][]float64, ids []twsim.ID, q []float64, base twsim.Base, eps float64, band int) []twsim.Match {
+// bruteScan is the no-false-dismissal oracle the public query modes are
+// checked against: a linear scan computing, for every live sequence, the
+// exact distance the query answers — the unconstrained Distance for band 0,
+// BandDistance otherwise — sorted the way Search reports matches (distance,
+// then ID). Its first k entries at eps = +Inf are the exact k-NN answer.
+func bruteScan(data [][]float64, ids []twsim.ID, q []float64, base twsim.Base, eps float64, band int) []twsim.Match {
 	var out []twsim.Match
 	for i, s := range data {
-		if d := twsim.BandDistance(s, q, base, band); d <= eps {
+		d := twsim.Distance(s, q, base)
+		if band > 0 {
+			d = twsim.BandDistance(s, q, base, band)
+		}
+		if d <= eps {
 			out = append(out, twsim.Match{ID: ids[i], Dist: d})
 		}
 	}
@@ -27,6 +34,16 @@ func bandedBrute(data [][]float64, ids []twsim.ID, q []float64, base twsim.Base,
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// nearestK runs the k-NN door under an explicit band and returns only the
+// matches.
+func nearestK(db twsim.Backend, q []float64, k, band int) ([]twsim.Match, error) {
+	res, err := db.NearestKCtx(context.Background(), q, k, band)
+	if err != nil {
+		return nil, err
+	}
+	return res.Matches, nil
 }
 
 // TestBandedSearchMatchesBruteForce: a banded index search must be
@@ -69,8 +86,8 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 						}
 						eps := 0.1 + rng.Float64()*0.6
 						band := 1 + rng.Intn(6)
-						want := bandedBrute(data, ids, q, base, eps, band)
-						res, err := db.SearchBand(q, eps, band)
+						want := bruteScan(data, ids, q, base, eps, band)
+						res, err := db.SearchCtx(context.Background(), q, eps, band)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -129,12 +146,12 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 				}
 				k := 1 + rng.Intn(7)
 				band := 1 + rng.Intn(5)
-				all := bandedBrute(data, ids, q, twsim.BaseLInf, 1e18, band)
+				all := bruteScan(data, ids, q, twsim.BaseLInf, 1e18, band)
 				want := all
 				if len(want) > k {
 					want = want[:k]
 				}
-				got, err := db.NearestKBand(q, k, band)
+				got, err := nearestK(db, q, k, band)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,66 +167,6 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDefaultBandOption: a database opened with Options.Band answers every
-// default-method query under that band — Search/NearestK/SearchBatch must
-// agree with the explicit SearchBand on a band-less database.
-func TestDefaultBandOption(t *testing.T) {
-	data := randomWalks(2031, 60, 10, 24)
-	const band = 3
-	banded, err := twsim.OpenMem(twsim.Options{Band: band})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer banded.Close()
-	plain, err := twsim.OpenMem(twsim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if _, err := banded.AddBatch(data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.AddBatch(data); err != nil {
-		t.Fatal(err)
-	}
-	q := data[7]
-	const eps = 0.4
-	want, err := plain.SearchBand(q, eps, band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := banded.Search(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("default-band Search: %d matches, explicit SearchBand %d",
-			len(got.Matches), len(want.Matches))
-	}
-	for i := range want.Matches {
-		if got.Matches[i] != want.Matches[i] {
-			t.Fatalf("match %d: default-band %+v, explicit %+v", i, got.Matches[i], want.Matches[i])
-		}
-	}
-	// Explicit band 0 on the banded database overrides back to unconstrained.
-	wantU, err := plain.Search(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotU, err := banded.SearchBand(q, eps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotU.Matches) != len(wantU.Matches) {
-		t.Fatalf("band-0 override: %d matches, unconstrained %d", len(gotU.Matches), len(wantU.Matches))
-	}
-	for i := range wantU.Matches {
-		if gotU.Matches[i] != wantU.Matches[i] {
-			t.Fatalf("band-0 override match %d: %+v, want %+v", i, gotU.Matches[i], wantU.Matches[i])
-		}
 	}
 }
 
@@ -236,17 +193,15 @@ func TestNegativeBandRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := data[0]
-			if _, err := db.SearchBand(q, 0.5, -1); err == nil {
-				t.Error("SearchBand(-1) succeeded, want error")
+			ctx := context.Background()
+			if _, err := db.SearchCtx(ctx, q, 0.5, -1); err == nil {
+				t.Error("SearchCtx(band -1) succeeded, want error")
 			}
-			if _, err := db.NearestKBand(q, 3, -2); err == nil {
-				t.Error("NearestKBand(-2) succeeded, want error")
+			if _, err := db.NearestKCtx(ctx, q, 3, -2); err == nil {
+				t.Error("NearestKCtx(band -2) succeeded, want error")
 			}
-			if _, err := db.NearestKStatsBand(q, 3, -1); err == nil {
-				t.Error("NearestKStatsBand(-1) succeeded, want error")
-			}
-			if _, err := db.SearchBatchBand([][]float64{q}, 0.5, -3, 0); err == nil {
-				t.Error("SearchBatchBand(-3) succeeded, want error")
+			if _, err := db.SearchBatchCtx(ctx, [][]float64{q}, 0.5, -3, 0); err == nil {
+				t.Error("SearchBatchCtx(band -3) succeeded, want error")
 			}
 		})
 	}
@@ -282,7 +237,7 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 	if err := db.Verify(); err != nil {
 		t.Fatalf("verify after reopen: %v", err)
 	}
-	want, err := db.SearchBand(data[3], 0.4, 2)
+	want, err := db.SearchCtx(context.Background(), data[3], 0.4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +263,7 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 	if err := db.Verify(); err != nil {
 		t.Fatalf("verify after rebuild: %v", err)
 	}
-	got, err := db.SearchBand(data[3], 0.4, 2)
+	got, err := db.SearchCtx(context.Background(), data[3], 0.4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,5 +281,33 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 	}
 	if err := db.Verify(); err != nil {
 		t.Fatalf("verify after remove: %v", err)
+	}
+}
+
+// TestBandedEnvelopeTiersPrune guards against the envelope tiers going dead
+// again: on an equal-length corpus under a band, LB_PAA, banded LB_Keogh and
+// LB_Improved — which only a banded equal-length query can use — must
+// dismiss some of the index's candidates before the exact DP sees them.
+func TestBandedEnvelopeTiersPrune(t *testing.T) {
+	data, qs := knnCorpus(rand.New(rand.NewSource(2041)), 300, 64, 8)
+	db, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.AddBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	candidates, envPruned := 0, 0
+	for _, q := range qs {
+		res, err := db.SearchCtx(context.Background(), q, 0.35, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates += res.Stats.Candidates
+		envPruned += res.Stats.LBPAAPruned + res.Stats.LBKeoghPruned + res.Stats.LBImprovedPruned
+	}
+	if candidates == 0 || envPruned == 0 {
+		t.Fatalf("envelope tiers pruned %d of %d candidates, want some of some", envPruned, candidates)
 	}
 }

@@ -2,6 +2,7 @@ package twsim_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,69 +10,44 @@ import (
 	twsim "repro"
 )
 
-// The public DisableCascade switch must be invisible in results: range and
-// k-NN queries return bit-identical matches with the cascade on and off,
-// for every base distance.
-func TestCascadeTogglePublicOracle(t *testing.T) {
+// The refinement cascade must be invisible in results: range and k-NN
+// queries return matches bit-identical to the brute-force scan — which runs
+// no cascade at all — for every base distance. (The cascade-off engine path
+// itself is compared in internal/core, where NoCascade lives.)
+func TestCascadeBruteForceOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	for name, base := range bases {
 		t.Run(name, func(t *testing.T) {
 			data := randomWalks(211, 100, 8, 40)
-			plain, err := twsim.OpenMem(twsim.Options{Base: base, DisableCascade: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer plain.Close()
 			cascaded, err := twsim.OpenMem(twsim.Options{Base: base})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cascaded.Close()
-			if _, err := plain.AddBatch(data); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cascaded.AddBatch(data); err != nil {
+			ids, err := cascaded.AddBatch(data)
+			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(17))
 			for trial := 0; trial < 10; trial++ {
 				q := data[rng.Intn(len(data))]
 				eps := rng.Float64() * 3
-				want, err := plain.Search(q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := bruteScan(data, ids, q, base, eps, 0)
 				got, err := cascaded.Search(q, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got.Matches) != len(want.Matches) {
-					t.Fatalf("trial %d eps %g: cascade %d matches, plain %d",
-						trial, eps, len(got.Matches), len(want.Matches))
-				}
-				for i := range want.Matches {
-					if got.Matches[i] != want.Matches[i] {
-						t.Fatalf("trial %d match %d: cascade %+v, plain %+v",
-							trial, i, got.Matches[i], want.Matches[i])
-					}
+				if !matchesEqual(got.Matches, want) {
+					t.Fatalf("trial %d eps %g: cascade %+v, brute force %+v", trial, eps, got.Matches, want)
 				}
 				k := 1 + rng.Intn(8)
-				wantK, err := plain.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				wantK := bruteScan(data, ids, q, base, math.Inf(1), 0)[:k]
 				gotK, err := cascaded.NearestK(q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(gotK) != len(wantK) {
-					t.Fatalf("trial %d k=%d: cascade %d, plain %d", trial, k, len(gotK), len(wantK))
-				}
-				for i := range wantK {
-					if gotK[i] != wantK[i] {
-						t.Fatalf("trial %d k=%d rank %d: cascade %+v, plain %+v",
-							trial, k, i, gotK[i], wantK[i])
-					}
+				if !matchesEqual(gotK, wantK) {
+					t.Fatalf("trial %d k=%d: cascade %+v, brute force %+v", trial, k, gotK, wantK)
 				}
 			}
 		})

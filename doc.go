@@ -23,6 +23,12 @@
 //		fmt.Println(m.ID, m.Dist)
 //	}
 //
+// Search and NearestK are the paper's API. Each is a two-line wrapper over
+// the one door its query kind has — SearchCtx, NearestKCtx, and
+// SearchBatchCtx for many range queries at once — which take a context
+// (cancellation, deadlines) and an explicit Sakoe–Chiba band half-width;
+// those three are the whole query surface of the Backend interface.
+//
 // Beyond the paper's range search the package provides exact k-nearest-
 // neighbor search (enabled by Dtw-lb being a true lower bound), direct
 // access to the DTW distance family (Distance, DistanceWithin,
@@ -39,10 +45,10 @@
 // rejecting hopeless candidates at a fraction of a full evaluation and
 // producing the exact distance for survivors in the same pass. Every tier
 // preserves the no-false-dismissal guarantee, results are bit-identical to
-// running the plain DP on every candidate (Options.DisableCascade restores
-// that behavior for comparison), and the DP kernels reuse pooled rows, so
-// steady-state refinement performs no allocations. Result.Stats reports
-// per-tier dismissal counters alongside the exact-DTW call count.
+// running the plain DP on every candidate (the test suites compare against
+// exactly that, as a brute-force scan), and the DP kernels reuse pooled
+// rows, so steady-state refinement performs no allocations. Result.Stats
+// reports per-tier dismissal counters alongside the exact-DTW call count.
 //
 // # Crash consistency
 //

@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -68,11 +69,11 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		}
 		eps := 0.1 + rng.Float64()*0.7
 
-		gr, err := guttman.Search(q, eps)
+		gr, err := guttman.SearchCtx(context.Background(), q, eps, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := flat.Search(q, eps)
+		fr, err := flat.SearchCtx(context.Background(), q, eps, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +94,11 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		}
 
 		k := 1 + rng.Intn(8)
-		gm, err := guttman.NearestK(q, k)
+		gm, err := nearestK(guttman, q, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fm, err := flat.NearestK(q, k)
+		fm, err := nearestK(flat, q, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +112,11 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		batch[i] = data[rng.Intn(len(data))]
 	}
 	eps := 0.4
-	grs, err := guttman.SearchBatch(batch, eps, 2)
+	grs, err := guttman.SearchBatchCtx(context.Background(), batch, eps, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frs, err := flat.SearchBatch(batch, eps, 2)
+	frs, err := flat.SearchBatchCtx(context.Background(), batch, eps, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,3 +191,48 @@ func TestDanglingEntriesNotCountedAsDTWCalls(t *testing.T) {
 		}
 	}
 }
+
+// A k far beyond the database — it arrives off the wire — must cost memory
+// proportional to the data, not to k, and answer with every sequence in
+// ascending order. The same table doubles as the banded leg of the
+// reference-path comparison: with the envelope store attached and a band
+// set, the default searcher runs the envelope-ordered walk, the upper-bound
+// tracker and deferred refinement, and must stay bit-identical to NoCascade
+// (plain mindist order, immediate exact DP) serially and with workers.
+func TestNearestKHugeKAndBandedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	data := synth.RandomWalkSet(rng, 40, 24)
+	db, idx := buildFixture(t, data)
+	envs, err := BuildEnvStore(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := synth.Query(rng, data)
+	for _, band := range []int{0, 2} {
+		for _, workers := range []int{1, 3} {
+			for _, k := range []int{3, len(data), 1 << 40} {
+				ref := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, NoCascade: true}
+				want, err := ref.NearestK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantLen := min(k, len(data)); len(want) != wantLen {
+					t.Fatalf("band %d k=%d: reference returned %d matches, want %d", band, k, len(want), wantLen)
+				}
+				tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, Envs: envs, Workers: workers}
+				got, err := tw.NearestK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("band %d workers %d k=%d: %d matches, reference %d", band, workers, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("band %d workers %d k=%d rank %d: %+v, reference %+v", band, workers, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -35,8 +35,6 @@ type IndexOptions struct {
 	PageSize int
 	// PoolPages is the index buffer pool capacity (0 = 64).
 	PoolPages int
-	// Split selects the R-tree overflow heuristic.
-	Split rtree.SplitStrategy
 	// OnDiskPath, when non-empty, stores the index in a page file (guttman)
 	// or a CRC-checked snapshot file (flat) at that path instead of in
 	// memory.
@@ -82,7 +80,7 @@ func NewFeatureIndex(opts IndexOptions) (*FeatureIndex, error) {
 		backend.Close()
 		return nil, err
 	}
-	tree, err := rtree.Create(pool, 4, rtree.Options{Split: opts.Split})
+	tree, err := rtree.Create(pool, 4, rtree.Options{})
 	if err != nil {
 		pool.Close()
 		return nil, err
@@ -106,7 +104,7 @@ func OpenFeatureIndex(path string, opts IndexOptions) (*FeatureIndex, error) {
 		backend.Close()
 		return nil, err
 	}
-	tree, err := rtree.Open(pool, rtree.Options{Split: opts.Split})
+	tree, err := rtree.Open(pool, rtree.Options{})
 	if err != nil {
 		pool.Close()
 		return nil, err

@@ -45,8 +45,13 @@ type ubTracker struct {
 	h []float64
 }
 
+// newUBTracker starts from an empty heap that Add grows by append: k comes
+// from the caller (the wire, ultimately) and may be astronomically larger
+// than the database, so it must not size an allocation. The heap never holds
+// more bounds than there are candidates to produce them, and Kth() stays
+// +Inf until k bounds exist — for k beyond the live count, never.
 func newUBTracker(k int) *ubTracker {
-	return &ubTracker{k: k, h: make([]float64, 0, k)}
+	return &ubTracker{k: k}
 }
 
 // Add records one candidate's upper bound and returns the current Kth().

@@ -235,10 +235,11 @@ type TWSimSearch struct {
 	DB    *seqdb.DB
 	Index Index
 	Base  seq.Base
-	// NoCascade disables the tiered refinement cascade, sending every
-	// candidate straight to the exact early-abandoning DP (the pre-cascade
-	// behavior). Results are bit-identical either way; the flag exists for
-	// benchmarks and equivalence tests.
+	// NoCascade disables the tiered refinement cascade and the k-NN walk's
+	// envelope ordering, sending every candidate straight to the exact
+	// early-abandoning DP in plain mindist order (the pre-cascade behavior).
+	// Results are bit-identical either way; no serving path sets it — it is
+	// the reference path this package's equivalence tests compare against.
 	NoCascade bool
 	// Workers bounds the intra-query refinement parallelism. Values ≤ 1
 	// keep the historical serial execution (the zero value is serial, so
@@ -256,11 +257,6 @@ type TWSimSearch struct {
 	// Envs, when set, enables the pre-fetch LB_PAA cascade tier against the
 	// per-record PAA envelopes.
 	Envs *EnvStore
-	// NoEnvOrder disables the k-NN walk's envelope-sharpened frontier
-	// ordering (the two-level re-key by max(mindist, LB_PAA)), keeping the
-	// plain mindist stream. Results are bit-identical either way; the flag
-	// exists for benchmarks and equivalence tests. NoCascade implies it.
-	NoEnvOrder bool
 	// Ctx, when set, cancels the query at the next candidate boundary: the
 	// refine loop (serial or parallel) and the k-NN walk check it once per
 	// candidate and return its error, so an abandoned query stops issuing
@@ -372,10 +368,9 @@ func (t *TWSimSearch) NearestKSharedStats(q seq.Sequence, k int, shared *SharedB
 // envOrdering reports whether the envelope-tight k-NN tier is active for
 // this query: the walk re-keys candidates by max(mindist, LB_PAA) and the
 // refine loop seeds its cutoff from aligned-path upper bounds. Off when
-// the cascade is off (NoCascade keeps the brute-force baseline honest) or
-// explicitly disabled for A/B verification.
+// the cascade is off (NoCascade keeps the brute-force baseline honest).
 func (t *TWSimSearch) envOrdering(q seq.Sequence) bool {
-	return !t.NoCascade && !t.NoEnvOrder && len(q) > 0
+	return !t.NoCascade && len(q) > 0
 }
 
 // knnWalk runs the index walk for one k-NN query: fn receives candidates in
@@ -454,11 +449,12 @@ func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound,
 	defer c.close()
 	// Deferred resolution pays only where the Tier 1 bounds are sharp: for
 	// banded queries the banded Keogh/Improved chain tracks the exact DP
-	// closely and the DTW-call floor drops ~35% (BENCH_knn.json). Unbanded
-	// bounds are too loose to dismiss anything the immediate loop would
-	// not, and the loose aligned-path cutoff just makes the corridor
-	// refiner run its pre-passes for nothing — so unbanded queries keep
-	// the immediate-refine loop (the walk sharpening above still applies).
+	// closely (cmd/bench reports the exact DP calls that remain as
+	// core.dtw_call_share on knn_banded). Unbanded bounds are too loose to
+	// dismiss anything the immediate loop would not, and the loose
+	// aligned-path cutoff just makes the corridor refiner run its
+	// pre-passes for nothing — so unbanded queries keep the
+	// immediate-refine loop (the walk sharpening above still applies).
 	var ub *ubTracker
 	var dq deferHeap
 	if t.envOrdering(q) && t.Band >= 1 {

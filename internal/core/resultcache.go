@@ -118,13 +118,15 @@ func NewResultCache(budgetBytes int64) *ResultCache {
 // engine, and band pin the distance answered and the machinery that
 // answered it; epsilon/k are the family parameter (the unused one is
 // zero); the query's raw float64 bits complete the key, so two queries
-// collide only if they are the same query in every respect.
+// collide only if they are the same query in every respect. band and k are
+// written at full width: both arrive off the wire, and a k of 2^32+1 must
+// not be served the cached answer for k = 1.
 func ResultCacheKey(kind byte, base seq.Base, engine string, band int, epsilon float64, k int, query []float64) string {
-	buf := make([]byte, 0, 24+len(engine)+1+8*len(query))
+	buf := make([]byte, 0, 32+len(engine)+1+8*len(query))
 	buf = append(buf, kind, byte(base))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(band))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(band))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(epsilon))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	buf = append(buf, engine...)
 	buf = append(buf, 0)
 	for _, v := range query {

@@ -143,7 +143,8 @@ func TestNearestWalkEnvNilSharpenMatchesPlain(t *testing.T) {
 }
 
 // TestNearestWalkAllocFree enforces the pooled frontier: a steady-state
-// walk — plain or envelope-keyed — performs zero allocations.
+// k-NN walk — plain or envelope-keyed — performs zero allocations, and so
+// does a range walk into a reused buffer.
 func TestNearestWalkAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget not meaningful under -race")
@@ -180,6 +181,18 @@ func TestNearestWalkAllocFree(t *testing.T) {
 		x.NearestWalkEnv(&p, nil, envLB, keyed)
 	}); avg != 0 {
 		t.Fatalf("NearestWalkEnv allocates %.1f per run, want 0", avg)
+	}
+	// The range walk too: with the caller reusing its buffer, a walk over
+	// the packed slab and the delta's adds array must not allocate.
+	lo, hi := [4]float64{-5, -5, -5, -5}, [4]float64{5, 5, 5, 5}
+	buf := make([]Entry, 0, len(entries))
+	if got := x.AppendRange(buf, &lo, &hi); len(got) == 0 {
+		t.Fatal("range walk found nothing; the allocation check below would be vacuous")
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		buf = x.AppendRange(buf[:0], &lo, &hi)
+	}); avg != 0 {
+		t.Fatalf("AppendRange allocates %.1f per run, want 0", avg)
 	}
 }
 

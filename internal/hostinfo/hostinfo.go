@@ -1,7 +1,7 @@
-// Package hostinfo reports coarse host facts the benchmark harnesses stamp
-// into their result rows, so a BENCH_*.json row is interpretable on its own
-// — a "speedup" only means something next to the core count and CPU model
-// it was measured on.
+// Package hostinfo reports coarse host facts cmd/bench stamps into its
+// result object, so a benchmark result is interpretable on its own — a
+// "speedup" only means something next to the core count and CPU model it
+// was measured on.
 package hostinfo
 
 import (

@@ -108,6 +108,13 @@ func stripeCount(capacity int) int {
 // Pool is an LRU buffer pool over a Backend. All methods are safe for
 // concurrent use.
 //
+// What the pool does not guard is a page's contents: the payload bytes and
+// the dirty flag are written without a lock (Payload, MarkDirty) and read
+// by write-back (eviction, FlushAll). Callers that mutate pages, or flush,
+// must exclude every other user of the pool while they do — the database's
+// concurrent-readers / exclusive-writer contract. Fetches, pins, evictions
+// with their dirty write-backs, and Stats may all run concurrently.
+//
 // The pool is lock-striped: pages hash to one of NumStripes independent
 // partitions (stripe = id mod NumStripes, so a sequential scan round-robins
 // across stripes), each with its own mutex, frame map, LRU list, and frame

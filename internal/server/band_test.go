@@ -2,6 +2,7 @@ package server
 
 import (
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -39,113 +40,6 @@ func bandWalks(seed int64, n int) [][]float64 {
 	return out
 }
 
-// TestSearchBandRequestField: the "band" field on /search and /knn selects
-// the banded distance per request — explicit values override the server's
-// default, an omitted field falls back to it, and the answers agree with
-// the engine called directly.
-func TestSearchBandRequestField(t *testing.T) {
-	data := bandWalks(11, 40)
-	c := newBandServer(t, twsim.Options{})
-	if _, err := c.AddBatchIDs(data); err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := twsim.OpenMem(twsim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oracle.Close()
-	if _, err := oracle.AddBatch(data); err != nil {
-		t.Fatal(err)
-	}
-
-	q, eps, band := data[5], 0.6, 3
-	want, err := oracle.SearchBand(q, eps, band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.SearchBand(q, eps, band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("banded /search: %d matches, engine %d", len(got.Matches), len(want.Matches))
-	}
-	for i, m := range want.Matches {
-		if got.Matches[i].ID != uint32(m.ID) || got.Matches[i].Dist != m.Dist {
-			t.Fatalf("banded /search match %d: %+v, engine %+v", i, got.Matches[i], m)
-		}
-	}
-
-	// Explicit band 0 must agree with the omitted field on a default-band-0
-	// server (both unconstrained).
-	plain, err := c.Search(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := c.SearchBand(q, eps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Matches) != len(zero.Matches) {
-		t.Fatalf("band 0 (%d matches) != omitted (%d matches)", len(zero.Matches), len(plain.Matches))
-	}
-
-	// Banded k-NN through the API agrees with the engine.
-	wantK, err := oracle.NearestKBand(q, 5, band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotK, err := c.NearestKBand(q, 5, band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotK) != len(wantK) {
-		t.Fatalf("banded /knn: %d matches, engine %d", len(gotK), len(wantK))
-	}
-	for i, m := range wantK {
-		if gotK[i].ID != uint32(m.ID) || gotK[i].Dist != m.Dist {
-			t.Fatalf("banded /knn rank %d: %+v, engine %+v", i, gotK[i], m)
-		}
-	}
-}
-
-// TestServerDefaultBand: a server over a database opened with Options.Band
-// answers band-omitted requests under that default.
-func TestServerDefaultBand(t *testing.T) {
-	data := bandWalks(13, 40)
-	const band = 2
-	c := newBandServer(t, twsim.Options{Band: band})
-	if _, err := c.AddBatchIDs(data); err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := twsim.OpenMem(twsim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oracle.Close()
-	if _, err := oracle.AddBatch(data); err != nil {
-		t.Fatal(err)
-	}
-	q, eps := data[9], 0.6
-	want, err := oracle.SearchBand(q, eps, band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Search(q, eps) // band omitted → server default
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("default-band server: %d matches, engine band=%d gives %d",
-			len(got.Matches), band, len(want.Matches))
-	}
-	for i, m := range want.Matches {
-		if got.Matches[i].ID != uint32(m.ID) || got.Matches[i].Dist != m.Dist {
-			t.Fatalf("default-band match %d: %+v, engine %+v", i, got.Matches[i], m)
-		}
-	}
-}
-
 // TestNegativeBandRejected400: a negative band half-width on /search or
 // /knn is a client error — 400 with a named reason, never a query under an
 // undefined distance.
@@ -154,12 +48,14 @@ func TestNegativeBandRejected400(t *testing.T) {
 	if _, err := c.Add([]float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SearchBand([]float64{1, 2, 3}, 0.5, -1); err == nil {
+	// The typed client omits a negative band (it means "server default"), so
+	// the hostile bodies go through the raw request helper.
+	if err := c.do(http.MethodPost, "/search", map[string]any{"query": []float64{1, 2, 3}, "epsilon": 0.5, "band": -1}, nil); err == nil {
 		t.Error("negative band on /search succeeded, want 400")
 	} else if !strings.Contains(err.Error(), "negative band") || !strings.Contains(err.Error(), "400") {
 		t.Errorf("negative band on /search: error %q, want a 400 naming the band", err)
 	}
-	if _, err := c.NearestKBand([]float64{1, 2, 3}, 2, -5); err == nil {
+	if err := c.do(http.MethodPost, "/knn", map[string]any{"query": []float64{1, 2, 3}, "k": 2, "band": -5}, nil); err == nil {
 		t.Error("negative band on /knn succeeded, want 400")
 	} else if !strings.Contains(err.Error(), "negative band") || !strings.Contains(err.Error(), "400") {
 		t.Errorf("negative band on /knn: error %q, want a 400 naming the band", err)

@@ -193,32 +193,16 @@ func (c *Client) Remove(id uint32) (bool, error) {
 }
 
 // Search runs a whole-matching similarity query under the server's default
-// band.
+// band, with no cancellation.
 func (c *Client) Search(query []float64, epsilon float64) (*SearchResponse, error) {
-	var out SearchResponse
-	err := c.do(http.MethodPost, "/search",
-		map[string]any{"query": query, "epsilon": epsilon}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.SearchCtx(nil, query, epsilon, -1)
 }
 
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width
-// (0 = unconstrained, ≥ 1 = banded), overriding the server's default.
-func (c *Client) SearchBand(query []float64, epsilon float64, band int) (*SearchResponse, error) {
-	var out SearchResponse
-	err := c.do(http.MethodPost, "/search",
-		map[string]any{"query": query, "epsilon": epsilon, "band": band}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// SearchCtx is SearchBand governed by a context: cancelling ctx closes the
-// connection, which the server observes and abandons the query server-side
-// too. band < 0 means the server's default (the band field is omitted).
+// SearchCtx runs a whole-matching similarity query under an explicit
+// Sakoe–Chiba band half-width (0 = unconstrained, ≥ 1 = banded; band < 0
+// means the server's default — the band field is omitted), governed by a
+// context: cancelling ctx closes the connection, which the server observes
+// and abandons the query server-side too.
 func (c *Client) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*SearchResponse, error) {
 	body := map[string]any{"query": query, "epsilon": epsilon}
 	if band >= 0 {
@@ -232,28 +216,18 @@ func (c *Client) SearchCtx(ctx context.Context, query []float64, epsilon float64
 }
 
 // NearestK returns the k nearest sequences under time warping, under the
-// server's default band.
+// server's default band, with no cancellation.
 func (c *Client) NearestK(query []float64, k int) ([]MatchJSON, error) {
-	var out struct {
-		Matches []MatchJSON `json:"matches"`
+	out, err := c.NearestKCtx(nil, query, k, -1)
+	if err != nil {
+		return nil, err
 	}
-	err := c.do(http.MethodPost, "/knn", map[string]any{"query": query, "k": k}, &out)
-	return out.Matches, err
+	return out.Matches, nil
 }
 
-// NearestKBand is NearestK under an explicit Sakoe–Chiba band half-width
-// (0 = unconstrained, ≥ 1 = banded), overriding the server's default.
-func (c *Client) NearestKBand(query []float64, k, band int) ([]MatchJSON, error) {
-	var out struct {
-		Matches []MatchJSON `json:"matches"`
-	}
-	err := c.do(http.MethodPost, "/knn", map[string]any{"query": query, "k": k, "band": band}, &out)
-	return out.Matches, err
-}
-
-// NearestKCtx is NearestKBand governed by a context (see SearchCtx),
-// returning the full response with stats, request ID and cache-hit flag.
-// band < 0 means the server's default.
+// NearestKCtx is the k-NN query under an explicit band and a context (see
+// SearchCtx), returning the full response with stats, request ID and
+// cache-hit flag. band < 0 means the server's default.
 func (c *Client) NearestKCtx(ctx context.Context, query []float64, k, band int) (*SearchResponse, error) {
 	body := map[string]any{"query": query, "k": k}
 	if band >= 0 {

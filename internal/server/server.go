@@ -226,54 +226,6 @@ func (l *lockedDB) Get(id twsim.ID) ([]float64, error) {
 	return l.db.Get(id)
 }
 
-func (l *lockedDB) Search(query []float64, epsilon float64) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.Search(query, epsilon)
-}
-
-func (l *lockedDB) SearchBand(query []float64, epsilon float64, band int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBand(query, epsilon, band)
-}
-
-func (l *lockedDB) NearestK(query []float64, k int) ([]twsim.Match, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestK(query, k)
-}
-
-func (l *lockedDB) NearestKBand(query []float64, k, band int) ([]twsim.Match, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKBand(query, k, band)
-}
-
-func (l *lockedDB) NearestKStats(query []float64, k int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKStats(query, k)
-}
-
-func (l *lockedDB) NearestKStatsBand(query []float64, k, band int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKStatsBand(query, k, band)
-}
-
-func (l *lockedDB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBatch(queries, epsilon, parallelism)
-}
-
-func (l *lockedDB) SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBatchBand(queries, epsilon, band, parallelism)
-}
-
 func (l *lockedDB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*twsim.Result, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

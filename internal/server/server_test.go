@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -208,6 +209,40 @@ func TestHTTPLevelValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id = %d", resp.StatusCode)
+	}
+}
+
+// TestKNNHugeK: a 40-byte /knn body naming a k of 2^40 under a band used to
+// abort the whole process (the k-NN upper-bound tracker pre-allocated k
+// slots). It must answer 200 with every stored sequence and leave the
+// server serving.
+func TestKNNHugeK(t *testing.T) {
+	srv, c := newTestServer(t)
+	for i := 0; i < 10; i++ {
+		if _, err := c.Add([]float64{float64(i), float64(i) + 1, float64(i) + 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/knn",
+		strings.NewReader(`{"query":[1],"k":1099511627776,"band":1}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /knn with k=2^40: status %d, body %s", rec.Code, rec.Body)
+	}
+	var out SearchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := srv.backend.Len(); len(out.Matches) != want {
+		t.Fatalf("k=2^40 returned %d matches, want all %d", len(out.Matches), want)
+	}
+	for i := 1; i < len(out.Matches); i++ {
+		if out.Matches[i].Dist < out.Matches[i-1].Dist {
+			t.Fatalf("matches not ascending at rank %d: %+v", i, out.Matches)
+		}
+	}
+	if err := c.Health(); err != nil {
+		t.Fatalf("server did not survive the query: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package twsim_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -33,12 +34,13 @@ func knnCorpus(rng *rand.Rand, n, length, queries int) (data, qs [][]float64) {
 }
 
 // TestNearestKOrderingOracle is the envelope-ordering bit-identity matrix:
-// for every base × backend shape × engine × band × worker budget, a
-// database with envelope-sharpened k-NN ordering (the default) and one
-// with it disabled must return identical matches — same IDs, same float64
-// distances, same order — for every query and k. The ordering tier re-keys
-// candidates by sound lower bounds and defers exact DP work; it may only
-// reorder and skip work, never change an answer (DESIGN.md §12).
+// for every base × backend shape × engine × band × worker budget, the
+// envelope-sharpened, deferred-refinement k-NN must return exactly the
+// brute-force top-k — same IDs, same float64 distances, same order — for
+// every query and k. The ordering tier re-keys candidates by sound lower
+// bounds and defers exact DP work; it may only reorder and skip work, never
+// change an answer (DESIGN.md §12). (The ordering-off engine path itself is
+// compared in internal/core, where NoCascade lives.)
 func TestNearestKOrderingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(811))
 	data, qs := knnCorpus(rng, 120, 64, 4)
@@ -51,47 +53,38 @@ func TestNearestKOrderingOracle(t *testing.T) {
 						name := fmt.Sprintf("base=%v/sharded=%v/engine=%s/band=%d/workers=%d",
 							base, sharded, engine, band, workers)
 						t.Run(name, func(t *testing.T) {
-							open := func(disable bool) twsim.Backend {
-								opts := twsim.Options{
-									Base:               base,
-									Band:               band,
-									RefineWorkers:      workers,
-									IndexEngine:        engine,
-									FlatMergeThreshold: 32,
-									DisableEnvOrdering: disable,
-								}
-								var b twsim.Backend
-								var err error
-								if sharded {
-									b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
-								} else {
-									b, err = twsim.OpenMem(opts)
-								}
-								if err != nil {
-									t.Fatalf("open (disable=%v): %v", disable, err)
-								}
-								if _, err := b.AddBatch(data); err != nil {
-									t.Fatalf("load (disable=%v): %v", disable, err)
-								}
-								return b
+							opts := twsim.Options{
+								Base:               base,
+								Band:               band,
+								RefineWorkers:      workers,
+								IndexEngine:        engine,
+								FlatMergeThreshold: 32,
 							}
-							on := open(false)
-							defer on.Close()
-							off := open(true)
-							defer off.Close()
+							var db twsim.Backend
+							var err error
+							if sharded {
+								db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
+							} else {
+								db, err = twsim.OpenMem(opts)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer db.Close()
+							ids, err := db.AddBatch(data)
+							if err != nil {
+								t.Fatal(err)
+							}
 							for qi, q := range qs {
+								all := bruteScan(data, ids, q, base, math.Inf(1), band)
 								for _, k := range []int{1, 7} {
-									mOn, err := on.NearestKBand(q, k, band)
+									got, err := nearestK(db, q, k, band)
 									if err != nil {
 										t.Fatal(err)
 									}
-									mOff, err := off.NearestKBand(q, k, band)
-									if err != nil {
-										t.Fatal(err)
-									}
-									if !matchesEqual(mOn, mOff) {
-										t.Fatalf("query %d k=%d: ordering on/off diverged: on=%v off=%v",
-											qi, k, mOn, mOff)
+									if !matchesEqual(got, all[:k]) {
+										t.Fatalf("query %d k=%d: ordered k-NN diverged from brute force: got=%v want=%v",
+											qi, k, got, all[:k])
 									}
 								}
 							}
@@ -135,7 +128,7 @@ func TestNearestKMmapOracle(t *testing.T) {
 		defer db.Close()
 		var a answers
 		for _, q := range qs {
-			ms, err := db.NearestKBand(q, 5, 8)
+			ms, err := nearestK(db, q, 5, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -73,14 +74,13 @@ func TestNonFiniteRejected(t *testing.T) {
 						t.Errorf("AddBatch inserted %d sequences before failing", db.Len()-before)
 					}
 
-					_, err = db.Search(bad, 1)
-					check("Search", err)
-					_, err = db.NearestK(bad, 1)
-					check("NearestK", err)
-					_, err = db.NearestKStats(bad, 1)
-					check("NearestKStats", err)
-					_, err = db.SearchBatch([][]float64{{1, 2, 3}, bad}, 1, 2)
-					check("SearchBatch", err)
+					ctx := context.Background()
+					_, err = db.SearchCtx(ctx, bad, 1, 0)
+					check("SearchCtx", err)
+					_, err = db.NearestKCtx(ctx, bad, 1, 0)
+					check("NearestKCtx", err)
+					_, err = db.SearchBatchCtx(ctx, [][]float64{{1, 2, 3}, bad}, 1, 0, 2)
+					check("SearchBatchCtx", err)
 				})
 			}
 		})

@@ -1,6 +1,8 @@
 package twsim_test
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,8 +10,9 @@ import (
 )
 
 // TestRefineWorkersPublicOracle: every (engine, worker budget, cache)
-// combination returns bit-identical Search and NearestK results to the
-// serial single-database baseline, for every base distance. This is the
+// combination — the serial single database included — returns Search and
+// NearestK results bit-identical to the brute-force scan, and therefore to
+// one another, for every base distance. This is the
 // end-to-end guarantee behind Options.RefineWorkers: parallel refinement,
 // the striped buffer pool, and the decoded-sequence cache are pure
 // performance features with zero result drift.
@@ -19,20 +22,18 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			data := randomWalks(307, 90, 6, 35)
 
-			baseline, err := twsim.OpenMem(twsim.Options{Base: base, RefineWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer baseline.Close()
-			if _, err := baseline.AddBatch(data); err != nil {
-				t.Fatal(err)
-			}
-
 			type variant struct {
 				name    string
 				backend twsim.Backend
 			}
 			var variants []variant
+			// Every variant assigns the i-th sequence ID i (a sharded
+			// round-robin load interleaves back to insertion order), so one
+			// ID slice serves the brute-force reference for all of them.
+			ids := make([]twsim.ID, len(data))
+			for i := range ids {
+				ids[i] = twsim.ID(i)
+			}
 			addSingle := func(vname string, opts twsim.Options) {
 				opts.Base = base
 				db, err := twsim.OpenMem(opts)
@@ -57,9 +58,9 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 				}
 				variants = append(variants, variant{vname, db})
 			}
+			addSingle("workers=1", twsim.Options{RefineWorkers: 1})
 			addSingle("workers=4", twsim.Options{RefineWorkers: 4})
 			addSingle("workers=4+cache", twsim.Options{RefineWorkers: 4, SeqCacheBytes: 1 << 20})
-			addSingle("workers=4+nocascade", twsim.Options{RefineWorkers: 4, DisableCascade: true})
 			addSharded("sharded3+workers=4", twsim.ShardedOptions{Shards: 3, Options: twsim.Options{RefineWorkers: 4}})
 			addSharded("sharded3+serial+cache", twsim.ShardedOptions{Shards: 3, Options: twsim.Options{RefineWorkers: 1, SeqCacheBytes: 1 << 20}})
 
@@ -68,45 +69,27 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 				q := data[rng.Intn(len(data))]
 				eps := rng.Float64() * 2.5
 				k := 1 + rng.Intn(8)
-				want, err := baseline.Search(q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantK, err := baseline.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := bruteScan(data, ids, q, base, eps, 0)
+				wantK := bruteScan(data, ids, q, base, math.Inf(1), 0)[:k]
 				// Repeat each variant's queries twice so the second pass runs
 				// against a warm sequence cache where one is configured.
 				for _, v := range variants {
 					for pass := 0; pass < 2; pass++ {
-						got, err := v.backend.Search(q, eps)
+						got, err := v.backend.SearchCtx(context.Background(), q, eps, 0)
 						if err != nil {
 							t.Fatalf("%s: %v", v.name, err)
 						}
-						if len(got.Matches) != len(want.Matches) {
-							t.Fatalf("trial %d eps %g %s pass %d: %d matches, baseline %d",
-								trial, eps, v.name, pass, len(got.Matches), len(want.Matches))
+						if !matchesEqual(got.Matches, want) {
+							t.Fatalf("trial %d eps %g %s pass %d: %+v, brute force %+v",
+								trial, eps, v.name, pass, got.Matches, want)
 						}
-						for i := range want.Matches {
-							if got.Matches[i] != want.Matches[i] {
-								t.Fatalf("trial %d eps %g %s pass %d match %d: %+v, baseline %+v",
-									trial, eps, v.name, pass, i, got.Matches[i], want.Matches[i])
-							}
-						}
-						gotK, err := v.backend.NearestK(q, k)
+						gotK, err := nearestK(v.backend, q, k, 0)
 						if err != nil {
 							t.Fatalf("%s: %v", v.name, err)
 						}
-						if len(gotK) != len(wantK) {
-							t.Fatalf("trial %d k=%d %s pass %d: %d results, baseline %d",
-								trial, k, v.name, pass, len(gotK), len(wantK))
-						}
-						for i := range wantK {
-							if gotK[i] != wantK[i] {
-								t.Fatalf("trial %d k=%d %s pass %d rank %d: %+v, baseline %+v",
-									trial, k, v.name, pass, i, gotK[i], wantK[i])
-							}
+						if !matchesEqual(gotK, wantK) {
+							t.Fatalf("trial %d k=%d %s pass %d: %+v, brute force %+v",
+								trial, k, v.name, pass, gotK, wantK)
 						}
 					}
 				}

@@ -270,7 +270,7 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 						// Fresh recompute under the same lock: the batch
 						// path never consults the cache, so any stale hit
 						// shows up as a mismatch here.
-						fresh, err := cb.b.SearchBatchBand([][]float64{q}, 0.6, 0, 1)
+						fresh, err := cb.b.SearchBatchCtx(context.Background(), [][]float64{q}, 0.6, 0, 1)
 						cb.mu.RUnlock()
 						if err != nil {
 							errs <- err
@@ -308,7 +308,7 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 // TestSearchCtxCancellation: a cancelled context aborts range, knn, and
 // batch queries with context.Canceled instead of computing an answer, and
 // an expired Options.QueryDeadline surfaces context.DeadlineExceeded. A
-// live context leaves results bit-identical to the uncancelled API.
+// live context leaves results bit-identical to the nil-context call.
 func TestSearchCtxCancellation(t *testing.T) {
 	for name, cb := range openCacheBackends(t, 0) {
 		t.Run(name, func(t *testing.T) {
@@ -328,8 +328,9 @@ func TestSearchCtxCancellation(t *testing.T) {
 			if _, err := cb.b.SearchBatchCtx(ctx, [][]float64{q}, 0.5, 0, 1); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled SearchBatchCtx error = %v, want context.Canceled", err)
 			}
-			// A live context is inert: results equal the non-ctx API's.
-			want, err := cb.b.SearchBand(q, 0.5, 0)
+			// A live context is inert: results equal the nil-context call's
+			// (what the context-free Search wrappers pass).
+			want, err := cb.b.SearchCtx(nil, q, 0.5, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +339,7 @@ func TestSearchCtxCancellation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !matchesEqual(want.Matches, got.Matches) {
-				t.Fatal("SearchCtx with a live context differs from SearchBand")
+				t.Fatal("SearchCtx with a live context differs from the nil-context call")
 			}
 		})
 	}

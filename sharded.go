@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fsx"
@@ -17,7 +16,7 @@ import (
 // ShardedOptions configures a ShardedDB.
 type ShardedOptions struct {
 	// Options configures each shard (base distance, page size, pool size,
-	// split heuristic). Every shard gets its own buffer pools of PoolPages
+	// index engine). Every shard gets its own buffer pools of PoolPages
 	// pages, so the aggregate cache grows with the shard count.
 	Options
 	// Shards is the number of hash partitions (0 = 1). The count is fixed
@@ -308,179 +307,69 @@ func (s *ShardedDB) Get(id ID) ([]float64, error) { return s.eng.Get(id) }
 
 // Search runs the paper's range similarity query fanned out across all
 // shards concurrently; results merge to exactly the single-database
-// answer. Stats sum the per-shard work; Wall is the fan-out duration. The
-// Result carries a process-unique RequestID; queries at or above
-// Options.SlowQueryThreshold are logged with it. The distance answered is
-// unconstrained when Options.Band is 0, banded otherwise.
+// answer. The distance answered is unconstrained when Options.Band is 0,
+// banded otherwise. It is SearchCtx with no context and the default band.
 func (s *ShardedDB) Search(query []float64, epsilon float64) (*Result, error) {
-	return s.SearchBand(query, epsilon, s.opts.Band)
+	return s.SearchCtx(nil, query, epsilon, s.opts.Band)
 }
 
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width for
-// this call, overriding Options.Band (0 = unconstrained). Every shard
-// answers the same banded distance, so the merged result equals the
-// single-database banded answer.
-func (s *ShardedDB) SearchBand(query []float64, epsilon float64, band int) (*Result, error) {
-	return s.SearchCtx(nil, query, epsilon, band)
-}
-
-// SearchCtx is SearchBand governed by a context: once ctx is done every
-// shard abandons its work at the next candidate boundary and the fan-out
-// returns the context's error; Options.QueryDeadline, when set, caps the
-// execution time on top. The engine-level result cache, when enabled, is
-// consulted first under the summed write generation (see Generation), so a
-// hit skips the entire fan-out.
+// SearchCtx is the range-query door (see DB.SearchCtx): every shard answers
+// the same banded distance, so the merged result equals the single-database
+// answer. Stats sum the per-shard work; Wall is the fan-out duration. Once
+// ctx is done every shard abandons its work at the next candidate boundary
+// and the fan-out returns the context's error; Options.QueryDeadline, when
+// set, caps the execution time on top. The engine-level result cache, when
+// enabled, is consulted first under the summed write generation (see
+// Generation), so a hit skips the entire fan-out.
 func (s *ShardedDB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
 	if epsilon < 0 {
-		return nil, fmt.Errorf("twsim: negative tolerance %g", epsilon)
+		return nil, errNegativeTolerance(epsilon)
 	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if s.rcache != nil {
-		key = core.ResultCacheKey('r', s.base, "sharded", band, epsilon, 0, query)
-		preGen = s.Generation() // before any shard read of this query
-		if ms, ok := s.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			s.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := s.opts.applyDeadline(ctx)
-	defer cancel()
-	res, err := s.eng.SearchBandCtx(ctx, query, epsilon, band)
-	if err != nil {
-		return nil, err
-	}
-	if s.rcache != nil {
-		s.rcache.Put(key, preGen, res.Matches)
-	}
-	res.RequestID = nextRequestID()
-	s.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-	return res, nil
+	return runQuery(ctx, s.opts, s.rcache, s.Generation, "sharded", rangeCall(query, epsilon, band),
+		func(ctx context.Context) (*Result, error) { return s.eng.SearchCtx(ctx, query, epsilon, band) })
 }
 
 // NearestK runs the exact k-NN search across all shards, sharing a best-k
 // bound so laggard shards prune early; the merged result equals the
-// single-database answer.
+// single-database answer. It is NearestKCtx with no context and the default
+// band, returning only the matches.
 func (s *ShardedDB) NearestK(query []float64, k int) ([]Match, error) {
-	res, err := s.NearestKStats(query, k)
+	res, err := s.NearestKCtx(nil, query, k, s.opts.Band)
 	if err != nil {
 		return nil, err
 	}
 	return res.Matches, nil
 }
 
-// NearestKBand is NearestK under an explicit Sakoe–Chiba band half-width
-// for this call, overriding Options.Band (0 = unconstrained).
-func (s *ShardedDB) NearestKBand(query []float64, k, band int) ([]Match, error) {
-	res, err := s.NearestKStatsBand(query, k, band)
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// NearestKStats is NearestK returning the full Result: matches plus the
-// summed per-shard work counters and the RequestID (see DB.NearestKStats).
-func (s *ShardedDB) NearestKStats(query []float64, k int) (*Result, error) {
-	return s.NearestKStatsBand(query, k, s.opts.Band)
-}
-
-// NearestKStatsBand is NearestKStats under an explicit band half-width for
-// this call, overriding Options.Band (0 = unconstrained).
-func (s *ShardedDB) NearestKStatsBand(query []float64, k, band int) (*Result, error) {
-	return s.NearestKCtx(nil, query, k, band)
-}
-
-// NearestKCtx is NearestKStatsBand governed by a context (see SearchCtx for
-// the cancellation and caching behavior).
+// NearestKCtx is the k-NN door (see DB.NearestKCtx): matches plus the
+// summed per-shard work counters and the RequestID, with SearchCtx's
+// cancellation and caching behavior.
 func (s *ShardedDB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if s.rcache != nil {
-		key = core.ResultCacheKey('k', s.base, "sharded", band, 0, k, query)
-		preGen = s.Generation() // before any shard read of this query
-		if ms, ok := s.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			s.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := s.opts.applyDeadline(ctx)
-	defer cancel()
-	ms, stats, err := s.eng.NearestKStatsBandCtx(ctx, query, k, band)
-	if err != nil {
-		return nil, err
-	}
-	if s.rcache != nil {
-		s.rcache.Put(key, preGen, ms)
-	}
-	res := &Result{Matches: ms, Stats: stats, RequestID: nextRequestID()}
-	s.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-	return res, nil
+	return runQuery(ctx, s.opts, s.rcache, s.Generation, "sharded", knnCall(query, k, band),
+		func(ctx context.Context) (*Result, error) { return s.eng.NearestKCtx(ctx, query, k, band) })
 }
 
-// SearchBatch runs many range queries concurrently (one worker per query,
-// each visiting shards serially — see the engine for why that maximizes
-// batch throughput). parallelism <= 0 selects GOMAXPROCS. The first error
-// aborts the batch promptly. Every query is validated for non-finite
-// elements upfront; each per-query Result gets its own RequestID and
-// slow-query log line.
+// SearchBatch runs many range queries concurrently under the default band.
+// It is SearchBatchCtx with no context.
 func (s *ShardedDB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*Result, error) {
-	return s.SearchBatchBand(queries, epsilon, s.opts.Band, parallelism)
+	return s.SearchBatchCtx(nil, queries, epsilon, s.opts.Band, parallelism)
 }
 
-// SearchBatchBand is SearchBatch under an explicit Sakoe–Chiba band
-// half-width for this call, overriding Options.Band (0 = unconstrained).
-func (s *ShardedDB) SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	return s.SearchBatchCtx(nil, queries, epsilon, band, parallelism)
-}
-
-// SearchBatchCtx is SearchBatchBand governed by a context: once ctx is done
-// the dispatcher stops feeding queries and in-flight fan-outs abandon,
-// failing the whole batch with the context's error. Options.QueryDeadline
-// bounds the whole batch (attached once, not per query).
+// SearchBatchCtx is the batch door (see DB.SearchBatchCtx): one worker per
+// query, each visiting shards serially — see the engine for why that
+// maximizes batch throughput. Validation, errors, request IDs and the
+// deadline behave exactly as on a single database.
 func (s *ShardedDB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	for i, q := range queries {
-		if err := seq.CheckFinite(q); err != nil {
-			return nil, fmt.Errorf("twsim: query %d: %w", i, err)
-		}
-	}
-	if err := validateBand(band); err != nil {
+	if err := validateBatch(queries, epsilon, band); err != nil {
 		return nil, err
 	}
 	ctx, cancel := s.opts.applyDeadline(ctx)
 	defer cancel()
-	out, err := s.eng.SearchBatchBandCtx(ctx, queries, epsilon, band, parallelism)
+	out, err := s.eng.SearchBatchCtx(ctx, queries, epsilon, band, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range out {
-		res.RequestID = nextRequestID()
-		s.opts.logSlowQuery("batch", res.RequestID, len(queries[i]), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-	}
+	s.opts.stampBatch(queries, out, epsilon, band)
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -87,30 +88,40 @@ func TestShardedSearchOracle(t *testing.T) {
 }
 
 // TestShardedNearestKOracle: the merged k-NN across shards (with the shared
-// best-k bound pruning laggard shards) equals the single-database answer.
+// best-k bound pruning laggard shards) equals the single-database answer,
+// unbanded and banded, up to a k far beyond the data — every shard must
+// keep the caller's k (shrinking it per shard would publish an unsound
+// shared bound) without sizing anything by it.
 func TestShardedNearestKOracle(t *testing.T) {
+	ctx := context.Background()
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			data := randomWalks(int64(shards)*57+3, 80, 10, 35)
 			single, sharded, mapping := buildPair(t, data, shards, twsim.BaseLInf)
 			rng := rand.New(rand.NewSource(int64(shards) * 31))
-			for _, k := range []int{1, 3, 10, 80, 200} {
-				q := data[rng.Intn(len(data))]
-				want, err := single.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sharded.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("k=%d: sharded %d matches, single %d", k, len(got), len(want))
-				}
-				for i := range got {
-					if mapping[got[i].ID] != want[i].ID || got[i].Dist != want[i].Dist {
-						t.Fatalf("k=%d rank %d: sharded (id %d -> %d, dist %g), single (id %d, dist %g)",
-							k, i, got[i].ID, mapping[got[i].ID], got[i].Dist, want[i].ID, want[i].Dist)
+			for _, band := range []int{0, 2} {
+				for _, k := range []int{1, 3, 10, 80, 200, 1 << 40} {
+					q := data[rng.Intn(len(data))]
+					want, err := single.NearestKCtx(ctx, q, k, band)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := sharded.NearestKCtx(ctx, q, k, band)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantLen := min(k, len(data)); len(want.Matches) != wantLen {
+						t.Fatalf("band=%d k=%d: single %d matches, want %d", band, k, len(want.Matches), wantLen)
+					}
+					if len(got.Matches) != len(want.Matches) {
+						t.Fatalf("band=%d k=%d: sharded %d matches, single %d", band, k, len(got.Matches), len(want.Matches))
+					}
+					for i, g := range got.Matches {
+						w := want.Matches[i]
+						if mapping[g.ID] != w.ID || g.Dist != w.Dist {
+							t.Fatalf("band=%d k=%d rank %d: sharded (id %d -> %d, dist %g), single (id %d, dist %g)",
+								band, k, i, g.ID, mapping[g.ID], g.Dist, w.ID, w.Dist)
+						}
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package twsim_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -75,15 +76,16 @@ func TestSlowQueryLog(t *testing.T) {
 			seedSlowLogDB(t, db)
 			q := []float64{1, 2, 3, 2}
 
-			res, err := db.Search(q, 0.5)
+			ctx := context.Background()
+			res, err := db.SearchCtx(ctx, q, 0.5, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			knn, err := db.NearestKStats(q, 3)
+			knn, err := db.NearestKCtx(ctx, q, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := db.SearchBatch([][]float64{q, {0, 1, 2, 1}}, 0.5, 2)
+			batch, err := db.SearchBatchCtx(ctx, [][]float64{q, {0, 1, 2, 1}}, 0.5, 0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

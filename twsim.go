@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rtree"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
 	"repro/internal/wal"
@@ -61,15 +60,6 @@ type StorageStats = core.StorageStats
 // CostModel converts buffer pool misses into modeled disk time.
 type CostModel = core.CostModel
 
-// SplitStrategy selects the R-tree overflow heuristic.
-type SplitStrategy = rtree.SplitStrategy
-
-// R-tree split strategies.
-const (
-	SplitQuadratic = rtree.QuadraticSplit
-	SplitLinear    = rtree.LinearSplit
-)
-
 // Index engine names for Options.IndexEngine.
 const (
 	// EngineGuttman is the classic paged Guttman R-tree (the default).
@@ -104,21 +94,6 @@ type Options struct {
 	PageSize int
 	// PoolPages is the buffer pool capacity of each file in pages (0 = 64).
 	PoolPages int
-	// Split is the R-tree split heuristic (default quadratic).
-	Split SplitStrategy
-	// DisableCascade turns off the tiered lower-bound cascade in the
-	// refinement step, sending every index candidate straight to the exact
-	// early-abandoning DTW. Matches and distances are bit-identical either
-	// way — the cascade only skips work, never answers — so the flag exists
-	// for benchmarking and verification, not correctness.
-	DisableCascade bool
-	// DisableEnvOrdering turns off the k-NN walk's envelope-sharpened
-	// frontier ordering (candidates re-keyed by max(mindist, LB_PAA) before
-	// surfacing), keeping the plain mindist stream. Matches and distances
-	// are bit-identical either way — the ordering only fires the walk's stop
-	// condition earlier — so the flag exists for benchmarking and
-	// verification, not correctness. DisableCascade implies it.
-	DisableEnvOrdering bool
 	// RefineWorkers bounds the intra-query parallelism of the refinement
 	// step (candidate fetch + cascade + exact DTW): 0 means GOMAXPROCS,
 	// 1 restores the fully serial execution, and results are bit-identical
@@ -133,8 +108,8 @@ type Options struct {
 	// warpings within the band are permissible, which both sharpens the
 	// similarity model and unlocks the banded envelope cascade tiers
 	// (LB_Keogh on the banded envelope and Lemire's LB_Improved). Negative
-	// values are rejected at query time. Per-query overrides: SearchBand,
-	// NearestKBand, SearchBatchBand.
+	// values are rejected at query time. Per-query override: the band
+	// argument of SearchCtx, NearestKCtx and SearchBatchCtx.
 	//
 	// Every search remains exact for the distance it answers: all filter
 	// tiers lower-bound BandDistance (a band only removes permissible
@@ -285,7 +260,6 @@ func (o Options) indexOptions(engine, path string) core.IndexOptions {
 		Engine:             engine,
 		PageSize:           o.PageSize,
 		PoolPages:          o.PoolPages,
-		Split:              o.Split,
 		OnDiskPath:         path,
 		FlatMergeThreshold: o.FlatMergeThreshold,
 	}
@@ -706,7 +680,6 @@ func (db *DB) Get(id ID) ([]float64, error) {
 // cancels the query at its next candidate boundary.
 func (db *DB) searcher(ctx context.Context, workers, band int) *core.TWSimSearch {
 	return &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base,
-		NoCascade: db.opts.DisableCascade, NoEnvOrder: db.opts.DisableEnvOrdering,
 		Workers: workers, Band: band, Envs: db.envs, Ctx: ctx}
 }
 
@@ -746,173 +719,163 @@ func validateBand(band int) error {
 	return nil
 }
 
+// validateQuery is the check every single-query door runs before touching
+// an index: a non-empty, finite query under a valid band.
+func validateQuery(query []float64, band int) error {
+	if len(query) == 0 {
+		return seq.ErrEmpty
+	}
+	if err := seq.CheckFinite(query); err != nil {
+		return err
+	}
+	return validateBand(band)
+}
+
+// queryCall names one single-query call: the inputs of its result-cache key
+// and the wording of its slow-log line. rangeCall and knnCall build the two
+// kinds, so runQuery never asks which one it is serving.
+type queryCall struct {
+	family   byte // core.ResultCacheKey family: 'r' = range, 'k' = k-NN
+	query    []float64
+	epsilon  float64 // range tolerance; 0 for k-NN
+	k, band  int     // k is the neighbour count; 0 for range
+	logKind  string
+	logParam string
+}
+
+func rangeCall(query []float64, epsilon float64, band int) queryCall {
+	return queryCall{family: 'r', query: query, epsilon: epsilon, band: band,
+		logKind: "search", logParam: fmt.Sprintf("epsilon=%g band=%d", epsilon, band)}
+}
+
+func knnCall(query []float64, k, band int) queryCall {
+	return queryCall{family: 'k', query: query, k: k, band: band,
+		logKind: "knn", logParam: fmt.Sprintf("k=%d band=%d", k, band)}
+}
+
+// runQuery is the one protocol every single-query entry point of both
+// backends runs: validate → probe the whole-query result cache → attach the
+// deadline → compute → store → stamp the request ID and slow-log. gen reads
+// the backend's write generation and engine tags the cache key; compute
+// runs the actual search under the deadline-bearing context. (A range
+// door rejects a negative tolerance before calling.)
+//
+// Coherence (DESIGN.md §13.2) is stated over this function alone: gen() is
+// loaded before any index or heap read of the query — the probe and compute
+// both come after it — a hit is served only when the entry's stamp equals
+// that reading, and a computed answer is stored under the same pre-query
+// reading, so any write that overlaps the computation has bumped the
+// generation past the stamp and the entry is stale on its first lookup.
+func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() uint64, engine string,
+	c queryCall, compute func(ctx context.Context) (*Result, error)) (*Result, error) {
+	if err := validateQuery(c.query, c.band); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	var (
+		key    string
+		preGen uint64
+		res    *Result
+	)
+	if rc != nil {
+		key = core.ResultCacheKey(c.family, o.Base, engine, c.band, c.epsilon, c.k, c.query)
+		preGen = gen() // before any index/heap read of this query
+		if ms, ok := rc.Get(key, preGen); ok {
+			res = cachedResult(ms, start)
+		}
+	}
+	if res == nil {
+		ctx, cancel := o.applyDeadline(ctx)
+		defer cancel()
+		var err error
+		if res, err = compute(ctx); err != nil {
+			return nil, err
+		}
+		if rc != nil {
+			rc.Put(key, preGen, res.Matches)
+		}
+	}
+	res.RequestID = nextRequestID()
+	o.logSlowQuery(c.logKind, res.RequestID, len(c.query), c.logParam, res.Stats)
+	return res, nil
+}
+
+func errNegativeTolerance(epsilon float64) error {
+	return fmt.Errorf("twsim: negative tolerance %g", epsilon)
+}
+
 // Search finds every sequence whose time warping distance to query is at
 // most epsilon, using the paper's TW-Sim-Search (Algorithm 1): index range
 // query with Dtw-lb, then exact DTW refinement. No false dismissal. The
 // distance answered is the unconstrained Dtw when Options.Band is 0, the
-// banded BandDistance otherwise.
+// banded BandDistance otherwise. It is SearchCtx with no context and the
+// default band.
 func (db *DB) Search(query []float64, epsilon float64) (*Result, error) {
-	return db.SearchBandWorkers(query, epsilon, db.opts.Band, db.opts.refineWorkers())
+	return db.SearchCtx(nil, query, epsilon, db.opts.Band)
 }
 
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width for
-// this call, overriding Options.Band: 0 answers the unconstrained time
-// warping distance, band ≥ 1 answers BandDistance(S, Q, band). Banded
-// results are exact for the banded distance — bit-identical to a
-// brute-force banded scan.
-func (db *DB) SearchBand(query []float64, epsilon float64, band int) (*Result, error) {
-	return db.SearchBandWorkers(query, epsilon, band, db.opts.refineWorkers())
-}
-
-// SearchWorkers is Search with an explicit intra-query refinement worker
-// count for this call (≤ 1 means serial), overriding Options.RefineWorkers.
-// The sharded engine uses it to spread one refine budget across shards;
-// results are bit-identical at every worker count.
+// SearchCtx is the range-query door: Search under an explicit Sakoe–Chiba
+// band half-width for this call (0 answers the unconstrained time warping
+// distance, band ≥ 1 answers BandDistance(S, Q, band), exact for the banded
+// distance — bit-identical to a brute-force banded scan) and governed by a
+// context: the query is abandoned at its next candidate boundary once ctx
+// is done (the context's error is returned; a nil context never cancels),
+// and Options.QueryDeadline, if set, caps the execution time on top.
+// Cancellation only abandons work, it never skips a qualifying candidate.
 //
 // The returned Result carries a process-unique RequestID; queries whose
-// wall time reaches Options.SlowQueryThreshold are logged with it.
-func (db *DB) SearchWorkers(query []float64, epsilon float64, workers int) (*Result, error) {
-	return db.SearchBandWorkers(query, epsilon, db.opts.Band, workers)
-}
-
-// SearchBandWorkers is SearchBand with an explicit worker count.
-func (db *DB) SearchBandWorkers(query []float64, epsilon float64, band, workers int) (*Result, error) {
-	return db.SearchBandWorkersCtx(nil, query, epsilon, band, workers)
-}
-
-// SearchCtx is SearchBand governed by a context: the query is abandoned at
-// its next candidate boundary once ctx is done (the context's error is
-// returned), and Options.QueryDeadline, if set, caps the execution time on
-// top. A completed search is bit-identical to SearchBand — cancellation
-// only abandons work, it never skips a qualifying candidate.
+// wall time reaches Options.SlowQueryThreshold are logged with it. The
+// whole-query result cache, when enabled, is consulted first (see
+// Options.ResultCacheBytes).
 func (db *DB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error) {
 	return db.SearchBandWorkersCtx(ctx, query, epsilon, band, db.opts.refineWorkers())
 }
 
-// SearchBandWorkersCtx is the most general range-query entry point —
-// explicit context, band, and worker count; every other Search variant
-// delegates here. The whole-query result cache, when enabled, is consulted
-// first: the write generation is loaded before any index or heap read, a
-// generation-stamped hit is returned with zero search work, and a computed
-// answer is stored under the pre-query generation so any overlapping write
-// invalidates it (see Options.ResultCacheBytes).
+// SearchBandWorkersCtx is SearchCtx with an explicit intra-query refinement
+// worker count for this call (≤ 1 means serial), overriding
+// Options.RefineWorkers; results are bit-identical at every worker count.
+// It is the form the sharded engine calls per shard (shard.Store) to spread
+// one refine budget across the shards a query fans out to.
 func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
 	if epsilon < 0 {
-		return nil, fmt.Errorf("twsim: negative tolerance %g", epsilon)
+		return nil, errNegativeTolerance(epsilon)
 	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if db.rcache != nil {
-		key = core.ResultCacheKey('r', db.base, db.engine, band, epsilon, 0, query)
-		preGen = db.gen.Load() // before any index/heap read of this query
-		if ms, ok := db.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			db.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := db.opts.applyDeadline(ctx)
-	defer cancel()
-	res, err := db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
-	if err != nil {
-		return nil, err
-	}
-	if db.rcache != nil {
-		db.rcache.Put(key, preGen, res.Matches)
-	}
-	res.RequestID = nextRequestID()
-	db.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-	return res, nil
+	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, db.engine, rangeCall(query, epsilon, band),
+		func(ctx context.Context) (*Result, error) {
+			return db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
+		})
 }
 
 // NearestK returns the k sequences with the smallest exact time warping
 // distance to query, in ascending distance order (an extension enabled by
 // Dtw-lb being a true lower bound of Dtw). The distance is unconstrained
-// when Options.Band is 0, banded otherwise.
+// when Options.Band is 0, banded otherwise. It is NearestKCtx with no
+// context and the default band, returning only the matches.
 func (db *DB) NearestK(query []float64, k int) ([]Match, error) {
-	res, err := db.NearestKStats(query, k)
+	res, err := db.NearestKCtx(nil, query, k, db.opts.Band)
 	if err != nil {
 		return nil, err
 	}
 	return res.Matches, nil
 }
 
-// NearestKBand is NearestK under an explicit Sakoe–Chiba band half-width
-// for this call, overriding Options.Band (0 = unconstrained).
-func (db *DB) NearestKBand(query []float64, k, band int) ([]Match, error) {
-	res, err := db.NearestKStatsBand(query, k, band)
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// NearestKStats is NearestK returning the full Result: the matches plus the
-// query's work counters (candidates, cascade prune tiers, DTW calls, wall
-// time) and its RequestID. The serving layer uses it to export k-NN traffic
-// into the same metrics and slow-query log as range searches.
-func (db *DB) NearestKStats(query []float64, k int) (*Result, error) {
-	return db.NearestKStatsBand(query, k, db.opts.Band)
-}
-
-// NearestKStatsBand is NearestKStats under an explicit band half-width for
-// this call, overriding Options.Band (0 = unconstrained).
-func (db *DB) NearestKStatsBand(query []float64, k, band int) (*Result, error) {
-	return db.NearestKCtx(nil, query, k, band)
-}
-
-// NearestKCtx is NearestKStatsBand governed by a context: the walk is
-// abandoned at its next candidate boundary once ctx is done, and
-// Options.QueryDeadline, if set, caps the execution time on top. The
-// whole-query result cache, when enabled, serves repeated queries without
-// re-running the walk (see SearchBandWorkersCtx for the coherence
-// protocol).
+// NearestKCtx is the k-NN door: NearestK under an explicit band half-width
+// for this call (0 = unconstrained) and governed by a context (see
+// SearchCtx), returning the full Result — the matches plus the query's work
+// counters (candidates, cascade prune tiers, DTW calls, wall time) and its
+// RequestID, which is what lets the serving layer export k-NN traffic into
+// the same metrics and slow-query log as range searches. The whole-query
+// result cache, when enabled, serves repeated queries without re-running
+// the walk.
 func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if db.rcache != nil {
-		key = core.ResultCacheKey('k', db.base, db.engine, band, 0, k, query)
-		preGen = db.gen.Load() // before any index/heap read of this query
-		if ms, ok := db.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			db.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := db.opts.applyDeadline(ctx)
-	defer cancel()
-	ms, stats, err := db.NearestKStatsBandWorkersCtx(ctx, query, k, band, nil, db.opts.refineWorkers())
-	if err != nil {
-		return nil, err
-	}
-	if db.rcache != nil {
-		db.rcache.Put(key, preGen, ms)
-	}
-	res := &Result{Matches: ms, Stats: stats, RequestID: nextRequestID()}
-	db.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-	return res, nil
+	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, db.engine, knnCall(query, k, band),
+		func(ctx context.Context) (*Result, error) {
+			ms, stats, err := db.NearestKStatsBandWorkersCtx(ctx, query, k, band, nil, db.opts.refineWorkers())
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Matches: ms, Stats: stats}, nil
+		})
 }
 
 // StorageStats snapshots the storage-layer counters: data and index buffer
