@@ -40,8 +40,9 @@
 // Candidate refinement runs through a tiered cascade of true lower bounds,
 // cheapest first: LB_Kim re-checked on the stored index point (before the
 // heap fetch), LB_Keogh against the query's global envelope, the completed
-// two-sided Yi bound, and finally a fused sparse dynamic program that
-// visits only the DP cells whose exact value stays within the cutoff —
+// two-sided Yi bound, and finally a fused early-abandoning dynamic program
+// that computes, per row, only the window spanning the DP cells whose exact
+// value stays within the cutoff (compared branch-free as bit patterns) —
 // rejecting hopeless candidates at a fraction of a full evaluation and
 // producing the exact distance for survivors in the same pass. Every tier
 // preserves the no-false-dismissal guarantee, results are bit-identical to

@@ -25,7 +25,7 @@ import (
 //	Tier 1b   verify        — the completed two-sided LB_Yi
 //	Tier 1c   verify        — the second pass of Lemire's LB_Improved
 //	                          (banded equal-length queries only)
-//	Tier 2–3  verify        — the exact DP: the sparse alive-run corridor
+//	Tier 2–3  verify        — the exact DP: the single-window corridor pass
 //	                          (dtw.Refiner) for unconstrained queries, the
 //	                          early-abandoning banded DP for banded ones
 //
@@ -468,7 +468,7 @@ func creditTier(tier int, stats *QueryStats) {
 // verifyDP runs only Tiers 2–3 (the exact DP). LB-Scan uses this directly:
 // its own LB_Yi filter already ran, so re-running Tier 1 would double-count
 // work without pruning anything new. Unconstrained queries use the fused
-// sparse corridor; banded queries run the early-abandoning banded DP — the
+// corridor pass; banded queries run the early-abandoning banded DP — the
 // corridor computes the unconstrained distance, which is not the value a
 // banded query answers, and the band already restricts each DP row to
 // O(band) cells.

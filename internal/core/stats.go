@@ -68,9 +68,9 @@ type QueryStats struct {
 	// undefined otherwise — so this stays zero for unbanded searches.
 	LBImprovedPruned int
 	// CorridorPruned counts candidates dismissed on Tier 2: the fused
-	// sparse DP's alive region died before the final cell, proving
-	// Dtw > epsilon while visiting only the within-cutoff part of the
-	// matrix (this subsumes the O(1) endpoint pre-check and everything a
+	// DP's alive region died before the final cell, proving
+	// Dtw > epsilon while visiting only the window around the
+	// within-cutoff part of the matrix (this subsumes the O(1) endpoint pre-check and everything a
 	// dense DP would have early-abandoned).
 	CorridorPruned int
 	// DTWAbandoned counts dense DP invocations that early-abandoned

@@ -1,6 +1,7 @@
 package dtw
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/seq"
@@ -56,16 +57,10 @@ func releaseRows(rp *rowPair) { rowPool.Put(rp) }
 func distKernelLInf(s, q []float64) float64 {
 	rp := acquireRows(len(q))
 	prev, cur := rp.prev, rp.cur
-	v := s[0] - q[0]
-	if v < 0 {
-		v = -v
-	}
+	v := math.Abs(s[0] - q[0])
 	prev[0] = v
 	for j := 1; j < len(q); j++ {
-		e := s[0] - q[j]
-		if e < 0 {
-			e = -e
-		}
+		e := math.Abs(s[0] - q[j])
 		if prev[j-1] > e {
 			e = prev[j-1]
 		}
@@ -73,19 +68,13 @@ func distKernelLInf(s, q []float64) float64 {
 	}
 	for i := 1; i < len(s); i++ {
 		si := s[i]
-		e := si - q[0]
-		if e < 0 {
-			e = -e
-		}
+		e := math.Abs(si - q[0])
 		if prev[0] > e {
 			e = prev[0]
 		}
 		cur[0] = e
 		for j := 1; j < len(q); j++ {
-			e := si - q[j]
-			if e < 0 {
-				e = -e
-			}
+			e := math.Abs(si - q[j])
 			best := prev[j]
 			if cur[j-1] < best {
 				best = cur[j-1]
@@ -112,10 +101,7 @@ func distKernelAdd(s, q []float64, squared bool) float64 {
 	rp := acquireRows(len(q))
 	prev, cur := rp.prev, rp.cur
 	elem := func(x, y float64) float64 {
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
+		d := math.Abs(x - y)
 		if squared {
 			return d * d
 		}
@@ -151,19 +137,13 @@ func withinKernelLInf(s, q []float64, epsilon float64) (float64, bool) {
 	rp := acquireRows(len(q))
 	prev, cur := rp.prev, rp.cur
 	alive := false
-	v := s[0] - q[0]
-	if v < 0 {
-		v = -v
-	}
+	v := math.Abs(s[0] - q[0])
 	prev[0] = v
 	if v <= epsilon {
 		alive = true
 	}
 	for j := 1; j < len(q); j++ {
-		e := s[0] - q[j]
-		if e < 0 {
-			e = -e
-		}
+		e := math.Abs(s[0] - q[j])
 		if prev[j-1] > e {
 			e = prev[j-1]
 		}
@@ -179,10 +159,7 @@ func withinKernelLInf(s, q []float64, epsilon float64) (float64, bool) {
 	for i := 1; i < len(s); i++ {
 		si := s[i]
 		alive = false
-		e := si - q[0]
-		if e < 0 {
-			e = -e
-		}
+		e := math.Abs(si - q[0])
 		if prev[0] > e {
 			e = prev[0]
 		}
@@ -191,10 +168,7 @@ func withinKernelLInf(s, q []float64, epsilon float64) (float64, bool) {
 			alive = true
 		}
 		for j := 1; j < len(q); j++ {
-			e := si - q[j]
-			if e < 0 {
-				e = -e
-			}
+			e := math.Abs(si - q[j])
 			best := prev[j]
 			if cur[j-1] < best {
 				best = cur[j-1]
@@ -229,10 +203,7 @@ func withinKernelAdd(s, q []float64, squared bool, epsilon float64) (float64, bo
 	rp := acquireRows(len(q))
 	prev, cur := rp.prev, rp.cur
 	elem := func(x, y float64) float64 {
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
+		d := math.Abs(x - y)
 		if squared {
 			return d * d
 		}

@@ -1,6 +1,7 @@
 package dtw
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/seq"
@@ -10,72 +11,97 @@ import (
 type Verdict int
 
 const (
-	// VerdictPruned means the sparse corridor pass proved Dtw(s,q) > epsilon
+	// VerdictPruned means the windowed pass proved Dtw(s,q) > epsilon
 	// without completing an exact DP: the set of cells whose DP value stays
-	// within epsilon never reaches the final cell. The pass costs O(alive
-	// cells), so hopeless candidates die at a fraction of the dense DP's
-	// cost.
+	// within epsilon never reaches the final cell. The pass stops at the
+	// first row with no such cell, so hopeless candidates die at a fraction
+	// of the dense DP's cost.
 	VerdictPruned Verdict = iota
 	// VerdictWithin means Dtw(s,q) ≤ epsilon; the returned distance is exact
 	// (bit-identical to DistanceWithin).
 	VerdictWithin
 	// VerdictAbandoned means a dense early-abandoning DP ran to rejection.
-	// The fused corridor pass never reports this — its rejections are
-	// corridor prunes — so it only arises on the generic fallback for bases
-	// without a corridor soundness argument.
+	// The windowed pass never reports this — its rejections are corridor
+	// prunes — so it only arises on the generic fallback for bases without
+	// a corridor soundness argument.
 	VerdictAbandoned
 )
 
 // Refiner is the filter-and-refine DTW evaluator behind the cascade's last
-// two tiers, fused into one sparse pass over the DP matrix. A cell is alive
-// when its exact DP value is ≤ epsilon; values never decrease along a
-// warping path (max-combine for seq.LInf, non-negative additions for
-// seq.L1/seq.L2Sq), so dead cells can never lie on a qualifying path and
-// the pass visits only cells adjacent to the previous row's alive runs.
-// Dead predecessors enter the minimum as +Inf, which is exact: an alive
-// cell's smallest predecessor is itself alive (a dead minimum would push
-// the cell over epsilon), so the values of visited alive cells — and the
-// final distance of a surviving candidate — are bit-identical to the dense
+// two tiers, fused into one early-abandoning pass over the DP matrix. A
+// cell is alive when its exact DP value is ≤ epsilon; values never decrease
+// along a warping path (max-combine for seq.LInf, non-negative additions
+// for seq.L1/seq.L2Sq), so dead cells can never lie on a qualifying path.
+// Each row therefore computes one contiguous window — from the previous
+// row's first alive column to one past its last, plus a horizontal fill
+// while cells stay alive — and a row with no alive cell ends the pass.
+//
+// Cells outside the window stand in as +Inf sentinels; dead cells inside it
+// keep whatever the recurrence computed. Both are sound: by induction every
+// stored value is ≥ the dense DP's, and a cell whose dense value is ≤
+// epsilon has an alive minimum predecessor (a dead one would push it over
+// epsilon), which the window holds exactly — so every alive cell, and the
+// final distance of a surviving candidate, is bit-identical to the dense
 // DP's.
+//
+// Cells are held and compared as IEEE-754 bit patterns: every DP value is a
+// non-negative non-NaN double, and on those the unsigned-integer order of
+// the bits is the float order, so min and max compile to conditional moves
+// instead of data-dependent float branches. A NaN (sign masked off) orders
+// above +Inf, i.e. is dead.
 //
 // The two tiers of the old split design remain visible in the verdict: a
 // candidate whose alive region dies before the final cell is "corridor
-// pruned" (no DP completed; for rejects the pass does reachability work,
-// not a full evaluation), while a survivor's verdict carries the exact
+// pruned" (no DP completed), while a survivor's verdict carries the exact
 // distance with no second pass over the matrix.
 //
-// A Refiner owns pooled run buffers; acquire one per query with
-// AcquireRefiner, use it for every candidate, and Release it when the query
-// completes. A Refiner is not safe for concurrent use.
+// A Refiner owns its two DP rows; acquire one per query with AcquireRefiner,
+// use it for every candidate, and Release it when the query completes. A
+// Refiner is not safe for concurrent use.
 type Refiner struct {
-	runs  []int32 // one row's alive [start,end) column pairs
-	runs2 []int32 // the adjacent row's pairs (buffers swap per row)
+	// DP rows of bit patterns, column j at slot j+1. Slot 0 is +Inf for
+	// good (the column left of column 0); everything else is scratch that
+	// a pass reads only between the sentinels it wrote itself.
+	prev, cur []uint64
 }
+
+const (
+	signBit = 1 << 63
+	infBits = 0x7FF0000000000000
+)
 
 var refinerPool = sync.Pool{New: func() any { return &Refiner{} }}
 
 // AcquireRefiner returns a pooled Refiner.
 func AcquireRefiner() *Refiner { return refinerPool.Get().(*Refiner) }
 
-// Release returns the Refiner (and its buffers) to the pool.
+// Release returns the Refiner (and its rows) to the pool.
 func (r *Refiner) Release() { refinerPool.Put(r) }
 
-// DistanceWithin is DistanceWithin with the sparse corridor fused in: it
-// returns the same (distance, within) outcome — VerdictWithin carries the
+// rows returns the two DP rows, grown to hold m columns plus the slot
+// before column 0 and the sentinel slot after column m-1.
+func (r *Refiner) rows(m int) (prev, cur []uint64) {
+	if len(r.prev) < m+2 {
+		n := max(m+2, 2*len(r.prev))
+		r.prev, r.cur = make([]uint64, n), make([]uint64, n)
+		r.prev[0], r.cur[0] = infBits, infBits
+	}
+	return r.prev, r.cur
+}
+
+// DistanceWithin is DistanceWithin with the corridor fused in: it returns
+// the same (distance, within) outcome — VerdictWithin carries the
 // bit-identical exact distance, VerdictPruned/VerdictAbandoned correspond
 // to (+Inf, false) — plus which mechanism decided, so callers can account
 // corridor dismissals separately from completed DP evaluations.
 func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float64) (float64, Verdict) {
-	switch {
-	case s.Empty() && q.Empty():
-		if 0 <= epsilon {
-			return 0, VerdictWithin
-		}
-		return Inf, VerdictPruned
-	case s.Empty() || q.Empty():
+	if !(epsilon >= 0) {
 		return Inf, VerdictPruned
 	}
-	if epsilon < 0 {
+	switch {
+	case s.Empty() && q.Empty():
+		return 0, VerdictWithin
+	case s.Empty() || q.Empty():
 		return Inf, VerdictPruned
 	}
 	// The O(1) endpoint check is the corridor's first/last-cell test.
@@ -89,13 +115,14 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 		d  float64
 		ok bool
 	)
+	eps := math.Float64bits(epsilon) &^ signBit // -0 is a valid epsilon
 	switch base {
 	case seq.LInf:
-		d, ok = r.fusedLInf(s, q, epsilon)
+		d, ok = r.windowMax(s, q, eps)
 	case seq.L1:
-		d, ok = r.fusedAdd(s, q, false, epsilon)
+		d, ok = r.windowAdd(s, q, false, eps)
 	case seq.L2Sq:
-		d, ok = r.fusedAdd(s, q, true, epsilon)
+		d, ok = r.windowAdd(s, q, true, eps)
 	default:
 		// No corridor soundness argument on file for future bases: run the
 		// plain early-abandoning DP.
@@ -110,250 +137,172 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 	return d, VerdictWithin
 }
 
-// fusedLInf runs the sparse alive-run DP under the L∞ (max) combine.
-// Requires len(q) <= len(s), non-empty inputs, and a passing endpoint
-// check. Reports (exact distance, true) when Dtw ≤ epsilon.
-func (r *Refiner) fusedLInf(s, q []float64, epsilon float64) (float64, bool) {
+// windowMax runs the single-window DP under the L∞ (max) combine. Requires
+// 1 <= len(q) <= len(s); eps is epsilon's bit pattern. Reports (exact
+// distance, true) when Dtw ≤ epsilon.
+func (r *Refiner) windowMax(s, q []float64, eps uint64) (float64, bool) {
 	n, m := len(s), len(q)
-	rp := acquireRows(m)
-	defer releaseRows(rp)
-	prev, cur := rp.prev, rp.cur
-	pruns, cruns := r.runs[:0], r.runs2[:0]
+	prev, cur := r.rows(m)
 
 	// Row 0 is a single combine chain, so its values never decrease and the
-	// alive set is a prefix (non-empty: the endpoint check passed cell 0).
+	// alive set is a prefix.
 	s0 := s[0]
-	v := s0 - q[0]
-	if v < 0 {
-		v = -v
-	}
-	prev[0] = v
-	e0 := 1
-	for ; e0 < m; e0++ {
-		e := s0 - q[e0]
-		if e < 0 {
-			e = -e
-		}
-		if prev[e0-1] > e {
-			e = prev[e0-1]
-		}
-		if e > epsilon {
+	var c uint64
+	hi := -1 // last alive column of the previous row; lo is its first
+	for j := 0; j < m; j++ {
+		c = max(c, math.Float64bits(s0-q[j])&^signBit)
+		if c > eps {
 			break
 		}
-		prev[e0] = e
+		prev[j+1] = c
+		hi = j
 	}
-	pruns = append(pruns, 0, int32(e0))
+	if hi < 0 {
+		return Inf, false
+	}
+	prev[hi+2] = infBits
+	lo := 0
 
 	for i := 1; i < n; i++ {
 		si := s[i]
-		cruns = cruns[:0]
-		inRun := false
-		j := 0
-		for p := 0; p < len(pruns); p += 2 {
-			lo, hi0 := int(pruns[p]), int(pruns[p+1])
-			// Seeds: the run's columns plus one diagonal step.
-			hi := hi0 + 1
-			if hi > m {
-				hi = m
-			}
-			if j < lo {
-				j = lo // the fill (if any) died before this segment
-			}
-			for ; j < hi; j++ {
-				// Membership is segment-local: vertical for the run's own
-				// columns, diagonal shifted one right, horizontal only while
-				// the current run is open. Dead predecessors stand in as
-				// +Inf (exact: see the type comment).
-				best := Inf
-				if j < hi0 {
-					best = prev[j]
-				}
-				if j > lo && j <= hi0 && prev[j-1] < best {
-					best = prev[j-1]
-				}
-				if inRun && cur[j-1] < best {
-					best = cur[j-1]
-				}
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if best > e {
-					e = best
-				}
-				cur[j] = e
-				if e <= epsilon {
-					if !inRun {
-						cruns = append(cruns, int32(j))
-						inRun = true
-					}
-				} else if inRun {
-					cruns = append(cruns, int32(j))
-					inRun = false
-				}
-			}
-			// Beyond the seeds only a horizontal fill extends the run — but
-			// never into the next segment's columns, whose cells have alive
-			// vertical/diagonal predecessors the fill would ignore.
-			stop := m
-			if p+2 < len(pruns) {
-				stop = int(pruns[p+2])
-			}
-			for inRun && j < stop {
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if cur[j-1] > e {
-					e = cur[j-1]
-				}
-				if e > epsilon {
-					cruns = append(cruns, int32(j))
-					inRun = false
-					break
-				}
-				cur[j] = e
-				j++
+		// Columns lo..hi+1 have a vertical or diagonal predecessor inside
+		// the previous row's sentinels.
+		end := min(hi+1, m-1)
+
+		// Seek the first alive cell. Everything left of it is dead, so its
+		// horizontal predecessor is +Inf and drops out of the minimum.
+		j := lo
+		diag := prev[j]
+		for ; j <= end; j++ {
+			up := prev[j+1]
+			c = max(min(up, diag), math.Float64bits(si-q[j])&^signBit)
+			diag = up
+			if c <= eps {
+				break
 			}
 		}
-		if inRun {
-			cruns = append(cruns, int32(m))
-		}
-		if len(cruns) == 0 {
-			r.runs, r.runs2 = pruns, cruns
+		if j > end {
 			return Inf, false // whole row dead: no completion possible
 		}
+		cur[j], cur[j+1] = infBits, c
+		lo = j
+		last := j
+
+		// Seeded columns: the full 3-way minimum. Dead cells keep their
+		// computed value (see the type comment); only the last alive
+		// column is remembered.
+		for j++; j <= end; j++ {
+			up := prev[j+1]
+			c = max(min(up, diag, c), math.Float64bits(si-q[j])&^signBit)
+			diag = up
+			cur[j+1] = c
+			if c <= eps {
+				last = j
+			}
+		}
+
+		// Beyond the seeds only a horizontal fill extends the row, for as
+		// long as it stays alive.
+		if last == end {
+			for ; j < m; j++ {
+				c = max(c, math.Float64bits(si-q[j])&^signBit)
+				if c > eps {
+					break
+				}
+				cur[j+1] = c
+				last = j
+			}
+		}
+		cur[last+2] = infBits
+		hi = last
 		prev, cur = cur, prev
-		pruns, cruns = cruns, pruns
 	}
-	alive := int(pruns[len(pruns)-1]) == m
-	d := prev[m-1]
-	r.runs, r.runs2 = pruns, cruns
-	if !alive {
+	if hi != m-1 {
 		return Inf, false
 	}
-	return d, true
+	return math.Float64frombits(prev[m]), true
 }
 
-// fusedAdd is fusedLInf under an additive combine; squared selects the
-// seq.L2Sq element cost. Cumulative sums make the alive predicate stronger
-// than any per-element test, so the corridor here prunes everything the old
-// element-wise corridor did and more — including candidates the dense DP
-// would only reject after a full evaluation.
-func (r *Refiner) fusedAdd(s, q []float64, squared bool, epsilon float64) (float64, bool) {
+// windowAdd is windowMax under an additive combine; squared selects the
+// seq.L2Sq element cost. Cells compare as bits and add as floats.
+// Cumulative sums make the alive predicate stronger than any per-element
+// test, so the corridor here also prunes candidates a dense DP would only
+// reject after a full evaluation.
+func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64) (float64, bool) {
 	n, m := len(s), len(q)
-	rp := acquireRows(m)
-	defer releaseRows(rp)
-	prev, cur := rp.prev, rp.cur
-	pruns, cruns := r.runs[:0], r.runs2[:0]
+	prev, cur := r.rows(m)
+	elem := func(x, y float64) float64 {
+		d := math.Abs(x - y)
+		if squared {
+			return d * d
+		}
+		return d
+	}
 
 	s0 := s[0]
-	v := s0 - q[0]
-	if v < 0 {
-		v = -v
-	}
-	if squared {
-		v = v * v
-	}
-	prev[0] = v
-	e0 := 1
-	for ; e0 < m; e0++ {
-		e := s0 - q[e0]
-		if e < 0 {
-			e = -e
-		}
-		if squared {
-			e = e * e
-		}
-		e += prev[e0-1]
-		if e > epsilon {
+	var c uint64
+	hi := -1
+	for j := 0; j < m; j++ {
+		c = math.Float64bits(elem(s0, q[j]) + math.Float64frombits(c))
+		if c > eps {
 			break
 		}
-		prev[e0] = e
+		prev[j+1] = c
+		hi = j
 	}
-	pruns = append(pruns, 0, int32(e0))
+	if hi < 0 {
+		return Inf, false
+	}
+	prev[hi+2] = infBits
+	lo := 0
 
 	for i := 1; i < n; i++ {
 		si := s[i]
-		cruns = cruns[:0]
-		inRun := false
-		j := 0
-		for p := 0; p < len(pruns); p += 2 {
-			lo, hi0 := int(pruns[p]), int(pruns[p+1])
-			hi := hi0 + 1
-			if hi > m {
-				hi = m
-			}
-			if j < lo {
-				j = lo
-			}
-			for ; j < hi; j++ {
-				best := Inf
-				if j < hi0 {
-					best = prev[j]
-				}
-				if j > lo && j <= hi0 && prev[j-1] < best {
-					best = prev[j-1]
-				}
-				if inRun && cur[j-1] < best {
-					best = cur[j-1]
-				}
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if squared {
-					e = e * e
-				}
-				e += best
-				cur[j] = e
-				if e <= epsilon {
-					if !inRun {
-						cruns = append(cruns, int32(j))
-						inRun = true
-					}
-				} else if inRun {
-					cruns = append(cruns, int32(j))
-					inRun = false
-				}
-			}
-			stop := m
-			if p+2 < len(pruns) {
-				stop = int(pruns[p+2])
-			}
-			for inRun && j < stop {
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if squared {
-					e = e * e
-				}
-				e += cur[j-1]
-				if e > epsilon {
-					cruns = append(cruns, int32(j))
-					inRun = false
-					break
-				}
-				cur[j] = e
-				j++
+		end := min(hi+1, m-1)
+
+		j := lo
+		diag := prev[j]
+		for ; j <= end; j++ {
+			up := prev[j+1]
+			c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(min(up, diag)))
+			diag = up
+			if c <= eps {
+				break
 			}
 		}
-		if inRun {
-			cruns = append(cruns, int32(m))
-		}
-		if len(cruns) == 0 {
-			r.runs, r.runs2 = pruns, cruns
+		if j > end {
 			return Inf, false
 		}
+		cur[j], cur[j+1] = infBits, c
+		lo = j
+		last := j
+
+		for j++; j <= end; j++ {
+			up := prev[j+1]
+			c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(min(up, diag, c)))
+			diag = up
+			cur[j+1] = c
+			if c <= eps {
+				last = j
+			}
+		}
+
+		if last == end {
+			for ; j < m; j++ {
+				c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(c))
+				if c > eps {
+					break
+				}
+				cur[j+1] = c
+				last = j
+			}
+		}
+		cur[last+2] = infBits
+		hi = last
 		prev, cur = cur, prev
-		pruns, cruns = cruns, pruns
 	}
-	alive := int(pruns[len(pruns)-1]) == m
-	d := prev[m-1]
-	r.runs, r.runs2 = pruns, cruns
-	if !alive {
+	if hi != m-1 {
 		return Inf, false
 	}
-	return d, true
+	return math.Float64frombits(prev[m]), true
 }

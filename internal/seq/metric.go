@@ -42,10 +42,7 @@ func (b Base) String() string {
 
 // Elem returns the base distance between two elements.
 func (b Base) Elem(x, y float64) float64 {
-	d := x - y
-	if d < 0 {
-		d = -d
-	}
+	d := math.Abs(x - y)
 	if b == L2Sq {
 		return d * d
 	}

@@ -301,3 +301,29 @@ func TestConcurrentClients(t *testing.T) {
 		t.Errorf("concurrent adds lost: %d sequences", n)
 	}
 }
+
+// TestDistNeverNegativeZeroOnTheWire: a stored [-0, -0] against the query
+// [0, 0] is at distance |−0 − 0| = +0, and must be encoded as "dist":0 —
+// the kernels' old branchy abs left −0 alone and the reply said "dist":-0.
+func TestDistNeverNegativeZeroOnTheWire(t *testing.T) {
+	srv, _ := newTestServer(t)
+	post := func(path, body string) string {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if w.Code != http.StatusOK && w.Code != http.StatusCreated {
+			t.Fatalf("POST %s returned %d: %s", path, w.Code, w.Body.String())
+		}
+		return w.Body.String()
+	}
+	post("/sequences", `{"values":[-0,-0]}`)
+	for path, body := range map[string]string{
+		"/search": `{"query":[0,0],"epsilon":0}`,
+		"/knn":    `{"query":[0,0],"k":1}`,
+	} {
+		reply := post(path, body)
+		if !strings.Contains(reply, `"dist":0`) || strings.Contains(reply, "-0") {
+			t.Errorf("POST %s: reply %s, want one match at \"dist\":0", path, reply)
+		}
+	}
+}

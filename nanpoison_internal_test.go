@@ -34,19 +34,21 @@ func poisonDB(t *testing.T) (*DB, ID) {
 }
 
 // TestNaNPoisonDivergence is the regression test for the headline bug: in
-// the seed, Add accepted sequences containing NaN, and the price was two
-// provably-exact search methods silently returning different answers —
-// the paper's Theorem 1 equivalence broken without any error surfacing.
+// the seed, Add accepted sequences containing NaN, and the price was
+// provably-exact methods silently returning different answers — the
+// paper's Theorem 1 equivalence broken without any error surfacing.
 //
 // The witness: store S = [NaN, 1] and query Q = [1]. NaN loses every
-// ordered comparison, so it slips through the max-style recurrences as if
-// it were −∞: the exact L∞ DTW kernel drops the NaN path cost and
-// evaluates Dtw(S, Q) to the finite value 0, and the index + refine path
-// agrees, reporting S as a distance-0 match. The early-abandoning kernel
-// the sequential-scan baseline uses reaches the opposite verdict — in its
-// DP row for the NaN element no cell can test ≤ ε, so the row looks dead
-// and S is abandoned (NaN acting like +∞ this time). Same database, same
-// query, same ε: one exact method returns S, the other silently does not.
+// ordered float comparison, so it slips through the dense L∞ kernel's
+// `if best > e`-style max as if it were −∞: dtw.Distance drops the NaN
+// path cost and evaluates Dtw(S, Q) to the finite value 0. Every search
+// path reaches the opposite verdict. The refine tier (dtw.Refiner) holds
+// cells as bit patterns, where a NaN orders above +Inf, so the NaN row has
+// no alive cell and S is corridor-pruned; the early-abandoning kernel of
+// the sequential-scan baseline finds no cell testing ≤ ε in that row and
+// abandons S too (NaN acting like +∞ both times). Same database, same
+// query, same ε: the exact distance says S matches at 0, no search returns
+// it.
 //
 // With the fix, that state is unreachable through the public API (Add and
 // friends return ErrNonFinite; see TestNonFiniteRejected) and — should it
@@ -57,8 +59,7 @@ func TestNaNPoisonDivergence(t *testing.T) {
 	q := []float64{1}
 	const eps = 0.5
 
-	// The system's own exact distance says S is a match at distance 0,
-	// and the index-filtered search duly returns it.
+	// The system's own exact distance says S is a match at distance 0.
 	d, err := db.Distance(id, q)
 	if err != nil {
 		t.Fatal(err)
@@ -66,23 +67,18 @@ func TestNaNPoisonDivergence(t *testing.T) {
 	if d != 0 {
 		t.Fatalf("exact Dtw = %g for the poisoned pair, want 0; the witness no longer exercises the bug", d)
 	}
+
+	// Neither exact search method returns it: no error, just a different
+	// answer than Distance gave for identical inputs.
 	res, err := db.Search(q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	foundIndex := false
 	for _, m := range res.Matches {
 		if m.ID == id {
-			foundIndex = true
+			t.Fatalf("index search matched the poisoned sequence (%+v); the refiner's NaN order changed — update this test's direction, not its existence", m)
 		}
 	}
-	if !foundIndex {
-		t.Fatal("index search dismissed the poisoned sequence; the divergence now runs the other way — update this test's direction, not its existence")
-	}
-
-	// The sequential-scan baseline — an exact method by contract —
-	// silently dismisses the very same match: no error, just a different
-	// answer than Search gave for identical inputs.
 	naive, err := db.BaselineNaiveScan().Search(q, eps)
 	if err != nil {
 		t.Fatal(err)
