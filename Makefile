@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet surface build test race test-no-mmap fuzz-smoke metrics-smoke bench-smoke crash-tests
+.PHONY: ci fmt vet surface loc build test race test-no-mmap fuzz-smoke metrics-smoke bench-smoke crash-tests
 
 # Full gate: formatting, static checks (vet plus the query-surface check),
 # build, the whole test suite (including the fault-injection recovery tests)
@@ -74,11 +74,26 @@ bench-smoke:
 # one wrapper at a time (internal/core keeps its own NearestKShared*
 # searcher methods and the NoCascade reference path).
 SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|NearestKStats\b|NearestKStatsBand\b|NearestKShared\b|NearestKSharedWorkers|NearestKStatsWorkers|NearestKStatsBandWorkers\b|SearchBatchBand\b|DisableCascade|DisableEnvOrdering|NoEnvOrder|SplitStrategy
+# The second pattern does the same one layer down: the flat slab's envelope
+# fork, the index probe interfaces, the zero-prune refine tiers and the
+# deferred k-NN loop stay out of the non-test Go of internal/core and
+# internal/flatidx (PAA envelopes live in core.EnvStore only; both engines
+# offer NearestWalkKeyed through core.Index).
+CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|envTightIndex|knnEnvWalker|yiComplete|deferHeap|admitPoint
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
 		echo "deleted query-surface identifiers are back:"; echo "$$out"; exit 1; \
 	fi
+	@out=$$(grep -nE '$(CORE_DELETED)' $$(find internal/core internal/flatidx -name '*.go' ! -name '*_test.go')); \
+	if [ -n "$$out" ]; then \
+		echo "deleted core/flatidx identifiers are back:"; echo "$$out"; exit 1; \
+	fi
+
+# Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):
+# the number ROADMAP.md and CHANGES.md quote when a PR claims to be smaller.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' ! -path './internal/benchkit/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # The WAL crash-simulation suite on its own: torn final record, CRC-corrupt
 # middle record, duplicate replay after a mid-checkpoint crash, plus the

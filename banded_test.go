@@ -103,8 +103,7 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 						}
 						// The conservation law must hold tier by tier under a band.
 						st := res.Stats
-						pruned := st.LBKimPruned + st.LBPAAPruned + st.LBKeoghPruned +
-							st.LBYiPruned + st.LBImprovedPruned + st.CorridorPruned
+						pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
 						if pruned+st.DTWCalls != st.Candidates {
 							t.Fatalf("trial %d: pruned %d + dtw %d != candidates %d",
 								trial, pruned, st.DTWCalls, st.Candidates)

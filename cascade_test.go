@@ -77,8 +77,7 @@ func TestShardedQueryTotals(t *testing.T) {
 		}
 		wantCand += int64(res.Stats.Candidates)
 		wantDTW += int64(res.Stats.DTWCalls)
-		wantPruned += int64(res.Stats.LBKimPruned + res.Stats.LBPAAPruned +
-			res.Stats.LBKeoghPruned + res.Stats.LBYiPruned +
+		wantPruned += int64(res.Stats.LBPAAPruned + res.Stats.LBKeoghPruned +
 			res.Stats.LBImprovedPruned + res.Stats.CorridorPruned)
 	}
 	var got twsim.QueryTotals
@@ -87,23 +86,19 @@ func TestShardedQueryTotals(t *testing.T) {
 		if qt.Searches != queries {
 			t.Errorf("shard %d saw %d searches, want %d", st.ID, qt.Searches, queries)
 		}
-		perShardPruned := qt.LBKimPruned + qt.LBPAAPruned + qt.LBKeoghPruned +
-			qt.LBYiPruned + qt.LBImprovedPruned + qt.CorridorPruned
+		perShardPruned := qt.LBPAAPruned + qt.LBKeoghPruned + qt.LBImprovedPruned + qt.CorridorPruned
 		if perShardPruned+qt.DTWCalls != qt.Candidates {
 			t.Errorf("shard %d: prunes %d + dtw %d != candidates %d",
 				st.ID, perShardPruned, qt.DTWCalls, qt.Candidates)
 		}
 		got.Candidates += qt.Candidates
 		got.DTWCalls += qt.DTWCalls
-		got.LBKimPruned += qt.LBKimPruned
 		got.LBPAAPruned += qt.LBPAAPruned
 		got.LBKeoghPruned += qt.LBKeoghPruned
-		got.LBYiPruned += qt.LBYiPruned
 		got.LBImprovedPruned += qt.LBImprovedPruned
 		got.CorridorPruned += qt.CorridorPruned
 	}
-	gotPruned := got.LBKimPruned + got.LBPAAPruned + got.LBKeoghPruned +
-		got.LBYiPruned + got.LBImprovedPruned + got.CorridorPruned
+	gotPruned := got.LBPAAPruned + got.LBKeoghPruned + got.LBImprovedPruned + got.CorridorPruned
 	if got.Candidates != wantCand || got.DTWCalls != wantDTW || gotPruned != wantPruned {
 		t.Errorf("shard totals (cand %d, dtw %d, pruned %d) != merged stats (cand %d, dtw %d, pruned %d)",
 			got.Candidates, got.DTWCalls, gotPruned, wantCand, wantDTW, wantPruned)

@@ -4,7 +4,7 @@
 // verifies that the output is valid Prometheus text exposition containing
 // the key series — per-endpoint request counters and latency histograms,
 // the DTW/cascade counters, and the conservation law
-// candidates = lb_kim + lb_keogh + lb_yi + corridor + dtw_calls.
+// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls.
 //
 // Usage: metricssmoke -bin ./bin/twsimd (the Makefile's metrics-smoke
 // target builds the binary first). Exits non-zero with a diagnostic on any
@@ -162,7 +162,7 @@ func run(bin string) error {
 	}
 	// The conservation law across the exported counters.
 	var law [5]float64
-	for i, name := range []string{"twsim_query_candidates_total", "twsim_lb_kim_pruned_total", "twsim_lb_keogh_pruned_total", "twsim_lb_yi_pruned_total", "twsim_corridor_pruned_total"} {
+	for i, name := range []string{"twsim_query_candidates_total", "twsim_lb_paa_pruned_total", "twsim_lb_keogh_pruned_total", "twsim_lb_improved_pruned_total", "twsim_corridor_pruned_total"} {
 		if law[i], err = need(name, nil); err != nil {
 			return err
 		}

@@ -27,7 +27,10 @@
 // R-tree) or "flat" (immutable packed snapshot + mutable delta overlay with
 // background merges; see README). When opening an existing database the
 // flag may be omitted — the engine is auto-detected from the index file on
-// disk — but must match if given. The flat engine's snapshot generation,
+// disk. Naming the other engine converts the database: the index is derived
+// data, so it is rebuilt from the heap under the named engine, the previous
+// engine's file is removed, and the startup log says "index converted from
+// guttman to flat" (or the reverse). The flat engine's snapshot generation,
 // delta size, and merge latency are exported on GET /metrics
 // (twsim_index_snapshot_generation, twsim_index_delta_entries,
 // twsim_index_merges_total, twsim_index_merge_seconds) and under
@@ -127,7 +130,7 @@ func main() {
 		shards  = flag.Int("shards", 0, "shard count for -create/-mem (0 = unsharded); on open, must match the existing layout")
 		verify  = flag.Bool("verify", false, "run a full heap/index integrity check before serving")
 		workers = flag.Int("refine-workers", 0, "intra-query refinement worker budget per search (0 = GOMAXPROCS, 1 = serial)")
-		engine  = flag.String("index-engine", "", "feature index engine: guttman (R-tree) or flat (packed snapshot + delta overlay); empty auto-detects on open and defaults to guttman on create")
+		engine  = flag.String("index-engine", "", "feature index engine: guttman (R-tree) or flat (packed snapshot + delta overlay); empty auto-detects on open and defaults to guttman on create; naming the other engine on open rebuilds the index under it and removes the old index file")
 		band    = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
 		cacheMB = flag.Int("seq-cache-mb", 4, "decoded-sequence cache size in MiB per partition (0 = disabled)")
 

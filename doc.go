@@ -37,10 +37,14 @@
 //
 // # Query pipeline
 //
-// Candidate refinement runs through a tiered cascade of true lower bounds,
-// cheapest first: LB_Kim re-checked on the stored index point (before the
-// heap fetch), LB_Keogh against the query's global envelope, the completed
-// two-sided Yi bound, and finally a fused early-abandoning dynamic program
+// The index walk applies the paper's Dtw-lb (LB_Kim) to the stored 4-tuples;
+// candidate refinement then runs through a short cascade of true lower
+// bounds, cheapest first, each kept because a benchmark workload shows it
+// pruning: LB_PAA against the candidate's stored 16-segment envelope (before
+// the heap fetch; every envelope lives in one store, looked up by ID, and
+// the same bound keys the k-NN walk), for banded queries over equal lengths
+// LB_Keogh on the banded envelope and Lemire's LB_Improved second pass, and
+// finally a fused early-abandoning dynamic program
 // that computes, per row, only the window spanning the DP cells whose exact
 // value stays within the cutoff (compared branch-free as bit patterns) —
 // rejecting hopeless candidates at a fraction of a full evaluation and
@@ -66,7 +70,10 @@
 //     the index is always derivable from it: orphaned heap records (a
 //     crash between append and index insert) are re-indexed, dangling
 //     index entries are deleted, and an unopenable index file is rebuilt
-//     outright. LastRepair reports what was fixed.
+//     outright — as it is under the other engine when Options.IndexEngine
+//     names one the directory was not last served with. Temp files a
+//     killed Flush left behind are removed. LastRepair reports what was
+//     fixed, OpenDiagnostics why.
 //   - Verify is the read-only integrity check (fsck); Repair is its
 //     fixing counterpart, usable on a live database.
 //

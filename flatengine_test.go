@@ -2,10 +2,13 @@ package twsim_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +63,18 @@ func matchesEqual(a, b []twsim.Match) bool {
 // closed query rect and the same refinement cascade, so the match sets —
 // unique by (Dist, ID) with overwhelming probability on random walks — must
 // agree exactly.
-func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, data [][]float64) {
+//
+// With exactWork set (one refine worker, one partition: nothing reads a
+// momentarily stale cutoff) the k-NN work must agree too. Both engines key
+// their walk through the same envelope store, so they stream the same
+// candidates at the same keys and stop on the same one: equal candidate
+// counts and envelope cutoffs, over snapshot items and delta adds alike.
+// Frontier re-pushes are not compared: an item re-enters the frontier when
+// its sharpened key exceeds the frontier's minimum, and that minimum is
+// often a node, whose mindist depends on how the engine packed it (15 of 180
+// k-NN queries over a 3 000-sequence corpus differed in re-pushes, none in
+// candidates or cutoffs).
+func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, data [][]float64, band int, exactWork bool) {
 	t.Helper()
 	for trial := 0; trial < 6; trial++ {
 		q := append([]float64(nil), data[rng.Intn(len(data))]...)
@@ -69,11 +83,11 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		}
 		eps := 0.1 + rng.Float64()*0.7
 
-		gr, err := guttman.SearchCtx(context.Background(), q, eps, 0)
+		gr, err := guttman.SearchCtx(context.Background(), q, eps, band)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := flat.SearchCtx(context.Background(), q, eps, 0)
+		fr, err := flat.SearchCtx(context.Background(), q, eps, band)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,29 +95,35 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 			t.Fatalf("trial %d eps=%g: Search diverged: guttman %d matches, flat %d",
 				trial, eps, len(gr.Matches), len(fr.Matches))
 		}
-		// Both engines must satisfy the conservation law independently
-		// (per-tier attribution may differ: the flat engine's walk prunes
-		// by envelope before the cascade sees the candidate).
-		for _, r := range []*twsim.Result{gr, fr} {
-			pruned := r.Stats.LBKimPruned + r.Stats.LBPAAPruned + r.Stats.LBKeoghPruned +
-				r.Stats.LBYiPruned + r.Stats.LBImprovedPruned + r.Stats.CorridorPruned
+		k := 1 + rng.Intn(8)
+		gk, err := guttman.NearestKCtx(context.Background(), q, k, band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fk, err := flat.NearestKCtx(context.Background(), q, k, band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesEqual(gk.Matches, fk.Matches) {
+			t.Fatalf("trial %d k=%d: NearestK diverged", trial, k)
+		}
+		// Both engines must satisfy the conservation law independently, on
+		// both query kinds.
+		for _, r := range []*twsim.Result{gr, fr, gk, fk} {
+			pruned := r.Stats.LBPAAPruned + r.Stats.LBKeoghPruned + r.Stats.LBImprovedPruned + r.Stats.CorridorPruned
 			if r.Stats.Candidates != pruned+r.Stats.DTWCalls {
 				t.Fatalf("trial %d: conservation law broken: candidates=%d pruned=%d dtw=%d",
 					trial, r.Stats.Candidates, pruned, r.Stats.DTWCalls)
 			}
 		}
-
-		k := 1 + rng.Intn(8)
-		gm, err := nearestK(guttman, q, k, 0)
-		if err != nil {
-			t.Fatal(err)
+		if gr.Stats.Candidates != fr.Stats.Candidates {
+			t.Fatalf("trial %d eps=%g: Search candidates diverged: guttman %d, flat %d",
+				trial, eps, gr.Stats.Candidates, fr.Stats.Candidates)
 		}
-		fm, err := nearestK(flat, q, k, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(gm, fm) {
-			t.Fatalf("trial %d k=%d: NearestK diverged", trial, k)
+		if gs, fs := gk.Stats, fk.Stats; exactWork &&
+			(gs.Candidates != fs.Candidates || gs.KNNEnvCutoffs != fs.KNNEnvCutoffs) {
+			t.Fatalf("trial %d k=%d band=%d: k-NN work diverged: guttman candidates=%d envCutoffs=%d, flat %d/%d",
+				trial, k, band, gs.Candidates, gs.KNNEnvCutoffs, fs.Candidates, fs.KNNEnvCutoffs)
 		}
 	}
 
@@ -112,11 +132,11 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		batch[i] = data[rng.Intn(len(data))]
 	}
 	eps := 0.4
-	grs, err := guttman.SearchBatchCtx(context.Background(), batch, eps, 0, 2)
+	grs, err := guttman.SearchBatchCtx(context.Background(), batch, eps, band, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frs, err := flat.SearchBatchCtx(context.Background(), batch, eps, 0, 2)
+	frs, err := flat.SearchBatchCtx(context.Background(), batch, eps, band, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +175,7 @@ func TestFlatEngineOracle(t *testing.T) {
 							}
 						}
 						rng := rand.New(rand.NewSource(99))
-						checkIdentical(t, guttman, flat, rng, data)
+						checkIdentical(t, guttman, flat, rng, data, band, workers == 1 && !sharded)
 
 						// Phase 2: interleaved inserts and removes, enough
 						// churn to trip the 32-entry merge threshold.
@@ -178,7 +198,7 @@ func TestFlatEngineOracle(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						checkIdentical(t, guttman, flat, rng, live)
+						checkIdentical(t, guttman, flat, rng, live, band, workers == 1 && !sharded)
 
 						if got, want := flat.Len(), guttman.Len(); got != want {
 							t.Fatalf("Len diverged: flat %d, guttman %d", got, want)
@@ -269,7 +289,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatalf("auto-detected engine = %q, want flat", got)
 	}
 	rng := rand.New(rand.NewSource(11))
-	checkIdentical(t, guttman, db, rng, data)
+	checkIdentical(t, guttman, db, rng, data, 0, false)
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,16 +322,90 @@ func TestFlatEnginePersistence(t *testing.T) {
 	if notes := db.OpenDiagnostics(); len(notes) == 0 {
 		t.Fatal("rebuild-on-open left no open diagnostic")
 	}
-	checkIdentical(t, guttman, db, rng, data)
+	checkIdentical(t, guttman, db, rng, data, 0, false)
 	if err := db.Verify(); err != nil {
 		t.Fatalf("Verify after rebuild: %v", err)
 	}
 }
 
-// TestFlatEngineExplicitMismatchRebuilds: naming the flat engine over a
-// database created with the Guttman engine must not fail — the flat index
-// is rebuilt from the heap (the source of truth) and the stale R-tree file
-// removed, so auto-detection is unambiguous afterwards.
+// TestFlatEngineRebuildsEnvelopeSnapshot: a feature.flat written before the
+// slab lost its per-item PAA envelope region (header flag bit 0 set, 260
+// more bytes per item, checksum valid) is a layout this reader no longer
+// knows. Open must refuse it, rebuild the index from the heap, say why in
+// the diagnostics, answer exactly as before, and leave a current-layout
+// file behind.
+func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	data := randomWalks(5151, 90, 12, 40)
+	opts := twsim.Options{IndexEngine: twsim.EngineFlat, Band: 4}
+	db, err := twsim.Create(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddAll(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	guttman, err := twsim.OpenMem(twsim.Options{Band: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer guttman.Close()
+	if _, err := guttman.AddAll(data); err != nil {
+		t.Fatal(err)
+	}
+
+	snapPath := filepath.Join(dir, "feature.flat")
+	raw, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := raw[:len(raw)-4]
+	slab[8] |= 1 // the retired flagEnvelopes
+	nItems := int(binary.LittleEndian.Uint32(slab[16:]))
+	slab = append(slab, make([]byte, nItems*(4+2*16*8))...)
+	old := binary.LittleEndian.AppendUint32(slab, crc32.ChecksumIEEE(slab))
+	if err := os.WriteFile(snapPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = twsim.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("open over an envelope-carrying snapshot: %v", err)
+	}
+	if !db.LastRepair().Rebuilt {
+		t.Fatal("envelope-carrying snapshot did not trigger rebuild-on-open")
+	}
+	notes := strings.Join(db.OpenDiagnostics(), "\n")
+	if !strings.Contains(notes, "rebuilt-on-open") || !strings.Contains(notes, "envelope-carrying snapshot") {
+		t.Fatalf("open diagnostics do not explain the rebuild:\n%s", notes)
+	}
+	rng := rand.New(rand.NewSource(13))
+	checkIdentical(t, guttman, db, rng, data, 4, false)
+	if err := db.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = twsim.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.LastRepair().Repaired() {
+		t.Fatalf("the rebuilt snapshot needed another repair: %+v", db.LastRepair())
+	}
+}
+
+// TestFlatEngineSwitchFromGuttman: naming the flat engine over a database
+// created with the Guttman engine must not fail — the flat index is rebuilt
+// from the heap (the source of truth) and the stale R-tree file removed, so
+// auto-detection is unambiguous afterwards — and the open diagnostics must
+// call it a conversion, not a missing file.
 func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	dir := t.TempDir()
 	data := randomWalks(61, 50, 10, 30)
@@ -333,6 +427,12 @@ func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	defer db.Close()
 	if got := db.IndexEngineStats().Engine; got != twsim.EngineFlat {
 		t.Fatalf("engine = %q, want flat", got)
+	}
+	if notes := strings.Join(db.OpenDiagnostics(), "\n"); !strings.Contains(notes, "converted from guttman to flat") {
+		t.Fatalf("open diagnostics do not name the conversion:\n%s", notes)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "feature.rtree")); !os.IsNotExist(err) {
+		t.Fatalf("feature.rtree still present after the conversion (stat: %v)", err)
 	}
 	res, err := db.Search(data[0], 0.2)
 	if err != nil {

@@ -48,23 +48,19 @@ func (a *AdaptiveSearch) Search(q seq.Sequence, epsilon float64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	entries, err := a.Index.RangeQueryEntries(fq, filterRadius(a.Base, epsilon))
+	ids, err := a.Index.RangeQuery(fq, filterRadius(a.Base, epsilon))
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	res.Stats.Candidates = len(entries)
+	res.Stats.Candidates = len(ids)
 
-	if a.useSweep(len(entries), cm) {
+	if a.useSweep(len(ids), cm) {
 		c := newCascade(q, a.Base, 0, nil, false)
 		defer c.close()
-		// Tier 0 runs while building the sweep's membership set, so pruned
-		// candidates never even get their heap record inspected.
-		candSet := make(map[seq.ID]bool, len(entries))
-		for _, e := range entries {
-			if c.admitPoint(e.Point, epsilon, &res.Stats) {
-				candSet[e.ID] = true
-			}
+		candSet := make(map[seq.ID]bool, len(ids))
+		for _, id := range ids {
+			candSet[id] = true
 		}
 		err = a.DB.Scan(func(id seq.ID, s seq.Sequence) error {
 			if !candSet[id] {
@@ -80,7 +76,7 @@ func (a *AdaptiveSearch) Search(q seq.Sequence, epsilon float64) (*Result, error
 		}
 		sortMatches(res.Matches)
 	} else {
-		res.Matches, err = refine(nil, a.DB, a.Base, q, epsilon, entries, false, 0, nil, 1, &res.Stats)
+		res.Matches, err = refine(nil, a.DB, a.Base, q, epsilon, ids, false, 0, nil, 1, &res.Stats)
 		if err != nil {
 			return nil, err
 		}

@@ -8,29 +8,33 @@ import (
 )
 
 // cascade is the tiered filter-and-refine engine every exact search method
-// funnels candidates through. Tiers run cheapest first, and each one is a
-// true lower bound of the distance being answered — the unconstrained time
-// warping distance by default, or BandDistance when the query carries a
-// Sakoe–Chiba band — so a dismissal at any tier can never be a false
-// dismissal (the guarantee the paper's Theorem 1 establishes for the index
-// filter extends to every tier):
+// funnels candidates through, after the index walk has applied the paper's
+// Dtw-lb (LB_Kim) to the stored 4-tuples. Tiers run cheapest first, and each
+// one is a true lower bound of the distance being answered — the
+// unconstrained time warping distance by default, or BandDistance when the
+// query carries a Sakoe–Chiba band — so a dismissal at any tier can never be
+// a false dismissal (the guarantee the paper's Theorem 1 establishes for the
+// index filter extends to every tier):
 //
-//	Tier 0    admitPoint    — LB_Kim on the stored index 4-tuple, no heap fetch
-//	Tier 0.5  admitEnvelope — LB_PAA on the stored PAA envelope (EnvStore),
-//	                          still before any heap fetch
-//	Tier 1a   verify        — LB_Keogh: the banded envelope when the query
-//	                          has a band and the lengths match (sound for
-//	                          BandDistance), else the global envelope (the
-//	                          S-side of LB_Yi, sound for both distances)
-//	Tier 1b   verify        — the completed two-sided LB_Yi
-//	Tier 1c   verify        — the second pass of Lemire's LB_Improved
-//	                          (banded equal-length queries only)
-//	Tier 2–3  verify        — the exact DP: the single-window corridor pass
-//	                          (dtw.Refiner) for unconstrained queries, the
-//	                          early-abandoning banded DP for banded ones
+//	admitEnvelope — LB_PAA on the stored PAA envelope (EnvStore, by ID),
+//	                before any heap fetch
+//	verify        — banded equal-length candidates: LB_Keogh on the banded
+//	                envelope, then the second pass of Lemire's LB_Improved;
+//	                any other candidate under an additive base (L1, L2Sq):
+//	                LB_Keogh on the global envelope
+//	verifyDP      — the exact DP: the single-window corridor pass
+//	                (dtw.Refiner) for unconstrained queries, the
+//	                early-abandoning banded DP for banded ones
 //
-// Every unconstrained bound stays sound for banded queries because a band
-// only removes permissible warpings: BandDistance ≥ Distance ≥ each bound.
+// Under the paper's L∞ base nothing sits between the walk and the DP for an
+// unbanded query beyond LB_PAA: the global-envelope LB_Keogh and the
+// two-sided LB_Yi are bounded above by the Greatest/Smallest components of
+// Dtw-lb, which the walk has already applied (DESIGN.md §8;
+// dtw.TestGlobalBoundsBelowKim holds the chain). Under an additive base the
+// global-envelope bound is a sum over positions and does exceed the 4-tuple's
+// max, so it stays there (BenchmarkRangeAdditiveBases prices it). LB_PAA and
+// the global envelope stay sound for banded queries because a band only
+// removes permissible warpings: BandDistance ≥ Distance ≥ the bound.
 //
 // The cutoff is the query tolerance for range search and the shrinking
 // k-th-best bound for k-NN (including the cross-shard SharedBound), so the
@@ -40,26 +44,20 @@ import (
 // and close it when the query completes. Not safe for concurrent use.
 type cascade struct {
 	// paaPruner carries q, base, band, and the cached query-side PAA
-	// reductions; embedding it gives the cascade Tier 0.5 and lets the
-	// flat engine's envelope-tight walk share the identical bound (see
-	// newPAAPruner).
+	// reductions; the k-NN walk keys its frontier with a second pruner of
+	// its own, so both evaluate the identical bound (see newPAAPruner).
 	paaPruner
-	fq       [4]float64
-	fqOK     bool
-	env      dtw.Envelope // global envelope: sound for every query
-	bandEnv  dtw.Envelope // banded envelope of q; built only when band ≥ 1
-	envs     *EnvStore
-	impr     dtw.ImprovedScratch
-	refiner  *dtw.Refiner
-	disabled bool
+	bandEnv   dtw.Envelope // banded envelope of q; built only when band ≥ 1
+	globalEnv dtw.Envelope // [min q, max q] everywhere; built only for the additive bases
+	envs      *EnvStore
+	impr      dtw.ImprovedScratch
+	refiner   *dtw.Refiner
+	disabled  bool
 }
 
 // paaPruner is the query-side state of the LB_PAA bound, shared between the
-// cascade's Tier 0.5 and the flat engine's envelope-tight index walk. The
-// two call sites evaluating the same pruner on the same envelope compute
-// bit-identical bounds, which is what keeps the engines' query results (and
-// the conservation law) independent of where the pruning happens. Not safe
-// for concurrent use (the cached reductions fill lazily).
+// cascade's pre-fetch tier and the k-NN walk's key sharpener. Not safe for
+// concurrent use (the cached reductions fill lazily).
 type paaPruner struct {
 	q    seq.Sequence
 	base seq.Base
@@ -69,8 +67,8 @@ type paaPruner struct {
 	paa  paaQuery
 }
 
-// newPAAPruner builds a standalone pruner for the index walk — the cheap
-// subset of newCascade (no envelopes, no refiner pool round-trip).
+// newPAAPruner builds a standalone pruner for the k-NN index walk — the
+// cheap subset of newCascade (no envelope, no refiner pool round-trip).
 func newPAAPruner(q seq.Sequence, base seq.Base, band int) *paaPruner {
 	if band < 0 {
 		band = 0
@@ -89,13 +87,12 @@ type paaQuery struct {
 	segReady       bool
 }
 
-// newCascade prepares the per-query state: the query feature vector
-// (Tier 0), the envelopes (Tiers 0.5–1c, computed once per query), and a
-// pooled refiner (Tiers 2–3). band ≥ 1 switches the exact distance to
-// dtw.BandDistance with that half-width; envs enables the pre-fetch LB_PAA
-// tier. With disabled=true every candidate goes straight to the exact DP —
-// the seed's behavior, kept for benchmarks and oracle tests (the band still
-// applies: a disabled banded cascade is the brute-force banded scan).
+// newCascade prepares the per-query state: the envelopes (computed once per
+// query) and a pooled refiner. band ≥ 1 switches the exact distance
+// to dtw.BandDistance with that half-width; envs enables the pre-fetch
+// LB_PAA tier. With disabled=true every candidate goes straight to the exact
+// DP — the seed's behavior, kept for benchmarks and oracle tests (the band
+// still applies: a disabled banded cascade is the brute-force banded scan).
 func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disabled bool) *cascade {
 	if band < 0 {
 		band = 0 // public layers validate; never let a bad band weaken a bound
@@ -104,13 +101,11 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 	if disabled {
 		return c
 	}
-	if f, err := seq.ExtractFeature(q); err == nil {
-		c.fq = f.Vector()
-		c.fqOK = true
-	}
-	c.env = dtw.GlobalEnvelope(q)
 	if band >= 1 {
 		c.bandEnv = dtw.NewEnvelope(q, band)
+	}
+	if base != seq.LInf {
+		c.globalEnv = dtw.GlobalEnvelope(q)
 	}
 	c.refiner = dtw.AcquireRefiner()
 	return c
@@ -123,15 +118,6 @@ func (c *cascade) close() {
 	}
 }
 
-// dtwBand returns the band in dtw-package convention: negative for the
-// unconstrained distance, the half-width otherwise.
-func (c *cascade) dtwBand() int {
-	if c.band >= 1 {
-		return c.band
-	}
-	return -1
-}
-
 // exactDistance is the distance the query answers: BandDistance for banded
 // queries, the paper's unconstrained distance otherwise. k-NN uses it while
 // the cutoff is still infinite.
@@ -142,40 +128,9 @@ func (c *cascade) exactDistance(s seq.Sequence) float64 {
 	return dtw.Distance(s, c.q, c.base)
 }
 
-// admitPoint is Tier 0: LB_Kim evaluated between the query feature and a
-// candidate's stored index point — no heap fetch needed. Sound per
-// Theorem 1 (L∞ base) and because every feature difference is bounded by
-// some single matched-pair cost on any warping path (L1); for L2Sq that
-// single pair contributes its square to the additive total, so the bound
-// must be squared before comparing. Banded queries change nothing here:
-// LB_Kim ≤ Distance ≤ BandDistance.
-func (c *cascade) admitPoint(pt [4]float64, cutoff float64, stats *QueryStats) bool {
-	if c.disabled || !c.fqOK || math.IsInf(cutoff, 1) {
-		return true
-	}
-	lb := 0.0
-	for i := range pt {
-		d := pt[i] - c.fq[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > lb {
-			lb = d
-		}
-	}
-	if c.base == seq.L2Sq {
-		lb = lb * lb
-	}
-	if lb > cutoff {
-		stats.LBKimPruned++
-		return false
-	}
-	return true
-}
-
-// admitEnvelope is Tier 0.5: LB_PAA evaluated between the query and the
-// candidate's stored PAA envelope — still before any heap fetch. Candidates
-// without a stored envelope pass through unharmed.
+// admitEnvelope is the pre-fetch tier: LB_PAA evaluated between the query
+// and the candidate's stored PAA envelope. Candidates without a stored
+// envelope pass through unharmed.
 func (c *cascade) admitEnvelope(id seq.ID, cutoff float64, stats *QueryStats) bool {
 	if c.disabled || c.envs == nil || len(c.q) == 0 || math.IsInf(cutoff, 1) {
 		return true
@@ -312,166 +267,52 @@ func comparableLB(base seq.Base, lb float64) float64 {
 	return lb
 }
 
-// verify runs Tiers 1–3 on a fetched candidate: it returns (d, true) with
-// the exact distance iff the query's distance (banded or unconstrained) is
-// ≤ cutoff, bit-identical to the corresponding brute-force DP, while
-// attributing each dismissal to the tier that made it. Only real DP
-// invocations increment DTWCalls.
+// verify runs the post-fetch tiers on a candidate: it returns (d, true)
+// with the exact distance iff the query's distance (banded or
+// unconstrained) is ≤ cutoff, bit-identical to the corresponding
+// brute-force DP, while attributing each dismissal to the tier that made it.
+// Only real DP invocations increment DTWCalls.
+//
+// The envelope chain runs for banded equal-length candidates: banded
+// LB_Keogh (Keogh's theorem; sound for BandDistance with this exact band),
+// then Lemire's second pass on top of it. The band and lengths are matched
+// by construction, so the safe router cannot fail here; if it ever did, the
+// tier degrades to the vacuous bound rather than pruning on an unsound
+// value. Every other candidate under an additive base gets the
+// global-envelope LB_Keogh — each element of S pays at least its cost to
+// [min Q, max Q] on any warping path, banded or not.
 func (c *cascade) verify(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
-	if c.disabled || s.Empty() {
-		// No range to bound against; the DP handles the degenerate case with
-		// its own empty-input convention.
-		return c.verifyDP(s, cutoff, stats)
-	}
-	if c.band >= 1 && len(s) == len(c.q) {
-		return c.verifyBanded(s, cutoff, stats)
-	}
-	// Tier 1a: the S-side of LB_Yi via the global envelope — O(|S|), no
-	// min/max of s needed yet. Sound for banded queries too (the global
-	// envelope bounds the unconstrained distance, which BandDistance
-	// dominates); LBKeoghSafe can only fail on a banded envelope, which this
-	// call never passes.
-	kS, err := dtw.LBKeoghSafe(s, c.env, c.base, -1)
-	if err != nil {
-		kS = 0
-	}
-	if kS > cutoff {
-		stats.LBKeoghPruned++
-		return dtw.Inf, false
-	}
-	// Tier 1b: complete the two-sided Yi et al. bound with the Q-side.
-	if c.yiComplete(s, kS) > cutoff {
-		stats.LBYiPruned++
-		return dtw.Inf, false
-	}
-	return c.verifyDP(s, cutoff, stats)
-}
-
-// verifyBanded is the equal-length banded tier chain: banded LB_Keogh,
-// the two-sided Yi bound seeded with it, then LB_Improved's second pass.
-// The band and lengths are matched by construction, so the safe router
-// cannot fail here; if it ever did, the tier degrades to the vacuous bound
-// rather than pruning on an unsound value.
-func (c *cascade) verifyBanded(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
-	// Tier 1a: banded LB_Keogh — sound for BandDistance with this exact
-	// band (Keogh's theorem; see LBKeoghSafe for the routing rules).
-	kB, err := dtw.LBKeoghSafe(s, c.bandEnv, c.base, c.band)
-	if err != nil {
-		kB = 0
-	}
-	if kB > cutoff {
-		stats.LBKeoghPruned++
-		return dtw.Inf, false
-	}
-	// Tier 1b: the two-sided Yi bound, combined with the banded Keogh value
-	// by max — both individually sound for BandDistance, so their max is.
-	if c.yiComplete(s, kB) > cutoff {
-		stats.LBYiPruned++
-		return dtw.Inf, false
-	}
-	// Tier 1c: Lemire's second pass on top of the banded Keogh value.
-	imp := dtw.CombineImproved(kB, dtw.LBImprovedPass2(s, c.q, c.bandEnv, c.base, &c.impr), c.base)
-	if imp > cutoff {
-		stats.LBImprovedPruned++
-		return dtw.Inf, false
-	}
-	return c.verifyDP(s, cutoff, stats)
-}
-
-// Tier identifiers for deferred k-NN resolution: a deferred candidate
-// carries the tier that produced its strongest lower bound, so a dismissal
-// at resolve time credits the tier that actually proved it (keeping
-// Candidates = ΣPruned + DTWCalls exact).
-const (
-	tierNone = iota
-	tierKeogh
-	tierYi
-	tierImproved
-	// tierWalkKey marks a defer key inherited from the index walk — the
-	// max of the Tier 0 feature mindist and the Tier 0.5 stored-envelope
-	// LB_PAA. Dismissals credit the Tier 0 counter (the two components are
-	// not separable at resolve time and Tier 0 is the walk's native bound).
-	tierWalkKey
-)
-
-// bound runs Tiers 1a–1c on a fetched candidate without the exact DP. It
-// returns the strongest lower bound computed and the tier that produced
-// it; pruned=true (tier counter incremented) when that bound already
-// exceeds cutoff. When pruned=false no counter moves — the caller defers
-// the candidate and later either dismisses it (creditTier) or resolves it
-// with verifyDP. The tier chain and prune attribution mirror verify /
-// verifyBanded exactly.
-func (c *cascade) bound(s seq.Sequence, cutoff float64, stats *QueryStats) (lb float64, tier int, pruned bool) {
-	if c.disabled || s.Empty() {
-		return 0, tierNone, false
-	}
-	if c.band >= 1 && len(s) == len(c.q) {
+	switch {
+	case c.disabled || s.Empty():
+	case c.band >= 1 && len(s) == len(c.q):
 		kB, err := dtw.LBKeoghSafe(s, c.bandEnv, c.base, c.band)
 		if err != nil {
 			kB = 0
 		}
 		if kB > cutoff {
 			stats.LBKeoghPruned++
-			return kB, tierKeogh, true
-		}
-		yi := c.yiComplete(s, kB)
-		if yi > cutoff {
-			stats.LBYiPruned++
-			return yi, tierYi, true
+			return dtw.Inf, false
 		}
 		imp := dtw.CombineImproved(kB, dtw.LBImprovedPass2(s, c.q, c.bandEnv, c.base, &c.impr), c.base)
 		if imp > cutoff {
 			stats.LBImprovedPruned++
-			return imp, tierImproved, true
+			return dtw.Inf, false
 		}
-		// Both yi and imp are sound, so the max is the sharpest defer key.
-		if yi > imp {
-			return yi, tierYi, false
+	case c.base != seq.LInf:
+		if kS, err := dtw.LBKeoghSafe(s, c.globalEnv, c.base, -1); err == nil && kS > cutoff {
+			stats.LBKeoghPruned++
+			return dtw.Inf, false
 		}
-		return imp, tierImproved, false
 	}
-	kS, err := dtw.LBKeoghSafe(s, c.env, c.base, -1)
-	if err != nil {
-		kS = 0
-	}
-	if kS > cutoff {
-		stats.LBKeoghPruned++
-		return kS, tierKeogh, true
-	}
-	yi := c.yiComplete(s, kS)
-	if yi > cutoff {
-		stats.LBYiPruned++
-		return yi, tierYi, true
-	}
-	return yi, tierYi, false
+	return c.verifyDP(s, cutoff, stats)
 }
 
-// creditTier attributes a deferred candidate's resolve-time dismissal to
-// the tier whose bound proved it.
-func creditTier(tier int, stats *QueryStats) {
-	switch tier {
-	case tierKeogh:
-		stats.LBKeoghPruned++
-	case tierYi:
-		stats.LBYiPruned++
-	case tierImproved:
-		stats.LBImprovedPruned++
-	case tierWalkKey:
-		stats.LBKimPruned++
-	default:
-		// tierNone bounds are 0 and can never exceed a nonnegative cutoff;
-		// defensive: attribute to the corridor, which verifyDP owns.
-		stats.CorridorPruned++
-	}
-}
-
-// verifyDP runs only Tiers 2–3 (the exact DP). LB-Scan uses this directly:
-// its own LB_Yi filter already ran, so re-running Tier 1 would double-count
-// work without pruning anything new. Unconstrained queries use the fused
-// corridor pass; banded queries run the early-abandoning banded DP — the
-// corridor computes the unconstrained distance, which is not the value a
-// banded query answers, and the band already restricts each DP row to
-// O(band) cells.
+// verifyDP runs only the exact DP. LB-Scan uses this directly: its own
+// LB_Yi filter already ran. Unconstrained queries use the fused corridor
+// pass; banded queries run the early-abandoning banded DP — the corridor
+// computes the unconstrained distance, which is not the value a banded
+// query answers, and the band already restricts each DP row to O(band)
+// cells.
 func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
 	if c.band >= 1 {
 		stats.DTWCalls++
@@ -502,28 +343,4 @@ func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (f
 		stats.DTWCalls++
 		return d, true
 	}
-}
-
-// yiComplete finishes LB_Yi given the already-computed S-side: it scans q
-// against the range of s and combines per the base. Seeded with the global
-// Keogh value the combined value equals dtw.LBYi(s, q, base) exactly — the
-// two-pass split changes the evaluation order, not the bound. Seeded with
-// the banded Keogh value it is max(banded Keogh, Q-side Yi), a sound bound
-// of BandDistance because each part is.
-func (c *cascade) yiComplete(s seq.Sequence, kS float64) float64 {
-	sMin, sMax := s.MinMax()
-	if c.base == seq.LInf {
-		max := kS
-		for _, v := range c.q {
-			if d := seq.DistToRange(v, sMin, sMax); d > max {
-				max = d
-			}
-		}
-		return max
-	}
-	sumQ := 0.0
-	for _, v := range c.q {
-		sumQ += c.base.Elem(0, seq.DistToRange(v, sMin, sMax))
-	}
-	return math.Max(kS, sumQ)
 }

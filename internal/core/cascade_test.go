@@ -131,7 +131,7 @@ func TestCascadeCounterConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		pruned := st.LBKimPruned + st.LBKeoghPruned + st.LBYiPruned + st.CorridorPruned
+		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
 		if pruned+st.DTWCalls != st.Candidates {
 			t.Fatalf("trial %d: tiers %d + dtw %d != candidates %d (%+v)",
 				trial, pruned, st.DTWCalls, st.Candidates, st)
@@ -173,7 +173,7 @@ func TestDanglingEntriesNotCountedAsDTWCalls(t *testing.T) {
 		if st.Candidates != 50 {
 			t.Fatalf("noCascade=%v: candidates %d, want 50 (index untouched)", noCascade, st.Candidates)
 		}
-		pruned := st.LBKimPruned + st.LBKeoghPruned + st.LBYiPruned + st.CorridorPruned
+		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
 		if pruned != 0 {
 			t.Fatalf("noCascade=%v: %d tier prunes at eps=%g", noCascade, pruned, eps)
 		}
@@ -196,9 +196,9 @@ func TestDanglingEntriesNotCountedAsDTWCalls(t *testing.T) {
 // proportional to the data, not to k, and answer with every sequence in
 // ascending order. The same table doubles as the banded leg of the
 // reference-path comparison: with the envelope store attached and a band
-// set, the default searcher runs the envelope-ordered walk, the upper-bound
-// tracker and deferred refinement, and must stay bit-identical to NoCascade
-// (plain mindist order, immediate exact DP) serially and with workers.
+// set, the default searcher runs the envelope-ordered walk and the banded
+// cascade, and must stay bit-identical to NoCascade (plain mindist order,
+// exact DP only) serially and with workers.
 func TestNearestKHugeKAndBandedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	data := synth.RandomWalkSet(rng, 40, 24)

@@ -21,8 +21,16 @@ type Index interface {
 	Entries() ([]IndexEntry, error)
 	BulkLoad(ids []seq.ID, features []seq.Feature) error
 	RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, error)
-	RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexEntry, error)
-	NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBound float64) bool) error
+	// NearestWalkKeyed streams IDs in non-decreasing key order from a
+	// best-first walk with a two-level sharpened frontier: xform (nil =
+	// identity) is a monotone transform applied to every L∞ mindist so the
+	// stream is keyed in the caller's comparable space; sharpen (nil = plain
+	// mindist ordering) maps a surfacing candidate's ID to an additional
+	// lower bound in that space (the search layer resolves it from the
+	// EnvStore), and the candidate is emitted at the max of the two. fn
+	// returning false stops the walk.
+	NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
+		sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error)
 	Len() int
 	Pages() int
 	Stats() pagefile.Stats
@@ -31,27 +39,6 @@ type Index interface {
 	CheckInvariants() error
 	Flush() error
 	Close() error
-}
-
-// EnvBulkLoader is implemented by engines that can store per-sequence PAA
-// envelopes inside the index itself (the flat engine packs them next to
-// the leaf entries so the range walk is envelope-tight). Load paths probe
-// for it and fall back to plain BulkLoad.
-type EnvBulkLoader interface {
-	BulkLoadEnv(ids []seq.ID, features []seq.Feature, envs []seq.PAAEnvelope) error
-}
-
-// envInserter is implemented by engines that accept a PAA envelope
-// alongside a feature insert.
-type envInserter interface {
-	InsertFeatureEnv(id seq.ID, f seq.Feature, env *seq.PAAEnvelope) error
-}
-
-// envTightIndex is implemented by engines whose range walk can apply an
-// envelope admission test in the tree itself; the search layer probes for
-// it to move LB_PAA pruning from the refine cascade into the walk.
-type envTightIndex interface {
-	RangeQueryEntriesEnv(fq seq.Feature, epsilon float64, admit func(id seq.ID, pe *seq.PAAEnvelope) bool) ([]IndexEntry, int, error)
 }
 
 // KNNWalkStats counts one k-NN walk's frontier work, engine-independent
@@ -67,25 +54,6 @@ type KNNWalkStats struct {
 	// raised above its mindist by the envelope bound — the ordering tier
 	// ended the walk earlier than the mindist alone would have.
 	EnvStops int64
-}
-
-// knnEnvWalker is implemented by engines whose k-NN walk reads stored PAA
-// envelopes out of its own leaf storage (the flat engine's slab) to re-key
-// each surfacing candidate. xform is a monotone transform applied to every
-// mindist so the stream is keyed in the caller's comparable space; sharpen
-// (nil = plain mindist ordering) maps a stored envelope to an additional
-// lower bound in that space.
-type knnEnvWalker interface {
-	NearestWalkEnv(fq seq.Feature, xform func(float64) float64,
-		sharpen func(pe *seq.PAAEnvelope) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error)
-}
-
-// knnKeyedWalker is implemented by engines without in-index envelopes whose
-// walk still accepts a per-candidate sharpen callback (the guttman engine;
-// the search layer resolves envelopes from the EnvStore).
-type knnKeyedWalker interface {
-	NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
-		sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error)
 }
 
 // IndexEngineStats describes an index engine instance for /stats and
@@ -159,7 +127,6 @@ func OpenIndex(path string, opts IndexOptions) (Index, error) {
 }
 
 var (
-	_ Index          = (*FeatureIndex)(nil)
-	_ Index          = (*FlatIndex)(nil)
-	_ knnKeyedWalker = (*FeatureIndex)(nil)
+	_ Index = (*FeatureIndex)(nil)
+	_ Index = (*FlatIndex)(nil)
 )

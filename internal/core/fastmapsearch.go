@@ -102,7 +102,7 @@ func (f *FastMapSearch) Search(q seq.Sequence, epsilon float64) (*Result, error)
 	}
 	res := &Result{}
 	res.Stats.Candidates = len(candidates)
-	res.Matches, err = refineIDs(f.DB, f.Base, q, epsilon, candidates, false, 1, &res.Stats)
+	res.Matches, err = refine(nil, f.DB, f.Base, q, epsilon, candidates, false, 0, nil, 1, &res.Stats)
 	if err != nil {
 		return nil, err
 	}

@@ -14,11 +14,6 @@ import (
 // implicit child offsets: reads are lock-free and allocation-free, writes
 // land in a small delta, and a background merge repacks the slab and swaps
 // it in atomically.
-//
-// The flat engine also stores each sequence's 16-segment PAA envelope next
-// to its leaf entry (when provided), so range filtering is envelope-tight
-// in the walk itself — the Keogh "exact indexing" move, one layer below
-// the refine cascade.
 type FlatIndex struct {
 	idx      *flatidx.Index
 	path     string // snapshot file; "" for memory-only
@@ -47,30 +42,18 @@ func OpenFlatIndex(path string, opts IndexOptions) (*FlatIndex, error) {
 	return &FlatIndex{idx: idx, path: path, pageSize: opts.PageSize}, nil
 }
 
-// Insert adds the entry <Feature(S), ID(S)>, deriving and storing the PAA
-// envelope alongside it so the entry is envelope-tight after the next
-// merge.
+// Insert adds the entry <Feature(S), ID(S)>.
 func (x *FlatIndex) Insert(id seq.ID, s seq.Sequence) error {
 	f, err := seq.ExtractFeature(s)
 	if err != nil {
 		return err
 	}
-	env, err := seq.ExtractPAAEnvelope(s)
-	if err != nil {
-		return err
-	}
-	return x.InsertFeatureEnv(id, f, &env)
+	return x.InsertFeature(id, f)
 }
 
-// InsertFeature adds <f, id> without an envelope (reconciliation path; the
-// entry simply never walk-prunes).
+// InsertFeature adds <f, id> from a pre-extracted feature vector.
 func (x *FlatIndex) InsertFeature(id seq.ID, f seq.Feature) error {
-	return x.InsertFeatureEnv(id, f, nil)
-}
-
-// InsertFeatureEnv adds <f, id> with an optional PAA envelope.
-func (x *FlatIndex) InsertFeatureEnv(id seq.ID, f seq.Feature, env *seq.PAAEnvelope) error {
-	x.idx.Insert(flatidx.Entry{ID: id, Point: f.Vector()}, env)
+	x.idx.Insert(flatidx.Entry{ID: id, Point: f.Vector()})
 	return nil
 }
 
@@ -101,23 +84,20 @@ func (x *FlatIndex) Entries() ([]IndexEntry, error) {
 // BulkLoad packs the index from all (id, feature) pairs at once. The index
 // must be empty.
 func (x *FlatIndex) BulkLoad(ids []seq.ID, features []seq.Feature) error {
-	return x.BulkLoadEnv(ids, features, nil)
-}
-
-// BulkLoadEnv is BulkLoad with per-sequence PAA envelopes packed into the
-// snapshot (envs may be nil, or parallel to ids).
-func (x *FlatIndex) BulkLoadEnv(ids []seq.ID, features []seq.Feature, envs []seq.PAAEnvelope) error {
 	if len(ids) != len(features) {
 		return fmt.Errorf("core: %d ids but %d features", len(ids), len(features))
-	}
-	if envs != nil && len(envs) != len(ids) {
-		return fmt.Errorf("core: %d ids but %d envelopes", len(ids), len(envs))
 	}
 	entries := make([]flatidx.Entry, len(ids))
 	for i := range ids {
 		entries[i] = flatidx.Entry{ID: ids[i], Point: features[i].Vector()}
 	}
-	return x.idx.BulkLoad(entries, envs)
+	return x.idx.BulkLoad(entries)
+}
+
+// BulkLoadEnv is BulkLoad; envs is ignored (envelopes live in the EnvStore).
+// cmd/bench/traced.go compiles against this; goes with ROADMAP item 4.
+func (x *FlatIndex) BulkLoadEnv(ids []seq.ID, features []seq.Feature, envs []seq.PAAEnvelope) error {
+	return x.BulkLoad(ids, features)
 }
 
 // queryRect mirrors FeatureIndex.RangeQuery's rect construction exactly:
@@ -133,18 +113,17 @@ func queryRect(fq seq.Feature, epsilon float64) (lo, hi [4]float64) {
 
 // RangeQuery returns candidate IDs with Dtw-lb(S,Q) ≤ ε.
 func (x *FlatIndex) RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, error) {
-	entries, err := x.RangeQueryEntries(fq, epsilon)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]seq.ID, len(entries))
-	for i, e := range entries {
-		ids[i] = e.ID
+	lo, hi := queryRect(fq, epsilon)
+	flat := x.idx.AppendRange(nil, &lo, &hi)
+	ids := make([]seq.ID, len(flat))
+	for i := range flat {
+		ids[i] = flat[i].ID
 	}
 	return ids, nil
 }
 
 // RangeQueryEntries is RangeQuery returning each candidate's stored point.
+// Only cmd/bench's stage replay calls it; goes with ROADMAP item 4.
 func (x *FlatIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexEntry, error) {
 	lo, hi := queryRect(fq, epsilon)
 	flat := x.idx.AppendRange(nil, &lo, &hi)
@@ -155,36 +134,20 @@ func (x *FlatIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexE
 	return out, nil
 }
 
-// RangeQueryEntriesEnv is RangeQueryEntries with envelope-tight admission:
-// candidates whose packed PAA envelope fails admit are dropped in the walk
-// and counted in pruned instead of returned.
-func (x *FlatIndex) RangeQueryEntriesEnv(fq seq.Feature, epsilon float64, admit func(id seq.ID, pe *seq.PAAEnvelope) bool) ([]IndexEntry, int, error) {
-	lo, hi := queryRect(fq, epsilon)
-	flat, pruned := x.idx.AppendRangeEnv(nil, &lo, &hi, admit)
-	out := make([]IndexEntry, len(flat))
-	for i, e := range flat {
-		out[i] = IndexEntry{ID: e.ID, Point: e.Point}
-	}
-	return out, pruned, nil
-}
-
-// NearestWalk streams IDs in non-decreasing Dtw-lb (L∞) order.
+// NearestWalk streams IDs in non-decreasing Dtw-lb (L∞) order. The search
+// layer walks through NearestWalkKeyed; cmd/bench's stage replay calls this
+// form.
 func (x *FlatIndex) NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBound float64) bool) error {
-	p := fq.Vector()
-	x.idx.NearestWalk(&p, func(e flatidx.Entry, dist float64) bool {
-		return fn(e.ID, dist)
-	})
-	return nil
+	_, err := x.NearestWalkKeyed(fq, nil, nil, fn)
+	return err
 }
 
-// NearestWalkEnv streams IDs in non-decreasing key order with the two-level
-// envelope-sharpened frontier: keys are xform(L∞ mindist) raised by
-// sharpen(stored slab envelope) for candidates that carry one. With nil
-// sharpen the stream reduces to the transformed NearestWalk order.
-func (x *FlatIndex) NearestWalkEnv(fq seq.Feature, xform func(float64) float64,
-	sharpen func(pe *seq.PAAEnvelope) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
+// NearestWalkKeyed streams IDs in non-decreasing key order with the
+// two-level sharpened frontier (see Index).
+func (x *FlatIndex) NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
+	sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
 	p := fq.Vector()
-	ws := x.idx.NearestWalkEnv(&p, xform, sharpen, func(e flatidx.Entry, key float64) bool {
+	ws := x.idx.NearestWalkKeyed(&p, xform, sharpen, func(e flatidx.Entry, key float64) bool {
 		return fn(e.ID, key)
 	})
 	return KNNWalkStats{Pushes: ws.Pushes, Repushes: ws.Repushes, EnvStops: ws.EnvStops}, nil
@@ -255,10 +218,3 @@ func (x *FlatIndex) Close() error {
 	}
 	return err
 }
-
-var (
-	_ EnvBulkLoader = (*FlatIndex)(nil)
-	_ envInserter   = (*FlatIndex)(nil)
-	_ envTightIndex = (*FlatIndex)(nil)
-	_ knnEnvWalker  = (*FlatIndex)(nil)
-)

@@ -215,9 +215,8 @@ func (fi *FeatureIndex) RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, e
 }
 
 // RangeQueryEntries is RangeQuery returning each candidate's stored point
-// alongside its ID. The refinement cascade's Tier 0 re-evaluates Dtw-lb
-// against these points without fetching the heap record, so the filter
-// tolerance and the (possibly tighter) pruning cutoff can diverge for free.
+// alongside its ID. Only cmd/bench's stage replay calls it; goes with
+// ROADMAP item 4.
 func (fi *FeatureIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexEntry, error) {
 	center := fq.Vector()
 	lo := make([]float64, 4)
@@ -242,7 +241,8 @@ func (fi *FeatureIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]In
 
 // NearestWalk streams sequence IDs in non-decreasing Dtw-lb order from the
 // query feature. The L∞ norm makes the stream order consistent with the
-// lower-bound metric, enabling exact k-NN refinement.
+// lower-bound metric, enabling exact k-NN refinement. The search layer walks
+// through NearestWalkKeyed; cmd/bench's stage replay calls this form.
 func (fi *FeatureIndex) NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBound float64) bool) error {
 	center := fq.Vector()
 	return fi.tree.NearestWalk(center[:], rtree.NormLInf, func(n rtree.Neighbor) bool {
@@ -251,9 +251,7 @@ func (fi *FeatureIndex) NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBoun
 }
 
 // NearestWalkKeyed streams IDs in non-decreasing key order with the
-// two-level envelope-sharpened frontier: keys are xform(L∞ mindist) raised
-// by sharpen(id) for candidates the callback can bound (the search layer
-// resolves envelopes from the EnvStore). With nil sharpen the stream
+// two-level sharpened frontier (see Index). With nil sharpen the stream
 // reduces to the transformed NearestWalk order.
 func (fi *FeatureIndex) NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
 	sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {

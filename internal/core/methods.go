@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/dtw"
@@ -41,10 +42,10 @@ type Searcher interface {
 }
 
 // refine runs the post-processing of Algorithm 1 (Step-4..7) through the
-// tiered cascade: each candidate passes Tier 0 (LB_Kim on its stored index
-// point, before any heap fetch), is fetched, and then runs Tiers 1–3 (see
-// cascade). The matches are exactly {S : Dtw(S,Q) ≤ ε}, bit-identical to
-// the plain fetch-and-DTW loop, sorted by distance then ID.
+// tiered cascade: each candidate passes the pre-fetch LB_PAA tier (when envs
+// holds its envelope), is fetched, and then runs the post-fetch tiers and
+// the exact DP (see cascade). The matches are exactly {S : Dtw(S,Q) ≤ ε},
+// bit-identical to the plain fetch-and-DTW loop, sorted by distance then ID.
 //
 // Candidates whose heap record is gone (deleted or never durably written —
 // a dangling index entry from an interrupted write) are skipped rather
@@ -58,68 +59,46 @@ type Searcher interface {
 // to the serial loop because the pruning cutoff is the fixed tolerance ε,
 // so every candidate's verdict is independent of evaluation order.
 func refine(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequence, epsilon float64,
-	entries []IndexEntry, noCascade bool, band int, envs *EnvStore,
+	ids []seq.ID, noCascade bool, band int, envs *EnvStore,
 	workers int, stats *QueryStats) ([]Match, error) {
-	if workers > 1 && len(entries) > 1 {
-		return refineParallel(ctx, db, base, q, epsilon, len(entries),
-			func(i int) (seq.ID, [4]float64, bool) { return entries[i].ID, entries[i].Point, true },
-			noCascade, band, envs, workers, stats)
+	if workers > 1 && len(ids) > 1 {
+		return refineParallel(ctx, db, base, q, epsilon, ids, noCascade, band, envs, workers, stats)
 	}
 	c := newCascade(q, base, band, envs, noCascade)
 	defer c.close()
 	var matches []Match
-	for _, e := range entries {
+	for _, id := range ids {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		if !c.admitPoint(e.Point, epsilon, stats) {
-			continue
-		}
-		if !c.admitEnvelope(e.ID, epsilon, stats) {
-			continue
-		}
-		s, err := db.Get(e.ID)
-		if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
-			continue
-		}
+		m, ok, err := c.refineOne(db, id, epsilon, stats)
 		if err != nil {
 			return nil, err
 		}
-		if d, ok := c.verify(s, epsilon, stats); ok {
-			matches = append(matches, Match{ID: e.ID, Dist: d})
+		if ok {
+			matches = append(matches, m)
 		}
 	}
 	sortMatches(matches)
 	return matches, nil
 }
 
-// refineIDs is refine for methods whose filter produces bare IDs with no
-// stored feature point (FastMap, ST-Filter): Tier 0 is skipped, Tiers 1–3
-// run after the fetch.
-func refineIDs(db *seqdb.DB, base seq.Base, q seq.Sequence, epsilon float64,
-	candidates []seq.ID, noCascade bool, workers int, stats *QueryStats) ([]Match, error) {
-	if workers > 1 && len(candidates) > 1 {
-		return refineParallel(nil, db, base, q, epsilon, len(candidates),
-			func(i int) (seq.ID, [4]float64, bool) { return candidates[i], [4]float64{}, false },
-			noCascade, 0, nil, workers, stats)
+// refineOne takes one range-search candidate through the cascade: LB_PAA by
+// ID, the heap fetch (a dangling entry is skipped, not an error), then the
+// post-fetch tiers and the exact DP against the fixed tolerance.
+func (c *cascade) refineOne(db *seqdb.DB, id seq.ID, epsilon float64, stats *QueryStats) (Match, bool, error) {
+	if !c.admitEnvelope(id, epsilon, stats) {
+		return Match{}, false, nil
 	}
-	c := newCascade(q, base, 0, nil, noCascade)
-	defer c.close()
-	var matches []Match
-	for _, id := range candidates {
-		s, err := db.Get(id)
-		if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if d, ok := c.verify(s, epsilon, stats); ok {
-			matches = append(matches, Match{ID: id, Dist: d})
-		}
+	s, err := db.Get(id)
+	if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
+		return Match{}, false, nil
 	}
-	sortMatches(matches)
-	return matches, nil
+	if err != nil {
+		return Match{}, false, err
+	}
+	d, ok := c.verify(s, epsilon, stats)
+	return Match{ID: id, Dist: d}, ok, nil
 }
 
 // filterRadius converts a query tolerance into the index filter radius.
@@ -199,9 +178,8 @@ func (l *LBScan) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	start := time.Now()
 	before := l.DB.Stats()
 	res := &Result{}
-	// LB-Scan's own filter IS the cascade's Tier 1 (the two-sided Yi
-	// bound), so survivors go straight to Tiers 2–3; re-running the
-	// envelope tiers would recompute the same bound.
+	// LB-Scan's own filter is the two-sided Yi bound; survivors go straight
+	// to the exact DP.
 	c := newCascade(q, l.Base, 0, nil, false)
 	defer c.close()
 	err := l.DB.Scan(func(id seq.ID, s seq.Sequence) error {
@@ -249,10 +227,10 @@ type TWSimSearch struct {
 	Workers int
 	// Band is the Sakoe–Chiba half-width the query searches under: 0 (the
 	// zero value) answers the paper's unconstrained distance, ≥ 1 answers
-	// dtw.BandDistance with that half-width. The index filter and every
-	// unconstrained cascade tier stay sound because a band only removes
-	// permissible warpings (BandDistance ≥ Distance); the banded envelope
-	// tiers switch on automatically for equal-length candidates.
+	// dtw.BandDistance with that half-width. The index filter and the LB_PAA
+	// tier stay sound because a band only removes permissible warpings
+	// (BandDistance ≥ Distance); the banded envelope tiers switch on
+	// automatically for equal-length candidates.
 	Band int
 	// Envs, when set, enables the pre-fetch LB_PAA cascade tier against the
 	// per-record PAA envelopes.
@@ -281,33 +259,15 @@ func (t *TWSimSearch) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var entries []IndexEntry
-	envPruned := 0
-	// Envelope-tight walk: when the engine packs PAA envelopes next to its
-	// leaf entries (the flat engine), the LB_PAA test runs inside the index
-	// walk against the true tolerance ε — a walk-pruned candidate never
-	// reaches the refine loop. The pruner is byte-for-byte the cascade's
-	// Tier 0.5 bound, so results are bit-identical to the other engine and
-	// to the in-cascade placement; the pruned count lands in the same
-	// LBPAAPruned counter to keep the conservation law intact. Delta-overlay
-	// entries pass through unpruned (their envelopes await the next merge)
-	// and get the in-cascade tier instead.
-	if eti, ok := t.Index.(envTightIndex); ok && !t.NoCascade && len(q) > 0 {
-		pruner := newPAAPruner(q, t.Base, t.Band)
-		entries, envPruned, err = eti.RangeQueryEntriesEnv(fq, filterRadius(t.Base, epsilon),
-			func(id seq.ID, pe *seq.PAAEnvelope) bool { return pruner.lbPAA(pe) <= epsilon })
-	} else {
-		entries, err = t.Index.RangeQueryEntries(fq, filterRadius(t.Base, epsilon))
-	}
+	ids, err := t.Index.RangeQuery(fq, filterRadius(t.Base, epsilon))
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	res.Stats.FilterWall = time.Since(start)
-	res.Stats.Candidates = len(entries) + envPruned
-	res.Stats.LBPAAPruned = envPruned
+	res.Stats.Candidates = len(ids)
 	refineStart := time.Now()
-	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, entries, t.NoCascade, t.Band, t.Envs, t.Workers, &res.Stats)
+	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, ids, t.NoCascade, t.Band, t.Envs, t.Workers, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -365,59 +325,109 @@ func (t *TWSimSearch) NearestKSharedStats(q seq.Sequence, k int, shared *SharedB
 	return ms, stats, err
 }
 
-// envOrdering reports whether the envelope-tight k-NN tier is active for
-// this query: the walk re-keys candidates by max(mindist, LB_PAA) and the
-// refine loop seeds its cutoff from aligned-path upper bounds. Off when
-// the cascade is off (NoCascade keeps the brute-force baseline honest).
-func (t *TWSimSearch) envOrdering(q seq.Sequence) bool {
-	return !t.NoCascade && len(q) > 0
-}
-
 // knnWalk runs the index walk for one k-NN query: fn receives candidates in
 // non-decreasing key order, where the key is comparableLB(Base, L∞ mindist)
-// raised — when envelope ordering is enabled and the engine supports it —
-// to max(·, LB_PAA(Q, stored envelope)). Both halves of the max lower-bound
-// the candidate's (banded) DTW distance in comparable space, so a stop on
-// `key > cutoff` dismisses only candidates whose exact distance is already
-// above the cutoff (DESIGN.md §12), just earlier than the mindist alone
-// allows. With ordering off (or unsupported) the same keyed walk runs with
-// a nil sharpener, so the stream is the transformed legacy order and the
-// frontier counters stay comparable across modes. The walk's frontier
-// counters land in stats when it finishes.
+// raised to max(·, LB_PAA(Q, the candidate's envelope in Envs)). Both halves
+// of the max lower-bound the candidate's (banded) DTW distance in comparable
+// space, so a stop on `key > cutoff` dismisses only candidates whose exact
+// distance is already above the cutoff (DESIGN.md §12), just earlier than
+// the mindist alone allows. With the cascade off (NoCascade keeps the
+// brute-force baseline honest) or no envelopes stored, the same keyed walk
+// runs with a nil sharpener, so the stream is the transformed mindist order
+// and the frontier counters stay comparable across modes. The walk's
+// frontier counters land in stats when it finishes.
 func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, stats *QueryStats,
 	fn func(id seq.ID, key float64) bool) error {
-	xform := func(d float64) float64 { return comparableLB(t.Base, d) }
-	useEnv := t.envOrdering(q)
-	if w, ok := t.Index.(knnEnvWalker); ok {
-		var sharpen func(pe *seq.PAAEnvelope) float64
-		if useEnv {
-			pruner := newPAAPruner(q, t.Base, t.Band)
-			sharpen = pruner.lbPAA
-		}
-		ws, err := w.NearestWalkEnv(fq, xform, sharpen, fn)
-		stats.addKNNWalk(ws)
-		return err
-	}
-	if w, ok := t.Index.(knnKeyedWalker); ok {
-		var sharpen func(id seq.ID) float64
-		if useEnv && t.Envs.Len() > 0 {
-			pruner := newPAAPruner(q, t.Base, t.Band)
-			sharpen = func(id seq.ID) float64 {
-				if pe, ok := t.Envs.Get(id); ok {
-					return pruner.lbPAA(&pe)
-				}
-				return 0
+	var sharpen func(id seq.ID) float64
+	if !t.NoCascade && len(q) > 0 && t.Envs.Len() > 0 {
+		pruner := newPAAPruner(q, t.Base, t.Band)
+		sharpen = func(id seq.ID) float64 {
+			if pe, ok := t.Envs.Get(id); ok {
+				return pruner.lbPAA(&pe)
 			}
+			return 0
 		}
-		ws, err := w.NearestWalkKeyed(fq, xform, sharpen, fn)
-		stats.addKNNWalk(ws)
+	}
+	ws, err := t.Index.NearestWalkKeyed(fq, func(d float64) float64 { return comparableLB(t.Base, d) }, sharpen, fn)
+	stats.addKNNWalk(ws)
+	return err
+}
+
+// knnTop is the state the candidate evaluations of one k-NN query share: the
+// k best exact distances so far and the cross-shard bound. The serial walk
+// and the parallel workers go through the same methods; mu is uncontended in
+// the serial case.
+type knnTop struct {
+	mu     sync.Mutex
+	k      int
+	best   []Match // sorted ascending by (Dist, ID), ≤ k entries
+	shared *SharedBound
+}
+
+// cutoff is the current pruning bound: min(k-th best exact, shared bound).
+// Both only ever shrink.
+func (kt *knnTop) cutoff() float64 {
+	kt.mu.Lock()
+	c := math.Inf(1)
+	if len(kt.best) == kt.k {
+		c = kt.best[kt.k-1].Dist
+	}
+	kt.mu.Unlock()
+	if kt.shared != nil {
+		if g := kt.shared.Load(); g < c {
+			c = g
+		}
+	}
+	return c
+}
+
+// admit records one candidate's exact distance, publishing the k-th best to
+// the shared bound once k survivors exist.
+func (kt *knnTop) admit(id seq.ID, d float64) {
+	kt.mu.Lock()
+	kt.best = append(kt.best, Match{ID: id, Dist: d})
+	sortMatches(kt.best)
+	if len(kt.best) > kt.k {
+		kt.best = kt.best[:kt.k]
+	}
+	if kt.shared != nil && len(kt.best) == kt.k {
+		kt.shared.Update(kt.best[kt.k-1].Dist)
+	}
+	kt.mu.Unlock()
+}
+
+// knnCandidate is the one k-NN candidate body, called inline by the serial
+// walk and from the parallel workers: LB_PAA by ID against the current
+// cutoff, the heap fetch (a dangling index entry is skipped, not an error),
+// then the full DP while the cutoff is still infinite and the cascade
+// afterwards. A candidate LB_PAA dismisses is still a candidate, so it is
+// counted before the fetch; the others are counted after it, where dangling
+// entries are excluded — Candidates = ΣPruned + DTWCalls either way.
+func (t *TWSimSearch) knnCandidate(c *cascade, top *knnTop, id seq.ID, stats *QueryStats) error {
+	if !c.admitEnvelope(id, top.cutoff(), stats) {
+		stats.Candidates++
+		return nil
+	}
+	s, err := t.DB.Get(id)
+	if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
+		return nil
+	}
+	if err != nil {
 		return err
 	}
-	// Engines without a keyed walk stream raw mindists; apply the transform
-	// here so the stop test is identical.
-	return t.Index.NearestWalk(fq, func(id seq.ID, lb float64) bool {
-		return fn(id, comparableLB(t.Base, lb))
-	})
+	stats.Candidates++
+	var d float64
+	if cut := top.cutoff(); math.IsInf(cut, 1) {
+		stats.DTWCalls++
+		d = c.exactDistance(s)
+	} else {
+		var ok bool
+		if d, ok = c.verify(s, cut, stats); !ok {
+			return nil
+		}
+	}
+	top.admit(id, d)
+	return nil
 }
 
 // nearestKShared is NearestKShared with the per-tier work counters
@@ -442,170 +452,28 @@ func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound,
 	if k <= 0 {
 		return nil, nil
 	}
+	top := &knnTop{k: k, shared: shared}
 	if t.Workers > 1 {
-		return t.nearestKParallel(q, fq, k, t.Workers, shared, stats)
+		return t.nearestKParallel(q, fq, top, stats)
 	}
 	c := newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade)
 	defer c.close()
-	// Deferred resolution pays only where the Tier 1 bounds are sharp: for
-	// banded queries the banded Keogh/Improved chain tracks the exact DP
-	// closely (cmd/bench reports the exact DP calls that remain as
-	// core.dtw_call_share on knn_banded). Unbanded bounds are too loose to
-	// dismiss anything the immediate loop would not, and the loose
-	// aligned-path cutoff just makes the corridor refiner run its
-	// pre-passes for nothing — so unbanded queries keep the
-	// immediate-refine loop (the walk sharpening above still applies).
-	var ub *ubTracker
-	var dq deferHeap
-	if t.envOrdering(q) && t.Band >= 1 {
-		ub = newUBTracker(k)
-	}
-	var best []Match // sorted ascending by Dist
-	cutoffNow := func() float64 {
-		cutoff := math.Inf(1)
-		if len(best) == k {
-			cutoff = best[k-1].Dist
-		}
-		if ub != nil {
-			if u := ub.Kth(); u < cutoff {
-				cutoff = u
-			}
-		}
-		if shared != nil {
-			if g := shared.Load(); g < cutoff {
-				cutoff = g
-			}
-		}
-		return cutoff
-	}
-	admit := func(id seq.ID, d float64) {
-		best = append(best, Match{ID: id, Dist: d})
-		sortMatches(best)
-		if len(best) > k {
-			best = best[:k]
-		}
-		if shared != nil && len(best) == k {
-			shared.Update(best[k-1].Dist)
-		}
-	}
-	var walkErr error
+	var candErr error
 	err = t.knnWalk(q, fq, stats, func(id seq.ID, key float64) bool {
-		if cerr := ctxErr(t.Ctx); cerr != nil {
-			walkErr = cerr
+		if candErr = ctxErr(t.Ctx); candErr != nil {
 			return false
 		}
-		cutoff := cutoffNow()
-		if key > cutoff {
+		if key > top.cutoff() {
 			return false // every later candidate has Dtw >= key > cutoff
 		}
-		// Tier 0.5 runs before the fetch; a candidate it dismisses is still
-		// a candidate, so count it here to keep Candidates = ΣPruned +
-		// DTWCalls (unpruned candidates are counted after the fetch, where
-		// dangling entries are excluded as before).
-		if !c.admitEnvelope(id, cutoff, stats) {
-			stats.Candidates++
-			return true
-		}
-		s, err := t.DB.Get(id)
-		if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
-			return true // dangling index entry; skip, do not fail the walk
-		}
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		stats.Candidates++
-		if ub == nil {
-			// Ordering off (or cascade off): the legacy immediate-refine
-			// loop — full DTW while the cutoff is infinite, the cascade
-			// afterwards.
-			var d float64
-			if math.IsInf(cutoff, 1) {
-				stats.DTWCalls++
-				d = c.exactDistance(s)
-			} else {
-				var ok bool
-				d, ok = c.verify(s, cutoff, stats)
-				if !ok {
-					return true
-				}
-			}
-			admit(id, d)
-			return true
-		}
-		// Envelope-ordered: no exact DP runs during the walk. The
-		// candidate's aligned-path upper bound feeds the k-smallest-UB
-		// tracker, whose Kth() keeps the cutoff finite (and the walk stop
-		// live) without a single DTW call; the cascade's Tier 1 bounds
-		// either dismiss the candidate now or become its defer key, and the
-		// exact DP runs later, in ascending strongest-LB order, against a
-		// near-final cutoff (DESIGN.md §12).
-		if u, ok := c.upperBoundAligned(s); ok {
-			if w := ub.Add(u); w < cutoff {
-				cutoff = w
-				if shared != nil {
-					// Kth() bounds this partition's k-th exact distance,
-					// which bounds the global one — a valid shared update
-					// long before any exact distance exists.
-					shared.Update(w)
-				}
-			}
-		}
-		lb, tier, pruned := c.bound(s, cutoff, stats)
-		if pruned {
-			return true
-		}
-		// The walk key is itself a lower bound (Tiers 0/0.5) and sometimes
-		// beats the Tier 1 chain; the defer key is the max of everything
-		// known, so resolve-time dismissal loses nothing the walk proved.
-		if key > lb {
-			lb, tier = key, tierWalkKey
-		}
-		dq.push(deferred{id: id, s: s, lb: lb, tier: tier})
-		// A deferred candidate whose bound is ≤ the current walk key is the
-		// global minimum remaining lower bound (walk keys only ascend), so
-		// resolving it now IS the ascending-LB order — and its exact
-		// distance replaces the UB cutoff with a tighter one, shortening
-		// the walk.
-		for len(dq) > 0 && dq[0].lb <= key {
-			top := dq.pop()
-			cutoff := cutoffNow()
-			if top.lb > cutoff {
-				creditTier(top.tier, stats)
-				continue
-			}
-			if d, ok := c.verifyDP(top.s, cutoff, stats); ok {
-				admit(top.id, d)
-			}
-		}
-		return true
+		candErr = t.knnCandidate(c, top, id, stats)
+		return candErr == nil
 	})
-	if walkErr != nil {
-		return nil, walkErr
+	if candErr != nil {
+		return nil, candErr
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Resolve deferred candidates in ascending strongest-LB order: the
-	// cutoff — min(k-th exact of resolved, k-th UB, shared) — is near its
-	// final value from the first pop, so each pop either proves the
-	// candidate out on its Tier 1 bound or runs the DP the search truly
-	// cannot avoid.
-	for len(dq) > 0 {
-		if err := ctxErr(t.Ctx); err != nil {
-			return nil, err
-		}
-		top := dq.pop()
-		cutoff := cutoffNow()
-		if top.lb > cutoff {
-			creditTier(top.tier, stats)
-			continue
-		}
-		d, ok := c.verifyDP(top.s, cutoff, stats)
-		if !ok {
-			continue
-		}
-		admit(top.id, d)
-	}
-	return best, nil
+	return top.best, nil
 }

@@ -30,7 +30,7 @@ func scrubIO(s QueryStats) QueryStats {
 // double-counted candidate would break this.
 func checkConservation(t *testing.T, s QueryStats) {
 	t.Helper()
-	pruned := s.LBKimPruned + s.LBKeoghPruned + s.LBYiPruned + s.CorridorPruned
+	pruned := s.LBPAAPruned + s.LBKeoghPruned + s.LBImprovedPruned + s.CorridorPruned
 	if s.Candidates != pruned+s.DTWCalls {
 		t.Fatalf("conservation violated: %d candidates != %d pruned + %d DTW calls",
 			s.Candidates, pruned, s.DTWCalls)
@@ -171,14 +171,14 @@ func TestL2SqFilterRadiusSound(t *testing.T) {
 	const eps = 0.25
 
 	// The seed's radius really does dismiss the match at the index level.
-	oldSet, err := idx.RangeQueryEntries(seq.MustFeature(q), eps)
+	oldSet, err := idx.RangeQuery(seq.MustFeature(q), eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(oldSet) != 0 {
 		t.Fatalf("radius ε admitted %d entries; the witness no longer exercises the bug", len(oldSet))
 	}
-	newSet, err := idx.RangeQueryEntries(seq.MustFeature(q), filterRadius(seq.L2Sq, eps))
+	newSet, err := idx.RangeQuery(seq.MustFeature(q), filterRadius(seq.L2Sq, eps))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,39 +48,19 @@ func (rs RepairStats) String() string {
 
 // scanFeatures extracts the feature vector of every live heap record.
 func scanFeatures(store *seqdb.DB) (map[seq.ID]seq.Feature, error) {
-	features, _, err := scanFeaturesEnvs(store, false)
-	return features, err
-}
-
-// scanFeaturesEnvs extracts the feature vector — and, when wantEnvs is set,
-// the PAA envelope — of every live heap record in one heap pass. Envelope
-// extraction is requested by rebuild paths feeding an engine that packs
-// envelopes into the index (EnvBulkLoader).
-func scanFeaturesEnvs(store *seqdb.DB, wantEnvs bool) (map[seq.ID]seq.Feature, map[seq.ID]seq.PAAEnvelope, error) {
 	features := make(map[seq.ID]seq.Feature, store.Len())
-	var envs map[seq.ID]seq.PAAEnvelope
-	if wantEnvs {
-		envs = make(map[seq.ID]seq.PAAEnvelope, store.Len())
-	}
 	err := store.Scan(func(id seq.ID, s seq.Sequence) error {
 		f, err := seq.ExtractFeature(s)
 		if err != nil {
 			return fmt.Errorf("core: record %d: %w", id, err)
 		}
 		features[id] = f
-		if wantEnvs {
-			pe, err := seq.ExtractPAAEnvelope(s)
-			if err != nil {
-				return fmt.Errorf("core: record %d: %w", id, err)
-			}
-			envs[id] = pe
-		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return features, envs, nil
+	return features, nil
 }
 
 // Reconcile diffs the feature index against the live heap records and
@@ -145,17 +125,14 @@ func Reconcile(store *seqdb.DB, index Index) (RepairStats, error) {
 
 // RebuildIndex constructs a fresh feature index from the live heap records
 // via an STR bulk load — the recovery of last resort when the existing
-// index file cannot even be opened. Engines that pack PAA envelopes into
-// the index (the flat engine) get them extracted in the same heap pass, so
-// a rebuilt index is envelope-tight from the start.
+// index file cannot even be opened.
 func RebuildIndex(store *seqdb.DB, opts IndexOptions) (Index, RepairStats, error) {
 	rs := RepairStats{Rebuilt: true}
 	index, err := NewIndex(opts)
 	if err != nil {
 		return nil, rs, err
 	}
-	loader, wantEnvs := index.(EnvBulkLoader)
-	features, envsByID, err := scanFeaturesEnvs(store, wantEnvs)
+	features, err := scanFeatures(store)
 	if err != nil {
 		index.Close()
 		return nil, rs, err
@@ -171,16 +148,7 @@ func RebuildIndex(store *seqdb.DB, opts IndexOptions) (Index, RepairStats, error
 	for i, id := range ids {
 		fs[i] = features[id]
 	}
-	if wantEnvs {
-		envs := make([]seq.PAAEnvelope, len(ids))
-		for i, id := range ids {
-			envs[i] = envsByID[id]
-		}
-		err = loader.BulkLoadEnv(ids, fs, envs)
-	} else {
-		err = index.BulkLoad(ids, fs)
-	}
-	if err != nil {
+	if err := index.BulkLoad(ids, fs); err != nil {
 		index.Close()
 		return nil, rs, err
 	}

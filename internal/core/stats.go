@@ -44,30 +44,21 @@ type QueryStats struct {
 	DTWCalls int
 	// LowerBoundCalls counts scan-time lower-bound evaluations (LB-Scan).
 	LowerBoundCalls int
-	// LBKimPruned counts candidates the cascade dismissed on Tier 0: the
-	// paper's Dtw-lb (LB_Kim) re-evaluated against the stored index point,
-	// before the heap record is fetched. Nonzero only when the pruning
-	// cutoff has tightened below the filter tolerance (k-NN) or the bound
-	// is strictly stronger than the filter's (the L2Sq base).
-	LBKimPruned int
-	// LBPAAPruned counts candidates the cascade dismissed on Tier 0.5:
-	// LB_PAA evaluated between the query and the candidate's stored
-	// PAA-reduced envelope (EnvStore), after the index point test but still
-	// before the heap record is fetched.
+	// LBPAAPruned counts candidates the cascade dismissed before the heap
+	// fetch: LB_PAA evaluated between the query and the candidate's stored
+	// PAA-reduced envelope (EnvStore).
 	LBPAAPruned int
-	// LBKeoghPruned counts candidates dismissed on Tier 1a: the
-	// global-envelope LB_Keogh bound (the S-side half of LB_Yi), computed
-	// after the fetch but before the query-side scan.
+	// LBKeoghPruned counts candidates dismissed by LB_Keogh after the fetch:
+	// on the banded envelope for banded queries over equal-length pairs, on
+	// the global envelope for every other pair under an additive base. Zero
+	// for unbanded queries under L∞.
 	LBKeoghPruned int
-	// LBYiPruned counts candidates dismissed on Tier 1b: the completed
-	// two-sided Yi et al. bound.
-	LBYiPruned int
-	// LBImprovedPruned counts candidates dismissed on Tier 1c: the second
-	// pass of Lemire's LB_Improved on top of the banded LB_Keogh. The tier
-	// only runs for banded queries over equal-length pairs — the bound is
-	// undefined otherwise — so this stays zero for unbanded searches.
+	// LBImprovedPruned counts candidates dismissed by the second pass of
+	// Lemire's LB_Improved on top of the banded LB_Keogh. The tier only runs
+	// for banded queries over equal-length pairs — the bound is undefined
+	// otherwise — so this stays zero for unbanded searches.
 	LBImprovedPruned int
-	// CorridorPruned counts candidates dismissed on Tier 2: the fused
+	// CorridorPruned counts candidates dismissed inside the DP: the fused
 	// DP's alive region died before the final cell, proving
 	// Dtw > epsilon while visiting only the window around the
 	// within-cutoff part of the matrix (this subsumes the O(1) endpoint pre-check and everything a
@@ -130,10 +121,8 @@ func (s *QueryStats) Add(other QueryStats) {
 	s.Results += other.Results
 	s.DTWCalls += other.DTWCalls
 	s.LowerBoundCalls += other.LowerBoundCalls
-	s.LBKimPruned += other.LBKimPruned
 	s.LBPAAPruned += other.LBPAAPruned
 	s.LBKeoghPruned += other.LBKeoghPruned
-	s.LBYiPruned += other.LBYiPruned
 	s.LBImprovedPruned += other.LBImprovedPruned
 	s.CorridorPruned += other.CorridorPruned
 	s.DTWAbandoned += other.DTWAbandoned
@@ -171,9 +160,9 @@ func (s QueryStats) CandidateRatio(n int) float64 {
 
 // String renders a compact summary.
 func (s QueryStats) String() string {
-	return fmt.Sprintf("cand=%d res=%d dtw=%d(ab=%d) lb=%d pruned=%d/%d/%d/%d/%d/%d nodes=%d dataIO=%d/%d idxIO=%d/%d wall=%v",
+	return fmt.Sprintf("cand=%d res=%d dtw=%d(ab=%d) lb=%d pruned=%d/%d/%d/%d nodes=%d dataIO=%d/%d idxIO=%d/%d wall=%v",
 		s.Candidates, s.Results, s.DTWCalls, s.DTWAbandoned, s.LowerBoundCalls,
-		s.LBKimPruned, s.LBPAAPruned, s.LBKeoghPruned, s.LBYiPruned, s.LBImprovedPruned,
+		s.LBPAAPruned, s.LBKeoghPruned, s.LBImprovedPruned,
 		s.CorridorPruned, s.TreeNodes,
 		s.DataReads, s.DataMisses, s.IndexReads, s.IndexMisses, s.Wall)
 }

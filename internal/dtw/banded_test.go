@@ -109,6 +109,33 @@ func FuzzBandedBoundChain(f *testing.F) {
 	})
 }
 
+// TestGlobalBoundsBelowKim: under the paper's L∞ base the two global bounds
+// sit below the 4-tuple bound the index walk applies, for any pair of
+// lengths — LBKeogh(s, GlobalEnvelope(q)) ≤ LBYi(s, q) ≤ LBKim(s, q), with
+// no rounding slack, because LBYi is exactly max(|ΔGreatest|, |ΔSmallest|),
+// two of LBKim's four components. A candidate the walk admitted at
+// LBKim ≤ ε can therefore never be dismissed by either, which is why the
+// refine cascade has no global-envelope Keogh tier and no Yi tier.
+func TestGlobalBoundsBelowKim(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 5000; trial++ {
+		s := randSeq(rng, 48)
+		q := randSeq(rng, 48)
+		keogh, err := LBKeoghSafe(s, GlobalEnvelope(q), seq.LInf, -1)
+		if err != nil {
+			t.Fatalf("global envelope must always be sound: %v", err)
+		}
+		yi := LBYi(s, q, seq.LInf)
+		fs, fq := seq.MustFeature(s), seq.MustFeature(q)
+		if want := math.Max(math.Abs(fs.Greatest-fq.Greatest), math.Abs(fs.Smallest-fq.Smallest)); yi != want {
+			t.Fatalf("trial %d: LBYi=%v, max(|ΔGreatest|, |ΔSmallest|)=%v", trial, yi, want)
+		}
+		if kim := LBKim(s, q); keogh > yi || yi > kim {
+			t.Fatalf("trial %d: chain broken: LBKeogh(global)=%v LBYi=%v LBKim=%v", trial, keogh, yi, kim)
+		}
+	}
+}
+
 // TestBandDistanceAtLeastUnconstrained: a band only removes permissible
 // warpings, so BandDistance ≥ Distance for every r — the fact that keeps all
 // unconstrained lower bounds sound for banded queries.

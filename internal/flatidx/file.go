@@ -3,8 +3,6 @@ package flatidx
 import (
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"runtime"
 
 	"repro/internal/flatidx/mapfile"
@@ -24,9 +22,10 @@ import (
 // full structural validation (Decode) run eagerly, exactly as before.
 
 // Save merges any pending delta and writes the resulting snapshot slab to
-// path via a temp file + rename + parent-directory fsync, so a crash
-// mid-write never corrupts an existing snapshot and a completed Save
-// survives power loss. Renaming over a currently-mapped snapshot file is safe:
+// path through fsx.WriteFileSync (temp file + rename + parent-directory
+// fsync, mode 0644 like the database's other files), so a crash mid-write
+// never corrupts an existing snapshot and a completed Save survives power
+// loss. Renaming over a currently-mapped snapshot file is safe:
 // the mapping references the old inode, not the path.
 func (x *Index) Save(path string) error {
 	x.mu.Lock()
@@ -47,31 +46,7 @@ func (x *Index) Save(path string) error {
 	// pages while the copy or checksum is still reading them.
 	runtime.KeepAlive(snap)
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".flatidx-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := fsx.RenameAndSyncDir(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return fsx.WriteFileSync(path, buf, 0o644)
 }
 
 // Load opens a snapshot file and returns an Index seeded with it. On the

@@ -26,17 +26,12 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		{ID: 1, Point: [4]float64{0, 1, 2, 3}},
 		{ID: 2, Point: [4]float64{4, 5, 6, 7}},
 	}
-	if snap, err := Build(seedEntries, nil, 1); err == nil {
-		f.Add(snap.Bytes())
-	}
+	f.Add(Build(seedEntries, 1).Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Interpretation 1: bytes → entries → Build → Decode → compare.
 		entries := entriesFromBytes(data)
-		snap, err := Build(entries, nil, 9)
-		if err != nil {
-			t.Fatalf("Build on sanitized entries failed: %v", err)
-		}
+		snap := Build(entries, 9)
 		dec, err := Decode(snap.Bytes())
 		if err != nil {
 			t.Fatalf("Decode rejected a freshly built slab: %v", err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/seq"
 )
 
 // DefaultMergeThreshold is the delta size (adds + tombstones) at which a
@@ -46,12 +45,6 @@ type view struct {
 	// dels is copy-on-write: the map a view holds is never mutated again.
 	// nil when there are no tombstones (the common case after a merge).
 	dels map[Entry]struct{}
-	// envs aliases a prefix of the writer's append-only envelope array,
-	// parallel to adds (envs[i] belongs to adds[i]; Len == 0 marks an
-	// envelope-less add). Published together with adds under the same
-	// prefix-aliasing discipline, so the k-NN walk can envelope-key delta
-	// adds without racing the writer.
-	envs []seq.PAAEnvelope
 }
 
 // Index is the flat engine: an immutable packed snapshot plus a small
@@ -63,9 +56,8 @@ type Index struct {
 	view atomic.Pointer[view]
 
 	mu      sync.Mutex
-	adds    []Entry           // writer-owned append-only array (see view.adds)
-	addsSet map[Entry]int     // entry → index in adds
-	addEnvs []seq.PAAEnvelope // writer-owned envelope array, parallel to adds (see view.envs)
+	adds    []Entry       // writer-owned append-only array (see view.adds)
+	addsSet map[Entry]int // entry → index in adds
 	closed  bool
 
 	// openBytesRead is the number of bytes Load explicitly read from the
@@ -84,11 +76,7 @@ func New(opts Options) *Index {
 		opts.MergeThreshold = DefaultMergeThreshold
 	}
 	x := &Index{opts: opts, addsSet: make(map[Entry]int)}
-	snap, err := Build(nil, nil, 0)
-	if err != nil {
-		panic(err) // cannot happen: empty build is infallible
-	}
-	x.view.Store(&view{snap: snap})
+	x.view.Store(&view{snap: Build(nil, 0)})
 	return x
 }
 
@@ -100,27 +88,22 @@ func NewFromSnapshot(snap *Snapshot, opts Options) *Index {
 	return x
 }
 
-// Insert adds e to the index; env, when non-nil and non-empty, is the PAA
-// envelope stored alongside it (visible to the envelope-keyed walk at once,
-// packed into the slab at the next merge). Inserting an entry that is
-// already present (same ID and point) is a no-op — the first insert's
-// envelope wins, because its array slot is already published to readers and
-// must never be rewritten; re-inserting a tombstoned snapshot entry just
-// clears the tombstone (the snapshot copy and its stored envelope become
-// visible again).
-func (x *Index) Insert(e Entry, env *seq.PAAEnvelope) {
+// Insert adds e to the index. Inserting an entry that is already present
+// (same ID and point) is a no-op; re-inserting a tombstoned snapshot entry
+// just clears the tombstone (the snapshot copy becomes visible again).
+func (x *Index) Insert(e Entry) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	v := x.view.Load()
 	if _, dead := v.dels[e]; dead {
-		// Resurrect: drop the tombstone; the snapshot copy (and its stored
-		// envelope) become visible again.
+		// Resurrect: drop the tombstone; the snapshot copy becomes visible
+		// again.
 		dels := copyDels(v.dels)
 		delete(dels, e)
 		if len(dels) == 0 {
 			dels = nil
 		}
-		x.view.Store(&view{snap: v.snap, adds: v.adds, dels: dels, envs: v.envs})
+		x.view.Store(&view{snap: v.snap, adds: v.adds, dels: dels})
 		return
 	}
 	if _, ok := x.addsSet[e]; ok {
@@ -130,13 +113,8 @@ func (x *Index) Insert(e Entry, env *seq.PAAEnvelope) {
 		return
 	}
 	x.adds = append(x.adds, e)
-	if env != nil && env.Len > 0 {
-		x.addEnvs = append(x.addEnvs, *env)
-	} else {
-		x.addEnvs = append(x.addEnvs, seq.PAAEnvelope{})
-	}
 	x.addsSet[e] = len(x.adds) - 1
-	x.view.Store(&view{snap: v.snap, adds: x.adds, dels: v.dels, envs: x.addEnvs})
+	x.view.Store(&view{snap: v.snap, adds: x.adds, dels: v.dels})
 	x.maybeMergeLocked()
 }
 
@@ -148,21 +126,17 @@ func (x *Index) Delete(e Entry) bool {
 	defer x.mu.Unlock()
 	v := x.view.Load()
 	if i, ok := x.addsSet[e]; ok {
-		// Readers may hold views aliasing the current arrays, so build
-		// fresh ones without e rather than shifting in place (the envelope
-		// array moves in lockstep to stay parallel).
+		// Readers may hold views aliasing the current array, so build a
+		// fresh one without e rather than shifting in place.
 		next := make([]Entry, 0, len(x.adds)-1)
 		next = append(next, x.adds[:i]...)
 		next = append(next, x.adds[i+1:]...)
-		nextEnvs := make([]seq.PAAEnvelope, 0, len(x.addEnvs)-1)
-		nextEnvs = append(nextEnvs, x.addEnvs[:i]...)
-		nextEnvs = append(nextEnvs, x.addEnvs[i+1:]...)
-		x.adds, x.addEnvs = next, nextEnvs
+		x.adds = next
 		delete(x.addsSet, e)
 		for j := i; j < len(x.adds); j++ {
 			x.addsSet[x.adds[j]] = j
 		}
-		x.view.Store(&view{snap: v.snap, adds: x.adds, dels: v.dels, envs: x.addEnvs})
+		x.view.Store(&view{snap: v.snap, adds: x.adds, dels: v.dels})
 		return true
 	}
 	if _, dead := v.dels[e]; dead {
@@ -173,7 +147,7 @@ func (x *Index) Delete(e Entry) bool {
 	}
 	dels := copyDels(v.dels)
 	dels[e] = struct{}{}
-	x.view.Store(&view{snap: v.snap, adds: v.adds, dels: dels, envs: v.envs})
+	x.view.Store(&view{snap: v.snap, adds: v.adds, dels: dels})
 	x.maybeMergeLocked()
 	return true
 }
@@ -188,20 +162,15 @@ func copyDels(dels map[Entry]struct{}) map[Entry]struct{} {
 
 // BulkLoad replaces the current state with a freshly packed snapshot over
 // entries. The index must be empty (it is the load-time fast path, exactly
-// like the Guttman engine's BulkLoad). envs, when non-nil, is parallel to
-// entries.
-func (x *Index) BulkLoad(entries []Entry, envs []seq.PAAEnvelope) error {
+// like the Guttman engine's BulkLoad).
+func (x *Index) BulkLoad(entries []Entry) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	v := x.view.Load()
 	if v.snap.Len() != 0 || len(v.adds) != 0 || len(v.dels) != 0 {
 		return fmt.Errorf("flatidx: BulkLoad into non-empty index (%d items)", x.lenLocked(v))
 	}
-	snap, err := Build(entries, envs, v.snap.Generation()+1)
-	if err != nil {
-		return err
-	}
-	x.view.Store(&view{snap: snap})
+	x.view.Store(&view{snap: Build(entries, v.snap.Generation()+1)})
 	return nil
 }
 
@@ -248,39 +217,10 @@ func (x *Index) mergeLocked() {
 		return
 	}
 	start := time.Now()
-	n := v.snap.Len() - len(v.dels) + len(v.adds)
-	entries := make([]Entry, 0, n)
-	envs := make([]seq.PAAEnvelope, 0, n)
-	var pe seq.PAAEnvelope
-	for j := 0; j < v.snap.Len(); j++ {
-		e := v.snap.item(j)
-		if _, dead := v.dels[e]; dead {
-			continue
-		}
-		entries = append(entries, e)
-		// Envelopes come from the slab itself, never from external stores:
-		// the slab is immutable, so this read races nothing.
-		if !v.snap.env(j, &pe) {
-			pe = seq.PAAEnvelope{}
-		}
-		envs = append(envs, pe)
-	}
-	for i, e := range v.adds {
-		entries = append(entries, e)
-		if i < len(v.envs) {
-			envs = append(envs, v.envs[i])
-		} else {
-			envs = append(envs, seq.PAAEnvelope{})
-		}
-	}
-	snap, err := Build(entries, envs, v.snap.Generation()+1)
-	if err != nil {
-		panic(err) // cannot happen: inputs come from a valid snapshot + delta
-	}
-	x.view.Store(&view{snap: snap})
+	entries := x.Entries(make([]Entry, 0, x.lenLocked(v)))
+	x.view.Store(&view{snap: Build(entries, v.snap.Generation()+1)})
 	x.adds = nil
 	x.addsSet = make(map[Entry]int)
-	x.addEnvs = nil
 	x.merges.Add(1)
 	x.mergeHist.Observe(time.Since(start))
 }
@@ -306,36 +246,6 @@ func (x *Index) AppendRange(dst []Entry, lo, hi *[4]float64) []Entry {
 		}
 	}
 	return dst
-}
-
-// AppendRangeEnv is AppendRange with envelope-tight admission over the
-// snapshot: in-rect snapshot items carrying a stored PAA envelope are
-// passed to admit and, when rejected, counted in pruned instead of
-// appended. Delta adds are appended unconditionally — their envelopes are
-// writer-owned pending state, so the (serial) refine cascade prunes them
-// instead; admission there is identical, keeping results and the
-// conservation law engine-independent.
-func (x *Index) AppendRangeEnv(dst []Entry, lo, hi *[4]float64, admit func(id seq.ID, pe *seq.PAAEnvelope) bool) ([]Entry, int) {
-	v := x.view.Load()
-	pruned := 0
-	if v.snap.Len() > 0 {
-		var pe seq.PAAEnvelope
-		dst, pruned = v.snap.searchNodeEnv(0, dst, lo, hi, v.dels, admit, &pe, 0)
-	}
-	for i := range v.adds {
-		e := &v.adds[i]
-		in := true
-		for d := 0; d < 4; d++ {
-			if e.Point[d] < lo[d] || e.Point[d] > hi[d] {
-				in = false
-				break
-			}
-		}
-		if in {
-			dst = append(dst, *e)
-		}
-	}
-	return dst, pruned
 }
 
 // Contains reports whether the index currently holds exactly e.
@@ -414,9 +324,6 @@ func (x *Index) CheckInvariants() error {
 	v := x.view.Load()
 	if err := v.snap.CheckInvariants(); err != nil {
 		return err
-	}
-	if len(v.envs) != len(v.adds) {
-		return fmt.Errorf("flatidx: view has %d delta adds but %d delta envelopes", len(v.adds), len(v.envs))
 	}
 	for i := range v.adds {
 		if v.snap.contains(v.adds[i]) {

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/seq"
 )
 
 // model is a map-backed reference the index is checked against.
@@ -40,7 +38,7 @@ func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 		e := pool[rng.Intn(len(pool))]
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
-			x.Insert(e, nil)
+			x.Insert(e)
 			m[e] = struct{}{}
 		case 6, 7, 8:
 			_, want := m[e]
@@ -86,13 +84,13 @@ func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 func TestInsertSetSemantics(t *testing.T) {
 	x := New(Options{MergeThreshold: -1})
 	e := Entry{ID: 1, Point: [4]float64{1, 2, 3, 4}}
-	x.Insert(e, nil)
-	x.Insert(e, nil) // duplicate add is a no-op
+	x.Insert(e)
+	x.Insert(e) // duplicate add is a no-op
 	if x.Len() != 1 {
 		t.Fatalf("Len=%d after duplicate insert", x.Len())
 	}
 	x.Merge()
-	x.Insert(e, nil) // already in snapshot: no-op
+	x.Insert(e) // already in snapshot: no-op
 	if x.Len() != 1 || x.DeltaEntries() != 0 {
 		t.Fatalf("Len=%d delta=%d after insert of snapshot entry", x.Len(), x.DeltaEntries())
 	}
@@ -102,7 +100,7 @@ func TestInsertSetSemantics(t *testing.T) {
 	if x.Len() != 0 || x.DeltaEntries() != 1 {
 		t.Fatalf("Len=%d delta=%d after tombstone", x.Len(), x.DeltaEntries())
 	}
-	x.Insert(e, nil) // resurrect: clears the tombstone, no delta add
+	x.Insert(e) // resurrect: clears the tombstone, no delta add
 	if x.Len() != 1 || x.DeltaEntries() != 0 {
 		t.Fatalf("Len=%d delta=%d after resurrect", x.Len(), x.DeltaEntries())
 	}
@@ -115,7 +113,7 @@ func TestBackgroundMergeTriggers(t *testing.T) {
 	x := New(Options{MergeThreshold: 8})
 	rng := rand.New(rand.NewSource(59))
 	for _, e := range randEntries(rng, 64) {
-		x.Insert(e, nil)
+		x.Insert(e)
 	}
 	if err := x.Close(); err != nil { // waits for in-flight merges
 		t.Fatal(err)
@@ -139,11 +137,11 @@ func TestNearestWalkAgainstBruteForce(t *testing.T) {
 	x := New(Options{MergeThreshold: -1})
 	entries := randEntries(rng, 500)
 	// Half via bulk snapshot, a quarter live in the delta, a quarter deleted.
-	if err := x.BulkLoad(entries[:250], nil); err != nil {
+	if err := x.BulkLoad(entries[:250]); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries[250:375] {
-		x.Insert(e, nil)
+		x.Insert(e)
 	}
 	live := append([]Entry(nil), entries[:125]...)
 	live = append(live, entries[250:375]...)
@@ -219,12 +217,11 @@ func TestSaveLoadRoundtripAndCorruption(t *testing.T) {
 	path := filepath.Join(dir, "feature.flat")
 	x := New(Options{MergeThreshold: -1})
 	entries := randEntries(rng, 300)
-	envs := randEnvs(rng, 300)
-	if err := x.BulkLoad(entries[:200], envs[:200]); err != nil {
+	if err := x.BulkLoad(entries[:200]); err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range entries[200:] {
-		x.Insert(e, &envs[200+i])
+	for _, e := range entries[200:] {
+		x.Insert(e)
 	}
 	if err := x.Save(path); err != nil {
 		t.Fatal(err)
@@ -249,10 +246,10 @@ func TestSaveLoadRoundtripAndCorruption(t *testing.T) {
 			t.Fatalf("loaded entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	// Envelopes survive persistence.
-	vy := y.view.Load()
-	if !vy.snap.HasEnvelopes() {
-		t.Fatal("loaded snapshot lost its envelopes")
+	// Same mode as the database's other files (a hand-rolled CreateTemp
+	// left this one 0600).
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("snapshot file mode = %v (err %v), want 0644", fi.Mode().Perm(), err)
 	}
 
 	// A flipped byte must fail the CRC. The mmap path defers body checks to
@@ -280,46 +277,8 @@ func TestSaveLoadRoundtripAndCorruption(t *testing.T) {
 
 func TestBulkLoadRequiresEmpty(t *testing.T) {
 	x := New(Options{MergeThreshold: -1})
-	x.Insert(Entry{ID: 1}, nil)
-	if err := x.BulkLoad([]Entry{{ID: 2}}, nil); err == nil {
+	x.Insert(Entry{ID: 1})
+	if err := x.BulkLoad([]Entry{{ID: 2}}); err == nil {
 		t.Fatal("BulkLoad into non-empty index succeeded")
-	}
-}
-
-func TestEnvelopesFlowThroughMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	x := New(Options{MergeThreshold: -1})
-	entries := randEntries(rng, 50)
-	envs := randEnvs(rng, 50)
-	for i := range entries {
-		x.Insert(entries[i], &envs[i])
-	}
-	x.Merge()
-	v := x.view.Load()
-	if !v.snap.HasEnvelopes() {
-		t.Fatal("merged snapshot has no envelope region")
-	}
-	var pe seq.PAAEnvelope
-	for j := 0; j < v.snap.Len(); j++ {
-		id := v.snap.item(j).ID
-		if !v.snap.env(j, &pe) {
-			t.Fatalf("item %d lost its envelope in merge", id)
-		}
-		if pe != envs[id-1] {
-			t.Fatalf("item %d envelope corrupted in merge", id)
-		}
-	}
-	// A second merge (after more churn) must carry envelopes forward from
-	// the slab, not lose them.
-	x.Delete(entries[0])
-	x.Insert(entries[0], nil) // resurrect drops nothing: env still in slab? (deleted+resurrected keeps slab copy)
-	x.Delete(entries[1])
-	x.Merge()
-	v = x.view.Load()
-	for j := 0; j < v.snap.Len(); j++ {
-		id := v.snap.item(j).ID
-		if !v.snap.env(j, &pe) || pe != envs[id-1] {
-			t.Fatalf("item %d envelope lost across second merge", id)
-		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 //
 // The walk optionally runs a two-level frontier: nodes stay ordered by the
 // (transformed) L∞ rect mindist, but an item surfacing for the first time
-// is re-keyed by max(transformed mindist, sharpen(stored envelope)) before
-// it is emitted — when the sharpened key no longer beats the frontier, the
+// is re-keyed by max(transformed mindist, sharpen(its ID)) before it is
+// emitted — when the sharpened key no longer beats the frontier, the
 // item re-enters the heap and later items surface first. Both levels are
 // lower bounds of the distance the caller refines against, so the emitted
 // key stream stays non-decreasing and the caller's stop condition is sound;
@@ -24,7 +24,7 @@ import (
 // heapItem is one frontier element: a packed node (node >= 0), a snapshot
 // item (node == snapItem), or a delta add (node == deltaItem, item indexes
 // the view's adds array). The keyed variants mark an item whose priority
-// was raised by its envelope bound — already sharpened, never re-keyed.
+// was raised by the sharpener — already sharpened, never re-keyed.
 type heapItem struct {
 	dist float64
 	node int32
@@ -92,15 +92,8 @@ type WalkStats struct {
 	EnvStops int64
 }
 
-// walkState is the pooled per-walk scratch: the frontier array plus the
-// envelope decode buffer (pooled together so the envelope-keyed walk stays
-// allocation-free too).
-type walkState struct {
-	h  knnHeap
-	pe seq.PAAEnvelope
-}
-
-var walkPool = sync.Pool{New: func() any { return &walkState{h: make(knnHeap, 0, 128)} }}
+// walkPool recycles frontier arrays across walks.
+var walkPool = sync.Pool{New: func() any { h := make(knnHeap, 0, 128); return &h }}
 
 // NearestWalk streams live entries in non-decreasing L∞ distance from p,
 // calling fn with each entry and its distance; fn returning false stops
@@ -109,40 +102,33 @@ var walkPool = sync.Pool{New: func() any { return &walkState{h: make(knnHeap, 0,
 // search layer's stop condition fires at the identical entry on both
 // engines.
 func (x *Index) NearestWalk(p *[4]float64, fn func(e Entry, dist float64) bool) {
-	var ws WalkStats
-	x.nearestWalk(p, nil, nil, fn, &ws)
-}
-
-// NearestWalkEnv is NearestWalk with the two-level envelope-sharpened
-// frontier. xform (nil = identity) is a monotone non-decreasing transform
-// applied to every L∞ mindist, so the caller can key the whole frontier in
-// its own comparable space; sharpen (nil = disabled) maps a stored PAA
-// envelope to an additional lower bound in that same space, and each
-// surfaced item is re-keyed by the max of the two before it is emitted.
-// Items without a stored envelope (including envelope-less delta adds)
-// keep their transformed mindist. fn receives the final key; the key
-// stream is non-decreasing.
-func (x *Index) NearestWalkEnv(p *[4]float64, xform func(float64) float64,
-	sharpen func(pe *seq.PAAEnvelope) float64, fn func(e Entry, key float64) bool) WalkStats {
-	var ws WalkStats
-	x.nearestWalk(p, xform, sharpen, fn, &ws)
-	return ws
+	x.NearestWalkKeyed(p, nil, nil, fn)
 }
 
 func identityKey(d float64) float64 { return d }
 
-func (x *Index) nearestWalk(p *[4]float64, xform func(float64) float64,
-	sharpen func(pe *seq.PAAEnvelope) float64, fn func(e Entry, key float64) bool, ws *WalkStats) {
+// NearestWalkKeyed is NearestWalk with the two-level sharpened frontier —
+// the contract rtree.Tree.NearestWalkKeyed has, so the search layer drives
+// both engines alike. xform (nil = identity) is a monotone non-decreasing
+// transform applied to every L∞ mindist, so the caller can key the whole
+// frontier in its own comparable space; sharpen (nil = disabled) maps a
+// surfacing item's ID to an additional lower bound in that same space (the
+// search layer resolves it from the envelope store), and the item is
+// re-keyed by the max of the two before it is emitted. fn receives the
+// final key; the key stream is non-decreasing.
+func (x *Index) NearestWalkKeyed(p *[4]float64, xform func(float64) float64,
+	sharpen func(id seq.ID) float64, fn func(e Entry, key float64) bool) WalkStats {
+	var ws WalkStats
 	v := x.view.Load()
 	xf := xform
 	if xf == nil {
 		xf = identityKey
 	}
-	st := walkPool.Get().(*walkState)
-	h := st.h[:0]
+	hp := walkPool.Get().(*knnHeap)
+	h := (*hp)[:0]
 	defer func() {
-		st.h = h[:0]
-		walkPool.Put(st)
+		*hp = h[:0]
+		walkPool.Put(hp)
 	}()
 	if v.snap.Len() > 0 {
 		h.push(heapItem{dist: xf(v.snap.nodeDistLInf(0, p)), node: 0})
@@ -171,9 +157,9 @@ func (x *Index) nearestWalk(p *[4]float64, xform func(float64) float64,
 			if _, dead := v.dels[e]; dead {
 				continue
 			}
-			if sharpen != nil && v.snap.env(int(top.item), &st.pe) {
-				if lb := sharpen(&st.pe); lb > top.dist {
-					// The envelope raised the key. If it no longer beats the
+			if sharpen != nil {
+				if lb := sharpen(e.ID); lb > top.dist {
+					// The sharpener raised the key. If it no longer beats the
 					// frontier, defer the item (tombstone already checked, so
 					// the keyed pop emits without re-decoding); otherwise it
 					// is still the minimum and can be emitted at the new key.
@@ -190,40 +176,36 @@ func (x *Index) nearestWalk(p *[4]float64, xform func(float64) float64,
 				if top.node == keyedSnapItem {
 					ws.EnvStops++
 				}
-				return
+				return ws
 			}
 		case keyedSnapItem:
 			if !fn(v.snap.item(int(top.item)), top.dist) {
 				ws.EnvStops++
-				return
+				return ws
 			}
 		case deltaItem:
-			if sharpen != nil && int(top.item) < len(v.envs) {
-				// Delta envelopes ride the same two-level re-key as snapshot
-				// items: the view's envs array is published together with adds
-				// (slots immutable once visible), so the read races nothing.
-				if pe := &v.envs[top.item]; pe.Len > 0 {
-					if lb := sharpen(pe); lb > top.dist {
-						if len(h) > 0 && lb > h[0].dist {
-							h.push(heapItem{dist: lb, node: keyedDeltaItem, item: top.item})
-							ws.Pushes++
-							ws.Repushes++
-							continue
-						}
-						top.dist, top.node = lb, keyedDeltaItem
+			// Delta adds ride the same two-level re-key as snapshot items.
+			if sharpen != nil {
+				if lb := sharpen(v.adds[top.item].ID); lb > top.dist {
+					if len(h) > 0 && lb > h[0].dist {
+						h.push(heapItem{dist: lb, node: keyedDeltaItem, item: top.item})
+						ws.Pushes++
+						ws.Repushes++
+						continue
 					}
+					top.dist, top.node = lb, keyedDeltaItem
 				}
 			}
 			if !fn(v.adds[top.item], top.dist) {
 				if top.node == keyedDeltaItem {
 					ws.EnvStops++
 				}
-				return
+				return ws
 			}
 		case keyedDeltaItem:
 			if !fn(v.adds[top.item], top.dist) {
 				ws.EnvStops++
-				return
+				return ws
 			}
 		default:
 			first, count, leaf := v.snap.nodeFirstCount(int(top.node))
@@ -239,4 +221,5 @@ func (x *Index) nearestWalk(p *[4]float64, xform func(float64) float64,
 			ws.Pushes += int64(count)
 		}
 	}
+	return ws
 }

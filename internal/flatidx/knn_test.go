@@ -23,38 +23,24 @@ func linf(e *Entry, p *[4]float64) float64 {
 	return max
 }
 
-// envLB is a deterministic stand-in for LB_PAA in the walk tests: any
-// nonnegative function of the stored envelope exercises the re-key logic
-// the same way the real bound does.
-func envLB(pe *seq.PAAEnvelope) float64 {
-	acc := 0.0
-	for k := 0; k < seq.PAASegments; k++ {
-		if pe.Min[k] > 0 {
-			acc += pe.Min[k]
-		}
-	}
-	return acc
-}
+// idLB is a deterministic stand-in for the search layer's LB_PAA-by-ID
+// sharpener in the walk tests: any nonnegative function of the ID
+// exercises the re-key logic the same way the real bound does.
+func idLB(id seq.ID) float64 { return float64(id%7) * 1.5 }
 
 // TestNearestWalkEnvKeys checks the two-level frontier's contract on a
-// snapshot ∪ delta index where both sides carry envelopes: the emitted key
-// stream is non-decreasing, every emitted key equals max(L∞ mindist,
-// sharpen(stored envelope)) — for snapshot items AND delta adds — and a
-// full enumeration yields exactly the live entry set in both modes.
+// snapshot ∪ delta index: the emitted key stream is non-decreasing, every
+// emitted key equals max(L∞ mindist, sharpen(ID)) — for snapshot items AND
+// delta adds — and a full enumeration yields exactly the live entry set.
 func TestNearestWalkEnvKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	x := New(Options{MergeThreshold: -1})
 	entries := randEntries(rng, 400)
-	envs := randEnvs(rng, 400)
-	if err := x.BulkLoad(entries[:300], envs[:300]); err != nil {
+	if err := x.BulkLoad(entries[:300]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 300; i < 400; i++ {
-		x.Insert(entries[i], &envs[i])
-	}
-	wantLB := make(map[seq.ID]float64, 400)
-	for i := range entries {
-		wantLB[entries[i].ID] = envLB(&envs[i])
+		x.Insert(entries[i])
 	}
 	sawRaisedDelta := false
 	var repushes int64
@@ -65,13 +51,13 @@ func TestNearestWalkEnvKeys(t *testing.T) {
 		}
 		seen := make(map[seq.ID]struct{}, 400)
 		prev := -1.0
-		ws := x.NearestWalkEnv(&p, nil, envLB, func(e Entry, key float64) bool {
+		ws := x.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
 			if key < prev {
 				t.Fatalf("key stream decreased: %g after %g", key, prev)
 			}
 			prev = key
 			want := linf(&e, &p)
-			if lb := wantLB[e.ID]; lb > want {
+			if lb := idLB(e.ID); lb > want {
 				want = lb
 				if e.ID > 300 {
 					sawRaisedDelta = true
@@ -92,10 +78,10 @@ func TestNearestWalkEnvKeys(t *testing.T) {
 		repushes += ws.Repushes
 	}
 	if repushes == 0 {
-		t.Fatal("envelope-rich walks reported zero re-pushes")
+		t.Fatal("sharpened walks reported zero re-pushes")
 	}
 	if !sawRaisedDelta {
-		t.Fatal("no delta add was envelope-raised; delta re-key untested")
+		t.Fatal("no delta add was raised by the sharpener; delta re-key untested")
 	}
 }
 
@@ -106,12 +92,11 @@ func TestNearestWalkEnvNilSharpenMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	x := New(Options{MergeThreshold: -1})
 	entries := randEntries(rng, 200)
-	envs := randEnvs(rng, 200)
-	if err := x.BulkLoad(entries[:150], envs[:150]); err != nil {
+	if err := x.BulkLoad(entries[:150]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 150; i < 200; i++ {
-		x.Insert(entries[i], &envs[i])
+		x.Insert(entries[i])
 	}
 	for trial := 0; trial < 10; trial++ {
 		var p [4]float64
@@ -127,7 +112,7 @@ func TestNearestWalkEnvNilSharpenMatchesPlain(t *testing.T) {
 			plain = append(plain, emit{e.ID, dist})
 			return true
 		})
-		x.NearestWalkEnv(&p, nil, nil, func(e Entry, key float64) bool {
+		x.NearestWalkKeyed(&p, nil, nil, func(e Entry, key float64) bool {
 			keyed = append(keyed, emit{e.ID, key})
 			return true
 		})
@@ -143,7 +128,7 @@ func TestNearestWalkEnvNilSharpenMatchesPlain(t *testing.T) {
 }
 
 // TestNearestWalkAllocFree enforces the pooled frontier: a steady-state
-// k-NN walk — plain or envelope-keyed — performs zero allocations, and so
+// k-NN walk — plain or sharpened — performs zero allocations, and so
 // does a range walk into a reused buffer.
 func TestNearestWalkAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -152,12 +137,11 @@ func TestNearestWalkAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	x := New(Options{MergeThreshold: -1})
 	entries := randEntries(rng, 600)
-	envs := randEnvs(rng, 600)
-	if err := x.BulkLoad(entries[:500], envs[:500]); err != nil {
+	if err := x.BulkLoad(entries[:500]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 500; i < 600; i++ {
-		x.Insert(entries[i], &envs[i])
+		x.Insert(entries[i])
 	}
 	p := [4]float64{1, -2, 3, -4}
 	n := 0
@@ -178,9 +162,9 @@ func TestNearestWalkAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		n = 0
-		x.NearestWalkEnv(&p, nil, envLB, keyed)
+		x.NearestWalkKeyed(&p, nil, idLB, keyed)
 	}); avg != 0 {
-		t.Fatalf("NearestWalkEnv allocates %.1f per run, want 0", avg)
+		t.Fatalf("NearestWalkKeyed allocates %.1f per run, want 0", avg)
 	}
 	// The range walk too: with the caller reusing its buffer, a walk over
 	// the packed slab and the delta's adds array must not allocate.
@@ -206,10 +190,9 @@ func TestLoadMmapIsOHeader(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(107))
 	x := New(Options{MergeThreshold: -1})
-	n := 20000 // ~5.7 MB slab with envelopes
+	n := 60000 // ~2.4 MB slab
 	entries := randEntries(rng, n)
-	envs := randEnvs(rng, n)
-	if err := x.BulkLoad(entries, envs); err != nil {
+	if err := x.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "snap.flat")
@@ -259,13 +242,13 @@ func TestLoadMmapIsOHeader(t *testing.T) {
 		}
 		var a, b []emit
 		cnt := 0
-		mm.NearestWalkEnv(&p, nil, envLB, func(e Entry, key float64) bool {
+		mm.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
 			a = append(a, emit{e.ID, key})
 			cnt++
 			return cnt < 200
 		})
 		cnt = 0
-		fb.NearestWalkEnv(&p, nil, envLB, func(e Entry, key float64) bool {
+		fb.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
 			b = append(b, emit{e.ID, key})
 			cnt++
 			return cnt < 200

@@ -21,8 +21,8 @@ func FuzzMmapLoad(f *testing.F) {
 		{ID: 1, Point: [4]float64{0, 1, 2, 3}},
 		{ID: 2, Point: [4]float64{4, 5, 6, 7}},
 	}
-	if snap, err := Build(seed, nil, 1); err == nil {
-		slab := snap.Bytes()
+	{
+		slab := Build(seed, 1).Bytes()
 		file := make([]byte, len(slab)+4)
 		copy(file, slab)
 		crc := crc32.ChecksumIEEE(slab)
@@ -46,7 +46,7 @@ func FuzzMmapLoad(f *testing.F) {
 		exercise := func(x *Index) {
 			p := [4]float64{1, 2, 3, 4}
 			n := 0
-			x.NearestWalkEnv(&p, nil, envLB, func(e Entry, key float64) bool {
+			x.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
 				n++
 				return n < 64
 			})

@@ -5,15 +5,13 @@
 // path and atomically swaps snapshots.
 //
 // The packed tree (Snapshot) is one contiguous byte slab: a fixed-size
-// header, a node region (rect + implicit child range per node, root first),
-// an item region (the STR-packed <point, id> leaf entries), and an optional
-// envelope region carrying each item's 16-segment PAA profile so the range
-// walk itself can be envelope-tight. Child offsets are implicit — the node
-// layout is a pure function of the item count — so a snapshot has no
-// pointers to chase, no per-node page round-trips, and a range walk
-// allocates nothing beyond the caller's result buffer. A snapshot is also
-// trivially a file: Save writes the slab plus a CRC, Load verifies and
-// adopts it.
+// header, a node region (rect + implicit child range per node, root first)
+// and an item region (the STR-packed <point, id> leaf entries). Child
+// offsets are implicit — the node layout is a pure function of the item
+// count — so a snapshot has no pointers to chase, no per-node page
+// round-trips, and a range walk allocates nothing beyond the caller's
+// result buffer. A snapshot is also trivially a file: Save writes the slab
+// plus a CRC, Load verifies and adopts it.
 //
 // Readers never lock: every query loads one *view (snapshot + delta) from
 // an atomic pointer and works against that immutable generation for its
@@ -47,10 +45,9 @@ type Entry struct {
 const (
 	magic      = "TWFS" // time-warping flat snapshot
 	version    = 1
-	headerSize = 32                      // magic(4) version(4) flags(4) nNodes(4) nItems(4) height(4) gen(8)
-	nodeSize   = 72                      // rect lo[4](32) hi[4](32) first(4) count|leafBit(4)
-	itemSize   = 36                      // point[4](32) id(4)
-	envSize    = 4 + 2*seq.PAASegments*8 // len(4) min[16](128) max[16](128)
+	headerSize = 32 // magic(4) version(4) flags(4) nNodes(4) nItems(4) height(4) gen(8)
+	nodeSize   = 72 // rect lo[4](32) hi[4](32) first(4) count|leafBit(4)
+	itemSize   = 36 // point[4](32) id(4)
 
 	// Fanout is the packed tree's node capacity. STR packs every node full
 	// (the last node per level may be short), so with 4000 items the tree is
@@ -58,8 +55,7 @@ const (
 	// nodes.
 	Fanout = 16
 
-	flagEnvelopes = 1 << 0 // the slab carries the envelope region
-	leafBit       = 1 << 31
+	leafBit = 1 << 31
 
 	// maxItems bounds the decodable item count: it keeps every offset
 	// computation far from int overflow even on 32-bit ints and rejects
@@ -81,10 +77,8 @@ type Snapshot struct {
 	nNodes   int
 	nItems   int
 	height   int
-	hasEnv   bool
 	gen      uint64
 	itemsOff int
-	envsOff  int
 
 	// levelStart[ℓ]/levelSize[ℓ] describe the deterministic node layout
 	// (root level first). nodeFirstCount derives child ranges from them
@@ -137,60 +131,35 @@ func levelSizes(n int) []int {
 
 // Build packs entries into a fresh snapshot using Sort-Tile-Recursive
 // ordering (the same packing discipline the Guttman engine's BulkLoad
-// uses). envs, when non-nil, must be parallel to entries; entries whose
-// envelope has Len == 0 are stored as envelope-less and are never
-// walk-pruned. gen is the snapshot generation recorded in the header.
-func Build(entries []Entry, envs []seq.PAAEnvelope, gen uint64) (*Snapshot, error) {
-	if envs != nil && len(envs) != len(entries) {
-		return nil, fmt.Errorf("flatidx: %d entries but %d envelopes", len(entries), len(envs))
-	}
+// uses). gen is the snapshot generation recorded in the header.
+func Build(entries []Entry, gen uint64) *Snapshot {
 	n := len(entries)
-	hasEnv := false
-	for i := range envs {
-		if envs[i].Len > 0 {
-			hasEnv = true
-			break
-		}
-	}
 	sizes := levelSizes(n)
 	nNodes := 0
 	for _, s := range sizes {
 		nNodes += s
 	}
-	total := headerSize + nNodes*nodeSize + n*itemSize
-	if hasEnv {
-		total += n * envSize
-	}
 	s := &Snapshot{
-		slab:     make([]byte, total),
+		slab:     make([]byte, headerSize+nNodes*nodeSize+n*itemSize),
 		nNodes:   nNodes,
 		nItems:   n,
 		height:   len(sizes),
-		hasEnv:   hasEnv,
 		gen:      gen,
 		itemsOff: headerSize + nNodes*nodeSize,
 	}
-	if hasEnv {
-		s.envsOff = s.itemsOff + n*itemSize
-	}
 	s.initLayout()
 
-	// Header.
+	// Header. The flags word is reserved and always zero.
 	copy(s.slab[0:4], magic)
 	putU32 := func(off int, v uint32) { binary.LittleEndian.PutUint32(s.slab[off:], v) }
 	putU32(4, version)
-	flags := uint32(0)
-	if hasEnv {
-		flags = flagEnvelopes
-	}
-	putU32(8, flags)
 	putU32(12, uint32(nNodes))
 	putU32(16, uint32(n))
 	putU32(20, uint32(len(sizes)))
 	binary.LittleEndian.PutUint64(s.slab[24:], gen)
 
 	if n == 0 {
-		return s, nil
+		return s
 	}
 
 	// Items, in STR order.
@@ -201,13 +170,6 @@ func Build(entries []Entry, envs []seq.PAAEnvelope, gen uint64) (*Snapshot, erro
 			binary.LittleEndian.PutUint64(s.slab[off+d*8:], math.Float64bits(entries[oi].Point[d]))
 		}
 		putU32(off+32, uint32(entries[oi].ID))
-		if hasEnv {
-			var pe seq.PAAEnvelope
-			if envs != nil {
-				pe = envs[oi]
-			}
-			s.putEnv(j, &pe)
-		}
 	}
 
 	// Nodes, level by level (root level first in the slab), rects filled
@@ -275,7 +237,7 @@ func Build(entries []Entry, envs []seq.PAAEnvelope, gen uint64) (*Snapshot, erro
 			putU32(off+68, cf)
 		}
 	}
-	return s, nil
+	return s
 }
 
 // strOrder returns the Sort-Tile-Recursive permutation of entries: sort by
@@ -358,9 +320,11 @@ func DecodeLite(data []byte) (*Snapshot, error) {
 	if v := u32(4); v != version {
 		return nil, fmt.Errorf("flatidx: unsupported version %d", v)
 	}
-	flags := u32(8)
-	if flags&^uint32(flagEnvelopes) != 0 {
-		return nil, fmt.Errorf("flatidx: unknown flags %#x", flags)
+	// Bit 0 marked the per-item PAA envelope region older snapshots carried;
+	// envelopes now live only in the envelope store, so such a file is
+	// refused like any other unknown layout and the caller rebuilds it.
+	if flags := u32(8); flags != 0 {
+		return nil, fmt.Errorf("flatidx: unsupported flags %#x (an envelope-carrying snapshot from an older layout?)", flags)
 	}
 	nNodes, nItems, height := int(u32(12)), int(u32(16)), int(u32(20))
 	if nItems < 0 || nItems > maxItems {
@@ -375,12 +339,7 @@ func DecodeLite(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("flatidx: header claims %d nodes height %d, layout for %d items wants %d nodes height %d",
 			nNodes, height, nItems, wantNodes, len(sizes))
 	}
-	hasEnv := flags&flagEnvelopes != 0
-	total := headerSize + nNodes*nodeSize + nItems*itemSize
-	if hasEnv {
-		total += nItems * envSize
-	}
-	if len(data) != total {
+	if total := headerSize + nNodes*nodeSize + nItems*itemSize; len(data) != total {
 		return nil, fmt.Errorf("flatidx: slab is %d bytes, layout wants %d", len(data), total)
 	}
 	s := &Snapshot{
@@ -388,12 +347,8 @@ func DecodeLite(data []byte) (*Snapshot, error) {
 		nNodes:   nNodes,
 		nItems:   nItems,
 		height:   height,
-		hasEnv:   hasEnv,
 		gen:      binary.LittleEndian.Uint64(data[24:]),
 		itemsOff: headerSize + nNodes*nodeSize,
-	}
-	if hasEnv {
-		s.envsOff = s.itemsOff + nItems*itemSize
 	}
 	s.initLayout()
 	return s, nil
@@ -482,9 +437,6 @@ func (s *Snapshot) Len() int { return s.nItems }
 // Generation returns the snapshot generation recorded at Build time.
 func (s *Snapshot) Generation() uint64 { return s.gen }
 
-// HasEnvelopes reports whether the slab carries the PAA envelope region.
-func (s *Snapshot) HasEnvelopes() bool { return s.hasEnv }
-
 // ---- slab accessors ----
 
 func (s *Snapshot) f64(off int) float64 {
@@ -552,35 +504,6 @@ func (s *Snapshot) item(j int) Entry {
 	s.itemPoint(j, &e.Point)
 	e.ID = s.itemID(j)
 	return e
-}
-
-// env decodes item j's stored PAA envelope into pe, reporting whether one
-// is present (Len > 0).
-func (s *Snapshot) env(j int, pe *seq.PAAEnvelope) bool {
-	if !s.hasEnv {
-		return false
-	}
-	off := s.envsOff + j*envSize
-	pe.Len = int(binary.LittleEndian.Uint32(s.slab[off:]))
-	if pe.Len == 0 {
-		return false
-	}
-	off += 4
-	for k := 0; k < seq.PAASegments; k++ {
-		pe.Min[k] = s.f64(off + k*8)
-		pe.Max[k] = s.f64(off + (seq.PAASegments+k)*8)
-	}
-	return true
-}
-
-func (s *Snapshot) putEnv(j int, pe *seq.PAAEnvelope) {
-	off := s.envsOff + j*envSize
-	binary.LittleEndian.PutUint32(s.slab[off:], uint32(pe.Len))
-	off += 4
-	for k := 0; k < seq.PAASegments; k++ {
-		binary.LittleEndian.PutUint64(s.slab[off+k*8:], math.Float64bits(pe.Min[k]))
-		binary.LittleEndian.PutUint64(s.slab[off+(seq.PAASegments+k)*8:], math.Float64bits(pe.Max[k]))
-	}
 }
 
 // nodeIntersects mirrors rtree.Rect.Intersects on closed rects: false iff
@@ -685,52 +608,6 @@ func (s *Snapshot) searchNode(n int, dst []Entry, lo, hi *[4]float64, dels map[E
 		}
 	}
 	return dst
-}
-
-// searchNodeEnv is appendRange with an envelope admission test: an in-rect
-// item that carries a stored PAA envelope is passed to admit before being
-// appended, and rejected items are counted in pruned instead. Items without
-// a stored envelope are always admitted. pe is caller-owned scratch reused
-// across the walk so the pruning test allocates nothing.
-func (s *Snapshot) searchNodeEnv(n int, dst []Entry, lo, hi *[4]float64, dels map[Entry]struct{},
-	admit func(id seq.ID, pe *seq.PAAEnvelope) bool, pe *seq.PAAEnvelope, pruned int) ([]Entry, int) {
-	first, count, leaf := s.nodeFirstCount(n)
-	if leaf {
-		for j := first; j < first+count; j++ {
-			off := s.itemsOff + j*itemSize
-			var e Entry
-			in := true
-			for d := 0; d < 4; d++ {
-				v := s.f64(off + d*8)
-				if v < lo[d] || v > hi[d] {
-					in = false
-					break
-				}
-				e.Point[d] = v
-			}
-			if !in {
-				continue
-			}
-			e.ID = seq.ID(binary.LittleEndian.Uint32(s.slab[off+32:]))
-			if len(dels) != 0 {
-				if _, dead := dels[e]; dead {
-					continue
-				}
-			}
-			if s.env(j, pe) && !admit(e.ID, pe) {
-				pruned++
-				continue
-			}
-			dst = append(dst, e)
-		}
-		return dst, pruned
-	}
-	for c := first; c < first+count; c++ {
-		if s.nodeIntersects(c, lo, hi) {
-			dst, pruned = s.searchNodeEnv(c, dst, lo, hi, dels, admit, pe, pruned)
-		}
-	}
-	return dst, pruned
 }
 
 // contains reports whether the snapshot holds exactly e (point and ID).

@@ -1,7 +1,6 @@
 package flatidx
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -18,19 +17,6 @@ func randEntries(rng *rand.Rand, n int) []Entry {
 		}
 	}
 	return entries
-}
-
-func randEnvs(rng *rand.Rand, n int) []seq.PAAEnvelope {
-	envs := make([]seq.PAAEnvelope, n)
-	for i := range envs {
-		envs[i].Len = 64 + rng.Intn(64)
-		for k := 0; k < seq.PAASegments; k++ {
-			a, b := rng.NormFloat64(), rng.NormFloat64()
-			envs[i].Min[k] = math.Min(a, b)
-			envs[i].Max[k] = math.Max(a, b)
-		}
-	}
-	return envs
 }
 
 func sortEntries(es []Entry) {
@@ -58,10 +44,7 @@ func TestBuildRangeAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{0, 1, 15, 16, 17, 100, 1000, 4000} {
 		entries := randEntries(rng, n)
-		snap, err := Build(entries, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := Build(entries, 1)
 		if snap.Len() != n {
 			t.Fatalf("n=%d: snapshot Len=%d", n, snap.Len())
 		}
@@ -94,48 +77,27 @@ func TestBuildRangeAgainstBruteForce(t *testing.T) {
 func TestDecodeRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, n := range []int{0, 1, 40, 500} {
-		for _, withEnv := range []bool{false, true} {
-			entries := randEntries(rng, n)
-			var envs []seq.PAAEnvelope
-			if withEnv {
-				envs = randEnvs(rng, n)
-			}
-			snap, err := Build(entries, envs, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dec, err := Decode(snap.Bytes())
-			if err != nil {
-				t.Fatalf("n=%d env=%v: decode: %v", n, withEnv, err)
-			}
-			if dec.Generation() != 7 || dec.Len() != n || dec.HasEnvelopes() != (withEnv && n > 0) {
-				t.Fatalf("n=%d env=%v: decoded gen=%d len=%d hasEnv=%v", n, withEnv, dec.Generation(), dec.Len(), dec.HasEnvelopes())
-			}
-			// Re-encoding is the identity: the slab IS the snapshot.
-			if string(dec.Bytes()) != string(snap.Bytes()) {
-				t.Fatalf("n=%d env=%v: roundtrip bytes differ", n, withEnv)
-			}
-			// Every item and envelope survives.
-			got := dec.Entries(nil)
-			sortEntries(got)
-			want := append([]Entry(nil), entries...)
-			sortEntries(want)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d env=%v: item %d = %+v, want %+v", n, withEnv, i, got[i], want[i])
-				}
-			}
-			if withEnv && n > 0 {
-				var pe seq.PAAEnvelope
-				for j := 0; j < n; j++ {
-					id := dec.item(j).ID
-					if !dec.env(j, &pe) {
-						t.Fatalf("item %d lost its envelope", j)
-					}
-					if pe != envs[id-1] {
-						t.Fatalf("item %d envelope mismatch", j)
-					}
-				}
+		entries := randEntries(rng, n)
+		snap := Build(entries, 7)
+		dec, err := Decode(snap.Bytes())
+		if err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if dec.Generation() != 7 || dec.Len() != n {
+			t.Fatalf("n=%d: decoded gen=%d len=%d", n, dec.Generation(), dec.Len())
+		}
+		// Re-encoding is the identity: the slab IS the snapshot.
+		if string(dec.Bytes()) != string(snap.Bytes()) {
+			t.Fatalf("n=%d: roundtrip bytes differ", n)
+		}
+		// Every item survives.
+		got := dec.Entries(nil)
+		sortEntries(got)
+		want := append([]Entry(nil), entries...)
+		sortEntries(want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: item %d = %+v, want %+v", n, i, got[i], want[i])
 			}
 		}
 	}
@@ -151,11 +113,7 @@ func (s *Snapshot) Entries(dst []Entry) []Entry {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	snap, err := Build(randEntries(rng, 200), nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := snap.Bytes()
+	base := Build(randEntries(rng, 200), 3).Bytes()
 
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), base...)
@@ -168,6 +126,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"bad magic":        mutate(func(b []byte) { b[0] = 'X' }),
 		"bad version":      mutate(func(b []byte) { b[4] = 99 }),
 		"unknown flags":    mutate(func(b []byte) { b[8] |= 0x80 }),
+		// Bit 0 was the retired per-item envelope region: such a file has a
+		// layout this reader no longer knows and must be rebuilt, not read.
+		"envelope flag":    mutate(func(b []byte) { b[8] |= 0x01 }),
 		"node count lie":   mutate(func(b []byte) { b[12]++ }),
 		"item count lie":   mutate(func(b []byte) { b[16]++ }),
 		"height lie":       mutate(func(b []byte) { b[20]++ }),
@@ -199,10 +160,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	entries := randEntries(rng, 300)
-	snap, err := Build(entries, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := Build(entries, 1)
 	for _, e := range entries {
 		if !snap.contains(e) {
 			t.Fatalf("missing entry %d", e.ID)
@@ -223,10 +181,7 @@ func TestContains(t *testing.T) {
 func TestNodeDistMatchesRtreeAxisDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	entries := randEntries(rng, 128)
-	snap, err := Build(entries, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := Build(entries, 1)
 	var lo, hi [4]float64
 	snap.nodeRect(0, &lo, &hi)
 	for trial := 0; trial < 200; trial++ {

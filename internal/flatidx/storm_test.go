@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/seq"
 )
 
 // TestStormReadersRaceMergeAndWriters drives concurrent range and k-NN
@@ -19,7 +17,7 @@ func TestStormReadersRaceMergeAndWriters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pool := randEntries(rng, 512)
 	for _, e := range pool[:256] {
-		x.Insert(e, nil)
+		x.Insert(e)
 	}
 
 	var stop atomic.Bool
@@ -34,7 +32,7 @@ func TestStormReadersRaceMergeAndWriters(t *testing.T) {
 			for !stop.Load() {
 				e := pool[r.Intn(len(pool))]
 				if r.Intn(2) == 0 {
-					x.Insert(e, nil)
+					x.Insert(e)
 				} else {
 					x.Delete(e)
 				}
@@ -101,24 +99,6 @@ func TestStormReadersRaceMergeAndWriters(t *testing.T) {
 		}
 	}()
 
-	// An envelope-tight reader exercising the admit callback path.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(400))
-		var buf []Entry
-		for !stop.Load() {
-			var lo, hi [4]float64
-			for d := 0; d < 4; d++ {
-				c := r.NormFloat64() * 10
-				lo[d], hi[d] = c-8, c+8
-			}
-			buf, _ = x.AppendRangeEnv(buf[:0], &lo, &hi, func(id seq.ID, pe *seq.PAAEnvelope) bool {
-				return id%2 == 0
-			})
-		}
-	}()
-
 	// Let the storm run for a fixed volume of writer work.
 	done := make(chan struct{})
 	go func() {
@@ -127,7 +107,7 @@ func TestStormReadersRaceMergeAndWriters(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			e := pool[r.Intn(len(pool))]
 			if r.Intn(2) == 0 {
-				x.Insert(e, nil)
+				x.Insert(e)
 			} else {
 				x.Delete(e)
 			}

@@ -10,6 +10,7 @@ package fsx
 import (
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // SyncDirHook, when non-nil, is consulted by SyncDir before the real
@@ -51,13 +52,17 @@ func RenameAndSyncDir(oldpath, newpath string) error {
 	return SyncDir(filepath.Dir(newpath))
 }
 
+// tempInfix sits between the destination's name and CreateTemp's random
+// decimal suffix in every temp file WriteFileSync creates.
+const tempInfix = ".tmp-"
+
 // WriteFileSync writes data to path via a same-directory temp file:
 // write, fsync the file, rename into place, fsync the directory. The
 // destination either keeps its old contents or holds exactly data, and
 // once WriteFileSync returns nil the new contents survive a crash.
 func WriteFileSync(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tempInfix+"*")
 	if err != nil {
 		return err
 	}
@@ -87,4 +92,34 @@ func WriteFileSync(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return nil
+}
+
+// RemoveStaleTemps deletes the regular files directly in dir that carry
+// WriteFileSync's temp naming (<name>.tmp-<digits>) and returns their names.
+// A process killed between CreateTemp and the rename leaves such a file
+// behind — up to a whole snapshot — and no later write reuses its name, so
+// the directory's owner calls this when it opens the directory, before it
+// writes anything itself.
+func RemoveStaleTemps(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var removed []string
+	for _, e := range entries {
+		name := e.Name()
+		i := strings.LastIndex(name, tempInfix)
+		if i <= 0 || !e.Type().IsRegular() {
+			continue
+		}
+		suffix := name[i+len(tempInfix):]
+		if suffix == "" || strings.Trim(suffix, "0123456789") != "" {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return removed, err
+		}
+		removed = append(removed, name)
+	}
+	return removed, nil
 }

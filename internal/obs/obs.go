@@ -396,20 +396,6 @@ func (ss Samples) Value(name string, want map[string]string) (float64, bool) {
 	return 0, false
 }
 
-// Names returns the sorted set of distinct metric names.
-func (ss Samples) Names() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range ss {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ParseText parses a Prometheus text exposition, validating its syntax
 // strictly enough to catch rendering bugs: every non-comment line must be
 // `name[{label="value",…}] float`, names must be valid metric identifiers,

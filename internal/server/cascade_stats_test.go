@@ -58,7 +58,7 @@ func TestSearchResponseTierCounters(t *testing.T) {
 	for i := 0; i < queries; i++ {
 		res := postSearch(t, srv, data[i*7], 0.3)
 		st := res.Stats
-		pruned := st.LBKimPruned + st.LBKeoghPruned + st.LBYiPruned + st.CorridorPruned
+		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
 		if pruned+st.DTWCalls != st.Candidates {
 			t.Fatalf("query %d: prunes %d + dtw %d != candidates %d", i, pruned, st.DTWCalls, st.Candidates)
 		}
@@ -89,7 +89,7 @@ func TestSearchResponseTierCounters(t *testing.T) {
 	if got := asInt("dtw_calls"); got != sumDTW {
 		t.Errorf("query_totals.dtw_calls = %d, want %d", got, sumDTW)
 	}
-	for _, key := range []string{"lb_kim_pruned", "lb_keogh_pruned", "lb_yi_pruned", "corridor_pruned", "dtw_abandoned"} {
+	for _, key := range []string{"lb_paa_pruned", "lb_keogh_pruned", "lb_improved_pruned", "corridor_pruned", "dtw_abandoned"} {
 		asInt(key) // presence check
 	}
 }
@@ -127,8 +127,8 @@ func TestShardedStatsQueryBreakdown(t *testing.T) {
 		}
 		cand := q["candidates"].(float64)
 		dtw := q["dtw_calls"].(float64)
-		pruned := q["lb_kim_pruned"].(float64) + q["lb_keogh_pruned"].(float64) +
-			q["lb_yi_pruned"].(float64) + q["corridor_pruned"].(float64)
+		pruned := q["lb_paa_pruned"].(float64) + q["lb_keogh_pruned"].(float64) +
+			q["lb_improved_pruned"].(float64) + q["corridor_pruned"].(float64)
 		if pruned+dtw != cand {
 			t.Errorf("shard %d: prunes %v + dtw %v != candidates %v", i, pruned, dtw, cand)
 		}

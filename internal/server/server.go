@@ -129,14 +129,14 @@ type Server struct {
 // exports the same atomics as twsim_* counters, giving operators the
 // cascade's prune rates in production without scraping per-query responses.
 // The counters satisfy the conservation law
-// candidates = lb_kim + lb_paa + lb_keogh + lb_yi + lb_improved + corridor + dtw_calls
+// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls
 // (dangling-entry skips aside), which the metrics tests assert.
 type queryTotals struct {
-	searches, candidates, results                       atomic.Int64
-	dtwCalls, dtwAbandoned                              atomic.Int64
-	lbKimPruned, lbPAAPruned, lbKeoghPruned, lbYiPruned atomic.Int64
-	lbImprovedPruned, corridorPruned                    atomic.Int64
-	knnRepushes, knnEnvCutoffs                          atomic.Int64
+	searches, candidates, results    atomic.Int64
+	dtwCalls, dtwAbandoned           atomic.Int64
+	lbPAAPruned, lbKeoghPruned       atomic.Int64
+	lbImprovedPruned, corridorPruned atomic.Int64
+	knnRepushes, knnEnvCutoffs       atomic.Int64
 }
 
 func (t *queryTotals) accumulate(st twsim.QueryStats) {
@@ -145,10 +145,8 @@ func (t *queryTotals) accumulate(st twsim.QueryStats) {
 	t.results.Add(int64(st.Results))
 	t.dtwCalls.Add(int64(st.DTWCalls))
 	t.dtwAbandoned.Add(int64(st.DTWAbandoned))
-	t.lbKimPruned.Add(int64(st.LBKimPruned))
 	t.lbPAAPruned.Add(int64(st.LBPAAPruned))
 	t.lbKeoghPruned.Add(int64(st.LBKeoghPruned))
-	t.lbYiPruned.Add(int64(st.LBYiPruned))
 	t.lbImprovedPruned.Add(int64(st.LBImprovedPruned))
 	t.corridorPruned.Add(int64(st.CorridorPruned))
 	t.knnRepushes.Add(int64(st.KNNRepushes))
@@ -162,10 +160,8 @@ func (t *queryTotals) json() map[string]any {
 		"results":              t.results.Load(),
 		"dtw_calls":            t.dtwCalls.Load(),
 		"dtw_abandoned":        t.dtwAbandoned.Load(),
-		"lb_kim_pruned":        t.lbKimPruned.Load(),
 		"lb_paa_pruned":        t.lbPAAPruned.Load(),
 		"lb_keogh_pruned":      t.lbKeoghPruned.Load(),
-		"lb_yi_pruned":         t.lbYiPruned.Load(),
 		"lb_improved_pruned":   t.lbImprovedPruned.Load(),
 		"corridor_pruned":      t.corridorPruned.Load(),
 		"knn_repushes":         t.knnRepushes.Load(),
@@ -400,10 +396,8 @@ type StatsJSON struct {
 	Candidates       int   `json:"candidates"`
 	Results          int   `json:"results"`
 	DTWCalls         int   `json:"dtw_calls"`
-	LBKimPruned      int   `json:"lb_kim_pruned"`
 	LBPAAPruned      int   `json:"lb_paa_pruned"`
 	LBKeoghPruned    int   `json:"lb_keogh_pruned"`
-	LBYiPruned       int   `json:"lb_yi_pruned"`
 	LBImprovedPruned int   `json:"lb_improved_pruned"`
 	CorridorPruned   int   `json:"corridor_pruned"`
 	DTWAbandoned     int   `json:"dtw_abandoned"`
@@ -503,10 +497,8 @@ func shardQueriesJSON(qt twsim.QueryTotals) map[string]any {
 		"candidates":           qt.Candidates,
 		"dtw_calls":            qt.DTWCalls,
 		"dtw_abandoned":        qt.DTWAbandoned,
-		"lb_kim_pruned":        qt.LBKimPruned,
 		"lb_paa_pruned":        qt.LBPAAPruned,
 		"lb_keogh_pruned":      qt.LBKeoghPruned,
-		"lb_yi_pruned":         qt.LBYiPruned,
 		"lb_improved_pruned":   qt.LBImprovedPruned,
 		"corridor_pruned":      qt.CorridorPruned,
 		"knn_repushes":         qt.KNNRepushes,
@@ -899,10 +891,8 @@ func toSearchResponse(res *twsim.Result) SearchResponse {
 			Candidates:       res.Stats.Candidates,
 			Results:          res.Stats.Results,
 			DTWCalls:         res.Stats.DTWCalls,
-			LBKimPruned:      res.Stats.LBKimPruned,
 			LBPAAPruned:      res.Stats.LBPAAPruned,
 			LBKeoghPruned:    res.Stats.LBKeoghPruned,
-			LBYiPruned:       res.Stats.LBYiPruned,
 			LBImprovedPruned: res.Stats.LBImprovedPruned,
 			CorridorPruned:   res.Stats.CorridorPruned,
 			DTWAbandoned:     res.Stats.DTWAbandoned,

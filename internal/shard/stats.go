@@ -17,10 +17,8 @@ type QueryTotals struct {
 	Candidates       int64
 	DTWCalls         int64
 	DTWAbandoned     int64
-	LBKimPruned      int64
 	LBPAAPruned      int64
 	LBKeoghPruned    int64
-	LBYiPruned       int64
 	LBImprovedPruned int64
 	CorridorPruned   int64
 	KNNRepushes      int64
@@ -30,9 +28,9 @@ type QueryTotals struct {
 // queryCounters is the lock-free accumulation form of QueryTotals; the
 // fan-out workers of concurrent searches update it without coordination.
 type queryCounters struct {
-	searches, candidates, dtwCalls, dtwAbandoned      atomic.Int64
-	lbKim, lbPAA, lbKeogh, lbYi, lbImproved, corridor atomic.Int64
-	knnRepushes, knnEnvCutoffs                        atomic.Int64
+	searches, candidates, dtwCalls, dtwAbandoned atomic.Int64
+	lbPAA, lbKeogh, lbImproved, corridor         atomic.Int64
+	knnRepushes, knnEnvCutoffs                   atomic.Int64
 }
 
 func (c *queryCounters) accumulate(qs core.QueryStats) {
@@ -40,10 +38,8 @@ func (c *queryCounters) accumulate(qs core.QueryStats) {
 	c.candidates.Add(int64(qs.Candidates))
 	c.dtwCalls.Add(int64(qs.DTWCalls))
 	c.dtwAbandoned.Add(int64(qs.DTWAbandoned))
-	c.lbKim.Add(int64(qs.LBKimPruned))
 	c.lbPAA.Add(int64(qs.LBPAAPruned))
 	c.lbKeogh.Add(int64(qs.LBKeoghPruned))
-	c.lbYi.Add(int64(qs.LBYiPruned))
 	c.lbImproved.Add(int64(qs.LBImprovedPruned))
 	c.corridor.Add(int64(qs.CorridorPruned))
 	c.knnRepushes.Add(int64(qs.KNNRepushes))
@@ -56,10 +52,8 @@ func (c *queryCounters) snapshot() QueryTotals {
 		Candidates:       c.candidates.Load(),
 		DTWCalls:         c.dtwCalls.Load(),
 		DTWAbandoned:     c.dtwAbandoned.Load(),
-		LBKimPruned:      c.lbKim.Load(),
 		LBPAAPruned:      c.lbPAA.Load(),
 		LBKeoghPruned:    c.lbKeogh.Load(),
-		LBYiPruned:       c.lbYi.Load(),
 		LBImprovedPruned: c.lbImproved.Load(),
 		CorridorPruned:   c.corridor.Load(),
 		KNNRepushes:      c.knnRepushes.Load(),

@@ -35,11 +35,10 @@ func knnCorpus(rng *rand.Rand, n, length, queries int) (data, qs [][]float64) {
 
 // TestNearestKOrderingOracle is the envelope-ordering bit-identity matrix:
 // for every base × backend shape × engine × band × worker budget, the
-// envelope-sharpened, deferred-refinement k-NN must return exactly the
-// brute-force top-k — same IDs, same float64 distances, same order — for
-// every query and k. The ordering tier re-keys candidates by sound lower
-// bounds and defers exact DP work; it may only reorder and skip work, never
-// change an answer (DESIGN.md §12). (The ordering-off engine path itself is
+// envelope-sharpened k-NN must return exactly the brute-force top-k — same
+// IDs, same float64 distances, same order — for every query and k. The
+// ordering tier re-keys candidates by sound lower bounds; it may only
+// reorder and skip work, never change an answer (DESIGN.md §12). (The ordering-off engine path itself is
 // compared in internal/core, where NoCascade lives.)
 func TestNearestKOrderingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(811))

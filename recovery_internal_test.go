@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -401,6 +402,54 @@ func TestOpenRebuildsUnopenableIndex(t *testing.T) {
 			assertOracleEqual(t, db2, data[7], 3)
 		})
 	}
+}
+
+// A kill -9 between a flush's CreateTemp and its rename leaves the temp file
+// in the database directory, and no later write reuses its name. Open must
+// remove such leftovers, say so, and leave everything else alone.
+func TestOpenRemovesStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	db, data := mustCreatePopulated(t, dir, 15)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{"feature.flat.tmp-2750846712", "dir.bin.tmp-17"}
+	keep := []string{"notes.tmp-draft", "feature.flat.tmp-"} // not the temp naming: no decimal suffix
+	for _, name := range append(append([]string(nil), stale...), keep...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a snapshot"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	notes := strings.Join(db2.OpenDiagnostics(), "\n")
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived Open (stat: %v)", name, err)
+		}
+		if !strings.Contains(notes, "stale temp file "+name+" removed-on-open") {
+			t.Errorf("no diagnostics line for %s in:\n%s", name, notes)
+		}
+	}
+	for _, name := range keep {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s is not a flush temp and must be left alone: %v", name, err)
+		}
+	}
+	if db2.LastRepair().Repaired() {
+		t.Fatalf("removing temp files must not look like a repair: %+v", db2.LastRepair())
+	}
+	if db2.Len() != 15 {
+		t.Fatalf("Len = %d after cleanup, want 15", db2.Len())
+	}
+	if err := db2.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	assertOracleEqual(t, db2, data[3], 3)
 }
 
 // Searches must skip dangling index entries instead of failing: dropping a

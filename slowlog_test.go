@@ -118,7 +118,7 @@ func TestSlowQueryLog(t *testing.T) {
 					t.Errorf("no slow-query line %q in log:\n%s", needle, out)
 					continue
 				}
-				for _, key := range []string{"twsim: slow query", "qlen=4", w.param, "wall=", "filter=", "refine=", "candidates=", "results=", "dtw=", "pruned_kim=", "pruned_keogh=", "pruned_yi=", "pruned_corridor="} {
+				for _, key := range []string{"twsim: slow query", "qlen=4", w.param, "wall=", "filter=", "refine=", "candidates=", "results=", "dtw=", "pruned_paa=", "pruned_keogh=", "pruned_improved=", "pruned_corridor="} {
 					if !strings.Contains(line, key) {
 						t.Errorf("slow-query line missing %q: %s", key, line)
 					}

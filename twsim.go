@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fsx"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
 	"repro/internal/wal"
@@ -66,10 +68,8 @@ const (
 	EngineGuttman = core.EngineGuttman
 	// EngineFlat is the flat snapshot + delta engine: an immutable packed
 	// tree walked lock- and allocation-free, a small mutable delta absorbing
-	// writes, and a background merge that atomically swaps snapshots. It
-	// also packs each sequence's PAA envelope next to its leaf entry, making
-	// the index walk itself envelope-tight. Query results are bit-identical
-	// to the guttman engine.
+	// writes, and a background merge that atomically swaps snapshots. Query
+	// results are bit-identical to the guttman engine.
 	EngineFlat = core.EngineFlat
 )
 
@@ -82,7 +82,8 @@ type Options struct {
 	// EngineFlat. Empty means: the engine an existing database was created
 	// with (detected from which index file is present), guttman for new
 	// databases. Results are bit-identical across engines; only the read
-	// path's machinery differs.
+	// path's machinery differs. Naming the other engine when opening an
+	// existing database converts it (see Open).
 	IndexEngine string
 	// FlatMergeThreshold is the flat engine's delta size (adds + tombstones)
 	// that schedules a background snapshot merge. 0 means the engine
@@ -336,6 +337,11 @@ func Create(dir string, opts Options) (*DB, error) {
 // index file is missing or unreadable it is rebuilt from scratch by
 // scanning the heap. The heap is the source of truth; the index is always
 // derivable from it. LastRepair reports what, if anything, was fixed.
+//
+// The same goes for naming the other engine in Options.IndexEngine: the
+// index is rebuilt under it and the previous engine's file removed. Temp
+// files a killed Flush left in the directory are removed too. Both leave a
+// line in OpenDiagnostics.
 func Open(dir string, opts Options) (*DB, error) {
 	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages, CacheBytes: opts.SeqCacheBytes})
 	if err != nil {
@@ -344,6 +350,14 @@ func Open(dir string, opts Options) (*DB, error) {
 	engine := opts.resolveEngine(dir)
 	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts, engine: engine,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}
+	stale, err := fsx.RemoveStaleTemps(dir)
+	for _, name := range stale {
+		db.note("stale temp file %s removed-on-open (left by an interrupted flush)", name)
+	}
+	if err != nil {
+		// Leftovers waste space, nothing reads them: not worth failing Open.
+		db.note("stale temp cleanup stopped: %v", err)
+	}
 	if opts.WAL {
 		// Replay the WAL tail over the heap before the index opens: the
 		// index layers below reconcile against whatever the heap holds, so
@@ -357,8 +371,18 @@ func Open(dir string, opts Options) (*DB, error) {
 	index, err := core.OpenIndex(filepath.Join(dir, indexFileFor(engine)), opts.indexOptions(engine, ""))
 	if err != nil {
 		// Unopenable (missing, truncated, corrupt CRC, wrong dimension):
-		// rebuild it from the heap.
-		db.note("index engine=%s file=%s rebuilt-on-open: %v", engine, indexFileFor(engine), err)
+		// rebuild it from the heap. Missing beside the other engine's file
+		// means the caller named a different engine than the directory was
+		// last served with.
+		prev := core.EngineGuttman
+		if engine == core.EngineGuttman {
+			prev = core.EngineFlat
+		}
+		if _, statErr := os.Stat(filepath.Join(dir, indexFileFor(prev))); statErr == nil && errors.Is(err, fs.ErrNotExist) {
+			db.note("index converted from %s to %s: %s built from the heap, %s removed", prev, engine, indexFileFor(engine), indexFileFor(prev))
+		} else {
+			db.note("index engine=%s file=%s rebuilt-on-open: %v", engine, indexFileFor(engine), err)
+		}
 		if err := db.rebuildIndex(); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("twsim: rebuilding index: %w", err)
@@ -592,26 +616,13 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 		}
 		return appended[0], nil
 	}
-	loader, wantEnvs := db.index.(core.EnvBulkLoader)
 	features := make([]seq.Feature, 0, len(values))
-	var envelopes []seq.PAAEnvelope
-	if wantEnvs {
-		envelopes = make([]seq.PAAEnvelope, 0, len(values))
-	}
 	for _, v := range values {
 		s := seq.Sequence(v)
 		f, err := seq.ExtractFeature(s)
 		if err != nil {
 			rollback()
 			return seq.InvalidID, err
-		}
-		if wantEnvs {
-			pe, err := seq.ExtractPAAEnvelope(s)
-			if err != nil {
-				rollback()
-				return seq.InvalidID, err
-			}
-			envelopes = append(envelopes, pe)
 		}
 		id, err := db.store.Append(s)
 		if err != nil {
@@ -622,18 +633,10 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 		features = append(features, f)
 	}
 	// BulkLoad is internally atomic: on failure the index is still empty
-	// and only the heap appends need undoing. Engines that pack PAA
-	// envelopes into the index (the flat engine) get them supplied here so
-	// the packed leaves are envelope-tight from the first query.
-	var loadErr error
-	if wantEnvs {
-		loadErr = loader.BulkLoadEnv(appended, features, envelopes)
-	} else {
-		loadErr = db.index.BulkLoad(appended, features)
-	}
-	if loadErr != nil {
+	// and only the heap appends need undoing.
+	if err := db.index.BulkLoad(appended, features); err != nil {
 		rollback()
-		return seq.InvalidID, loadErr
+		return seq.InvalidID, err
 	}
 	for i, id := range appended {
 		if pe, err := seq.ExtractPAAEnvelope(seq.Sequence(values[i])); err == nil {
