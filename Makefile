@@ -4,18 +4,18 @@ GO ?= go
 
 # Full gate: formatting, static checks (vet plus the query-surface check),
 # build, the whole test suite (including the fault-injection recovery tests)
-# under the race detector, the flat-engine suite re-run with mmap disabled
-# (the eager-read fallback must behave identically), a short fuzz pass over
-# the envelope/lower-bound oracles and the mmap snapshot reader, the
+# under the race detector, the index suites re-run with mmap disabled (the
+# eager-read fallback must behave identically), a short fuzz pass over the
+# envelope/lower-bound oracles and the snapshot-file readers, the
 # observability smoke (boots twsimd, scrapes /metrics, validates the
 # exposition), the WAL crash-simulation suite (torn tail, corrupt middle
 # record, duplicate replay — each recovered state compared record-for-record
 # against a never-crashed database), and the benchmark's smoke run.
 ci: fmt vet surface build race test-no-mmap fuzz-smoke metrics-smoke crash-tests bench-smoke
 
-# The flat-engine packages once more with TWSIM_NO_MMAP=1: every snapshot
-# open goes through the eager read-and-checksum fallback instead of the
-# mmap path, so both Load flavors stay green on every CI run.
+# The index packages once more with TWSIM_NO_MMAP=1: every snapshot open —
+# slab and delta section — goes through the eager read-and-checksum fallback
+# instead of the mmap path, so both Load flavors stay green on every CI run.
 test-no-mmap:
 	TWSIM_NO_MMAP=1 $(GO) test ./internal/flatidx ./internal/core .
 
@@ -23,8 +23,10 @@ test-no-mmap:
 # envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
 # the refine tier's windowed kernel vs the dense DP (verdict and bits),
-# the flat-slab codec, and the mmap snapshot loader (hostile files must
-# error out or load into an index that walks without faulting).
+# the flat-slab and snapshot-file codec (slab, delta section), and the
+# snapshot loader on both open paths (hostile files, a delta section that
+# contradicts its slab included, must error out or load into an index that
+# walks without faulting).
 # Go permits one fuzz target per -fuzz run, so each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
@@ -72,14 +74,17 @@ bench-smoke:
 # reappears in the non-test Go of the root package, internal/shard,
 # internal/server, cmd/ or examples/, so the cross-product cannot grow back
 # one wrapper at a time (internal/core keeps its own NearestKShared*
-# searcher methods and the NoCascade reference path).
-SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|NearestKStats\b|NearestKStatsBand\b|NearestKShared\b|NearestKSharedWorkers|NearestKStatsWorkers|NearestKStatsBandWorkers\b|SearchBatchBand\b|DisableCascade|DisableEnvOrdering|NoEnvOrder|SplitStrategy
+# searcher methods and the NoCascade reference path) — and neither can the
+# index engine knob (option, flag, resolver): a database serves from the
+# flat index only.
+SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|NearestKStats\b|NearestKStatsBand\b|NearestKShared\b|NearestKSharedWorkers|NearestKStatsWorkers|NearestKStatsBandWorkers\b|SearchBatchBand\b|DisableCascade|DisableEnvOrdering|NoEnvOrder|SplitStrategy|IndexEngine\b|FlatMergeThreshold|resolveEngine|index-engine|EngineGuttman
 # The second pattern does the same one layer down: the flat slab's envelope
-# fork, the index probe interfaces, the zero-prune refine tiers and the
-# deferred k-NN loop stay out of the non-test Go of internal/core and
-# internal/flatidx (PAA envelopes live in core.EnvStore only; both engines
-# offer NearestWalkKeyed through core.Index).
-CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|envTightIndex|knnEnvWalker|yiComplete|deferHeap|admitPoint
+# fork, the index probe interfaces, the zero-prune refine tiers, the
+# deferred k-NN loop and the engine switch (NewIndex/OpenIndex, the merge
+# threshold option) stay out of the non-test Go of internal/core and
+# internal/flatidx (PAA envelopes live in core.EnvStore only; FlatIndex and
+# the R-tree baseline offer NearestWalkKeyed through core.Index).
+CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|envTightIndex|knnEnvWalker|yiComplete|deferHeap|admitPoint|FlatMergeThreshold|NewIndex\b|OpenIndex\b
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \

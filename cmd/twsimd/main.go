@@ -23,14 +23,12 @@
 // to). 0, the default, means GOMAXPROCS; 1 forces the serial path. Results
 // are bit-identical at every setting.
 //
-// -index-engine E picks the feature index engine: "guttman" (the default
-// R-tree) or "flat" (immutable packed snapshot + mutable delta overlay with
-// background merges; see README). When opening an existing database the
-// flag may be omitted — the engine is auto-detected from the index file on
-// disk. Naming the other engine converts the database: the index is derived
-// data, so it is rebuilt from the heap under the named engine, the previous
-// engine's file is removed, and the startup log says "index converted from
-// guttman to flat" (or the reverse). The flat engine's snapshot generation,
+// The feature index is the flat engine: an immutable packed snapshot plus a
+// mutable delta overlay with background merges, persisted as feature.flat
+// (see README). A directory that still holds an older version's
+// feature.rtree is converted on first open: the index is derived data, so
+// it is rebuilt from the heap, the R-tree file is removed, and the startup
+// log says "index converted from guttman to flat". Snapshot generation,
 // delta size, and merge latency are exported on GET /metrics
 // (twsim_index_snapshot_generation, twsim_index_delta_entries,
 // twsim_index_merges_total, twsim_index_merge_seconds) and under
@@ -130,7 +128,6 @@ func main() {
 		shards  = flag.Int("shards", 0, "shard count for -create/-mem (0 = unsharded); on open, must match the existing layout")
 		verify  = flag.Bool("verify", false, "run a full heap/index integrity check before serving")
 		workers = flag.Int("refine-workers", 0, "intra-query refinement worker budget per search (0 = GOMAXPROCS, 1 = serial)")
-		engine  = flag.String("index-engine", "", "feature index engine: guttman (R-tree) or flat (packed snapshot + delta overlay); empty auto-detects on open and defaults to guttman on create; naming the other engine on open rebuilds the index under it and removes the old index file")
 		band    = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
 		cacheMB = flag.Int("seq-cache-mb", 4, "decoded-sequence cache size in MiB per partition (0 = disabled)")
 
@@ -164,7 +161,6 @@ func main() {
 	opts := twsim.Options{
 		RefineWorkers:      *workers,
 		Band:               *band,
-		IndexEngine:        *engine,
 		SeqCacheBytes:      int64(*cacheMB) << 20,
 		ResultCacheBytes:   int64(*resultCacheMB) << 20,
 		QueryDeadline:      time.Duration(*deadlineMS) * time.Millisecond,

@@ -6,9 +6,12 @@
 // A twsim.DB stores numeric sequences of arbitrary (and differing) lengths
 // in a paged heap file and maintains the paper's 4-dimensional feature
 // index: each sequence S contributes the time-warping-invariant point
-// (First(S), Last(S), Greatest(S), Smallest(S)) to an R-tree. Range queries
-// under the time warping distance run as a square range query on the index
-// using the lower-bound metric Dtw-lb followed by exact dynamic-programming
+// (First(S), Last(S), Greatest(S), Smallest(S)) to an R-tree — served as one
+// packed, pointer-free slab plus a small delta of recent writes
+// (feature.flat), which answers bit-identically to the paper's paged
+// Guttman R-tree (kept as the experiments' baseline). Range queries under
+// the time warping distance run as a square range query on the index using
+// the lower-bound metric Dtw-lb followed by exact dynamic-programming
 // refinement — guaranteed free of false dismissal (the paper's Theorems 1
 // and 2) while touching only a small fraction of the database.
 //
@@ -66,14 +69,21 @@
 //   - AddAll is all-or-nothing: on a mid-batch failure every appended
 //     sequence (and any index entry already made for it) is rolled back.
 //     The STR bulk load used on an empty database is internally atomic.
-//   - Open reconciles after a crash. The heap is the source of truth and
-//     the index is always derivable from it: orphaned heap records (a
-//     crash between append and index insert) are re-indexed, dangling
-//     index entries are deleted, and an unopenable index file is rebuilt
-//     outright — as it is under the other engine when Options.IndexEngine
-//     names one the directory was not last served with. Temp files a
-//     killed Flush left behind are removed. LastRepair reports what was
-//     fixed, OpenDiagnostics why.
+//   - Open reconciles after a crash, in one pass over the heap. The heap
+//     is the source of truth; the index and the envelope sidecar are always
+//     derivable from it: orphaned heap records (a crash between append and
+//     index insert) are re-indexed, dangling index entries are deleted,
+//     missing envelopes derived (a sidecar chunk that fails its checksum
+//     costs that chunk only), and an unopenable index file is rebuilt
+//     outright — as it is, once, for a directory that still holds an older
+//     version's feature.rtree, which is then removed. Temp files a killed
+//     Flush left behind are removed. LastRepair reports what was fixed,
+//     OpenDiagnostics why.
+//   - Flush (and the WAL checkpoint built on it) costs what changed: the
+//     index file is rewritten as slab plus delta with no merge, the sidecar
+//     only in the 1024-envelope chunks touched since the last Flush. The
+//     delta is folded into the slab by background merges (every 4096
+//     entries) and by Close.
 //   - Verify is the read-only integrity check (fsck); Repair is its
 //     fixing counterpart, usable on a live database.
 //
@@ -84,7 +94,7 @@
 // # Sharding
 //
 // ShardedDB hash-partitions a database into N shards, each a complete DB
-// (own heap file, R-tree, and buffer pool), and fans every query out over
+// (own heap file, feature index, and buffer pool), and fans every query out over
 // all of them in parallel, merging the per-shard results into the same
 // answer a single DB would return. Sequence IDs encode their shard
 // (ShardID(id) = id mod N), writers lock only their target shard, and
@@ -111,7 +121,8 @@
 // on different pages do not serialize) and an optional decoded-sequence
 // cache (Options.SeqCacheBytes) whose hits skip page I/O and
 // deserialization entirely; DB.StorageStats exposes wait-free hit-ratio
-// counters for both.
+// counters for both. (The pool is the heap file's: the index is walked in
+// place, mapped or in memory.)
 //
 // # Input validation and observability
 //
@@ -119,7 +130,7 @@
 // data containing NaN or ±Inf with ErrNonFinite. The exactness guarantees
 // are only defined over the reals — a NaN slips through the kernels'
 // ordered comparisons as if it were −∞ or +∞ (depending on the kernel)
-// and through the R-tree's rectangle predicates arbitrarily, so a single
+// and through the index's rectangle predicates arbitrarily, so a single
 // stored NaN once made two provably-exact search methods silently return
 // different answers. Verify and CheckInvariants flag non-finite features
 // that reach the index some other way (DESIGN.md §10 has the full story).

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,35 +15,40 @@ import (
 	"time"
 
 	twsim "repro"
+	"repro/internal/core"
+	"repro/internal/seq"
 )
 
-// openPair builds a guttman-engine and a flat-engine backend over the same
+// openEngine opens an in-memory backend over the named index engine: "flat",
+// the one every database serves from, or "guttman", the paper's paged R-tree
+// wired in as the baseline twin (OpenMemBaseline).
+func openEngine(t *testing.T, engine string, opts twsim.Options, sharded bool) twsim.Backend {
+	t.Helper()
+	var b twsim.Backend
+	var err error
+	so := twsim.ShardedOptions{Options: opts, Shards: 3}
+	switch {
+	case engine == "guttman" && sharded:
+		b, err = twsim.OpenMemShardedBaseline(so)
+	case engine == "guttman":
+		b, err = twsim.OpenMemBaseline(opts)
+	case sharded:
+		b, err = twsim.OpenMemSharded(so)
+	default:
+		b, err = twsim.OpenMem(opts)
+	}
+	if err != nil {
+		t.Fatalf("open %s backend: %v", engine, err)
+	}
+	return b
+}
+
+// openPair builds an R-tree baseline and a flat backend over the same
 // options, so every query can be checked for bit-identity between engines.
-// The flat engine gets a small merge threshold so background merges fire
-// during the tests rather than only at Close.
 func openPair(t *testing.T, base twsim.Base, workers, band int, sharded bool) (guttman, flat twsim.Backend) {
 	t.Helper()
-	mk := func(engine string) twsim.Backend {
-		opts := twsim.Options{
-			Base:               base,
-			RefineWorkers:      workers,
-			Band:               band,
-			IndexEngine:        engine,
-			FlatMergeThreshold: 32,
-		}
-		var b twsim.Backend
-		var err error
-		if sharded {
-			b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
-		} else {
-			b, err = twsim.OpenMem(opts)
-		}
-		if err != nil {
-			t.Fatalf("open %s backend: %v", engine, err)
-		}
-		return b
-	}
-	return mk(twsim.EngineGuttman), mk(twsim.EngineFlat)
+	opts := twsim.Options{Base: base, RefineWorkers: workers, Band: band}
+	return openEngine(t, "guttman", opts, sharded), openEngine(t, "flat", opts, sharded)
 }
 
 func matchesEqual(a, b []twsim.Match) bool {
@@ -147,12 +153,14 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 	}
 }
 
-// TestFlatEngineOracle: the flat engine must be bit-identical to the
-// Guttman R-tree for Search, NearestK, and SearchBatch — across all three
+// TestFlatEngineOracle: a database must answer Search, NearestK, and
+// SearchBatch bit-identically to its R-tree baseline twin — across all three
 // bases, both backends (DB and ShardedDB), serial and parallel refinement,
-// and unbanded plus banded queries — through a lifecycle of bulk load,
-// interleaved inserts and removes (crossing the merge threshold so queries
-// run against snapshot+delta mixes and freshly swapped snapshots).
+// and unbanded plus banded queries — through a lifecycle of bulk load and
+// interleaved inserts and removes, so queries run against the packed
+// snapshot alone and against snapshot + delta adds + tombstones.
+// (TestFlatEngineMergesFire carries the comparison across a merge; the
+// index-level twin of this test is internal/core's TestFlatEngineOracle.)
 func TestFlatEngineOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	data := randomWalks(4243, 130, 12, 40)
@@ -177,8 +185,8 @@ func TestFlatEngineOracle(t *testing.T) {
 						rng := rand.New(rand.NewSource(99))
 						checkIdentical(t, guttman, flat, rng, data, band, workers == 1 && !sharded)
 
-						// Phase 2: interleaved inserts and removes, enough
-						// churn to trip the 32-entry merge threshold.
+						// Phase 2: interleaved inserts and removes, all of
+						// which stay in the delta.
 						live := append([][]float64(nil), data...)
 						gids, err := guttman.AddBatch(extra)
 						if err != nil {
@@ -213,51 +221,52 @@ func TestFlatEngineOracle(t *testing.T) {
 	}
 }
 
-// TestFlatEngineMergesFire asserts the oracle churn actually exercises the
-// background merge path (the threshold is small on purpose).
+// TestFlatEngineMergesFire: single inserts past the delta threshold (4096
+// entries) make a background merge swap in a new snapshot generation, and
+// the database answers like its baseline twin before and after the swap.
 func TestFlatEngineMergesFire(t *testing.T) {
-	db, err := twsim.OpenMem(twsim.Options{IndexEngine: twsim.EngineFlat, FlatMergeThreshold: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	data := randomWalks(7, 80, 10, 30)
+	guttman, flat := openPair(t, twsim.BaseLInf, 1, 0, false)
+	defer guttman.Close()
+	defer flat.Close()
+	data := randomWalks(7, 4300, 8, 16)
 	for _, s := range data {
-		if _, err := db.Add(s); err != nil {
-			t.Fatal(err)
+		for _, b := range []twsim.Backend{guttman, flat} {
+			if _, err := b.Add(s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := db.IndexEngineStats()
-	if st.Engine != twsim.EngineFlat {
+	rng := rand.New(rand.NewSource(17))
+	checkIdentical(t, guttman, flat, rng, data, 0, true)
+	st := flat.IndexEngineStats()
+	if st.Engine != "flat" {
 		t.Fatalf("engine = %q, want flat", st.Engine)
 	}
 	// Merges run on a background goroutine; give a slow machine a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for st.Merges == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
-		st = db.IndexEngineStats()
+		st = flat.IndexEngineStats()
 	}
 	if st.Merges == 0 {
-		t.Fatal("no background merge fired despite threshold 16 and 80 inserts")
+		t.Fatalf("no background merge fired after %d inserts", len(data))
 	}
 	if st.Generation == 0 {
 		t.Fatal("snapshot generation still 0 after merges")
 	}
+	checkIdentical(t, guttman, flat, rng, data, 0, true)
 }
 
-// TestFlatEnginePersistence: an on-disk flat database round-trips through
-// Close/Open (the engine auto-detected from the snapshot file), survives
-// snapshot corruption by rebuilding on open (with a diagnostic note), and
-// keeps answering queries identically to a Guttman twin after both.
+// TestFlatEnginePersistence: an on-disk database round-trips its index
+// through Close/Open, survives snapshot corruption by rebuilding on open
+// (with a diagnostic note), and keeps answering queries identically to its
+// baseline twin after both.
 func TestFlatEnginePersistence(t *testing.T) {
 	dir := t.TempDir()
 	flatDir := filepath.Join(dir, "flat")
 	data := randomWalks(5150, 100, 12, 40)
 
-	db, err := twsim.Create(flatDir, twsim.Options{IndexEngine: twsim.EngineFlat})
+	db, err := twsim.Create(flatDir, twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +280,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatalf("flat snapshot file not written: %v", err)
 	}
 
-	guttman, err := twsim.OpenMem(twsim.Options{})
+	guttman, err := twsim.OpenMemBaseline(twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +289,12 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen without naming the engine: feature.flat must be auto-detected.
 	db, err = twsim.Open(flatDir, twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.IndexEngineStats().Engine; got != twsim.EngineFlat {
-		t.Fatalf("auto-detected engine = %q, want flat", got)
+	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+		t.Fatalf("clean reopen repaired something: %+v %q", db.LastRepair(), db.OpenDiagnostics())
 	}
 	rng := rand.New(rand.NewSource(11))
 	checkIdentical(t, guttman, db, rng, data, 0, false)
@@ -337,7 +345,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	data := randomWalks(5151, 90, 12, 40)
-	opts := twsim.Options{IndexEngine: twsim.EngineFlat, Band: 4}
+	opts := twsim.Options{Band: 4}
 	db, err := twsim.Create(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +356,7 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	guttman, err := twsim.OpenMem(twsim.Options{Band: 4})
+	guttman, err := twsim.OpenMemBaseline(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +409,12 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	}
 }
 
-// TestFlatEngineSwitchFromGuttman: naming the flat engine over a database
-// created with the Guttman engine must not fail — the flat index is rebuilt
-// from the heap (the source of truth) and the stale R-tree file removed, so
-// auto-detection is unambiguous afterwards — and the open diagnostics must
-// call it a conversion, not a missing file.
+// TestFlatEngineSwitchFromGuttman: a directory last served by a version that
+// kept the index as a paged R-tree (feature.rtree, no feature.flat, a
+// version-1 envelope sidecar) must open: the flat index is built from the
+// heap (the source of truth), the R-tree file removed and the sidecar
+// replaced, the open diagnostics call it a conversion, not a missing file,
+// every answer is what it was, and the next open finds nothing to do.
 func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	dir := t.TempDir()
 	data := randomWalks(61, 50, 10, 30)
@@ -419,47 +428,119 @@ func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	db, err = twsim.Open(dir, twsim.Options{IndexEngine: twsim.EngineFlat})
-	if err != nil {
-		t.Fatalf("open guttman db with flat engine: %v", err)
-	}
-	defer db.Close()
-	if got := db.IndexEngineStats().Engine; got != twsim.EngineFlat {
-		t.Fatalf("engine = %q, want flat", got)
-	}
-	if notes := strings.Join(db.OpenDiagnostics(), "\n"); !strings.Contains(notes, "converted from guttman to flat") {
-		t.Fatalf("open diagnostics do not name the conversion:\n%s", notes)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "feature.rtree")); !os.IsNotExist(err) {
-		t.Fatalf("feature.rtree still present after the conversion (stat: %v)", err)
-	}
-	res, err := db.Search(data[0], 0.2)
+	guttman, err := twsim.OpenMemBaseline(twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) == 0 || res.Matches[0].ID != 0 {
-		t.Fatalf("self-query missed after engine switch: %v", res.Matches)
+	defer guttman.Close()
+	if _, err := guttman.AddAll(data); err != nil {
+		t.Fatal(err)
 	}
+
+	// Turn the directory into what the older version left behind.
+	if err := os.Remove(filepath.Join(dir, "feature.flat")); err != nil {
+		t.Fatal(err)
+	}
+	rtree, err := core.NewFeatureIndex(core.IndexOptions{OnDiskPath: filepath.Join(dir, "feature.rtree")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]seq.ID, len(data))
+	features := make([]seq.Feature, len(data))
+	for i, s := range data {
+		ids[i], features[i] = seq.ID(i), seq.MustFeature(s)
+	}
+	if err := rtree.BulkLoad(ids, features); err != nil {
+		t.Fatal(err)
+	}
+	if err := rtree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeV1Sidecar(t, filepath.Join(dir, "envelopes.paa"), data)
+
+	db, err = twsim.Open(dir, twsim.Options{})
+	if err != nil {
+		t.Fatalf("open a guttman directory: %v", err)
+	}
+	if got := db.IndexEngineStats().Engine; got != "flat" {
+		t.Fatalf("engine = %q, want flat", got)
+	}
+	notes := strings.Join(db.OpenDiagnostics(), "\n")
+	if !strings.Contains(notes, "converted from guttman to flat") {
+		t.Fatalf("open diagnostics do not name the conversion:\n%s", notes)
+	}
+	if !strings.Contains(notes, "envelope-sidecar rebuilt-on-open") || !strings.Contains(notes, "version 1") {
+		t.Fatalf("open diagnostics do not name the version-1 sidecar:\n%s", notes)
+	}
+	requireIndexFiles(t, dir)
+	checkIdentical(t, guttman, db, rand.New(rand.NewSource(19)), data, 0, false)
 	if err := db.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = twsim.Open(dir, twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+		t.Fatalf("the converted directory needed another repair: %+v %q", db.LastRepair(), db.OpenDiagnostics())
+	}
+	requireIndexFiles(t, dir)
+}
+
+// requireIndexFiles: the directory holds feature.flat and no feature.rtree.
+func requireIndexFiles(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, "feature.flat")); err != nil {
+		t.Fatalf("feature.flat: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "feature.rtree")); !os.IsNotExist(err) {
+		t.Fatalf("feature.rtree still present (stat: %v)", err)
+	}
+}
+
+// writeV1Sidecar writes the envelope sidecar the way versions before the
+// chunked format did: one checksummed run of (id, envelope) records, IDs
+// dense from 0.
+func writeV1Sidecar(t *testing.T, path string, data [][]float64) {
+	t.Helper()
+	buf := append([]byte("TWPE"), 1, 0, 0, 0, seq.PAASegments, 0, 0, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
+	for id, s := range data {
+		e, err := seq.ExtractPAAEnvelope(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Len))
+		for _, v := range e.Min {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		for _, v := range e.Max {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFlatEngineStorm races concurrent searches, k-NN walks, writers, and
-// removers over a flat ShardedDB whose tiny merge threshold keeps
-// background snapshot swaps happening throughout. Run with -race this is
-// the library-level proof that readers never lock and never see a torn
-// tree.
+// TestFlatEngineStorm races concurrent searches, k-NN walks, a writer and a
+// remover over a ShardedDB; the writer inserts enough short sequences to
+// push each shard's delta past the merge threshold, so background snapshot
+// swaps happen under the readers. Run with -race this is the library-level
+// proof that readers never lock and never see a torn tree.
 func TestFlatEngineStorm(t *testing.T) {
-	db, err := twsim.OpenMemSharded(twsim.ShardedOptions{
-		Options: twsim.Options{IndexEngine: twsim.EngineFlat, FlatMergeThreshold: 16},
-		Shards:  2,
-	})
+	db, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := randomWalks(8080, 120, 10, 30)
+	data := randomWalks(8080, 120, 8, 16)
 	ids, err := db.AddBatch(data)
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +575,7 @@ func TestFlatEngineStorm(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 400; i++ {
+		for i := 0; i < 9000; i++ {
 			id, err := db.Add(data[rng.Intn(len(data))])
 			if err != nil {
 				fail <- err
@@ -534,6 +615,9 @@ func TestFlatEngineStorm(t *testing.T) {
 	}
 	if err := db.Verify(); err != nil {
 		t.Fatalf("Verify after storm: %v", err)
+	}
+	if st := db.IndexEngineStats(); st.Merges == 0 {
+		t.Fatalf("no merge ran during the storm (delta %d entries): the readers never raced a snapshot swap", st.DeltaEntries)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -203,8 +203,8 @@ func TestNearestKHugeKAndBandedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	data := synth.RandomWalkSet(rng, 40, 24)
 	db, idx := buildFixture(t, data)
-	envs, err := BuildEnvStore(db)
-	if err != nil {
+	envs := NewEnvStore()
+	if _, err := Reconcile(db, idx, envs); err != nil { // derives every envelope
 		t.Fatal(err)
 	}
 	q := synth.Query(rng, data)

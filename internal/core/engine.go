@@ -1,18 +1,18 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/pagefile"
 	"repro/internal/seq"
 )
 
 // Index is the feature-index seam the search and storage layers program
-// against. Two engines implement it: FeatureIndex (paged Guttman R-tree)
-// and FlatIndex (immutable packed snapshot + mutable delta, internal/flatidx).
-// Both index the paper's 4-d feature vectors under the Dtw-lb (L∞) metric
-// and are required to produce bit-identical query results.
+// against. FlatIndex (immutable packed snapshot + mutable delta,
+// internal/flatidx) is the one a database serves from; FeatureIndex (the
+// paper's paged Guttman R-tree) implements it as the baseline the
+// experiments, the benchmark's ledger and the engine oracle walk. Both index
+// the paper's 4-d feature vectors under the Dtw-lb (L∞) metric and are
+// required to produce bit-identical query results.
 type Index interface {
 	Insert(id seq.ID, s seq.Sequence) error
 	InsertFeature(id seq.ID, f seq.Feature) error
@@ -57,36 +57,30 @@ type KNNWalkStats struct {
 }
 
 // IndexEngineStats describes an index engine instance for /stats and
-// /metrics. The snapshot/delta fields are zero for the guttman engine.
+// /metrics. The snapshot/delta fields are zero for the R-tree baseline.
 type IndexEngineStats struct {
-	// Engine is the engine name; "mixed" after aggregating across shards
-	// running different engines.
+	// Engine is the engine name: EngineFlat for every database.
 	Engine string `json:"engine"`
-	// Generation is the current snapshot generation (flat engine; summed
-	// across shards).
+	// Generation is the current snapshot generation (summed across shards).
 	Generation uint64 `json:"generation"`
 	// DeltaEntries is the current delta size: adds + tombstones awaiting a
-	// merge (flat engine).
+	// merge.
 	DeltaEntries int `json:"delta_entries"`
 	// Merges is the number of delta merges performed.
 	Merges int64 `json:"merges"`
-	// SlabBytes is the packed snapshot size in bytes (flat engine).
+	// SlabBytes is the packed snapshot size in bytes.
 	SlabBytes int64 `json:"slab_bytes"`
 	// MmapBytes is the size of the snapshot's live file mapping, 0 when the
-	// snapshot is heap-backed (flat engine; summed across shards).
+	// snapshot is heap-backed (summed across shards).
 	MmapBytes int64 `json:"mmap_bytes"`
-	// MergeHist is the merge-duration histogram (flat engine); it feeds the
+	// MergeHist is the merge-duration histogram; it feeds the
 	// twsim_index_merge_seconds series.
 	MergeHist obs.HistogramData `json:"-"`
 }
 
 // Add accumulates other into s (shard aggregation).
 func (s *IndexEngineStats) Add(other IndexEngineStats) {
-	if s.Engine == "" {
-		s.Engine = other.Engine
-	} else if other.Engine != "" && other.Engine != s.Engine {
-		s.Engine = "mixed"
-	}
+	s.Engine = other.Engine
 	s.Generation += other.Generation
 	s.DeltaEntries += other.DeltaEntries
 	s.Merges += other.Merges
@@ -95,35 +89,9 @@ func (s *IndexEngineStats) Add(other IndexEngineStats) {
 	s.MergeHist.Add(other.MergeHist)
 }
 
-// EngineStats identifies the guttman engine (no snapshot/delta machinery).
+// EngineStats identifies the R-tree baseline (no snapshot/delta machinery).
 func (fi *FeatureIndex) EngineStats() IndexEngineStats {
 	return IndexEngineStats{Engine: EngineGuttman}
-}
-
-// NewIndex creates an empty feature index with the engine selected by
-// opts.Engine.
-func NewIndex(opts IndexOptions) (Index, error) {
-	switch opts.Engine {
-	case "", EngineGuttman:
-		return NewFeatureIndex(opts)
-	case EngineFlat:
-		return NewFlatIndex(opts)
-	default:
-		return nil, fmt.Errorf("core: unknown index engine %q", opts.Engine)
-	}
-}
-
-// OpenIndex opens a previously created on-disk feature index with the
-// engine selected by opts.Engine.
-func OpenIndex(path string, opts IndexOptions) (Index, error) {
-	switch opts.Engine {
-	case "", EngineGuttman:
-		return OpenFeatureIndex(path, opts)
-	case EngineFlat:
-		return OpenFlatIndex(path, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown index engine %q", opts.Engine)
-	}
 }
 
 var (

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -11,27 +10,38 @@ import (
 
 	"repro/internal/fsx"
 	"repro/internal/seq"
-	"repro/internal/seqdb"
 )
 
 // EnvStore holds the PAA-reduced upper/lower envelope of every live
 // sequence, indexed by sequence ID, alongside the 4-d Kim feature the
-// R-tree stores. The filter phase uses it for the LB_PAA cascade tier: a
+// index stores. The filter phase uses it for the LB_PAA cascade tier: a
 // candidate streamed from the index can be pruned against its stored
 // segment profile before its sequence is ever fetched from the heap.
 //
-// The store is an in-memory slab (IDs are dense, so a slice indexed by ID)
-// with an optional sidecar file next to the heap. It is derived data — the
-// heap remains the single source of truth — so any doubt about the sidecar
-// (missing, corrupt, count mismatch) is resolved by rebuilding from a heap
-// scan, exactly like the feature index. Concurrency follows *seqdb.DB
+// IDs are dense, so the store is a list of fixed envChunk-envelope chunks
+// indexed by ID: growing it allocates one chunk and never copies the
+// envelopes already held. The chunk is also the unit of persistence. An
+// on-disk store keeps its sidecar file open and Save rewrites, in place,
+// only the chunks touched since the last Save, each under its own
+// checksum. It is derived data — the heap remains the single source of
+// truth — so any doubt about the sidecar (missing, old version, a chunk
+// failing its checksum) is resolved by re-deriving what is missing from the
+// heap, exactly like the feature index. Concurrency follows *seqdb.DB
 // semantics: safe for concurrent readers, writers externally serialized.
 type EnvStore struct {
-	envs []seq.PAAEnvelope // envs[id]; Len == 0 marks an absent record
-	n    int               // live entries
+	chunks []*envChunkData // chunks[id/envChunk][id%envChunk]; Len == 0 marks an absent record
+	dirty  []bool          // per chunk: changed since the last Save
+	n      int             // live entries
+	file   *os.File        // the sidecar; nil for an in-memory store
+	slot   []byte          // Save's encode buffer, one chunk slot
 }
 
-// NewEnvStore returns an empty store.
+// envChunk is the number of envelopes per chunk.
+const envChunk = 1024
+
+type envChunkData [envChunk]seq.PAAEnvelope
+
+// NewEnvStore returns an empty in-memory store.
 func NewEnvStore() *EnvStore { return &EnvStore{} }
 
 // Put records the envelope for id, replacing any existing entry. All
@@ -41,28 +51,40 @@ func (es *EnvStore) Put(id seq.ID, env seq.PAAEnvelope) {
 	if es == nil || env.Len == 0 {
 		return
 	}
-	for int(id) >= len(es.envs) {
-		es.envs = append(es.envs, seq.PAAEnvelope{})
+	c := int(id) / envChunk
+	for c >= len(es.chunks) {
+		// A new chunk is dirty from birth: every slot below the file's end
+		// is then one Save has written, never a hole.
+		es.chunks = append(es.chunks, new(envChunkData))
+		es.dirty = append(es.dirty, true)
 	}
-	if es.envs[id].Len == 0 {
+	e := &es.chunks[c][int(id)%envChunk]
+	if e.Len == 0 {
 		es.n++
 	}
-	es.envs[id] = env
+	*e = env
+	es.dirty[c] = true
 }
 
 // Get returns the envelope stored for id.
 func (es *EnvStore) Get(id seq.ID) (seq.PAAEnvelope, bool) {
-	if es == nil || int(id) >= len(es.envs) || es.envs[id].Len == 0 {
+	if es == nil || int(id)/envChunk >= len(es.chunks) {
 		return seq.PAAEnvelope{}, false
 	}
-	return es.envs[id], true
+	e := &es.chunks[int(id)/envChunk][int(id)%envChunk]
+	return *e, e.Len != 0
 }
 
 // Remove drops the envelope stored for id, if any.
 func (es *EnvStore) Remove(id seq.ID) {
-	if es != nil && int(id) < len(es.envs) && es.envs[id].Len != 0 {
-		es.envs[id] = seq.PAAEnvelope{}
+	if es == nil || int(id)/envChunk >= len(es.chunks) {
+		return
+	}
+	c := int(id) / envChunk
+	if e := &es.chunks[c][int(id)%envChunk]; e.Len != 0 {
+		*e = seq.PAAEnvelope{}
 		es.n--
+		es.dirty[c] = true
 	}
 }
 
@@ -74,173 +96,184 @@ func (es *EnvStore) Len() int {
 	return es.n
 }
 
-// Sidecar file format (little endian):
+// span returns the size of the ID space the allocated chunks cover.
+func (es *EnvStore) span() int {
+	if es == nil {
+		return 0
+	}
+	return len(es.chunks) * envChunk
+}
+
+// Sidecar file format, version 2 (little endian):
 //
-//	magic "TWPE" | version u32 | segments u32 | count u64
-//	count × ( id u32 | len u32 | segments × min f64 | segments × max f64 )
-//	crc32(IEEE) of everything above, u32
+//	header: magic "TWPE" | version u32 | segments u32 | envelopes per chunk u32
+//	then one fixed-size slot per chunk, chunk i at envHeaderSize + i*envSlotSize:
+//	  envChunk × ( len u32 | segments × min f64 | segments × max f64 )   len 0 = absent
+//	  crc32(IEEE) of the records above, u32
+//
+// The header never changes after creation and a record's position is its
+// ID, so a Save touches only the slots of dirty chunks. A slot torn by a
+// crash fails its own checksum and costs that one chunk, not the file.
+// Version 1 was a single checksummed run of (id, envelope) records rewritten
+// whole on every save; such a file is replaced on open.
 const (
-	envMagic   = "TWPE"
-	envVersion = 1
+	envMagic      = "TWPE"
+	envVersion    = 2
+	envHeaderSize = 16
+	envRecordSize = 4 + 16*seq.PAASegments
+	envSlotSize   = envChunk*envRecordSize + 4
 )
 
-// Save writes the store to path atomically (temp file + rename). The
-// sidecar is a pure cache: a crash between heap append and Save simply
-// means the next Open falls back to a rebuild.
-func (es *EnvStore) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// CreateEnvStore creates (or replaces) the sidecar at path with an empty
+// version-2 file and returns the empty store bound to it.
+func CreateEnvStore(path string) (*EnvStore, error) {
+	header := make([]byte, 0, envHeaderSize)
+	header = append(header, envMagic...)
+	header = binary.LittleEndian.AppendUint32(header, envVersion)
+	header = binary.LittleEndian.AppendUint32(header, seq.PAASegments)
+	header = binary.LittleEndian.AppendUint32(header, envChunk)
+	if err := fsx.WriteFileSync(path, header, 0o644); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(f, crc))
-	if _, err := bw.WriteString(envMagic); err != nil {
-		f.Close()
-		return err
-	}
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := bw.Write(scratch[:8])
-		return err
-	}
-	if err := writeU32(envVersion); err == nil {
-		err = writeU32(seq.PAASegments)
-	}
+	return &EnvStore{file: f}, nil
+}
+
+// OpenEnvStore opens the sidecar at path and loads every chunk whose
+// checksum holds. A chunk that fails it (or a final slot cut short) is
+// left empty and dirty, with one line in notes: the caller re-derives the
+// envelopes of its live IDs from the heap and the next Save rewrites the
+// slot. A file that is missing, of another version or built with other
+// parameters is an error; the caller starts over with CreateEnvStore.
+func OpenEnvStore(path string) (es *EnvStore, notes []string, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		f.Close()
-		return err
+		return nil, nil, err
 	}
-	if err := writeU64(uint64(es.n)); err != nil {
-		f.Close()
-		return err
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	var header [envHeaderSize]byte
+	if _, err := io.ReadFull(f, header[:]); err != nil {
+		return nil, nil, fmt.Errorf("envstore: %s: reading header: %w", path, err)
 	}
-	for id := range es.envs {
-		e := &es.envs[id]
-		if e.Len == 0 {
+	if string(header[:4]) != envMagic {
+		return nil, nil, fmt.Errorf("envstore: %s: bad magic", path)
+	}
+	if v := binary.LittleEndian.Uint32(header[4:]); v != envVersion {
+		return nil, nil, fmt.Errorf("envstore: %s: version %d, this build reads %d", path, v, envVersion)
+	}
+	if segs, per := binary.LittleEndian.Uint32(header[8:]), binary.LittleEndian.Uint32(header[12:]); segs != seq.PAASegments || per != envChunk {
+		return nil, nil, fmt.Errorf("envstore: %s: %d segments in chunks of %d, built with %d and %d",
+			path, segs, per, seq.PAASegments, envChunk)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	es = &EnvStore{file: f, slot: make([]byte, envSlotSize)}
+	body := fi.Size() - envHeaderSize
+	for c := 0; int64(c)*envSlotSize < body; c++ {
+		chunk := new(envChunkData)
+		es.chunks = append(es.chunks, chunk)
+		es.dirty = append(es.dirty, false)
+		_, rerr := f.ReadAt(es.slot, envHeaderSize+int64(c)*envSlotSize)
+		if rerr == nil {
+			rerr = decodeEnvSlot(es.slot, chunk)
+		}
+		if rerr != nil { // chunk is still all-absent: the checksum is verified before any record is decoded
+			es.dirty[c] = true
+			notes = append(notes, fmt.Sprintf("envelope-sidecar chunk %d (ids %d..%d) unreadable, re-derived from the heap: %v",
+				c, c*envChunk, (c+1)*envChunk-1, rerr))
 			continue
 		}
-		if err := writeU32(uint32(id)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := writeU32(uint32(e.Len)); err != nil {
-			f.Close()
-			return err
-		}
-		for k := 0; k < seq.PAASegments; k++ {
-			if err := writeU64(binFloat(e.Min[k])); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		for k := 0; k < seq.PAASegments; k++ {
-			if err := writeU64(binFloat(e.Max[k])); err != nil {
-				f.Close()
-				return err
+		for i := range chunk {
+			if chunk[i].Len != 0 {
+				es.n++
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	sum := crc.Sum32()
-	binary.LittleEndian.PutUint32(scratch[:4], sum)
-	if _, err := f.Write(scratch[:4]); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsx.RenameAndSyncDir(tmp, path)
+	return es, notes, nil
 }
 
-// LoadEnvStore reads a sidecar written by Save, verifying magic, version,
-// segment count, and checksum. Any inconsistency is an error — the caller
-// rebuilds from the heap instead of trusting a damaged cache.
-func LoadEnvStore(path string) (*EnvStore, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	const header = 4 + 4 + 4 + 8
-	if len(raw) < header+4 {
-		return nil, fmt.Errorf("envstore: %s: truncated (%d bytes)", path, len(raw))
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("envstore: %s: checksum mismatch", path)
-	}
-	if string(body[:4]) != envMagic {
-		return nil, fmt.Errorf("envstore: %s: bad magic", path)
-	}
-	if v := binary.LittleEndian.Uint32(body[4:8]); v != envVersion {
-		return nil, fmt.Errorf("envstore: %s: unsupported version %d", path, v)
-	}
-	if segs := binary.LittleEndian.Uint32(body[8:12]); segs != seq.PAASegments {
-		return nil, fmt.Errorf("envstore: %s: segment count %d, built with %d", path, segs, seq.PAASegments)
-	}
-	count := binary.LittleEndian.Uint64(body[12:header])
-	recSize := 4 + 4 + 16*seq.PAASegments
-	if uint64(len(body)-header) != count*uint64(recSize) {
-		return nil, fmt.Errorf("envstore: %s: %d records do not fit %d payload bytes",
-			path, count, len(body)-header)
-	}
-	es := NewEnvStore()
-	off := header
-	for i := uint64(0); i < count; i++ {
-		id := seq.ID(binary.LittleEndian.Uint32(body[off:]))
-		n := int(binary.LittleEndian.Uint32(body[off+4:]))
-		if n <= 0 {
-			return nil, fmt.Errorf("envstore: %s: record %d has length %d", path, id, n)
-		}
-		var e seq.PAAEnvelope
-		e.Len = n
-		p := off + 8
-		for k := 0; k < seq.PAASegments; k++ {
-			e.Min[k] = floatBin(binary.LittleEndian.Uint64(body[p:]))
-			p += 8
-		}
-		for k := 0; k < seq.PAASegments; k++ {
-			e.Max[k] = floatBin(binary.LittleEndian.Uint64(body[p:]))
-			p += 8
-		}
-		es.Put(id, e)
-		off += recSize
-	}
-	return es, nil
-}
-
-// BuildEnvStore derives the store from a full heap scan — the
-// rebuild-on-open migration path for databases created before envelopes
-// existed, and the recovery path for a damaged sidecar.
-func BuildEnvStore(db *seqdb.DB) (*EnvStore, error) {
-	es := NewEnvStore()
-	err := db.Scan(func(id seq.ID, s seq.Sequence) error {
-		e, err := seq.ExtractPAAEnvelope(s)
-		if err != nil {
-			return fmt.Errorf("envstore: sequence %d: %w", id, err)
-		}
-		es.Put(id, e)
+// Save writes the chunks changed since the last Save to their slots and
+// fsyncs the file once; with nothing changed it does nothing. A crash
+// mid-Save leaves each slot old, new or failing its checksum — all three
+// are states OpenEnvStore and the reconcile pass behind it recover from.
+func (es *EnvStore) Save() error {
+	if es == nil || es.file == nil {
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return es, nil
+	n, err := es.writeDirty(es.file)
+	if err != nil || n == 0 {
+		return err
+	}
+	return es.file.Sync()
 }
 
-func binFloat(v float64) uint64 { return math.Float64bits(v) }
-func floatBin(b uint64) float64 { return math.Float64frombits(b) }
+// writeDirty encodes every dirty chunk into its slot of w, clearing the
+// mark, and returns the bytes written.
+func (es *EnvStore) writeDirty(w io.WriterAt) (written int, err error) {
+	if es.slot == nil {
+		es.slot = make([]byte, envSlotSize)
+	}
+	for c, chunk := range es.chunks {
+		if !es.dirty[c] {
+			continue
+		}
+		encodeEnvSlot(es.slot, chunk)
+		if _, err := w.WriteAt(es.slot, envHeaderSize+int64(c)*envSlotSize); err != nil {
+			return written, err
+		}
+		written += len(es.slot)
+		es.dirty[c] = false
+	}
+	return written, nil
+}
+
+// Close saves the store and closes the sidecar file.
+func (es *EnvStore) Close() error {
+	if es == nil || es.file == nil {
+		return nil
+	}
+	err := es.Save()
+	if cerr := es.file.Close(); err == nil {
+		err = cerr
+	}
+	es.file = nil
+	return err
+}
+
+func encodeEnvSlot(slot []byte, chunk *envChunkData) {
+	for i := range chunk {
+		e, rec := &chunk[i], slot[i*envRecordSize:]
+		binary.LittleEndian.PutUint32(rec, uint32(e.Len))
+		for k := 0; k < seq.PAASegments; k++ {
+			binary.LittleEndian.PutUint64(rec[4+8*k:], math.Float64bits(e.Min[k]))
+			binary.LittleEndian.PutUint64(rec[4+8*(seq.PAASegments+k):], math.Float64bits(e.Max[k]))
+		}
+	}
+	body := slot[:envSlotSize-4]
+	binary.LittleEndian.PutUint32(slot[envSlotSize-4:], crc32.ChecksumIEEE(body))
+}
+
+func decodeEnvSlot(slot []byte, chunk *envChunkData) error {
+	body := slot[:envSlotSize-4]
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(slot[envSlotSize-4:]); got != want {
+		return fmt.Errorf("checksum mismatch (got %08x want %08x)", got, want)
+	}
+	for i := range chunk {
+		e, rec := &chunk[i], slot[i*envRecordSize:]
+		e.Len = int(binary.LittleEndian.Uint32(rec))
+		for k := 0; k < seq.PAASegments; k++ {
+			e.Min[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4+8*k:]))
+			e.Max[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4+8*(seq.PAASegments+k):]))
+		}
+	}
+	return nil
+}

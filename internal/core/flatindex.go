@@ -9,11 +9,11 @@ import (
 )
 
 // FlatIndex adapts the flat snapshot + delta engine (internal/flatidx) to
-// the Index seam. Where the Guttman engine pays a page-pool round-trip and
-// pointer chase per node, the flat engine walks one contiguous slab with
-// implicit child offsets: reads are lock-free and allocation-free, writes
-// land in a small delta, and a background merge repacks the slab and swaps
-// it in atomically.
+// the Index seam: the index every database serves from. Where the R-tree
+// pays a page-pool round-trip and pointer chase per node, the flat engine
+// walks one contiguous slab with implicit child offsets: reads are
+// lock-free and allocation-free, writes land in a small delta, and a
+// background merge repacks the slab and swaps it in atomically.
 type FlatIndex struct {
 	idx      *flatidx.Index
 	path     string // snapshot file; "" for memory-only
@@ -21,21 +21,22 @@ type FlatIndex struct {
 }
 
 // NewFlatIndex creates an empty flat index. With OnDiskPath set, Flush and
-// Close persist the packed snapshot there as a single CRC-checked file.
+// Close persist it there as a single CRC-checked file.
 func NewFlatIndex(opts IndexOptions) (*FlatIndex, error) {
 	opts = opts.withDefaults()
 	return &FlatIndex{
-		idx:      flatidx.New(flatidx.Options{MergeThreshold: opts.FlatMergeThreshold}),
+		idx:      flatidx.New(flatidx.Options{}),
 		path:     opts.OnDiskPath,
 		pageSize: opts.PageSize,
 	}, nil
 }
 
-// OpenFlatIndex loads a persisted snapshot file. Corruption (bad CRC,
-// structural damage) is an error; callers rebuild from the heap.
+// OpenFlatIndex loads a persisted snapshot file, delta section included.
+// Corruption (bad CRC, structural damage, a delta that contradicts the
+// slab) is an error; callers rebuild from the heap.
 func OpenFlatIndex(path string, opts IndexOptions) (*FlatIndex, error) {
 	opts = opts.withDefaults()
-	idx, err := flatidx.Load(path, flatidx.Options{MergeThreshold: opts.FlatMergeThreshold})
+	idx, err := flatidx.Load(path, flatidx.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +203,8 @@ func (x *FlatIndex) CheckInvariants() error {
 	return nil
 }
 
-// Flush merges any pending delta and persists the snapshot (on-disk mode).
+// Flush persists the current snapshot and delta (on-disk mode). It never
+// merges: a checkpoint costs what the file costs to write, not a repack.
 func (x *FlatIndex) Flush() error {
 	if x.path == "" {
 		return nil
@@ -210,11 +212,16 @@ func (x *FlatIndex) Flush() error {
 	return x.idx.Save(x.path)
 }
 
-// Close persists (on-disk mode) and releases the index.
+// Close waits out any background merge and releases the index; on disk it
+// first folds the delta into the slab, so a cleanly closed database reopens
+// on a packed snapshot with nothing pending.
 func (x *FlatIndex) Close() error {
-	err := x.Flush()
-	if cerr := x.idx.Close(); err == nil {
-		err = cerr
+	err := x.idx.Close()
+	if x.path != "" {
+		x.idx.Merge()
+		if serr := x.idx.Save(x.path); err == nil {
+			err = serr
+		}
 	}
 	return err
 }

@@ -16,37 +16,32 @@ type FeatureIndex struct {
 	tree *rtree.Tree
 }
 
-// Index engine names accepted by IndexOptions.Engine.
+// Index engine names, as IndexEngineStats.Engine reports them.
 const (
-	// EngineGuttman is the classic paged Guttman R-tree (the default).
+	// EngineGuttman is the classic paged Guttman R-tree (FeatureIndex).
 	EngineGuttman = "guttman"
 	// EngineFlat is the flat snapshot + delta engine: an immutable packed
-	// tree with a mutable overlay and atomic snapshot swap (internal/flatidx).
+	// tree with a mutable overlay and atomic snapshot swap (FlatIndex,
+	// internal/flatidx).
 	EngineFlat = "flat"
 )
 
 // IndexOptions configures feature index construction.
 type IndexOptions struct {
-	// Engine selects the index engine: EngineGuttman (default when empty)
-	// or EngineFlat.
-	Engine string
 	// PageSize is the index page size (0 = pagefile.DefaultPageSize, the
-	// paper's 1 KB).
+	// paper's 1 KB). The flat index has no pages; it reports its size in
+	// this unit.
 	PageSize int
-	// PoolPages is the index buffer pool capacity (0 = 64).
+	// PoolPages is the R-tree's buffer pool capacity (0 = 64).
 	PoolPages int
-	// OnDiskPath, when non-empty, stores the index in a page file (guttman)
+	// OnDiskPath, when non-empty, stores the index in a page file (R-tree)
 	// or a CRC-checked snapshot file (flat) at that path instead of in
 	// memory.
 	OnDiskPath string
 	// WrapBackend, when non-nil, wraps the raw page backend before the
 	// buffer pool is built on it. Fault-injection tests use it to fail
-	// index writes at chosen points. Guttman engine only.
+	// index writes at chosen points. R-tree only.
 	WrapBackend func(pagefile.Backend) pagefile.Backend
-	// FlatMergeThreshold is the flat engine's delta size that schedules a
-	// background merge (0 = flatidx.DefaultMergeThreshold, negative
-	// disables automatic merging). Ignored by the guttman engine.
-	FlatMergeThreshold int
 }
 
 func (o IndexOptions) withDefaults() IndexOptions {

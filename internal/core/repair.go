@@ -27,6 +27,10 @@ type RepairStats struct {
 	// Rebuilt reports that the index could not be opened or walked at all
 	// and was rebuilt from scratch by scanning the heap.
 	Rebuilt bool
+	// Envelopes is the number of PAA envelopes re-derived from heap records
+	// because the envelope store lacked them. The store is a cache beside
+	// the index, so this alone does not count as a repair.
+	Envelopes int
 }
 
 // Repaired reports whether the reconciliation changed anything.
@@ -46,111 +50,113 @@ func (rs RepairStats) String() string {
 		rs.Orphans, rs.Dangling, rs.Mismatched, rs.LiveSequences, rs.IndexedBefore)
 }
 
-// scanFeatures extracts the feature vector of every live heap record.
-func scanFeatures(store *seqdb.DB) (map[seq.ID]seq.Feature, error) {
-	features := make(map[seq.ID]seq.Feature, store.Len())
-	err := store.Scan(func(id seq.ID, s seq.Sequence) error {
-		f, err := seq.ExtractFeature(s)
-		if err != nil {
-			return fmt.Errorf("core: record %d: %w", id, err)
-		}
-		features[id] = f
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return features, nil
-}
-
-// Reconcile diffs the feature index against the live heap records and
-// patches the index in place: orphaned records are re-indexed, dangling and
-// duplicate entries deleted, and mis-keyed entries re-inserted at the
-// record's true feature point. After a nil return, every live sequence is
-// indexed exactly once at its current feature vector, so searches are again
-// free of false dismissal (Theorems 1-2).
-func Reconcile(store *seqdb.DB, index Index) (RepairStats, error) {
+// Reconcile diffs the feature index and the envelope store against the live
+// heap records in one heap scan and patches both in place: orphaned records
+// are re-indexed (bulk-loaded when the index is empty — the rebuild of an
+// index file that could not be opened), dangling and duplicate entries
+// deleted, mis-keyed entries re-inserted at the record's true feature
+// point, an envelope derived for every live record that lacks one and
+// dropped for every ID that is no longer live. Envelopes already held are
+// trusted: an ID is never reused and its envelope never changes, and a
+// damaged sidecar chunk was emptied when it was loaded. After a nil return
+// every live sequence is indexed exactly once at its current feature vector,
+// so searches are again free of false dismissal (Theorems 1-2). envs may be
+// nil.
+func Reconcile(store *seqdb.DB, index Index, envs *EnvStore) (RepairStats, error) {
 	var rs RepairStats
-	features, err := scanFeatures(store)
-	if err != nil {
-		return rs, err
-	}
-	rs.LiveSequences = len(features)
 	entries, err := index.Entries()
 	if err != nil {
 		return rs, fmt.Errorf("core: walking index: %w", err)
 	}
 	rs.IndexedBefore = len(entries)
 
-	// First pass: remove every entry that is dangling (no live record),
-	// duplicated, or keyed at the wrong point. Deletions are applied after
-	// the walk above, never during it.
-	matched := make(map[seq.ID]bool, len(entries))
-	for _, e := range entries {
-		f, live := features[e.ID]
-		switch {
-		case !live || matched[e.ID]:
-			if _, err := index.DeleteEntry(e.ID, e.Point); err != nil {
-				return rs, fmt.Errorf("core: removing dangling entry %d: %w", e.ID, err)
-			}
-			rs.Dangling++
-		case e.Point != f.Vector():
-			if _, err := index.DeleteEntry(e.ID, e.Point); err != nil {
-				return rs, fmt.Errorf("core: removing stale entry %d: %w", e.ID, err)
-			}
-			if err := index.InsertFeature(e.ID, f); err != nil {
-				return rs, fmt.Errorf("core: re-keying entry %d: %w", e.ID, err)
-			}
-			rs.Mismatched++
-			matched[e.ID] = true
-		default:
-			matched[e.ID] = true
-		}
+	// state[id] is what the index and the scan know about a record slot.
+	// Entries naming a slot the heap never had, or a slot already claimed,
+	// are dangling whatever the scan finds. Deletions are applied after the
+	// walk above, never during it.
+	type slotState struct {
+		point         [4]float64
+		indexed, live bool
 	}
-
-	// Second pass: index every live record the index did not know about.
-	// IDs are walked in order for deterministic repair.
-	for id := seq.ID(0); int(id) < store.NumRecords(); id++ {
-		f, live := features[id]
-		if !live || matched[id] {
+	state := make([]slotState, store.NumRecords())
+	drop := func(e IndexEntry) error {
+		if _, err := index.DeleteEntry(e.ID, e.Point); err != nil {
+			return fmt.Errorf("core: removing dangling entry %d: %w", e.ID, err)
+		}
+		rs.Dangling++
+		return nil
+	}
+	for _, e := range entries {
+		if int(e.ID) >= len(state) || state[e.ID].indexed {
+			if err := drop(e); err != nil {
+				return rs, err
+			}
 			continue
 		}
-		if err := index.InsertFeature(id, f); err != nil {
+		state[e.ID].point, state[e.ID].indexed = e.Point, true
+	}
+
+	var orphanIDs []seq.ID
+	var orphans []seq.Feature
+	err = store.Scan(func(id seq.ID, s seq.Sequence) error {
+		rs.LiveSequences++
+		st := &state[id]
+		st.live = true
+		f, err := seq.ExtractFeature(s)
+		if err != nil {
+			return fmt.Errorf("core: record %d: %w", id, err)
+		}
+		switch {
+		case !st.indexed:
+			orphanIDs, orphans = append(orphanIDs, id), append(orphans, f)
+		case st.point != f.Vector():
+			if _, err := index.DeleteEntry(id, st.point); err != nil {
+				return fmt.Errorf("core: removing stale entry %d: %w", id, err)
+			}
+			if err := index.InsertFeature(id, f); err != nil {
+				return fmt.Errorf("core: re-keying entry %d: %w", id, err)
+			}
+			rs.Mismatched++
+		}
+		if _, ok := envs.Get(id); envs != nil && !ok {
+			e, err := seq.ExtractPAAEnvelope(s)
+			if err != nil {
+				return fmt.Errorf("core: envelope of record %d: %w", id, err)
+			}
+			envs.Put(id, e)
+			rs.Envelopes++
+		}
+		return nil
+	})
+	if err != nil {
+		return rs, err
+	}
+
+	for id := range state {
+		if st := &state[id]; st.indexed && !st.live {
+			if err := drop(IndexEntry{ID: seq.ID(id), Point: st.point}); err != nil {
+				return rs, err
+			}
+		}
+	}
+	for id := 0; id < envs.span(); id++ {
+		if id >= len(state) || !state[id].live {
+			envs.Remove(seq.ID(id))
+		}
+	}
+
+	// Index every live record the index did not know about, in ID order.
+	rs.Orphans = len(orphans)
+	if len(orphans) > 0 && index.Len() == 0 {
+		if err := index.BulkLoad(orphanIDs, orphans); err != nil {
+			return rs, fmt.Errorf("core: bulk-loading %d records: %w", len(orphans), err)
+		}
+		return rs, nil
+	}
+	for i, id := range orphanIDs {
+		if err := index.InsertFeature(id, orphans[i]); err != nil {
 			return rs, fmt.Errorf("core: re-indexing orphan %d: %w", id, err)
 		}
-		rs.Orphans++
 	}
 	return rs, nil
-}
-
-// RebuildIndex constructs a fresh feature index from the live heap records
-// via an STR bulk load — the recovery of last resort when the existing
-// index file cannot even be opened.
-func RebuildIndex(store *seqdb.DB, opts IndexOptions) (Index, RepairStats, error) {
-	rs := RepairStats{Rebuilt: true}
-	index, err := NewIndex(opts)
-	if err != nil {
-		return nil, rs, err
-	}
-	features, err := scanFeatures(store)
-	if err != nil {
-		index.Close()
-		return nil, rs, err
-	}
-	rs.LiveSequences = len(features)
-	ids := make([]seq.ID, 0, len(features))
-	for id := seq.ID(0); int(id) < store.NumRecords(); id++ {
-		if _, ok := features[id]; ok {
-			ids = append(ids, id)
-		}
-	}
-	fs := make([]seq.Feature, len(ids))
-	for i, id := range ids {
-		fs[i] = features[id]
-	}
-	if err := index.BulkLoad(ids, fs); err != nil {
-		index.Close()
-		return nil, rs, err
-	}
-	return index, rs, nil
 }

@@ -12,7 +12,7 @@ import (
 
 // ResultCache is a byte-budgeted, lock-striped LRU of whole-query results.
 // Memoizing entire answers is sound because the pipeline is exact: for a
-// fixed (query, kind, parameter, band, base, engine) the matches are a pure
+// fixed (query, kind, parameter, band, base) the matches are a pure
 // function of the database contents, so a stored result is bit-identical to
 // a recomputation as long as no write intervened.
 //
@@ -114,21 +114,18 @@ func NewResultCache(budgetBytes int64) *ResultCache {
 }
 
 // ResultCacheKey builds the lookup key for one query. kind distinguishes
-// the query families sharing a cache ('r' = range/ε, 'k' = k-NN); base,
-// engine, and band pin the distance answered and the machinery that
-// answered it; epsilon/k are the family parameter (the unused one is
-// zero); the query's raw float64 bits complete the key, so two queries
-// collide only if they are the same query in every respect. band and k are
-// written at full width: both arrive off the wire, and a k of 2^32+1 must
-// not be served the cached answer for k = 1.
-func ResultCacheKey(kind byte, base seq.Base, engine string, band int, epsilon float64, k int, query []float64) string {
-	buf := make([]byte, 0, 32+len(engine)+1+8*len(query))
+// the query families sharing a cache ('r' = range/ε, 'k' = k-NN); base and
+// band pin the distance answered; epsilon/k are the family parameter (the
+// unused one is zero); the query's raw float64 bits complete the key, so two
+// queries collide only if they are the same query in every respect. band and
+// k are written at full width: both arrive off the wire, and a k of 2^32+1
+// must not be served the cached answer for k = 1.
+func ResultCacheKey(kind byte, base seq.Base, band int, epsilon float64, k int, query []float64) string {
+	buf := make([]byte, 0, 32+8*len(query))
 	buf = append(buf, kind, byte(base))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(band))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(epsilon))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
-	buf = append(buf, engine...)
-	buf = append(buf, 0)
 	for _, v := range query {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}

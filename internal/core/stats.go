@@ -168,20 +168,19 @@ func (s QueryStats) String() string {
 }
 
 // StorageStats is a point-in-time snapshot of the storage-layer counters:
-// the heap file's and index's buffer pools plus the decoded-sequence
-// cache. Each component snapshot is wait-free for its counters and the
-// three are taken one after another, so the whole is weakly consistent —
-// good for monitoring ratios, not for exact cross-component accounting.
+// the heap file's buffer pool plus the decoded-sequence cache (the flat
+// index has no pool: it is walked in place). Each component snapshot is
+// wait-free for its counters and the two are taken one after the other, so
+// the whole is weakly consistent — good for monitoring ratios, not for
+// exact cross-component accounting.
 type StorageStats struct {
 	Data  pagefile.Stats
-	Index pagefile.Stats
 	Cache seqdb.CacheStats
 }
 
 // Add accumulates other into s (used to aggregate across shards).
 func (s *StorageStats) Add(other StorageStats) {
 	s.Data.Add(other.Data)
-	s.Index.Add(other.Index)
 	s.Cache.Add(other.Cache)
 }
 

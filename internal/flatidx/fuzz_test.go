@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/flatidx/mapfile"
 	"repro/internal/seq"
 )
 
@@ -14,10 +15,11 @@ import (
 //
 //  1. as entry data: build a snapshot, re-decode its slab, and require the
 //     decoded tree to be byte-identical and to agree with a brute-force
-//     range scan (the generative oracle);
-//  2. as a hostile slab: Decode must never panic, and whenever it accepts,
-//     the re-encoded bytes must be the identity and the structural
-//     invariants must hold (decode validation is total).
+//     range scan (the generative oracle); then encode a snapshot file with
+//     a delta section over the same entries and load it back;
+//  2. as a hostile file and a hostile slab: load and Decode must never
+//     panic, and whenever they accept, the invariants must hold and the
+//     slab's re-encoded bytes must be the identity (validation is total).
 func FuzzSlabRoundtrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -27,6 +29,11 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		{ID: 2, Point: [4]float64{4, 5, 6, 7}},
 	}
 	f.Add(Build(seedEntries, 1).Bytes())
+	valid, bad := deltaFiles()
+	f.Add(valid)
+	for _, data := range bad {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Interpretation 1: bytes → entries → Build → Decode → compare.
@@ -58,8 +65,53 @@ func FuzzSlabRoundtrip(f *testing.F) {
 			}
 		}
 
-		// Interpretation 2: bytes are a hostile slab. Must not panic; on
+		// The same entries as a snapshot file: the first half packed, the
+		// second half delta adds, every third packed entry tombstoned. Both
+		// readers must bring back exactly that view.
+		half := len(entries) / 2
+		x := New(Options{MergeThreshold: -1})
+		if err := x.BulkLoad(entries[:half]); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries[half:] {
+			x.Insert(e)
+		}
+		for i := 0; i < half; i += 3 {
+			x.Delete(entries[i])
+		}
+		want := x.Entries(nil)
+		sortEntries(want)
+		file := x.view.Load().encode()
+		for _, mapped := range []bool{false, true} {
+			y, err := load(&mapfile.Mapping{Data: file, Mapped: mapped}, Options{MergeThreshold: -1})
+			if err != nil {
+				t.Fatalf("mapped=%v: load rejected a freshly encoded file: %v", mapped, err)
+			}
+			if y.DeltaEntries() != x.DeltaEntries() {
+				t.Fatalf("mapped=%v: loaded %d delta entries, saved %d", mapped, y.DeltaEntries(), x.DeltaEntries())
+			}
+			got := y.Entries(nil)
+			sortEntries(got)
+			if len(got) != len(want) {
+				t.Fatalf("mapped=%v: loaded %d entries, saved %d", mapped, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("mapped=%v: loaded entry %d = %+v, saved %+v", mapped, i, got[i], want[i])
+				}
+			}
+			if err := y.CheckInvariants(); err != nil {
+				t.Fatalf("mapped=%v: %v", mapped, err)
+			}
+		}
+
+		// Interpretation 2: bytes are a hostile file, then a hostile slab. Must not panic; on
 		// acceptance the invariants and the byte identity must hold.
+		if y, err := load(&mapfile.Mapping{Data: data}, Options{MergeThreshold: -1}); err == nil {
+			if err := y.CheckInvariants(); err != nil {
+				t.Fatalf("load accepted a file CheckInvariants rejects: %v", err)
+			}
+		}
 		hostile, err := Decode(data)
 		if err != nil {
 			return

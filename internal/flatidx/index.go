@@ -17,8 +17,8 @@ const DefaultMergeThreshold = 4096
 type Options struct {
 	// MergeThreshold schedules a background merge once the delta holds this
 	// many entries (adds + tombstones). Zero means DefaultMergeThreshold; a
-	// negative value disables automatic merging (Merge and Save still merge
-	// on demand).
+	// negative value disables automatic merging (Merge still merges on
+	// demand).
 	MergeThreshold int
 }
 
@@ -77,14 +77,6 @@ func New(opts Options) *Index {
 	}
 	x := &Index{opts: opts, addsSet: make(map[Entry]int)}
 	x.view.Store(&view{snap: Build(nil, 0)})
-	return x
-}
-
-// NewFromSnapshot returns an index whose initial generation is snap (used
-// by Load after decoding a persisted slab).
-func NewFromSnapshot(snap *Snapshot, opts Options) *Index {
-	x := New(opts)
-	x.view.Store(&view{snap: snap})
 	return x
 }
 

@@ -1,16 +1,21 @@
 package flatidx
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
 // model is a map-backed reference the index is checked against.
 type model map[Entry]struct{}
 
-func checkAgainstModel(t *testing.T, x *Index, m model) {
+// checkAgainstModel holds every read of x to the model: the live count, the
+// entry listing, a range walk over a random rect and the whole key stream of
+// the nearest walk from a random point.
+func checkAgainstModel(t *testing.T, x *Index, m model, rng *rand.Rand) {
 	t.Helper()
 	if x.Len() != len(m) {
 		t.Fatalf("Len=%d, model has %d", x.Len(), len(m))
@@ -27,57 +32,123 @@ func checkAgainstModel(t *testing.T, x *Index, m model) {
 	if err := x.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	live := make([]Entry, 0, len(m))
+	for e := range m {
+		live = append(live, e)
+	}
+	var p, lo, hi [4]float64
+	for d := 0; d < 4; d++ {
+		p[d] = rng.NormFloat64() * 10
+		lo[d], hi[d] = p[d]-8, p[d]+8
+	}
+	inRect := x.AppendRange(nil, &lo, &hi)
+	want := bruteRange(live, lo, hi)
+	sortEntries(inRect)
+	sortEntries(want)
+	if len(inRect) != len(want) {
+		t.Fatalf("range got %d, want %d", len(inRect), len(want))
+	}
+	for i := range inRect {
+		if inRect[i] != want[i] {
+			t.Fatalf("range entry %d = %+v, want %+v", i, inRect[i], want[i])
+		}
+	}
+
+	dists := make([]float64, 0, len(live))
+	for _, e := range live {
+		dists = append(dists, lInf(e.Point, p))
+	}
+	sort.Float64s(dists)
+	walked := 0
+	x.NearestWalkKeyed(&p, nil, nil, func(e Entry, key float64) bool {
+		if _, ok := m[e]; !ok {
+			t.Fatalf("walk yielded %+v, model does not hold it", e)
+		}
+		if key != dists[walked] {
+			t.Fatalf("walk key %d = %g, model says %g", walked, key, dists[walked])
+		}
+		walked++
+		return true
+	})
+	if walked != len(m) {
+		t.Fatalf("walk yielded %d entries, model has %d", walked, len(m))
+	}
 }
 
+func lInf(a, b [4]float64) float64 {
+	max := 0.0
+	for d := 0; d < 4; d++ {
+		if g := math.Abs(a[d] - b[d]); g > max {
+			max = g
+		}
+	}
+	return max
+}
+
+// TestInsertDeleteMergeAgainstModel drives random inserts, deletes (of
+// snapshot entries: tombstones; of delta adds: removed outright),
+// re-inserts of tombstoned entries, merges, saves and reloads against the
+// model. A Save persists the view as it stands — no merge, the delta
+// unchanged — and a Load brings back exactly that view.
 func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	x := New(Options{MergeThreshold: -1}) // merge only when the test says so
+	opts := Options{MergeThreshold: -1} // merge only when the test says so
+	path := filepath.Join(t.TempDir(), "feature.flat")
+	x := New(opts)
 	m := model{}
 	pool := randEntries(rng, 400)
+	saves, loadedDeltas := 0, 0
 	for step := 0; step < 4000; step++ {
 		e := pool[rng.Intn(len(pool))]
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4, 5:
+		switch op := rng.Intn(40); {
+		case op < 24:
 			x.Insert(e)
 			m[e] = struct{}{}
-		case 6, 7, 8:
+		case op < 36:
 			_, want := m[e]
 			if got := x.Delete(e); got != want {
 				t.Fatalf("step %d: Delete(%d)=%v, model says %v", step, e.ID, got, want)
 			}
 			delete(m, e)
-		case 9:
+		case op < 38:
 			x.Merge()
 			if x.DeltaEntries() != 0 {
 				t.Fatalf("step %d: delta non-empty after Merge", step)
 			}
+		default:
+			merges, delta, gen := x.Merges(), x.DeltaEntries(), x.Generation()
+			if err := x.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			if x.Merges() != merges || x.DeltaEntries() != delta || x.Generation() != gen {
+				t.Fatalf("step %d: Save moved merges %d→%d, delta %d→%d, generation %d→%d",
+					step, merges, x.Merges(), delta, x.DeltaEntries(), gen, x.Generation())
+			}
+			saves++
+			if op == 39 {
+				y, err := Load(path, opts)
+				if err != nil {
+					t.Fatalf("step %d: Load of a file with %d delta entries: %v", step, delta, err)
+				}
+				if y.DeltaEntries() != delta || y.Generation() != gen {
+					t.Fatalf("step %d: loaded delta=%d generation=%d, saved %d/%d",
+						step, y.DeltaEntries(), y.Generation(), delta, gen)
+				}
+				if delta > 0 {
+					loadedDeltas++
+				}
+				x = y
+				checkAgainstModel(t, x, m, rng)
+			}
 		}
 		if step%500 == 0 {
-			checkAgainstModel(t, x, m)
+			checkAgainstModel(t, x, m, rng)
 		}
 	}
-	checkAgainstModel(t, x, m)
-
-	// Range queries agree with the model regardless of merge state.
-	var lo, hi [4]float64
-	for d := 0; d < 4; d++ {
-		lo[d], hi[d] = -5, 5
-	}
-	got := x.AppendRange(nil, &lo, &hi)
-	var want []Entry
-	for e := range m {
-		want = append(want, e)
-	}
-	want = bruteRange(want, lo, hi)
-	sortEntries(got)
-	sortEntries(want)
-	if len(got) != len(want) {
-		t.Fatalf("range got %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("range entry %d = %+v, want %+v", i, got[i], want[i])
-		}
+	checkAgainstModel(t, x, m, rng)
+	if saves == 0 || loadedDeltas == 0 {
+		t.Fatalf("%d saves, %d loads of a non-empty delta: the schedule never exercised the file", saves, loadedDeltas)
 	}
 }
 
@@ -226,16 +297,16 @@ func TestSaveLoadRoundtripAndCorruption(t *testing.T) {
 	if err := x.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if x.DeltaEntries() != 0 {
-		t.Fatal("Save did not merge the delta")
+	if x.DeltaEntries() != 100 || x.Merges() != 0 {
+		t.Fatalf("Save merged: delta=%d merges=%d, want 100/0", x.DeltaEntries(), x.Merges())
 	}
 
 	y, err := Load(path, Options{MergeThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y.Len() != 300 || y.Generation() != x.Generation() {
-		t.Fatalf("loaded Len=%d gen=%d, want 300/%d", y.Len(), y.Generation(), x.Generation())
+	if y.Len() != 300 || y.DeltaEntries() != 100 || y.Generation() != x.Generation() {
+		t.Fatalf("loaded Len=%d delta=%d gen=%d, want 300/100/%d", y.Len(), y.DeltaEntries(), y.Generation(), x.Generation())
 	}
 	got := y.Entries(nil)
 	want := x.Entries(nil)

@@ -140,7 +140,7 @@ func Build(entries []Entry, gen uint64) *Snapshot {
 		nNodes += s
 	}
 	s := &Snapshot{
-		slab:     make([]byte, headerSize+nNodes*nodeSize+n*itemSize),
+		slab:     make([]byte, slabSize(nNodes, n)),
 		nNodes:   nNodes,
 		nItems:   n,
 		height:   len(sizes),
@@ -165,11 +165,7 @@ func Build(entries []Entry, gen uint64) *Snapshot {
 	// Items, in STR order.
 	ord := strOrder(entries)
 	for j, oi := range ord {
-		off := s.itemsOff + j*itemSize
-		for d := 0; d < 4; d++ {
-			binary.LittleEndian.PutUint64(s.slab[off+d*8:], math.Float64bits(entries[oi].Point[d]))
-		}
-		putU32(off+32, uint32(entries[oi].ID))
+		putItem(s.slab[s.itemsOff+j*itemSize:], entries[oi])
 	}
 
 	// Nodes, level by level (root level first in the slab), rects filled
@@ -310,36 +306,11 @@ func Decode(data []byte) (*Snapshot, error) {
 // as a fault. The mmap Load path uses this so opening a huge database costs
 // O(header) bytes; rebuild/repair paths still run the full validation.
 func DecodeLite(data []byte) (*Snapshot, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("flatidx: slab too short (%d bytes)", len(data))
+	nNodes, nItems, height, err := headerLayout(data)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[0:4]) != magic {
-		return nil, errors.New("flatidx: bad magic")
-	}
-	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
-	if v := u32(4); v != version {
-		return nil, fmt.Errorf("flatidx: unsupported version %d", v)
-	}
-	// Bit 0 marked the per-item PAA envelope region older snapshots carried;
-	// envelopes now live only in the envelope store, so such a file is
-	// refused like any other unknown layout and the caller rebuilds it.
-	if flags := u32(8); flags != 0 {
-		return nil, fmt.Errorf("flatidx: unsupported flags %#x (an envelope-carrying snapshot from an older layout?)", flags)
-	}
-	nNodes, nItems, height := int(u32(12)), int(u32(16)), int(u32(20))
-	if nItems < 0 || nItems > maxItems {
-		return nil, fmt.Errorf("flatidx: implausible item count %d", nItems)
-	}
-	sizes := levelSizes(nItems)
-	wantNodes := 0
-	for _, s := range sizes {
-		wantNodes += s
-	}
-	if nNodes != wantNodes || height != len(sizes) {
-		return nil, fmt.Errorf("flatidx: header claims %d nodes height %d, layout for %d items wants %d nodes height %d",
-			nNodes, height, nItems, wantNodes, len(sizes))
-	}
-	if total := headerSize + nNodes*nodeSize + nItems*itemSize; len(data) != total {
+	if total := slabSize(nNodes, nItems); len(data) != total {
 		return nil, fmt.Errorf("flatidx: slab is %d bytes, layout wants %d", len(data), total)
 	}
 	s := &Snapshot{
@@ -352,6 +323,49 @@ func DecodeLite(data []byte) (*Snapshot, error) {
 	}
 	s.initLayout()
 	return s, nil
+}
+
+// headerLayout validates the slab header at the front of data (magic,
+// version, flags, counts consistent with the deterministic layout) and
+// returns the counts. data may run past the slab: a snapshot file carries
+// a checksum and a delta section behind it, and Load sizes the slab from
+// this header before it splits the file.
+func headerLayout(data []byte) (nNodes, nItems, height int, err error) {
+	if len(data) < headerSize {
+		return 0, 0, 0, fmt.Errorf("flatidx: slab too short (%d bytes)", len(data))
+	}
+	if string(data[0:4]) != magic {
+		return 0, 0, 0, errors.New("flatidx: bad magic")
+	}
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
+	if v := u32(4); v != version {
+		return 0, 0, 0, fmt.Errorf("flatidx: unsupported version %d", v)
+	}
+	// Bit 0 marked the per-item PAA envelope region older snapshots carried;
+	// envelopes now live only in the envelope store, so such a file is
+	// refused like any other unknown layout and the caller rebuilds it.
+	if flags := u32(8); flags != 0 {
+		return 0, 0, 0, fmt.Errorf("flatidx: unsupported flags %#x (an envelope-carrying snapshot from an older layout?)", flags)
+	}
+	nNodes, nItems, height = int(u32(12)), int(u32(16)), int(u32(20))
+	if nItems < 0 || nItems > maxItems {
+		return 0, 0, 0, fmt.Errorf("flatidx: implausible item count %d", nItems)
+	}
+	sizes := levelSizes(nItems)
+	wantNodes := 0
+	for _, s := range sizes {
+		wantNodes += s
+	}
+	if nNodes != wantNodes || height != len(sizes) {
+		return 0, 0, 0, fmt.Errorf("flatidx: header claims %d nodes height %d, layout for %d items wants %d nodes height %d",
+			nNodes, height, nItems, wantNodes, len(sizes))
+	}
+	return nNodes, nItems, height, nil
+}
+
+// slabSize is the byte length of a slab with the given counts.
+func slabSize(nNodes, nItems int) int {
+	return headerSize + nNodes*nodeSize + nItems*itemSize
 }
 
 // CheckInvariants re-validates the packed structure: the file CRC when the
@@ -495,14 +509,25 @@ func (s *Snapshot) itemPoint(j int, p *[4]float64) {
 	}
 }
 
-func (s *Snapshot) itemID(j int) seq.ID {
-	return seq.ID(binary.LittleEndian.Uint32(s.slab[s.itemsOff+j*itemSize+32:]))
+func (s *Snapshot) item(j int) Entry {
+	return getItem(s.slab[s.itemsOff+j*itemSize:])
 }
 
-func (s *Snapshot) item(j int) Entry {
+// putItem and getItem are the itemSize-byte item encoding the slab's item
+// region and the snapshot file's delta section share.
+func putItem(b []byte, e Entry) {
+	for d := 0; d < 4; d++ {
+		binary.LittleEndian.PutUint64(b[d*8:], math.Float64bits(e.Point[d]))
+	}
+	binary.LittleEndian.PutUint32(b[32:], uint32(e.ID))
+}
+
+func getItem(b []byte) Entry {
 	var e Entry
-	s.itemPoint(j, &e.Point)
-	e.ID = s.itemID(j)
+	for d := 0; d < 4; d++ {
+		e.Point[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[d*8:]))
+	}
+	e.ID = seq.ID(binary.LittleEndian.Uint32(b[32:]))
 	return e
 }
 

@@ -190,9 +190,9 @@ func TestServerCacheHitOnWire(t *testing.T) {
 func TestServerClientDisconnect(t *testing.T) {
 	_, c, ts := newLimitedServer(t, twsim.Options{}, Limits{})
 	// A workload large enough that the query is still running when the
-	// cancellation lands: ~2000 stored walks all forced through exact DTW
-	// by the huge epsilon.
-	walks := shardedWalks(44, 2000, 80, 120)
+	// cancellation lands: 8000 stored walks all forced through exact DTW
+	// by the huge epsilon (2000 finished inside the 10 ms one run in five).
+	walks := shardedWalks(44, 8000, 80, 120)
 	if _, err := c.AddBatchIDs(walks); err != nil {
 		t.Fatal(err)
 	}

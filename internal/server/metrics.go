@@ -8,7 +8,6 @@ import (
 	twsim "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pagefile"
 )
 
 // endpointNames is the fixed set of instrumented endpoints; per-endpoint
@@ -87,45 +86,35 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("twsim_data_bytes", "", "Logical bytes of stored sequence data.", func() float64 { return float64(s.backend.DataBytes()) })
 	reg.GaugeFunc("twsim_index_pages", "", "Feature index size in pages.", func() float64 { return float64(s.backend.IndexPages()) })
 
-	// Flat-engine snapshot/delta instrumentation: every collector snapshots
-	// IndexEngineStats at scrape time. Under the Guttman engine the gauges
-	// read 0 and the merge histogram stays empty; with shards the counters
-	// sum (generation/delta entries across shards, merge observations
-	// pooled).
+	// Index snapshot/delta instrumentation: every collector snapshots
+	// IndexEngineStats at scrape time; with shards the counters sum
+	// (generation/delta entries across shards, merge observations pooled).
 	engine := func(sel func(core.IndexEngineStats) float64) func() float64 {
 		return func() float64 { return sel(s.backend.IndexEngineStats()) }
 	}
-	reg.GaugeFunc("twsim_index_snapshot_generation", "", "Flat-engine snapshot generation (sum over shards; 0 under the Guttman engine).",
+	reg.GaugeFunc("twsim_index_snapshot_generation", "", "Index snapshot generation (sum over shards).",
 		engine(func(st core.IndexEngineStats) float64 { return float64(st.Generation) }))
-	reg.GaugeFunc("twsim_index_delta_entries", "", "Flat-engine delta-overlay entries not yet merged into the packed snapshot (adds + tombstones, summed over shards).",
+	reg.GaugeFunc("twsim_index_delta_entries", "", "Index delta-overlay entries not yet merged into the packed snapshot (adds + tombstones, summed over shards).",
 		engine(func(st core.IndexEngineStats) float64 { return float64(st.DeltaEntries) }))
-	reg.CounterFunc("twsim_index_merges_total", "", "Flat-engine snapshot rebuilds (delta merged into a new packed slab and atomically swapped in).",
+	reg.CounterFunc("twsim_index_merges_total", "", "Index snapshot rebuilds (delta merged into a new packed slab and atomically swapped in).",
 		engine(func(st core.IndexEngineStats) float64 { return float64(st.Merges) }))
-	reg.GaugeFunc("twsim_index_mmap_bytes", "", "Flat-engine snapshot bytes served from a live file mapping (0 when heap-backed, summed over shards).",
+	reg.GaugeFunc("twsim_index_mmap_bytes", "", "Index snapshot bytes served from a live file mapping (0 when heap-backed, summed over shards).",
 		engine(func(st core.IndexEngineStats) float64 { return float64(st.MmapBytes) }))
-	reg.HistogramFunc("twsim_index_merge_seconds", "", "Flat-engine snapshot merge latency (slab rebuild + atomic swap).",
+	reg.HistogramFunc("twsim_index_merge_seconds", "", "Index snapshot merge latency (slab rebuild + atomic swap).",
 		func() obs.HistogramData { return s.backend.IndexEngineStats().MergeHist })
 
-	// Storage-layer counters: buffer pools and the decoded-sequence cache.
-	// Each collector snapshots StorageStats at scrape time; snapshots are
-	// weakly consistent (see twsim.StorageStats), which is fine for ratios.
+	// Storage-layer counters: the data file's buffer pool (the only pool:
+	// the index is walked in place) and the decoded-sequence cache. Each
+	// collector snapshots StorageStats at scrape time; snapshots are weakly
+	// consistent (see twsim.StorageStats), which is fine for ratios.
 	pool := func(sel func(twsim.StorageStats) float64) func() float64 {
 		return func() float64 { return sel(s.backend.StorageStats()) }
 	}
-	for _, p := range []struct {
-		name string
-		get  func(twsim.StorageStats) pagefile.Stats
-	}{
-		{"data", func(st twsim.StorageStats) pagefile.Stats { return st.Data }},
-		{"index", func(st twsim.StorageStats) pagefile.Stats { return st.Index }},
-	} {
-		get := p.get
-		label := `pool="` + p.name + `"`
-		reg.CounterFunc("twsim_pool_reads_total", label, "Logical page reads, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(get(st).Reads) }))
-		reg.CounterFunc("twsim_pool_misses_total", label, "Page reads that went to the backend, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(get(st).Misses) }))
-		reg.CounterFunc("twsim_pool_writes_total", label, "Physical page write-backs, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(get(st).Writes) }))
-		reg.GaugeFunc("twsim_pool_hit_ratio", label, "Buffer pool hit ratio (1 - misses/reads).", pool(func(st twsim.StorageStats) float64 { return get(st).HitRatio() }))
-	}
+	const dataPool = `pool="data"`
+	reg.CounterFunc("twsim_pool_reads_total", dataPool, "Logical page reads, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Reads) }))
+	reg.CounterFunc("twsim_pool_misses_total", dataPool, "Page reads that went to the backend, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Misses) }))
+	reg.CounterFunc("twsim_pool_writes_total", dataPool, "Physical page write-backs, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Writes) }))
+	reg.GaugeFunc("twsim_pool_hit_ratio", dataPool, "Buffer pool hit ratio (1 - misses/reads).", pool(func(st twsim.StorageStats) float64 { return st.Data.HitRatio() }))
 	reg.CounterFunc("twsim_seq_cache_hits_total", "", "Decoded-sequence cache hits.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Hits) }))
 	reg.CounterFunc("twsim_seq_cache_misses_total", "", "Decoded-sequence cache misses.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Misses) }))
 	reg.GaugeFunc("twsim_seq_cache_bytes", "", "Bytes resident in the decoded-sequence cache.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Bytes) }))

@@ -170,10 +170,8 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		mustValue(t, s, name, nil)
 	}
-	for _, pool := range []string{"data", "index"} {
-		mustValue(t, s, "twsim_pool_reads_total", map[string]string{"pool": pool})
-		mustValue(t, s, "twsim_pool_hit_ratio", map[string]string{"pool": pool})
-	}
+	mustValue(t, s, "twsim_pool_reads_total", map[string]string{"pool": "data"})
+	mustValue(t, s, "twsim_pool_hit_ratio", map[string]string{"pool": "data"})
 }
 
 // TestMetricsConservationLaw: across mixed /search + /knn traffic, the

@@ -520,8 +520,7 @@ func storageJSON(st twsim.StorageStats) map[string]any {
 		}
 	}
 	return map[string]any{
-		"data_pool":  poolJSON(st.Data),
-		"index_pool": poolJSON(st.Index),
+		"data_pool": poolJSON(st.Data),
 		"seq_cache": map[string]any{
 			"hits":      st.Cache.Hits,
 			"misses":    st.Cache.Misses,

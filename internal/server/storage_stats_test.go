@@ -30,18 +30,18 @@ func TestStatsStorageSection(t *testing.T) {
 	if !ok {
 		t.Fatalf(`/stats has no "storage" object: %v`, stats)
 	}
-	for _, pool := range []string{"data_pool", "index_pool"} {
-		p, ok := storage[pool].(map[string]any)
-		if !ok {
-			t.Fatalf("storage has no %q object: %v", pool, storage)
-		}
-		if reads, _ := p["reads"].(float64); reads <= 0 {
-			t.Errorf("%s.reads = %v, want > 0", pool, p["reads"])
-		}
-		ratio, _ := p["hit_ratio"].(float64)
-		if ratio <= 0 || ratio > 1 {
-			t.Errorf("%s.hit_ratio = %v, want in (0, 1]", pool, p["hit_ratio"])
-		}
+	p, ok := storage["data_pool"].(map[string]any)
+	if !ok {
+		t.Fatalf(`storage has no "data_pool" object: %v`, storage)
+	}
+	if reads, _ := p["reads"].(float64); reads <= 0 {
+		t.Errorf("data_pool.reads = %v, want > 0", p["reads"])
+	}
+	if ratio, _ := p["hit_ratio"].(float64); ratio <= 0 || ratio > 1 {
+		t.Errorf("data_pool.hit_ratio = %v, want in (0, 1]", p["hit_ratio"])
+	}
+	if _, ok := storage["index_pool"]; ok {
+		t.Error(`storage still reports an "index_pool": the index has no pool`)
 	}
 	cache, ok := storage["seq_cache"].(map[string]any)
 	if !ok {

@@ -80,7 +80,7 @@ func (f *fakeStore) NearestKStatsBandWorkersCtx(ctx context.Context, query []flo
 func (f *fakeStore) StorageStats() core.StorageStats { return core.StorageStats{} }
 
 func (f *fakeStore) IndexEngineStats() core.IndexEngineStats {
-	return core.IndexEngineStats{Engine: core.EngineGuttman}
+	return core.IndexEngineStats{Engine: core.EngineFlat}
 }
 
 func (f *fakeStore) OpenDiagnostics() []string { return nil }

@@ -111,6 +111,7 @@ func (e *Engine) LastRepair() core.RepairStats {
 		agg.Orphans += rs.Orphans
 		agg.Dangling += rs.Dangling
 		agg.Mismatched += rs.Mismatched
+		agg.Envelopes += rs.Envelopes
 		agg.Rebuilt = agg.Rebuilt || rs.Rebuilt
 	}
 	return agg

@@ -46,29 +46,14 @@ func TestNearestKOrderingOracle(t *testing.T) {
 
 	for _, base := range []twsim.Base{twsim.BaseLInf, twsim.BaseL1, twsim.BaseL2Sq} {
 		for _, sharded := range []bool{false, true} {
-			for _, engine := range []string{twsim.EngineGuttman, twsim.EngineFlat} {
+			for _, engine := range []string{"guttman", "flat"} {
 				for _, band := range []int{0, 8} {
 					for _, workers := range []int{1, 4} {
 						name := fmt.Sprintf("base=%v/sharded=%v/engine=%s/band=%d/workers=%d",
 							base, sharded, engine, band, workers)
 						t.Run(name, func(t *testing.T) {
-							opts := twsim.Options{
-								Base:               base,
-								Band:               band,
-								RefineWorkers:      workers,
-								IndexEngine:        engine,
-								FlatMergeThreshold: 32,
-							}
-							var db twsim.Backend
-							var err error
-							if sharded {
-								db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
-							} else {
-								db, err = twsim.OpenMem(opts)
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
+							opts := twsim.Options{Base: base, Band: band, RefineWorkers: workers}
+							db := openEngine(t, engine, opts, sharded)
 							defer db.Close()
 							ids, err := db.AddBatch(data)
 							if err != nil {
@@ -95,7 +80,7 @@ func TestNearestKOrderingOracle(t *testing.T) {
 	}
 }
 
-// TestNearestKMmapOracle: a flat-engine database answers k-NN and range
+// TestNearestKMmapOracle: a database answers k-NN and range
 // queries bit-identically whether its snapshot slab is mmap'd or read
 // eagerly through the TWSIM_NO_MMAP fallback.
 func TestNearestKMmapOracle(t *testing.T) {
@@ -103,7 +88,7 @@ func TestNearestKMmapOracle(t *testing.T) {
 	data, qs := knnCorpus(rng, 150, 64, 4)
 	dir := t.TempDir()
 
-	opts := twsim.Options{Band: 8, IndexEngine: twsim.EngineFlat}
+	opts := twsim.Options{Band: 8}
 	db, err := twsim.Create(dir, opts)
 	if err != nil {
 		t.Fatal(err)

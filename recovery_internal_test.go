@@ -366,7 +366,7 @@ func TestRepairFixesBalancedDivergence(t *testing.T) {
 func TestOpenRebuildsUnopenableIndex(t *testing.T) {
 	for name, corrupt := range map[string]func(t *testing.T, path string){
 		"corrupt": func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("not a page file at all"), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte("not a snapshot file at all"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -15,9 +15,9 @@ import (
 
 // ShardedOptions configures a ShardedDB.
 type ShardedOptions struct {
-	// Options configures each shard (base distance, page size, pool size,
-	// index engine). Every shard gets its own buffer pools of PoolPages
-	// pages, so the aggregate cache grows with the shard count.
+	// Options configures each shard (base distance, page size, pool size).
+	// Every shard gets its own buffer pool of PoolPages pages, so the
+	// aggregate cache grows with the shard count.
 	Options
 	// Shards is the number of hash partitions (0 = 1). The count is fixed
 	// at creation and persisted; OpenSharded rejects a conflicting value.
@@ -325,7 +325,7 @@ func (s *ShardedDB) SearchCtx(ctx context.Context, query []float64, epsilon floa
 	if epsilon < 0 {
 		return nil, errNegativeTolerance(epsilon)
 	}
-	return runQuery(ctx, s.opts, s.rcache, s.Generation, "sharded", rangeCall(query, epsilon, band),
+	return runQuery(ctx, s.opts, s.rcache, s.Generation, rangeCall(query, epsilon, band),
 		func(ctx context.Context) (*Result, error) { return s.eng.SearchCtx(ctx, query, epsilon, band) })
 }
 
@@ -345,7 +345,7 @@ func (s *ShardedDB) NearestK(query []float64, k int) ([]Match, error) {
 // summed per-shard work counters and the RequestID, with SearchCtx's
 // cancellation and caching behavior.
 func (s *ShardedDB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
-	return runQuery(ctx, s.opts, s.rcache, s.Generation, "sharded", knnCall(query, k, band),
+	return runQuery(ctx, s.opts, s.rcache, s.Generation, knnCall(query, k, band),
 		func(ctx context.Context) (*Result, error) { return s.eng.NearestKCtx(ctx, query, k, band) })
 }
 

@@ -54,46 +54,25 @@ type Result = core.Result
 // evaluations, page I/O, wall time).
 type QueryStats = core.QueryStats
 
-// StorageStats snapshots the storage-layer counters: the data heap's and
-// feature index's buffer pools plus the decoded-sequence cache. Snapshots
-// are wait-free and weakly consistent (see the core type's godoc).
+// StorageStats snapshots the storage-layer counters: the data heap's buffer
+// pool plus the decoded-sequence cache. Snapshots are wait-free and weakly
+// consistent (see the core type's godoc).
 type StorageStats = core.StorageStats
 
 // CostModel converts buffer pool misses into modeled disk time.
 type CostModel = core.CostModel
-
-// Index engine names for Options.IndexEngine.
-const (
-	// EngineGuttman is the classic paged Guttman R-tree (the default).
-	EngineGuttman = core.EngineGuttman
-	// EngineFlat is the flat snapshot + delta engine: an immutable packed
-	// tree walked lock- and allocation-free, a small mutable delta absorbing
-	// writes, and a background merge that atomically swaps snapshots. Query
-	// results are bit-identical to the guttman engine.
-	EngineFlat = core.EngineFlat
-)
 
 // Options configures a DB.
 type Options struct {
 	// Base is the per-element distance inside DTW. The zero value is
 	// BaseLInf, the paper's model.
 	Base Base
-	// IndexEngine selects the feature-index engine: EngineGuttman or
-	// EngineFlat. Empty means: the engine an existing database was created
-	// with (detected from which index file is present), guttman for new
-	// databases. Results are bit-identical across engines; only the read
-	// path's machinery differs. Naming the other engine when opening an
-	// existing database converts it (see Open).
-	IndexEngine string
-	// FlatMergeThreshold is the flat engine's delta size (adds + tombstones)
-	// that schedules a background snapshot merge. 0 means the engine
-	// default; negative disables automatic merging (Flush/Close still merge
-	// synchronously). Ignored by the guttman engine.
-	FlatMergeThreshold int
-	// PageSize is the page size of both the data heap file and the index
-	// (0 = 1 KB, the paper's setting).
+	// PageSize is the page size of the data heap file (0 = 1 KB, the
+	// paper's setting); the index reports its size in the same unit.
 	PageSize int
-	// PoolPages is the buffer pool capacity of each file in pages (0 = 64).
+	// PoolPages is the capacity, in pages, of the data heap file's buffer
+	// pool (0 = 64). The index has no pool: it is one slab, mapped or in
+	// memory.
 	PoolPages int
 	// RefineWorkers bounds the intra-query parallelism of the refinement
 	// step (candidate fetch + cascade + exact DTW): 0 means GOMAXPROCS,
@@ -132,9 +111,9 @@ type Options struct {
 	// databases.
 	SlowQueryLogger *log.Logger
 	// ResultCacheBytes sizes the whole-query result cache: a byte-budgeted
-	// LRU of exact answers keyed by (query, kind, ε or k, band, base,
-	// engine). A hit returns the stored matches with zero index, heap, or
-	// DTW work and a fresh RequestID. Coherence is by write generation:
+	// LRU of exact answers keyed by (query, kind, ε or k, band, base). A hit
+	// returns the stored matches with zero index, heap, or DTW work and a
+	// fresh RequestID. Coherence is by write generation:
 	// every Add/AddAll/AddBatch/Remove/Repair bumps a per-database counter,
 	// and an entry whose generation stamp is stale is discarded on lookup —
 	// a cached answer is therefore always bit-identical to a recomputation
@@ -201,16 +180,14 @@ type RepairStats = core.RepairStats
 // with the stored sequences. A DB is safe for concurrent readers; writers
 // require external serialization.
 type DB struct {
-	store       *seqdb.DB
-	index       core.Index
-	envs        *core.EnvStore
-	base        Base
-	dir         string // empty when in-memory
-	opts        Options
-	engine      string // resolved index engine
-	repair      RepairStats
-	envsRebuilt bool     // Open rebuilt the envelope sidecar; Flush persists it
-	openNotes   []string // one line per Open-time repair/rebuild (OpenDiagnostics)
+	store     *seqdb.DB
+	index     core.Index // a *core.FlatIndex outside fault-injection tests
+	envs      *core.EnvStore
+	base      Base
+	dir       string // empty when in-memory
+	opts      Options
+	repair    RepairStats
+	openNotes []string // one line per Open-time repair/rebuild (OpenDiagnostics)
 	// gen is the write generation: bumped after every mutation
 	// (Add/AddAll/Remove/Repair) and read by queries before their first
 	// index or heap access, it stamps result-cache entries so a cached
@@ -226,44 +203,19 @@ type DB struct {
 }
 
 const (
-	indexFileName     = "feature.rtree" // guttman engine page file
-	flatIndexFileName = "feature.flat"  // flat engine snapshot file
-	envsFileName      = "envelopes.paa"
+	indexFileName = "feature.flat"  // the index: packed snapshot + delta section
+	rtreeFileName = "feature.rtree" // the paged R-tree older versions served from; converted on open
+	envsFileName  = "envelopes.paa"
 )
 
-// resolveEngine picks the index engine: the explicit option when set, else
-// the engine an existing on-disk database was created with (detected from
-// which index file is present), else guttman.
-func (o Options) resolveEngine(dir string) string {
-	if o.IndexEngine != "" {
-		return o.IndexEngine
-	}
+// indexOptions assembles the index options of a database in dir ("" = in
+// memory).
+func (o Options) indexOptions(dir string) core.IndexOptions {
+	io := core.IndexOptions{PageSize: o.PageSize}
 	if dir != "" {
-		if _, err := os.Stat(filepath.Join(dir, flatIndexFileName)); err == nil {
-			return core.EngineFlat
-		}
+		io.OnDiskPath = filepath.Join(dir, indexFileName)
 	}
-	return core.EngineGuttman
-}
-
-// indexFileFor returns the index file name the engine persists to.
-func indexFileFor(engine string) string {
-	if engine == core.EngineFlat {
-		return flatIndexFileName
-	}
-	return indexFileName
-}
-
-// indexOptions assembles the core-level index options for the resolved
-// engine; path is empty for in-memory databases.
-func (o Options) indexOptions(engine, path string) core.IndexOptions {
-	return core.IndexOptions{
-		Engine:             engine,
-		PageSize:           o.PageSize,
-		PoolPages:          o.PoolPages,
-		OnDiskPath:         path,
-		FlatMergeThreshold: o.FlatMergeThreshold,
-	}
+	return io
 }
 
 // note records one Open-time diagnostic line (see OpenDiagnostics).
@@ -280,9 +232,8 @@ func (db *DB) OpenDiagnostics() []string {
 	return append([]string(nil), db.openNotes...)
 }
 
-// IndexEngineStats describes the resolved index engine: its name and, for
-// the flat engine, snapshot generation, delta size, merge count, and
-// snapshot slab size.
+// IndexEngineStats describes the index: snapshot generation, delta size,
+// merge count, and snapshot slab size.
 func (db *DB) IndexEngineStats() core.IndexEngineStats { return db.index.EngineStats() }
 
 // OpenMem creates an ephemeral in-memory database (page layout and buffer
@@ -292,13 +243,12 @@ func OpenMem(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := opts.resolveEngine("")
-	index, err := core.NewIndex(opts.indexOptions(engine, ""))
+	index, err := core.NewFlatIndex(opts.indexOptions(""))
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	return &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, opts: opts, engine: engine,
+	return &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, opts: opts,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}, nil
 }
 
@@ -308,22 +258,22 @@ func Create(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := opts.resolveEngine("")
-	index, err := core.NewIndex(opts.indexOptions(engine, filepath.Join(dir, indexFileFor(engine))))
+	index, err := core.NewFlatIndex(opts.indexOptions(dir))
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	db := &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, dir: dir, opts: opts, engine: engine,
+	db := &DB{store: store, index: index, base: opts.Base, dir: dir, opts: opts,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}
+	if db.envs, err = core.CreateEnvStore(filepath.Join(dir, envsFileName)); err != nil {
+		db.Close()
+		return nil, fmt.Errorf("twsim: creating envelope store: %w", err)
+	}
 	if opts.WAL {
-		wlog, err := wal.Create(filepath.Join(dir, walFileName), 1, opts.walOptions())
-		if err != nil {
-			store.Close()
-			index.Close()
+		if db.wal, err = wal.Create(filepath.Join(dir, walFileName), 1, opts.walOptions()); err != nil {
+			db.Close()
 			return nil, err
 		}
-		db.wal = wlog
 	}
 	return db, nil
 }
@@ -335,20 +285,21 @@ func Create(dir string, opts Options) (*DB, error) {
 // dangling index entry — Open reconciles them by re-deriving feature
 // vectors from the live heap records and patching the index, and when the
 // index file is missing or unreadable it is rebuilt from scratch by
-// scanning the heap. The heap is the source of truth; the index is always
-// derivable from it. LastRepair reports what, if anything, was fixed.
+// scanning the heap. The envelope sidecar is healed by the same scan. The
+// heap is the source of truth; index and sidecar are always derivable from
+// it. LastRepair reports what, if anything, was fixed.
 //
-// The same goes for naming the other engine in Options.IndexEngine: the
-// index is rebuilt under it and the previous engine's file removed. Temp
-// files a killed Flush left in the directory are removed too. Both leave a
-// line in OpenDiagnostics.
+// A directory last served by a version that kept the index as a paged
+// R-tree (feature.rtree) is converted the same way, once: the flat index
+// is built from the heap and the R-tree file removed. Temp files a killed
+// Flush left in the directory are removed too. Both leave a line in
+// OpenDiagnostics.
 func Open(dir string, opts Options) (*DB, error) {
 	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages, CacheBytes: opts.SeqCacheBytes})
 	if err != nil {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
 	}
-	engine := opts.resolveEngine(dir)
-	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts, engine: engine,
+	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}
 	stale, err := fsx.RemoveStaleTemps(dir)
 	for _, name := range stale {
@@ -360,7 +311,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	if opts.WAL {
 		// Replay the WAL tail over the heap before the index opens: the
-		// index layers below reconcile against whatever the heap holds, so
+		// reconcile pass below works against whatever the heap holds, so
 		// recovered appends and tombstones are re-indexed (or dropped) by
 		// the exact same LastRepair machinery an unlogged crash uses.
 		if err := db.openWAL(); err != nil {
@@ -368,161 +319,118 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("twsim: write-ahead log: %w", err)
 		}
 	}
-	index, err := core.OpenIndex(filepath.Join(dir, indexFileFor(engine)), opts.indexOptions(engine, ""))
-	if err != nil {
-		// Unopenable (missing, truncated, corrupt CRC, wrong dimension):
-		// rebuild it from the heap. Missing beside the other engine's file
-		// means the caller named a different engine than the directory was
-		// last served with.
-		prev := core.EngineGuttman
-		if engine == core.EngineGuttman {
-			prev = core.EngineFlat
-		}
-		if _, statErr := os.Stat(filepath.Join(dir, indexFileFor(prev))); statErr == nil && errors.Is(err, fs.ErrNotExist) {
-			db.note("index converted from %s to %s: %s built from the heap, %s removed", prev, engine, indexFileFor(engine), indexFileFor(prev))
+	// From here db.Close releases whatever was opened so far.
+	rtreePath := filepath.Join(dir, rtreeFileName)
+	_, statErr := os.Stat(rtreePath)
+	hasRtree := statErr == nil
+	index, err := core.OpenFlatIndex(filepath.Join(dir, indexFileName), opts.indexOptions(dir))
+	rebuilt := err != nil
+	if rebuilt {
+		// Unopenable (missing, truncated, corrupt CRC, a delta contradicting
+		// the slab): start from an empty index the reconcile pass bulk-loads.
+		if hasRtree && errors.Is(err, fs.ErrNotExist) {
+			db.note("index converted from guttman to flat: %s built from the heap, %s removed", indexFileName, rtreeFileName)
 		} else {
-			db.note("index engine=%s file=%s rebuilt-on-open: %v", engine, indexFileFor(engine), err)
+			db.note("index file=%s rebuilt-on-open: %v", indexFileName, err)
 		}
-		if err := db.rebuildIndex(); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("twsim: rebuilding index: %w", err)
-		}
-		if err := db.loadEnvs(); err != nil {
-			db.Close()
-			return nil, fmt.Errorf("twsim: rebuilding envelope store: %w", err)
-		}
-		if db.envsRebuilt {
-			db.note("envelope-sidecar rebuilt-on-open: entries=%d", db.envs.Len())
-		}
-		if err := db.Flush(); err != nil {
+		if index, err = core.NewFlatIndex(opts.indexOptions(dir)); err != nil {
 			db.Close()
 			return nil, err
 		}
-		return db, nil
 	}
 	db.index = index
-	dirty := false
-	if index.Len() != store.Len() || db.walReplayed {
-		// Replayed mutations can leave the live count unchanged (an add
-		// plus a remove) while contents diverge, so any replay forces the
-		// reconcile rather than trusting the count check alone.
-		db.note("index engine=%s reconciled-on-open: indexed=%d live=%d", engine, index.Len(), store.Len())
-		if _, err := db.Repair(); err != nil {
+	envs, envNotes, err := core.OpenEnvStore(filepath.Join(dir, envsFileName))
+	if err != nil {
+		// Missing, written by an older version, or unreadable: start an
+		// empty sidecar the reconcile pass fills.
+		db.note("envelope-sidecar rebuilt-on-open: %v", err)
+		if envs, err = core.CreateEnvStore(filepath.Join(dir, envsFileName)); err != nil {
+			db.Close()
+			return nil, fmt.Errorf("twsim: creating envelope store: %w", err)
+		}
+	}
+	db.envs = envs
+	for _, line := range envNotes {
+		db.note("%s", line)
+	}
+	// Replayed mutations can leave the live count unchanged (an add plus a
+	// remove) while contents diverge, so any replay forces the reconcile
+	// rather than trusting the count checks alone. Those suffice otherwise:
+	// IDs are never reused, so an index entry or a stored envelope can only
+	// be present-or-absent, never wrong for a live ID.
+	if rebuilt || db.walReplayed || index.Len() != store.Len() || envs.Len() != store.Len() {
+		indexed, stored := index.Len(), envs.Len()
+		if _, err := db.reconcile(rebuilt); err != nil {
 			db.Close()
 			return nil, err
 		}
-		dirty = true
-	}
-	if err := db.loadEnvs(); err != nil {
-		db.Close()
-		return nil, fmt.Errorf("twsim: rebuilding envelope store: %w", err)
-	}
-	if db.envsRebuilt {
-		db.note("envelope-sidecar rebuilt-on-open: entries=%d", db.envs.Len())
-	}
-	if dirty || db.envsRebuilt {
+		if !rebuilt && (db.walReplayed || indexed != store.Len()) {
+			db.note("index reconciled-on-open: indexed=%d live=%d", indexed, store.Len())
+		}
+		if db.repair.Envelopes > 0 || stored != envs.Len() {
+			db.note("envelope-sidecar reconciled-on-open: stored=%d derived=%d live=%d", stored, db.repair.Envelopes, store.Len())
+		}
 		if err := db.Flush(); err != nil {
 			db.Close()
 			return nil, err
+		}
+	}
+	if hasRtree {
+		if err := os.Remove(rtreePath); err != nil {
+			db.note("removing %s: %v", rtreeFileName, err)
 		}
 	}
 	return db, nil
-}
-
-// loadEnvs populates db.envs from the sidecar file, falling back to a
-// heap-scan rebuild whenever the sidecar is missing, damaged, or its entry
-// count disagrees with the heap — which is both the recovery path for a
-// crash between heap write and Flush and the migration path for databases
-// created before envelopes existed (they grow the sidecar on first open).
-// The count check suffices for correctness: IDs are never reused, so a
-// stored envelope can only be present-or-absent, never wrong for a live ID.
-func (db *DB) loadEnvs() error {
-	if db.dir == "" {
-		db.envs = core.NewEnvStore()
-		return nil
-	}
-	if es, err := core.LoadEnvStore(filepath.Join(db.dir, envsFileName)); err == nil && es.Len() == db.store.Len() {
-		db.envs = es
-		return nil
-	}
-	es, err := core.BuildEnvStore(db.store)
-	if err != nil {
-		return err
-	}
-	db.envs = es
-	db.envsRebuilt = true
-	return nil
-}
-
-// rebuildIndex replaces db.index with one bulk-loaded from the live heap
-// records, recording the repair in db.repair. Both engines' index files are
-// removed first (when on disk): rebuilding under one engine must not leave
-// the other engine's stale file behind to be auto-detected — and silently
-// resurrected — by a later engine-less Open. The previous index, if any,
-// must already be closed.
-func (db *DB) rebuildIndex() error {
-	path := ""
-	if db.dir != "" {
-		for _, name := range []string{indexFileName, flatIndexFileName} {
-			if err := os.Remove(filepath.Join(db.dir, name)); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		path = filepath.Join(db.dir, indexFileFor(db.engine))
-	}
-	index, rs, err := core.RebuildIndex(db.store, db.opts.indexOptions(db.engine, path))
-	if err != nil {
-		return err
-	}
-	db.index = index
-	db.repair = rs
-	return nil
 }
 
 // LastRepair returns the statistics of the reconciliation Open (or Repair)
 // performed. The zero value means the database opened consistent.
 func (db *DB) LastRepair() RepairStats { return db.repair }
 
-// Repair reconciles the feature index with the live heap records on demand
-// — the fsck-and-fix counterpart to Verify, usable on any database (not
-// just at Open time). When the index structure is intact it is patched in
-// place (orphans re-indexed, dangling entries removed); when it is damaged
-// beyond entry-level patching the index is rebuilt from the heap, which is
-// always possible because the heap is the source of truth. It returns what
-// it had to change.
+// Repair reconciles the feature index and the envelope store with the live
+// heap records on demand — the fsck-and-fix counterpart to Verify, usable
+// on any database (not just at Open time). When the index structure is
+// intact it is patched in place (orphans re-indexed, dangling entries
+// removed); when it is damaged beyond entry-level patching the index is
+// rebuilt from the heap, which is always possible because the heap is the
+// source of truth. It returns what it had to change.
 func (db *DB) Repair() (RepairStats, error) {
-	defer db.gen.Add(1)
-	rs, err := db.repairIndex()
-	if err != nil {
-		return rs, err
+	// Whatever inconsistency prompted the repair may have touched the
+	// envelopes too, and Open's reconcile trusts the ones it finds: drop
+	// them all, so the scan below re-derives every one.
+	for id := 0; id < db.store.NumRecords(); id++ {
+		db.envs.Remove(ID(id))
 	}
-	// The envelope store is as derivable from the heap as the index is;
-	// whatever inconsistency prompted the repair may have touched it too, so
-	// re-derive it wholesale (it is small: ~264 bytes per sequence).
-	if db.envs != nil {
-		es, err := core.BuildEnvStore(db.store)
-		if err != nil {
-			return rs, fmt.Errorf("twsim: rebuilding envelope store: %w", err)
-		}
-		db.envs = es
-		db.envsRebuilt = true
-	}
-	return rs, nil
+	return db.reconcile(false)
 }
 
-func (db *DB) repairIndex() (RepairStats, error) {
-	if db.index.CheckInvariants() == nil {
-		rs, err := core.Reconcile(db.store, db.index)
-		if err == nil {
-			db.repair = rs
-			return rs, nil
+// reconcile brings index and envelope store back in line with the heap in
+// one heap scan (core.Reconcile), patching the index in place. fresh says
+// the index is an empty replacement for a file that could not be opened;
+// an index whose structure is damaged, or that cannot be patched, is
+// replaced the same way here. The scan then bulk-loads it and the repair
+// counts as a rebuild.
+func (db *DB) reconcile(fresh bool) (RepairStats, error) {
+	defer db.gen.Add(1)
+	if !fresh {
+		if db.index.CheckInvariants() == nil {
+			if rs, err := core.Reconcile(db.store, db.index, db.envs); err == nil {
+				db.repair = rs
+				return rs, nil
+			}
 		}
+		db.index.Close()
+		index, err := core.NewFlatIndex(db.opts.indexOptions(db.dir))
+		if err != nil {
+			return db.repair, fmt.Errorf("twsim: rebuilding index: %w", err)
+		}
+		db.index = index
 	}
-	// Structure damaged (or patching failed): rebuild from scratch.
-	db.index.Close()
-	if err := db.rebuildIndex(); err != nil {
-		return db.repair, fmt.Errorf("twsim: rebuilding index: %w", err)
+	rs, err := core.Reconcile(db.store, db.index, db.envs)
+	if err != nil {
+		return rs, fmt.Errorf("twsim: rebuilding index: %w", err)
 	}
+	db.repair = RepairStats{Rebuilt: true, LiveSequences: rs.LiveSequences, Envelopes: rs.Envelopes}
 	return db.repair, nil
 }
 
@@ -759,9 +667,9 @@ func knnCall(query []float64, k, band int) queryCall {
 // runQuery is the one protocol every single-query entry point of both
 // backends runs: validate → probe the whole-query result cache → attach the
 // deadline → compute → store → stamp the request ID and slow-log. gen reads
-// the backend's write generation and engine tags the cache key; compute
-// runs the actual search under the deadline-bearing context. (A range
-// door rejects a negative tolerance before calling.)
+// the backend's write generation; compute runs the actual search under the
+// deadline-bearing context. (A range door rejects a negative tolerance
+// before calling.)
 //
 // Coherence (DESIGN.md §13.2) is stated over this function alone: gen() is
 // loaded before any index or heap read of the query — the probe and compute
@@ -769,7 +677,7 @@ func knnCall(query []float64, k, band int) queryCall {
 // that reading, and a computed answer is stored under the same pre-query
 // reading, so any write that overlaps the computation has bumped the
 // generation past the stamp and the entry is stale on its first lookup.
-func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() uint64, engine string,
+func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() uint64,
 	c queryCall, compute func(ctx context.Context) (*Result, error)) (*Result, error) {
 	if err := validateQuery(c.query, c.band); err != nil {
 		return nil, err
@@ -781,7 +689,7 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 		res    *Result
 	)
 	if rc != nil {
-		key = core.ResultCacheKey(c.family, o.Base, engine, c.band, c.epsilon, c.k, c.query)
+		key = core.ResultCacheKey(c.family, o.Base, c.band, c.epsilon, c.k, c.query)
 		preGen = gen() // before any index/heap read of this query
 		if ms, ok := rc.Get(key, preGen); ok {
 			res = cachedResult(ms, start)
@@ -843,7 +751,7 @@ func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon
 	if epsilon < 0 {
 		return nil, errNegativeTolerance(epsilon)
 	}
-	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, db.engine, rangeCall(query, epsilon, band),
+	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, rangeCall(query, epsilon, band),
 		func(ctx context.Context) (*Result, error) {
 			return db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
 		})
@@ -871,7 +779,7 @@ func (db *DB) NearestK(query []float64, k int) ([]Match, error) {
 // result cache, when enabled, serves repeated queries without re-running
 // the walk.
 func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
-	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, db.engine, knnCall(query, k, band),
+	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, knnCall(query, k, band),
 		func(ctx context.Context) (*Result, error) {
 			ms, stats, err := db.NearestKStatsBandWorkersCtx(ctx, query, k, band, nil, db.opts.refineWorkers())
 			if err != nil {
@@ -881,10 +789,10 @@ func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*R
 		})
 }
 
-// StorageStats snapshots the storage-layer counters: data and index buffer
-// pools plus the decoded-sequence cache (zero when disabled).
+// StorageStats snapshots the storage-layer counters: the data buffer pool
+// plus the decoded-sequence cache (zero when disabled).
 func (db *DB) StorageStats() StorageStats {
-	return StorageStats{Data: db.store.Stats(), Index: db.index.Stats(), Cache: db.store.CacheStats()}
+	return StorageStats{Data: db.store.Stats(), Cache: db.store.CacheStats()}
 }
 
 // Distance computes the exact time warping distance between a stored
@@ -907,12 +815,15 @@ func (db *DB) DataBytes() int64 { return db.store.Bytes() }
 // CheckInvariants validates the index structure (tests and repair tooling).
 func (db *DB) CheckInvariants() error { return db.index.CheckInvariants() }
 
-// Flush persists all state to disk (no-op for in-memory databases). With
-// the WAL enabled a successful Flush is also a checkpoint: once the heap
-// pages are fsynced, the manifest renamed and dir-synced, and the index
-// and envelope sidecar saved, every logged mutation is durable by other
-// means, so the log resets to an empty file with a higher base sequence
-// number (pending waiters are released — their records are durable too).
+// Flush persists all state to disk (no-op for in-memory databases) at a
+// cost set by what changed, not by the database's size: the heap's dirty
+// pages and its directory, the index file (slab plus delta, never a merge)
+// and the envelope chunks touched since the last Flush. With the WAL
+// enabled a successful Flush is also a checkpoint: once the heap pages are
+// fsynced, the manifest renamed and dir-synced, and the index and envelope
+// sidecar saved, every logged mutation is durable by other means, so the
+// log resets to an empty file with a higher base sequence number (pending
+// waiters are released — their records are durable too).
 func (db *DB) Flush() error {
 	if err := db.store.Flush(); err != nil {
 		return err
@@ -920,11 +831,8 @@ func (db *DB) Flush() error {
 	if err := db.index.Flush(); err != nil {
 		return err
 	}
-	if db.dir != "" && db.envs != nil {
-		if err := db.envs.Save(filepath.Join(db.dir, envsFileName)); err != nil {
-			return fmt.Errorf("twsim: saving envelope store: %w", err)
-		}
-		db.envsRebuilt = false
+	if err := db.envs.Save(); err != nil {
+		return fmt.Errorf("twsim: saving envelope store: %w", err)
 	}
 	if db.wal != nil {
 		if err := db.wal.Checkpoint(); err != nil {
@@ -934,40 +842,33 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Close flushes and releases the database. With the WAL enabled the log
-// is checkpointed (emptied) on a clean close, so the next Open has
-// nothing to replay.
+// Close flushes and releases the database; the index folds its delta into
+// the packed snapshot on the way out. With the WAL enabled the log is
+// checkpointed (emptied) on a clean close, so the next Open has nothing to
+// replay. The heap is made durable first: the index and the sidecar must
+// never be ahead of it on disk.
 func (db *DB) Close() error {
-	var envErr error
-	if db.dir != "" && db.envs != nil {
-		if err := db.envs.Save(filepath.Join(db.dir, envsFileName)); err != nil {
-			envErr = fmt.Errorf("twsim: saving envelope store: %w", err)
+	err := db.store.Close()
+	if db.index != nil {
+		if ierr := db.index.Close(); err == nil {
+			err = ierr
 		}
 	}
-	err1 := db.store.Close()
-	err2 := db.index.Close()
-	var walErr error
+	if eerr := db.envs.Close(); eerr != nil && err == nil {
+		err = fmt.Errorf("twsim: saving envelope store: %w", eerr)
+	}
 	if db.wal != nil {
 		// The store Close above flushed and fsynced the heap + manifest,
 		// so the checkpoint's precondition holds; a checkpoint failure
 		// just leaves the tail to be replayed (idempotently) at next Open.
-		if envErr == nil && err1 == nil && err2 == nil {
-			if err := db.wal.Checkpoint(); err != nil && !errors.Is(err, wal.ErrClosed) {
-				walErr = fmt.Errorf("twsim: wal checkpoint: %w", err)
+		if err == nil {
+			if cerr := db.wal.Checkpoint(); cerr != nil && !errors.Is(cerr, wal.ErrClosed) {
+				err = fmt.Errorf("twsim: wal checkpoint: %w", cerr)
 			}
 		}
-		if err := db.wal.Close(); err != nil && walErr == nil {
-			walErr = fmt.Errorf("twsim: wal close: %w", err)
+		if cerr := db.wal.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("twsim: wal close: %w", cerr)
 		}
 	}
-	if err1 != nil {
-		return err1
-	}
-	if err2 != nil {
-		return err2
-	}
-	if envErr != nil {
-		return envErr
-	}
-	return walErr
+	return err
 }
