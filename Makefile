@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet surface loc build test race test-no-mmap fuzz-smoke metrics-smoke bench-smoke crash-tests
+.PHONY: ci fmt vet surface loc build test race test-no-mmap fuzz-smoke metrics-smoke bench-smoke crash-tests kernels
 
 # Full gate: formatting, static checks (vet plus the query-surface check),
 # build, the whole test suite (including the fault-injection recovery tests)
@@ -19,10 +19,11 @@ ci: fmt vet surface build race test-no-mmap fuzz-smoke metrics-smoke crash-tests
 test-no-mmap:
 	TWSIM_NO_MMAP=1 $(GO) test ./internal/flatidx ./internal/core .
 
-# Short coverage-guided fuzz passes over the ordering oracles: the deque
-# envelope vs the quadratic reference, the lower-bound chain
+# Short coverage-guided fuzz passes over the ordering oracles: the block
+# sliding min/max envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
-# the refine tier's windowed kernel vs the dense DP (verdict and bits),
+# the refine tier's windowed kernel vs the dense DP and its banded pass vs
+# the reference banded loop (verdict and bits),
 # the flat-slab and snapshot-file codec (slab, delta section), and the
 # snapshot loader on both open paths (hostile files, a delta section that
 # contradicts its slab included, must error out or load into an index that
@@ -32,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
 
@@ -68,6 +70,15 @@ race:
 # `-compare` are described in cmd/bench/README.md.
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke >/dev/null
+
+# The two workload-shaped kernel benchmarks — the pairs range_unbanded
+# refines, and the calls knn_banded's DP tier and LB_Improved's second pass
+# see — from one test binary on one CPU, five times each. To compare two
+# commits, build the binary on both and alternate them
+# (internal/dtw/refiner_bench_test.go).
+kernels:
+	$(GO) test -c -o bin/dtw.test ./internal/dtw
+	./bin/dtw.test -test.run '^$$' -test.bench 'Refiner(Range|KNN)Shaped' -test.cpu 1 -test.count 5
 
 # The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
 # plus the paper-API wrappers. Fails if a deleted variant, option or alias

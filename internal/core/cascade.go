@@ -22,9 +22,9 @@ import (
 //	                envelope, then the second pass of Lemire's LB_Improved;
 //	                any other candidate under an additive base (L1, L2Sq):
 //	                LB_Keogh on the global envelope
-//	verifyDP      — the exact DP: the single-window corridor pass
-//	                (dtw.Refiner) for unconstrained queries, the
-//	                early-abandoning banded DP for banded ones
+//	verifyDP      — the exact DP: the single-window pass (dtw.Refiner),
+//	                over the whole matrix for unconstrained queries and
+//	                over the Sakoe–Chiba band's cells for banded ones
 //
 // Under the paper's L∞ base nothing sits between the walk and the DP for an
 // unbanded query beyond LB_PAA: the global-envelope LB_Keogh and the
@@ -41,12 +41,15 @@ import (
 // tiers tighten as a k-NN search proceeds.
 //
 // A cascade holds a pooled dtw.Refiner; build one per query with newCascade
-// and close it when the query completes. Not safe for concurrent use.
+// and close it when the query completes. Not safe for concurrent use: a
+// query that refines on several goroutines gives each its own (see worker).
 type cascade struct {
 	// paaPruner carries q, base, band, and the cached query-side PAA
 	// reductions; the k-NN walk keys its frontier with a second pruner of
 	// its own, so both evaluate the identical bound (see newPAAPruner).
 	paaPruner
+	// The envelopes are written once, by newCascade, and only read after:
+	// the cascades of one query's workers share them.
 	bandEnv   dtw.Envelope // banded envelope of q; built only when band ≥ 1
 	globalEnv dtw.Envelope // [min q, max q] everywhere; built only for the additive bases
 	envs      *EnvStore
@@ -111,6 +114,22 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 	return c
 }
 
+// worker returns a cascade for another goroutine refining the same query.
+// It shares c's envelopes, which nothing writes after newCascade, and owns
+// what a candidate evaluation does write: the lazily filled PAA reductions,
+// the LB_Improved scratch and a pooled refiner. Close it like c.
+func (c *cascade) worker() *cascade {
+	w := &cascade{
+		paaPruner: paaPruner{q: c.q, base: c.base, band: c.band},
+		bandEnv:   c.bandEnv, globalEnv: c.globalEnv,
+		envs: c.envs, disabled: c.disabled,
+	}
+	if !c.disabled {
+		w.refiner = dtw.AcquireRefiner()
+	}
+	return w
+}
+
 func (c *cascade) close() {
 	if c.refiner != nil {
 		c.refiner.Release()
@@ -118,14 +137,25 @@ func (c *cascade) close() {
 	}
 }
 
+// kernelBand is the query's band in package dtw's convention, where a
+// negative half-width means the unconstrained distance.
+func (c *cascade) kernelBand() int {
+	if c.band >= 1 {
+		return c.band
+	}
+	return -1
+}
+
 // exactDistance is the distance the query answers: BandDistance for banded
 // queries, the paper's unconstrained distance otherwise. k-NN uses it while
-// the cutoff is still infinite.
+// the cutoff is still infinite: the refiner at an infinite tolerance keeps
+// every cell alive and returns the reference kernels' bits.
 func (c *cascade) exactDistance(s seq.Sequence) float64 {
-	if c.band >= 1 {
-		return dtw.BandDistance(s, c.q, c.base, c.band)
+	if c.disabled {
+		return dtw.BandDistance(s, c.q, c.base, c.kernelBand())
 	}
-	return dtw.Distance(s, c.q, c.base)
+	d, _ := c.refiner.BandDistanceWithin(s, c.q, c.base, c.kernelBand(), dtw.Inf)
+	return d
 }
 
 // admitEnvelope is the pre-fetch tier: LB_PAA evaluated between the query
@@ -308,39 +338,35 @@ func (c *cascade) verify(s seq.Sequence, cutoff float64, stats *QueryStats) (flo
 }
 
 // verifyDP runs only the exact DP. LB-Scan uses this directly: its own
-// LB_Yi filter already ran. Unconstrained queries use the fused corridor
-// pass; banded queries run the early-abandoning banded DP — the corridor
-// computes the unconstrained distance, which is not the value a banded
-// query answers, and the band already restricts each DP row to O(band)
-// cells.
+// LB_Yi filter already ran. Banded or not, it is one pass of the refiner's
+// single-window kernel: a banded query hands it the band, each row's window
+// is cut to the row's in-band columns, and the value that comes out is
+// BandDistance's — the distance a banded query answers — bit for bit
+// (DESIGN.md §8). A disabled cascade holds no refiner and runs the
+// reference loops, which is what makes it the oracle.
+//
+// An unbanded rejection is a corridor prune. A banded one is counted as the
+// abandoned DP call the reference loop made of it, so the per-tier shares
+// of a banded workload read the same whichever kernel ran.
 func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
-	if c.band >= 1 {
-		stats.DTWCalls++
-		d, ok := dtw.BandDistanceWithin(s, c.q, c.base, c.band, cutoff)
-		if !ok {
-			stats.DTWAbandoned++
-		}
-		return d, ok
-	}
 	if c.disabled {
 		stats.DTWCalls++
-		d, ok := dtw.DistanceWithin(s, c.q, c.base, cutoff)
+		d, ok := dtw.BandDistanceWithin(s, c.q, c.base, c.kernelBand(), cutoff)
 		if !ok {
 			stats.DTWAbandoned++
 		}
 		return d, ok
 	}
-	d, verdict := c.refiner.DistanceWithin(s, c.q, c.base, cutoff)
-	switch verdict {
-	case dtw.VerdictPruned:
-		stats.CorridorPruned++
-		return dtw.Inf, false
-	case dtw.VerdictAbandoned:
-		stats.DTWCalls++
-		stats.DTWAbandoned++
-		return dtw.Inf, false
-	default:
+	d, verdict := c.refiner.BandDistanceWithin(s, c.q, c.base, c.kernelBand(), cutoff)
+	switch {
+	case verdict == dtw.VerdictWithin:
 		stats.DTWCalls++
 		return d, true
+	case verdict == dtw.VerdictPruned && c.band == 0:
+		stats.CorridorPruned++
+	default:
+		stats.DTWCalls++
+		stats.DTWAbandoned++
 	}
+	return dtw.Inf, false
 }

@@ -11,8 +11,9 @@ import (
 
 // refineParallel is the bounded-worker form of refine. Workers pull
 // candidate indices from a shared atomic counter; each worker owns a private
-// cascade (the pooled refiner is not concurrency-safe) and a private
-// QueryStats, summed into stats at the end so the conservation law
+// cascade (the pooled refiner is not concurrency-safe; the query's envelopes
+// are built once and shared, see workerCascades) and a private QueryStats,
+// summed into stats at the end so the conservation law
 // Candidates = ΣPruned + DTWCalls holds exactly as in the serial loop.
 //
 // Results are bit-identical to the serial loop: the cutoff is the fixed
@@ -41,11 +42,10 @@ func refineParallel(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequ
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w, c := range workerCascades(newCascade(q, base, band, envs, noCascade), workers) {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, c *cascade) {
 			defer wg.Done()
-			c := newCascade(q, base, band, envs, noCascade)
 			defer c.close()
 			for {
 				i := int(next.Add(1)) - 1
@@ -62,7 +62,7 @@ func refineParallel(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequ
 					return
 				}
 			}
-		}(w)
+		}(w, c)
 	}
 	wg.Wait()
 	if failed.Load() {
@@ -87,6 +87,18 @@ func refineParallel(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequ
 	}
 	sortMatches(matches)
 	return matches, nil
+}
+
+// workerCascades returns one cascade per worker of a query: first itself and
+// n−1 of its workers, so the query's envelopes are built once however many
+// goroutines refine it. Each goroutine closes its own.
+func workerCascades(first *cascade, n int) []*cascade {
+	cs := make([]*cascade, n)
+	cs[0] = first
+	for w := 1; w < n; w++ {
+		cs[w] = first.worker()
+	}
+	return cs
 }
 
 // nearestKParallel is the serial walk of nearestKShared with the candidate
@@ -115,11 +127,10 @@ func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, top *knnT
 	workerErrs := make([]error, workers)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w, c := range workerCascades(newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade), workers) {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, c *cascade) {
 			defer wg.Done()
-			c := newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade)
 			defer c.close()
 			for id := range work {
 				if failed.Load() {
@@ -134,7 +145,7 @@ func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, top *knnT
 					failed.Store(true)
 				}
 			}
-		}(w)
+		}(w, c)
 	}
 
 	var ctxAbort error

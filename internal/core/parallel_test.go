@@ -239,3 +239,26 @@ func TestL2SqBruteForceOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerCascadesShareEnvelopes: a query refined on several goroutines
+// builds its envelopes once — every worker's cascade reads the first one's —
+// while the state a candidate evaluation writes stays per worker.
+func TestWorkerCascadesShareEnvelopes(t *testing.T) {
+	q := synth.RandomWalk(rand.New(rand.NewSource(5)), 32)
+	cs := workerCascades(newCascade(q, seq.L1, 4, nil, false), 3)
+	for w, c := range cs {
+		defer c.close()
+		if &c.bandEnv.Lower[0] != &cs[0].bandEnv.Lower[0] || &c.globalEnv.Upper[0] != &cs[0].globalEnv.Upper[0] {
+			t.Fatalf("worker %d rebuilt the query's envelopes", w)
+		}
+		if c.band != 4 || c.base != seq.L1 || c.refiner == nil {
+			t.Fatalf("worker %d: band %d base %v refiner %v", w, c.band, c.base, c.refiner)
+		}
+		if w > 0 && (c == cs[0] || c.refiner == cs[0].refiner) {
+			t.Fatalf("worker %d shares the first cascade's mutable state", w)
+		}
+	}
+	if off := workerCascades(newCascade(q, seq.LInf, 0, nil, true), 2)[1]; !off.disabled || off.refiner != nil {
+		t.Fatalf("a disabled cascade's worker: disabled %v refiner %v", off.disabled, off.refiner)
+	}
+}

@@ -8,31 +8,55 @@ import (
 	"repro/internal/seq"
 )
 
-// TestNewEnvelopeMatchesScanOracle: the O(n) deque construction must be
-// bit-identical to the naive O(n·r) rescan it replaced, across lengths and
-// band widths (including r = 0, r ≥ n, and negative r, which clamps to 0).
-func TestNewEnvelopeMatchesScanOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 500; trial++ {
-		q := randSeq(rng, 80)
-		r := rng.Intn(24) - 2
-		got := NewEnvelope(q, r)
-		want := newEnvelopeScan(q, r)
-		if got.band != want.band || got.full != want.full {
-			t.Fatalf("r=%d: metadata mismatch: got (%d,%v) want (%d,%v)",
-				r, got.band, got.full, want.band, want.full)
+// checkEnvelope compares both users of the block sliding min/max with the
+// scan oracle on one (q, r): NewEnvelope, and the envelope LBImprovedPass2
+// builds in sc — q clamped into its own envelope is q, so that envelope must
+// be q's too.
+func checkEnvelope(t *testing.T, q seq.Sequence, r int, sc *ImprovedScratch) {
+	t.Helper()
+	got := NewEnvelope(q, r)
+	want := newEnvelopeScan(q, r)
+	if got.band != want.band || got.full != want.full {
+		t.Fatalf("r=%d: metadata mismatch: got (%d,%v) want (%d,%v)",
+			r, got.band, got.full, want.band, want.full)
+	}
+	LBImprovedPass2(q, q, got, seq.LInf, sc)
+	for i := range q {
+		if got.Lower[i] != want.Lower[i] || got.Upper[i] != want.Upper[i] {
+			t.Fatalf("r=%d |q|=%d i=%d: block (%v,%v) != scan (%v,%v)",
+				r, len(q), i, got.Lower[i], got.Upper[i], want.Lower[i], want.Upper[i])
 		}
-		for i := range q {
-			if got.Lower[i] != want.Lower[i] || got.Upper[i] != want.Upper[i] {
-				t.Fatalf("r=%d |q|=%d i=%d: deque (%v,%v) != scan (%v,%v)",
-					r, len(q), i, got.Lower[i], got.Upper[i], want.Lower[i], want.Upper[i])
-			}
+		if sc.lo[i] != want.Lower[i] || sc.hi[i] != want.Upper[i] {
+			t.Fatalf("r=%d |q|=%d i=%d: second-pass envelope (%v,%v) != scan (%v,%v)",
+				r, len(q), i, sc.lo[i], sc.hi[i], want.Lower[i], want.Upper[i])
 		}
 	}
 }
 
-// FuzzEnvelopeDeque cross-checks the deque envelope against the scan oracle
-// on fuzzer-chosen inputs; `make fuzz-smoke` runs it briefly in CI.
+// TestNewEnvelopeMatchesScanOracle: the O(n) block construction must equal
+// the naive O(n·r) rescan it replaced, across lengths and band widths
+// (including r = 0, r ≥ n, and negative r, which clamps to 0), with one
+// scratch reused across every shape.
+func TestNewEnvelopeMatchesScanOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	var sc ImprovedScratch
+	for trial := 0; trial < 500; trial++ {
+		checkEnvelope(t, randSeq(rng, 80), rng.Intn(24)-2, &sc)
+	}
+	for n := 1; n <= 12; n++ { // every alignment of the blocks against both ends
+		q := make(seq.Sequence, n)
+		for i := range q {
+			q[i] = float64(rng.Intn(9))
+		}
+		for r := 0; r <= 14; r++ {
+			checkEnvelope(t, q, r, &sc)
+		}
+	}
+}
+
+// FuzzEnvelopeDeque cross-checks the sliding min/max envelope (the block
+// algorithm that replaced the monotonic deques) against the scan oracle on
+// fuzzer-chosen inputs; `make fuzz-smoke` runs it briefly in CI.
 func FuzzEnvelopeDeque(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 0, 9}, 2)
 	f.Add([]byte{255, 0, 255, 0}, 0)
@@ -48,14 +72,7 @@ func FuzzEnvelopeDeque(f *testing.F) {
 		for i, b := range raw {
 			q[i] = float64(b)/16 - 8
 		}
-		got := NewEnvelope(q, r)
-		want := newEnvelopeScan(q, r)
-		for i := range q {
-			if got.Lower[i] != want.Lower[i] || got.Upper[i] != want.Upper[i] {
-				t.Fatalf("r=%d i=%d: deque (%v,%v) != scan (%v,%v)",
-					r, i, got.Lower[i], got.Upper[i], want.Lower[i], want.Upper[i])
-			}
-		}
+		checkEnvelope(t, q, r, &ImprovedScratch{})
 	})
 }
 

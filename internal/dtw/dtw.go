@@ -185,8 +185,9 @@ func BandDistance(s, q seq.Sequence, base seq.Base, r int) float64 {
 // (d, true) with the exact banded distance when d ≤ epsilon and (+Inf,
 // false) as soon as every cell of a band row exceeds epsilon (cell values
 // never decrease along a path, so no completion can come back under it).
-// The banded refine path uses this the way the unbanded one uses the
-// corridor refiner. r < 0 falls back to DistanceWithin.
+// It is the reference loop Refiner.BandDistanceWithin, which the banded
+// refine path runs, is tested against bit for bit. r < 0 falls back to
+// DistanceWithin.
 func BandDistanceWithin(s, q seq.Sequence, base seq.Base, r int, epsilon float64) (float64, bool) {
 	if r < 0 {
 		return DistanceWithin(s, q, base, epsilon)

@@ -30,50 +30,38 @@ import (
 // CombineImproved encodes the sum-vs-max rule.
 
 // ImprovedScratch holds the reusable buffers LBImprovedPass2 needs (the
-// projected sequence H, its envelope, and deque storage), so steady-state
-// cascade calls allocate nothing. The zero value is ready to use.
+// projected sequence H in slidingMinMax's padded layout, and its envelope),
+// so steady-state cascade calls allocate nothing. The zero value is ready to
+// use.
 type ImprovedScratch struct {
-	h, lo, hi []float64
-	idx       []int32
-}
-
-func (sc *ImprovedScratch) grow(n int) {
-	if cap(sc.h) < n {
-		sc.h = make([]float64, n)
-		sc.lo = make([]float64, n)
-		sc.hi = make([]float64, n)
-		sc.idx = make([]int32, 2*n)
-	}
-	sc.h, sc.lo, sc.hi = sc.h[:n], sc.lo[:n], sc.hi[:n]
+	p, lo, hi []float64
 }
 
 // LBImprovedPass2 computes the second pass of LB_Improved: LB_Keogh(Q,
 // Env_r(H)) where H is S clamped into env. The caller must guarantee env is
 // a banded envelope of q with |S| = |Q| = len(env) (LBImproved checks;
 // the cascade guarantees it by construction). Cost is O(|S|) — one clamp
-// pass, one deque envelope pass, one scan.
+// pass, one block min/max envelope pass, one scan.
 func LBImprovedPass2(s, q seq.Sequence, env Envelope, base seq.Base, sc *ImprovedScratch) float64 {
 	n := len(s)
 	if n == 0 {
 		return 0
 	}
-	sc.grow(n)
-	h := sc.h
-	for i, v := range s {
-		switch {
-		case v > env.Upper[i]:
-			h[i] = env.Upper[i]
-		case v < env.Lower[i]:
-			h[i] = env.Lower[i]
-		default:
-			h[i] = v
-		}
+	if cap(sc.lo) < n {
+		sc.lo, sc.hi = make([]float64, n), make([]float64, n)
 	}
-	slidingMinMax(h, env.band, sc.lo, sc.hi, sc.idx[:n], sc.idx[n:])
+	p, w := padWindows(sc.p, n, env.band)
+	sc.p = p
+	lo, hi := sc.lo[:n], sc.hi[:n]
+	h := p[w/2 : w/2+n]
+	for i, v := range s {
+		h[i] = min(max(v, env.Lower[i]), env.Upper[i])
+	}
+	slidingMinMax(p, w, lo, hi)
 	if base == seq.LInf {
 		max := 0.0
 		for j, v := range q {
-			if d := seq.DistToRange(v, sc.lo[j], sc.hi[j]); d > max {
+			if d := seq.DistToRange(v, lo[j], hi[j]); d > max {
 				max = d
 			}
 		}
@@ -81,7 +69,7 @@ func LBImprovedPass2(s, q seq.Sequence, env Envelope, base seq.Base, sc *Improve
 	}
 	acc := 0.0
 	for j, v := range q {
-		acc += base.Elem(0, seq.DistToRange(v, sc.lo[j], sc.hi[j]))
+		acc += base.Elem(0, seq.DistToRange(v, lo[j], hi[j]))
 	}
 	return acc
 }

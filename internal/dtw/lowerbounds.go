@@ -93,7 +93,7 @@ func (e Envelope) Band() int { return e.band }
 func (e Envelope) Full() bool { return e.full }
 
 // NewEnvelope builds the envelope of q for band half-width r in O(|Q|) time
-// using Lemire's monotonic-deque streaming min/max. A negative r is clamped
+// with the block sliding min/max (slidingMinMax). A negative r is clamped
 // to 0 (the degenerate envelope Lower = Upper = q) instead of producing
 // inverted, out-of-range windows.
 func NewEnvelope(q seq.Sequence, r int) Envelope {
@@ -105,14 +105,15 @@ func NewEnvelope(q seq.Sequence, r int) Envelope {
 	if n == 0 {
 		return env
 	}
-	idx := make([]int32, 2*n)
-	slidingMinMax(q, r, env.Lower, env.Upper, idx[:n], idx[n:])
+	p, w := padWindows(nil, n, r)
+	copy(p[w/2:], q)
+	slidingMinMax(p, w, env.Lower, env.Upper)
 	return env
 }
 
-// newEnvelopeScan is the pre-deque O(|Q|·r) envelope construction (a nested
-// rescan per window). It is kept purely as the test/fuzz oracle for
-// NewEnvelope — do not use it on hot paths.
+// newEnvelopeScan is the O(|Q|·r) envelope construction (a nested rescan per
+// window). It is kept purely as the test/fuzz oracle for NewEnvelope and
+// LBImprovedPass2's envelope — do not use it on hot paths.
 func newEnvelopeScan(q seq.Sequence, r int) Envelope {
 	if r < 0 {
 		r = 0
@@ -141,43 +142,58 @@ func newEnvelopeScan(q seq.Sequence, r int) Envelope {
 	return env
 }
 
-// slidingMinMax fills lo[i] = min(q[i-r..i+r]) and hi[i] = max(q[i-r..i+r])
-// (windows clipped to the sequence) using two monotonic index deques, one
-// ascending for the minimum and one descending for the maximum. Every index
-// is pushed and popped at most once, so the whole pass is O(|q|) regardless
-// of r. minq and maxq are caller-provided deque storage of len(q) each.
-func slidingMinMax(q []float64, r int, lo, hi []float64, minq, maxq []int32) {
-	n := len(q)
-	minh, mint := 0, 0 // deque occupies minq[minh:mint], values ascending
-	maxh, maxt := 0, 0 // deque occupies maxq[maxh:maxt], values descending
-	right := 0         // next element to admit into the deques
-	for i := 0; i < n; i++ {
-		end := i + r
-		if end > n-1 {
-			end = n - 1
+// padWindows lays a sequence of n ≥ 1 elements out for slidingMinMax under
+// band half-width r: it returns buf, grown if it is too small, cut to n+w−1
+// slots, and the window width w. The caller stores the sequence at
+// p[w/2:w/2+n] and then calls slidingMinMax, which replicates the end
+// elements into the w/2 slots either side. A window the sequence's end clips
+// always holds that end element, so the copies change neither its minimum
+// nor its maximum, and every window becomes exactly w wide. r ≥ n−1 already
+// makes every window the whole sequence, so the width stops growing there.
+func padWindows(buf []float64, n, r int) (p []float64, w int) {
+	r = min(r, n-1)
+	if cap(buf) < n+2*r {
+		buf = make([]float64, n+2*r)
+	}
+	return buf[:n+2*r], 2*r + 1
+}
+
+// slidingMinMax fills lo[i], hi[i] = min, max of p[i:i+w] for every i, where
+// p is padWindows' layout of a sequence of len(lo) elements: the clipped
+// windows i−r … i+r of the sequence itself. It is the van Herk / Gil–Werman
+// block algorithm: cut p into blocks of w; a window that starts at i ends
+// w−1 later, in the next block (or is block i's whole), so its minimum is
+// min(suffix minimum of i's block from i, prefix minimum of the next block
+// up to i+w−1). The first pass leaves the suffix values in lo/hi, the second
+// folds the running prefix in place — about three min and three max per
+// element whatever w is, in straight-line loops with no data-dependent
+// branch (a monotonic deque does fewer comparisons but branches on each,
+// and random-walk data mispredicts them).
+func slidingMinMax(p []float64, w int, lo, hi []float64) {
+	n, r := len(lo), w/2
+	for k := 0; k < r; k++ {
+		p[k], p[r+n+k] = p[r], p[r+n-1]
+	}
+	// Every block that starts below n is whole: len(p) = n+w−1.
+	for start := 0; start < n; start += w {
+		k := start + w - 1
+		mn, mx := p[k], p[k]
+		for ; k >= n; k-- { // suffix values no window of the sequence starts at
+			mn, mx = min(mn, p[k]), max(mx, p[k])
 		}
-		for ; right <= end; right++ {
-			v := q[right]
-			for mint > minh && q[minq[mint-1]] >= v {
-				mint--
-			}
-			minq[mint] = int32(right)
-			mint++
-			for maxt > maxh && q[maxq[maxt-1]] <= v {
-				maxt--
-			}
-			maxq[maxt] = int32(right)
-			maxt++
+		for ; k >= start; k-- {
+			mn, mx = min(mn, p[k]), max(mx, p[k])
+			lo[k], hi[k] = mn, mx
 		}
-		start := int32(i - r)
-		for minq[minh] < start {
-			minh++
+	}
+	for start := w; start < len(p); start += w {
+		mn, mx := p[start], p[start]
+		// The block's last slot ends the window of a block start, which the
+		// suffix pass already made the whole block's.
+		for k, i := start, start-w+1; k < min(start+w-1, len(p)); k, i = k+1, i+1 {
+			mn, mx = min(mn, p[k]), max(mx, p[k])
+			lo[i], hi[i] = min(lo[i], mn), max(hi[i], mx)
 		}
-		for maxq[maxh] < start {
-			maxh++
-		}
-		lo[i] = q[minq[minh]]
-		hi[i] = q[maxq[maxh]]
 	}
 }
 

@@ -27,8 +27,8 @@ const (
 	VerdictAbandoned
 )
 
-// Refiner is the filter-and-refine DTW evaluator behind the cascade's last
-// two tiers, fused into one early-abandoning pass over the DP matrix. A
+// Refiner is the filter-and-refine DTW evaluator behind the cascade's exact
+// step, fused into one early-abandoning pass over the DP matrix. A
 // cell is alive when its exact DP value is ≤ epsilon; values never decrease
 // along a warping path (max-combine for seq.LInf, non-negative additions
 // for seq.L1/seq.L2Sq), so dead cells can never lie on a qualifying path.
@@ -49,6 +49,13 @@ const (
 // the bits is the float order, so min and max compile to conditional moves
 // instead of data-dependent float branches. A NaN (sign masked off) orders
 // above +Inf, i.e. is dead.
+//
+// A Sakoe–Chiba band is a property of the same pass, not a second DP: a
+// banded call cuts each row's window to the row's in-band columns (rowBand).
+// Out-of-band cells are +Inf in the banded recurrence, which is what the
+// sentinels and the cells the window skips already stand for, so the
+// argument above holds with the banded matrix in place of the dense one
+// (DESIGN.md §8, "Window ∩ band").
 //
 // The two tiers of the old split design remain visible in the verdict: a
 // candidate whose alive region dies before the final cell is "corridor
@@ -95,6 +102,20 @@ func (r *Refiner) rows(m int) (prev, cur []uint64) {
 // to (+Inf, false) — plus which mechanism decided, so callers can account
 // corridor dismissals separately from completed DP evaluations.
 func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float64) (float64, Verdict) {
+	return r.BandDistanceWithin(s, q, base, -1, epsilon)
+}
+
+// BandDistanceWithin is the package-level BandDistanceWithin through the
+// same windowed pass: each row's window is intersected with the row's
+// Sakoe–Chiba column range, so a banded query refines at the branch-free
+// cell cost instead of through the reference loop. VerdictWithin carries
+// the banded distance bit-identical to BandDistance; epsilon = +Inf turns
+// the call into BandDistance itself. band < 0, a single row or a single
+// column (no band can constrain those) give the unconstrained
+// DistanceWithin, exactly as the reference routes them. (Bit-identical for
+// pairs whose differences s_i − q_j are finite; DESIGN.md §10 states the
+// overflow corner.)
+func (r *Refiner) BandDistanceWithin(s, q seq.Sequence, base seq.Base, band int, epsilon float64) (float64, Verdict) {
 	if !(epsilon >= 0) {
 		return Inf, VerdictPruned
 	}
@@ -104,12 +125,27 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 	case s.Empty() || q.Empty():
 		return Inf, VerdictPruned
 	}
-	// The O(1) endpoint check is the corridor's first/last-cell test.
+	// The O(1) endpoint check is the corridor's first/last-cell test; the
+	// corner cells lie on every path, banded or not.
 	if base.Elem(s[0], q[0]) > epsilon || base.Elem(s[len(s)-1], q[len(q)-1]) > epsilon {
 		return Inf, VerdictPruned
 	}
-	if len(q) > len(s) {
-		s, q = q, s
+	var rb rowBand
+	if n, m := len(s), len(q); band < 0 || n == 1 || m == 1 {
+		band = -1
+		if m > n {
+			s, q = q, s // rows over the longer sequence: the shorter DP rows
+		}
+		rb.half = n + m // every row's range is the whole row
+	} else {
+		// No swap here: for unequal lengths the band is not symmetric under
+		// transposition. Half-width and slope are BandDistance's, including
+		// the steep-slope floor that keeps consecutive rows connected.
+		rb.half = band
+		if n != m {
+			rb.slope = float64(m-1) / float64(n-1)
+			rb.half = max(band, int(math.Ceil(rb.slope))/2)
+		}
 	}
 	var (
 		d  float64
@@ -118,15 +154,15 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 	eps := math.Float64bits(epsilon) &^ signBit // -0 is a valid epsilon
 	switch base {
 	case seq.LInf:
-		d, ok = r.windowMax(s, q, eps)
+		d, ok = r.windowMax(s, q, eps, rb)
 	case seq.L1:
-		d, ok = r.windowAdd(s, q, false, eps)
+		d, ok = r.windowAdd(s, q, false, eps, rb)
 	case seq.L2Sq:
-		d, ok = r.windowAdd(s, q, true, eps)
+		d, ok = r.windowAdd(s, q, true, eps, rb)
 	default:
 		// No corridor soundness argument on file for future bases: run the
 		// plain early-abandoning DP.
-		if d, ok := withinGeneric(s, q, base, epsilon); ok {
+		if d, ok := BandDistanceWithin(s, q, base, band, epsilon); ok {
 			return d, VerdictWithin
 		}
 		return Inf, VerdictAbandoned
@@ -137,10 +173,30 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 	return d, VerdictWithin
 }
 
-// windowMax runs the single-window DP under the L∞ (max) combine. Requires
-// 1 <= len(q) <= len(s); eps is epsilon's bit pattern. Reports (exact
-// distance, true) when Dtw ≤ epsilon.
-func (r *Refiner) windowMax(s, q []float64, eps uint64) (float64, bool) {
+// rowBand is the Sakoe–Chiba column range of each row of a windowed pass:
+// columns center−half … center+half clipped to the row, where center is the
+// row number itself (slope 0: equal lengths, and the unbanded pass, whose
+// half exceeds every row) or round(row·slope) along the stretched diagonal
+// of an unequal-length pair — bandRange's arithmetic, so the cells in range
+// are the reference's.
+type rowBand struct {
+	half  int
+	slope float64
+}
+
+// cols returns the first and last in-band column of row i of m columns.
+func (rb rowBand) cols(i, m int) (lo, hi int) {
+	if rb.slope != 0 {
+		i = int(math.Round(float64(i) * rb.slope))
+	}
+	return max(i-rb.half, 0), min(i+rb.half, m-1)
+}
+
+// windowMax runs the single-window DP under the L∞ (max) combine over the
+// cells rb admits. Requires len(s), len(q) ≥ 1; eps is epsilon's bit
+// pattern. Reports (exact distance, true) when the distance over in-band
+// paths is ≤ epsilon.
+func (r *Refiner) windowMax(s, q []float64, eps uint64, rb rowBand) (float64, bool) {
 	n, m := len(s), len(q)
 	prev, cur := r.rows(m)
 
@@ -149,7 +205,8 @@ func (r *Refiner) windowMax(s, q []float64, eps uint64) (float64, bool) {
 	s0 := s[0]
 	var c uint64
 	hi := -1 // last alive column of the previous row; lo is its first
-	for j := 0; j < m; j++ {
+	_, bHi := rb.cols(0, m)
+	for j := 0; j <= bHi; j++ {
 		c = max(c, math.Float64bits(s0-q[j])&^signBit)
 		if c > eps {
 			break
@@ -165,13 +222,15 @@ func (r *Refiner) windowMax(s, q []float64, eps uint64) (float64, bool) {
 
 	for i := 1; i < n; i++ {
 		si := s[i]
+		bLo, bHi := rb.cols(i, m)
 		// Columns lo..hi+1 have a vertical or diagonal predecessor inside
-		// the previous row's sentinels.
-		end := min(hi+1, m-1)
+		// the previous row's sentinels; the band keeps bLo..bHi of them.
+		end := min(hi+1, bHi)
 
-		// Seek the first alive cell. Everything left of it is dead, so its
-		// horizontal predecessor is +Inf and drops out of the minimum.
-		j := lo
+		// Seek the first alive cell. Everything left of it is dead or out
+		// of band, so its horizontal predecessor is +Inf and drops out of
+		// the minimum.
+		j := max(lo, bLo)
 		diag := prev[j]
 		for ; j <= end; j++ {
 			up := prev[j+1]
@@ -202,9 +261,9 @@ func (r *Refiner) windowMax(s, q []float64, eps uint64) (float64, bool) {
 		}
 
 		// Beyond the seeds only a horizontal fill extends the row, for as
-		// long as it stays alive.
+		// long as it stays alive and in band.
 		if last == end {
-			for ; j < m; j++ {
+			for ; j <= bHi; j++ {
 				c = max(c, math.Float64bits(si-q[j])&^signBit)
 				if c > eps {
 					break
@@ -228,7 +287,7 @@ func (r *Refiner) windowMax(s, q []float64, eps uint64) (float64, bool) {
 // Cumulative sums make the alive predicate stronger than any per-element
 // test, so the corridor here also prunes candidates a dense DP would only
 // reject after a full evaluation.
-func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64) (float64, bool) {
+func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64, rb rowBand) (float64, bool) {
 	n, m := len(s), len(q)
 	prev, cur := r.rows(m)
 	elem := func(x, y float64) float64 {
@@ -242,7 +301,8 @@ func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64) (float64, 
 	s0 := s[0]
 	var c uint64
 	hi := -1
-	for j := 0; j < m; j++ {
+	_, bHi := rb.cols(0, m)
+	for j := 0; j <= bHi; j++ {
 		c = math.Float64bits(elem(s0, q[j]) + math.Float64frombits(c))
 		if c > eps {
 			break
@@ -258,9 +318,10 @@ func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64) (float64, 
 
 	for i := 1; i < n; i++ {
 		si := s[i]
-		end := min(hi+1, m-1)
+		bLo, bHi := rb.cols(i, m)
+		end := min(hi+1, bHi)
 
-		j := lo
+		j := max(lo, bLo)
 		diag := prev[j]
 		for ; j <= end; j++ {
 			up := prev[j+1]
@@ -288,7 +349,7 @@ func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64) (float64, 
 		}
 
 		if last == end {
-			for ; j < m; j++ {
+			for ; j <= bHi; j++ {
 				c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(c))
 				if c > eps {
 					break

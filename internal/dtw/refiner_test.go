@@ -410,6 +410,7 @@ func TestRefinerZeroAllocs(t *testing.T) {
 		r.DistanceWithin(s, q, base, 0.35) // grow the rows to this shape
 		if n := testing.AllocsPerRun(100, func() {
 			r.DistanceWithin(s, q, base, 0.35)
+			r.BandDistanceWithin(s, q, base, 8, 0.35)
 		}); n != 0 {
 			t.Fatalf("base %v: %v allocs/op in steady state", base, n)
 		}
