@@ -87,8 +87,10 @@ kernels:
 # one wrapper at a time (internal/core keeps its own NearestKShared*
 # searcher methods and the NoCascade reference path) — and neither can the
 # index engine knob (option, flag, resolver): a database serves from the
-# flat index only.
-SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|NearestKStats\b|NearestKStatsBand\b|NearestKShared\b|NearestKSharedWorkers|NearestKStatsWorkers|NearestKStatsBandWorkers\b|SearchBatchBand\b|DisableCascade|DisableEnvOrdering|NoEnvOrder|SplitStrategy|IndexEngine\b|FlatMergeThreshold|resolveEngine|index-engine|EngineGuttman
+# flat index only — and neither can a lock wrapper around *DB (the server's
+# lockedDB/readGuard, the shard engine's FanOutRead) or the public
+# commit-split API: DB.mu is the one reader/writer lock of a database.
+SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|NearestKStats\b|NearestKStatsBand\b|NearestKShared\b|NearestKSharedWorkers|NearestKStatsWorkers|NearestKStatsBandWorkers\b|SearchBatchBand\b|DisableCascade|DisableEnvOrdering|NoEnvOrder|SplitStrategy|IndexEngine\b|FlatMergeThreshold|resolveEngine|index-engine|EngineGuttman|lockedDB|readGuard|AddCommit|AddAllCommit|RemoveCommit|FanOutRead
 # The second pattern does the same one layer down: the flat slab's envelope
 # fork, the index probe interfaces, the zero-prune refine tiers, the
 # deferred k-NN loop and the engine switch (NewIndex/OpenIndex, the merge

@@ -12,10 +12,10 @@ import (
 // against Backend run unchanged on either — and it is the seam a future
 // multi-node engine will slot into.
 //
-// Concurrency: *ShardedDB is safe for fully concurrent use (writers are
-// serialized per shard internally). *DB follows the library rule — safe
-// for concurrent readers, writers need external serialization — so callers
-// mixing writers must wrap it (internal/server does).
+// Concurrency: both implementations are safe for fully concurrent use.
+// A *DB owns one reader/writer lock (readers share, a writer excludes
+// everything on that database; see DB); a *ShardedDB adds none of its own —
+// each shard is a *DB, so a writer excludes only its target shard.
 type Backend interface {
 	// Add stores one sequence and returns its ID.
 	Add(values []float64) (ID, error)
@@ -122,6 +122,8 @@ func (db *DB) NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, 
 	if err := validateQuery(query, band); err != nil {
 		return nil, QueryStats{}, err
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	return db.searcher(ctx, workers, band).NearestKSharedStats(seq.Sequence(query), k, bound)
 }
 

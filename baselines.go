@@ -14,39 +14,44 @@ type Searcher interface {
 	Search(query []float64, epsilon float64) (*Result, error)
 }
 
-// searcherAdapter lifts an internal core.Searcher to the public interface.
+// searcherAdapter lifts an internal core.Searcher over db's heap and index
+// to the public interface, searching under db's read lock.
 type searcherAdapter struct {
+	db    *DB
 	inner core.Searcher
 }
 
 func (a searcherAdapter) Name() string { return a.inner.Name() }
 
 func (a searcherAdapter) Search(query []float64, epsilon float64) (*Result, error) {
+	a.db.mu.RLock()
+	defer a.db.mu.RUnlock()
 	return a.inner.Search(seq.Sequence(query), epsilon)
 }
 
 // TWSimSearcher returns the paper's method as a Searcher, for side-by-side
 // benchmarking against the baselines.
 func (db *DB) TWSimSearcher() Searcher {
-	return searcherAdapter{&core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base}}
+	return searcherAdapter{db, &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base}}
 }
 
 // BaselineNaiveScan returns the sequential-scan baseline (§3.1): full DTW
 // against every stored sequence.
 func (db *DB) BaselineNaiveScan() Searcher {
-	return searcherAdapter{&core.NaiveScan{DB: db.store, Base: db.base}}
+	return searcherAdapter{db, &core.NaiveScan{DB: db.store, Base: db.base}}
 }
 
 // BaselineLBScan returns Yi et al.'s LB-Scan baseline (§3.2): a sequential
 // scan filtered by the O(n+m) lower bound before full DTW.
 func (db *DB) BaselineLBScan() Searcher {
-	return searcherAdapter{&core.LBScan{DB: db.store, Base: db.base}}
+	return searcherAdapter{db, &core.LBScan{DB: db.store, Base: db.base}}
 }
 
 // STFilter is the suffix-tree method of Park et al. (§3.4): whole matching
 // via a categorized generalized suffix tree, plus SearchSubsequences, the
 // method's original subsequence-matching form.
 type STFilter struct {
+	db    *DB // searches refine against db's heap, under its read lock
 	inner *core.STFilter
 }
 
@@ -55,11 +60,13 @@ type STFilter struct {
 // uses 100). Building scans the whole database and constructs a generalized
 // suffix tree; sequences added afterwards are not visible.
 func (db *DB) NewSTFilter(categories int) (*STFilter, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	f, err := core.BuildSTFilter(db.store, db.base, categories)
 	if err != nil {
 		return nil, err
 	}
-	return &STFilter{inner: f}, nil
+	return &STFilter{db: db, inner: f}, nil
 }
 
 // Name implements Searcher.
@@ -67,6 +74,8 @@ func (f *STFilter) Name() string { return f.inner.Name() }
 
 // Search implements Searcher (whole matching).
 func (f *STFilter) Search(query []float64, epsilon float64) (*Result, error) {
+	f.db.mu.RLock()
+	defer f.db.mu.RUnlock()
 	return f.inner.Search(seq.Sequence(query), epsilon)
 }
 
@@ -74,6 +83,8 @@ func (f *STFilter) Search(query []float64, epsilon float64) (*Result, error) {
 // any stored sequence whose time warping distance to query is within
 // epsilon — exact, via branch-and-bound suffix tree traversal.
 func (f *STFilter) SearchSubsequences(query []float64, epsilon float64) (*SubseqResult, error) {
+	f.db.mu.RLock()
+	defer f.db.mu.RUnlock()
 	return f.inner.SearchSubsequences(seq.Sequence(query), epsilon)
 }
 
@@ -88,7 +99,7 @@ func (db *DB) BaselineSTFilter(categories int) (Searcher, error) {
 // with refinement via per-candidate fetches or one sequential sweep,
 // whichever the disk cost model predicts is cheaper. Exact either way.
 func (db *DB) AdaptiveSearcher() Searcher {
-	return searcherAdapter{&core.AdaptiveSearch{DB: db.store, Index: db.index, Base: db.base}}
+	return searcherAdapter{db, &core.AdaptiveSearch{DB: db.store, Index: db.index, Base: db.base}}
 }
 
 // BaselineFastMap builds the FastMap method (§3.3) over the current
@@ -97,9 +108,11 @@ func (db *DB) AdaptiveSearcher() Searcher {
 // sequences; it is provided to reproduce the paper's false-dismissal
 // demonstration.
 func (db *DB) BaselineFastMap(k int, seed int64) (Searcher, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	f, err := core.BuildFastMapSearch(db.store, db.base, k, seed)
 	if err != nil {
 		return nil, err
 	}
-	return searcherAdapter{f}, nil
+	return searcherAdapter{db, f}, nil
 }

@@ -37,10 +37,9 @@ func (o Options) stampBatch(queries [][]float64, out []*Result, epsilon float64,
 	}
 }
 
-// SearchBatch runs many whole-matching queries concurrently (the DB is safe
-// for concurrent readers) under the database's default band (Options.Band)
-// and returns one Result per query, in input order. It is SearchBatchCtx
-// with no context.
+// SearchBatch runs many whole-matching queries concurrently under the
+// database's default band (Options.Band) and returns one Result per query,
+// in input order. It is SearchBatchCtx with no context.
 func (db *DB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*Result, error) {
 	return db.SearchBatchCtx(nil, queries, epsilon, db.opts.Band, parallelism)
 }
@@ -63,6 +62,9 @@ func (db *DB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon f
 	}
 	ctx, cancel := db.opts.applyDeadline(ctx)
 	defer cancel()
+	// One read lock covers the batch: the workers run under it.
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	// One worker per query already fills the machine; nesting intra-query
 	// refine workers under that would oversubscribe. The searcher is
 	// read-only configuration, so the workers share it.
@@ -93,6 +95,8 @@ func (db *DB) CompactTo(dir string, opts Options) (*DB, map[ID]ID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	mapping := make(map[ID]ID, db.store.Len())
 	var values [][]float64
 	var oldIDs []ID

@@ -97,10 +97,11 @@
 // (own heap file, feature index, and buffer pool), and fans every query out over
 // all of them in parallel, merging the per-shard results into the same
 // answer a single DB would return. Sequence IDs encode their shard
-// (ShardID(id) = id mod N), writers lock only their target shard, and
+// (ShardID(id) = id mod N), a writer locks only its target shard (each
+// shard's own DB lock: readers share, a writer excludes), and
 // k-nearest-neighbor fan-out shares an atomic best-k bound across shards
 // so each prunes with the globally tightest cutoff. Both DB and ShardedDB
-// satisfy the Backend interface; CreateSharded, OpenSharded, and
+// satisfy the Backend interface and are safe for concurrent use; CreateSharded, OpenSharded, and
 // OpenMemSharded mirror the single-database constructors, with per-shard
 // crash reconciliation on open.
 //

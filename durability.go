@@ -16,19 +16,6 @@ const walFileName = "wal.log"
 // Stats). Fsyncs / Records is the group-commit batching factor.
 type WALStats = wal.Stats
 
-// Commit is the durability handle a *Commit write variant returns: it
-// blocks until the fsync covering the write completes (or returns the
-// flush error — the write is applied in memory but its durability is
-// unknown). Without a WAL every Commit is an already-satisfied no-op.
-//
-// The point of the split is group commit under concurrency: a caller that
-// serializes writers with a lock should apply under the lock and invoke
-// Commit after releasing it, so other writers enter the batch while this
-// one waits for the shared fsync.
-type Commit = wal.Commit
-
-var noopCommit Commit = func() error { return nil }
-
 // walOptions maps the public knobs onto the log's options.
 func (o Options) walOptions() wal.Options {
 	return wal.Options{FlushInterval: o.WALFlushInterval, FlushBytes: o.WALFlushBytes}
@@ -59,26 +46,33 @@ func (o Options) walCheckpointBytes() int64 {
 // With Options.WAL set, Add returns only after the fsync covering its log
 // record completes — an acknowledged Add survives a crash. A non-nil
 // error alongside a valid ID means the write was applied in memory but
-// its durability is unknown (the fsync failed).
+// its durability is unknown (the fsync failed). The mutation is applied and
+// its record enqueued under the writer lock; the wait for the fsync happens
+// after the lock is released, so other writers enter the batch meanwhile
+// and share it (group commit).
 func (db *DB) Add(values []float64) (ID, error) {
-	id, commit, err := db.AddCommit(values)
-	if err != nil {
-		return id, err
-	}
-	return id, commit()
+	db.mu.Lock()
+	id, commit, err := db.addLocked(values)
+	db.mu.Unlock()
+	return id, durable(commit, err)
 }
 
-// AddCommit is Add split at the durability boundary: the mutation is
-// applied (and logged) before it returns, and the returned Commit blocks
-// until the covering fsync completes. See Commit for why callers holding
-// a writer lock should invoke it after unlocking.
-func (db *DB) AddCommit(values []float64) (ID, Commit, error) {
-	id, err := db.applyAdd(values)
-	if err != nil {
-		return id, nil, err
+// durable finishes a write after the lock is released: it passes an apply
+// error through, and otherwise blocks until the fsync covering the write's
+// log record completes (nil commit: no WAL, nothing to wait for).
+func durable(commit wal.Commit, err error) error {
+	if err != nil || commit == nil {
+		return err
 	}
-	if db.wal == nil {
-		return id, noopCommit, nil
+	return commit()
+}
+
+// addLocked applies and logs one Add; the returned commit, when non-nil,
+// blocks until the covering fsync completes.
+func (db *DB) addLocked(values []float64) (ID, wal.Commit, error) {
+	id, err := db.applyAdd(values)
+	if err != nil || db.wal == nil {
+		return id, nil, err
 	}
 	s := seq.Sequence(values)
 	commit, werr := db.wal.Begin(wal.NewAdd(id, s))
@@ -88,10 +82,7 @@ func (db *DB) AddCommit(values []float64) (ID, Commit, error) {
 		db.undoAppends([]ID{id}, []seq.Sequence{s})
 		return seq.InvalidID, nil, fmt.Errorf("twsim: wal append (rolled back): %w", werr)
 	}
-	if err := db.maybeCheckpoint(); err != nil {
-		return id, commit, err
-	}
-	return id, commit, nil
+	return id, commit, db.maybeCheckpoint()
 }
 
 // AddAll stores a batch of sequences; when the database is empty the
@@ -102,23 +93,19 @@ func (db *DB) AddCommit(values []float64) (ID, Commit, error) {
 // AddAll is all-or-nothing: on a mid-batch failure every sequence of the
 // batch that was already appended is rolled back (and its index entry, if
 // any, removed) before the error is returned. With Options.WAL set the
-// whole batch is one log record and AddAll returns after its fsync.
+// whole batch is one log record and AddAll returns after its fsync (waited
+// for outside the lock, as in Add).
 func (db *DB) AddAll(values [][]float64) (ID, error) {
-	first, commit, err := db.AddAllCommit(values)
-	if err != nil {
-		return first, err
-	}
-	return first, commit()
+	db.mu.Lock()
+	first, commit, err := db.addAllLocked(values)
+	db.mu.Unlock()
+	return first, durable(commit, err)
 }
 
-// AddAllCommit is AddAll split at the durability boundary (see Commit).
-func (db *DB) AddAllCommit(values [][]float64) (ID, Commit, error) {
+func (db *DB) addAllLocked(values [][]float64) (ID, wal.Commit, error) {
 	first, err := db.applyAddAll(values)
-	if err != nil {
+	if err != nil || db.wal == nil {
 		return first, nil, err
-	}
-	if db.wal == nil {
-		return first, noopCommit, nil
 	}
 	ss := make([]seq.Sequence, len(values))
 	for i, v := range values {
@@ -133,51 +120,43 @@ func (db *DB) AddAllCommit(values [][]float64) (ID, Commit, error) {
 		db.undoAppends(ids, ss)
 		return seq.InvalidID, nil, fmt.Errorf("twsim: wal append (batch rolled back): %w", werr)
 	}
-	if err := db.maybeCheckpoint(); err != nil {
-		return first, commit, err
-	}
-	return first, commit, nil
+	return first, commit, db.maybeCheckpoint()
 }
 
 // Remove deletes a stored sequence: its index entry is removed and the
 // heap record tombstoned (IDs are never reused; heap space is reclaimed
 // only by rebuilding the database). It reports whether the sequence was
 // present and live. With Options.WAL set, Remove returns after the fsync
-// covering its log record.
+// covering its log record (waited for outside the lock, as in Add).
 func (db *DB) Remove(id ID) (bool, error) {
-	ok, commit, err := db.RemoveCommit(id)
-	if err != nil {
-		return ok, err
-	}
-	return ok, commit()
+	db.mu.Lock()
+	ok, commit, err := db.removeLocked(id)
+	db.mu.Unlock()
+	return ok, durable(commit, err)
 }
 
-// RemoveCommit is Remove split at the durability boundary (see Commit).
-func (db *DB) RemoveCommit(id ID) (bool, Commit, error) {
+func (db *DB) removeLocked(id ID) (bool, wal.Commit, error) {
 	ok, err := db.applyRemove(id)
 	if err != nil || !ok || db.wal == nil {
-		return ok, noopCommit, err
+		return ok, nil, err
 	}
 	commit, werr := db.wal.Begin(wal.NewRemove(id))
 	if werr != nil {
 		// A tombstone cannot be un-set; make it durable through a full
 		// checkpoint instead, which also leaves the log consistent.
-		if ferr := db.Flush(); ferr != nil {
+		if ferr := db.flushLocked(); ferr != nil {
 			return ok, nil, fmt.Errorf("twsim: wal append failed (%v) and checkpoint failed: %w", werr, ferr)
 		}
-		return ok, noopCommit, nil
+		return ok, nil, nil
 	}
-	if err := db.maybeCheckpoint(); err != nil {
-		return ok, commit, err
-	}
-	return ok, commit, nil
+	return ok, commit, db.maybeCheckpoint()
 }
 
 // undoAppends rolls back freshly-applied appends (reverse order) after a
 // WAL enqueue failure. If a rollback can only tombstone (not truncate)
 // the heap slot, the slot is burned with no covering log record — a gap a
 // later replay would refuse — so the state is forced durable through a
-// checkpoint, leaving an empty, consistent log.
+// checkpoint, leaving an empty, consistent log. The caller holds mu.
 func (db *DB) undoAppends(ids []ID, ss []seq.Sequence) {
 	defer db.gen.Add(1)
 	for i := len(ids) - 1; i >= 0; i-- {
@@ -186,22 +165,23 @@ func (db *DB) undoAppends(ids []ID, ss []seq.Sequence) {
 		_ = db.store.RollbackLast(ids[i])
 	}
 	if db.index.Len() != db.store.Len() {
-		_, _ = db.Repair()
+		_, _ = db.repairLocked()
 	}
 	if len(ids) > 0 && db.store.NumRecords() > int(ids[0]) {
-		_ = db.Flush()
+		_ = db.flushLocked()
 	}
 }
 
 // maybeCheckpoint runs a full Flush (which resets the log) when the log
 // file outgrows Options.WALCheckpointBytes, bounding replay length and
-// amortizing the index/sidecar saves over tens of megabytes of records.
+// amortizing the index/sidecar saves over tens of megabytes of records. The
+// caller holds mu.
 func (db *DB) maybeCheckpoint() error {
 	limit := db.opts.walCheckpointBytes()
 	if limit <= 0 || db.wal.FileBytes() < limit {
 		return nil
 	}
-	return db.Flush()
+	return db.flushLocked()
 }
 
 // openWAL opens (or creates) the log inside db.dir, truncates any torn
@@ -282,7 +262,8 @@ func replayWAL(store *seqdb.DB, recs []wal.Record) (applied int, err error) {
 }
 
 // WALStats snapshots the write-ahead log counters (zero when the WAL is
-// disabled).
+// disabled). The log synchronises itself and db.wal is fixed at Open, so
+// this — like WALEnabled, WALTail and WALTailBase — takes no database lock.
 func (db *DB) WALStats() WALStats {
 	if db.wal == nil {
 		return WALStats{}
@@ -296,4 +277,8 @@ func (db *DB) WALEnabled() bool { return db.wal != nil }
 // NumRecords returns the number of heap record slots including
 // tombstones — the dense ID space (the next Add gets ID NumRecords()).
 // Replication uses it to align a primary's record stream with a replica.
-func (db *DB) NumRecords() int { return db.store.NumRecords() }
+func (db *DB) NumRecords() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.store.NumRecords()
+}

@@ -17,7 +17,7 @@ import (
 // replicate per shard behind a router instead.
 //
 //	GET /repl/status              role, WAL cursor, record count (JSON)
-//	GET /repl/snapshot            binary full-state snapshot (X-Twsim-Seq)
+//	GET /repl/snapshot            binary full-state snapshot (X-Twsim-Seq trailer)
 //	GET /repl/wal?from=N          raw WAL records after cursor N
 //	                              (X-Twsim-Last, X-Twsim-Durable; 410 Gone
 //	                              when N predates the last checkpoint)
@@ -46,7 +46,7 @@ func (s *Server) denyWrites(w http.ResponseWriter) bool {
 	return true
 }
 
-// replDB returns the raw single database serving /repl/*, or answers the
+// replDB returns the single database serving /repl/*, or answers the
 // request with why there is none.
 func (s *Server) replDB(w http.ResponseWriter) (*twsim.DB, bool) {
 	if s.primary == nil {
@@ -97,10 +97,10 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleReplSnapshot streams the full-state snapshot. The lockedDB read
-// lock excludes writers for the duration, so the snapshot is a consistent
-// cut at the WAL sequence number it carries in X-Twsim-Seq (trailing
-// CRC-32 guards the transfer).
+// handleReplSnapshot streams the full-state snapshot. WriteReplSnapshot
+// excludes writers for the duration under the database's own read lock, so
+// the snapshot is a consistent cut at the WAL sequence number in its header,
+// repeated in the X-Twsim-Seq trailer (trailing CRC-32 guards the transfer).
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w)
@@ -110,19 +110,14 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.locked.mu.RLock()
-	defer s.locked.mu.RUnlock()
-	seqno, err := db.ReplSeq()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Twsim-Seq", strconv.FormatUint(seqno, 10))
+	w.Header().Set("Trailer", "X-Twsim-Seq")
 	w.WriteHeader(http.StatusOK)
 	// Mid-stream failures can only abort the connection; the replica's
 	// CRC check catches the truncation.
-	_, _ = db.WriteReplSnapshot(w)
+	if seqno, err := db.WriteReplSnapshot(w); err == nil {
+		w.Header().Set("X-Twsim-Seq", strconv.FormatUint(seqno, 10))
+	}
 }
 
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {

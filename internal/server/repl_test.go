@@ -287,10 +287,7 @@ func TestReplEndpointsRequireWALAndSingleDB(t *testing.T) {
 // primary's WAL covers.
 func waitCaughtUp(t *testing.T, pdb *twsim.DB, rep *Replica) {
 	t.Helper()
-	target, err := pdb.ReplSeq()
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := pdb.WALStats().Seq
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if err := rep.poll(); err != nil {

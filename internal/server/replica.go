@@ -26,10 +26,9 @@ import (
 //
 // The replica's HTTP surface is the owning Server switched read-only:
 // queries flow normally, mutations answer 403. The apply loop is the
-// sole writer, beneath the HTTP layer, serialized by the same lockedDB
-// lock queries share.
+// sole writer, beneath the HTTP layer: it reads and writes through the
+// same *twsim.DB the queries use, under that database's own lock.
 type Replica struct {
-	srv    *Server
 	db     *twsim.DB
 	client *http.Client
 
@@ -92,7 +91,6 @@ func NewReplica(srv *Server, primaryURL string, opts ReplicaOptions) (*Replica, 
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	rep := &Replica{
-		srv:        srv,
 		db:         srv.primary,
 		client:     opts.Client,
 		primaryURL: primaryURL,
@@ -202,7 +200,7 @@ func (rep *Replica) poll() error {
 		if err != nil {
 			return err
 		}
-		applied, last, err := twsim.ApplyWALRecords(rep.srv.backend, rep.db.NumRecords, recs)
+		applied, last, err := twsim.ApplyWALRecords(rep.db, recs)
 		rep.appliedMut.Add(int64(applied))
 		if err != nil {
 			if errors.Is(err, twsim.ErrReplicaDiverged) {
@@ -238,7 +236,7 @@ func (rep *Replica) syncSnapshot() error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := twsim.SyncFromReplSnapshot(rep.srv.backend, rep.db.NumRecords(), snap); err != nil {
+	if _, _, err := twsim.SyncFromReplSnapshot(rep.db, snap); err != nil {
 		return err
 	}
 	rep.applied.Store(snap.Seq)

@@ -14,10 +14,10 @@
 //	POST   /subseq/build                  {"window_lens": [...], "step": n} -> {"windows": n}
 //	POST   /subseq/search                 {"query": [...], "epsilon": e} -> window matches
 //
-// The server runs against any twsim.Backend. With a single *twsim.DB the
-// write path is serialized behind one lock (the library's concurrency
-// rule); with a *twsim.ShardedDB writes lock per shard inside the engine,
-// so POSTs to different shards proceed concurrently, and /stats adds a
+// The server runs against any twsim.Backend and adds no lock around it:
+// both engines synchronise themselves. A single *twsim.DB serialises its
+// writers behind its own lock; in a *twsim.ShardedDB each shard does, so
+// POSTs to different shards proceed concurrently, and /stats adds a
 // per-shard breakdown ("shards": [{id, sequences, pages, repair, queries},
 // ...]) for spotting skew. /stats always carries "query_totals" — the
 // cumulative /search work counters including the refinement cascade's
@@ -54,7 +54,6 @@ import (
 	"sync/atomic"
 
 	twsim "repro"
-	"repro/internal/core"
 	"repro/internal/pagefile"
 )
 
@@ -94,18 +93,14 @@ func (l Limits) retryAfter() string {
 // Server is an http.Handler serving one twsim.Backend.
 type Server struct {
 	backend twsim.Backend
-	// locked is non-nil only for single-database backends: the write
-	// serialization wrapped around the bare *twsim.DB (a ShardedDB
-	// synchronizes internally instead).
-	locked  *lockedDB
-	smu     sync.RWMutex       // guards subseq
+	smu     sync.RWMutex       // guards subseq; taken before the backend's own locks
 	subseq  *twsim.SubseqIndex // built on demand via /subseq/build
 	totals  queryTotals        // cumulative /search + /knn work since the server started
 	metrics *serverMetrics     // obs registry + per-endpoint instruments (/metrics)
 	mux     *http.ServeMux
 
-	// Replication (see repl.go). primary is the raw single database when
-	// the backend is one — the only engine shape that serves /repl/* in
+	// Replication (see repl.go). primary is the backend when it is a single
+	// database — the only engine shape that serves /repl/* in
 	// v1. readOnly switches every mutating endpoint to 403 (replica mode);
 	// replica carries the lag the status endpoints export.
 	primary  *twsim.DB
@@ -169,169 +164,13 @@ func (t *queryTotals) json() map[string]any {
 	}
 }
 
-// lockedDB adapts a *twsim.DB to the Backend concurrency contract the
-// server relies on: readers share, writers exclude everything.
-type lockedDB struct {
-	mu sync.RWMutex
-	db *twsim.DB
-}
-
-// Writes use the commit-split API: the mutation is applied (and its WAL
-// record enqueued) under the exclusive lock, but the fsync wait happens
-// after the lock is released — so N concurrent HTTP writers fall into the
-// same group-commit batch and share one fsync instead of serializing
-// fsyncs behind the lock.
-
-func (l *lockedDB) Add(values []float64) (twsim.ID, error) {
-	l.mu.Lock()
-	id, commit, err := l.db.AddCommit(values)
-	l.mu.Unlock()
-	if err != nil {
-		return id, err
-	}
-	return id, commit()
-}
-
-func (l *lockedDB) AddBatch(values [][]float64) ([]twsim.ID, error) {
-	l.mu.Lock()
-	first, commit, err := l.db.AddAllCommit(values)
-	l.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]twsim.ID, len(values))
-	for i := range ids {
-		ids[i] = first + twsim.ID(i)
-	}
-	return ids, commit()
-}
-
-func (l *lockedDB) Remove(id twsim.ID) (bool, error) {
-	l.mu.Lock()
-	ok, commit, err := l.db.RemoveCommit(id)
-	l.mu.Unlock()
-	if err != nil {
-		return ok, err
-	}
-	return ok, commit()
-}
-
-func (l *lockedDB) Get(id twsim.ID) ([]float64, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.Get(id)
-}
-
-func (l *lockedDB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchCtx(ctx, query, epsilon, band)
-}
-
-func (l *lockedDB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKCtx(ctx, query, k, band)
-}
-
-func (l *lockedDB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBatchCtx(ctx, queries, epsilon, band, parallelism)
-}
-
-func (l *lockedDB) DefaultBand() int {
-	return l.db.DefaultBand()
-}
-
-func (l *lockedDB) ResultCacheStats() core.ResultCacheStats {
-	return l.db.ResultCacheStats()
-}
-
-// BuildSubseqIndex scans the heap, so writers are excluded for its
-// duration; concurrent searches may proceed (read lock).
-func (l *lockedDB) BuildSubseqIndex(windowLens []int, step int) (*twsim.SubseqIndex, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.BuildSubseqIndex(windowLens, step)
-}
-
-func (l *lockedDB) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.Len()
-}
-
-func (l *lockedDB) DataBytes() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.DataBytes()
-}
-
-func (l *lockedDB) IndexPages() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.IndexPages()
-}
-
-func (l *lockedDB) LastRepair() twsim.RepairStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.LastRepair()
-}
-
-func (l *lockedDB) StorageStats() twsim.StorageStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.StorageStats()
-}
-
-func (l *lockedDB) IndexEngineStats() core.IndexEngineStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.IndexEngineStats()
-}
-
-func (l *lockedDB) OpenDiagnostics() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.OpenDiagnostics()
-}
-
-func (l *lockedDB) WALStats() twsim.WALStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.WALStats()
-}
-
-func (l *lockedDB) Verify() error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.Verify()
-}
-
-func (l *lockedDB) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.db.Flush()
-}
-
-func (l *lockedDB) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.db.Close()
-}
-
-// New wraps a single database in a Server, serializing its writers behind
-// one lock. The Server assumes ownership of queries but not of the
-// database lifecycle: callers still Close the db.
+// New wraps a single database in a Server. The Server assumes ownership of
+// queries but not of the database lifecycle: callers still Close the db.
 func New(db *twsim.DB) *Server { return NewBackend(db) }
 
-// NewBackend wraps any Backend in a Server. A bare *twsim.DB is
-// automatically wrapped for write serialization (it is not safe for
-// concurrent writers on its own); every other backend — notably
-// *twsim.ShardedDB, which locks per shard — is trusted to synchronize
-// itself, so concurrent writes flow through untouched.
+// NewBackend wraps any Backend in a Server. The backend is served as given:
+// a Backend is safe for concurrent use, so concurrent requests flow through
+// untouched.
 func NewBackend(b twsim.Backend) *Server { return NewBackendLimits(b, Limits{}) }
 
 // NewBackendLimits is NewBackend with admission control: at most
@@ -342,11 +181,7 @@ func NewBackend(b twsim.Backend) *Server { return NewBackendLimits(b, Limits{}) 
 // /subseq/search, the handlers that burn CPU on DTW work.
 func NewBackendLimits(b twsim.Backend, limits Limits) *Server {
 	s := &Server{backend: b, mux: http.NewServeMux(), limits: limits}
-	if db, ok := b.(*twsim.DB); ok {
-		s.locked = &lockedDB{db: db}
-		s.backend = s.locked
-		s.primary = db
-	}
+	s.primary, _ = b.(*twsim.DB)
 	if limits.MaxInflight > 0 {
 		s.sem = make(chan struct{}, limits.MaxInflight)
 	}
@@ -470,19 +305,6 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusBadRequest, err)
 	}
-}
-
-// readGuard excludes writers while the caller reads the heap outside the
-// Backend methods (the subsequence index keeps direct references into the
-// store). For a single-database backend it takes the read lock; a sharded
-// backend locks per shard inside its own fan-out, so no outer lock is
-// needed.
-func (s *Server) readGuard() (unguard func()) {
-	if s.locked == nil {
-		return func() {}
-	}
-	s.locked.mu.RLock()
-	return s.locked.mu.RUnlock
 }
 
 // ---- handlers ----
@@ -808,9 +630,6 @@ func (s *Server) handleSubseqBuild(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	// Single-database backends exclude writers inside
-	// lockedDB.BuildSubseqIndex; the sharded build locks per shard inside
-	// its own fan-out.
 	idx, err := s.backend.BuildSubseqIndex(req.WindowLens, req.Step)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -849,12 +668,9 @@ func (s *Server) handleSubseqSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, errors.New("no subsequence index built; POST /subseq/build first"))
 		return
 	}
-	// The subsequence index reads the parent heap, so exclude writers
-	// while the query runs (and hold smu so a concurrent /subseq/build
-	// cannot close idx mid-search).
-	unguard := s.readGuard()
+	// Hold smu so a concurrent /subseq/build cannot close idx mid-search;
+	// the index itself excludes the writers of the heap it reads.
 	res, err := idx.Search(req.Query, req.Epsilon)
-	unguard()
 	s.smu.RUnlock()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -214,8 +214,8 @@ func TestQueryDoorsAgree(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, ok := srv.backend.(*lockedDB); !ok {
-		t.Fatalf("NewBackend left a bare %T in place, want the locking wrapper", srv.backend)
+	if srv.backend != twsim.Backend(served) || srv.primary != served {
+		t.Fatalf("NewBackend serves %T (primary %p), want the very *twsim.DB it was given", srv.backend, srv.primary)
 	}
 
 	doors := []door{

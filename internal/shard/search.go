@@ -53,9 +53,7 @@ func (e *Engine) search(ctx context.Context, query []float64, epsilon float64, b
 	workers := e.perShardWorkers(parallel)
 	results := make([]*core.Result, len(e.stores))
 	run := func(si int) error {
-		e.locks[si].RLock()
 		res, err := e.stores[si].SearchBandWorkersCtx(ctx, query, epsilon, band, workers)
-		e.locks[si].RUnlock()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
@@ -65,7 +63,7 @@ func (e *Engine) search(ctx context.Context, query []float64, epsilon float64, b
 	}
 	var err error
 	if parallel {
-		err = e.fanOut(run)
+		err = e.FanOut(run)
 	} else {
 		for si := range e.stores {
 			if err = run(si); err != nil {
@@ -114,10 +112,8 @@ func (e *Engine) NearestKCtx(ctx context.Context, query []float64, k, band int) 
 	workers := e.perShardWorkers(true)
 	perShard := make([][]core.Match, len(e.stores))
 	perStats := make([]core.QueryStats, len(e.stores))
-	err := e.fanOut(func(si int) error {
-		e.locks[si].RLock()
+	err := e.FanOut(func(si int) error {
 		ms, qs, err := e.stores[si].NearestKStatsBandWorkersCtx(ctx, query, k, band, bound, workers)
-		e.locks[si].RUnlock()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}

@@ -2,9 +2,9 @@
 // independent single-partition databases. Each shard owns its own heap
 // file, feature index, and buffer pools; the engine routes point operations
 // (Get/Remove) straight to the owning shard, fans whole-matching searches
-// out across shards and merges the partial results, and serializes writers
-// per shard only, so inserts into different shards proceed concurrently
-// end-to-end.
+// out across shards and merges the partial results, and adds no lock of its
+// own: every shard synchronises itself, so a writer excludes only its target
+// shard and inserts into different shards proceed concurrently end-to-end.
 //
 // Sequence IDs carry their placement: a sequence stored at local ID l in
 // shard s has global ID l*N + s, so ShardOf(id) = id mod N and the local ID
@@ -31,9 +31,10 @@ import (
 )
 
 // Store is one partition: the slice of the single-database engine the
-// router composes. All methods follow *twsim.DB semantics — safe for
-// concurrent readers, writers externally serialized (the engine holds one
-// RWMutex per shard for exactly that).
+// router composes. All methods follow *twsim.DB semantics, including its
+// concurrency contract: a Store is safe for concurrent use (readers share, a
+// writer excludes everything on that partition), which is why the engine
+// holds no lock per shard.
 type Store interface {
 	Add(values []float64) (seq.ID, error)
 	AddAll(values [][]float64) (seq.ID, error)
@@ -64,12 +65,11 @@ type Store interface {
 	Close() error
 }
 
-// Engine routes operations across shards. Unlike Store implementations it
-// is safe for fully concurrent use: readers never block each other, and
-// writers block only writers of the same shard.
+// Engine routes operations across shards. It is safe for fully concurrent
+// use because its Stores are: readers never block each other, and a writer
+// blocks only operations on the same shard.
 type Engine struct {
 	stores        []Store
-	locks         []sync.RWMutex
 	counters      []queryCounters // cumulative per-shard query work
 	next          atomic.Uint32   // insertion counter; placement = next mod N
 	parallelism   int             // fan-out worker bound per search
@@ -94,7 +94,6 @@ func New(stores []Store, parallelism, refineWorkers int) (*Engine, error) {
 	}
 	e := &Engine{
 		stores:        stores,
-		locks:         make([]sync.RWMutex, len(stores)),
 		counters:      make([]queryCounters, len(stores)),
 		parallelism:   parallelism,
 		refineWorkers: refineWorkers,
@@ -135,12 +134,10 @@ func (e *Engine) GlobalID(local seq.ID, shard int) seq.ID {
 	return e.globalID(local, shard)
 }
 
-// Add stores one sequence in the next shard of the placement rotation,
-// holding only that shard's write lock.
+// Add stores one sequence in the next shard of the placement rotation; only
+// that shard sees a writer.
 func (e *Engine) Add(values []float64) (seq.ID, error) {
 	si := int(e.next.Add(1)-1) % len(e.stores)
-	e.locks[si].Lock()
-	defer e.locks[si].Unlock()
 	local, err := e.stores[si].Add(values)
 	if err != nil {
 		return seq.InvalidID, err
@@ -173,13 +170,11 @@ func (e *Engine) AddAll(values [][]float64) ([]seq.ID, error) {
 	ids := make([]seq.ID, len(values))
 	firsts := make([]seq.ID, n)
 	stored := make([]bool, n)
-	err := e.fanOut(func(si int) error {
+	err := e.FanOut(func(si int) error {
 		if len(perShard[si]) == 0 {
 			return nil
 		}
-		e.locks[si].Lock()
 		first, err := e.stores[si].AddAll(perShard[si])
-		e.locks[si].Unlock()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
@@ -196,11 +191,9 @@ func (e *Engine) AddAll(values [][]float64) ([]seq.ID, error) {
 			if !stored[si] {
 				continue
 			}
-			e.locks[si].Lock()
 			for j := range perShard[si] {
 				_, _ = e.stores[si].Remove(firsts[si] + seq.ID(j))
 			}
-			e.locks[si].Unlock()
 		}
 		return nil, err
 	}
@@ -210,17 +203,12 @@ func (e *Engine) AddAll(values [][]float64) ([]seq.ID, error) {
 // Get fetches a sequence from its owning shard.
 func (e *Engine) Get(id seq.ID) ([]float64, error) {
 	si, local := e.route(id)
-	e.locks[si].RLock()
-	defer e.locks[si].RUnlock()
 	return e.stores[si].Get(local)
 }
 
-// Remove deletes a sequence from its owning shard, holding only that
-// shard's write lock.
+// Remove deletes a sequence from its owning shard.
 func (e *Engine) Remove(id seq.ID) (bool, error) {
 	si, local := e.route(id)
-	e.locks[si].Lock()
-	defer e.locks[si].Unlock()
 	return e.stores[si].Remove(local)
 }
 
@@ -228,9 +216,7 @@ func (e *Engine) Remove(id seq.ID) (bool, error) {
 func (e *Engine) Len() int {
 	total := 0
 	for i := range e.stores {
-		e.locks[i].RLock()
 		total += e.stores[i].Len()
-		e.locks[i].RUnlock()
 	}
 	return total
 }
@@ -239,9 +225,7 @@ func (e *Engine) Len() int {
 func (e *Engine) DataBytes() int64 {
 	var total int64
 	for i := range e.stores {
-		e.locks[i].RLock()
 		total += e.stores[i].DataBytes()
-		e.locks[i].RUnlock()
 	}
 	return total
 }
@@ -250,9 +234,7 @@ func (e *Engine) DataBytes() int64 {
 func (e *Engine) IndexPages() int {
 	total := 0
 	for i := range e.stores {
-		e.locks[i].RLock()
 		total += e.stores[i].IndexPages()
-		e.locks[i].RUnlock()
 	}
 	return total
 }
@@ -262,9 +244,7 @@ func (e *Engine) IndexPages() int {
 func (e *Engine) StorageStats() core.StorageStats {
 	var total core.StorageStats
 	for i := range e.stores {
-		e.locks[i].RLock()
 		total.Add(e.stores[i].StorageStats())
-		e.locks[i].RUnlock()
 	}
 	return total
 }
@@ -275,9 +255,7 @@ func (e *Engine) StorageStats() core.StorageStats {
 func (e *Engine) IndexEngineStats() core.IndexEngineStats {
 	var total core.IndexEngineStats
 	for i := range e.stores {
-		e.locks[i].RLock()
 		total.Add(e.stores[i].IndexEngineStats())
-		e.locks[i].RUnlock()
 	}
 	return total
 }
@@ -287,20 +265,16 @@ func (e *Engine) IndexEngineStats() core.IndexEngineStats {
 func (e *Engine) OpenDiagnostics() []string {
 	var notes []string
 	for i := range e.stores {
-		e.locks[i].RLock()
 		for _, n := range e.stores[i].OpenDiagnostics() {
 			notes = append(notes, fmt.Sprintf("shard %d: %s", i, n))
 		}
-		e.locks[i].RUnlock()
 	}
 	return notes
 }
 
 // Verify runs each shard's full integrity check concurrently.
 func (e *Engine) Verify() error {
-	return e.fanOut(func(si int) error {
-		e.locks[si].RLock()
-		defer e.locks[si].RUnlock()
+	return e.FanOut(func(si int) error {
 		if err := e.stores[si].Verify(); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
@@ -311,10 +285,7 @@ func (e *Engine) Verify() error {
 // CheckInvariants validates every shard's index structure.
 func (e *Engine) CheckInvariants() error {
 	for si := range e.stores {
-		e.locks[si].RLock()
-		err := e.stores[si].CheckInvariants()
-		e.locks[si].RUnlock()
-		if err != nil {
+		if err := e.stores[si].CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
@@ -325,10 +296,7 @@ func (e *Engine) CheckInvariants() error {
 func (e *Engine) Flush() error {
 	var first error
 	for si := range e.stores {
-		e.locks[si].Lock()
-		err := e.stores[si].Flush()
-		e.locks[si].Unlock()
-		if err != nil && first == nil {
+		if err := e.stores[si].Flush(); err != nil && first == nil {
 			first = fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
@@ -340,37 +308,22 @@ func (e *Engine) Flush() error {
 func (e *Engine) Close() error {
 	var first error
 	for si := range e.stores {
-		e.locks[si].Lock()
-		err := e.stores[si].Close()
-		e.locks[si].Unlock()
-		if err != nil && first == nil {
+		if err := e.stores[si].Close(); err != nil && first == nil {
 			first = fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
 	return first
 }
 
-// FanOutRead runs fn(shard) for every shard on the engine's bounded worker
-// pool while holding that shard's read lock, returning the first error.
-// It is the building block for composite read paths assembled outside this
-// package (the sharded subsequence index builds and queries per-shard
-// indexes through it): fn observes a quiescent shard — no writer can
-// interleave — and fan-out parallelism matches every other read the engine
-// performs.
-func (e *Engine) FanOutRead(fn func(shard int) error) error {
-	return e.fanOut(func(si int) error {
-		e.locks[si].RLock()
-		defer e.locks[si].RUnlock()
-		return fn(si)
-	})
-}
-
-// fanOut runs fn(shard) for every shard on a worker pool bounded by the
+// FanOut runs fn(shard) for every shard on a worker pool bounded by the
 // engine's parallelism, returning the first error. Remaining shards are
 // still visited after an error (their work is skipped only by fn itself
-// when it chooses to); fanOut guarantees fn was invoked for every shard
-// index unless the pool saw the error before dispatching it.
-func (e *Engine) fanOut(fn func(shard int) error) error {
+// when it chooses to); FanOut guarantees fn was invoked for every shard
+// index unless the pool saw the error before dispatching it. It holds no
+// lock: fn synchronises through the Store methods it calls. Exported for
+// composite read paths assembled outside this package (the sharded
+// subsequence index builds and queries per-shard indexes through it).
+func (e *Engine) FanOut(fn func(shard int) error) error {
 	n := len(e.stores)
 	workers := e.parallelism
 	if workers > n {

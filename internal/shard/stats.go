@@ -84,7 +84,6 @@ type ShardStat struct {
 func (e *Engine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(e.stores))
 	for si := range e.stores {
-		e.locks[si].RLock()
 		out[si] = ShardStat{
 			ID:         si,
 			Sequences:  e.stores[si].Len(),
@@ -93,7 +92,6 @@ func (e *Engine) ShardStats() []ShardStat {
 			Repair:     e.stores[si].LastRepair(),
 			Queries:    e.counters[si].snapshot(),
 		}
-		e.locks[si].RUnlock()
 	}
 	return out
 }
@@ -103,9 +101,7 @@ func (e *Engine) ShardStats() []ShardStat {
 func (e *Engine) LastRepair() core.RepairStats {
 	var agg core.RepairStats
 	for si := range e.stores {
-		e.locks[si].RLock()
 		rs := e.stores[si].LastRepair()
-		e.locks[si].RUnlock()
 		agg.LiveSequences += rs.LiveSequences
 		agg.IndexedBefore += rs.IndexedBefore
 		agg.Orphans += rs.Orphans

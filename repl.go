@@ -59,17 +59,6 @@ type ReplSnapshot struct {
 	Records []ReplRecord
 }
 
-// ReplSeq returns the WAL sequence number covering every applied write —
-// the cursor a snapshot is stamped with and replicas poll from. The
-// caller must exclude writers (hold its writer lock) for the value to be
-// a consistent cut.
-func (db *DB) ReplSeq() (uint64, error) {
-	if db.wal == nil {
-		return 0, ErrNoWAL
-	}
-	return db.wal.LastSeq(), nil
-}
-
 // WALTail returns the serialized durable log records after sequence
 // number from, capped near maxBytes on a record boundary, plus the
 // sequence number of the last record included (== from when the replica
@@ -93,20 +82,22 @@ func (db *DB) WALTailBase() (uint64, error) {
 
 // WriteReplSnapshot streams the database's full state to w in the
 // snapshot wire format and returns the WAL sequence number it reflects.
-// The caller must exclude writers for the duration (the HTTP layer holds
-// its writer-excluding read lock). Tombstoned slots whose bytes no
-// longer decode are shipped as a one-element placeholder — they are
-// unreadable on the primary too, so replica queries cannot observe the
-// difference.
+// The read lock is held from reading that number to the last record, so
+// the snapshot is a consistent cut: writers wait, queries proceed.
+// Tombstoned slots whose bytes no longer decode are shipped as a
+// one-element placeholder — they are unreadable on the primary too, so
+// replica queries cannot observe the difference.
 //
 // Wire format, little-endian, CRC-32 (IEEE) of everything before the
 // trailer: u32 magic "TWRS" | u32 version | u64 seq | u64 count |
 // count × (u8 deleted | u32 len | len × f64) | u32 crc.
 func (db *DB) WriteReplSnapshot(w io.Writer) (seqno uint64, err error) {
-	seqno, err = db.ReplSeq()
-	if err != nil {
-		return 0, err
+	if db.wal == nil {
+		return 0, ErrNoWAL
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	seqno = db.wal.LastSeq()
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
 	var scratch [16]byte
@@ -216,19 +207,21 @@ func DecodeReplSnapshot(raw []byte) (*ReplSnapshot, error) {
 	return snap, nil
 }
 
-// SyncFromReplSnapshot brings a replica backend up to the snapshot's
-// state. have is the replica's current NumRecords(). Because a replica's
-// record stream is always a prefix of the primary's, syncing is purely
-// incremental: slots the replica does not have yet are added (and
-// tombstoned where the snapshot says so), and existing slots that the
-// snapshot marks deleted are removed. It returns the mutation counts.
-func SyncFromReplSnapshot(b Backend, have int, snap *ReplSnapshot) (added, removed int, err error) {
+// SyncFromReplSnapshot brings a replica database up to the snapshot's
+// state through its normal write path. Because a replica's record stream is
+// always a prefix of the primary's, syncing is purely incremental: slots
+// the replica does not have yet are added (and tombstoned where the
+// snapshot says so), and existing slots that the snapshot marks deleted are
+// removed. It returns the mutation counts. The replication apply loop is
+// the replica's only writer, so the record count read first stays current.
+func SyncFromReplSnapshot(db *DB, snap *ReplSnapshot) (added, removed int, err error) {
+	have := db.NumRecords()
 	if have > len(snap.Records) {
 		return 0, 0, fmt.Errorf("%w: replica has %d records, snapshot only %d", ErrReplicaDiverged, have, len(snap.Records))
 	}
 	for id := have; id < len(snap.Records); id++ {
 		rec := snap.Records[id]
-		got, err := b.Add(rec.Values)
+		got, err := db.Add(rec.Values)
 		if err != nil {
 			return added, removed, fmt.Errorf("twsim: snapshot sync add %d: %w", id, err)
 		}
@@ -237,7 +230,7 @@ func SyncFromReplSnapshot(b Backend, have int, snap *ReplSnapshot) (added, remov
 		}
 		added++
 		if rec.Deleted {
-			if _, err := b.Remove(ID(id)); err != nil {
+			if _, err := db.Remove(ID(id)); err != nil {
 				return added, removed, fmt.Errorf("twsim: snapshot sync remove %d: %w", id, err)
 			}
 			removed++
@@ -247,7 +240,7 @@ func SyncFromReplSnapshot(b Backend, have int, snap *ReplSnapshot) (added, remov
 		if !snap.Records[id].Deleted {
 			continue
 		}
-		ok, err := b.Remove(ID(id))
+		ok, err := db.Remove(ID(id))
 		if err != nil {
 			return added, removed, fmt.Errorf("twsim: snapshot sync remove %d: %w", id, err)
 		}
@@ -259,26 +252,25 @@ func SyncFromReplSnapshot(b Backend, have int, snap *ReplSnapshot) (added, remov
 }
 
 // ApplyWALRecords applies a streamed primary record tail to a replica
-// backend through its normal write path. numRecords reports the
-// replica's current dense record count (re-read per record, after each
-// apply). Records whose effects are already present are skipped; a
-// record that neither matches the next slot nor a past one is
-// ErrReplicaDiverged — re-sync from a snapshot. It returns the number of
-// mutations applied and the last record sequence number processed.
-func ApplyWALRecords(b Backend, numRecords func() int, recs []wal.Record) (applied int, last uint64, err error) {
+// database through its normal write path. Records whose effects are
+// already present are skipped; a record that neither matches the next slot
+// nor a past one is ErrReplicaDiverged — re-sync from a snapshot. It
+// returns the number of mutations applied and the last record sequence
+// number processed.
+func ApplyWALRecords(db *DB, recs []wal.Record) (applied int, last uint64, err error) {
 	for _, r := range recs {
 		last = r.Seq
 		switch r.Type {
 		case wal.TypeAdd, wal.TypeAddBatch:
 			id := r.ID
 			for _, s := range r.Data {
-				next := ID(numRecords())
+				next := ID(db.NumRecords())
 				switch {
 				case id < next:
 					// Already present (applied via the snapshot or an
 					// earlier poll).
 				case id == next:
-					got, aerr := b.Add([]float64(s))
+					got, aerr := db.Add([]float64(s))
 					if aerr != nil {
 						return applied, last, fmt.Errorf("twsim: replica add %d: %w", id, aerr)
 					}
@@ -292,10 +284,10 @@ func ApplyWALRecords(b Backend, numRecords func() int, recs []wal.Record) (appli
 				id++
 			}
 		case wal.TypeRemove:
-			if int(r.ID) >= numRecords() {
+			if int(r.ID) >= db.NumRecords() {
 				return applied, last, fmt.Errorf("%w: remove of unknown record %d", ErrReplicaDiverged, r.ID)
 			}
-			ok, rerr := b.Remove(r.ID)
+			ok, rerr := db.Remove(r.ID)
 			if rerr != nil {
 				return applied, last, fmt.Errorf("twsim: replica remove %d: %w", r.ID, rerr)
 			}

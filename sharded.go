@@ -56,12 +56,12 @@ type QueryTotals = shard.QueryTotals
 // ShardedDB is a hash-partitioned sequence database: N independent shards
 // (each a full DB with its own heap file, feature index, and buffer pools)
 // behind one Backend. Searches fan out across shards concurrently and
-// merge; Get/Remove route straight to the owning shard; writers serialize
-// per shard only, so inserts into different shards proceed concurrently.
+// merge; Get/Remove route straight to the owning shard; a writer takes only
+// its shard's DB lock, so inserts into different shards proceed concurrently.
 //
 // A sequence stored at local ID l in shard s has global ID l*N + s:
 // ShardID(id) = id mod N is a pure function of the ID, stable across
-// Close/Open. Unlike *DB, a ShardedDB is safe for fully concurrent use.
+// Close/Open. Like *DB, a ShardedDB is safe for fully concurrent use.
 type ShardedDB struct {
 	eng  *shard.Engine
 	dbs  []*DB // the shards, in shard-ID order (eng routes over the same slice)
@@ -273,7 +273,7 @@ func (s *ShardedDB) ResultCacheStats() core.ResultCacheStats { return s.rcache.S
 // per-call override is given (Options.Band).
 func (s *ShardedDB) DefaultBand() int { return s.opts.Band }
 
-// Add stores one sequence, taking only the owning shard's write lock, and
+// Add stores one sequence, taking only the owning shard's writer lock, and
 // returns its global ID. Sequences containing NaN or ±Inf are rejected with
 // ErrNonFinite before the placement counter advances, so an invalid Add
 // burns no ID.

@@ -31,9 +31,12 @@ type subseqSearcher interface {
 // sequences instead of whole sequences, queried with the same algorithm.
 // The search is exact (no false dismissal) over the indexed window set.
 // Built by DB.BuildSubseqIndex or ShardedDB.BuildSubseqIndex; results are
-// bit-identical across the two (modulo the sharded global-ID space).
+// bit-identical across the two (modulo the sharded global-ID space). The
+// index reads the heap it was built over, so Search takes that database's
+// read lock and is safe beside writers.
 type SubseqIndex struct {
 	inner subseqSearcher
+	db    *DB // whose heap inner reads; nil for the sharded composite (its parts lock their own shard)
 }
 
 // BuildSubseqIndex indexes sliding windows of each length in windowLens
@@ -41,23 +44,25 @@ type SubseqIndex struct {
 // positions (step <= 0 means 1). Sequences added to the database afterwards
 // are not visible to the returned index.
 func (db *DB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	inner, err := core.BuildSubseqIndex(db.store, db.base, windowLens, step)
 	if err != nil {
 		return nil, err
 	}
-	return &SubseqIndex{inner: inner}, nil
+	return &SubseqIndex{inner: inner, db: db}, nil
 }
 
 // BuildSubseqIndex builds one window index per shard (fanned out on the
-// engine's worker pool, each under its shard's read lock) and composes them
+// engine's worker pool, each shard's own BuildSubseqIndex) and composes them
 // behind one SubseqIndex: searches fan out the same way, per-shard matches
 // have their source IDs lifted to the global space, and the merged list is
 // re-sorted by (distance, ID, offset) — bit-identical to the single-DB
 // index over the same logical contents.
 func (s *ShardedDB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error) {
-	inners := make([]*core.SubseqIndex, len(s.dbs))
-	err := s.eng.FanOutRead(func(si int) error {
-		inner, err := core.BuildSubseqIndex(s.dbs[si].store, s.dbs[si].base, windowLens, step)
+	inners := make([]*SubseqIndex, len(s.dbs))
+	err := s.eng.FanOut(func(si int) error {
+		inner, err := s.dbs[si].BuildSubseqIndex(windowLens, step)
 		if err != nil {
 			return fmt.Errorf("twsim: shard %d: %w", si, err)
 		}
@@ -79,14 +84,14 @@ func (s *ShardedDB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, 
 // indexes and merges the partial results into the global ID space.
 type shardedSubseq struct {
 	eng    *shard.Engine
-	inners []*core.SubseqIndex
+	inners []*SubseqIndex
 }
 
 func (ss *shardedSubseq) Search(q seq.Sequence, epsilon float64) (*core.SubseqResult, error) {
 	start := time.Now()
 	perShard := make([]*core.SubseqResult, len(ss.inners))
-	err := ss.eng.FanOutRead(func(si int) error {
-		r, err := ss.inners[si].Search(q, epsilon)
+	err := ss.eng.FanOut(func(si int) error {
+		r, err := ss.inners[si].search(q, epsilon)
 		if err != nil {
 			return fmt.Errorf("twsim: shard %d: %w", si, err)
 		}
@@ -147,7 +152,15 @@ func (si *SubseqIndex) Search(query []float64, epsilon float64) (*SubseqResult, 
 	if err := seq.CheckFinite(query); err != nil {
 		return nil, err
 	}
-	return si.inner.Search(seq.Sequence(query), epsilon)
+	return si.search(seq.Sequence(query), epsilon)
+}
+
+func (si *SubseqIndex) search(q seq.Sequence, epsilon float64) (*SubseqResult, error) {
+	if si.db != nil {
+		si.db.mu.RLock()
+		defer si.db.mu.RUnlock()
+	}
+	return si.inner.Search(q, epsilon)
 }
 
 // NumWindows returns the number of indexed windows.

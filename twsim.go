@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -177,9 +178,22 @@ func (o Options) applyDeadline(ctx context.Context) (context.Context, context.Ca
 type RepairStats = core.RepairStats
 
 // DB is a sequence database with the paper's 4-d feature index kept in sync
-// with the stored sequences. A DB is safe for concurrent readers; writers
-// require external serialization.
+// with the stored sequences. A DB is safe for concurrent use: every public
+// method that touches the heap, the index or the envelopes takes mu exactly
+// once — queries and the other reads share it; Add, AddAll, AddBatch, Remove,
+// Flush, Repair and Close hold it exclusively — so readers run beside each
+// other and a writer excludes everything else on its database. A write waits
+// for the fsync covering its WAL record after releasing mu, which is what
+// lets concurrent writers share one fsync. Objects built from a DB
+// (SubseqIndex, the baseline Searchers) take the same read lock around their
+// own searches.
 type DB struct {
+	// mu is the one reader/writer lock of a database. Methods named
+	// *Locked expect the caller to hold it, so no path acquires it twice (a
+	// re-entered read lock deadlocks behind a pending writer). Lock order:
+	// Server.smu → DB.mu → seqdb.DB.mu → buffer-pool stripe; wal.Log's own
+	// lock is internal and never held across a call out.
+	mu        sync.RWMutex
 	store     *seqdb.DB
 	index     core.Index // a *core.FlatIndex outside fault-injection tests
 	envs      *core.EnvStore
@@ -224,17 +238,22 @@ func (db *DB) note(format string, args ...any) {
 }
 
 // OpenDiagnostics returns one human-readable line per repair or rebuild the
-// most recent Open (or Repair) performed — index rebuilt from the heap,
+// most recent Open performed — index rebuilt from the heap,
 // snapshot file rejected by its checksum, envelope sidecar re-derived.
 // Empty when the database opened clean. twsimd logs each line at startup so
-// silent self-healing leaves a trace.
+// silent self-healing leaves a trace. (Only Open writes the notes, before the
+// database is shared, so reading them takes no lock.)
 func (db *DB) OpenDiagnostics() []string {
 	return append([]string(nil), db.openNotes...)
 }
 
 // IndexEngineStats describes the index: snapshot generation, delta size,
 // merge count, and snapshot slab size.
-func (db *DB) IndexEngineStats() core.IndexEngineStats { return db.index.EngineStats() }
+func (db *DB) IndexEngineStats() core.IndexEngineStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.index.EngineStats()
+}
 
 // OpenMem creates an ephemeral in-memory database (page layout and buffer
 // accounting identical to the on-disk form).
@@ -385,7 +404,11 @@ func Open(dir string, opts Options) (*DB, error) {
 
 // LastRepair returns the statistics of the reconciliation Open (or Repair)
 // performed. The zero value means the database opened consistent.
-func (db *DB) LastRepair() RepairStats { return db.repair }
+func (db *DB) LastRepair() RepairStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.repair
+}
 
 // Repair reconciles the feature index and the envelope store with the live
 // heap records on demand — the fsck-and-fix counterpart to Verify, usable
@@ -395,6 +418,12 @@ func (db *DB) LastRepair() RepairStats { return db.repair }
 // rebuilt from the heap, which is always possible because the heap is the
 // source of truth. It returns what it had to change.
 func (db *DB) Repair() (RepairStats, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.repairLocked()
+}
+
+func (db *DB) repairLocked() (RepairStats, error) {
 	// Whatever inconsistency prompted the repair may have touched the
 	// envelopes too, and Open's reconcile trusts the ones it finds: drop
 	// them all, so the scan below re-derives every one.
@@ -438,11 +467,15 @@ func (db *DB) reconcile(fresh bool) (RepairStats, error) {
 func (db *DB) Base() Base { return db.base }
 
 // Len returns the number of stored sequences.
-func (db *DB) Len() int { return db.store.Len() }
+func (db *DB) Len() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.store.Len()
+}
 
 // applyAdd performs the in-memory/in-heap half of Add: validate, append,
-// index, envelope. The public Add/AddCommit wrappers in durability.go own
-// WAL logging and the durability acknowledgment.
+// index, envelope. addLocked in durability.go owns WAL logging; Add owns the
+// lock and the durability acknowledgment.
 func (db *DB) applyAdd(values []float64) (ID, error) {
 	if err := seq.CheckFinite(values); err != nil {
 		return seq.InvalidID, err
@@ -468,8 +501,8 @@ func (db *DB) applyAdd(values []float64) (ID, error) {
 	return id, nil
 }
 
-// applyAddAll performs the in-memory/in-heap half of AddAll (see the
-// public wrapper in durability.go for the contract).
+// applyAddAll performs the in-memory/in-heap half of AddAll (see AddAll in
+// durability.go for the contract).
 func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 	if len(values) == 0 {
 		return seq.InvalidID, errors.New("twsim: AddAll of empty batch")
@@ -501,7 +534,7 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 			// the batch is likely still active). Fall back to rebuilding
 			// the index from the heap, which is the source of truth; if
 			// even that fails the divergence is caught at the next Open.
-			_, _ = db.Repair()
+			_, _ = db.repairLocked()
 		}
 	}
 	if db.store.Len() > 0 {
@@ -554,8 +587,8 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 	return appended[0], nil
 }
 
-// applyRemove performs the in-memory/in-heap half of Remove (see the
-// public wrapper in durability.go).
+// applyRemove performs the in-memory/in-heap half of Remove (see Remove in
+// durability.go).
 func (db *DB) applyRemove(id ID) (bool, error) {
 	defer db.gen.Add(1)
 	s, err := db.store.Get(id)
@@ -574,6 +607,8 @@ func (db *DB) applyRemove(id ID) (bool, error) {
 
 // Get fetches a stored sequence by ID.
 func (db *DB) Get(id ID) ([]float64, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	s, err := db.store.Get(id)
 	if err != nil {
 		return nil, err
@@ -751,6 +786,8 @@ func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon
 	if epsilon < 0 {
 		return nil, errNegativeTolerance(epsilon)
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, rangeCall(query, epsilon, band),
 		func(ctx context.Context) (*Result, error) {
 			return db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
@@ -779,9 +816,11 @@ func (db *DB) NearestK(query []float64, k int) ([]Match, error) {
 // result cache, when enabled, serves repeated queries without re-running
 // the walk.
 func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, knnCall(query, k, band),
 		func(ctx context.Context) (*Result, error) {
-			ms, stats, err := db.NearestKStatsBandWorkersCtx(ctx, query, k, band, nil, db.opts.refineWorkers())
+			ms, stats, err := db.searcher(ctx, db.opts.refineWorkers(), band).NearestKSharedStats(seq.Sequence(query), k, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -792,12 +831,16 @@ func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*R
 // StorageStats snapshots the storage-layer counters: the data buffer pool
 // plus the decoded-sequence cache (zero when disabled).
 func (db *DB) StorageStats() StorageStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	return StorageStats{Data: db.store.Stats(), Cache: db.store.CacheStats()}
 }
 
 // Distance computes the exact time warping distance between a stored
 // sequence and an arbitrary query under the database's base distance.
 func (db *DB) Distance(id ID, query []float64) (float64, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	s, err := db.store.Get(id)
 	if err != nil {
 		return 0, err
@@ -807,13 +850,25 @@ func (db *DB) Distance(id ID, query []float64) (float64, error) {
 
 // IndexPages returns the number of pages the feature index occupies — the
 // paper observes the index stays below 4% of the database size (§5.2).
-func (db *DB) IndexPages() int { return db.index.Pages() }
+func (db *DB) IndexPages() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.index.Pages()
+}
 
 // DataBytes returns the logical size of the stored sequence data.
-func (db *DB) DataBytes() int64 { return db.store.Bytes() }
+func (db *DB) DataBytes() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.store.Bytes()
+}
 
 // CheckInvariants validates the index structure (tests and repair tooling).
-func (db *DB) CheckInvariants() error { return db.index.CheckInvariants() }
+func (db *DB) CheckInvariants() error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.index.CheckInvariants()
+}
 
 // Flush persists all state to disk (no-op for in-memory databases) at a
 // cost set by what changed, not by the database's size: the heap's dirty
@@ -825,6 +880,12 @@ func (db *DB) CheckInvariants() error { return db.index.CheckInvariants() }
 // log resets to an empty file with a higher base sequence number (pending
 // waiters are released — their records are durable too).
 func (db *DB) Flush() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.flushLocked()
+}
+
+func (db *DB) flushLocked() error {
 	if err := db.store.Flush(); err != nil {
 		return err
 	}
@@ -848,6 +909,8 @@ func (db *DB) Flush() error {
 // replay. The heap is made durable first: the index and the sidecar must
 // never be ahead of it on disk.
 func (db *DB) Close() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	err := db.store.Close()
 	if db.index != nil {
 		if ierr := db.index.Close(); err == nil {

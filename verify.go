@@ -24,6 +24,8 @@ import (
 // Verify reads every page of the database; cost is one sequential sweep
 // plus one point query per sequence.
 func (db *DB) Verify() error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	if err := db.index.CheckInvariants(); err != nil {
 		return fmt.Errorf("twsim: index structure: %w", err)
 	}
