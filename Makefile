@@ -27,7 +27,10 @@ test-no-mmap:
 # the flat-slab and snapshot-file codec (slab, delta section), and the
 # snapshot loader on both open paths (hostile files, a delta section that
 # contradicts its slab included, must error out or load into an index that
-# walks without faulting).
+# walks without faulting), the heap's scratch fetch vs Get over scripted
+# appends, rollbacks, deletes, flushes and reopens at every page size, and
+# the heap directory loader (whatever dir.bin opens must read without a
+# panic).
 # Go permits one fuzz target per -fuzz run, so each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
@@ -36,6 +39,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
+	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s ./internal/seqdb
+	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s ./internal/seqdb
 
 # Boots a real twsimd on an ephemeral port, drives traffic, and verifies
 # GET /metrics is valid Prometheus exposition with the key series present
@@ -73,12 +78,16 @@ bench-smoke:
 
 # The two workload-shaped kernel benchmarks — the pairs range_unbanded
 # refines, and the calls knn_banded's DP tier and LB_Improved's second pass
-# see — from one test binary on one CPU, five times each. To compare two
-# commits, build the binary on both and alternate them
-# (internal/dtw/refiner_bench_test.go).
+# see — from one test binary on one CPU, five times each, then the candidate
+# fetch both workloads make per candidate (Get beside the scratch fetch, on a
+# file-backed heap of the benchmark's shape). To compare two commits, build
+# the binaries on both and alternate them (internal/dtw/refiner_bench_test.go,
+# internal/seqdb/fetch_bench_test.go).
 kernels:
 	$(GO) test -c -o bin/dtw.test ./internal/dtw
 	./bin/dtw.test -test.run '^$$' -test.bench 'Refiner(Range|KNN)Shaped' -test.cpu 1 -test.count 5
+	$(GO) test -c -o bin/seqdb.test ./internal/seqdb
+	cd internal/seqdb && ../../bin/seqdb.test -test.run '^$$' -test.bench 'HeapFetch' -test.cpu 1 -test.count 5
 
 # The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
 # plus the paper-API wrappers. Fails if a deleted variant, option or alias

@@ -15,36 +15,51 @@ type Searcher interface {
 }
 
 // searcherAdapter lifts an internal core.Searcher over db's heap and index
-// to the public interface, searching under db's read lock.
+// to the public interface. inner runs under db's read lock, once per call:
+// a method that reads db.index or db.envs builds its core searcher there, so
+// it searches what a Repair put in place, not what the database held when
+// the adapter was constructed.
 type searcherAdapter struct {
 	db    *DB
-	inner core.Searcher
+	inner func() core.Searcher
 }
 
-func (a searcherAdapter) Name() string { return a.inner.Name() }
+func (a searcherAdapter) Name() string {
+	a.db.mu.RLock()
+	defer a.db.mu.RUnlock()
+	return a.inner().Name()
+}
 
 func (a searcherAdapter) Search(query []float64, epsilon float64) (*Result, error) {
 	a.db.mu.RLock()
 	defer a.db.mu.RUnlock()
-	return a.inner.Search(seq.Sequence(query), epsilon)
+	return a.inner().Search(seq.Sequence(query), epsilon)
+}
+
+// fixedSearcher adapts a core searcher that holds nothing of db a writer
+// replaces (the heap, a structure of its own).
+func (db *DB) fixedSearcher(s core.Searcher) Searcher {
+	return searcherAdapter{db, func() core.Searcher { return s }}
 }
 
 // TWSimSearcher returns the paper's method as a Searcher, for side-by-side
 // benchmarking against the baselines.
 func (db *DB) TWSimSearcher() Searcher {
-	return searcherAdapter{db, &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base}}
+	return searcherAdapter{db, func() core.Searcher {
+		return &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base, Envs: db.envs}
+	}}
 }
 
 // BaselineNaiveScan returns the sequential-scan baseline (§3.1): full DTW
 // against every stored sequence.
 func (db *DB) BaselineNaiveScan() Searcher {
-	return searcherAdapter{db, &core.NaiveScan{DB: db.store, Base: db.base}}
+	return db.fixedSearcher(&core.NaiveScan{DB: db.store, Base: db.base})
 }
 
 // BaselineLBScan returns Yi et al.'s LB-Scan baseline (§3.2): a sequential
 // scan filtered by the O(n+m) lower bound before full DTW.
 func (db *DB) BaselineLBScan() Searcher {
-	return searcherAdapter{db, &core.LBScan{DB: db.store, Base: db.base}}
+	return db.fixedSearcher(&core.LBScan{DB: db.store, Base: db.base})
 }
 
 // STFilter is the suffix-tree method of Park et al. (§3.4): whole matching
@@ -99,7 +114,9 @@ func (db *DB) BaselineSTFilter(categories int) (Searcher, error) {
 // with refinement via per-candidate fetches or one sequential sweep,
 // whichever the disk cost model predicts is cheaper. Exact either way.
 func (db *DB) AdaptiveSearcher() Searcher {
-	return searcherAdapter{db, &core.AdaptiveSearch{DB: db.store, Index: db.index, Base: db.base}}
+	return searcherAdapter{db, func() core.Searcher {
+		return &core.AdaptiveSearch{DB: db.store, Index: db.index, Base: db.base}
+	}}
 }
 
 // BaselineFastMap builds the FastMap method (§3.3) over the current
@@ -114,5 +131,5 @@ func (db *DB) BaselineFastMap(k int, seed int64) (Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return searcherAdapter{db, f}, nil
+	return db.fixedSearcher(f), nil
 }

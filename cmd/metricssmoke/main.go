@@ -3,8 +3,12 @@
 // traffic through /sequences, /search, and /knn, scrapes GET /metrics, and
 // verifies that the output is valid Prometheus text exposition containing
 // the key series — per-endpoint request counters and latency histograms,
-// the DTW/cascade counters, and the conservation law
-// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls.
+// the DTW/cascade counters, the conservation law
+// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls, and
+// the data pool's read counter advancing across a query. The database is an
+// on-disk one in a temporary directory, seeded past one heap page a shard,
+// so the queries' candidate fetches are direct reads of the data file and
+// the counter is shown to count those.
 //
 // Usage: metricssmoke -bin ./bin/twsimd (the Makefile's metrics-smoke
 // target builds the binary first). Exits non-zero with a diagnostic on any
@@ -41,7 +45,12 @@ func main() {
 var listenRE = regexp.MustCompile(`listening on (\S+)`)
 
 func run(bin string) error {
-	cmd := exec.Command(bin, "-mem", "-shards", "2", "-addr", "127.0.0.1:0", "-slow-query-ms", "1")
+	dir, err := os.MkdirTemp("", "metricssmoke-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	cmd := exec.Command(bin, "-db", dir, "-create", "-shards", "2", "-addr", "127.0.0.1:0", "-slow-query-ms", "1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err
@@ -93,6 +102,23 @@ func run(bin string) error {
 	if err := post("/sequences/batch", `{"sequences": [[1,2,3,4],[1,2,3,5],[10,11,12,13],[2,2,2,2],[5,6,7,8]]}`); err != nil {
 		return err
 	}
+	// 36 bytes a record and 1020 a page: 80 more put the five above on pages
+	// behind each shard's append point.
+	filler := make([]string, 80)
+	for i := range filler {
+		filler[i] = fmt.Sprintf("[%d,%d,%d,%d]", 100+i, 101+i, 102+i, 103+i)
+	}
+	if err := post("/sequences/batch", `{"sequences": [`+strings.Join(filler, ",")+`]}`); err != nil {
+		return err
+	}
+	before, err := scrape(base)
+	if err != nil {
+		return err
+	}
+	readsBefore, ok := before.Value("twsim_pool_reads_total", dataPool)
+	if !ok {
+		return fmt.Errorf("series twsim_pool_reads_total%v missing from /metrics", dataPool)
+	}
 	if err := post("/search", `{"query": [1,2,3,4], "epsilon": 1.5}`); err != nil {
 		return err
 	}
@@ -104,25 +130,9 @@ func run(bin string) error {
 		return fmt.Errorf("empty query unexpectedly accepted")
 	}
 
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return fmt.Errorf("GET /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		return fmt.Errorf("GET /metrics: content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
+	samples, err := scrape(base)
 	if err != nil {
 		return err
-	}
-
-	samples, err := obs.ParseText(body)
-	if err != nil {
-		return fmt.Errorf("exposition does not parse: %w", err)
 	}
 
 	need := func(name string, labels map[string]string) (float64, error) {
@@ -174,10 +184,45 @@ func run(bin string) error {
 	if got := law[1] + law[2] + law[3] + law[4] + dtw; got != law[0] {
 		return fmt.Errorf("conservation law violated: candidates=%g but pruned+dtw=%g", law[0], got)
 	}
-	for _, name := range []string{"twsim_pool_reads_total", "twsim_pool_hit_ratio", "twsim_seq_cache_hit_ratio", "twsim_sequences"} {
+	for _, name := range []string{"twsim_pool_hit_ratio", "twsim_seq_cache_hit_ratio", "twsim_sequences"} {
 		if _, err := need(name, nil); err != nil {
 			return err
 		}
 	}
+	// The queries fetched their candidates from the heap, and the fetch
+	// counts into the data pool's counters whichever way it read the pages.
+	readsAfter, err := need("twsim_pool_reads_total", dataPool)
+	if err != nil {
+		return err
+	}
+	if readsAfter <= readsBefore {
+		return fmt.Errorf("twsim_pool_reads_total%v = %g before the queries and %g after: candidate fetches are not counted", dataPool, readsBefore, readsAfter)
+	}
 	return nil
+}
+
+var dataPool = map[string]string{"pool": "data"}
+
+// scrape fetches and parses GET /metrics.
+func scrape(base string) (obs.Samples, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("GET /metrics: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		return nil, fmt.Errorf("GET /metrics: content type %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	samples, err := obs.ParseText(body)
+	if err != nil {
+		return nil, fmt.Errorf("exposition does not parse: %w", err)
+	}
+	return samples, nil
 }

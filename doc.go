@@ -117,13 +117,17 @@
 // and for k-NN the shrinking cutoff is only ever read conservatively
 // (stale reads admit extra candidates, never dismiss true neighbors).
 //
-// The storage layer supports the worker pool with a lock-striped buffer
-// pool (pages hash to independently locked stripes, so concurrent faults
-// on different pages do not serialize) and an optional decoded-sequence
-// cache (Options.SeqCacheBytes) whose hits skip page I/O and
-// deserialization entirely; DB.StorageStats exposes wait-free hit-ratio
-// counters for both. (The pool is the heap file's: the index is walked in
-// place, mapped or in memory.)
+// Each refinement worker fetches its candidates into scratch of its own: on
+// a file-backed database one positional read of the pages the record
+// covers, checksums verified, no pool frame and no allocation; the record
+// still being appended to, and every record of an in-memory database, is
+// copied out of the lock-striped buffer pool (pages hash to independently
+// locked stripes, so concurrent faults on different pages do not
+// serialize). An optional decoded-sequence cache (Options.SeqCacheBytes)
+// serves reads by ID (Get, Distance), not queries; DB.StorageStats exposes
+// wait-free counters for both, and a direct read counts as the pool misses
+// it replaced. (The pool is the heap file's: the index is walked in place,
+// mapped or in memory.)
 //
 // # Input validation and observability
 //

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/dtw"
 	"repro/internal/seq"
+	"repro/internal/seqdb"
 )
 
 // cascade is the tiered filter-and-refine engine every exact search method
@@ -40,9 +42,10 @@ import (
 // k-th-best bound for k-NN (including the cross-shard SharedBound), so the
 // tiers tighten as a k-NN search proceeds.
 //
-// A cascade holds a pooled dtw.Refiner; build one per query with newCascade
-// and close it when the query completes. Not safe for concurrent use: a
-// query that refines on several goroutines gives each its own (see worker).
+// A cascade holds a pooled dtw.Refiner and, once it has fetched a candidate,
+// a pooled seqdb.Scratch; build one per query with newCascade and close it
+// when the query completes. Not safe for concurrent use: a query that
+// refines on several goroutines gives each its own (see worker).
 type cascade struct {
 	// paaPruner carries q, base, band, and the cached query-side PAA
 	// reductions; the k-NN walk keys its frontier with a second pruner of
@@ -55,6 +58,7 @@ type cascade struct {
 	envs      *EnvStore
 	impr      dtw.ImprovedScratch
 	refiner   *dtw.Refiner
+	scratch   *seqdb.Scratch // the candidate under evaluation lives here; see fetch
 	disabled  bool
 }
 
@@ -117,7 +121,8 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 // worker returns a cascade for another goroutine refining the same query.
 // It shares c's envelopes, which nothing writes after newCascade, and owns
 // what a candidate evaluation does write: the lazily filled PAA reductions,
-// the LB_Improved scratch and a pooled refiner. Close it like c.
+// the LB_Improved scratch, the fetch scratch and a pooled refiner. Close it
+// like c.
 func (c *cascade) worker() *cascade {
 	w := &cascade{
 		paaPruner: paaPruner{q: c.q, base: c.base, band: c.band},
@@ -135,6 +140,26 @@ func (c *cascade) close() {
 		c.refiner.Release()
 		c.refiner = nil
 	}
+	if c.scratch != nil {
+		c.scratch.Release()
+		c.scratch = nil
+	}
+}
+
+// fetch reads candidate id from the heap into the cascade's scratch. The
+// sequence is valid until the next fetch: verify and exactDistance read it
+// and keep nothing (a Match is an ID and a distance). ok is false for a
+// dangling index entry — the record is deleted or was never durably written
+// — which a query skips rather than fails.
+func (c *cascade) fetch(db *seqdb.DB, id seq.ID) (s seq.Sequence, ok bool, err error) {
+	if c.scratch == nil {
+		c.scratch = seqdb.AcquireScratch()
+	}
+	s, err = db.Fetch(id, c.scratch)
+	if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
+		return nil, false, nil
+	}
+	return s, err == nil, err
 }
 
 // kernelBand is the query's band in package dtw's convention, where a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -90,11 +89,8 @@ func (c *cascade) refineOne(db *seqdb.DB, id seq.ID, epsilon float64, stats *Que
 	if !c.admitEnvelope(id, epsilon, stats) {
 		return Match{}, false, nil
 	}
-	s, err := db.Get(id)
-	if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
-		return Match{}, false, nil
-	}
-	if err != nil {
+	s, ok, err := c.fetch(db, id)
+	if !ok {
 		return Match{}, false, err
 	}
 	d, ok := c.verify(s, epsilon, stats)
@@ -408,11 +404,8 @@ func (t *TWSimSearch) knnCandidate(c *cascade, top *knnTop, id seq.ID, stats *Qu
 		stats.Candidates++
 		return nil
 	}
-	s, err := t.DB.Get(id)
-	if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
-		return nil
-	}
-	if err != nil {
+	s, ok, err := c.fetch(t.DB, id)
+	if !ok {
 		return err
 	}
 	stats.Candidates++

@@ -58,6 +58,16 @@ type Backend interface {
 	Close() error
 }
 
+// RunReader is an optional Backend capability: one positional read of
+// consecutive pages. The heap's candidate fetch uses it to read the pages a
+// record covers without going through pool frames (Pool.ReadRun); a backend
+// without it (MemBackend, a wrapper that does not forward it) is read page
+// by page through the pool.
+type RunReader interface {
+	// ReadRun fills buf (exactly n pages) with pages first … first+n-1.
+	ReadRun(first PageID, n int, buf []byte) error
+}
+
 // MemBackend keeps pages in memory. It still participates fully in buffer
 // pool accounting, so I/O cost models remain meaningful.
 type MemBackend struct {
@@ -192,6 +202,18 @@ func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
 		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, id, n)
 	}
 	_, err := b.f.ReadAt(buf[:b.pageSize], b.offset(id))
+	return err
+}
+
+// ReadRun implements RunReader: one pread for the whole run.
+func (b *FileBackend) ReadRun(first PageID, n int, buf []byte) error {
+	b.mu.Lock()
+	have := b.n
+	b.mu.Unlock()
+	if int(first)+n > have {
+		return fmt.Errorf("%w: pages %d..%d of %d", ErrOutOfRange, first, int(first)+n-1, have)
+	}
+	_, err := b.f.ReadAt(buf[:n*b.pageSize], b.offset(first))
 	return err
 }
 

@@ -59,6 +59,16 @@ func (p *Page) Payload() []byte { return p.frame.buf[:len(p.frame.buf)-crcLen] }
 // back before eviction.
 func (p *Page) MarkDirty() { p.frame.dirty = true }
 
+// Flush writes the page back now if it is dirty, leaving it pinned and
+// clean. The heap calls it on a page it has just filled, so that every page
+// below the one still being appended to is identical on the backend.
+func (p *Page) Flush() error {
+	st := p.pool.stripeOf(p.id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return p.pool.flushLocked(p.frame)
+}
+
 // Unpin releases the caller's pin. The Page must not be used afterwards.
 func (p *Page) Unpin() { p.pool.unpin(p.frame) }
 
@@ -122,6 +132,7 @@ func stripeCount(capacity int) int {
 // the activity counters are atomics, so Stats never blocks queries.
 type Pool struct {
 	backend  Backend
+	runs     RunReader // backend's positional run read; nil when it has none
 	pageSize int
 	capacity int
 
@@ -153,8 +164,10 @@ func NewPool(backend Backend, pageSize, capacity int) (*Pool, error) {
 		return nil, fmt.Errorf("pagefile: page size %d too small", pageSize)
 	}
 	n := stripeCount(capacity)
+	runs, _ := backend.(RunReader)
 	p := &Pool{
 		backend:  backend,
+		runs:     runs,
 		pageSize: pageSize,
 		capacity: capacity,
 		stripes:  make([]stripe, n),
@@ -264,6 +277,36 @@ func (p *Pool) Fetch(id PageID) (*Page, error) {
 		return nil, fmt.Errorf("%w (page %d)", err, id)
 	}
 	return &Page{id: id, frame: f, pool: p}, nil
+}
+
+// CanReadRun reports whether ReadRun is available: the backend offers a
+// positional read of consecutive pages.
+func (p *Pool) CanReadRun() bool { return p.runs != nil }
+
+// ReadRun reads pages first … first+n-1 straight from the backend into buf
+// (n × PageSize bytes, the pages as stored, CRC trailers included) with one
+// positional read, touching no frame and no stripe lock. Every page's CRC is
+// verified as Fetch verifies a miss, and the run is counted as Fetch would
+// have counted it on a cold pool: n reads, n misses, the pages after the
+// first sequential. The caller must know that no page of the run is dirty in
+// the pool — the backend copy is the only one consulted.
+func (p *Pool) ReadRun(first PageID, n int, buf []byte) error {
+	p.reads.Add(int64(n))
+	p.misses.Add(int64(n))
+	seqMisses := int64(n - 1)
+	if prev := PageID(p.lastMiss.Swap(uint32(first) + uint32(n-1))); prev != InvalidPage && first == prev+1 {
+		seqMisses++
+	}
+	p.seqMisses.Add(seqMisses)
+	if err := p.runs.ReadRun(first, n, buf); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if err := verifyCRC(buf[i*p.pageSize : (i+1)*p.pageSize]); err != nil {
+			return fmt.Errorf("%w (page %d)", err, int(first)+i)
+		}
+	}
+	return nil
 }
 
 // installLocked obtains a frame for id within stripe st (evicting the

@@ -304,3 +304,87 @@ func TestPoolPersistenceAcrossReopen(t *testing.T) {
 		pg.Unpin()
 	}
 }
+
+// TestPoolReadRun: a run read returns the pages as stored — what Fetch would
+// have put in a frame — counts them as cold misses in the same counters,
+// fails a damaged page by number, and is offered only over a backend with a
+// positional read (a file; not memory, not a wrapper that hides it).
+func TestPoolReadRun(t *testing.T) {
+	const pageSize, n = 128, 6
+	path := filepath.Join(t.TempDir(), "run.twp")
+	fb, err := CreateFile(path, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(fb, pageSize, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for i := 0; i < n; i++ {
+		pg, err := pool.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range pg.Payload() {
+			pg.Payload()[j] = byte(i*31 + j)
+		}
+		pg.MarkDirty()
+		if err := pg.Flush(); err != nil { // written now, not at eviction
+			t.Fatal(err)
+		}
+		pg.Unpin()
+	}
+	if got := pool.Stats().Writes; got != n {
+		t.Fatalf("Writes = %d after flushing %d filled pages, want one each", got, n)
+	}
+	if !pool.CanReadRun() {
+		t.Fatal("a file-backed pool offers no run read")
+	}
+	pool.ResetStats()
+	buf := make([]byte, 3*pageSize)
+	if err := pool.ReadRun(2, 3, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		pg, err := pool.Fetch(PageID(2 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buf[i*pageSize : i*pageSize+pool.PayloadSize()]; string(got) != string(pg.Payload()) {
+			t.Errorf("page %d: run read differs from the fetched payload", 2+i)
+		}
+		pg.Unpin()
+	}
+	if st := pool.Stats(); st.Reads != 6 || st.Misses < 3 || st.SeqMisses < 2 {
+		t.Errorf("after a 3-page run and 3 fetches: %+v, want 6 reads, the run's 3 misses, 2 of them sequential", st)
+	}
+	if err := pool.ReadRun(4, 3, buf); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("run past the last page: err = %v, want ErrOutOfRange", err)
+	}
+
+	// Damage page 3 behind the pool's back.
+	raw := make([]byte, pageSize)
+	if err := fb.ReadPage(3, raw); err != nil {
+		t.Fatal(err)
+	}
+	raw[10] ^= 0x80
+	if err := fb.WritePage(3, raw); err != nil {
+		t.Fatal(err)
+	}
+	err = pool.ReadRun(2, 3, buf)
+	if !errors.Is(err, ErrPageCorrupt) || err.Error() != ErrPageCorrupt.Error()+" (page 3)" {
+		t.Errorf("run over a damaged page: err = %v, want ErrPageCorrupt naming page 3", err)
+	}
+
+	if newMemPool(t, pageSize, 4).CanReadRun() {
+		t.Error("a memory-backed pool offers a run read")
+	}
+	wrapped, err := NewPool(NewFaultBackend(fb, -1), pageSize, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrapped.CanReadRun() {
+		t.Error("a pool over a wrapper that does not forward ReadRun offers one")
+	}
+}

@@ -29,6 +29,12 @@ func Encode(dst []byte, s Sequence) []byte {
 // Decode parses one encoded sequence from the front of buf, returning the
 // sequence and the number of bytes consumed.
 func Decode(buf []byte) (Sequence, int, error) {
+	return DecodeInto(nil, buf)
+}
+
+// DecodeInto is Decode into dst's backing array when it is large enough (a
+// new one otherwise); the returned sequence is what the caller keeps.
+func DecodeInto(dst Sequence, buf []byte) (Sequence, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, fmt.Errorf("seq: truncated header: %d bytes", len(buf))
 	}
@@ -37,11 +43,13 @@ func Decode(buf []byte) (Sequence, int, error) {
 	if len(buf) < need {
 		return nil, 0, fmt.Errorf("seq: truncated body: need %d bytes, have %d", need, len(buf))
 	}
-	s := make(Sequence, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
+	if cap(dst) < n {
+		dst = make(Sequence, n)
 	}
-	return s, need, nil
+	dst = dst[:n]
+	body := buf[4:need]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return dst, need, nil
 }

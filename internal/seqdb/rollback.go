@@ -36,12 +36,9 @@ func (db *DB) RollbackLast(id seq.ID) error {
 		db.cache.invalidate(id)
 	}
 	start := db.offsets[last]
-	buf := make([]byte, db.total-start)
-	if err := db.readAt(start, buf); err != nil {
-		db.tombstoneLocked(id)
-		return nil
-	}
-	s, _, err := seq.Decode(buf)
+	sc := AcquireScratch()
+	defer sc.Release()
+	s, err := db.decodeLocked(start, db.total, sc)
 	if err != nil {
 		db.tombstoneLocked(id)
 		return nil

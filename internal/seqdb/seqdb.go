@@ -33,7 +33,8 @@ type Options struct {
 	// CacheBytes, when positive, enables a decoded-sequence cache of
 	// roughly that many bytes: Get serves hot IDs without touching the page
 	// layer or re-deserializing. Zero disables the cache (the default, so
-	// the paper's per-method disk-access accounting stays exact).
+	// the paper's per-method disk-access accounting stays exact). Fetch —
+	// the query path — never consults it.
 	CacheBytes int64
 }
 
@@ -66,8 +67,17 @@ type DB struct {
 	dirPath string    // empty for purely in-memory databases
 
 	offsets []int64 // byte offset of record i in the logical stream
-	total   int64   // logical stream length in bytes
-	elems   int64   // total number of elements across sequences
+	// total is the logical stream length in bytes. Over a backend with a
+	// positional run read, writeAt writes every page back the moment it
+	// fills, which makes the page holding offset total — the one still
+	// being appended to — a watermark: every page below it is identical on
+	// the backend, so a record that ends below it is read with one
+	// pool.ReadRun and no frame (recordLocked). total only moves under mu's
+	// write half (Append raises it after the write-backs, RollbackLast
+	// lowers it before the space is rewritten), so a reader holding the read
+	// half can trust the watermark it computes.
+	total int64
+	elems int64 // total number of elements across sequences
 
 	tombstones map[seq.ID]bool // deleted IDs (see Delete)
 	live       int             // number of non-deleted sequences
@@ -217,37 +227,136 @@ func (db *DB) AppendAll(ss []seq.Sequence) (seq.ID, error) {
 	return first, nil
 }
 
-// Get fetches the sequence with the given ID. When the decoded-sequence
-// cache is enabled, the returned sequence may be shared with other callers
-// and must be treated as immutable.
+// Scratch is the reusable memory of one fetching goroutine: the pages of
+// the record last read and its decoded elements. Acquire one, pass it to
+// every Fetch, Release it when done. Not safe for concurrent use.
+type Scratch struct {
+	raw  []byte
+	vals seq.Sequence
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// AcquireScratch returns a pooled Scratch.
+func AcquireScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release returns the Scratch (and its buffers) to the pool; sequences
+// fetched into it must not be used afterwards.
+func (sc *Scratch) Release() { scratchPool.Put(sc) }
+
+// resize returns b with length n, reallocating only to grow.
+func resize(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// Fetch reads the sequence with the given ID into sc and returns it. The
+// result aliases sc: it is valid until the next Fetch with the same Scratch
+// and must not be retained — the candidate fetch of a query, which hands the
+// sequence to the lower bounds and the DP and keeps only a distance. Same
+// checks and errors as Get; allocation-free once sc has grown.
+func (db *DB) Fetch(id seq.ID, sc *Scratch) (seq.Sequence, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	start, end, err := db.extentLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return db.decodeLocked(start, end, sc)
+}
+
+// Get fetches the sequence with the given ID; the caller owns the result.
+// When the decoded-sequence cache is enabled, the returned sequence may be
+// shared with other callers and must be treated as immutable.
 func (db *DB) Get(id seq.ID) (seq.Sequence, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if int(id) >= len(db.offsets) {
-		return nil, fmt.Errorf("%w: id %d of %d", ErrNotFound, id, len(db.offsets))
-	}
-	if db.tombstones[id] {
-		return nil, fmt.Errorf("%w: id %d", ErrDeleted, id)
+	start, end, err := db.extentLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	if db.cache != nil {
 		if s := db.cache.get(id); s != nil {
 			return s, nil
 		}
 	}
-	start := db.offsets[id]
-	end := db.total
-	if int(id)+1 < len(db.offsets) {
-		end = db.offsets[id+1]
-	}
-	buf := make([]byte, end-start)
-	if err := db.readAt(start, buf); err != nil {
+	sc := AcquireScratch()
+	defer sc.Release()
+	rec, err := db.recordLocked(start, end, sc)
+	if err != nil {
 		return nil, err
 	}
-	s, _, err := seq.Decode(buf)
+	s, _, err := seq.Decode(rec)
 	if err == nil && db.cache != nil {
 		db.cache.put(id, s)
 	}
 	return s, err
+}
+
+// extentLocked returns the byte range record id occupies in the logical
+// stream, or ErrNotFound / ErrDeleted. Caller holds db.mu.
+func (db *DB) extentLocked(id seq.ID) (start, end int64, err error) {
+	if int(id) >= len(db.offsets) {
+		return 0, 0, fmt.Errorf("%w: id %d of %d", ErrNotFound, id, len(db.offsets))
+	}
+	if db.tombstones[id] {
+		return 0, 0, fmt.Errorf("%w: id %d", ErrDeleted, id)
+	}
+	return db.offsets[id], db.endLocked(int(id)), nil
+}
+
+// endLocked returns where record i ends: the next record's offset, or the
+// end of the stream for the newest. Caller holds db.mu.
+func (db *DB) endLocked(i int) int64 {
+	if i+1 < len(db.offsets) {
+		return db.offsets[i+1]
+	}
+	return db.total
+}
+
+// decodeLocked reads the record at [start, end) and decodes it into sc.
+// Caller holds db.mu.
+func (db *DB) decodeLocked(start, end int64, sc *Scratch) (seq.Sequence, error) {
+	rec, err := db.recordLocked(start, end, sc)
+	if err != nil {
+		return nil, err
+	}
+	s, _, err := seq.DecodeInto(sc.vals, rec)
+	if err != nil {
+		return nil, err
+	}
+	sc.vals = s
+	return s, nil
+}
+
+// recordLocked reads the encoded record at [start, end) into sc and returns
+// its bytes (aliasing sc). A record that ends below the watermark is one
+// positional read of the pages it covers, the payloads then closed up over
+// the CRC trailers between them; one that touches the page still being
+// appended to, or any record of a backend without a run read, is copied out
+// of pool frames. Caller holds db.mu.
+func (db *DB) recordLocked(start, end int64, sc *Scratch) ([]byte, error) {
+	size := int(end - start)
+	payload := int64(db.pool.PayloadSize())
+	first, last := start/payload, (end-1)/payload
+	if !db.pool.CanReadRun() || last >= db.total/payload {
+		sc.raw = resize(sc.raw, size)
+		return sc.raw, db.readAt(start, sc.raw)
+	}
+	pageSize, n := db.pool.PageSize(), int(last-first)+1
+	sc.raw = resize(sc.raw, n*pageSize)
+	raw := sc.raw
+	if err := db.pool.ReadRun(pagefile.PageID(first), n, raw); err != nil {
+		return nil, err
+	}
+	w := int(payload)
+	for p := 1; p < n; p++ {
+		w += copy(raw[w:], raw[p*pageSize:p*pageSize+int(payload)])
+	}
+	in := int(start % payload)
+	return raw[in : in+size], nil
 }
 
 // Scan calls fn for every stored sequence in ID order, reading pages
@@ -284,15 +393,12 @@ func (db *DB) Scan(fn func(id seq.ID, s seq.Sequence) error) error {
 		}
 		return nil
 	}
+	var buf []byte // one for the scan; fn owns each decoded sequence
 	for i, start := range db.offsets {
 		if db.tombstones[seq.ID(i)] {
 			continue
 		}
-		end := db.total
-		if i+1 < len(db.offsets) {
-			end = db.offsets[i+1]
-		}
-		buf := make([]byte, end-start)
+		buf = resize(buf, int(db.endLocked(i)-start))
 		if err := readInto(start, buf); err != nil {
 			return err
 		}
@@ -327,7 +433,13 @@ func (db *DB) writeAt(off int64, buf []byte) error {
 		}
 		n := copy(p.Payload()[in:], buf)
 		p.MarkDirty()
+		if db.pool.CanReadRun() && in+int64(n) == payload {
+			err = p.Flush() // full: from here on it is read from the backend
+		}
 		p.Unpin()
+		if err != nil {
+			return err
+		}
 		buf = buf[n:]
 		off += int64(n)
 	}
@@ -376,12 +488,9 @@ func (db *DB) Flush() error {
 func (db *DB) ScanAll(fn func(id seq.ID, s seq.Sequence, deleted bool) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	var buf []byte // one for the scan; fn owns each decoded sequence
 	for i, start := range db.offsets {
-		end := db.total
-		if i+1 < len(db.offsets) {
-			end = db.offsets[i+1]
-		}
-		buf := make([]byte, end-start)
+		buf = resize(buf, int(db.endLocked(i)-start))
 		if err := db.readAt(start, buf); err != nil {
 			return err
 		}
@@ -436,6 +545,15 @@ func (db *DB) saveDirectory() error {
 	return fsx.WriteFileSync(db.dirPath, buf, 0o644)
 }
 
+// minRecord is the encoding of the shortest sequence Append accepts: the
+// element count and one element.
+const minRecord = 4 + 8
+
+// loadDirectory reads the directory and refuses one the heap cannot have
+// written. The file carries no checksum, and everything a read computes — a
+// record's extent, the pages it covers, the size of its buffer — comes from
+// two neighbouring offsets, so what is checked here is what keeps a damaged
+// directory from becoming an out-of-range make or a read past the data file.
 func (db *DB) loadDirectory() error {
 	raw, err := os.ReadFile(db.dirPath)
 	if err != nil {
@@ -450,34 +568,49 @@ func (db *DB) loadDirectory() error {
 	if v := binary.LittleEndian.Uint32(raw[4:]); v != dirVersion {
 		return fmt.Errorf("seqdb: unsupported directory version %d", v)
 	}
-	n := int(binary.LittleEndian.Uint64(raw[8:]))
-	db.elems = int64(binary.LittleEndian.Uint64(raw[16:]))
-	if len(raw) < 24+8*n+8 {
+	count := binary.LittleEndian.Uint64(raw[8:])
+	if count > uint64(len(raw)-24)/8 || len(raw) < 24+8*int(count)+8+4 {
 		return errors.New("seqdb: directory file truncated")
 	}
-	db.offsets = make([]int64, n)
-	off := 24
-	for i := 0; i < n; i++ {
-		db.offsets[i] = int64(binary.LittleEndian.Uint64(raw[off:]))
-		off += 8
+	n := int(count)
+	offsets := make([]int64, n+1) // the stream's end closes the last record
+	for i := range offsets {
+		offsets[i] = int64(binary.LittleEndian.Uint64(raw[24+8*i:]))
 	}
-	db.total = int64(binary.LittleEndian.Uint64(raw[off:]))
-	off += 8
-	if len(raw) < off+4 {
-		return errors.New("seqdb: directory missing tombstone section")
+	off := 24 + 8*(n+1)
+	total := offsets[n]
+	if capacity := int64(db.pool.NumPages()) * int64(db.pool.PayloadSize()); total < 0 || total > capacity {
+		return fmt.Errorf("seqdb: directory damaged: %d bytes recorded, the data file holds at most %d", total, capacity)
+	}
+	if n > 0 && offsets[0] < 0 {
+		return fmt.Errorf("seqdb: directory damaged: record 0 at offset %d", offsets[0])
+	}
+	for i := 0; i < n; i++ {
+		if offsets[i+1]-offsets[i] < minRecord {
+			return fmt.Errorf("seqdb: directory damaged: record %d spans offsets %d..%d", i, offsets[i], offsets[i+1])
+		}
+	}
+	elems := int64(binary.LittleEndian.Uint64(raw[16:]))
+	if n > 0 && total-offsets[0] != 4*int64(n)+8*elems {
+		return fmt.Errorf("seqdb: directory damaged: %d elements recorded for %d records in %d bytes", elems, n, total-offsets[0])
 	}
 	nt := int(binary.LittleEndian.Uint32(raw[off:]))
 	off += 4
 	if len(raw) < off+4*nt {
 		return errors.New("seqdb: directory tombstone section truncated")
 	}
+	var tombstones map[seq.ID]bool
 	if nt > 0 {
-		db.tombstones = make(map[seq.ID]bool, nt)
+		tombstones = make(map[seq.ID]bool, nt)
 		for i := 0; i < nt; i++ {
-			db.tombstones[seq.ID(binary.LittleEndian.Uint32(raw[off:]))] = true
-			off += 4
+			id := seq.ID(binary.LittleEndian.Uint32(raw[off+4*i:]))
+			if int(id) >= n || tombstones[id] {
+				return fmt.Errorf("seqdb: directory damaged: tombstone %d of %d records (out of range or repeated)", id, n)
+			}
+			tombstones[id] = true
 		}
 	}
-	db.live = n - nt
+	db.offsets, db.total, db.elems = offsets[:n], total, elems
+	db.tombstones, db.live = tombstones, n-nt
 	return nil
 }

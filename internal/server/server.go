@@ -291,9 +291,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // queryError maps a failed query to its status: 499 when the client
-// disconnected mid-query, 503 when the per-query deadline expired, 400 for
-// everything else (validation). The outcome counters feed /metrics and
-// /stats.
+// disconnected mid-query, 503 when the per-query deadline expired, 500 when
+// a page the query needed failed its checksum (the answer would be missing
+// candidates, so there is none), 400 for everything else (validation). The
+// outcome counters feed /metrics and /stats.
 func (s *Server) queryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -302,6 +303,8 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlineExceeded.Add(1)
 		writeError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, pagefile.ErrPageCorrupt):
+		writeError(w, http.StatusInternalServerError, err)
 	default:
 		writeError(w, http.StatusBadRequest, err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http/httptest"
 	"testing"
 
 	twsim "repro"
@@ -20,10 +21,19 @@ func TestStatsStorageSection(t *testing.T) {
 	if _, err := db.AddBatch(data); err != nil {
 		t.Fatal(err)
 	}
-	// Two identical searches: the second runs against warm pools and a warm
-	// sequence cache, so every ratio below must end up strictly positive.
+	// Two identical searches: the second runs against warm pools, so the
+	// pool's hit ratio must end up strictly positive. A query fetches its
+	// candidates past the sequence cache, which serves reads by ID: the
+	// second GET of one sequence is its hit.
 	postSearch(t, srv, data[0], 0.4)
 	postSearch(t, srv, data[0], 0.4)
+	for i := 0; i < 2; i++ {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/sequences/0", nil))
+		if w.Code != 200 {
+			t.Fatalf("GET /sequences/0 returned %d: %s", w.Code, w.Body.String())
+		}
+	}
 
 	stats := getStats(t, srv)
 	storage, ok := stats["storage"].(map[string]any)
@@ -48,7 +58,7 @@ func TestStatsStorageSection(t *testing.T) {
 		t.Fatalf(`storage has no "seq_cache" object: %v`, storage)
 	}
 	if hits, _ := cache["hits"].(float64); hits <= 0 {
-		t.Errorf("seq_cache.hits = %v, want > 0 after a repeated query", cache["hits"])
+		t.Errorf("seq_cache.hits = %v, want > 0 after a repeated GET by id", cache["hits"])
 	}
 	if ratio, _ := cache["hit_ratio"].(float64); ratio <= 0 || ratio > 1 {
 		t.Errorf("seq_cache.hit_ratio = %v, want in (0, 1]", cache["hit_ratio"])

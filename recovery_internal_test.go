@@ -526,3 +526,85 @@ func TestAddRollbackReusesIDAndSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// damagedIndex is an index whose structure check fails, which is what makes
+// a Repair replace it instead of patching it in place.
+type damagedIndex struct{ core.Index }
+
+func (damagedIndex) CheckInvariants() error { return os.ErrInvalid }
+
+// TestSearcherSeesRepairedIndex: a Searcher handed out before a Repair that
+// replaced the index answers from the replacement — it used to keep
+// searching the closed index it captured at construction — and from the
+// database's envelopes: after the Repair and one more Add its answer is
+// db.Search's.
+func TestSearcherSeesRepairedIndex(t *testing.T) {
+	db, data := mustCreatePopulated(t, t.TempDir(), 30)
+	defer db.Close()
+	searchers := []Searcher{db.TWSimSearcher(), db.AdaptiveSearcher()}
+
+	db.index = damagedIndex{db.index}
+	rs, err := db.Repair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.Rebuilt {
+		t.Fatalf("Repair = %+v, want the index replaced", rs)
+	}
+	added := append([]float64(nil), data[3]...)
+	added[0] += 0.01
+	if _, err := db.Add(added); err != nil {
+		t.Fatal(err)
+	}
+
+	const epsilon = 2.5
+	want, err := db.Search(data[3], epsilon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) < 2 {
+		t.Fatalf("db.Search found %d matches; the query should match itself and the added twin", len(want.Matches))
+	}
+	for _, s := range searchers {
+		got, err := s.Search(data[3], epsilon)
+		if err != nil {
+			t.Fatalf("%s after Repair: %v", s.Name(), err)
+		}
+		if len(got.Matches) != len(want.Matches) {
+			t.Fatalf("%s after Repair: %d matches, db.Search %d", s.Name(), len(got.Matches), len(want.Matches))
+		}
+		for i := range got.Matches {
+			if got.Matches[i] != want.Matches[i] {
+				t.Fatalf("%s after Repair: match %d = %+v, db.Search %+v", s.Name(), i, got.Matches[i], want.Matches[i])
+			}
+		}
+	}
+}
+
+// TestOpenRefusesDamagedHeapDirectory: the heap is the one file set Open
+// cannot rebuild, so a dir.bin it cannot trust is an error that names the
+// damage — not a database that opens and dies on the first fetch.
+func TestOpenRefusesDamagedHeapDirectory(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := mustCreatePopulated(t, dir, 15)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "dir.bin")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[24+8*4+5] = 1 // record 4's offset becomes 1<<40 and change
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err == nil {
+		re.Close()
+		t.Fatal("Open accepted a directory whose offsets run past the data file")
+	}
+	if !strings.Contains(err.Error(), "sequence heap") || !strings.Contains(err.Error(), "directory damaged") {
+		t.Fatalf("Open error does not say what is wrong: %v", err)
+	}
+}

@@ -99,7 +99,9 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 }
 
 // TestStorageStatsSurface: the public StorageStats snapshot reports the data
-// pool's activity, and cache counters once the cache is enabled.
+// pool's activity, and cache counters once the cache is enabled. The cache
+// sits behind Get only — a query fetches its candidates past it — so the
+// lookups come from reads by ID.
 func TestStorageStatsSurface(t *testing.T) {
 	data := randomWalks(311, 40, 8, 20)
 	db, err := twsim.OpenMem(twsim.Options{SeqCacheBytes: 1 << 20})
@@ -119,8 +121,16 @@ func TestStorageStatsSurface(t *testing.T) {
 	if st.Data.Reads == 0 {
 		t.Fatalf("no pool activity recorded: %+v", st)
 	}
-	if st.Cache.Hits+st.Cache.Misses == 0 {
-		t.Fatalf("enabled cache recorded no lookups: %+v", st.Cache)
+	if st.Cache.Hits+st.Cache.Misses != 0 {
+		t.Fatalf("a query looked its candidates up in the sequence cache: %+v", st.Cache)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := db.Get(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st = db.StorageStats(); st.Cache.Misses != 1 || st.Cache.Hits != 1 {
+		t.Fatalf("two Gets of one ID: want one cache miss then one hit, got %+v", st.Cache)
 	}
 
 	sdb, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 2})

@@ -98,9 +98,10 @@ type Options struct {
 	// and banded results are bit-identical to a brute-force banded scan.
 	Band int
 	// SeqCacheBytes sizes the decoded-sequence cache (per shard, for a
-	// sharded database): hot sequences are served from memory without page
-	// I/O or deserialization. 0 disables the cache, keeping the paper's
-	// per-query disk-access accounting exact — which is why it is opt-in.
+	// sharded database): Get, Distance and the suffix-tree searchers read hot
+	// sequences from memory without page I/O or deserialization. Search,
+	// NearestK and SearchBatch fetch their candidates past it, straight
+	// into per-worker scratch. 0 (the default) disables the cache.
 	SeqCacheBytes int64
 	// SlowQueryThreshold, when positive, makes every query whose wall time
 	// reaches it emit one flat key=value log line (query kind, request ID,
@@ -315,8 +316,13 @@ func Create(dir string, opts Options) (*DB, error) {
 // OpenDiagnostics.
 func Open(dir string, opts Options) (*DB, error) {
 	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages, CacheBytes: opts.SeqCacheBytes})
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
+	}
+	if err != nil {
+		// The heap is the source of truth: unlike a bad index file or
+		// sidecar there is nothing to rebuild a damaged heap from.
+		return nil, fmt.Errorf("twsim: the sequence heap in %s cannot be opened: %w", dir, err)
 	}
 	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}
