@@ -107,6 +107,13 @@ SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|Ne
 # internal/flatidx (PAA envelopes live in core.EnvStore only; FlatIndex and
 # the R-tree baseline offer NearestWalkKeyed through core.Index).
 CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|envTightIndex|knnEnvWalker|yiComplete|deferHeap|admitPoint|FlatMergeThreshold|NewIndex\b|OpenIndex\b
+# The third does it for the heap's record reader: seqdb.Fetch (recordLocked)
+# is the only way a record leaves the heap, so the decoded-sequence LRU, its
+# stats type, flag and gauges stay deleted everywhere outside the benchmark
+# (cmd/bench still sets the ignored SeqCacheBytes/CacheBytes fields and
+# scrapes the two constant-0 counters), and the two one-valued knobs
+# (PoolPages in the root package, WALFlushBytes anywhere) stay constants.
+SEQCACHE_DELETED = \bseqCache\b|newSeqCache|seqdb\.CacheStats|type CacheStats|"seq-cache-mb"|WALFlushBytes|twsim_seq_cache_(bytes|entries|hit_ratio)
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -115,6 +122,10 @@ surface:
 	@out=$$(grep -nE '$(CORE_DELETED)' $$(find internal/core internal/flatidx -name '*.go' ! -name '*_test.go')); \
 	if [ -n "$$out" ]; then \
 		echo "deleted core/flatidx identifiers are back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$( { grep -nE '$(SEQCACHE_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*'); grep -nE 'PoolPages' *.go; } | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "the decoded-sequence cache or a one-valued knob is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

@@ -62,8 +62,8 @@ type Backend interface {
 	IndexPages() int
 	// LastRepair reports what the Open-time reconciliation fixed.
 	LastRepair() RepairStats
-	// StorageStats snapshots the buffer pool and decoded-sequence cache
-	// counters (summed over shards for a sharded backend).
+	// StorageStats snapshots the data heap's buffer pool counters (summed
+	// over shards for a sharded backend).
 	StorageStats() StorageStats
 	// IndexEngineStats reports which feature-index engine backs the store
 	// and, for the flat engine, its snapshot/delta counters (summed over

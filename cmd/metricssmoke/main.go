@@ -184,7 +184,7 @@ func run(bin string) error {
 	if got := law[1] + law[2] + law[3] + law[4] + dtw; got != law[0] {
 		return fmt.Errorf("conservation law violated: candidates=%g but pruned+dtw=%g", law[0], got)
 	}
-	for _, name := range []string{"twsim_pool_hit_ratio", "twsim_seq_cache_hit_ratio", "twsim_sequences"} {
+	for _, name := range []string{"twsim_pool_hit_ratio", "twsim_sequences"} {
 		if _, err := need(name, nil); err != nil {
 			return err
 		}

@@ -39,13 +39,10 @@
 // /search and /knn requests may override it with a "band" field; negative
 // values are rejected with 400.
 //
-// -seq-cache-mb M sizes the decoded-sequence cache in MiB per partition
-// (default 4, 0 disables): reads of a sequence by ID (GET /sequences/{id},
-// the baseline searchers) serve hot sequences from memory without page I/O
-// or deserialization. Queries do not use it — a candidate fetch is one
-// positional read of the data file into per-worker scratch. The cache+pool
-// hit ratios are reported under "storage" in GET /stats and as gauges on
-// GET /metrics.
+// Every read of a stored sequence — a query's candidates, GET
+// /sequences/{id} — is one positional read of the data file into scratch;
+// there is no sequence cache. The data pool's counters are reported under
+// "storage" in GET /stats and as twsim_pool_* on GET /metrics.
 //
 // Serving under load:
 //
@@ -132,7 +129,6 @@ func main() {
 		verify  = flag.Bool("verify", false, "run a full heap/index integrity check before serving")
 		workers = flag.Int("refine-workers", 0, "intra-query refinement worker budget per search (0 = GOMAXPROCS, 1 = serial)")
 		band    = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
-		cacheMB = flag.Int("seq-cache-mb", 4, "decoded-sequence cache size in MiB per partition, serving reads of a sequence by ID (GET /sequences/{id}, the baselines); queries fetch candidates past it (0 = disabled)")
 
 		resultCacheMB = flag.Int("result-cache-mb", 0, "whole-query result cache size in MiB (0 = disabled); repeated queries answer from memory with zero index/DTW work, invalidated by any write")
 		deadlineMS    = flag.Int("deadline-ms", 0, "per-query execution deadline in milliseconds (0 = none); a query past it is abandoned and answers 503")
@@ -164,7 +160,6 @@ func main() {
 	opts := twsim.Options{
 		RefineWorkers:      *workers,
 		Band:               *band,
-		SeqCacheBytes:      int64(*cacheMB) << 20,
 		ResultCacheBytes:   int64(*resultCacheMB) << 20,
 		QueryDeadline:      time.Duration(*deadlineMS) * time.Millisecond,
 		SlowQueryThreshold: time.Duration(*slowMS) * time.Millisecond,

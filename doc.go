@@ -123,11 +123,12 @@
 // still being appended to, and every record of an in-memory database, is
 // copied out of the lock-striped buffer pool (pages hash to independently
 // locked stripes, so concurrent faults on different pages do not
-// serialize). An optional decoded-sequence cache (Options.SeqCacheBytes)
-// serves reads by ID (Get, Distance), not queries; DB.StorageStats exposes
-// wait-free counters for both, and a direct read counts as the pool misses
-// it replaced. (The pool is the heap file's: the index is walked in place,
-// mapped or in memory.)
+// serialize). Reads by ID go the same way — Get is that fetch plus the one
+// allocation that makes the result the caller's own, Distance keeps
+// nothing — and there is no sequence cache (Options.SeqCacheBytes is
+// accepted and ignored). DB.StorageStats exposes the pool's wait-free
+// counters; a direct read counts as the pool misses it replaced. (The pool
+// is the heap file's: the index is walked in place, mapped or in memory.)
 //
 // # Input validation and observability
 //

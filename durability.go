@@ -18,7 +18,7 @@ type WALStats = wal.Stats
 
 // walOptions maps the public knobs onto the log's options.
 func (o Options) walOptions() wal.Options {
-	return wal.Options{FlushInterval: o.WALFlushInterval, FlushBytes: o.WALFlushBytes}
+	return wal.Options{FlushInterval: o.WALFlushInterval}
 }
 
 // walCheckpointBytes resolves the auto-checkpoint threshold (<= 0 when

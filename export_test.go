@@ -11,7 +11,7 @@ func OpenMemBaseline(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.index.Close()
-	if db.index, err = core.NewFeatureIndex(core.IndexOptions{PageSize: opts.PageSize, PoolPages: opts.PoolPages}); err != nil {
+	if db.index, err = core.NewFeatureIndex(core.IndexOptions{PageSize: opts.PageSize}); err != nil {
 		db.store.Close()
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/pagefile"
 	"repro/internal/seq"
-	"repro/internal/seqdb"
 )
 
 // CostModel converts buffer pool misses into modeled disk time so elapsed
@@ -168,21 +167,15 @@ func (s QueryStats) String() string {
 }
 
 // StorageStats is a point-in-time snapshot of the storage-layer counters:
-// the heap file's buffer pool plus the decoded-sequence cache (the flat
-// index has no pool: it is walked in place). Each component snapshot is
-// wait-free for its counters and the two are taken one after the other, so
-// the whole is weakly consistent — good for monitoring ratios, not for
-// exact cross-component accounting.
+// the heap file's buffer pool (the flat index has no pool: it is walked in
+// place). The snapshot is wait-free and weakly consistent — good for
+// monitoring ratios, not for exact accounting.
 type StorageStats struct {
-	Data  pagefile.Stats
-	Cache seqdb.CacheStats
+	Data pagefile.Stats
 }
 
 // Add accumulates other into s (used to aggregate across shards).
-func (s *StorageStats) Add(other StorageStats) {
-	s.Data.Add(other.Data)
-	s.Cache.Add(other.Cache)
-}
+func (s *StorageStats) Add(other StorageStats) { s.Data.Add(other.Data) }
 
 // Match is one qualifying sequence with its exact time warping distance.
 type Match struct {

@@ -295,11 +295,13 @@ func (f *STFilter) SearchSubsequences(q seq.Sequence, epsilon float64) (*SubseqR
 		}
 		return cands[i].ln < cands[j].ln
 	})
-	var cur seq.Sequence
+	sc := seqdb.AcquireScratch()
+	defer sc.Release()
+	var cur seq.Sequence // aliases sc until the next Fetch
 	curID := seq.InvalidID
 	for _, c := range cands {
 		if c.id != curID {
-			s, err := f.DB.Get(c.id)
+			s, err := f.DB.Fetch(c.id, sc)
 			if err != nil {
 				return nil, err
 			}

@@ -153,7 +153,7 @@ func (si *SubseqIndex) Search(q seq.Sequence, epsilon float64) (*SubseqResult, e
 	res.Stats.Candidates = len(candidates)
 
 	// Refine, fetching each source sequence once per contiguous candidate
-	// group (candidates are grouped by sequence to bound Get calls).
+	// group (candidates are grouped by sequence to bound fetches).
 	sort.Slice(candidates, func(i, j int) bool {
 		if candidates[i].id != candidates[j].id {
 			return candidates[i].id < candidates[j].id
@@ -163,11 +163,13 @@ func (si *SubseqIndex) Search(q seq.Sequence, epsilon float64) (*SubseqResult, e
 		}
 		return candidates[i].length < candidates[j].length
 	})
-	var cur seq.Sequence
+	sc := seqdb.AcquireScratch()
+	defer sc.Release()
+	var cur seq.Sequence // aliases sc until the next Fetch
 	curID := seq.InvalidID
 	for _, ref := range candidates {
 		if ref.id != curID {
-			s, err := si.DB.Get(ref.id)
+			s, err := si.DB.Fetch(ref.id, sc)
 			if err != nil {
 				return nil, err
 			}

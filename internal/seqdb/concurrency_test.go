@@ -11,7 +11,15 @@ import (
 
 // Concurrent readers over a shared database must observe consistent data.
 func TestConcurrentReaders(t *testing.T) {
-	db := newMemDB(t)
+	// Nine goroutines pin a page each at the same moment (eight Gets and the
+	// scan's cursor): the pool must hold that many frames in every stripe — 12
+	// pages make one stripe of 12 — or a reader that finds all of them pinned
+	// fails with "stripe exhausted".
+	db, err := NewMem(Options{PageSize: 256, PoolPages: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	rng := rand.New(rand.NewSource(61))
 	const n = 100
 	want := make([]seq.Sequence, n)

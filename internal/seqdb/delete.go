@@ -24,14 +24,7 @@ func (db *DB) Delete(id seq.ID) (bool, error) {
 	if db.tombstones[id] {
 		return false, nil
 	}
-	if db.tombstones == nil {
-		db.tombstones = make(map[seq.ID]bool)
-	}
-	db.tombstones[id] = true
-	db.live--
-	if db.cache != nil {
-		db.cache.invalidate(id)
-	}
+	db.tombstoneLocked(id)
 	return true, nil
 }
 

@@ -366,6 +366,9 @@ func TestFetchDetectsCorruptPage(t *testing.T) {
 // newest IDs. Every record says which ID it was appended under and how to
 // regenerate the rest of it, so whatever a fetch returns — a rolled-back ID
 // may have been reused by then — must be a record that was appended whole.
+// One more goroutine deletes recent records while the readers Get them: a
+// Get racing a Delete returns the whole sequence or ErrDeleted, never a torn
+// one, and once the storm is over every deleted ID says ErrDeleted.
 func TestFetchBesideAppendAndRollback(t *testing.T) {
 	db, err := Create(t.TempDir(), Options{PageSize: 128, PoolPages: 8})
 	if err != nil {
@@ -408,7 +411,8 @@ func TestFetchBesideAppendAndRollback(t *testing.T) {
 		defer writers.Done()
 		for i := 0; i < appends/3; i++ {
 			appendMu.Lock()
-			if n := db.NumRecords(); n > 0 {
+			// A deleted record cannot be rolled back; the next append unblocks the loop.
+			if n := db.NumRecords(); n > 0 && !db.Deleted(seq.ID(n-1)) {
 				if err := db.RollbackLast(seq.ID(n - 1)); err != nil {
 					t.Errorf("RollbackLast(%d): %v", n-1, err)
 				}
@@ -416,6 +420,41 @@ func TestFetchBesideAppendAndRollback(t *testing.T) {
 			appendMu.Unlock()
 		}
 	}()
+	var deleted []seq.ID
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < appends/3; {
+			appendMu.Lock() // against the rollback loop's Deleted-then-RollbackLast
+			if n := db.NumRecords(); n > 0 {
+				i++
+				id := seq.ID(n - 1 - rng.Intn(min(n, 6)))
+				if ok, err := db.Delete(id); err != nil {
+					t.Errorf("Delete(%d): %v", id, err)
+				} else if ok {
+					deleted = append(deleted, id)
+				}
+			}
+			appendMu.Unlock()
+		}
+	}()
+	// whole says whether a read of id returned a record appended whole under
+	// that ID, or the error of one rolled back or deleted since NumRecords.
+	whole := func(id seq.ID, s seq.Sequence, err error) bool {
+		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrDeleted) {
+			return true
+		}
+		if err != nil {
+			t.Errorf("read of %d: %v", id, err)
+			return false
+		}
+		if len(s) < 2 || seq.ID(s[0]) != id || !sameBits(s, record(id, int(s[1]), len(s))) {
+			t.Errorf("read of %d returned a record nobody appended: %v", id, s)
+			return false
+		}
+		return true
+	}
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func(r int) {
@@ -430,15 +469,10 @@ func TestFetchBesideAppendAndRollback(t *testing.T) {
 				}
 				id := seq.ID(n - 1 - rng.Intn(min(n, 6)))
 				s, err := db.Fetch(id, sc)
-				if errors.Is(err, ErrNotFound) {
-					continue // rolled back since NumRecords
-				}
-				if err != nil {
-					t.Errorf("Fetch(%d): %v", id, err)
+				if !whole(id, s, err) {
 					return
 				}
-				if len(s) < 2 || !sameBits(s, record(seq.ID(s[0]), int(s[1]), len(s))) || seq.ID(s[0]) != id {
-					t.Errorf("Fetch(%d) returned a record nobody appended: %v", id, s)
+				if s, err = db.Get(id); !whole(id, s, err) {
 					return
 				}
 			}
@@ -447,4 +481,12 @@ func TestFetchBesideAppendAndRollback(t *testing.T) {
 	writers.Wait()
 	done.Store(true)
 	readers.Wait()
+	if len(deleted) == 0 {
+		t.Fatal("nothing was deleted: the Get-beside-Delete half checked nothing")
+	}
+	for _, id := range deleted {
+		if _, err := db.Get(id); !errors.Is(err, ErrDeleted) {
+			t.Fatalf("Get(%d) after Delete = %v, want ErrDeleted", id, err)
+		}
+	}
 }

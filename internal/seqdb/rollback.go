@@ -28,13 +28,6 @@ func (db *DB) RollbackLast(id seq.ID) error {
 	if db.tombstones[id] {
 		return fmt.Errorf("seqdb: RollbackLast(%d): record already deleted", id)
 	}
-	// The rolled-back ID will be reused by the next Append; a cached copy
-	// of the old record must not outlive it. The tombstone fallback path
-	// below needs the same (Get would refuse, but a later Repair could
-	// resurrect the ID).
-	if db.cache != nil {
-		db.cache.invalidate(id)
-	}
 	start := db.offsets[last]
 	sc := AcquireScratch()
 	defer sc.Release()

@@ -30,11 +30,7 @@ type Options struct {
 	// buffer pool is built on it. Fault-injection tests use it to fail
 	// storage operations at chosen points.
 	WrapBackend func(pagefile.Backend) pagefile.Backend
-	// CacheBytes, when positive, enables a decoded-sequence cache of
-	// roughly that many bytes: Get serves hot IDs without touching the page
-	// layer or re-deserializing. Zero disables the cache (the default, so
-	// the paper's per-method disk-access accounting stays exact). Fetch —
-	// the query path — never consults it.
+	// CacheBytes is accepted and ignored (cmd/bench sets it); goes with ROADMAP 5(c).
 	CacheBytes int64
 }
 
@@ -63,8 +59,7 @@ const (
 type DB struct {
 	mu      sync.RWMutex
 	pool    *pagefile.Pool
-	cache   *seqCache // nil unless Options.CacheBytes > 0
-	dirPath string    // empty for purely in-memory databases
+	dirPath string // empty for purely in-memory databases
 
 	offsets []int64 // byte offset of record i in the logical stream
 	// total is the logical stream length in bytes. Over a backend with a
@@ -95,7 +90,7 @@ func NewMem(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{pool: pool, cache: newSeqCache(opts.CacheBytes)}, nil
+	return &DB{pool: pool}, nil
 }
 
 // Create creates a new on-disk database inside directory dir (which is
@@ -118,7 +113,7 @@ func Create(dir string, opts Options) (*DB, error) {
 		backend.Close()
 		return nil, err
 	}
-	db := &DB{pool: pool, cache: newSeqCache(opts.CacheBytes), dirPath: filepath.Join(dir, dirFile)}
+	db := &DB{pool: pool, dirPath: filepath.Join(dir, dirFile)}
 	if err := db.saveDirectory(); err != nil {
 		pool.Close()
 		return nil, err
@@ -145,7 +140,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		backend.Close()
 		return nil, err
 	}
-	db := &DB{pool: pool, cache: newSeqCache(opts.CacheBytes), dirPath: filepath.Join(dir, dirFile)}
+	db := &DB{pool: pool, dirPath: filepath.Join(dir, dirFile)}
 	if err := db.loadDirectory(); err != nil {
 		pool.Close()
 		return nil, err
@@ -176,15 +171,6 @@ func (db *DB) Bytes() int64 {
 
 // Stats returns the buffer pool counters for the data file.
 func (db *DB) Stats() pagefile.Stats { return db.pool.Stats() }
-
-// CacheStats returns the decoded-sequence cache counters (zero value when
-// the cache is disabled).
-func (db *DB) CacheStats() CacheStats {
-	if db.cache == nil {
-		return CacheStats{}
-	}
-	return db.cache.stats()
-}
 
 // ResetStats zeroes the buffer pool counters (between experiment runs).
 func (db *DB) ResetStats() { db.pool.ResetStats() }
@@ -255,8 +241,9 @@ func resize(b []byte, n int) []byte {
 // Fetch reads the sequence with the given ID into sc and returns it. The
 // result aliases sc: it is valid until the next Fetch with the same Scratch
 // and must not be retained — the candidate fetch of a query, which hands the
-// sequence to the lower bounds and the DP and keeps only a distance. Same
-// checks and errors as Get; allocation-free once sc has grown.
+// sequence to the lower bounds and the DP and keeps only a distance. An ID
+// never appended is ErrNotFound, a deleted one ErrDeleted. Allocation-free
+// once sc has grown. Every record leaves the heap through here.
 func (db *DB) Fetch(id seq.ID, sc *Scratch) (seq.Sequence, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -267,32 +254,16 @@ func (db *DB) Fetch(id seq.ID, sc *Scratch) (seq.Sequence, error) {
 	return db.decodeLocked(start, end, sc)
 }
 
-// Get fetches the sequence with the given ID; the caller owns the result.
-// When the decoded-sequence cache is enabled, the returned sequence may be
-// shared with other callers and must be treated as immutable.
+// Get is Fetch into a pooled Scratch plus the one allocation that makes the
+// result the caller's own.
 func (db *DB) Get(id seq.ID) (seq.Sequence, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	start, end, err := db.extentLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	if db.cache != nil {
-		if s := db.cache.get(id); s != nil {
-			return s, nil
-		}
-	}
 	sc := AcquireScratch()
 	defer sc.Release()
-	rec, err := db.recordLocked(start, end, sc)
+	s, err := db.Fetch(id, sc)
 	if err != nil {
 		return nil, err
 	}
-	s, _, err := seq.Decode(rec)
-	if err == nil && db.cache != nil {
-		db.cache.put(id, s)
-	}
-	return s, err
+	return s.Clone(), nil
 }
 
 // extentLocked returns the byte range record id occupies in the logical
@@ -363,20 +334,42 @@ func (db *DB) recordLocked(start, end int64, sc *Scratch) ([]byte, error) {
 // sequentially through the buffer pool. fn returning an error stops the scan
 // and propagates the error.
 func (db *DB) Scan(fn func(id seq.ID, s seq.Sequence) error) error {
+	return db.scan(false, func(id seq.ID, s seq.Sequence, _ bool) error { return fn(id, s) })
+}
+
+// ScanAll calls fn for every record slot in ID order, including
+// tombstoned ones — the full dense ID space a replica must mirror for its
+// IDs to line up with the primary's. Tombstoned records whose bytes no
+// longer decode (best-effort rollback leftovers) are reported with a nil
+// sequence rather than an error.
+func (db *DB) ScanAll(fn func(id seq.ID, s seq.Sequence, deleted bool) error) error {
+	return db.scan(true, fn)
+}
+
+// scan is the one sequential pass over the heap: a cursor keeps the current
+// page pinned, so every page is fetched from the pool once however many
+// records share it. Tombstoned records are skipped unread unless
+// withDeleted. fn owns each decoded sequence.
+func (db *DB) scan(withDeleted bool, fn func(id seq.ID, s seq.Sequence, deleted bool) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	payload := int64(db.pool.PayloadSize())
 	var cur *pagefile.Page
-	var curIdx int64 = -1
+	curIdx := int64(-1)
 	defer func() {
 		if cur != nil {
 			cur.Unpin()
 		}
 	}()
-	readInto := func(off int64, dst []byte) error {
-		for len(dst) > 0 {
-			idx := off / payload
-			if idx != curIdx {
+	var buf []byte // one for the scan
+	for i, start := range db.offsets {
+		deleted := db.tombstones[seq.ID(i)]
+		if deleted && !withDeleted {
+			continue
+		}
+		buf = resize(buf, int(db.endLocked(i)-start))
+		for off, dst := start, buf; len(dst) > 0; {
+			if idx := off / payload; idx != curIdx {
 				if cur != nil {
 					cur.Unpin()
 					cur = nil
@@ -391,22 +384,14 @@ func (db *DB) Scan(fn func(id seq.ID, s seq.Sequence) error) error {
 			dst = dst[n:]
 			off += int64(n)
 		}
-		return nil
-	}
-	var buf []byte // one for the scan; fn owns each decoded sequence
-	for i, start := range db.offsets {
-		if db.tombstones[seq.ID(i)] {
-			continue
-		}
-		buf = resize(buf, int(db.endLocked(i)-start))
-		if err := readInto(start, buf); err != nil {
-			return err
-		}
 		s, _, err := seq.Decode(buf)
 		if err != nil {
-			return fmt.Errorf("seqdb: record %d: %w", i, err)
+			if !deleted {
+				return fmt.Errorf("seqdb: record %d: %w", i, err)
+			}
+			s = nil
 		}
-		if err := fn(seq.ID(i), s); err != nil {
+		if err := fn(seq.ID(i), s, deleted); err != nil {
 			return err
 		}
 	}
@@ -446,7 +431,9 @@ func (db *DB) writeAt(off int64, buf []byte) error {
 	return nil
 }
 
-// readAt fills buf from logical offset off. Caller holds db.mu (read).
+// readAt fills buf from logical offset off through pool frames, one fetch a
+// page: recordLocked's path for the newest record and for backends without
+// a run read. Caller holds db.mu (read).
 func (db *DB) readAt(off int64, buf []byte) error {
 	payload := int64(db.pool.PayloadSize())
 	for len(buf) > 0 {
@@ -478,35 +465,6 @@ func (db *DB) Flush() error {
 		return err
 	}
 	return db.saveDirectory()
-}
-
-// ScanAll calls fn for every record slot in ID order, including
-// tombstoned ones — the full dense ID space a replica must mirror for its
-// IDs to line up with the primary's. Tombstoned records whose bytes no
-// longer decode (best-effort rollback leftovers) are reported with a nil
-// sequence rather than an error.
-func (db *DB) ScanAll(fn func(id seq.ID, s seq.Sequence, deleted bool) error) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var buf []byte // one for the scan; fn owns each decoded sequence
-	for i, start := range db.offsets {
-		buf = resize(buf, int(db.endLocked(i)-start))
-		if err := db.readAt(start, buf); err != nil {
-			return err
-		}
-		deleted := db.tombstones[seq.ID(i)]
-		s, _, err := seq.Decode(buf)
-		if err != nil {
-			if !deleted {
-				return fmt.Errorf("seqdb: record %d: %w", i, err)
-			}
-			s = nil
-		}
-		if err := fn(seq.ID(i), s, deleted); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close flushes and releases the database.

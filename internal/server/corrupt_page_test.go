@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -67,5 +68,21 @@ func TestSearchOnCorruptHeapPageIs500(t *testing.T) {
 	}
 	if w := post("/search", map[string]any{"query": data[5], "epsilon": 0}); w.Code != http.StatusOK {
 		t.Fatalf("/search for a sequence on intact pages: status %d: %s", w.Code, w.Body.String())
+	}
+	// A read by ID goes through the same fetch: the damaged page is a storage
+	// failure (500), not "not found" (404, which stays for absent IDs).
+	get := func(id int) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/sequences/%d", id), nil))
+		return w
+	}
+	if w := get(63); w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "checksum mismatch (page 50)") {
+		t.Fatalf("GET of a sequence on the damaged page: status %d, want 500 naming page 50: %s", w.Code, w.Body.String())
+	}
+	if w := get(5); w.Code != http.StatusOK {
+		t.Fatalf("GET of a sequence on intact pages: status %d: %s", w.Code, w.Body.String())
+	}
+	if w := get(len(data)); w.Code != http.StatusNotFound {
+		t.Fatalf("GET of an ID never stored: status %d, want 404: %s", w.Code, w.Body.String())
 	}
 }

@@ -74,10 +74,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// The cascade no longer runs these two tiers (the index walk applies
 	// LB_Kim, which dominates LB_Yi under L∞); the series stay registered at
 	// a constant 0 because cmd/bench/ledger.go and benchkit.ConservationGap
-	// fail a run on a missing series. They go with ROADMAP item 4.
+	// fail a run on a missing series; likewise the two counters of the
+	// deleted decoded-sequence cache. They go with ROADMAP item 5(c).
 	zero := func() float64 { return 0 }
 	reg.CounterFunc("twsim_lb_kim_pruned_total", "", "Always 0: the cascade has no LB_Kim tier (the index walk applies the bound).", zero)
 	reg.CounterFunc("twsim_lb_yi_pruned_total", "", "Always 0: the cascade has no LB_Yi tier.", zero)
+	reg.CounterFunc("twsim_seq_cache_hits_total", "", "Always 0: there is no decoded-sequence cache.", zero)
+	reg.CounterFunc("twsim_seq_cache_misses_total", "", "Always 0: there is no decoded-sequence cache.", zero)
 	reg.CounterFunc("twsim_knn_frontier_repushes_total", "", "k-NN candidates re-entering the walk frontier with an envelope-sharpened priority.", counterOf(&s.totals.knnRepushes))
 	reg.CounterFunc("twsim_knn_envelope_cutoffs_total", "", "k-NN walks stopped on an envelope-raised key (the ordering tier ended the walk early).", counterOf(&s.totals.knnEnvCutoffs))
 
@@ -104,9 +107,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() obs.HistogramData { return s.backend.IndexEngineStats().MergeHist })
 
 	// Storage-layer counters: the data file's buffer pool (the only pool:
-	// the index is walked in place) and the decoded-sequence cache. Each
-	// collector snapshots StorageStats at scrape time; snapshots are weakly
-	// consistent (see twsim.StorageStats), which is fine for ratios.
+	// the index is walked in place). Each collector snapshots StorageStats
+	// at scrape time; snapshots are weakly consistent (see
+	// twsim.StorageStats), which is fine for ratios.
 	pool := func(sel func(twsim.StorageStats) float64) func() float64 {
 		return func() float64 { return sel(s.backend.StorageStats()) }
 	}
@@ -115,11 +118,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("twsim_pool_misses_total", dataPool, "Page reads that went to the backend, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Misses) }))
 	reg.CounterFunc("twsim_pool_writes_total", dataPool, "Physical page write-backs, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Writes) }))
 	reg.GaugeFunc("twsim_pool_hit_ratio", dataPool, "Buffer pool hit ratio (1 - misses/reads).", pool(func(st twsim.StorageStats) float64 { return st.Data.HitRatio() }))
-	reg.CounterFunc("twsim_seq_cache_hits_total", "", "Decoded-sequence cache hits.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Hits) }))
-	reg.CounterFunc("twsim_seq_cache_misses_total", "", "Decoded-sequence cache misses.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Misses) }))
-	reg.GaugeFunc("twsim_seq_cache_bytes", "", "Bytes resident in the decoded-sequence cache.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Bytes) }))
-	reg.GaugeFunc("twsim_seq_cache_entries", "", "Sequences resident in the decoded-sequence cache.", pool(func(st twsim.StorageStats) float64 { return float64(st.Cache.Entries) }))
-	reg.GaugeFunc("twsim_seq_cache_hit_ratio", "", "Decoded-sequence cache hit ratio.", pool(func(st twsim.StorageStats) float64 { return st.Cache.HitRatio() }))
 
 	// Whole-query result cache: collectors snapshot ResultCacheStats at
 	// scrape time (all series read 0 with the cache disabled).

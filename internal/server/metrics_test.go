@@ -166,9 +166,14 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, name := range []string{
 		"twsim_data_bytes", "twsim_index_pages",
-		"twsim_seq_cache_hits_total", "twsim_seq_cache_misses_total", "twsim_seq_cache_hit_ratio",
+		"twsim_seq_cache_hits_total", "twsim_seq_cache_misses_total", // constant 0, kept for cmd/bench
 	} {
 		mustValue(t, s, name, nil)
+	}
+	for _, name := range []string{"twsim_seq_cache_bytes", "twsim_seq_cache_entries", "twsim_seq_cache_hit_ratio"} {
+		if _, ok := s.Value(name, nil); ok {
+			t.Errorf("%s is exported: the sequence cache is gone", name)
+		}
 	}
 	mustValue(t, s, "twsim_pool_reads_total", map[string]string{"pool": "data"})
 	mustValue(t, s, "twsim_pool_hit_ratio", map[string]string{"pool": "data"})

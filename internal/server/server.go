@@ -55,6 +55,7 @@ import (
 
 	twsim "repro"
 	"repro/internal/pagefile"
+	"repro/internal/seqdb"
 )
 
 // StatusClientClosedRequest is the non-standard status (nginx's 499)
@@ -331,27 +332,16 @@ func shardQueriesJSON(qt twsim.QueryTotals) map[string]any {
 	}
 }
 
-// storageJSON renders the storage-layer counters with their derived hit
-// ratios (pagefile.Stats.HitRatio, seqdb.CacheStats.HitRatio — 0 before any
-// traffic).
+// storageJSON renders the data pool's counters with the derived hit ratio
+// (pagefile.Stats.HitRatio — 0 before any traffic).
 func storageJSON(st twsim.StorageStats) map[string]any {
-	poolJSON := func(p pagefile.Stats) map[string]any {
-		return map[string]any{
-			"reads":      p.Reads,
-			"misses":     p.Misses,
-			"seq_misses": p.SeqMisses,
-			"writes":     p.Writes,
-			"hit_ratio":  p.HitRatio(),
-		}
-	}
 	return map[string]any{
-		"data_pool": poolJSON(st.Data),
-		"seq_cache": map[string]any{
-			"hits":      st.Cache.Hits,
-			"misses":    st.Cache.Misses,
-			"bytes":     st.Cache.Bytes,
-			"entries":   st.Cache.Entries,
-			"hit_ratio": st.Cache.HitRatio(),
+		"data_pool": map[string]any{
+			"reads":      st.Data.Reads,
+			"misses":     st.Data.Misses,
+			"seq_misses": st.Data.SeqMisses,
+			"writes":     st.Data.Writes,
+			"hit_ratio":  st.Data.HitRatio(),
 		},
 	}
 }
@@ -520,8 +510,12 @@ func (s *Server) handleSequenceByID(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		values, err := s.backend.Get(id)
-		if err != nil {
+		if errors.Is(err, seqdb.ErrNotFound) || errors.Is(err, seqdb.ErrDeleted) {
 			writeError(w, http.StatusNotFound, err)
+			return
+		}
+		if err != nil { // a page failed its checksum, or the read itself failed
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"id": uint32(id), "values": values})

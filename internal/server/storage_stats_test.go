@@ -7,11 +7,11 @@ import (
 	twsim "repro"
 )
 
-// TestStatsStorageSection: /stats exposes the storage-layer counters — both
-// buffer pools and the decoded-sequence cache — with hit ratios a monitor
-// can alert on directly.
+// TestStatsStorageSection: /stats exposes the storage-layer counters — the
+// data pool, and no sequence cache — with a hit ratio a monitor can alert on
+// directly.
 func TestStatsStorageSection(t *testing.T) {
-	db, err := twsim.OpenMem(twsim.Options{SeqCacheBytes: 1 << 20})
+	db, err := twsim.OpenMem(twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +22,8 @@ func TestStatsStorageSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two identical searches: the second runs against warm pools, so the
-	// pool's hit ratio must end up strictly positive. A query fetches its
-	// candidates past the sequence cache, which serves reads by ID: the
-	// second GET of one sequence is its hit.
+	// pool's hit ratio must end up strictly positive. Reads by ID go to the
+	// heap the same way.
 	postSearch(t, srv, data[0], 0.4)
 	postSearch(t, srv, data[0], 0.4)
 	for i := 0; i < 2; i++ {
@@ -53,15 +52,8 @@ func TestStatsStorageSection(t *testing.T) {
 	if _, ok := storage["index_pool"]; ok {
 		t.Error(`storage still reports an "index_pool": the index has no pool`)
 	}
-	cache, ok := storage["seq_cache"].(map[string]any)
-	if !ok {
-		t.Fatalf(`storage has no "seq_cache" object: %v`, storage)
-	}
-	if hits, _ := cache["hits"].(float64); hits <= 0 {
-		t.Errorf("seq_cache.hits = %v, want > 0 after a repeated GET by id", cache["hits"])
-	}
-	if ratio, _ := cache["hit_ratio"].(float64); ratio <= 0 || ratio > 1 {
-		t.Errorf("seq_cache.hit_ratio = %v, want in (0, 1]", cache["hit_ratio"])
+	if _, ok := storage["seq_cache"]; ok {
+		t.Error(`storage still reports a "seq_cache": there is no sequence cache`)
 	}
 }
 
@@ -69,8 +61,7 @@ func TestStatsStorageSection(t *testing.T) {
 // across shards in the same /stats section.
 func TestStatsStorageSharded(t *testing.T) {
 	db, err := twsim.OpenMemSharded(twsim.ShardedOptions{
-		Shards:  3,
-		Options: twsim.Options{SeqCacheBytes: 1 << 20},
+		Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,5 +86,8 @@ func TestStatsStorageSharded(t *testing.T) {
 	}
 	if reads, _ := p["reads"].(float64); reads <= 0 {
 		t.Errorf("aggregated data_pool.reads = %v, want > 0", p["reads"])
+	}
+	if _, ok := storage["seq_cache"]; ok {
+		t.Error(`sharded storage still reports a "seq_cache"`)
 	}
 }

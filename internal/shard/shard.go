@@ -239,8 +239,7 @@ func (e *Engine) IndexPages() int {
 	return total
 }
 
-// StorageStats aggregates the storage-layer counters (buffer pools and
-// decoded-sequence caches) across shards.
+// StorageStats aggregates the data heaps' buffer pool counters across shards.
 func (e *Engine) StorageStats() core.StorageStats {
 	var total core.StorageStats
 	for i := range e.stores {

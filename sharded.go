@@ -15,9 +15,7 @@ import (
 
 // ShardedOptions configures a ShardedDB.
 type ShardedOptions struct {
-	// Options configures each shard (base distance, page size, pool size).
-	// Every shard gets its own buffer pool of PoolPages pages, so the
-	// aggregate cache grows with the shard count.
+	// Options configures each shard (base distance, page size, band, WAL).
 	Options
 	// Shards is the number of hash partitions (0 = 1). The count is fixed
 	// at creation and persisted; OpenSharded rejects a conflicting value.

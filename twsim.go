@@ -56,8 +56,8 @@ type Result = core.Result
 type QueryStats = core.QueryStats
 
 // StorageStats snapshots the storage-layer counters: the data heap's buffer
-// pool plus the decoded-sequence cache. Snapshots are wait-free and weakly
-// consistent (see the core type's godoc).
+// pool. Snapshots are wait-free and weakly consistent (see the core type's
+// godoc).
 type StorageStats = core.StorageStats
 
 // CostModel converts buffer pool misses into modeled disk time.
@@ -71,10 +71,6 @@ type Options struct {
 	// PageSize is the page size of the data heap file (0 = 1 KB, the
 	// paper's setting); the index reports its size in the same unit.
 	PageSize int
-	// PoolPages is the capacity, in pages, of the data heap file's buffer
-	// pool (0 = 64). The index has no pool: it is one slab, mapped or in
-	// memory.
-	PoolPages int
 	// RefineWorkers bounds the intra-query parallelism of the refinement
 	// step (candidate fetch + cascade + exact DTW): 0 means GOMAXPROCS,
 	// 1 restores the fully serial execution, and results are bit-identical
@@ -97,11 +93,7 @@ type Options struct {
 	// warpings, so BandDistance ≥ Distance ≥ every unconstrained bound),
 	// and banded results are bit-identical to a brute-force banded scan.
 	Band int
-	// SeqCacheBytes sizes the decoded-sequence cache (per shard, for a
-	// sharded database): Get, Distance and the suffix-tree searchers read hot
-	// sequences from memory without page I/O or deserialization. Search,
-	// NearestK and SearchBatch fetch their candidates past it, straight
-	// into per-worker scratch. 0 (the default) disables the cache.
+	// SeqCacheBytes is accepted and ignored (cmd/bench sets it); goes with ROADMAP 5(c).
 	SeqCacheBytes int64
 	// SlowQueryThreshold, when positive, makes every query whose wall time
 	// reaches it emit one flat key=value log line (query kind, request ID,
@@ -140,9 +132,6 @@ type Options struct {
 	// roughly the interval plus one fsync (0 = wal.DefaultFlushInterval,
 	// 2ms; negative = fsync as soon as the committer wakes).
 	WALFlushInterval time.Duration
-	// WALFlushBytes flushes a WAL batch early once its pending bytes
-	// exceed it (0 = wal.DefaultFlushBytes, 256 KiB).
-	WALFlushBytes int
 	// WALCheckpointBytes auto-checkpoints (full Flush + log reset) when
 	// the log file grows past it, bounding replay time and the window a
 	// replica can lag before needing a snapshot re-bootstrap
@@ -259,7 +248,7 @@ func (db *DB) IndexEngineStats() core.IndexEngineStats {
 // OpenMem creates an ephemeral in-memory database (page layout and buffer
 // accounting identical to the on-disk form).
 func OpenMem(opts Options) (*DB, error) {
-	store, err := seqdb.NewMem(seqdb.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages, CacheBytes: opts.SeqCacheBytes})
+	store, err := seqdb.NewMem(seqdb.Options{PageSize: opts.PageSize})
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +263,7 @@ func OpenMem(opts Options) (*DB, error) {
 
 // Create creates a new on-disk database in directory dir.
 func Create(dir string, opts Options) (*DB, error) {
-	store, err := seqdb.Create(dir, seqdb.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages, CacheBytes: opts.SeqCacheBytes})
+	store, err := seqdb.Create(dir, seqdb.Options{PageSize: opts.PageSize})
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +304,7 @@ func Create(dir string, opts Options) (*DB, error) {
 // Flush left in the directory are removed too. Both leave a line in
 // OpenDiagnostics.
 func Open(dir string, opts Options) (*DB, error) {
-	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages, CacheBytes: opts.SeqCacheBytes})
+	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize})
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
 	}
@@ -597,7 +586,9 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 // durability.go).
 func (db *DB) applyRemove(id ID) (bool, error) {
 	defer db.gen.Add(1)
-	s, err := db.store.Get(id)
+	sc := seqdb.AcquireScratch()
+	defer sc.Release()
+	s, err := db.store.Fetch(id, sc)
 	if err != nil {
 		if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
 			return false, nil
@@ -611,20 +602,11 @@ func (db *DB) applyRemove(id ID) (bool, error) {
 	return db.store.Delete(id)
 }
 
-// Get fetches a stored sequence by ID.
+// Get fetches a stored sequence by ID; the result is the caller's own.
 func (db *DB) Get(id ID) ([]float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s, err := db.store.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if db.opts.SeqCacheBytes > 0 {
-		// The store may have served a cached sequence shared with concurrent
-		// readers; hand the caller a private copy it is free to mutate.
-		return append([]float64(nil), s...), nil
-	}
-	return []float64(s), nil
+	return db.store.Get(id)
 }
 
 // searcher builds the query engine with the given intra-query worker count
@@ -834,12 +816,11 @@ func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*R
 		})
 }
 
-// StorageStats snapshots the storage-layer counters: the data buffer pool
-// plus the decoded-sequence cache (zero when disabled).
+// StorageStats snapshots the storage-layer counters: the data buffer pool.
 func (db *DB) StorageStats() StorageStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return StorageStats{Data: db.store.Stats(), Cache: db.store.CacheStats()}
+	return StorageStats{Data: db.store.Stats()}
 }
 
 // Distance computes the exact time warping distance between a stored
@@ -847,7 +828,9 @@ func (db *DB) StorageStats() StorageStats {
 func (db *DB) Distance(id ID, query []float64) (float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s, err := db.store.Get(id)
+	sc := seqdb.AcquireScratch()
+	defer sc.Release()
+	s, err := db.store.Fetch(id, sc)
 	if err != nil {
 		return 0, err
 	}

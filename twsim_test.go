@@ -3,6 +3,7 @@ package twsim_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -359,5 +360,73 @@ func TestAddAfterBulk(t *testing.T) {
 	}
 	if !found {
 		t.Error("incrementally added sequence not searchable")
+	}
+}
+
+// TestGetResultIsCallersOwn: what Get returns belongs to the caller — a
+// caller that overwrites it changes nothing the database later reads by ID,
+// measures, or searches, and no later read writes into it — on an in-memory
+// and on a file-backed database (where an older record is read past the
+// pool and the newest through it).
+func TestGetResultIsCallersOwn(t *testing.T) {
+	data := randomWalks(23, 40, 8, 30)
+	mem, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := twsim.Create(t.TempDir(), twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*twsim.DB{"mem": mem, "file": file} {
+		t.Run(name, func(t *testing.T) {
+			defer db.Close()
+			if _, err := db.AddBatch(data); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []twsim.ID{3, twsim.ID(len(data) - 1)} {
+				want := data[id]
+				kept, err := db.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := db.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					got[i] = math.Inf(-1)
+				}
+				again, err := db.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(again, want) {
+					t.Fatalf("id %d: Get after the caller overwrote an earlier result = %v, want %v", id, again, want)
+				}
+				if d, err := db.Distance(id, want); err != nil || d != 0 {
+					t.Fatalf("id %d: Distance to its own values = %g, %v; want 0", id, d, err)
+				}
+				res, err := db.Search(want, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found := false
+				for _, m := range res.Matches {
+					found = found || (m.ID == id && m.Dist == 0)
+				}
+				if !found {
+					t.Fatalf("id %d: a range query at its own values no longer finds it: %+v", id, res.Matches)
+				}
+				// The other direction: nothing the database read since — other
+				// IDs included — wrote into a result it had handed out.
+				if _, err := db.Get(id - 1); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(kept, want) {
+					t.Fatalf("id %d: a result of Get changed under later reads: %v, want %v", id, kept, want)
+				}
+			}
+		})
 	}
 }
