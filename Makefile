@@ -85,15 +85,18 @@ bench-smoke:
 # The two workload-shaped kernel benchmarks — the pairs range_unbanded
 # refines (the refiner alone, and the route verifyDP takes: the L∞ decision
 # at ε and at LB_Kim, then the refiner), and the calls knn_banded's DP tier
-# and LB_Improved's second pass see — and the decision alone over the
+# sees after banded LB_Keogh — and the decision alone over the
 # range pairs (ns per decision), from one test binary on one CPU, five
 # times each, then the banded
 # LB_PAA that keys knn_banded's walk and guards its heap fetch (ns per call),
 # then the candidate fetch both workloads make per candidate (Get beside the
-# scratch fetch, on a file-backed heap of the benchmark's shape). To compare
-# two commits, build the binaries on both and alternate them
+# scratch fetch, on a file-backed heap of the benchmark's shape), then the
+# banded cascade as served — k-NN k 10 and range search at ε 0.3 and 1.0
+# through the public API on a file-backed database, per query with the
+# per-tier counts (the ε 1.0 shape on fewer queries: one costs ≈ 13 ms).
+# To compare two commits, build the binaries on both and alternate them
 # (internal/dtw/refiner_bench_test.go, internal/core/lbpaa_test.go,
-# internal/seqdb/fetch_bench_test.go).
+# internal/seqdb/fetch_bench_test.go, banded_bench_test.go).
 kernels:
 	$(GO) test -c -o bin/dtw.test ./internal/dtw
 	./bin/dtw.test -test.run '^$$' -test.bench 'Refiner(Range|KNN)Shaped|^BenchmarkDecide$$' -test.cpu 1 -test.count 5
@@ -101,6 +104,9 @@ kernels:
 	./bin/core.test -test.run '^$$' -test.bench '^BenchmarkLBPAA$$' -test.cpu 1 -test.count 5
 	$(GO) test -c -o bin/seqdb.test ./internal/seqdb
 	cd internal/seqdb && ../../bin/seqdb.test -test.run '^$$' -test.bench 'HeapFetch' -test.cpu 1 -test.count 5
+	$(GO) test -c -o bin/twsim.test .
+	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^(knn_k10|range_eps0\.3)$$' -test.benchtime 2000x -test.cpu 1 -test.count 5
+	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^range_eps1\.0$$' -test.benchtime 200x -test.cpu 1 -test.count 5
 
 # The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
 # plus the paper-API wrappers. Fails if a deleted variant, option or alias
@@ -127,6 +133,14 @@ CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|
 # scrapes the two constant-0 counters), and the two one-valued knobs
 # (PoolPages in the root package, WALFlushBytes anywhere) stay constants.
 SEQCACHE_DELETED = \bseqCache\b|newSeqCache|seqdb\.CacheStats|type CacheStats|"seq-cache-mb"|WALFlushBytes|twsim_seq_cache_(bytes|entries|hit_ratio)
+# The fourth keeps LB_Improved's second pass out of the query path: the
+# banded cascade is LB_PAA → LB_Keogh → DP, so the pass, its scratch, the
+# sum-vs-max combiner and the tier's counter, JSON key and slow-log key stay
+# deleted everywhere outside the benchmark. dtw.LBImproved itself stays (the
+# bound-chain tests and cmd/bench call it), and so does the constant-0
+# twsim_lb_improved_pruned_total series (the benchmark scrapes it): the
+# JSON key is matched with its quotes so the series name does not match.
+IMPROVED_DELETED = LBImprovedPass2|CombineImproved|ImprovedScratch|LBImprovedPruned|lbImprovedPruned|"lb_improved_pruned"|pruned_improved
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -139,6 +153,10 @@ surface:
 	@out=$$( { grep -nE '$(SEQCACHE_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*'); grep -nE 'PoolPages' *.go; } | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
 		echo "the decoded-sequence cache or a one-valued knob is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(IMPROVED_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "LB_Improved's deleted second-pass tier is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

@@ -104,7 +104,7 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 						}
 						// The conservation law must hold tier by tier under a band.
 						st := res.Stats
-						pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
+						pruned := st.LBPAAPruned + st.LBKeoghPruned + st.CorridorPruned
 						if pruned+st.DTWCalls != st.Candidates {
 							t.Fatalf("trial %d: pruned %d + dtw %d != candidates %d",
 								trial, pruned, st.DTWCalls, st.Candidates)
@@ -285,9 +285,9 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 }
 
 // TestBandedEnvelopeTiersPrune guards against the envelope tiers going dead
-// again: on an equal-length corpus under a band, LB_PAA, banded LB_Keogh and
-// LB_Improved — which only a banded equal-length query can use — must
-// dismiss some of the index's candidates before the exact DP sees them.
+// again: on an equal-length corpus under a band, LB_PAA and banded LB_Keogh
+// — which only a banded equal-length query can use — must dismiss some of
+// the index's candidates before the exact DP sees them.
 func TestBandedEnvelopeTiersPrune(t *testing.T) {
 	data, qs := knnCorpus(rand.New(rand.NewSource(2041)), 300, 64, 8)
 	db, err := twsim.OpenMem(twsim.Options{})
@@ -305,7 +305,7 @@ func TestBandedEnvelopeTiersPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		candidates += res.Stats.Candidates
-		envPruned += res.Stats.LBPAAPruned + res.Stats.LBKeoghPruned + res.Stats.LBImprovedPruned
+		envPruned += res.Stats.LBPAAPruned + res.Stats.LBKeoghPruned
 	}
 	if candidates == 0 || envPruned == 0 {
 		t.Fatalf("envelope tiers pruned %d of %d candidates, want some of some", envPruned, candidates)

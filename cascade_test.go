@@ -77,8 +77,7 @@ func TestShardedQueryTotals(t *testing.T) {
 		}
 		wantCand += int64(res.Stats.Candidates)
 		wantDTW += int64(res.Stats.DTWCalls)
-		wantPruned += int64(res.Stats.LBPAAPruned + res.Stats.LBKeoghPruned +
-			res.Stats.LBImprovedPruned + res.Stats.CorridorPruned)
+		wantPruned += int64(res.Stats.LBPAAPruned + res.Stats.LBKeoghPruned + res.Stats.CorridorPruned)
 	}
 	var got twsim.QueryTotals
 	for _, st := range sharded.ShardStats() {
@@ -86,7 +85,7 @@ func TestShardedQueryTotals(t *testing.T) {
 		if qt.Searches != queries {
 			t.Errorf("shard %d saw %d searches, want %d", st.ID, qt.Searches, queries)
 		}
-		perShardPruned := qt.LBPAAPruned + qt.LBKeoghPruned + qt.LBImprovedPruned + qt.CorridorPruned
+		perShardPruned := qt.LBPAAPruned + qt.LBKeoghPruned + qt.CorridorPruned
 		if perShardPruned+qt.DTWCalls != qt.Candidates {
 			t.Errorf("shard %d: prunes %d + dtw %d != candidates %d",
 				st.ID, perShardPruned, qt.DTWCalls, qt.Candidates)
@@ -95,10 +94,9 @@ func TestShardedQueryTotals(t *testing.T) {
 		got.DTWCalls += qt.DTWCalls
 		got.LBPAAPruned += qt.LBPAAPruned
 		got.LBKeoghPruned += qt.LBKeoghPruned
-		got.LBImprovedPruned += qt.LBImprovedPruned
 		got.CorridorPruned += qt.CorridorPruned
 	}
-	gotPruned := got.LBPAAPruned + got.LBKeoghPruned + got.LBImprovedPruned + got.CorridorPruned
+	gotPruned := got.LBPAAPruned + got.LBKeoghPruned + got.CorridorPruned
 	if got.Candidates != wantCand || got.DTWCalls != wantDTW || gotPruned != wantPruned {
 		t.Errorf("shard totals (cand %d, dtw %d, pruned %d) != merged stats (cand %d, dtw %d, pruned %d)",
 			got.Candidates, got.DTWCalls, gotPruned, wantCand, wantDTW, wantPruned)

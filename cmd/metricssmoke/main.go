@@ -4,7 +4,7 @@
 // verifies that the output is valid Prometheus text exposition containing
 // the key series — per-endpoint request counters and latency histograms,
 // the DTW/cascade counters, the conservation law
-// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls, and
+// candidates = lb_paa + lb_keogh + corridor + dtw_calls, and
 // the data pool's read counter advancing across a query. The database is an
 // on-disk one in a temporary directory, seeded past one heap page a shard,
 // so the queries' candidate fetches are direct reads of the data file and
@@ -171,8 +171,8 @@ func run(bin string) error {
 		return err
 	}
 	// The conservation law across the exported counters.
-	var law [5]float64
-	for i, name := range []string{"twsim_query_candidates_total", "twsim_lb_paa_pruned_total", "twsim_lb_keogh_pruned_total", "twsim_lb_improved_pruned_total", "twsim_corridor_pruned_total"} {
+	var law [4]float64
+	for i, name := range []string{"twsim_query_candidates_total", "twsim_lb_paa_pruned_total", "twsim_lb_keogh_pruned_total", "twsim_corridor_pruned_total"} {
 		if law[i], err = need(name, nil); err != nil {
 			return err
 		}
@@ -181,7 +181,7 @@ func run(bin string) error {
 	if err != nil {
 		return err
 	}
-	if got := law[1] + law[2] + law[3] + law[4] + dtw; got != law[0] {
+	if got := law[1] + law[2] + law[3] + dtw; got != law[0] {
 		return fmt.Errorf("conservation law violated: candidates=%g but pruned+dtw=%g", law[0], got)
 	}
 	for _, name := range []string{"twsim_pool_hit_ratio", "twsim_sequences"} {

@@ -85,7 +85,7 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 			pruned, calls := refinerOnlyCounts(t, db, q, eps)
 			st := res.Stats
 			if st.CorridorPruned != pruned || st.DTWCalls != calls || st.Candidates != pruned+calls ||
-				st.LBPAAPruned+st.LBKeoghPruned+st.LBImprovedPruned != 0 {
+				st.LBPAAPruned+st.LBKeoghPruned != 0 {
 				t.Fatalf("%s workers %d eps %g: %+v, refiner-only %d pruned + %d calls", what, workers, eps, st, pruned, calls)
 			}
 		}

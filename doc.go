@@ -45,9 +45,9 @@
 // bounds, cheapest first, each kept because a benchmark workload shows it
 // pruning: LB_PAA against the candidate's stored 16-segment envelope (before
 // the heap fetch; every envelope lives in one store, looked up by ID, and
-// the same bound keys the k-NN walk), for banded queries over equal lengths
-// LB_Keogh on the banded envelope and Lemire's LB_Improved second pass, and
-// finally a fused early-abandoning dynamic program
+// the same bound keys the k-NN walk), LB_Keogh (on the banded envelope for
+// banded queries over equal lengths, on the global one under L1 and L2Sq),
+// and finally a fused early-abandoning dynamic program
 // that computes, per row, only the window spanning the DP cells whose exact
 // value stays within the cutoff (compared branch-free as bit patterns) —
 // rejecting hopeless candidates at a fraction of a full evaluation and

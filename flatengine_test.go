@@ -116,7 +116,7 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		// Both engines must satisfy the conservation law independently, on
 		// both query kinds.
 		for _, r := range []*twsim.Result{gr, fr, gk, fk} {
-			pruned := r.Stats.LBPAAPruned + r.Stats.LBKeoghPruned + r.Stats.LBImprovedPruned + r.Stats.CorridorPruned
+			pruned := r.Stats.LBPAAPruned + r.Stats.LBKeoghPruned + r.Stats.CorridorPruned
 			if r.Stats.Candidates != pruned+r.Stats.DTWCalls {
 				t.Fatalf("trial %d: conservation law broken: candidates=%d pruned=%d dtw=%d",
 					trial, r.Stats.Candidates, pruned, r.Stats.DTWCalls)

@@ -11,12 +11,13 @@ import (
 )
 
 // BenchmarkRangeAdditiveBases: unbanded range search under the additive
-// bases — the one place the deleted global-envelope LB_Keogh / LB_Yi tiers
-// could dismiss a candidate the index walk admitted (a sum over positions
-// can exceed the 4-tuple's max). The refine kernel abandons such a candidate
-// within its first rows instead; CHANGES.md (PR 17) holds the before/after
-// row of this benchmark. The L∞ row is the control: those tiers never pruned
-// there (dtw.TestGlobalBoundsBelowKim).
+// bases — the one place the global-envelope LB_Keogh (which the cascade
+// runs there) and the deleted LB_Yi tier can dismiss a candidate the index
+// walk admitted (a sum over positions can exceed the 4-tuple's max). Where
+// LB_Yi would have, the refine kernel abandons the candidate within its
+// first rows instead; CHANGES.md (PR 17) holds the before/after row of this
+// benchmark. The L∞ row is the control: neither bound prunes there, which
+// is why the cascade runs no tier for it (dtw.TestGlobalBoundsBelowKim).
 func BenchmarkRangeAdditiveBases(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	data := synth.RandomWalkSetVaryLen(rng, 4000, 64, 192)

@@ -21,10 +21,9 @@ import (
 //	admitEnvelope — LB_PAA on the stored PAA envelope (EnvStore, by ID),
 //	                before any heap fetch: two-sided per segment for banded
 //	                equal-length pairs, against Q's global range otherwise
-//	verify        — banded equal-length candidates: LB_Keogh on the banded
-//	                envelope, then the second pass of Lemire's LB_Improved;
-//	                any other candidate under an additive base (L1, L2Sq):
-//	                LB_Keogh on the global envelope
+//	verify        — LB_Keogh: on the banded envelope for a banded
+//	                equal-length candidate, on the global envelope for any
+//	                other candidate under an additive base (L1, L2Sq)
 //	verifyDP      — the exact DP: the single-window pass (dtw.Refiner),
 //	                over the whole matrix for unconstrained queries and
 //	                over the Sakoe–Chiba band's cells for banded ones; an
@@ -63,7 +62,6 @@ type cascade struct {
 	bandEnv   dtw.Envelope // banded envelope of q; built only when band ≥ 1
 	globalEnv dtw.Envelope // [min q, max q] everywhere; built only for the additive bases
 	envs      *EnvStore
-	impr      dtw.ImprovedScratch
 	refiner   *dtw.Refiner
 	// decider indexes q for the exact L∞ decision verifyDP runs before the
 	// refiner: unbanded L∞ queries of 1 to 1 024 finite elements only, else
@@ -144,9 +142,9 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 // worker returns a cascade for another goroutine refining the same query.
 // It shares c's envelopes and decider, which nothing writes after
 // newCascade, and owns what a candidate evaluation does write: the lazily
-// filled PAA reductions, the LB_Improved scratch, the fetch scratch and a
-// pooled refiner. Close it like c: the decider goes back to its pool when
-// the last cascade holding it closes.
+// filled PAA reductions, the fetch scratch and a pooled refiner. Close it
+// like c: the decider goes back to its pool when the last cascade holding it
+// closes.
 func (c *cascade) worker() *cascade {
 	w := &cascade{
 		paaPruner: paaPruner{q: c.q, base: c.base, band: c.band},
@@ -395,36 +393,26 @@ func comparableLB(base seq.Base, lb float64) float64 {
 // brute-force DP, while attributing each dismissal to the tier that made it.
 // Only candidates the exact step decides increment DTWCalls (see verifyDP).
 //
-// The envelope chain runs for banded equal-length candidates: banded
-// LB_Keogh (Keogh's theorem; sound for BandDistance with this exact band),
-// then Lemire's second pass on top of it. The band and lengths are matched
-// by construction, so the safe router cannot fail here; if it ever did, the
-// tier degrades to the vacuous bound rather than pruning on an unsound
-// value. Every other candidate under an additive base gets the
-// global-envelope LB_Keogh — each element of S pays at least its cost to
-// [min Q, max Q] on any warping path, banded or not.
+// The one tier before the DP is LB_Keogh, on the envelope the pair allows.
+// A banded equal-length candidate gets the banded envelope (Keogh's theorem;
+// sound for BandDistance with this exact band, and newCascade built it with
+// the query's band, so the pair is matched by construction). Any other
+// candidate under an additive base gets the global envelope — each element
+// of S pays at least its cost to [min Q, max Q] on any warping path, banded
+// or not. An unbanded L∞ candidate gets no tier: the global envelope's bound
+// is below the LB_Kim the index walk applied (DESIGN.md §8).
 func (c *cascade) verify(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
+	var lb float64
 	switch {
 	case c.disabled || s.Empty():
 	case c.band >= 1 && len(s) == len(c.q):
-		kB, err := dtw.LBKeoghSafe(s, c.bandEnv, c.base, c.band)
-		if err != nil {
-			kB = 0
-		}
-		if kB > cutoff {
-			stats.LBKeoghPruned++
-			return dtw.Inf, false
-		}
-		imp := dtw.CombineImproved(kB, dtw.LBImprovedPass2(s, c.q, c.bandEnv, c.base, &c.impr), c.base)
-		if imp > cutoff {
-			stats.LBImprovedPruned++
-			return dtw.Inf, false
-		}
+		lb = dtw.LBKeogh(s, c.bandEnv, c.base)
 	case c.base != seq.LInf:
-		if kS, err := dtw.LBKeoghSafe(s, c.globalEnv, c.base, -1); err == nil && kS > cutoff {
-			stats.LBKeoghPruned++
-			return dtw.Inf, false
-		}
+		lb, _ = dtw.LBKeoghSafe(s, c.globalEnv, c.base, -1)
+	}
+	if lb > cutoff {
+		stats.LBKeoghPruned++
+		return dtw.Inf, false
 	}
 	return c.verifyDP(s, cutoff, stats)
 }

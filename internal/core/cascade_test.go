@@ -131,7 +131,7 @@ func TestCascadeCounterConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
+		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.CorridorPruned
 		if pruned+st.DTWCalls != st.Candidates {
 			t.Fatalf("trial %d: tiers %d + dtw %d != candidates %d (%+v)",
 				trial, pruned, st.DTWCalls, st.Candidates, st)
@@ -173,7 +173,7 @@ func TestDanglingEntriesNotCountedAsDTWCalls(t *testing.T) {
 		if st.Candidates != 50 {
 			t.Fatalf("noCascade=%v: candidates %d, want 50 (index untouched)", noCascade, st.Candidates)
 		}
-		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
+		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.CorridorPruned
 		if pruned != 0 {
 			t.Fatalf("noCascade=%v: %d tier prunes at eps=%g", noCascade, pruned, eps)
 		}

@@ -40,7 +40,7 @@ func sameMatches(t *testing.T, what string, got, want []Match) {
 }
 
 func conserved(st QueryStats) bool {
-	return st.LBPAAPruned+st.LBKeoghPruned+st.LBImprovedPruned+st.CorridorPruned+st.DTWCalls == st.Candidates
+	return st.LBPAAPruned+st.LBKeoghPruned+st.CorridorPruned+st.DTWCalls == st.Candidates
 }
 
 // TestDeciderRouteKeepsAnswersAndStats: with the decision in front of the

@@ -30,7 +30,7 @@ func scrubIO(s QueryStats) QueryStats {
 // double-counted candidate would break this.
 func checkConservation(t *testing.T, s QueryStats) {
 	t.Helper()
-	pruned := s.LBPAAPruned + s.LBKeoghPruned + s.LBImprovedPruned + s.CorridorPruned
+	pruned := s.LBPAAPruned + s.LBKeoghPruned + s.CorridorPruned
 	if s.Candidates != pruned+s.DTWCalls {
 		t.Fatalf("conservation violated: %d candidates != %d pruned + %d DTW calls",
 			s.Candidates, pruned, s.DTWCalls)

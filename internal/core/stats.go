@@ -56,11 +56,6 @@ type QueryStats struct {
 	// the global envelope for every other pair under an additive base. Zero
 	// for unbanded queries under L∞.
 	LBKeoghPruned int
-	// LBImprovedPruned counts candidates dismissed by the second pass of
-	// Lemire's LB_Improved on top of the banded LB_Keogh. The tier only runs
-	// for banded queries over equal-length pairs — the bound is undefined
-	// otherwise — so this stays zero for unbanded searches.
-	LBImprovedPruned int
 	// CorridorPruned counts candidates dismissed inside the DP: the fused
 	// DP's alive region died before the final cell, proving
 	// Dtw > epsilon while visiting only the window around the
@@ -127,7 +122,6 @@ func (s *QueryStats) Add(other QueryStats) {
 	s.LowerBoundCalls += other.LowerBoundCalls
 	s.LBPAAPruned += other.LBPAAPruned
 	s.LBKeoghPruned += other.LBKeoghPruned
-	s.LBImprovedPruned += other.LBImprovedPruned
 	s.CorridorPruned += other.CorridorPruned
 	s.DTWAbandoned += other.DTWAbandoned
 	s.KNNFrontierPushes += other.KNNFrontierPushes
@@ -164,10 +158,9 @@ func (s QueryStats) CandidateRatio(n int) float64 {
 
 // String renders a compact summary.
 func (s QueryStats) String() string {
-	return fmt.Sprintf("cand=%d res=%d dtw=%d(ab=%d) lb=%d pruned=%d/%d/%d/%d nodes=%d dataIO=%d/%d idxIO=%d/%d wall=%v",
+	return fmt.Sprintf("cand=%d res=%d dtw=%d(ab=%d) lb=%d pruned=%d/%d/%d nodes=%d dataIO=%d/%d idxIO=%d/%d wall=%v",
 		s.Candidates, s.Results, s.DTWCalls, s.DTWAbandoned, s.LowerBoundCalls,
-		s.LBPAAPruned, s.LBKeoghPruned, s.LBImprovedPruned,
-		s.CorridorPruned, s.TreeNodes,
+		s.LBPAAPruned, s.LBKeoghPruned, s.CorridorPruned, s.TreeNodes,
 		s.DataReads, s.DataMisses, s.IndexReads, s.IndexMisses, s.Wall)
 }
 

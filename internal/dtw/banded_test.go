@@ -8,11 +8,11 @@ import (
 	"repro/internal/seq"
 )
 
-// checkEnvelope compares both users of the block sliding min/max with the
-// scan oracle on one (q, r): NewEnvelope, and the envelope LBImprovedPass2
-// builds in sc — q clamped into its own envelope is q, so that envelope must
+// checkEnvelope compares both envelopes LBImproved builds with the scan
+// oracle on one (q, r): NewEnvelope, and the envelope of the projection
+// pass 2 takes — q clamped into its own envelope is q, so that envelope must
 // be q's too.
-func checkEnvelope(t *testing.T, q seq.Sequence, r int, sc *ImprovedScratch) {
+func checkEnvelope(t *testing.T, q seq.Sequence, r int) {
 	t.Helper()
 	got := NewEnvelope(q, r)
 	want := newEnvelopeScan(q, r)
@@ -20,28 +20,26 @@ func checkEnvelope(t *testing.T, q seq.Sequence, r int, sc *ImprovedScratch) {
 		t.Fatalf("r=%d: metadata mismatch: got (%d,%v) want (%d,%v)",
 			r, got.band, got.full, want.band, want.full)
 	}
-	LBImprovedPass2(q, q, got, seq.LInf, sc)
+	proj := NewEnvelope(projection(q, got), r)
 	for i := range q {
 		if got.Lower[i] != want.Lower[i] || got.Upper[i] != want.Upper[i] {
 			t.Fatalf("r=%d |q|=%d i=%d: block (%v,%v) != scan (%v,%v)",
 				r, len(q), i, got.Lower[i], got.Upper[i], want.Lower[i], want.Upper[i])
 		}
-		if sc.lo[i] != want.Lower[i] || sc.hi[i] != want.Upper[i] {
+		if proj.Lower[i] != want.Lower[i] || proj.Upper[i] != want.Upper[i] {
 			t.Fatalf("r=%d |q|=%d i=%d: second-pass envelope (%v,%v) != scan (%v,%v)",
-				r, len(q), i, sc.lo[i], sc.hi[i], want.Lower[i], want.Upper[i])
+				r, len(q), i, proj.Lower[i], proj.Upper[i], want.Lower[i], want.Upper[i])
 		}
 	}
 }
 
 // TestNewEnvelopeMatchesScanOracle: the O(n) block construction must equal
 // the naive O(n·r) rescan it replaced, across lengths and band widths
-// (including r = 0, r ≥ n, and negative r, which clamps to 0), with one
-// scratch reused across every shape.
+// (including r = 0, r ≥ n, and negative r, which clamps to 0).
 func TestNewEnvelopeMatchesScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	var sc ImprovedScratch
 	for trial := 0; trial < 500; trial++ {
-		checkEnvelope(t, randSeq(rng, 80), rng.Intn(24)-2, &sc)
+		checkEnvelope(t, randSeq(rng, 80), rng.Intn(24)-2)
 	}
 	for n := 1; n <= 12; n++ { // every alignment of the blocks against both ends
 		q := make(seq.Sequence, n)
@@ -49,7 +47,7 @@ func TestNewEnvelopeMatchesScanOracle(t *testing.T) {
 			q[i] = float64(rng.Intn(9))
 		}
 		for r := 0; r <= 14; r++ {
-			checkEnvelope(t, q, r, &sc)
+			checkEnvelope(t, q, r)
 		}
 	}
 }
@@ -72,14 +70,14 @@ func FuzzEnvelopeDeque(f *testing.F) {
 		for i, b := range raw {
 			q[i] = float64(b)/16 - 8
 		}
-		checkEnvelope(t, q, r, &ImprovedScratch{})
+		checkEnvelope(t, q, r)
 	})
 }
 
-// FuzzBandedBoundChain fuzzes the tier ordering the banded cascade relies
-// on — LBKeogh ≤ LB_Improved ≤ BandDistance, and BandDistance ≥ Distance —
-// on fuzzer-chosen equal-length pairs under every base; `make fuzz-smoke`
-// runs it briefly in CI.
+// FuzzBandedBoundChain fuzzes the banded bound chain — LBKeogh ≤
+// LB_Improved ≤ BandDistance, and BandDistance ≥ Distance, the first link
+// being the banded cascade's tier — on fuzzer-chosen equal-length pairs
+// under every base; `make fuzz-smoke` runs it briefly in CI.
 func FuzzBandedBoundChain(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{4, 3, 2, 1}, 1)
 	f.Add([]byte{0, 255, 0, 255, 128}, []byte{128, 128, 128, 128, 128}, 2)
@@ -177,7 +175,7 @@ func TestBandDistanceAtLeastUnconstrained(t *testing.T) {
 
 // TestBandedBoundChain: for random equal-length s, q and band r,
 // LBKeogh(s, Env_r(q)) ≤ LB_Improved ≤ BandDistance(s, q, r) under every
-// base — the tier ordering the banded cascade relies on.
+// base; the banded cascade's tier relies on the outer inequality.
 func TestBandedBoundChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for _, base := range cascadeBases {

@@ -105,15 +105,18 @@ func NewEnvelope(q seq.Sequence, r int) Envelope {
 	if n == 0 {
 		return env
 	}
-	p, w := padWindows(nil, n, r)
+	// r ≥ n−1 already makes every window the whole sequence, so the width
+	// stops growing there.
+	w := 2*min(r, n-1) + 1
+	p := make([]float64, n+w-1)
 	copy(p[w/2:], q)
 	slidingMinMax(p, w, env.Lower, env.Upper)
 	return env
 }
 
 // newEnvelopeScan is the O(|Q|·r) envelope construction (a nested rescan per
-// window). It is kept purely as the test/fuzz oracle for NewEnvelope and
-// LBImprovedPass2's envelope — do not use it on hot paths.
+// window). It is kept purely as the test/fuzz oracle for NewEnvelope — do
+// not use it on hot paths.
 func newEnvelopeScan(q seq.Sequence, r int) Envelope {
 	if r < 0 {
 		r = 0
@@ -142,25 +145,13 @@ func newEnvelopeScan(q seq.Sequence, r int) Envelope {
 	return env
 }
 
-// padWindows lays a sequence of n ≥ 1 elements out for slidingMinMax under
-// band half-width r: it returns buf, grown if it is too small, cut to n+w−1
-// slots, and the window width w. The caller stores the sequence at
-// p[w/2:w/2+n] and then calls slidingMinMax, which replicates the end
-// elements into the w/2 slots either side. A window the sequence's end clips
-// always holds that end element, so the copies change neither its minimum
-// nor its maximum, and every window becomes exactly w wide. r ≥ n−1 already
-// makes every window the whole sequence, so the width stops growing there.
-func padWindows(buf []float64, n, r int) (p []float64, w int) {
-	r = min(r, n-1)
-	if cap(buf) < n+2*r {
-		buf = make([]float64, n+2*r)
-	}
-	return buf[:n+2*r], 2*r + 1
-}
-
 // slidingMinMax fills lo[i], hi[i] = min, max of p[i:i+w] for every i, where
-// p is padWindows' layout of a sequence of len(lo) elements: the clipped
-// windows i−r … i+r of the sequence itself. It is the van Herk / Gil–Werman
+// p holds a sequence of n = len(lo) ≥ 1 elements at p[w/2:w/2+n] with w/2
+// free slots either side (len(p) = n+w−1, w odd): the clipped windows
+// i−r … i+r of the sequence itself. It first replicates the end elements
+// into the free slots; a window the sequence's end clips always holds that
+// end element, so the copies change neither its minimum nor its maximum,
+// and every window becomes exactly w wide. It is the van Herk / Gil–Werman
 // block algorithm: cut p into blocks of w; a window that starts at i ends
 // w−1 later, in the next block (or is block i's whole), so its minimum is
 // min(suffix minimum of i's block from i, prefix minimum of the next block
@@ -204,8 +195,9 @@ func slidingMinMax(p []float64, w int, lo, hi []float64) {
 // inside the global range — no band assumption needed. It is also the only
 // envelope that remains sound when |S| ≠ |Q| (the window is
 // position-independent). The resulting LBKeoghSafe value equals the S-side
-// of LBYi; the cascade uses it as the first half of the two-pass Yi bound so
-// the cheap half can prune before s.MinMax() is ever taken.
+// of LBYi; the cascade runs it as the LB_Keogh tier for the pairs the banded
+// envelope cannot bound under an additive base (under L∞ it is below the
+// LB_Kim the index walk applies).
 func GlobalEnvelope(q seq.Sequence) Envelope {
 	n := len(q)
 	env := Envelope{Lower: make([]float64, n), Upper: make([]float64, n), full: true}
@@ -282,7 +274,8 @@ func LBKeoghSafe(s seq.Sequence, env Envelope, base seq.Base, band int) (float64
 // trivially a safe answer only for pruning equal-length workloads — callers
 // handle mixed-length data with LBKim/LBYi instead.
 //
-// This is a post-paper extension included for the ablation benches.
+// This is a post-paper extension: the cascade's LB_Keogh tier for banded
+// equal-length pairs, the last bound before the banded DP.
 func LBKeogh(s seq.Sequence, env Envelope, base seq.Base) float64 {
 	if len(s) != len(env.Lower) {
 		return Inf

@@ -149,35 +149,26 @@ type knnTriple struct {
 	cutoff float64
 }
 
-// knnPass2 is one call of LB_Improved's second pass: a candidate that
-// banded LB_Keogh let through, with the query's envelope.
-type knnPass2 struct {
-	s, q seq.Sequence
-	env  Envelope
-}
-
 // knnCalls is what knnShaped collects: the calls that reach the DP with the
-// in-band cells of their matrices, and the calls that reach LB_Improved's
-// second pass.
+// in-band cells of their matrices.
 type knnCalls struct {
 	dp    []knnTriple
 	cells int64
-	pass2 []knnPass2
 }
 
 const knnShapedBand = 8
 
-// knnShaped builds, once, what the knn_banded workload's last two tiers see
-// from a fixed seed: 100 000 random walks of 128, 40 paper-style queries,
-// k = 10, band 8, L∞. Each query walks the corpus in ascending Dtw-lb (the
-// index walk's order before its LB_PAA sharpening, which this leaves out)
-// until the bound passes the k-th best distance, and sends each candidate
-// through banded LB_Keogh, LB_Improved and the banded DP as the cascade
-// does. Without the sharpening the model overstates what the server does:
-// this order makes ≈ 61 DP calls a query, while since the two-sided LB_PAA
-// (PR 25) the served walk streams ≈ 29 candidates and makes ≈ 21 — about
-// 3× fewer. The calls are the right shape for the kernels, not the right
-// count for the workload.
+// knnShaped builds, once, what the knn_banded workload's DP tier sees from a
+// fixed seed: 100 000 random walks of 128, 40 paper-style queries, k = 10,
+// band 8, L∞. Each query walks the corpus in ascending Dtw-lb (the index
+// walk's order before its LB_PAA sharpening, which this leaves out) until
+// the bound passes the k-th best distance, and sends each candidate through
+// banded LB_Keogh and the banded DP as the cascade does. Without the
+// sharpening the model overstates what the server does: this order makes
+// ≈ 132 DP calls a query, while the served walk, keyed by the two-sided
+// LB_PAA, streams ≈ 29 candidates and makes ≈ 25 — about 5× fewer. The
+// calls are the right shape for the kernels, not the right count for the
+// workload.
 var knnShaped = sync.OnceValue(func() (calls knnCalls) {
 	const k = 10
 	rng := rand.New(rand.NewSource(7))
@@ -191,7 +182,6 @@ var knnShaped = sync.OnceValue(func() (calls knnCalls) {
 		i  int
 	}
 	walk := make([]keyed, len(data))
-	var sc ImprovedScratch
 	for _, q := range synth.Queries(rng, data, 40) {
 		fq := seq.MustFeature(q)
 		for i, f := range feats {
@@ -209,15 +199,8 @@ var knnShaped = sync.OnceValue(func() (calls knnCalls) {
 				break
 			}
 			s := data[c.i]
-			if len(best) == k {
-				kB := LBKeogh(s, env, seq.LInf)
-				if kB > cutoff {
-					continue
-				}
-				calls.pass2 = append(calls.pass2, knnPass2{s, q, env})
-				if LBImprovedPass2(s, q, env, seq.LInf, &sc) > cutoff {
-					continue
-				}
+			if len(best) == k && LBKeogh(s, env, seq.LInf) > cutoff {
+				continue
 			}
 			calls.dp = append(calls.dp, knnTriple{s, q, cutoff})
 			for i := range s {
@@ -238,9 +221,8 @@ var knnShaped = sync.OnceValue(func() (calls knnCalls) {
 
 // BenchmarkRefinerKNNShaped times the banded exact step over the calls
 // knn_banded's DP tier makes — the reference loop (BandDistanceWithin)
-// beside Refiner.BandDistanceWithin, in ns per in-band cell — and
-// LBImprovedPass2 over the pairs that reach it, in ns per call. One op is
-// one pass over all calls.
+// beside Refiner.BandDistanceWithin, in ns per in-band cell and per call.
+// One op is one pass over all calls.
 func BenchmarkRefinerKNNShaped(b *testing.B) {
 	calls := knnShaped()
 	r := AcquireRefiner()
@@ -275,14 +257,4 @@ func BenchmarkRefinerKNNShaped(b *testing.B) {
 			b.ReportMetric(float64(within), "within")
 		})
 	}
-	b.Run("LBImprovedPass2", func(b *testing.B) {
-		var sc ImprovedScratch
-		for i := 0; i < b.N; i++ {
-			for _, p := range calls.pass2 {
-				refinerSink = LBImprovedPass2(p.s, p.q, p.env, seq.LInf, &sc)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(calls.pass2)), "ns/call")
-		b.ReportMetric(float64(len(calls.pass2)), "calls")
-	})
 }

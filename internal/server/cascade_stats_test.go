@@ -58,7 +58,7 @@ func TestSearchResponseTierCounters(t *testing.T) {
 	for i := 0; i < queries; i++ {
 		res := postSearch(t, srv, data[i*7], 0.3)
 		st := res.Stats
-		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.LBImprovedPruned + st.CorridorPruned
+		pruned := st.LBPAAPruned + st.LBKeoghPruned + st.CorridorPruned
 		if pruned+st.DTWCalls != st.Candidates {
 			t.Fatalf("query %d: prunes %d + dtw %d != candidates %d", i, pruned, st.DTWCalls, st.Candidates)
 		}
@@ -89,8 +89,11 @@ func TestSearchResponseTierCounters(t *testing.T) {
 	if got := asInt("dtw_calls"); got != sumDTW {
 		t.Errorf("query_totals.dtw_calls = %d, want %d", got, sumDTW)
 	}
-	for _, key := range []string{"lb_paa_pruned", "lb_keogh_pruned", "lb_improved_pruned", "corridor_pruned", "dtw_abandoned"} {
+	for _, key := range []string{"lb_paa_pruned", "lb_keogh_pruned", "corridor_pruned", "dtw_abandoned"} {
 		asInt(key) // presence check
+	}
+	if _, ok := totals["lb_improved_pruned"]; ok {
+		t.Error(`query_totals still reports the deleted "lb_improved_pruned" tier`)
 	}
 }
 
@@ -128,9 +131,12 @@ func TestShardedStatsQueryBreakdown(t *testing.T) {
 		cand := q["candidates"].(float64)
 		dtw := q["dtw_calls"].(float64)
 		pruned := q["lb_paa_pruned"].(float64) + q["lb_keogh_pruned"].(float64) +
-			q["lb_improved_pruned"].(float64) + q["corridor_pruned"].(float64)
+			q["corridor_pruned"].(float64)
 		if pruned+dtw != cand {
 			t.Errorf("shard %d: prunes %v + dtw %v != candidates %v", i, pruned, dtw, cand)
+		}
+		if _, ok := q["lb_improved_pruned"]; ok {
+			t.Errorf(`shard %d still reports the deleted "lb_improved_pruned" tier`, i)
 		}
 	}
 	if _, ok := stats["query_totals"].(map[string]any); !ok {

@@ -59,7 +59,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	// Query-work totals: scrape-time reads of the same atomics /stats
 	// reports, so the conservation law
-	// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls
+	// candidates = lb_paa + lb_keogh + corridor + dtw_calls
 	// holds between the exported series exactly as it does per query.
 	counterOf := func(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
 	reg.CounterFunc("twsim_queries_total", "", "Similarity queries served (/search and /knn).", counterOf(&s.totals.searches))
@@ -68,17 +68,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("twsim_dtw_calls_total", "", "Exact DTW evaluations during refinement.", counterOf(&s.totals.dtwCalls))
 	reg.CounterFunc("twsim_dtw_abandoned_total", "", "Dense DTW evaluations that early-abandoned (subset of dtw_calls).", counterOf(&s.totals.dtwAbandoned))
 	reg.CounterFunc("twsim_lb_paa_pruned_total", "", "Candidates dismissed by LB_PAA on the stored segment envelope, before the sequence fetch.", counterOf(&s.totals.lbPAAPruned))
-	reg.CounterFunc("twsim_lb_keogh_pruned_total", "", "Candidates dismissed by LB_Keogh on the banded envelope (banded queries only).", counterOf(&s.totals.lbKeoghPruned))
-	reg.CounterFunc("twsim_lb_improved_pruned_total", "", "Candidates dismissed by Lemire's LB_Improved second pass (banded queries only).", counterOf(&s.totals.lbImprovedPruned))
+	reg.CounterFunc("twsim_lb_keogh_pruned_total", "", "Candidates dismissed by LB_Keogh: on the banded envelope for banded equal-length pairs, on the global envelope for other pairs under L1/L2Sq.", counterOf(&s.totals.lbKeoghPruned))
 	reg.CounterFunc("twsim_corridor_pruned_total", "", "Candidates dismissed inside the exact DP (the corridor died before the final cell).", counterOf(&s.totals.corridorPruned))
-	// The cascade no longer runs these two tiers (the index walk applies
-	// LB_Kim, which dominates LB_Yi under L∞); the series stay registered at
+	// The cascade no longer runs these three tiers (the index walk applies
+	// LB_Kim, which dominates LB_Yi under L∞; LB_Improved's second pass cost
+	// about what the banded DP it saved did); the series stay registered at
 	// a constant 0 because cmd/bench/ledger.go and benchkit.ConservationGap
 	// fail a run on a missing series; likewise the two counters of the
-	// deleted decoded-sequence cache. They go with ROADMAP item 5(c).
+	// deleted decoded-sequence cache. They go with ROADMAP item 3(d).
 	zero := func() float64 { return 0 }
 	reg.CounterFunc("twsim_lb_kim_pruned_total", "", "Always 0: the cascade has no LB_Kim tier (the index walk applies the bound).", zero)
 	reg.CounterFunc("twsim_lb_yi_pruned_total", "", "Always 0: the cascade has no LB_Yi tier.", zero)
+	reg.CounterFunc("twsim_lb_improved_pruned_total", "", "Always 0: the cascade has no LB_Improved tier (banded LB_Keogh is the last bound before the DP).", zero)
 	reg.CounterFunc("twsim_seq_cache_hits_total", "", "Always 0: there is no decoded-sequence cache.", zero)
 	reg.CounterFunc("twsim_seq_cache_misses_total", "", "Always 0: there is no decoded-sequence cache.", zero)
 	reg.CounterFunc("twsim_knn_frontier_repushes_total", "", "k-NN candidates re-entering the walk frontier with an envelope-sharpened priority.", counterOf(&s.totals.knnRepushes))

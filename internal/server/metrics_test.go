@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -179,6 +181,22 @@ func TestMetricsExposition(t *testing.T) {
 	mustValue(t, s, "twsim_pool_hit_ratio", map[string]string{"pool": "data"})
 }
 
+// conservation reads both sides of the conservation law from a scrape:
+// twsim_query_candidates_total, and every per-tier pruned series plus
+// twsim_dtw_calls_total — the three constant-0 series of the deleted tiers
+// included, since the benchmark's ledger sums them too.
+func conservation(t *testing.T, s obs.Samples) (candidates, prunedPlusDTW float64) {
+	t.Helper()
+	for _, name := range []string{
+		"twsim_lb_kim_pruned_total", "twsim_lb_paa_pruned_total", "twsim_lb_keogh_pruned_total",
+		"twsim_lb_yi_pruned_total", "twsim_lb_improved_pruned_total", "twsim_corridor_pruned_total",
+		"twsim_dtw_calls_total",
+	} {
+		prunedPlusDTW += mustValue(t, s, name, nil)
+	}
+	return mustValue(t, s, "twsim_query_candidates_total", nil), prunedPlusDTW
+}
+
 // TestMetricsConservationLaw: across mixed /search + /knn traffic, the
 // exported counters obey candidates = Σ per-tier pruned + dtw_calls, on
 // both engines at serial and parallel refinement budgets — the scrape-time
@@ -202,14 +220,7 @@ func TestMetricsConservationLaw(t *testing.T) {
 			}
 
 			s := scrape(t, ts)
-			cand := mustValue(t, s, "twsim_query_candidates_total", nil)
-			sum := mustValue(t, s, "twsim_lb_kim_pruned_total", nil) +
-				mustValue(t, s, "twsim_lb_paa_pruned_total", nil) +
-				mustValue(t, s, "twsim_lb_keogh_pruned_total", nil) +
-				mustValue(t, s, "twsim_lb_yi_pruned_total", nil) +
-				mustValue(t, s, "twsim_lb_improved_pruned_total", nil) +
-				mustValue(t, s, "twsim_corridor_pruned_total", nil) +
-				mustValue(t, s, "twsim_dtw_calls_total", nil)
+			cand, sum := conservation(t, s)
 			if cand != sum {
 				t.Errorf("conservation law violated: candidates=%g, pruned+dtw=%g", cand, sum)
 			}
@@ -218,6 +229,83 @@ func TestMetricsConservationLaw(t *testing.T) {
 			}
 			if got := mustValue(t, s, "twsim_queries_total", nil); got != 12 {
 				t.Errorf("twsim_queries_total = %g, want 12", got)
+			}
+		})
+	}
+}
+
+// TestMetricsBandedConservation: banded /search and /knn over equal-length
+// walks, where LB_Keogh on the banded envelope is the last tier before the
+// DP. The deleted LB_Improved tier's series stays registered and reads 0,
+// no response or /stats section carries its counter, and the law
+// candidates = lb_paa + lb_keogh + corridor + dtw_calls holds.
+func TestMetricsBandedConservation(t *testing.T) {
+	for _, be := range metricsBackends(t) {
+		t.Run(be.name, func(t *testing.T) {
+			ts, c := newMetricsServer(t, be.open(t))
+			rng := rand.New(rand.NewSource(19))
+			walks := make([][]float64, 80)
+			for i := range walks { // equal lengths, long enough that LB_PAA leaves LB_Keogh work
+				s := make([]float64, 24)
+				s[0] = rng.Float64() * 4
+				for j := 1; j < len(s); j++ {
+					s[j] = s[j-1] + rng.Float64()*0.6 - 0.3
+				}
+				walks[i] = s
+			}
+			if _, err := c.AddBatch(walks); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				q := walks[rng.Intn(len(walks))]
+				if _, err := c.SearchCtx(nil, q, 0.3+rng.Float64(), 2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.NearestKCtx(nil, q, 1+rng.Intn(5), 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req, err := json.Marshal(map[string]any{"query": walks[0], "k": 3, "band": 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ts.Client().Post(ts.URL+"/knn", "application/json", bytes.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("banded /knn: %s %v %s", resp.Status, err, body)
+			}
+			stats, err := ts.Client().Get(ts.URL + "/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			statsBody, err := io.ReadAll(stats.Body)
+			stats.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, b := range map[string][]byte{"/knn response": body, "/stats": statsBody} {
+				if strings.Contains(string(b), "lb_improved_pruned") {
+					t.Errorf("%s still carries the deleted lb_improved_pruned counter: %s", what, b)
+				}
+			}
+
+			s := scrape(t, ts)
+			if got := mustValue(t, s, "twsim_lb_improved_pruned_total", nil); got != 0 {
+				t.Errorf("twsim_lb_improved_pruned_total = %g, want 0", got)
+			}
+			if got := mustValue(t, s, "twsim_lb_keogh_pruned_total", nil); got == 0 {
+				t.Error("banded LB_Keogh pruned nothing; the workload did not reach the tier")
+			}
+			cand, sum := conservation(t, s)
+			if cand != sum {
+				t.Errorf("conservation law violated: candidates=%g, pruned+dtw=%g", cand, sum)
+			}
+			if got := mustValue(t, s, "twsim_queries_total", nil); got != 13 {
+				t.Errorf("twsim_queries_total = %g, want 13", got)
 			}
 		})
 	}
@@ -294,14 +382,7 @@ func TestMetricsScrapeStorm(t *testing.T) {
 	}
 
 	s := scrape(t, ts)
-	cand := mustValue(t, s, "twsim_query_candidates_total", nil)
-	sum := mustValue(t, s, "twsim_lb_kim_pruned_total", nil) +
-		mustValue(t, s, "twsim_lb_paa_pruned_total", nil) +
-		mustValue(t, s, "twsim_lb_keogh_pruned_total", nil) +
-		mustValue(t, s, "twsim_lb_yi_pruned_total", nil) +
-		mustValue(t, s, "twsim_lb_improved_pruned_total", nil) +
-		mustValue(t, s, "twsim_corridor_pruned_total", nil) +
-		mustValue(t, s, "twsim_dtw_calls_total", nil)
+	cand, sum := conservation(t, s)
 	if cand != sum {
 		t.Errorf("conservation law violated after the storm: candidates=%g, pruned+dtw=%g", cand, sum)
 	}

@@ -125,14 +125,14 @@ type Server struct {
 // exports the same atomics as twsim_* counters, giving operators the
 // cascade's prune rates in production without scraping per-query responses.
 // The counters satisfy the conservation law
-// candidates = lb_paa + lb_keogh + lb_improved + corridor + dtw_calls
+// candidates = lb_paa + lb_keogh + corridor + dtw_calls
 // (dangling-entry skips aside), which the metrics tests assert.
 type queryTotals struct {
-	searches, candidates, results    atomic.Int64
-	dtwCalls, dtwAbandoned           atomic.Int64
-	lbPAAPruned, lbKeoghPruned       atomic.Int64
-	lbImprovedPruned, corridorPruned atomic.Int64
-	knnRepushes, knnEnvCutoffs       atomic.Int64
+	searches, candidates, results atomic.Int64
+	dtwCalls, dtwAbandoned        atomic.Int64
+	lbPAAPruned, lbKeoghPruned    atomic.Int64
+	corridorPruned                atomic.Int64
+	knnRepushes, knnEnvCutoffs    atomic.Int64
 }
 
 func (t *queryTotals) accumulate(st twsim.QueryStats) {
@@ -143,7 +143,6 @@ func (t *queryTotals) accumulate(st twsim.QueryStats) {
 	t.dtwAbandoned.Add(int64(st.DTWAbandoned))
 	t.lbPAAPruned.Add(int64(st.LBPAAPruned))
 	t.lbKeoghPruned.Add(int64(st.LBKeoghPruned))
-	t.lbImprovedPruned.Add(int64(st.LBImprovedPruned))
 	t.corridorPruned.Add(int64(st.CorridorPruned))
 	t.knnRepushes.Add(int64(st.KNNRepushes))
 	t.knnEnvCutoffs.Add(int64(st.KNNEnvCutoffs))
@@ -158,7 +157,6 @@ func (t *queryTotals) json() map[string]any {
 		"dtw_abandoned":        t.dtwAbandoned.Load(),
 		"lb_paa_pruned":        t.lbPAAPruned.Load(),
 		"lb_keogh_pruned":      t.lbKeoghPruned.Load(),
-		"lb_improved_pruned":   t.lbImprovedPruned.Load(),
 		"corridor_pruned":      t.corridorPruned.Load(),
 		"knn_repushes":         t.knnRepushes.Load(),
 		"knn_envelope_cutoffs": t.knnEnvCutoffs.Load(),
@@ -229,15 +227,14 @@ type SubMatchJSON struct {
 // counters were added with the refinement cascade; they are additive
 // fields, so pre-cascade clients keep decoding the original shape.
 type StatsJSON struct {
-	Candidates       int   `json:"candidates"`
-	Results          int   `json:"results"`
-	DTWCalls         int   `json:"dtw_calls"`
-	LBPAAPruned      int   `json:"lb_paa_pruned"`
-	LBKeoghPruned    int   `json:"lb_keogh_pruned"`
-	LBImprovedPruned int   `json:"lb_improved_pruned"`
-	CorridorPruned   int   `json:"corridor_pruned"`
-	DTWAbandoned     int   `json:"dtw_abandoned"`
-	WallMicros       int64 `json:"wall_us"`
+	Candidates     int   `json:"candidates"`
+	Results        int   `json:"results"`
+	DTWCalls       int   `json:"dtw_calls"`
+	LBPAAPruned    int   `json:"lb_paa_pruned"`
+	LBKeoghPruned  int   `json:"lb_keogh_pruned"`
+	CorridorPruned int   `json:"corridor_pruned"`
+	DTWAbandoned   int   `json:"dtw_abandoned"`
+	WallMicros     int64 `json:"wall_us"`
 }
 
 // SearchResponse is the /search (and /knn) reply. RequestID is the
@@ -325,7 +322,6 @@ func shardQueriesJSON(qt twsim.QueryTotals) map[string]any {
 		"dtw_abandoned":        qt.DTWAbandoned,
 		"lb_paa_pruned":        qt.LBPAAPruned,
 		"lb_keogh_pruned":      qt.LBKeoghPruned,
-		"lb_improved_pruned":   qt.LBImprovedPruned,
 		"corridor_pruned":      qt.CorridorPruned,
 		"knn_repushes":         qt.KNNRepushes,
 		"knn_envelope_cutoffs": qt.KNNEnvCutoffs,
@@ -700,15 +696,14 @@ func toSearchResponse(res *twsim.Result) SearchResponse {
 		CacheHit:  res.CacheHit,
 		Matches:   make([]MatchJSON, len(res.Matches)),
 		Stats: StatsJSON{
-			Candidates:       res.Stats.Candidates,
-			Results:          res.Stats.Results,
-			DTWCalls:         res.Stats.DTWCalls,
-			LBPAAPruned:      res.Stats.LBPAAPruned,
-			LBKeoghPruned:    res.Stats.LBKeoghPruned,
-			LBImprovedPruned: res.Stats.LBImprovedPruned,
-			CorridorPruned:   res.Stats.CorridorPruned,
-			DTWAbandoned:     res.Stats.DTWAbandoned,
-			WallMicros:       res.Stats.Wall.Microseconds(),
+			Candidates:     res.Stats.Candidates,
+			Results:        res.Stats.Results,
+			DTWCalls:       res.Stats.DTWCalls,
+			LBPAAPruned:    res.Stats.LBPAAPruned,
+			LBKeoghPruned:  res.Stats.LBKeoghPruned,
+			CorridorPruned: res.Stats.CorridorPruned,
+			DTWAbandoned:   res.Stats.DTWAbandoned,
+			WallMicros:     res.Stats.Wall.Microseconds(),
 		},
 	}
 	for i, m := range res.Matches {

@@ -13,23 +13,22 @@ import (
 // disproportionate DTW work) and to see the cascade's prune rates in
 // production rather than only in benchmarks.
 type QueryTotals struct {
-	Searches         int64
-	Candidates       int64
-	DTWCalls         int64
-	DTWAbandoned     int64
-	LBPAAPruned      int64
-	LBKeoghPruned    int64
-	LBImprovedPruned int64
-	CorridorPruned   int64
-	KNNRepushes      int64
-	KNNEnvCutoffs    int64
+	Searches       int64
+	Candidates     int64
+	DTWCalls       int64
+	DTWAbandoned   int64
+	LBPAAPruned    int64
+	LBKeoghPruned  int64
+	CorridorPruned int64
+	KNNRepushes    int64
+	KNNEnvCutoffs  int64
 }
 
 // queryCounters is the lock-free accumulation form of QueryTotals; the
 // fan-out workers of concurrent searches update it without coordination.
 type queryCounters struct {
 	searches, candidates, dtwCalls, dtwAbandoned atomic.Int64
-	lbPAA, lbKeogh, lbImproved, corridor         atomic.Int64
+	lbPAA, lbKeogh, corridor                     atomic.Int64
 	knnRepushes, knnEnvCutoffs                   atomic.Int64
 }
 
@@ -40,7 +39,6 @@ func (c *queryCounters) accumulate(qs core.QueryStats) {
 	c.dtwAbandoned.Add(int64(qs.DTWAbandoned))
 	c.lbPAA.Add(int64(qs.LBPAAPruned))
 	c.lbKeogh.Add(int64(qs.LBKeoghPruned))
-	c.lbImproved.Add(int64(qs.LBImprovedPruned))
 	c.corridor.Add(int64(qs.CorridorPruned))
 	c.knnRepushes.Add(int64(qs.KNNRepushes))
 	c.knnEnvCutoffs.Add(int64(qs.KNNEnvCutoffs))
@@ -48,16 +46,15 @@ func (c *queryCounters) accumulate(qs core.QueryStats) {
 
 func (c *queryCounters) snapshot() QueryTotals {
 	return QueryTotals{
-		Searches:         c.searches.Load(),
-		Candidates:       c.candidates.Load(),
-		DTWCalls:         c.dtwCalls.Load(),
-		DTWAbandoned:     c.dtwAbandoned.Load(),
-		LBPAAPruned:      c.lbPAA.Load(),
-		LBKeoghPruned:    c.lbKeogh.Load(),
-		LBImprovedPruned: c.lbImproved.Load(),
-		CorridorPruned:   c.corridor.Load(),
-		KNNRepushes:      c.knnRepushes.Load(),
-		KNNEnvCutoffs:    c.knnEnvCutoffs.Load(),
+		Searches:       c.searches.Load(),
+		Candidates:     c.candidates.Load(),
+		DTWCalls:       c.dtwCalls.Load(),
+		DTWAbandoned:   c.dtwAbandoned.Load(),
+		LBPAAPruned:    c.lbPAA.Load(),
+		LBKeoghPruned:  c.lbKeogh.Load(),
+		CorridorPruned: c.corridor.Load(),
+		KNNRepushes:    c.knnRepushes.Load(),
+		KNNEnvCutoffs:  c.knnEnvCutoffs.Load(),
 	}
 }
 

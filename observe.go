@@ -28,7 +28,7 @@ func (o Options) slowLogger() *log.Logger {
 //
 //	twsim: slow query kind=search request_id=17 qlen=128 epsilon=0.25 band=0
 //	  wall=120ms filter=8ms refine=112ms candidates=140 results=3 dtw=41
-//	  pruned_paa=0 pruned_keogh=70 pruned_improved=20 pruned_corridor=9
+//	  pruned_paa=0 pruned_keogh=90 pruned_corridor=9
 //
 // kind is "search", "knn", or "batch"; param carries the query-kind
 // specific parameters ("epsilon=… band=…" or "k=… band=…"); request_id
@@ -37,8 +37,8 @@ func (o Options) logSlowQuery(kind string, requestID uint64, queryLen int, param
 	if o.SlowQueryThreshold <= 0 || stats.Wall < o.SlowQueryThreshold {
 		return
 	}
-	o.slowLogger().Printf("twsim: slow query kind=%s request_id=%d qlen=%d %s wall=%s filter=%s refine=%s candidates=%d results=%d dtw=%d pruned_paa=%d pruned_keogh=%d pruned_improved=%d pruned_corridor=%d",
+	o.slowLogger().Printf("twsim: slow query kind=%s request_id=%d qlen=%d %s wall=%s filter=%s refine=%s candidates=%d results=%d dtw=%d pruned_paa=%d pruned_keogh=%d pruned_corridor=%d",
 		kind, requestID, queryLen, param, stats.Wall, stats.FilterWall, stats.RefineWall,
 		stats.Candidates, stats.Results, stats.DTWCalls,
-		stats.LBPAAPruned, stats.LBKeoghPruned, stats.LBImprovedPruned, stats.CorridorPruned)
+		stats.LBPAAPruned, stats.LBKeoghPruned, stats.CorridorPruned)
 }

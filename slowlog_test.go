@@ -118,10 +118,13 @@ func TestSlowQueryLog(t *testing.T) {
 					t.Errorf("no slow-query line %q in log:\n%s", needle, out)
 					continue
 				}
-				for _, key := range []string{"twsim: slow query", "qlen=4", w.param, "wall=", "filter=", "refine=", "candidates=", "results=", "dtw=", "pruned_paa=", "pruned_keogh=", "pruned_improved=", "pruned_corridor="} {
+				for _, key := range []string{"twsim: slow query", "qlen=4", w.param, "wall=", "filter=", "refine=", "candidates=", "results=", "dtw=", "pruned_paa=", "pruned_keogh=", "pruned_corridor="} {
 					if !strings.Contains(line, key) {
 						t.Errorf("slow-query line missing %q: %s", key, line)
 					}
+				}
+				if strings.Contains(line, "pruned_improved=") {
+					t.Errorf("slow-query line still reports the deleted LB_Improved tier: %s", line)
 				}
 			}
 			// IDs are unique per query.

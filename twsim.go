@@ -84,7 +84,7 @@ type Options struct {
 	// answer the banded distance BandDistance(S, Q, band) instead: only
 	// warpings within the band are permissible, which both sharpens the
 	// similarity model and unlocks the banded envelope cascade tiers
-	// (LB_Keogh on the banded envelope and Lemire's LB_Improved). Negative
+	// (the two-sided LB_PAA and LB_Keogh on the banded envelope). Negative
 	// values are rejected at query time. Per-query override: the band
 	// argument of SearchCtx, NearestKCtx and SearchBatchCtx.
 	//
