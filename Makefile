@@ -27,7 +27,9 @@ test-no-mmap:
 # the refine tier's windowed kernel vs the dense DP and its banded pass vs
 # the reference banded loop (verdict and bits), the bit-parallel L∞
 # decision vs the dense DP (Within(t) == Distance ≤ t, LB_Kim ≤ Distance,
-# and Within(LB_Kim) only when the two are the same bits),
+# and Within(LB_Kim) only when the two are the same bits), the DP inside
+# the decision's co-reach windows vs the dense DP (the same bits at the
+# distance, one ulp above it and a cutoff further up),
 # the flat-slab and snapshot-file codec (slab, delta section), and the
 # snapshot loader on both open paths (hostile files, a delta section that
 # contradicts its slab included, must error out or load into an index that
@@ -43,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzCorridorMatchesDistance$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s ./internal/seqdb
@@ -83,8 +86,11 @@ bench-smoke:
 	$(GO) run ./cmd/bench -smoke >/dev/null
 
 # The two workload-shaped kernel benchmarks — the pairs range_unbanded
-# refines (the refiner alone, and the route verifyDP takes: the L∞ decision
-# at ε and at LB_Kim, then the refiner), and the calls knn_banded's DP tier
+# refines (the refiner alone; the route verifyDP takes: the L∞ decision at ε
+# keeping its reach rows and at LB_Kim, then the DP in the rows' co-reach
+# windows; and that last step alone on the pairs that reach it, as the
+# refiner and as the windowed DP, in ns per window cell and the windows'
+# share of the matrix), and the calls knn_banded's DP tier
 # sees after banded LB_Keogh — and the decision alone over the
 # range pairs (ns per decision), from one test binary on one CPU, five
 # times each, then the banded

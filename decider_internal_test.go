@@ -3,8 +3,11 @@ package twsim
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dtw"
 	"repro/internal/seq"
 	"repro/internal/synth"
@@ -52,7 +55,8 @@ func sameMatchBits(t *testing.T, what string, got, want []Match) {
 // words, unbanded L∞ range, k-NN and batch queries — serial and with
 // workers — return the disabled cascade's matches to the bit, and range and
 // batch queries put exactly the refiner's verdicts in CorridorPruned and
-// DTWCalls, with Candidates = Σ pruned + DTWCalls throughout.
+// DTWCalls, with Candidates = Σ pruned + DTWCalls throughout. With two
+// refine workers the range queries also run from two goroutines at once.
 func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	data := synth.RandomWalkSetVaryLen(rng, 1500, 20, 300)
@@ -125,5 +129,45 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 		for i, res := range results {
 			check("batch", queries[i], 0.3, res)
 		}
+		if workers == 2 {
+			concurrentQueriesKeepBits(t, db, ref, queries)
+		}
 	}
+}
+
+// concurrentQueriesKeepBits runs every query at ε 0.3 from two goroutines
+// at once on db's refine workers. The workers of one query share its
+// decider, and each keeps the reach rows its windowed DP reads in its own
+// refiner: were rows shared, answers would lose their bits here, and the
+// race detector would report the shared writes.
+func concurrentQueriesKeepBits(t *testing.T, db *DB, ref *core.TWSimSearch, queries []seq.Sequence) {
+	t.Helper()
+	want := make([][]Match, len(queries))
+	for qi, q := range queries {
+		res, err := ref.Search(q, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[qi] = res.Matches
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for qi, q := range queries {
+				res, err := db.Search(q, 0.3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.EqualFunc(res.Matches, want[qi], func(a, b Match) bool {
+					return a.ID == b.ID && math.Float64bits(a.Dist) == math.Float64bits(b.Dist)
+				}) {
+					t.Errorf("query %d on two goroutines: %v, want %v", qi, res.Matches, want[qi])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -29,8 +29,9 @@ import (
 //	                over the Sakoe–Chiba band's cells for banded ones; an
 //	                unbanded L∞ query at a finite cutoff first asks the
 //	                bit-parallel decision (dtw.Decider) whether Dtw ≤ cutoff,
-//	                then whether Dtw ≤ LB_Kim, and runs the DP only for a
-//	                result neither settles
+//	                then whether Dtw ≤ LB_Kim, and values every other result
+//	                with the DP confined to the windows the first decision's
+//	                reach rows allow (dtw.Refiner.CorridorDistance)
 //
 // Under the paper's L∞ base nothing sits between the walk and the DP for an
 // unbanded query: the global-range LB_PAA, the global-envelope LB_Keogh and
@@ -142,7 +143,8 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 // worker returns a cascade for another goroutine refining the same query.
 // It shares c's envelopes and decider, which nothing writes after
 // newCascade, and owns what a candidate evaluation does write: the lazily
-// filled PAA reductions, the fetch scratch and a pooled refiner. Close it
+// filled PAA reductions, the fetch scratch and a pooled refiner, which holds
+// the decision's reach rows. Close it
 // like c: the decider goes back to its pool when the last cascade holding it
 // closes.
 func (c *cascade) worker() *cascade {
@@ -433,9 +435,11 @@ func (c *cascade) verify(s seq.Sequence, cutoff float64, stats *QueryStats) (flo
 // answers Dtw ≤ t exactly without the DP (DESIGN.md §8). "No" at the cutoff
 // is the refiner's corridor prune. "Yes" at L = LB_Kim means Dtw ≤ L ≤ Dtw,
 // so L is the distance, bit for bit; it counts as a DTW call, as the
-// refiner's verdict would have. Any other candidate is a result whose value
-// the refiner computes at the cutoff. Each candidate lands in the counter
-// the refiner alone would have put it in.
+// refiner's verdict would have. Any other candidate is a result, whose value
+// the DP computes inside the co-reach windows of the reach rows the first
+// decision kept — or, for a candidate whose rows are over the cap, the
+// refiner at the cutoff. Each candidate lands in the counter the refiner
+// alone would have put it in.
 func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
 	if c.disabled {
 		stats.DTWCalls++
@@ -446,13 +450,17 @@ func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (f
 		return d, ok
 	}
 	if c.decider != nil && cutoff < dtw.Inf {
-		if !c.decider.Within(s, cutoff) {
+		if !c.decider.WithinKeep(s, cutoff, c.refiner) {
 			stats.CorridorPruned++
 			return dtw.Inf, false
 		}
 		if lb := c.decider.LBKim(s); c.decider.Within(s, lb) {
 			stats.DTWCalls++
 			return lb, true
+		}
+		if d, ok := c.refiner.CorridorDistance(s, c.q); ok {
+			stats.DTWCalls++
+			return d, true
 		}
 	}
 	d, verdict := c.refiner.BandDistanceWithin(s, c.q, c.base, c.kernelBand(), cutoff)

@@ -212,10 +212,89 @@ func TestLongQueryKeepsRefinerRoute(t *testing.T) {
 	}
 }
 
+// TestLongCandidateKeepsRefinerRoute: a 1 024-element query's decision
+// keeps the reach rows of at most 2 048 candidate elements (dtw's cap of
+// 32 768 words, 16 a row). A result of 2 048 elements is valued inside its
+// co-reach windows, one of 2 049 by the refiner after both decisions, and
+// the search answers as the disabled cascade does.
+func TestLongCandidateKeepsRefinerRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	q := synth.RandomWalk(rng, 1024)
+	// q stretched to n elements with ±0.05 of noise: a result at ε 0.6 whose
+	// distance LB_Kim does not reach.
+	stretch := func(n int) seq.Sequence {
+		s := make(seq.Sequence, n)
+		for i := range s {
+			s[i] = q[i*len(q)/n] + rng.Float64()*0.1 - 0.05
+		}
+		return s
+	}
+	long := []seq.Sequence{stretch(2048), stretch(2049)}
+	data := append(synth.RandomWalkSetVaryLen(rng, 40, 500, 1000), long...)
+	c := newCascade(q, seq.LInf, 0, nil, false)
+	defer c.close()
+	for _, s := range long {
+		if !c.decider.WithinKeep(s, 0.6, c.refiner) || c.decider.Within(s, c.decider.LBKim(s)) {
+			t.Fatalf("|s| = %d: not a result step (3) values", len(s))
+		}
+		if _, windowed := c.refiner.CorridorDistance(s, q); windowed != (len(s) <= 2048) {
+			t.Fatalf("|s| = %d: windowed %v", len(s), windowed)
+		}
+		var st QueryStats
+		d, ok := c.verifyDP(s, 0.6, &st)
+		if want := dtw.Distance(s, q, seq.LInf); !ok || math.Float64bits(d) != math.Float64bits(want) || st.DTWCalls != 1 {
+			t.Fatalf("|s| = %d: verifyDP (%v, %v, %+v), Distance %v", len(s), d, ok, st, want)
+		}
+	}
+
+	db, idx := buildFixture(t, data)
+	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Workers: 2}
+	plain := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, NoCascade: true}
+	got, err := tw.Search(q, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Search(q, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) < len(long) {
+		t.Fatalf("%d matches, want the %d long candidates among them", len(want.Matches), len(long))
+	}
+	sameMatches(t, "long candidate", got.Matches, want.Matches)
+	if !conserved(got.Stats) {
+		t.Fatalf("%+v", got.Stats)
+	}
+}
+
+// TestWorkersShareDeciderNotReachRows: the cascades of one unbanded L∞
+// query's workers share its decider, but each keeps reach rows in its own
+// refiner: a decision on one worker leaves another's rows, and the windowed
+// DP it feeds, as they were.
+func TestWorkersShareDeciderNotReachRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	s0, s1 := synth.RandomWalk(rng, 150), synth.RandomWalk(rng, 90)
+	q := synth.Query(rng, []seq.Sequence{s0})
+	cs := workerCascades(newCascade(q, seq.LInf, 0, nil, false), 2)
+	defer cs[0].close()
+	defer cs[1].close()
+	if cs[0].decider == nil || cs[1].decider != cs[0].decider || cs[1].refiner == cs[0].refiner {
+		t.Fatalf("decider %p / %p, refiner %p / %p", cs[0].decider, cs[1].decider, cs[0].refiner, cs[1].refiner)
+	}
+	d0 := dtw.Distance(s0, q, seq.LInf)
+	if !cs[0].decider.WithinKeep(s0, d0, cs[0].refiner) || !cs[1].decider.WithinKeep(s1, dtw.Inf, cs[1].refiner) {
+		t.Fatal("a decision at or above the distance said no")
+	}
+	if d, ok := cs[0].refiner.CorridorDistance(s0, q); !ok || math.Float64bits(d) != math.Float64bits(d0) {
+		t.Fatalf("worker 0 after worker 1 decided: (%v, %v), Distance %v", d, ok, d0)
+	}
+}
+
 // TestWarmUnbandedRangeQueryAllocs: a warmed serial unbanded range query
 // allocates no more with the decision than on the refiner-only route (1 754
 // allocations a query on this fixture, as before the decision existed): the
-// index comes from a pool and each decision's reach row lives on the stack.
+// index comes from a pool, the stack-row decision's row lives on the stack,
+// and the kept reach rows, windows and DP row in the pooled refiner.
 func TestWarmUnbandedRangeQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes pool operations allocate")

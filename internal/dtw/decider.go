@@ -12,9 +12,23 @@ import (
 )
 
 // maxDeciderLen is the longest query a Decider indexes. Its prefix bitsets
-// take (m+1)·⌈m/64⌉ words, 128 KiB at this length; a longer query keeps the
-// refiner-only path.
+// take (m+1)·⌈m/64⌉ words and its rank table 16m+1 int32s, 128 KiB and
+// 64 KiB at this length; a longer query keeps the refiner-only path.
 const maxDeciderLen = 1024
+
+// maxReachWords caps the reach rows WithinKeep keeps in a Refiner:
+// n·⌈m/64⌉ words, 256 KiB. A pooled Refiner keeps what it grew to, so
+// without a cap one 10⁵-element candidate against a 1 024-element query
+// would leave 12.8 MB in each worker's pool. A pair over the cap keeps no
+// rows, and the caller values it with Refiner.DistanceWithin instead.
+const maxReachWords = 1 << 15
+
+// bucketsPerElem sizes the Decider's rank table: 16m buckets over
+// [min Q, max Q]. On the range_unbanded pairs a decision took 2.75 µs with
+// 4m, 2.48 with 8m, 2.40 with 16m, 2.34 with 32m and 2.26 with 64m
+// (BenchmarkDecide, one CPU, medians of five); past 16m each doubling saves
+// ≈ 3 % and doubles the table, already 64 KiB at 1 024 elements.
+const bucketsPerElem = 16
 
 // Decider answers Distance(s, Q, seq.LInf) ≤ t exactly, for one query Q and
 // any candidate s and tolerance t, without computing the distance.
@@ -41,7 +55,8 @@ const maxDeciderLen = 1024
 // Acquire one per query with AcquireDecider and Release it when the query
 // completes; Share hands the same read-only index to another goroutine,
 // which releases its share in turn. Within keeps its reach row on its own
-// stack, so a Decider is safe for concurrent use.
+// stack and WithinKeep its rows in the caller's Refiner, so a Decider is
+// safe for concurrent use.
 type Decider struct {
 	m, words int
 	sorted   []float64 // Q's values, ascending
@@ -117,7 +132,7 @@ func (d *Decider) build(q seq.Sequence) {
 		next[j/64] |= 1 << (j % 64)
 	}
 
-	buckets := 4 * m
+	buckets := bucketsPerElem * m
 	d.lo, d.scale = d.sorted[0], 0
 	if span := d.sorted[m-1] - d.lo; span > 0 && span < Inf {
 		d.scale = float64(buckets) / span
@@ -162,6 +177,32 @@ func (d *Decider) LBKim(s seq.Sequence) float64 {
 // true. At t = +Inf no cost is below −t: under is NaN, which compares false.
 // A NaN s_i makes both searches return m: an empty row.)
 func (d *Decider) Within(s seq.Sequence, t float64) bool {
+	var row [maxDeciderLen / 64]uint64
+	return d.reach(s, t, row[:d.words], 0)
+}
+
+// WithinKeep is Within that also keeps every row's reach bitset in r, for
+// r.CorridorDistance to window the DP of an accepted pair with. The rows
+// take len(s)·⌈m/64⌉ words; over maxReachWords it keeps none and is Within.
+func (d *Decider) WithinKeep(s seq.Sequence, t float64, r *Refiner) bool {
+	r.kept = 0
+	need := len(s) * d.words
+	if need > maxReachWords {
+		return d.Within(s, t)
+	}
+	if cap(r.reach) < need {
+		r.reach = make([]uint64, min(max(need, 2*cap(r.reach)), maxReachWords))
+	}
+	if !d.reach(s, t, r.reach[:need], d.words) {
+		return false
+	}
+	r.kept = len(s)
+	return true
+}
+
+// reach runs the forward pass at t, writing row i's bitset to
+// rows[i·stride:][:words]: stride 0 reuses one row, stride words keeps all.
+func (d *Decider) reach(s seq.Sequence, t float64, rows []uint64, stride int) bool {
 	if !(t >= 0) || s.Empty() {
 		return false
 	}
@@ -169,36 +210,38 @@ func (d *Decider) Within(s seq.Sequence, t float64) bool {
 	if t == Inf {
 		under = math.NaN()
 	}
-	var row [maxDeciderLen / 64]uint64
 	w := d.words
-	reach := row[:w]
+	prev := rows[:w]
+	clear(prev)       // row −1 reaches nothing
 	seed := uint64(1) // column 0 starts row 0
 	for _, si := range s {
 		l, h := d.firstAtMost(si, t), d.firstAtMost(si, under)
 		if l >= h {
 			return false
 		}
-		lo, hi := d.prefix[l*w:][:len(reach)], d.prefix[h*w:][:len(reach)]
+		row := rows[:w]
+		lo, hi, up := d.prefix[l*w:][:len(row)], d.prefix[h*w:][:len(row)], prev[:len(row)]
 		var carry, any uint64
 		top := seed // the bit R_{i−1}<<1 carries into this word
-		for k := range reach {
+		for k := range row {
 			mask := hi[k] &^ lo[k]
-			p := reach[k]
+			p := up[k]
 			seeds := (p | p<<1 | top) & mask
 			top = p >> 63
 			var sum uint64
 			sum, carry = bits.Add64(mask, seeds, carry)
 			r := mask & ((sum ^ mask) | seeds)
-			reach[k] = r
+			row[k] = r
 			any |= r
 		}
 		if any == 0 {
 			return false
 		}
 		seed = 0
+		prev, rows = row, rows[stride:]
 	}
 	last := d.m - 1
-	return reach[last/64]>>(last%64)&1 != 0
+	return prev[last/64]>>(last%64)&1 != 0
 }
 
 // firstAtMost returns the first rank r with fl(s_i − sorted[r]) ≤ b, or m if

@@ -158,7 +158,9 @@ func TestDeciderNonFiniteCandidate(t *testing.T) {
 }
 
 // TestDeciderZeroAllocs: a warmed acquire–decide–release cycle does not
-// allocate; the reach row lives on the stack.
+// allocate, the route's row-keeping decision and windowed DP included: the
+// stack-row decision's row lives on the stack, and the kept rows, windows
+// and DP row in the pooled Refiner.
 func TestDeciderZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes pool operations allocate")
@@ -166,13 +168,20 @@ func TestDeciderZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	q := synth.RandomWalk(rng, 192)
 	s := synth.Query(rng, []seq.Sequence{q})
-	AcquireDecider(q).Release()
-	if n := testing.AllocsPerRun(100, func() {
+	var windowed bool
+	cycle := func() {
 		d := AcquireDecider(q)
-		d.Within(s, 0.3)
+		r := AcquireRefiner()
+		d.WithinKeep(s, 0.3, r)
 		d.Within(s, d.LBKim(s))
+		_, windowed = r.CorridorDistance(s, q)
+		r.Release()
 		d.Release()
-	}); n != 0 {
+	}
+	if cycle(); !windowed {
+		t.Fatal("the pair never reached the windowed DP")
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("%v allocs per cycle", n)
 	}
 }
@@ -199,6 +208,22 @@ func deciderFuzzInput(raw []byte) (s, q seq.Sequence, cell int) {
 // FuzzDeciderMatchesDistance fuzzes the decision against the dense oracle;
 // `make fuzz-smoke` runs it briefly in CI.
 func FuzzDeciderMatchesDistance(f *testing.F) {
+	addDeciderSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, q, cell := deciderFuzzInput(raw)
+		if s == nil {
+			return
+		}
+		d := AcquireDecider(q)
+		defer d.Release()
+		checkDecider(t, d, s, q, cellCost(s, q, cell, cell/len(s))...)
+	})
+}
+
+// addDeciderSeeds seeds a fuzz target that decodes with deciderFuzzInput:
+// crafted pairs across a word boundary, the shortest input, and three
+// workload-shaped pairs squeezed onto the byte grid.
+func addDeciderSeeds(f *testing.F) {
 	f.Add([]byte{10, 4, 0, 128, 144, 128})
 	f.Add([]byte{63, 64, 7, 128, 129, 130, 131, 130, 129})
 	f.Add([]byte{129, 191, 99, 128, 128, 144, 160, 144})
@@ -215,13 +240,4 @@ func FuzzDeciderMatchesDistance(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, q, cell := deciderFuzzInput(raw)
-		if s == nil {
-			return
-		}
-		d := AcquireDecider(q)
-		defer d.Release()
-		checkDecider(t, d, s, q, cellCost(s, q, cell, cell/len(s))...)
-	})
 }

@@ -27,8 +27,9 @@ const (
 	VerdictAbandoned
 )
 
-// Refiner is the filter-and-refine DTW evaluator behind the cascade's exact
-// step, fused into one early-abandoning pass over the DP matrix. A
+// Refiner is the filter-and-refine DTW evaluator of the cascade's exact
+// step for every pair the decision route (Decider, CorridorDistance) does
+// not take, fused into one early-abandoning pass over the DP matrix. A
 // cell is alive when its exact DP value is ≤ epsilon; values never decrease
 // along a warping path (max-combine for seq.LInf, non-negative additions
 // for seq.L1/seq.L2Sq), so dead cells can never lie on a qualifying path.
@@ -62,14 +63,22 @@ const (
 // pruned" (no DP completed), while a survivor's verdict carries the exact
 // distance with no second pass over the matrix.
 //
-// A Refiner owns its two DP rows; acquire one per query with AcquireRefiner,
-// use it for every candidate, and Release it when the query completes. A
-// Refiner is not safe for concurrent use.
+// A Refiner owns its two DP rows and the corridor's scratch (corridor.go);
+// acquire one per query with AcquireRefiner, use it for every candidate, and
+// Release it when the query completes. A Refiner is not safe for concurrent
+// use.
 type Refiner struct {
 	// DP rows of bit patterns, column j at slot j+1. Slot 0 is +Inf for
 	// good (the column left of column 0); everything else is scratch that
 	// a pass reads only between the sentinels it wrote itself.
 	prev, cur []uint64
+	// reach holds the reach rows of the last Decider.WithinKeep, row i at
+	// [i·words, (i+1)·words); kept is the candidate length they belong to,
+	// 0 when they belong to none. lo and hi are the co-reach windows
+	// CorridorDistance derives from them.
+	reach  []uint64
+	kept   int
+	lo, hi []int32
 }
 
 const (

@@ -2,6 +2,7 @@ package dtw
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -13,12 +14,14 @@ import (
 // rangePair is one (candidate, query) pair the refine tier would see.
 type rangePair struct{ s, q seq.Sequence }
 
+// rangeEpsilon is the tolerance of the range_unbanded-shaped benchmarks.
+const rangeEpsilon = 0.30
+
 // rangeShaped builds, once, the pairs of the range_unbanded workload's shape
 // from a fixed seed: 100 000 random walks with lengths 64..192, 40
 // paper-style perturbed queries, and as each query's candidates the data
-// sequences its four-feature index filter admits at ε = 0.30.
+// sequences its four-feature index filter admits at ε = rangeEpsilon.
 var rangeShaped = sync.OnceValues(func() (pairs []rangePair, cells int64) {
-	const epsilon = 0.30
 	rng := rand.New(rand.NewSource(7))
 	data := synth.RandomWalkSetVaryLen(rng, 100_000, 64, 192)
 	feats := make([]seq.Feature, len(data))
@@ -28,7 +31,7 @@ var rangeShaped = sync.OnceValues(func() (pairs []rangePair, cells int64) {
 	for _, q := range synth.Queries(rng, data, 40) {
 		fq := seq.MustFeature(q)
 		for i, f := range feats {
-			if f.DistLInf(fq) <= epsilon {
+			if f.DistLInf(fq) <= rangeEpsilon {
 				pairs = append(pairs, rangePair{data[i], q})
 				cells += int64(len(data[i])) * int64(len(q))
 			}
@@ -48,7 +51,9 @@ var refinerSink float64
 //
 // (`make kernels` runs this and BenchmarkRefinerKNNShaped that way.)
 // One op is one pass over all pairs; ns/cell divides by the full n×m
-// matrices, whether or not the kernel visits every cell.
+// matrices, whether or not the kernel visits every cell. The route,
+// refiner and corridor sub-benchmarks price verifyDP's unbanded L∞ route
+// and its step (3).
 func BenchmarkRefinerRangeShaped(b *testing.B) {
 	pairs, cells := rangeShaped()
 	for _, bc := range []struct {
@@ -76,10 +81,10 @@ func BenchmarkRefinerRangeShaped(b *testing.B) {
 		})
 	}
 	// route is what the cascade's verifyDP does with an unbanded L∞
-	// candidate: the decision at ε, then at LB_Kim, and the refiner only for
-	// a result the second decision did not settle.
+	// candidate: the decision at ε keeping its reach rows, then the decision
+	// at LB_Kim, and the windowed DP only for a result the second decision
+	// did not settle.
 	b.Run("route", func(b *testing.B) {
-		const epsilon = 0.30
 		deciders := rangeDeciders(pairs)
 		r := AcquireRefiner()
 		defer r.Release()
@@ -89,7 +94,7 @@ func BenchmarkRefinerRangeShaped(b *testing.B) {
 			within, atLB = 0, 0
 			for k, p := range pairs {
 				d := deciders[k]
-				if !d.Within(p.s, epsilon) {
+				if !d.WithinKeep(p.s, rangeEpsilon, r) {
 					continue
 				}
 				within++
@@ -98,13 +103,90 @@ func BenchmarkRefinerRangeShaped(b *testing.B) {
 					refinerSink = lb
 					continue
 				}
-				refinerSink, _ = r.DistanceWithin(p.s, p.q, seq.LInf, epsilon)
+				refinerSink, _ = r.CorridorDistance(p.s, p.q)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
 		b.ReportMetric(float64(within), "within")
 		b.ReportMetric(float64(atLB), "at_lb")
 	})
+	// refiner and corridor price the route's step (3) on the pairs that
+	// reach it, the two ways it can value them: the refiner at ε, as before
+	// the windows, and the windows plus the windowed DP from the reach rows
+	// the decision at ε already kept.
+	b.Run("refiner", func(b *testing.B) {
+		step := step3()
+		r := AcquireRefiner()
+		defer r.Release()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, p := range step.pairs {
+				refinerSink, _ = r.DistanceWithin(p.s, p.q, seq.LInf, rangeEpsilon)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(step.pairs)), "ns/pair")
+		b.ReportMetric(float64(len(step.pairs)), "pairs")
+	})
+	b.Run("corridor", func(b *testing.B) {
+		step := step3()
+		r := AcquireRefiner()
+		defer r.Release()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, p := range step.pairs {
+				r.reach, r.kept = step.rows[k], len(p.s)
+				refinerSink, _ = r.CorridorDistance(p.s, p.q)
+			}
+		}
+		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(perOp/float64(len(step.pairs)), "ns/pair")
+		b.ReportMetric(perOp/float64(step.windowCells), "ns/window_cell")
+		b.ReportMetric(float64(step.windowCells)/float64(step.cells), "window_share")
+	})
+}
+
+// step3Pairs is what step3 collects: the pairs, the reach rows at ε each
+// pair's decision kept, the cells of their matrices and the cells the
+// windowed DP visits.
+type step3Pairs struct {
+	pairs              []rangePair
+	rows               [][]uint64
+	cells, windowCells int64
+}
+
+// step3 collects, once, the rangeShaped pairs that reach step (3) of the
+// route: accepted at ε and not valued at LB_Kim.
+var step3 = sync.OnceValue(func() (st step3Pairs) {
+	pairs, _ := rangeShaped()
+	deciders := rangeDeciders(pairs)
+	r := AcquireRefiner()
+	defer r.Release()
+	for k, p := range pairs {
+		d := deciders[k]
+		if !d.WithinKeep(p.s, rangeEpsilon, r) || d.Within(p.s, d.LBKim(p.s)) {
+			continue
+		}
+		n, m := len(p.s), len(p.q)
+		st.pairs = append(st.pairs, p)
+		st.rows = append(st.rows, slices.Clone(r.reach[:n*d.words]))
+		st.cells += int64(n) * int64(m)
+		r.windows(n, m, d.words)
+		st.windowCells += windowCells(r.lo[:n], r.hi[:n])
+	}
+	return st
+})
+
+// windowCells is the number of cells corridorMax visits over the windows
+// lo, hi: each pair of rows covers the union of its two windows twice.
+func windowCells(lo, hi []int32) (cells int64) {
+	n := len(lo)
+	for i := 0; i+1 < n; i += 2 {
+		cells += 2 * int64(hi[i+1]-lo[i]+1)
+	}
+	if n%2 == 1 {
+		cells += int64(hi[n-1] - lo[n-1] + 1)
+	}
+	return cells
 }
 
 // rangeDeciders indexes each query of the pairs once, as a query's cascade
@@ -123,7 +205,9 @@ func rangeDeciders(pairs []rangePair) []*Decider {
 
 // BenchmarkDecide times Decider.Within at ε 0.30 over the pairs
 // range_unbanded refines — the decision the cascade makes first for each
-// candidate — in ns per decision. `make kernels` runs it.
+// candidate, there in its row-keeping form (WithinKeep, priced inside
+// BenchmarkRefinerRangeShaped/route) — in ns per decision. `make kernels`
+// runs it.
 func BenchmarkDecide(b *testing.B) {
 	pairs, _ := rangeShaped()
 	deciders := rangeDeciders(pairs)
@@ -132,7 +216,7 @@ func BenchmarkDecide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		within = 0
 		for k, p := range pairs {
-			if deciders[k].Within(p.s, 0.30) {
+			if deciders[k].Within(p.s, rangeEpsilon) {
 				within++
 			}
 		}
