@@ -136,9 +136,9 @@ CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|
 # is the only way a record leaves the heap, so the decoded-sequence LRU, its
 # stats type, flag and gauges stay deleted everywhere outside the benchmark
 # (cmd/bench still sets the ignored SeqCacheBytes/CacheBytes fields and
-# scrapes the two constant-0 counters), and the two one-valued knobs
-# (PoolPages in the root package, WALFlushBytes anywhere) stay constants.
-SEQCACHE_DELETED = \bseqCache\b|newSeqCache|seqdb\.CacheStats|type CacheStats|"seq-cache-mb"|WALFlushBytes|twsim_seq_cache_(bytes|entries|hit_ratio)
+# scrapes the two constant-0 counters), and the one-valued PoolPages knob
+# stays a constant in the root package.
+SEQCACHE_DELETED = \bseqCache\b|newSeqCache|seqdb\.CacheStats|type CacheStats|"seq-cache-mb"|twsim_seq_cache_(bytes|entries|hit_ratio)
 # The fourth keeps LB_Improved's second pass out of the query path: the
 # banded cascade is LB_PAA → LB_Keogh → DP, so the pass, its scratch, the
 # sum-vs-max combiner and the tier's counter, JSON key and slow-log key stay
@@ -147,6 +147,12 @@ SEQCACHE_DELETED = \bseqCache\b|newSeqCache|seqdb\.CacheStats|type CacheStats|"s
 # twsim_lb_improved_pruned_total series (the benchmark scrapes it): the
 # JSON key is matched with its quotes so the series name does not match.
 IMPROVED_DELETED = LBImprovedPass2|CombineImproved|ImprovedScratch|LBImprovedPruned|lbImprovedPruned|"lb_improved_pruned"|pruned_improved
+# The fifth keeps the WAL committer self-clocked: it fsyncs as soon as a
+# record wakes it, so the linger timer, its size cut-off, their defaults,
+# the public option, its mapping and twsimd's flag stay deleted everywhere
+# outside the benchmark. wal.Options{FlushInterval} remains an ignored
+# shim (cmd/bench builds it).
+LINGER_DELETED = WALFlushInterval|wal-flush-ms|DefaultFlushInterval|DefaultFlushBytes|FlushBytes|bigWake|walOptions
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -163,6 +169,10 @@ surface:
 	@out=$$(grep -nE '$(IMPROVED_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
 		echo "LB_Improved's deleted second-pass tier is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(LINGER_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "the WAL committer's deleted linger is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

@@ -66,12 +66,16 @@
 //
 //   - -wal runs a group-commit write-ahead log: a write is acknowledged
 //     only after the fsync covering its log record, so acknowledged writes
-//     survive a crash (the log is replayed on the next open). Concurrent
-//     writers share fsyncs — -wal-flush-ms bounds how long a write waits
-//     for its batch (default 2ms) — and -wal-checkpoint-mb bounds replay
-//     length by checkpointing when the log outgrows the limit. Counters:
-//     twsim_wal_* on /metrics, "wal" on /stats. Sharded databases run one
-//     log per shard.
+//     survive a crash (the log is replayed on the next open). The log
+//     fsyncs as soon as a write arrives, and the writes that arrive during
+//     that fsync share the next one, so concurrent writers share fsyncs
+//     with no timer to tune. The flush-linger flag older versions took
+//     (milliseconds to wait before each fsync) is gone: a command line
+//     that still passes it exits with "flag provided but not defined".
+//     -wal-checkpoint-mb bounds replay length by checkpointing when the
+//     log outgrows the limit. Counters: twsim_wal_* on /metrics (fsync
+//     latency as twsim_wal_fsync_seconds), "wal" on /stats. Sharded
+//     databases run one log per shard.
 //   - -replica-of URL runs this process as a read-only replica of the
 //     single-database WAL-enabled primary at URL: it bootstraps from
 //     GET /repl/snapshot, then streams the WAL tail (GET /repl/wal) every
@@ -137,7 +141,6 @@ func main() {
 		retryAfterS   = flag.Int("retry-after-s", 0, "Retry-After seconds advertised on shed (429) responses (0 = 1s)")
 
 		walOn           = flag.Bool("wal", false, "run a group-commit write-ahead log: acknowledged writes survive a crash (on-disk databases; per shard when sharded)")
-		walFlushMS      = flag.Int("wal-flush-ms", 2, "WAL group-commit flush interval in milliseconds (writes wait at most this plus one fsync; 0 = fsync every batch immediately)")
 		walCheckpointMB = flag.Int("wal-checkpoint-mb", 64, "checkpoint (full flush + log truncation) when the WAL file reaches this many MiB (0 = never on size)")
 
 		replicaOf     = flag.String("replica-of", "", "run as a read-only replica of the primary twsimd at this base URL (e.g. http://primary:7474): bootstrap from its snapshot, stream its WAL tail, answer queries locally and writes with 403")
@@ -169,10 +172,6 @@ func main() {
 		if *mem || *replicaOf != "" {
 			fmt.Fprintln(os.Stderr, "twsimd: -wal requires an on-disk database (not -mem / -replica-of)")
 			os.Exit(2)
-		}
-		opts.WALFlushInterval = time.Duration(*walFlushMS) * time.Millisecond
-		if *walFlushMS == 0 {
-			opts.WALFlushInterval = -1 // fsync every batch immediately
 		}
 		opts.WALCheckpointBytes = int64(*walCheckpointMB) << 20
 		if *walCheckpointMB == 0 {

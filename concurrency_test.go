@@ -23,7 +23,7 @@ import (
 func TestDBConcurrentStorm(t *testing.T) {
 	for name, cacheBytes := range map[string]int64{"cache=off": 0, "cache=on": 1 << 20} {
 		t.Run(name, func(t *testing.T) {
-			db, err := twsim.Create(t.TempDir(), twsim.Options{WAL: true, WALFlushInterval: -1, ResultCacheBytes: cacheBytes})
+			db, err := twsim.Create(t.TempDir(), twsim.Options{WAL: true, ResultCacheBytes: cacheBytes})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,11 +16,6 @@ const walFileName = "wal.log"
 // Stats). Fsyncs / Records is the group-commit batching factor.
 type WALStats = wal.Stats
 
-// walOptions maps the public knobs onto the log's options.
-func (o Options) walOptions() wal.Options {
-	return wal.Options{FlushInterval: o.WALFlushInterval}
-}
-
 // walCheckpointBytes resolves the auto-checkpoint threshold (<= 0 when
 // disabled).
 func (o Options) walCheckpointBytes() int64 {
@@ -192,7 +187,7 @@ func (db *DB) maybeCheckpoint() error {
 // to a live record. Index and envelope divergence introduced by replay is
 // healed by the same Repair/reconcile pass every Open runs.
 func (db *DB) openWAL() error {
-	wlog, recs, note, err := wal.Open(filepath.Join(db.dir, walFileName), db.opts.walOptions())
+	wlog, recs, note, err := wal.Open(filepath.Join(db.dir, walFileName))
 	if err != nil {
 		return err
 	}

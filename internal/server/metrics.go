@@ -164,6 +164,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		wal(func(st twsim.WALStats) float64 { return float64(st.Checkpoints) }))
 	reg.GaugeFunc("twsim_wal_file_bytes", "", "Current WAL file size (replay length bound).",
 		wal(func(st twsim.WALStats) float64 { return float64(st.FileBytes) }))
+	reg.HistogramFunc("twsim_wal_fsync_seconds", "", "WAL fsync latency: group-commit flushes and checkpoint resets (one observation per twsim_wal_fsyncs_total).",
+		func() obs.HistogramData { return s.backend.WALStats().FsyncHist })
 
 	// Replication lag, exported only while the server runs as a replica
 	// (the gauges read 0 on a primary or standalone server).

@@ -391,6 +391,47 @@ func TestMetricsScrapeStorm(t *testing.T) {
 	}
 }
 
+// TestMetricsWALFsyncLatency: with the WAL on, twsim_wal_fsync_seconds
+// times every fsync twsim_wal_fsyncs_total counts — group-commit flushes
+// and the checkpoint a Flush takes — on a single and a sharded database.
+func TestMetricsWALFsyncLatency(t *testing.T) {
+	opts := twsim.Options{WAL: true}
+	for name, open := range map[string]func() (twsim.Backend, error){
+		"single": func() (twsim.Backend, error) { return twsim.Create(t.TempDir(), opts) },
+		"sharded": func() (twsim.Backend, error) {
+			return twsim.CreateSharded(t.TempDir(), twsim.ShardedOptions{Options: opts, Shards: 2})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, c := newMetricsServer(t, db)
+			rng := rand.New(rand.NewSource(23))
+			for _, v := range randomWalks(rng, 6) {
+				if _, err := c.Add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			s := scrape(t, ts)
+			fsyncs := mustValue(t, s, "twsim_wal_fsyncs_total", nil)
+			if fsyncs < 7 {
+				t.Fatalf("twsim_wal_fsyncs_total = %g, want ≥ 6 flushes + a checkpoint", fsyncs)
+			}
+			if got := mustValue(t, s, "twsim_wal_fsync_seconds_count", nil); got != fsyncs {
+				t.Errorf("twsim_wal_fsync_seconds_count = %g, twsim_wal_fsyncs_total = %g", got, fsyncs)
+			}
+			if sum := mustValue(t, s, "twsim_wal_fsync_seconds_sum", nil); sum <= 0 {
+				t.Errorf("twsim_wal_fsync_seconds_sum = %g, want > 0", sum)
+			}
+		})
+	}
+}
+
 // TestNonFiniteHTTP400: numbers that would decode to ±Inf (1e999 overflows
 // float64) are rejected with 400 at every write/query endpoint — the wire
 // can't even spell NaN in JSON, and the backend validation (ErrNonFinite)

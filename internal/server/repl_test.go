@@ -16,7 +16,7 @@ import (
 // startPrimary runs a WAL-enabled on-disk database behind a test server.
 func startPrimary(t *testing.T) (*twsim.DB, *Server, *httptest.Server) {
 	t.Helper()
-	db, err := twsim.Create(t.TempDir(), twsim.Options{WAL: true, WALFlushInterval: time.Millisecond})
+	db, err := twsim.Create(t.TempDir(), twsim.Options{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

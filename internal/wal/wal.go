@@ -1,15 +1,18 @@
 // Package wal implements the group-commit write-ahead log that sits in
 // front of the sequence heap. Writers enqueue typed records (add /
 // add-batch / remove) into an in-memory batch and block only until the
-// fsync covering their record completes; a single committer goroutine
-// flushes the batch when it grows past Options.FlushBytes or when
-// Options.FlushInterval elapses, so N concurrent writers share one fsync
-// instead of paying one each. Open scans the log, truncates a torn tail
-// at the first invalid record, and hands the valid prefix back for
-// replay; Checkpoint (taken after the heap, index, and sidecars are
-// durable by other means) resets the log to an empty file with a higher
-// base sequence number. Sequence numbers are dense, monotone across
-// checkpoints, and never reused — they double as the replication cursor.
+// fsync covering their record completes. A single committer goroutine
+// writes and fsyncs the batch as soon as a record wakes it; records that
+// arrive while that fsync is in flight form the next batch. Group commit
+// is therefore self-clocked: a lone writer waits for one fsync, and under
+// load a batch is every writer that arrived during the previous fsync, so
+// batches grow with fsync latency without a timer to tune. Open scans the
+// log, truncates a torn tail at the first invalid record, and hands the
+// valid prefix back for replay; Checkpoint (taken after the heap, index,
+// and sidecars are durable by other means) resets the log to an empty
+// file with a higher base sequence number. Sequence numbers are dense,
+// monotone across checkpoints, and never reused — they double as the
+// replication cursor.
 package wal
 
 import (
@@ -22,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/fsx"
+	"repro/internal/obs"
 )
 
 const (
@@ -29,15 +33,6 @@ const (
 	fileVersion = 1
 	headerLen   = 16
 )
-
-// DefaultFlushInterval is the committer's timer when Options leaves it
-// zero: long enough for concurrent writers to pile into one batch, short
-// enough that a lone writer's latency stays in interactive territory.
-const DefaultFlushInterval = 2 * time.Millisecond
-
-// DefaultFlushBytes triggers an early flush when the pending batch grows
-// past this size, bounding replay length and memory under bulk load.
-const DefaultFlushBytes = 256 << 10
 
 // ErrClosed is returned by appends against a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -47,25 +42,10 @@ var ErrClosed = errors.New("wal: log closed")
 // (a replica) must re-bootstrap from a snapshot instead.
 var ErrCompacted = errors.New("wal: position compacted away by checkpoint")
 
-// Options tunes the group-commit policy.
+// Options is accepted and ignored: the committer has nothing to tune. The
+// type remains so callers that still set FlushInterval compile.
 type Options struct {
-	// FlushInterval is how long the committer waits after the first
-	// record of a batch before fsyncing (0 = DefaultFlushInterval;
-	// negative = flush immediately, effectively one fsync per wakeup).
 	FlushInterval time.Duration
-	// FlushBytes flushes the batch early once the pending bytes exceed
-	// it (0 = DefaultFlushBytes).
-	FlushBytes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.FlushInterval == 0 {
-		o.FlushInterval = DefaultFlushInterval
-	}
-	if o.FlushBytes == 0 {
-		o.FlushBytes = DefaultFlushBytes
-	}
-	return o
 }
 
 // Stats are the log's cumulative counters. Fsyncs / Records is the
@@ -80,6 +60,9 @@ type Stats struct {
 	Durable     uint64 // highest sequence number covered by an fsync
 	Base        uint64 // first sequence number still in the file
 	FileBytes   int64  // current log file size including pending bytes
+	// FsyncHist times every fsync Fsyncs counts (its Count equals
+	// Fsyncs); it feeds the twsim_wal_fsync_seconds series.
+	FsyncHist obs.HistogramData
 }
 
 // Add accumulates counters (for summing per-shard logs).
@@ -90,6 +73,7 @@ func (s *Stats) Add(o Stats) {
 	s.Bytes += o.Bytes
 	s.Checkpoints += o.Checkpoints
 	s.FileBytes += o.FileBytes
+	s.FsyncHist.Add(o.FsyncHist)
 	if o.Seq > s.Seq {
 		s.Seq = o.Seq
 	}
@@ -112,7 +96,6 @@ type Commit func() error
 // order (callers serialize mutations externally, as the heap already
 // requires); the log itself is safe for concurrent use.
 type Log struct {
-	opts Options
 	path string
 
 	// io serializes file writes: the committer's flush, checkpoint
@@ -134,12 +117,16 @@ type Log struct {
 	endOff  int64   // file offset past the last enqueued record
 	durOff  int64   // file offset past the last durable record
 
-	stats Stats
+	stats     Stats
+	fsyncHist obs.Histogram // observed under mu beside stats.Fsyncs
 
-	wake    chan struct{}
-	bigWake chan struct{}
-	quit    chan struct{}
-	done    chan struct{}
+	wake chan struct{}
+	quit chan struct{}
+	done chan struct{}
+
+	// beforeFlush, when set (tests only), runs on the committer before
+	// each flush takes the pending batch, so a test can hold the fsync.
+	beforeFlush func()
 }
 
 func encodeHeader(base uint64) []byte {
@@ -150,9 +137,8 @@ func encodeHeader(base uint64) []byte {
 	return h
 }
 
-func newLog(path string, f *os.File, base uint64, opts Options) *Log {
+func newLog(path string, f *os.File, base uint64) *Log {
 	l := &Log{
-		opts:    opts.withDefaults(),
 		path:    path,
 		f:       f,
 		base:    base,
@@ -161,7 +147,6 @@ func newLog(path string, f *os.File, base uint64, opts Options) *Log {
 		endOff:  headerLen,
 		durOff:  headerLen,
 		wake:    make(chan struct{}, 1),
-		bigWake: make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -172,8 +157,8 @@ func newLog(path string, f *os.File, base uint64, opts Options) *Log {
 
 // Create starts a fresh log at path (truncating any previous file) with
 // the given base sequence number, fsyncing the file and its directory so
-// the empty log itself survives a crash.
-func Create(path string, base uint64, opts Options) (*Log, error) {
+// the empty log itself survives a crash. The Options are ignored.
+func Create(path string, base uint64, _ Options) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -190,18 +175,18 @@ func Create(path string, base uint64, opts Options) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return newLog(path, f, base, opts), nil
+	return newLog(path, f, base), nil
 }
 
 // Open opens (or creates) the log at path, scans it, truncates any torn
 // or corrupt tail, and returns the valid records for replay. note is a
 // human-readable description of a truncation ("" when the file was
 // clean); an unreadable header is an error — the file is not a WAL.
-func Open(path string, opts Options) (l *Log, recs []Record, note string, err error) {
+func Open(path string) (l *Log, recs []Record, note string, err error) {
 	raw, rerr := os.ReadFile(path)
 	if rerr != nil {
 		if os.IsNotExist(rerr) {
-			l, err = Create(path, 1, opts)
+			l, err = Create(path, 1, Options{})
 			return l, nil, "", err
 		}
 		return nil, nil, "", rerr
@@ -257,7 +242,7 @@ func Open(path string, opts Options) (l *Log, recs []Record, note string, err er
 			return nil, nil, "", err
 		}
 	}
-	l = newLog(path, f, base, opts)
+	l = newLog(path, f, base)
 	l.seq = next
 	l.durable = next - 1
 	l.offs = offs
@@ -295,18 +280,11 @@ func (l *Log) Begin(recs ...Record) (Commit, error) {
 	}
 	l.stats.Records += int64(len(recs))
 	top := l.seq - 1
-	big := len(l.buf) >= l.opts.FlushBytes
 	l.mu.Unlock()
 
 	select {
 	case l.wake <- struct{}{}:
 	default:
-	}
-	if big {
-		select {
-		case l.bigWake <- struct{}{}:
-		default:
-		}
 	}
 	return func() error { return l.waitDurable(top) }, nil
 }
@@ -333,35 +311,35 @@ func (l *Log) waitDurable(s uint64) error {
 	return l.err
 }
 
-// run is the committer: it sleeps until a record arrives, lingers for
-// FlushInterval so concurrent writers can join the batch (a full batch
-// cuts the linger short), then writes and fsyncs the whole batch once.
+// run is the committer: it sleeps until a record arrives, then writes and
+// fsyncs everything pending at once. Writers that Begin during that fsync
+// leave a wake token behind, so the next batch starts the moment this one
+// is durable; waiting before the fsync would only add latency, since the
+// fsync itself is the window in which the next batch gathers.
 func (l *Log) run() {
 	defer close(l.done)
 	for {
 		select {
 		case <-l.wake:
+			l.flush()
 		case <-l.quit:
 			l.flush()
 			return
 		}
-		if iv := l.opts.FlushInterval; iv > 0 {
-			t := time.NewTimer(iv)
-			select {
-			case <-t.C:
-			case <-l.bigWake:
-				t.Stop()
-			case <-l.quit:
-				t.Stop()
-				l.flush()
-				return
-			}
-		}
-		l.flush()
 	}
 }
 
+// timedSync fsyncs the file and reports how long the call took.
+func (l *Log) timedSync() (time.Duration, error) {
+	start := time.Now()
+	err := l.f.Sync()
+	return time.Since(start), err
+}
+
 func (l *Log) flush() {
+	if l.beforeFlush != nil {
+		l.beforeFlush()
+	}
 	l.io.Lock()
 	defer l.io.Unlock()
 	l.mu.Lock()
@@ -376,9 +354,10 @@ func (l *Log) flush() {
 	off := l.durOff
 	l.mu.Unlock()
 
+	var took time.Duration
 	_, werr := l.f.WriteAt(buf, off)
 	if werr == nil {
-		werr = l.f.Sync()
+		took, werr = l.timedSync()
 	}
 
 	l.mu.Lock()
@@ -391,6 +370,7 @@ func (l *Log) flush() {
 		l.durable = top
 		l.durOff = off + int64(len(buf))
 		l.stats.Fsyncs++
+		l.fsyncHist.Observe(took)
 		l.stats.Batches++
 		l.stats.Bytes += int64(len(buf))
 	}
@@ -423,8 +403,10 @@ func (l *Log) Checkpoint() error {
 		_, err = l.f.WriteAt(encodeHeader(base), 0)
 	}
 	if err == nil {
-		err = l.f.Sync()
+		var took time.Duration
+		took, err = l.timedSync()
 		l.stats.Fsyncs++
+		l.fsyncHist.Observe(took)
 	}
 	if err != nil {
 		l.err = err
@@ -515,6 +497,7 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stats
+	s.FsyncHist = l.fsyncHist.Data()
 	s.Seq = l.seq - 1
 	s.Durable = l.durable
 	s.Base = l.base

@@ -12,10 +12,10 @@ import (
 	"repro/internal/seq"
 )
 
-func tmpLog(t *testing.T, opts Options) (*Log, string) {
+func tmpLog(t *testing.T) (*Log, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, 1, opts)
+	l, err := Create(path, 1, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -25,7 +25,7 @@ func tmpLog(t *testing.T, opts Options) (*Log, string) {
 func s(vals ...float64) seq.Sequence { return seq.Sequence(vals) }
 
 func TestAppendReplayRoundtrip(t *testing.T) {
-	l, path := tmpLog(t, Options{FlushInterval: time.Millisecond})
+	l, path := tmpLog(t)
 	want := []Record{
 		NewAdd(0, s(1, 2, 3)),
 		NewAddBatch(1, []seq.Sequence{s(4), s(5, 6)}),
@@ -40,7 +40,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	l2, recs, note, err := Open(path, Options{})
+	l2, recs, note, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 }
 
 func TestTornTailTruncated(t *testing.T) {
-	l, path := tmpLog(t, Options{FlushInterval: -1})
+	l, path := tmpLog(t)
 	for i := 0; i < 5; i++ {
 		if err := l.Append(NewAdd(seq.ID(i), s(float64(i)))); err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, recs, note, err := Open(path, Options{})
+	l2, recs, note, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open torn: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, note, err = Open(path, Options{})
+	_, recs, note, err = Open(path)
 	if err != nil || note != "" {
 		t.Fatalf("reopen after heal: %v note=%q", err, note)
 	}
@@ -110,7 +110,7 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 func TestCorruptMiddleStopsScan(t *testing.T) {
-	l, path := tmpLog(t, Options{FlushInterval: -1})
+	l, path := tmpLog(t)
 	for i := 0; i < 5; i++ {
 		if err := l.Append(NewAdd(seq.ID(i), s(float64(i)))); err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestCorruptMiddleStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, recs, note, err := Open(path, Options{})
+	l2, recs, note, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open corrupt: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestCorruptMiddleStopsScan(t *testing.T) {
 }
 
 func TestGroupCommitBatchesConcurrentWriters(t *testing.T) {
-	l, _ := tmpLog(t, Options{FlushInterval: 5 * time.Millisecond})
+	l, _ := tmpLog(t)
 	defer l.Close()
 	const writers, perWriter = 8, 10
 	var wg sync.WaitGroup
@@ -194,7 +194,7 @@ func TestGroupCommitBatchesConcurrentWriters(t *testing.T) {
 }
 
 func TestCheckpointResetsAndSeqStaysMonotone(t *testing.T) {
-	l, path := tmpLog(t, Options{FlushInterval: -1})
+	l, path := tmpLog(t)
 	for i := 0; i < 3; i++ {
 		if err := l.Append(NewAdd(seq.ID(i), s(float64(i)))); err != nil {
 			t.Fatal(err)
@@ -206,6 +206,9 @@ func TestCheckpointResetsAndSeqStaysMonotone(t *testing.T) {
 	if base := l.Base(); base != 4 {
 		t.Fatalf("base after checkpoint = %d, want 4", base)
 	}
+	if st := l.Stats(); st.Fsyncs != 4 || st.FsyncHist.Count() != st.Fsyncs {
+		t.Fatalf("after 3 appends and a checkpoint: %d fsyncs, %d timed; want 4 of each", st.Fsyncs, st.FsyncHist.Count())
+	}
 	if err := l.Append(NewAdd(3, s(42))); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +216,7 @@ func TestCheckpointResetsAndSeqStaysMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, recs, note, err := Open(path, Options{})
+	l2, recs, note, err := Open(path)
 	if err != nil || note != "" {
 		t.Fatalf("reopen: %v note=%q", err, note)
 	}
@@ -224,7 +227,7 @@ func TestCheckpointResetsAndSeqStaysMonotone(t *testing.T) {
 }
 
 func TestTailSinceServesDurableRecordsAndCompaction(t *testing.T) {
-	l, _ := tmpLog(t, Options{FlushInterval: -1})
+	l, _ := tmpLog(t)
 	defer l.Close()
 	for i := 0; i < 4; i++ {
 		if err := l.Append(NewAdd(seq.ID(i), s(float64(i)))); err != nil {
@@ -283,7 +286,10 @@ func TestTailSinceServesDurableRecordsAndCompaction(t *testing.T) {
 }
 
 func TestCommitAfterCloseAndStickySemantics(t *testing.T) {
-	l, _ := tmpLog(t, Options{FlushInterval: time.Hour}) // timer never fires
+	l, path := tmpLog(t)
+	// Hold the committer's flush until Close begins, so the batch is still
+	// pending when Close runs.
+	l.beforeFlush = func() { <-l.quit }
 	commit, err := l.Begin(NewAdd(0, s(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +303,46 @@ func TestCommitAfterCloseAndStickySemantics(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("commit after close-flush: %v", err)
 	}
+	if st := l.Stats(); st.Batches != 1 || st.Durable != 1 {
+		t.Fatalf("after Close: %d batches, durable %d; want the pending record flushed", st.Batches, st.Durable)
+	}
 	if _, err := l.Begin(NewAdd(1, s(2))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Begin on closed log: %v", err)
+	}
+	l2, recs, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != 1 {
+		t.Fatalf("reopen after Close: %d records, want 1", len(recs))
+	}
+}
+
+// TestCommitIgnoresFlushInterval: the committer fsyncs as soon as a record
+// wakes it, whatever the ignored Options say — a lone Append waits for one
+// fsync, not for a timer.
+func TestCommitIgnoresFlushInterval(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"), 1, Options{FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan error, 1)
+	go func() { done <- l.Append(NewAdd(0, s(1))) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone Append waited 10 s: the committer lingers before its fsync")
+	}
+	st := l.Stats()
+	if st.Batches != 1 {
+		t.Fatalf("batches = %d, want 1", st.Batches)
+	}
+	if got := st.FsyncHist.Count(); got != st.Fsyncs {
+		t.Fatalf("fsync histogram holds %d observations for %d fsyncs", got, st.Fsyncs)
 	}
 }

@@ -123,15 +123,12 @@ type Options struct {
 	// WAL enables the group-commit write-ahead log on on-disk databases:
 	// every acknowledged Add/AddBatch/Remove survives a crash (Open
 	// replays the log tail over the heap), and concurrent writers share
-	// fsyncs instead of paying one each. Ignored by in-memory databases,
-	// which have nothing durable to protect. See internal/wal and
-	// DESIGN.md §14.
+	// fsyncs instead of paying one each. The log fsyncs as soon as a write
+	// arrives; writes that arrive during that fsync share the next one, so
+	// a lone write waits for one fsync and batches grow with load on their
+	// own. Ignored by in-memory databases, which have nothing durable to
+	// protect. See internal/wal and DESIGN.md §14.
 	WAL bool
-	// WALFlushInterval is how long the WAL committer lingers after the
-	// first record of a batch before fsyncing, bounding write latency to
-	// roughly the interval plus one fsync (0 = wal.DefaultFlushInterval,
-	// 2ms; negative = fsync as soon as the committer wakes).
-	WALFlushInterval time.Duration
 	// WALCheckpointBytes auto-checkpoints (full Flush + log reset) when
 	// the log file grows past it, bounding replay time and the window a
 	// replica can lag before needing a snapshot re-bootstrap
@@ -279,7 +276,7 @@ func Create(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("twsim: creating envelope store: %w", err)
 	}
 	if opts.WAL {
-		if db.wal, err = wal.Create(filepath.Join(dir, walFileName), 1, opts.walOptions()); err != nil {
+		if db.wal, err = wal.Create(filepath.Join(dir, walFileName), 1, wal.Options{}); err != nil {
 			db.Close()
 			return nil, err
 		}

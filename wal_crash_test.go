@@ -22,10 +22,10 @@ import (
 	"repro/internal/wal"
 )
 
-// crashOpts runs the WAL with immediate fsync so every returned Add/Remove
-// is acknowledged-durable the moment it returns.
+// crashOpts runs the WAL, so every returned Add/Remove is
+// acknowledged-durable the moment it returns.
 func crashOpts() Options {
-	return Options{WAL: true, WALFlushInterval: -1}
+	return Options{WAL: true}
 }
 
 func crashSequences(n, length int, seed int64) [][]float64 {
