@@ -99,10 +99,13 @@ bench-smoke:
 # scratch fetch, on a file-backed heap of the benchmark's shape), then the
 # banded cascade as served — k-NN k 10 and range search at ε 0.3 and 1.0
 # through the public API on a file-backed database, per query with the
-# per-tier counts (the ε 1.0 shape on fewer queries: one costs ≈ 13 ms).
+# per-tier counts (the ε 1.0 shape on fewer queries: one costs ≈ 13 ms),
+# and last the DP as the other callers run it, through a pooled Refiner:
+# the public Distance / BandDistance, a Naive-Scan pass at ε 0.1 and at
+# +Inf, and subsequence search.
 # To compare two commits, build the binaries on both and alternate them
 # (internal/dtw/refiner_bench_test.go, internal/core/lbpaa_test.go,
-# internal/seqdb/fetch_bench_test.go, banded_bench_test.go).
+# internal/seqdb/fetch_bench_test.go, banded_bench_test.go, bench_test.go).
 kernels:
 	$(GO) test -c -o bin/dtw.test ./internal/dtw
 	./bin/dtw.test -test.run '^$$' -test.bench 'Refiner(Range|KNN)Shaped|^BenchmarkDecide$$' -test.cpu 1 -test.count 5
@@ -113,6 +116,7 @@ kernels:
 	$(GO) test -c -o bin/twsim.test .
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^(knn_k10|range_eps0\.3)$$' -test.benchtime 2000x -test.cpu 1 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^range_eps1\.0$$' -test.benchtime 200x -test.cpu 1 -test.count 5
+	./bin/twsim.test -test.run '^$$' -test.bench '^Benchmark(DTW|AblationEarlyAbandon|SubseqSearch)$$' -test.cpu 1 -test.count 5
 
 # The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
 # plus the paper-API wrappers. Fails if a deleted variant, option or alias
@@ -153,6 +157,14 @@ IMPROVED_DELETED = LBImprovedPass2|CombineImproved|ImprovedScratch|LBImprovedPru
 # outside the benchmark. wal.Options{FlushInterval} remains an ignored
 # shim (cmd/bench builds it).
 LINGER_DELETED = WALFlushInterval|wal-flush-ms|DefaultFlushInterval|DefaultFlushBytes|FlushBytes|bigWake|walOptions
+# The sixth keeps package dtw at one reference DP: the pooled per-base
+# kernels and their row pool stay deleted everywhere outside the benchmark,
+# and no non-test caller outside internal/dtw runs the reference (the
+# Distance / DistanceWithin / BandDistance / BandDistanceWithin oracle) but
+# the disabled cascade in internal/core/cascade.go and the benchmark's
+# checker; every other caller refines through a pooled dtw.Refiner.
+KERNELS_DELETED = PooledRowCap|rowPool|acquireRows|releaseRows|distKernel|withinKernel|distanceGeneric|withinGeneric
+REFERENCE_CALL = dtw\.(Band)?Distance(Within)?\(
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -173,6 +185,14 @@ surface:
 	@out=$$(grep -nE '$(LINGER_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
 		echo "the WAL committer's deleted linger is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(KERNELS_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "the deleted pooled DP kernels are back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(REFERENCE_CALL)' *.go $$(find internal cmd examples -name '*.go' ! -path 'internal/dtw/*' ! -path 'internal/core/cascade.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "a non-test caller runs the reference DP instead of a dtw.Refiner:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

@@ -9,20 +9,22 @@ import (
 	"testing"
 
 	twsim "repro"
+	"repro/internal/dtw"
 	"repro/internal/synth"
 )
 
 // bruteScan is the no-false-dismissal oracle the public query modes are
 // checked against: a linear scan computing, for every live sequence, the
-// exact distance the query answers — the unconstrained Distance for band 0,
-// BandDistance otherwise — sorted the way Search reports matches (distance,
-// then ID). Its first k entries at eps = +Inf are the exact k-NN answer.
+// exact distance the query answers — the reference dtw.Distance for band 0,
+// dtw.BandDistance otherwise, never the refiner the searches run — sorted
+// the way Search reports matches (distance, then ID). Its first k entries at
+// eps = +Inf are the exact k-NN answer.
 func bruteScan(data [][]float64, ids []twsim.ID, q []float64, base twsim.Base, eps float64, band int) []twsim.Match {
 	var out []twsim.Match
 	for i, s := range data {
-		d := twsim.Distance(s, q, base)
+		d := dtw.Distance(s, q, base)
 		if band > 0 {
-			d = twsim.BandDistance(s, q, base, band)
+			d = dtw.BandDistance(s, q, base, band)
 		}
 		if d <= eps {
 			out = append(out, twsim.Match{ID: ids[i], Dist: d})

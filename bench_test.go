@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	twsim "repro"
 	"repro/internal/core"
 	"repro/internal/dtw"
 	"repro/internal/experiments"
@@ -136,6 +137,17 @@ func BenchmarkFigure5Length(b *testing.B) {
 	}
 }
 
+// scanPass runs one pass of a scan over data the way Naive-Scan refines:
+// one Refiner for the pass, each sequence at epsilon (+Inf for the full
+// distance).
+func scanPass(data []seq.Sequence, q seq.Sequence, base seq.Base, epsilon float64) {
+	r := dtw.AcquireRefiner()
+	defer r.Release()
+	for _, s := range data {
+		r.DistanceWithin(s, q, base, epsilon)
+	}
+}
+
 // BenchmarkAblationBaseDistance compares the DTW base distances (§4.1: L∞
 // early-abandons sooner than L1, cutting CPU cost).
 func BenchmarkAblationBaseDistance(b *testing.B) {
@@ -145,9 +157,7 @@ func BenchmarkAblationBaseDistance(b *testing.B) {
 	for _, base := range []seq.Base{seq.LInf, seq.L1} {
 		b.Run(base.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, s := range data {
-					dtw.DistanceWithin(s, q, base, 0.1)
-				}
+				scanPass(data, q, base, 0.1)
 			}
 		})
 	}
@@ -161,16 +171,12 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 	q := synth.Query(rng, data)
 	b.Run("abandon", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, s := range data {
-				dtw.DistanceWithin(s, q, seq.LInf, 0.1)
-			}
+			scanPass(data, q, seq.LInf, 0.1)
 		}
 	})
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, s := range data {
-				dtw.Distance(s, q, seq.LInf)
-			}
+			scanPass(data, q, seq.LInf, dtw.Inf)
 		}
 	})
 }
@@ -297,7 +303,7 @@ func BenchmarkLowerBounds(b *testing.B) {
 	})
 }
 
-// BenchmarkDTW measures the raw dynamic program at a few sizes.
+// BenchmarkDTW measures the public distance functions at a few sizes.
 func BenchmarkDTW(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{64, 256} {
@@ -305,12 +311,12 @@ func BenchmarkDTW(b *testing.B) {
 		q := synth.RandomWalk(rng, n)
 		b.Run(fmt.Sprintf("full/%dx%d", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dtw.Distance(s, q, seq.LInf)
+				twsim.Distance(s, q, twsim.BaseLInf)
 			}
 		})
 		b.Run(fmt.Sprintf("band8/%dx%d", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dtw.BandDistance(s, q, seq.LInf, 8)
+				twsim.BandDistance(s, q, twsim.BaseLInf, 8)
 			}
 		})
 	}
@@ -359,9 +365,7 @@ func BenchmarkKNN(b *testing.B) {
 	})
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, s := range data {
-				dtw.Distance(s, q, seq.LInf)
-			}
+			scanPass(data, q, seq.LInf, dtw.Inf)
 		}
 	})
 }

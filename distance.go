@@ -9,20 +9,30 @@ import (
 // of arbitrary lengths under the given base distance (the paper's
 // Definition 1/2) in O(len(s)·len(q)) time and O(min) memory.
 func Distance(s, q []float64, base Base) float64 {
-	return dtw.Distance(seq.Sequence(s), seq.Sequence(q), base)
+	return BandDistance(s, q, base, -1)
 }
 
 // DistanceWithin computes the time warping distance but abandons early once
 // the result provably exceeds epsilon, returning ok=false in that case.
 func DistanceWithin(s, q []float64, base Base, epsilon float64) (d float64, ok bool) {
-	return dtw.DistanceWithin(seq.Sequence(s), seq.Sequence(q), base, epsilon)
+	return bandDistanceWithin(s, q, base, -1, epsilon)
 }
 
 // BandDistance computes the time warping distance restricted to a
 // slope-normalized Sakoe–Chiba band of half-width r (r < 0 disables the
 // band). A band constrains warping, so the result is ≥ Distance.
 func BandDistance(s, q []float64, base Base, r int) float64 {
-	return dtw.BandDistance(seq.Sequence(s), seq.Sequence(q), base, r)
+	d, _ := bandDistanceWithin(s, q, base, r, dtw.Inf)
+	return d
+}
+
+// bandDistanceWithin runs one pair through a pooled dtw.Refiner, the kernel
+// every search refines with; at epsilon +Inf it is the full distance.
+func bandDistanceWithin(s, q []float64, base Base, r int, epsilon float64) (float64, bool) {
+	rf := dtw.AcquireRefiner()
+	defer rf.Release()
+	d, v := rf.BandDistanceWithin(seq.Sequence(s), seq.Sequence(q), base, r, epsilon)
+	return d, v == dtw.VerdictWithin
 }
 
 // NormalizedDistance returns the time warping distance divided by the

@@ -201,7 +201,7 @@ func (c *cascade) kernelBand() int {
 // exactDistance is the distance the query answers: BandDistance for banded
 // queries, the paper's unconstrained distance otherwise. k-NN uses it while
 // the cutoff is still infinite: the refiner at an infinite tolerance keeps
-// every cell alive and returns the reference kernels' bits.
+// every cell alive and returns the reference DP's bits.
 func (c *cascade) exactDistance(s seq.Sequence) float64 {
 	if c.disabled {
 		return dtw.BandDistance(s, c.q, c.base, c.kernelBand())

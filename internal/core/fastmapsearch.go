@@ -45,7 +45,14 @@ func BuildFastMapSearch(db *seqdb.DB, base seq.Base, k int, seed int64) (*FastMa
 	}); err != nil {
 		return nil, err
 	}
-	dist := func(a, b seq.Sequence) float64 { return dtw.Distance(a, b, base) }
+	// One Refiner per call, not per build: Map.Project calls dist again at
+	// query time.
+	dist := func(a, b seq.Sequence) float64 {
+		r := dtw.AcquireRefiner()
+		defer r.Release()
+		d, _ := r.BandDistanceWithin(a, b, base, -1, dtw.Inf)
+		return d
+	}
 	m, coords, err := fastmap.Fit(data, k, dist, 5, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err

@@ -136,9 +136,11 @@ func (n *NaiveScan) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	start := time.Now()
 	before := n.DB.Stats()
 	res := &Result{}
+	r := dtw.AcquireRefiner()
+	defer r.Release()
 	err := n.DB.Scan(func(id seq.ID, s seq.Sequence) error {
 		res.Stats.DTWCalls++
-		if d, ok := dtw.DistanceWithin(s, q, n.Base, epsilon); ok {
+		if d, v := r.DistanceWithin(s, q, n.Base, epsilon); v == dtw.VerdictWithin {
 			res.Matches = append(res.Matches, Match{ID: id, Dist: d})
 		}
 		return nil

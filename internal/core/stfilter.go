@@ -297,6 +297,8 @@ func (f *STFilter) SearchSubsequences(q seq.Sequence, epsilon float64) (*SubseqR
 	})
 	sc := seqdb.AcquireScratch()
 	defer sc.Release()
+	r := dtw.AcquireRefiner()
+	defer r.Release()
 	var cur seq.Sequence // aliases sc until the next Fetch
 	curID := seq.InvalidID
 	for _, c := range cands {
@@ -309,7 +311,7 @@ func (f *STFilter) SearchSubsequences(q seq.Sequence, epsilon float64) (*SubseqR
 		}
 		window := cur[c.off : c.off+c.ln]
 		res.Stats.DTWCalls++
-		if d, ok := dtw.DistanceWithin(window, q, f.Base, epsilon); ok {
+		if d, v := r.DistanceWithin(window, q, f.Base, epsilon); v == dtw.VerdictWithin {
 			res.Matches = append(res.Matches, SubMatch{
 				ID:     c.id,
 				Offset: int(c.off),

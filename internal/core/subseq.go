@@ -165,6 +165,8 @@ func (si *SubseqIndex) Search(q seq.Sequence, epsilon float64) (*SubseqResult, e
 	})
 	sc := seqdb.AcquireScratch()
 	defer sc.Release()
+	r := dtw.AcquireRefiner()
+	defer r.Release()
 	var cur seq.Sequence // aliases sc until the next Fetch
 	curID := seq.InvalidID
 	for _, ref := range candidates {
@@ -177,7 +179,7 @@ func (si *SubseqIndex) Search(q seq.Sequence, epsilon float64) (*SubseqResult, e
 		}
 		window := cur[ref.offset : ref.offset+ref.length]
 		res.Stats.DTWCalls++
-		if d, ok := dtw.DistanceWithin(window, q, si.Base, epsilon); ok {
+		if d, v := r.DistanceWithin(window, q, si.Base, epsilon); v == dtw.VerdictWithin {
 			res.Matches = append(res.Matches, SubMatch{
 				ID:     ref.id,
 				Offset: int(ref.offset),

@@ -1,10 +1,6 @@
 package dtw
 
-import (
-	"math"
-
-	"repro/internal/seq"
-)
+import "repro/internal/seq"
 
 // ItakuraDistance computes the time warping distance restricted to the
 // Itakura parallelogram: warping paths whose global slope stays within
@@ -22,59 +18,17 @@ func ItakuraDistance(s, q seq.Sequence, base seq.Base) float64 {
 		return Inf
 	}
 	n, m := len(s), len(q)
+	// The corners themselves break the slope limits.
+	if 2*(n-1) < m-1 || 2*(m-1) < n-1 {
+		return Inf
+	}
 	// Cell (i, j) is legal when it is reachable from (0,0) and can reach
 	// (n-1, m-1) under slope limits [1/2, 2]:
 	//   j <= 2i,            j >= i/2            (from the start corner)
 	//   m-1-j <= 2(n-1-i),  m-1-j >= (n-1-i)/2  (to the end corner)
-	legal := func(i, j int) bool {
-		if 2*i < j || 2*j < i {
-			return false
-		}
-		ri, rj := n-1-i, m-1-j
-		if 2*ri < rj || 2*rj < ri {
-			return false
-		}
-		return true
-	}
-	if !legal(0, 0) || !legal(n-1, m-1) {
-		return Inf
-	}
-	prev := make([]float64, m)
-	cur := make([]float64, m)
-	for j := range prev {
-		prev[j] = Inf
-	}
-	for j := 0; j < m && legal(0, j); j++ {
-		e := base.Elem(s[0], q[j])
-		if j == 0 {
-			prev[0] = e
-		} else if !math.IsInf(prev[j-1], 1) {
-			prev[j] = base.Combine(e, prev[j-1])
-		}
-	}
-	for i := 1; i < n; i++ {
-		for j := range cur {
-			cur[j] = Inf
-		}
-		for j := 0; j < m; j++ {
-			if !legal(i, j) {
-				continue
-			}
-			best := prev[j]
-			if j > 0 {
-				if cur[j-1] < best {
-					best = cur[j-1]
-				}
-				if prev[j-1] < best {
-					best = prev[j-1]
-				}
-			}
-			if math.IsInf(best, 1) {
-				continue
-			}
-			cur[j] = base.Combine(base.Elem(s[i], q[j]), best)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m-1]
+	// Each is a half-line in j, so row i's legal cells are one range.
+	return reference(s, q, base, Inf, func(i int) (lo, hi int) {
+		ri := n - 1 - i
+		return max((i+1)/2, m-1-2*ri), min(2*i, m-1-(ri+1)/2)
+	})
 }

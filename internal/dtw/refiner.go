@@ -122,8 +122,8 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 // the call into BandDistance itself. band < 0, a single row or a single
 // column (no band can constrain those) give the unconstrained
 // DistanceWithin, exactly as the reference routes them. (Bit-identical for
-// pairs whose differences s_i − q_j are finite; DESIGN.md §10 states the
-// overflow corner.)
+// finite input, differences s_i − q_j that overflow to +Inf included;
+// DESIGN.md §10.)
 func (r *Refiner) BandDistanceWithin(s, q seq.Sequence, base seq.Base, band int, epsilon float64) (float64, Verdict) {
 	if !(epsilon >= 0) {
 		return Inf, VerdictPruned

@@ -11,39 +11,6 @@ import (
 
 var cascadeBases = []seq.Base{seq.LInf, seq.L1, seq.L2Sq}
 
-// TestKernelsMatchGeneric pins the per-base specialized kernels to the
-// generic interface-style DP bit for bit, across random mixed-length pairs.
-func TestKernelsMatchGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, base := range cascadeBases {
-		for trial := 0; trial < 300; trial++ {
-			s := randSeq(rng, 40)
-			q := randSeq(rng, 40)
-			if len(q) > len(s) {
-				s, q = q, s
-			}
-			want := distanceGeneric(s, q, base)
-			got := Distance(s, q, base)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("base %v: Distance=%v generic=%v", base, got, want)
-			}
-			d := refDistance(s, q, base)
-			for _, eps := range []float64{d * 0.5, d * 0.99, d, d * 1.01, d * 2, rng.Float64() * 10} {
-				wd, wok := withinGeneric(s, q, base, eps)
-				gd, gok := DistanceWithin(s, q, base, eps)
-				if gok != wok {
-					// The exported function adds the O(1) endpoint
-					// pre-check; both must still agree on the verdict.
-					t.Fatalf("base %v eps=%v: within ok %v vs generic %v", base, eps, gok, wok)
-				}
-				if wok && math.Float64bits(gd) != math.Float64bits(wd) {
-					t.Fatalf("base %v eps=%v: within d=%v generic=%v", base, eps, gd, wd)
-				}
-			}
-		}
-	}
-}
-
 // checkRefiner asserts one Refiner.DistanceWithin call against the dense
 // oracle: the verdict is VerdictWithin exactly when Distance ≤ eps, and
 // then the distance is bit-identical to Distance (and to DistanceWithin).
@@ -81,7 +48,7 @@ func workloadPair(rng *rand.Rand) (s, q seq.Sequence) {
 
 // TestRefinerMatchesDistanceWithin is the refine-tier oracle: across all
 // bases, pair shapes and tolerance regimes, the Refiner's verdict must
-// agree with the dense kernels, and an in-tolerance distance must be
+// agree with the reference DP, and an in-tolerance distance must be
 // bit-identical.
 func TestRefinerMatchesDistanceWithin(t *testing.T) {
 	r := AcquireRefiner()
@@ -273,6 +240,18 @@ func TestRefinerEdgeCases(t *testing.T) {
 	if d, v := r.DistanceWithin(one, seq.Sequence{1, 1, 1}, seq.L2Sq, 0); v != VerdictWithin || d != 0 {
 		t.Fatalf("exact zero-distance pair: got (%v, %d)", d, v)
 	}
+	// A difference near ±1.8e308 overflows to +Inf, and with band 0 every
+	// predecessor of the last cell is then +Inf. The reference computes that
+	// cell (+Inf ≤ +Inf keeps its row alive) instead of skipping it, so at
+	// cutoff +Inf both report distance +Inf as within, as DESIGN.md §10 says.
+	big := seq.Sequence{0, 1.7e308, 0}
+	small := seq.Sequence{0, -1.7e308, 0}
+	if d, ok := BandDistanceWithin(big, small, seq.LInf, 0, Inf); !ok || d != Inf {
+		t.Fatalf("overflowing pair: reference (%v, %v), want (+Inf, true)", d, ok)
+	}
+	if d, v := r.BandDistanceWithin(big, small, seq.LInf, 0, Inf); v != VerdictWithin || d != Inf {
+		t.Fatalf("overflowing pair: refiner (%v, %d), want (+Inf, within)", d, v)
+	}
 }
 
 // TestLBKeoghSafeSoundness: the safe bound never exceeds the unconstrained
@@ -347,48 +326,10 @@ func TestGlobalEnvelopeMatchesYiSide(t *testing.T) {
 	}
 }
 
-func warmPools(s, q seq.Sequence) {
-	// First calls grow pool buffers.
-	for i := 0; i < 4; i++ {
-		Distance(s, q, seq.LInf)
-		DistanceWithin(s, q, seq.L1, 1)
-		r := AcquireRefiner()
-		r.DistanceWithin(s, q, seq.L2Sq, 1)
-		r.Release()
-	}
-}
-
-// TestDistanceWithinZeroAllocs: the steady-state kernel path must not
-// allocate for sequences up to the pooled row capacity.
-func TestDistanceWithinZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes pool operations allocate")
-	}
-	rng := rand.New(rand.NewSource(41))
-	s := randSeq(rng, 1)
-	q := randSeq(rng, 1)
-	s = append(s[:0], make([]float64, 512)...)
-	q = append(q[:0], make([]float64, 512)...)
-	for i := range s {
-		s[i] = rng.Float64()
-	}
-	for i := range q {
-		q[i] = rng.Float64()
-	}
-	warmPools(s, q)
-	for _, base := range cascadeBases {
-		base := base
-		if n := testing.AllocsPerRun(100, func() {
-			DistanceWithin(s, q, base, 0.35)
-			Distance(s, q, base)
-		}); n != 0 {
-			t.Fatalf("base %v: %v allocs/op in steady state", base, n)
-		}
-	}
-}
-
 // TestRefinerZeroAllocs: a warmed Refiner must evaluate candidates without
-// allocating — the cascade holds one per query across all candidates.
+// allocating — the cascade holds one per query across all candidates, and
+// the scans and the public distance functions call it at +Inf (the full
+// distance) or at their tolerance.
 func TestRefinerZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes pool operations allocate")
@@ -402,7 +343,6 @@ func TestRefinerZeroAllocs(t *testing.T) {
 	for i := range q {
 		q[i] = rng.Float64()
 	}
-	warmPools(s, q)
 	r := AcquireRefiner()
 	defer r.Release()
 	for _, base := range cascadeBases {
@@ -411,6 +351,8 @@ func TestRefinerZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() {
 			r.DistanceWithin(s, q, base, 0.35)
 			r.BandDistanceWithin(s, q, base, 8, 0.35)
+			r.BandDistanceWithin(s, q, base, -1, Inf)
+			r.BandDistanceWithin(s, q, base, -1, 0.35)
 		}); n != 0 {
 			t.Fatalf("base %v: %v allocs/op in steady state", base, n)
 		}

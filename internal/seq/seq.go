@@ -28,11 +28,11 @@ var ErrEmpty = errors.New("seq: empty sequence")
 // ErrNonFinite is returned by the validating entry points when a sequence
 // or query contains a NaN or ±Inf element. Non-finite values poison the
 // similarity machinery silently — a NaN feature component makes every
-// R-tree MBR comparison false, so the sequence becomes unfindable through
-// the index while the L∞ DTW kernels (whose max-style comparisons drop NaN
-// costs) can still match it in a sequential scan — an index/scan divergence
-// that would break the paper's no-false-dismissal guarantee. Rejecting the
-// values at the boundary is what keeps Theorem 1 sound.
+// R-tree MBR comparison false, so whether the index finds the sequence is an
+// accident, and its distance depends on which DP loop reads the NaN (the
+// refiner reads it as +∞, the reference DP's math.Max propagates it) — a
+// divergence that would break the paper's no-false-dismissal guarantee.
+// Rejecting the values at the boundary is what keeps Theorem 1 sound.
 var ErrNonFinite = errors.New("seq: non-finite element (NaN or ±Inf)")
 
 // CheckFinite returns nil when every element of s is finite, and an error

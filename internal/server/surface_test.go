@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	twsim "repro"
+	"repro/internal/dtw"
 )
 
 // defaultBand in a surface case means "do not name a band": the door is
@@ -136,15 +137,15 @@ func clientDoor(c *Client) door {
 }
 
 // bruteMatches is the reference no door can influence: a linear scan under
-// the exact distance the case names — the unconstrained Distance for band 0,
-// BandDistance otherwise — in report order (distance, then ID). The i-th
+// the exact distance the case names — the reference dtw.Distance for band 0,
+// dtw.BandDistance otherwise — in report order (distance, then ID). The i-th
 // sequence has ID i on every door.
 func bruteMatches(data [][]float64, q []float64, eps float64, band int) []twsim.Match {
 	out := []twsim.Match{}
 	for i, s := range data {
-		d := twsim.Distance(s, q, twsim.BaseLInf)
+		d := dtw.Distance(s, q, twsim.BaseLInf)
 		if band > 0 {
-			d = twsim.BandDistance(s, q, twsim.BaseLInf, band)
+			d = dtw.BandDistance(s, q, twsim.BaseLInf, band)
 		}
 		if d <= eps {
 			out = append(out, twsim.Match{ID: twsim.ID(i), Dist: d})

@@ -40,44 +40,45 @@ func poisonDB(t *testing.T) (*DB, ID) {
 // paper's Theorem 1 equivalence broken without any error surfacing.
 //
 // The witness: store S = [NaN, 1] and query Q = [1]. NaN loses every
-// ordered float comparison, so it slips through the dense L∞ kernel's
-// `if best > e`-style max as if it were −∞: dtw.Distance drops the NaN
-// path cost and evaluates Dtw(S, Q) to the finite value 0. Every search
-// path reaches the opposite verdict. The refine tier (dtw.Refiner) holds
-// cells as bit patterns, where a NaN orders above +Inf, so the NaN row has
-// no alive cell and S is corridor-pruned; the early-abandoning kernel of
-// the sequential-scan baseline finds no cell testing ≤ ε in that row and
-// abandons S too (NaN acting like +∞ both times). Same database, same
-// query, same ε: the exact distance says S matches at 0, no search returns
-// it.
+// ordered float comparison. A DP kernel built from `if best > e`-style
+// branches once let it slip through as if it were −∞, so DB.Distance
+// evaluated Dtw(S, Q) to 0 while every search rejected S. DB.Distance, the
+// index search and Naive-Scan now all run dtw.Refiner, which holds cells as
+// bit patterns where a NaN orders above +Inf: the NaN row has no alive cell,
+// so all three read NaN as +∞ and agree that S is not a match. The reference
+// DP, dtw.Distance, combines with math.Max, which propagates the NaN: it
+// answers NaN, a third reading, which is why the state must not exist.
 //
-// With the fix, that state is unreachable through the public API (Add and
-// friends return ErrNonFinite; see TestNonFiniteRejected) and — should it
-// arise anyway via on-disk corruption — Verify and CheckInvariants both
-// flag it instead of staying silent.
+// That state is unreachable through the public API (Add and friends return
+// ErrNonFinite; see TestNonFiniteRejected) and — should it arise anyway via
+// on-disk corruption — Verify and CheckInvariants both flag it instead of
+// staying silent.
 func TestNaNPoisonDivergence(t *testing.T) {
 	db, id := poisonDB(t)
 	q := []float64{1}
 	const eps = 0.5
 
-	// The system's own exact distance says S is a match at distance 0.
+	if d := dtw.Distance(seq.Sequence{math.NaN(), 1}, q, seq.LInf); !math.IsNaN(d) {
+		t.Fatalf("reference Dtw = %g for the poisoned pair, want NaN (math.Max propagates it)", d)
+	}
+
+	// The system's own exact distance reads the NaN as +∞, as the searches do.
 	d, err := db.Distance(id, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 0 {
-		t.Fatalf("exact Dtw = %g for the poisoned pair, want 0; the witness no longer exercises the bug", d)
+	if !math.IsInf(d, 1) {
+		t.Fatalf("DB.Distance = %g for the poisoned pair, want +Inf, the verdict the searches reach", d)
 	}
 
-	// Neither exact search method returns it: no error, just a different
-	// answer than Distance gave for identical inputs.
+	// Neither exact search method returns it.
 	res, err := db.Search(q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range res.Matches {
 		if m.ID == id {
-			t.Fatalf("index search matched the poisoned sequence (%+v); the refiner's NaN order changed — update this test's direction, not its existence", m)
+			t.Fatalf("index search matched the poisoned sequence (%+v), but DB.Distance says +Inf", m)
 		}
 	}
 	naive, err := db.BaselineNaiveScan().Search(q, eps)
@@ -86,7 +87,7 @@ func TestNaNPoisonDivergence(t *testing.T) {
 	}
 	for _, m := range naive.Matches {
 		if m.ID == id {
-			t.Fatalf("naive scan matched the poisoned sequence (%+v) — the exact and abandoning kernels now agree on NaN; update this test", m)
+			t.Fatalf("naive scan matched the poisoned sequence (%+v), but DB.Distance says +Inf", m)
 		}
 	}
 

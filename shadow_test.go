@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	twsim "repro"
+	"repro/internal/dtw"
 )
 
 // TestRandomOperationsShadowModel interleaves Add, Remove, Search and
@@ -39,7 +40,7 @@ func TestRandomOperationsShadowModel(t *testing.T) {
 	bruteSearch := func(q []float64, eps float64) map[twsim.ID]float64 {
 		out := map[twsim.ID]float64{}
 		for _, e := range live {
-			if d := twsim.Distance(e.vals, q, twsim.BaseLInf); d <= eps {
+			if d := dtw.Distance(e.vals, q, twsim.BaseLInf); d <= eps {
 				out[e.id] = d
 			}
 		}
@@ -105,7 +106,7 @@ func TestRandomOperationsShadowModel(t *testing.T) {
 			}
 			dists := make([]float64, 0, len(live))
 			for _, e := range live {
-				dists = append(dists, twsim.Distance(e.vals, q, twsim.BaseLInf))
+				dists = append(dists, dtw.Distance(e.vals, q, twsim.BaseLInf))
 			}
 			// Partial selection of k smallest.
 			for i := 0; i < len(dists); i++ {

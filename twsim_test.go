@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	twsim "repro"
+	"repro/internal/dtw"
 )
 
 func randomWalks(seed int64, count, minLen, maxLen int) [][]float64 {
@@ -184,7 +185,7 @@ func TestNearestK(t *testing.T) {
 	// Brute force.
 	dists := make([]float64, len(data))
 	for i, s := range data {
-		dists[i] = twsim.Distance(s, q, twsim.BaseLInf)
+		dists[i] = dtw.Distance(s, q, twsim.BaseLInf)
 	}
 	sort.Float64s(dists)
 	for i := range got {
