@@ -110,15 +110,6 @@ func (db *DB) BaselineSTFilter(categories int) (Searcher, error) {
 	return db.NewSTFilter(categories)
 }
 
-// AdaptiveSearcher returns the cost-based hybrid: the paper's index filter
-// with refinement via per-candidate fetches or one sequential sweep,
-// whichever the disk cost model predicts is cheaper. Exact either way.
-func (db *DB) AdaptiveSearcher() Searcher {
-	return searcherAdapter{db, func() core.Searcher {
-		return &core.AdaptiveSearch{DB: db.store, Index: db.index, Base: db.base}
-	}}
-}
-
 // BaselineFastMap builds the FastMap method (§3.3) over the current
 // contents of the database: a k-dimensional FastMap embedding under DTW,
 // indexed in an R-tree. The returned Searcher CAN MISS qualifying

@@ -370,29 +370,6 @@ func BenchmarkKNN(b *testing.B) {
 	})
 }
 
-// BenchmarkAdaptiveRefinement compares the paper's per-candidate fetch
-// refinement against the cost-based adaptive variant at a tolerance where
-// candidates approach the whole database (where sequential sweeping wins).
-func BenchmarkAdaptiveRefinement(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	data := synth.RandomWalkSet(rng, 500, 64)
-	fx, err := experiments.BuildFixture(data, experiments.Config{Seed: 43, NumQueries: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fx.Close()
-	queries := synth.Queries(rng, data, 5)
-	tw := &core.TWSimSearch{DB: fx.DB, Index: fx.Index, Base: seq.LInf}
-	ad := &core.AdaptiveSearch{DB: fx.DB, Index: fx.Index, Base: seq.LInf}
-	const eps = 5.0 // nearly everything qualifies
-	b.Run("fetch", func(b *testing.B) {
-		runMethod(b, tw, queries, len(data), eps)
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		runMethod(b, ad, queries, len(data), eps)
-	})
-}
-
 // BenchmarkSTFilterSubsequences measures the suffix-tree subsequence
 // search (Park et al.'s original use case for the structure).
 func BenchmarkSTFilterSubsequences(b *testing.B) {

@@ -305,14 +305,57 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the snapshot payload; the CRC must catch it and Open must
-	// rebuild from the heap, noting the repair. The mmap open path defers
-	// body checks past Open (lazy CRC, caught by Verify instead), so pin
-	// this half to the eager fallback reader.
-	t.Setenv("TWSIM_NO_MMAP", "1")
+	// Move one stored point far away and leave the header intact: a walk
+	// over that slab would miss the record (a false dismissal), so Open must
+	// refuse the file on its checksum and rebuild the index from the heap.
 	snapPath := filepath.Join(flatDir, "feature.flat")
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
+		t.Fatal(err)
+	}
+	const headerSize, nodeSize, itemSize = 32, 72, 36
+	item := raw[headerSize+int(binary.LittleEndian.Uint32(raw[12:]))*nodeSize+39*itemSize:]
+	moved := twsim.ID(binary.LittleEndian.Uint32(item[32:]))
+	binary.LittleEndian.PutUint64(item, math.Float64bits(1e6)) // its First
+	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = twsim.Open(flatDir, twsim.Options{})
+	if err != nil {
+		t.Fatalf("open after moving a stored point: %v", err)
+	}
+	if !db.LastRepair().Rebuilt {
+		t.Fatal("a snapshot with a moved point was served instead of rebuilt")
+	}
+	if notes := db.OpenDiagnostics(); len(notes) == 0 || !strings.Contains(strings.Join(notes, "\n"), "feature.flat") {
+		t.Fatalf("rebuild-on-open diagnostics %q do not name feature.flat", notes)
+	}
+	values, err := db.Get(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, search := range map[string]func([]float64, float64) (*twsim.Result, error){
+		"Search": db.Search, "Naive-Scan": db.BaselineNaiveScan().Search,
+	} {
+		r, err := search(values, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, m := range r.Matches {
+			found = found || m.ID == moved
+		}
+		if !found {
+			t.Fatalf("%s(record %d's own values, 0) missed it", name, moved)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Corrupt the snapshot payload; the CRC must catch it and Open must
+	// rebuild from the heap, noting the repair.
+	if raw, err = os.ReadFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0xff

@@ -70,9 +70,6 @@ type IndexEngineStats struct {
 	Merges int64 `json:"merges"`
 	// SlabBytes is the packed snapshot size in bytes.
 	SlabBytes int64 `json:"slab_bytes"`
-	// MmapBytes is the size of the snapshot's live file mapping, 0 when the
-	// snapshot is heap-backed (summed across shards).
-	MmapBytes int64 `json:"mmap_bytes"`
 	// MergeHist is the merge-duration histogram; it feeds the
 	// twsim_index_merge_seconds series.
 	MergeHist obs.HistogramData `json:"-"`
@@ -85,7 +82,6 @@ func (s *IndexEngineStats) Add(other IndexEngineStats) {
 	s.DeltaEntries += other.DeltaEntries
 	s.Merges += other.Merges
 	s.SlabBytes += other.SlabBytes
-	s.MmapBytes += other.MmapBytes
 	s.MergeHist.Add(other.MergeHist)
 }
 

@@ -179,7 +179,6 @@ func (x *FlatIndex) EngineStats() IndexEngineStats {
 		DeltaEntries: x.idx.DeltaEntries(),
 		Merges:       x.idx.Merges(),
 		SlabBytes:    x.idx.SlabBytes(),
-		MmapBytes:    x.idx.MmapBytes(),
 		MergeHist:    x.idx.MergeHist(),
 	}
 }

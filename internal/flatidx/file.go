@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
+	"os"
 
-	"repro/internal/flatidx/mapfile"
 	"repro/internal/fsx"
 )
 
@@ -26,16 +25,12 @@ import (
 // checkpoint costs a copy of the slab plus the delta, and the delta's
 // entries survive a restart as delta entries.
 //
-// Load opens the file through mapfile: on platforms with mmap (and unless
-// TWSIM_NO_MMAP is set) the slab is a read-only file mapping and opening
-// costs O(header + delta) — only the header page is faulted in and
-// validated; the slab's CRC is recorded on the snapshot and verified lazily
-// by CheckInvariants, and a full structural check runs only on rebuild
-// paths. On the fallback path the whole file is read, the CRC verified, and
-// the full structural validation (Decode) run eagerly. The delta section is
-// small, so both paths verify its checksum and its invariants against the
-// slab (no add present in it, every tombstone present in it) up front and
-// copy its entries out of the mapping.
+// Load reads the file whole and checks it before the index serves a query:
+// the slab's CRC, the full structural validation (Decode), and the delta
+// section's checksum and its invariants against the slab (no add present in
+// it, every tombstone present in it). Theorem 1 holds only if every entry is
+// the record's true feature point, so nothing the checks have not passed is
+// ever walked.
 const (
 	deltaMagic      = "TWFD"
 	deltaHeaderSize = 12
@@ -46,8 +41,7 @@ const (
 // mode 0644 like the database's other files), so a crash mid-write never
 // corrupts an existing snapshot and a completed Save survives power loss.
 // It takes no lock and performs no merge: a view is immutable once
-// published. Renaming over a currently-mapped snapshot file is safe: the
-// mapping references the old inode, not the path.
+// published.
 func (x *Index) Save(path string) error {
 	return fsx.WriteFileSync(path, x.view.Load().encode(), 0o644)
 }
@@ -62,10 +56,6 @@ func (v *view) encode() []byte {
 	buf := make([]byte, 0, size)
 	buf = append(buf, slab...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(slab))
-	// slab may alias snap's file mapping — without this fence the finalizer
-	// could munmap the pages while the copy or checksum is still reading
-	// them.
-	runtime.KeepAlive(v.snap)
 	if len(buf) == size {
 		return buf
 	}
@@ -86,69 +76,47 @@ func (v *view) encode() []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[section:]))
 }
 
-// Load opens a snapshot file and returns an Index seeded with its slab and
-// its delta. On the mmap path only the slab header is validated up front
-// (the CRC and structural checks run lazily via CheckInvariants); on the
-// fallback path the file is read whole and fully validated. Any detected
-// corruption — truncation, bad header, checksum mismatch, layout or
-// containment violations, a delta that contradicts the slab — is an error;
-// the caller is expected to rebuild from the primary data instead.
+// Load reads a snapshot file and returns an Index seeded with its slab and
+// its delta. Any detected corruption — truncation, bad header, checksum
+// mismatch, layout or containment violations, a delta that contradicts the
+// slab — is an error; the caller is expected to rebuild from the primary
+// data instead.
 func Load(path string, opts Options) (*Index, error) {
-	m, err := mapfile.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	x, err := load(m, opts)
+	x, err := load(data, opts)
 	if err != nil {
-		m.Close()
 		return nil, fmt.Errorf("flatidx: snapshot file %s: %w", path, err)
 	}
 	return x, nil
 }
 
-func load(m *mapfile.Mapping, opts Options) (*Index, error) {
-	nNodes, nItems, _, err := headerLayout(m.Data)
+// load adopts the bytes of a snapshot file; the slab keeps data, uncopied.
+func load(data []byte, opts Options) (*Index, error) {
+	nNodes, nItems, _, err := headerLayout(data)
 	if err != nil {
 		return nil, err
 	}
 	end := slabSize(nNodes, nItems)
-	if len(m.Data) < end+4 {
-		return nil, fmt.Errorf("%d bytes, the slab and its checksum want %d", len(m.Data), end+4)
+	if len(data) < end+4 {
+		return nil, fmt.Errorf("%d bytes, the slab and its checksum want %d", len(data), end+4)
 	}
-	slab, want, section := m.Data[:end], binary.LittleEndian.Uint32(m.Data[end:]), m.Data[end+4:]
-
-	var snap *Snapshot
-	if m.Mapped {
-		if snap, err = DecodeLite(slab); err != nil {
-			return nil, err
-		}
-		snap.wantCRC = want
-		snap.crcSet = true
-	} else {
-		if got := crc32.ChecksumIEEE(slab); got != want {
-			return nil, fmt.Errorf("checksum mismatch (got %08x want %08x)", got, want)
-		}
-		if snap, err = Decode(slab); err != nil {
-			return nil, err
-		}
+	slab, want, section := data[:end], binary.LittleEndian.Uint32(data[end:]), data[end+4:]
+	if got := crc32.ChecksumIEEE(slab); got != want {
+		return nil, fmt.Errorf("checksum mismatch (got %08x want %08x)", got, want)
+	}
+	snap, err := Decode(slab)
+	if err != nil {
+		return nil, err
 	}
 	x := New(opts)
 	dels, err := x.loadDelta(section, snap)
 	if err != nil {
 		return nil, err
 	}
-	if m.Mapped {
-		snap.mapped = int64(len(m.Data))
-		snap.release = m.Close
-		// The mapping lives exactly as long as the snapshot is reachable:
-		// every reader pins the snapshot through its view, so by the time
-		// the collector runs this finalizer no view (and no in-flight walk
-		// holding one) can still touch the mapped slab — the
-		// munmap-after-last-reference fence behind the atomic snapshot swap.
-		runtime.SetFinalizer(snap, (*Snapshot).releaseMapping)
-	}
 	x.view.Store(&view{snap: snap, adds: x.adds, dels: dels})
-	x.openBytesRead = m.BytesRead
 	return x, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/flatidx/mapfile"
 	"repro/internal/seq"
 )
 
@@ -66,8 +65,8 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		}
 
 		// The same entries as a snapshot file: the first half packed, the
-		// second half delta adds, every third packed entry tombstoned. Both
-		// readers must bring back exactly that view.
+		// second half delta adds, every third packed entry tombstoned. load
+		// must bring back exactly that view.
 		half := len(entries) / 2
 		x := New(Options{MergeThreshold: -1})
 		if err := x.BulkLoad(entries[:half]); err != nil {
@@ -82,32 +81,30 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		want := x.Entries(nil)
 		sortEntries(want)
 		file := x.view.Load().encode()
-		for _, mapped := range []bool{false, true} {
-			y, err := load(&mapfile.Mapping{Data: file, Mapped: mapped}, Options{MergeThreshold: -1})
-			if err != nil {
-				t.Fatalf("mapped=%v: load rejected a freshly encoded file: %v", mapped, err)
+		y, err := load(file, Options{MergeThreshold: -1})
+		if err != nil {
+			t.Fatalf("load rejected a freshly encoded file: %v", err)
+		}
+		if y.DeltaEntries() != x.DeltaEntries() {
+			t.Fatalf("loaded %d delta entries, saved %d", y.DeltaEntries(), x.DeltaEntries())
+		}
+		got := y.Entries(nil)
+		sortEntries(got)
+		if len(got) != len(want) {
+			t.Fatalf("loaded %d entries, saved %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("loaded entry %d = %+v, saved %+v", i, got[i], want[i])
 			}
-			if y.DeltaEntries() != x.DeltaEntries() {
-				t.Fatalf("mapped=%v: loaded %d delta entries, saved %d", mapped, y.DeltaEntries(), x.DeltaEntries())
-			}
-			got := y.Entries(nil)
-			sortEntries(got)
-			if len(got) != len(want) {
-				t.Fatalf("mapped=%v: loaded %d entries, saved %d", mapped, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("mapped=%v: loaded entry %d = %+v, saved %+v", mapped, i, got[i], want[i])
-				}
-			}
-			if err := y.CheckInvariants(); err != nil {
-				t.Fatalf("mapped=%v: %v", mapped, err)
-			}
+		}
+		if err := y.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 
 		// Interpretation 2: bytes are a hostile file, then a hostile slab. Must not panic; on
 		// acceptance the invariants and the byte identity must hold.
-		if y, err := load(&mapfile.Mapping{Data: data}, Options{MergeThreshold: -1}); err == nil {
+		if y, err := load(data, Options{MergeThreshold: -1}); err == nil {
 			if err := y.CheckInvariants(); err != nil {
 				t.Fatalf("load accepted a file CheckInvariants rejects: %v", err)
 			}

@@ -60,10 +60,6 @@ type Index struct {
 	addsSet map[Entry]int // entry → index in adds
 	closed  bool
 
-	// openBytesRead is the number of bytes Load explicitly read from the
-	// snapshot file (0 on the mmap path, which only faults in the header).
-	openBytesRead int64
-
 	merging   atomic.Bool // a background merge is scheduled or running
 	merges    atomic.Int64
 	mergeHist obs.Histogram
@@ -298,17 +294,6 @@ func (x *Index) MergeHist() obs.HistogramData { return x.mergeHist.Data() }
 
 // SlabBytes returns the size of the current snapshot slab.
 func (x *Index) SlabBytes() int64 { return int64(len(x.view.Load().snap.Bytes())) }
-
-// MmapBytes returns the size of the current snapshot's file mapping, or 0
-// when the snapshot is heap-backed (built in memory, loaded through the
-// portable fallback, or already superseded by a merge).
-func (x *Index) MmapBytes() int64 { return x.view.Load().snap.mapped }
-
-// OpenBytesRead returns the number of bytes Load explicitly read from the
-// snapshot file when this index was opened: the whole file on the portable
-// fallback path, 0 on the mmap path (where only the header page is faulted
-// in before the first query).
-func (x *Index) OpenBytesRead() int64 { return x.openBytesRead }
 
 // CheckInvariants validates the packed snapshot and the delta invariants
 // (adds disjoint from snapshot, tombstones present in snapshot).

@@ -323,9 +323,7 @@ func TestSaveLoadRoundtripAndCorruption(t *testing.T) {
 		t.Fatalf("snapshot file mode = %v (err %v), want 0644", fi.Mode().Perm(), err)
 	}
 
-	// A flipped byte must fail the CRC. The mmap path defers body checks to
-	// CheckInvariants (lazy CRC), so pin this half to the eager fallback.
-	t.Setenv("TWSIM_NO_MMAP", "1")
+	// A flipped byte must fail the CRC.
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

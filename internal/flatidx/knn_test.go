@@ -2,8 +2,6 @@ package flatidx
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/seq"
@@ -177,93 +175,5 @@ func TestNearestWalkAllocFree(t *testing.T) {
 		buf = x.AppendRange(buf[:0], &lo, &hi)
 	}); avg != 0 {
 		t.Fatalf("AppendRange allocates %.1f per run, want 0", avg)
-	}
-}
-
-// TestLoadMmapIsOHeader: opening a persisted multi-MB snapshot through the
-// mmap path must not read the file body — Load reports zero explicitly-read
-// bytes and a live mapping covering the file, and the index answers queries
-// identically to the eager fallback open.
-func TestLoadMmapIsOHeader(t *testing.T) {
-	if os.Getenv("TWSIM_NO_MMAP") != "" {
-		t.Skip("mmap disabled in this environment")
-	}
-	rng := rand.New(rand.NewSource(107))
-	x := New(Options{MergeThreshold: -1})
-	n := 60000 // ~2.4 MB slab
-	entries := randEntries(rng, n)
-	if err := x.BulkLoad(entries); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.flat")
-	if err := x.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() < 2<<20 {
-		t.Fatalf("test snapshot only %d bytes; grow it to stay a meaningful O(header) check", fi.Size())
-	}
-
-	mm, err := Load(path, Options{MergeThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mm.OpenBytesRead(); got != 0 {
-		t.Fatalf("mmap open explicitly read %d bytes, want 0", got)
-	}
-	if got := mm.MmapBytes(); got != fi.Size() {
-		t.Fatalf("MmapBytes=%d, want file size %d", got, fi.Size())
-	}
-
-	t.Setenv("TWSIM_NO_MMAP", "1")
-	fb, err := Load(path, Options{MergeThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fb.OpenBytesRead(); got != fi.Size() {
-		t.Fatalf("fallback open read %d bytes, want whole file %d", got, fi.Size())
-	}
-	if got := fb.MmapBytes(); got != 0 {
-		t.Fatalf("fallback MmapBytes=%d, want 0", got)
-	}
-
-	// Walks over the mapped and heap-backed slabs are bit-identical.
-	for trial := 0; trial < 5; trial++ {
-		var p [4]float64
-		for d := 0; d < 4; d++ {
-			p[d] = rng.NormFloat64() * 10
-		}
-		type emit struct {
-			id  seq.ID
-			key float64
-		}
-		var a, b []emit
-		cnt := 0
-		mm.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
-			a = append(a, emit{e.ID, key})
-			cnt++
-			return cnt < 200
-		})
-		cnt = 0
-		fb.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
-			b = append(b, emit{e.ID, key})
-			cnt++
-			return cnt < 200
-		})
-		if len(a) != len(b) {
-			t.Fatalf("stream lengths differ: mmap %d, fallback %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("streams diverge at %d: mmap %+v, fallback %+v", i, a[i], b[i])
-			}
-		}
-	}
-	// The lazy CRC check accepts the intact file.
-	if err := mm.CheckInvariants(); err != nil {
-		t.Fatalf("CheckInvariants on mapped snapshot: %v", err)
 	}
 }

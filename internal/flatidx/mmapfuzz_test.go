@@ -34,46 +34,41 @@ func deltaFiles() (valid []byte, bad map[string][]byte) {
 }
 
 // TestLoadRefusesBadDelta: a delta section that is cut short, fails its
-// checksum or contradicts the slab makes Load fail on both open paths, so
-// the caller rebuilds the index from the heap; the intact file loads with
-// its delta.
+// checksum or contradicts the slab makes Load fail, so the caller rebuilds
+// the index from the heap; the intact file loads with its delta.
 func TestLoadRefusesBadDelta(t *testing.T) {
 	valid, bad := deltaFiles()
 	path := filepath.Join(t.TempDir(), "snap.flat")
-	for _, noMmap := range []string{"", "1"} {
-		t.Setenv("TWSIM_NO_MMAP", noMmap)
-		if err := os.WriteFile(path, valid, 0o644); err != nil {
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	x, err := Load(path, Options{})
+	if err != nil {
+		t.Fatalf("intact file: %v", err)
+	}
+	if x.Len() != 34 || x.DeltaEntries() != 8 {
+		t.Fatalf("Len=%d delta=%d, want 34/8", x.Len(), x.DeltaEntries())
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range bad {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		x, err := Load(path, Options{})
-		if err != nil {
-			t.Fatalf("TWSIM_NO_MMAP=%q: intact file: %v", noMmap, err)
-		}
-		if x.Len() != 34 || x.DeltaEntries() != 8 {
-			t.Fatalf("TWSIM_NO_MMAP=%q: Len=%d delta=%d, want 34/8", noMmap, x.Len(), x.DeltaEntries())
-		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range bad {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Load(path, Options{}); err == nil || !strings.Contains(err.Error(), "delta section") {
-				t.Errorf("TWSIM_NO_MMAP=%q: %s: Load = %v, want a delta-section error", noMmap, name, err)
-			}
+		if _, err := Load(path, Options{}); err == nil || !strings.Contains(err.Error(), "delta section") {
+			t.Errorf("%s: Load = %v, want a delta-section error", name, err)
 		}
 	}
 }
 
-// FuzzMmapLoad drives the mmap open path with hostile snapshot files:
-// truncated, bit-flipped, or arbitrary bytes on disk — in the slab or in the
-// delta section behind it — must either make Load return an error (the
-// caller rebuilds from the heap) or produce an index whose walks never
-// fault — the computed node layout guarantees corrupt body bytes can only
-// yield wrong floats, not out-of-bounds access. The same input is also
-// driven through the fallback reader so both paths stay panic-free; that
-// path validates eagerly, so whatever it accepts must hold every invariant.
+// FuzzMmapLoad drives Load with hostile snapshot files: truncated,
+// bit-flipped, or arbitrary bytes on disk — in the slab or in the delta
+// section behind it — must either make Load return an error (the caller
+// rebuilds from the heap) or produce an index whose walks never fault and
+// which CheckInvariants accepts: Load checks the slab's CRC and structure
+// and the delta against the slab before it returns. The name is older than
+// the one read-and-check path it now drives.
 func FuzzMmapLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -96,31 +91,25 @@ func FuzzMmapLoad(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "snap.flat")
+		path := filepath.Join(t.TempDir(), "snap.flat")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		exercise := func(x *Index) error {
-			p := [4]float64{1, 2, 3, 4}
-			n := 0
-			x.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
-				n++
-				return n < 64
-			})
-			lo := [4]float64{-10, -10, -10, -10}
-			hi := [4]float64{10, 10, 10, 10}
-			x.AppendRange(nil, &lo, &hi)
-			return x.CheckInvariants() // lazy CRC: may error, must not fault
+		x, err := Load(path, Options{MergeThreshold: -1})
+		if err != nil {
+			return
 		}
-		if x, err := Load(path, Options{MergeThreshold: -1}); err == nil {
-			_ = exercise(x)
-		}
-		t.Setenv("TWSIM_NO_MMAP", "1")
-		if x, err := Load(path, Options{MergeThreshold: -1}); err == nil {
-			if err := exercise(x); err != nil {
-				t.Fatalf("the eager reader accepted a file CheckInvariants rejects: %v", err)
-			}
+		p := [4]float64{1, 2, 3, 4}
+		n := 0
+		x.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
+			n++
+			return n < 64
+		})
+		lo := [4]float64{-10, -10, -10, -10}
+		hi := [4]float64{10, 10, 10, 10}
+		x.AppendRange(nil, &lo, &hi)
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("Load accepted a file CheckInvariants rejects: %v", err)
 		}
 	})
 }

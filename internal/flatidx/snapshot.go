@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 
@@ -65,13 +64,8 @@ const (
 
 // Snapshot is one immutable packed tree. All methods are read-only and safe
 // for unlimited concurrent use; a Snapshot is never modified after Build or
-// Decode returns it.
-//
-// A snapshot loaded through the mmap path keeps its slab inside a read-only
-// file mapping: release unmaps it, and Load arms it as a finalizer so the
-// mapping is dropped only once the garbage collector proves no view (and no
-// in-flight reader holding one) can reach the snapshot anymore — the
-// munmap-after-last-reference fence behind the atomic snapshot swap.
+// Decode returns it. Its slab is an ordinary heap slice: Build allocates it,
+// and Load hands Decode the bytes it read from the file.
 type Snapshot struct {
 	slab     []byte
 	nNodes   int
@@ -81,17 +75,9 @@ type Snapshot struct {
 	itemsOff int
 
 	// levelStart[ℓ]/levelSize[ℓ] describe the deterministic node layout
-	// (root level first). nodeFirstCount derives child ranges from them
-	// instead of trusting slab bytes, so a slab admitted by the lazy
-	// header-only validation can never index out of bounds — corrupt body
-	// bytes yield wrong coordinates at worst, never a fault.
+	// (root level first); nodeFirstCount derives child ranges from them.
 	levelStart []int
 	levelSize  []int
-
-	mapped  int64        // mapping size when file-backed via mmap, else 0
-	wantCRC uint32       // trailing file CRC, for the lazy full check
-	crcSet  bool         // wantCRC is meaningful (snapshot came from a file)
-	release func() error // unmaps the backing file; nil when heap-backed
 }
 
 // initLayout fills the computed per-level node layout for nItems.
@@ -101,17 +87,6 @@ func (s *Snapshot) initLayout() {
 	s.levelStart = make([]int, len(sizes))
 	for ℓ := 1; ℓ < len(sizes); ℓ++ {
 		s.levelStart[ℓ] = s.levelStart[ℓ-1] + sizes[ℓ-1]
-	}
-}
-
-// releaseMapping unmaps the snapshot's backing file mapping, if any. It is
-// installed as the snapshot's finalizer by the mmap Load path; by the time
-// the collector runs it, no reader can still hold a view referencing this
-// snapshot, so the slab memory is provably unreachable.
-func (s *Snapshot) releaseMapping() {
-	if s.release != nil {
-		_ = s.release()
-		s.release = nil
 	}
 }
 
@@ -286,26 +261,6 @@ func strOrder(entries []Entry) []int {
 // non-finite or non-containing rects — is an error. The slab is retained,
 // not copied; the caller must not modify it afterwards.
 func Decode(data []byte) (*Snapshot, error) {
-	s, err := DecodeLite(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.CheckInvariants(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DecodeLite is Decode without the O(slab) structural pass: it validates
-// only the header (magic, version, flags, counts consistent with the
-// deterministic layout, total size) — constant work, touching one page of a
-// mapped file. Child ranges are computed from the layout rather than read
-// from the slab, so even a body-corrupted slab cannot make the accessors
-// index out of bounds; corruption the header check cannot see is caught by
-// the lazy full check (CheckInvariants) or surfaces as wrong floats, never
-// as a fault. The mmap Load path uses this so opening a huge database costs
-// O(header) bytes; rebuild/repair paths still run the full validation.
-func DecodeLite(data []byte) (*Snapshot, error) {
 	nNodes, nItems, height, err := headerLayout(data)
 	if err != nil {
 		return nil, err
@@ -322,6 +277,9 @@ func DecodeLite(data []byte) (*Snapshot, error) {
 		itemsOff: headerSize + nNodes*nodeSize,
 	}
 	s.initLayout()
+	if err := s.CheckInvariants(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -368,21 +326,14 @@ func slabSize(nNodes, nItems int) int {
 	return headerSize + nNodes*nodeSize + nItems*itemSize
 }
 
-// CheckInvariants re-validates the packed structure: the file CRC when the
-// snapshot is file-backed (the lazy half of the per-open header check), the
-// stored child layout against the deterministic packing for the item count,
-// leaf markers exactly on the leaf level, every node rect finite and
-// ordered, every item inside its leaf's rect, and every child rect inside
-// its parent's. An error means the slab is corrupt (a violated rect
-// invariant would silently false-dismiss queries). The fallback Load path
-// runs this eagerly; the mmap path defers it to Verify/Repair so opening
-// stays O(header).
+// CheckInvariants re-validates the packed structure: the stored child
+// layout against the deterministic packing for the item count, leaf markers
+// exactly on the leaf level, every node rect finite and ordered, every item
+// inside its leaf's rect, and every child rect inside its parent's. An error
+// means the slab is corrupt (a violated rect invariant would silently
+// false-dismiss queries). Decode runs it on every slab it adopts, and
+// Verify/Repair run it again on the served one.
 func (s *Snapshot) CheckInvariants() error {
-	if s.crcSet {
-		if got := crc32.ChecksumIEEE(s.slab); got != s.wantCRC {
-			return fmt.Errorf("flatidx: snapshot checksum mismatch (got %08x want %08x)", got, s.wantCRC)
-		}
-	}
 	sizes := levelSizes(s.nItems)
 	levelStart := make([]int, len(sizes))
 	for ℓ := 1; ℓ < len(sizes); ℓ++ {
@@ -457,12 +408,11 @@ func (s *Snapshot) f64(off int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(s.slab[off:]))
 }
 
-// nodeFirstCount returns node n's child range. It is computed from the
-// deterministic layout (levelStart/levelSize), not read from the slab: the
-// stored first/count fields exist for format self-description and are
-// cross-checked by CheckInvariants, but the walk never trusts them — a
-// body-corrupted slab admitted by the lazy header check can therefore
-// never produce an out-of-bounds child index.
+// nodeFirstCount returns node n's child range, computed from the
+// deterministic layout (levelStart/levelSize) rather than read from the
+// slab. The stored first/count fields exist for format self-description;
+// CheckInvariants holds them equal to this layout before a slab is served,
+// so reading either gives the walk the same ranges.
 func (s *Snapshot) nodeFirstCount(n int) (first, count int, leaf bool) {
 	ℓ := len(s.levelStart) - 1
 	for s.levelStart[ℓ] > n {

@@ -102,8 +102,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		engine(func(st core.IndexEngineStats) float64 { return float64(st.DeltaEntries) }))
 	reg.CounterFunc("twsim_index_merges_total", "", "Index snapshot rebuilds (delta merged into a new packed slab and atomically swapped in).",
 		engine(func(st core.IndexEngineStats) float64 { return float64(st.Merges) }))
-	reg.GaugeFunc("twsim_index_mmap_bytes", "", "Index snapshot bytes served from a live file mapping (0 when heap-backed, summed over shards).",
-		engine(func(st core.IndexEngineStats) float64 { return float64(st.MmapBytes) }))
 	reg.HistogramFunc("twsim_index_merge_seconds", "", "Index snapshot merge latency (slab rebuild + atomic swap).",
 		func() obs.HistogramData { return s.backend.IndexEngineStats().MergeHist })
 

@@ -79,63 +79,3 @@ func TestNearestKOrderingOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestNearestKMmapOracle: a database answers k-NN and range
-// queries bit-identically whether its snapshot slab is mmap'd or read
-// eagerly through the TWSIM_NO_MMAP fallback.
-func TestNearestKMmapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(911))
-	data, qs := knnCorpus(rng, 150, 64, 4)
-	dir := t.TempDir()
-
-	opts := twsim.Options{Band: 8}
-	db, err := twsim.Create(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddAll(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	type answers struct {
-		knn     [][]twsim.Match
-		matches [][]twsim.Match
-	}
-	collect := func() answers {
-		db, err := twsim.Open(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		var a answers
-		for _, q := range qs {
-			ms, err := nearestK(db, q, 5, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.knn = append(a.knn, ms)
-			r, err := db.Search(q, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.matches = append(a.matches, r.Matches)
-		}
-		return a
-	}
-
-	mapped := collect()
-	t.Setenv("TWSIM_NO_MMAP", "1")
-	fallback := collect()
-
-	for qi := range qs {
-		if !matchesEqual(mapped.knn[qi], fallback.knn[qi]) {
-			t.Fatalf("query %d: k-NN diverged between mmap and fallback opens", qi)
-		}
-		if !matchesEqual(mapped.matches[qi], fallback.matches[qi]) {
-			t.Fatalf("query %d: Search diverged between mmap and fallback opens", qi)
-		}
-	}
-}

@@ -541,7 +541,7 @@ func (damagedIndex) CheckInvariants() error { return os.ErrInvalid }
 func TestSearcherSeesRepairedIndex(t *testing.T) {
 	db, data := mustCreatePopulated(t, t.TempDir(), 30)
 	defer db.Close()
-	searchers := []Searcher{db.TWSimSearcher(), db.AdaptiveSearcher()}
+	s := db.TWSimSearcher()
 
 	db.index = damagedIndex{db.index}
 	rs, err := db.Repair()
@@ -565,18 +565,16 @@ func TestSearcherSeesRepairedIndex(t *testing.T) {
 	if len(want.Matches) < 2 {
 		t.Fatalf("db.Search found %d matches; the query should match itself and the added twin", len(want.Matches))
 	}
-	for _, s := range searchers {
-		got, err := s.Search(data[3], epsilon)
-		if err != nil {
-			t.Fatalf("%s after Repair: %v", s.Name(), err)
-		}
-		if len(got.Matches) != len(want.Matches) {
-			t.Fatalf("%s after Repair: %d matches, db.Search %d", s.Name(), len(got.Matches), len(want.Matches))
-		}
-		for i := range got.Matches {
-			if got.Matches[i] != want.Matches[i] {
-				t.Fatalf("%s after Repair: match %d = %+v, db.Search %+v", s.Name(), i, got.Matches[i], want.Matches[i])
-			}
+	got, err := s.Search(data[3], epsilon)
+	if err != nil {
+		t.Fatalf("%s after Repair: %v", s.Name(), err)
+	}
+	if len(got.Matches) != len(want.Matches) {
+		t.Fatalf("%s after Repair: %d matches, db.Search %d", s.Name(), len(got.Matches), len(want.Matches))
+	}
+	for i := range got.Matches {
+		if got.Matches[i] != want.Matches[i] {
+			t.Fatalf("%s after Repair: match %d = %+v, db.Search %+v", s.Name(), i, got.Matches[i], want.Matches[i])
 		}
 	}
 }
