@@ -163,6 +163,14 @@ REFERENCE_CALL = dtw\.(Band)?Distance(Within)?\(
 # munmap fence and the mapping's stats, accessor and series stay deleted
 # everywhere outside the benchmark.
 MMAP_DELETED = mapfile|TWSIM_NO_MMAP|DecodeLite|releaseMapping|MmapBytes|OpenBytesRead|twsim_index_mmap_bytes|SetFinalizer
+# The eighth keeps internal/rtree at one split, Guttman's quadratic: the
+# linear and R* splits, the selector between them and R*'s overlap volume
+# stay deleted everywhere outside the benchmark. The R-tree is the paper's
+# baseline, so an import fence lets only core.FeatureIndex
+# (internal/core/index.go, which cmd/experiments and the benchmark build)
+# and FastMap's k-d tree (internal/core/fastmapsearch.go) import it: the
+# serving path, subsequence search included, stays on the flat engine.
+SPLIT_DELETED = SplitStrategy|QuadraticSplit|LinearSplit|RStarSplit|rstarSplit|linearSplit|intersectionArea
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -195,6 +203,14 @@ surface:
 	@out=$$(grep -nE '$(MMAP_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
 		echo "the index file's deleted mmap open path is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(SPLIT_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "the R-tree's deleted split strategies are back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -l '"repro/internal/rtree"' *.go $$(find internal cmd examples -name '*.go' ! -path 'internal/rtree/*' ! -path 'internal/core/index.go' ! -path 'internal/core/fastmapsearch.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go$$'); \
+	if [ -n "$$out" ]; then \
+		echo "only the paper's baselines may import internal/rtree:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

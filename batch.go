@@ -13,8 +13,8 @@ import (
 // invalid batch fails before any index is touched and with the same error
 // whichever backend serves it.
 func validateBatch(queries [][]float64, epsilon float64, band int) error {
-	if epsilon < 0 {
-		return errNegativeTolerance(epsilon)
+	if err := validateTolerance(epsilon); err != nil {
+		return err
 	}
 	if err := validateBand(band); err != nil {
 		return err

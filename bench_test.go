@@ -181,37 +181,6 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSplit compares R-tree build cost under the three split
-// heuristics (Guttman quadratic/linear and R*).
-func BenchmarkAblationSplit(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	features := make([][4]float64, 2000)
-	for i := range features {
-		f := seq.MustFeature(synth.RandomWalk(rng, 32))
-		features[i] = f.Vector()
-	}
-	for _, split := range []rtree.SplitStrategy{rtree.QuadraticSplit, rtree.LinearSplit, rtree.RStarSplit} {
-		b.Run(split.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pool, err := pagefile.NewPool(pagefile.NewMemBackend(1024), 1024, 64)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tree, err := rtree.Create(pool, 4, rtree.Options{Split: split})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for id, f := range features {
-					if err := tree.Insert(rtree.NewPoint(f[:]), uint32(id)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				tree.Close()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBulkLoad compares STR bulk loading against one-by-one
 // insertion (§4.3.1's recommendation).
 func BenchmarkAblationBulkLoad(b *testing.B) {

@@ -206,10 +206,13 @@ func readEverything(db *twsim.DB, seed [][]float64, seedIDs []twsim.ID, step int
 		if err != nil {
 			return fmt.Errorf("BuildSubseqIndex: %w", err)
 		}
-		// A window whose source was removed since the build is a
-		// legitimate error; the search only has to be race-free.
-		_, _ = idx.Search(q[:8], 0.05)
+		// A window whose source was removed since the build is skipped,
+		// so the search must succeed beside writers.
+		_, err = idx.Search(q[:8], 0.05)
 		idx.Close()
+		if err != nil {
+			return fmt.Errorf("SubseqIndex.Search: %w", err)
+		}
 	case 9:
 		if _, err := db.WriteReplSnapshot(io.Discard); err != nil {
 			return fmt.Errorf("WriteReplSnapshot: %w", err)

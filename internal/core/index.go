@@ -99,7 +99,7 @@ func OpenFeatureIndex(path string, opts IndexOptions) (*FeatureIndex, error) {
 		backend.Close()
 		return nil, err
 	}
-	tree, err := rtree.Open(pool, rtree.Options{})
+	tree, err := rtree.Open(pool)
 	if err != nil {
 		pool.Close()
 		return nil, err

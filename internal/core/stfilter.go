@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/categorize"
-	"repro/internal/dtw"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
 	"repro/internal/suffixtree"
@@ -206,12 +204,8 @@ func (f *STFilter) SearchSubsequences(q seq.Sequence, epsilon float64) (*SubseqR
 	res := &SubseqResult{}
 	m := len(q)
 
-	type candKey struct {
-		id      seq.ID
-		off, ln int32
-	}
-	seen := make(map[candKey]bool)
-	var cands []candKey
+	seen := make(map[windowRef]bool)
+	var cands []windowRef
 
 	advance := func(row []float64, sym int32) ([]float64, bool) {
 		next := make([]float64, m)
@@ -269,7 +263,7 @@ func (f *STFilter) SearchSubsequences(q seq.Sequence, epsilon float64) (*SubseqR
 				if cur[m-1] <= epsilon {
 					// Every suffix below this edge starts a length-d match.
 					for _, occ := range f.Tree.OccurrencesBelowAt(child, edgeEnd) {
-						key := candKey{id: occ.ID, off: int32(occ.Offset), ln: int32(d)}
+						key := windowRef{id: occ.ID, offset: int32(occ.Offset), length: int32(d)}
 						if !seen[key] {
 							seen[key] = true
 							cands = append(cands, key)
@@ -283,56 +277,10 @@ func (f *STFilter) SearchSubsequences(q seq.Sequence, epsilon float64) (*SubseqR
 	}
 	walk(f.Tree.Root(), nil, 0)
 	res.Stats.Candidates = len(cands)
-
-	// Refine with the exact DTW, fetching each source sequence once per
-	// contiguous group.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].id != cands[j].id {
-			return cands[i].id < cands[j].id
-		}
-		if cands[i].off != cands[j].off {
-			return cands[i].off < cands[j].off
-		}
-		return cands[i].ln < cands[j].ln
-	})
-	sc := seqdb.AcquireScratch()
-	defer sc.Release()
-	r := dtw.AcquireRefiner()
-	defer r.Release()
-	var cur seq.Sequence // aliases sc until the next Fetch
-	curID := seq.InvalidID
-	for _, c := range cands {
-		if c.id != curID {
-			s, err := f.DB.Fetch(c.id, sc)
-			if err != nil {
-				return nil, err
-			}
-			cur, curID = s, c.id
-		}
-		window := cur[c.off : c.off+c.ln]
-		res.Stats.DTWCalls++
-		if d, v := r.DistanceWithin(window, q, f.Base, epsilon); v == dtw.VerdictWithin {
-			res.Matches = append(res.Matches, SubMatch{
-				ID:     c.id,
-				Offset: int(c.off),
-				Len:    int(c.ln),
-				Dist:   d,
-			})
-		}
+	var err error
+	if res.Matches, err = refineWindows(f.DB, f.Base, q, epsilon, cands, &res.Stats); err != nil {
+		return nil, err
 	}
-	sort.Slice(res.Matches, func(i, j int) bool {
-		a, b := res.Matches[i], res.Matches[j]
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Offset != b.Offset {
-			return a.Offset < b.Offset
-		}
-		return a.Len < b.Len
-	})
 	res.Stats.Results = len(res.Matches)
 	dbAfter := f.DB.Stats()
 	res.Stats.DataReads = dbAfter.Reads - dbBefore.Reads

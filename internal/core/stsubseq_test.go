@@ -23,14 +23,14 @@ func TestSTFilterSubsequencesAgainstBruteForce(t *testing.T) {
 		id      seq.ID
 		off, ln int
 	}
-	for trial := 0; trial < 8; trial++ {
-		q := synth.Query(rng, data)
-		if len(q) > 8 {
-			q = q[:8]
-		}
-		eps := 0.05 + rng.Float64()*0.25
+	removed := map[seq.ID]bool{}
+	check := func(q seq.Sequence, eps float64) QueryStats {
+		t.Helper()
 		want := map[key]float64{}
 		for i, s := range data {
+			if removed[seq.ID(i)] {
+				continue
+			}
 			for off := 0; off < len(s); off++ {
 				for ln := 1; off+ln <= len(s); ln++ {
 					d := dtw.Distance(s[off:off+ln], q, seq.LInf)
@@ -45,7 +45,7 @@ func TestSTFilterSubsequencesAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Matches) != len(want) {
-			t.Fatalf("trial %d eps %g: %d matches, want %d", trial, eps, len(res.Matches), len(want))
+			t.Fatalf("eps %g: %d matches, want %d", eps, len(res.Matches), len(want))
 		}
 		for _, m := range res.Matches {
 			d, ok := want[key{m.ID, m.Offset, m.Len}]
@@ -56,6 +56,32 @@ func TestSTFilterSubsequencesAgainstBruteForce(t *testing.T) {
 				t.Fatalf("match %+v: dist %g, want %g", m, m.Dist, d)
 			}
 		}
+		return res.Stats
+	}
+	randomQuery := func() (seq.Sequence, float64) {
+		q := synth.Query(rng, data)
+		if len(q) > 8 {
+			q = q[:8]
+		}
+		return q, 0.05 + rng.Float64()*0.25
+	}
+	for trial := 0; trial < 8; trial++ {
+		check(randomQuery())
+	}
+
+	// Records removed after the build stay in the suffix tree; a search
+	// skips their substrings, without a DTW call, instead of failing.
+	for _, id := range []seq.ID{2, 5, 11} {
+		if _, err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		removed[id] = true
+	}
+	if st := check(data[5][:6], 0.1); st.DTWCalls >= st.Candidates {
+		t.Fatalf("removed record refined: %d DTW calls for %d candidates", st.DTWCalls, st.Candidates)
+	}
+	for trial := 0; trial < 8; trial++ {
+		check(randomQuery())
 	}
 }
 

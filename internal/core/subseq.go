@@ -1,13 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/dtw"
-	"repro/internal/pagefile"
-	"repro/internal/rtree"
+	"repro/internal/flatidx"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
 )
@@ -18,21 +18,24 @@ import (
 // processing."
 //
 // The index enumerates sliding windows of the configured lengths (advanced
-// by Step) over every data sequence and inserts each window's 4-tuple
-// feature vector. A range query with tolerance ε returns, without false
+// by Step) over every data sequence and bulk-loads each window's 4-tuple
+// feature vector into the flat engine the database serves from, keyed by
+// window number. A range query with tolerance ε returns, without false
 // dismissal over the indexed window set, every window whose time warping
-// distance to the query is at most ε.
+// distance to the query is at most ε. Windows of a record removed after the
+// build stay in the index and are skipped at refinement.
 type SubseqIndex struct {
 	DB   *seqdb.DB
 	Base seq.Base
 
-	tree    *rtree.Tree
-	windows []windowRef
+	idx     *flatidx.Index
+	windows []windowRef // by window number, the ID of its flat entry
 	lens    []int
 	step    int
 }
 
-// windowRef locates one indexed window inside its source sequence.
+// windowRef locates one window inside its source sequence: an indexed
+// window, or a substring the ST-Filter traversal admits.
 type windowRef struct {
 	id     seq.ID
 	offset int32
@@ -45,6 +48,21 @@ type SubMatch struct {
 	Offset int     // window start within the source
 	Len    int     // window length
 	Dist   float64 // exact time warping distance to the query
+}
+
+// SubMatchLess is the one order of subsequence matches: distance, then
+// source ID, then offset, then length.
+func SubMatchLess(a, b SubMatch) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	if a.Offset != b.Offset {
+		return a.Offset < b.Offset
+	}
+	return a.Len < b.Len
 }
 
 // SubseqResult carries subsequence matches and query statistics.
@@ -67,48 +85,31 @@ func BuildSubseqIndex(db *seqdb.DB, base seq.Base, windowLens []int, step int) (
 	if step <= 0 {
 		step = 1
 	}
-	pool, err := pagefile.NewPool(pagefile.NewMemBackend(pagefile.DefaultPageSize),
-		pagefile.DefaultPageSize, 64)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := rtree.Create(pool, 4, rtree.Options{})
-	if err != nil {
-		pool.Close()
-		return nil, err
-	}
 	si := &SubseqIndex{
 		DB:   db,
 		Base: base,
-		tree: tree,
+		idx:  flatidx.New(flatidx.Options{MergeThreshold: -1}),
 		lens: append([]int(nil), windowLens...),
 		step: step,
 	}
-	var entries []rtree.Entry
-	err = db.Scan(func(id seq.ID, s seq.Sequence) error {
+	var entries []flatidx.Entry
+	err := db.Scan(func(id seq.ID, s seq.Sequence) error {
 		for _, w := range windowLens {
 			for off := 0; off+w <= len(s); off += step {
 				f, err := seq.ExtractFeature(s[off : off+w])
 				if err != nil {
 					return err
 				}
-				ref := windowRef{id: id, offset: int32(off), length: int32(w)}
-				v := f.Vector()
-				entries = append(entries, rtree.Entry{
-					Rect:  rtree.NewPoint(v[:]),
-					Child: uint32(len(si.windows)),
-				})
-				si.windows = append(si.windows, ref)
+				entries = append(entries, flatidx.Entry{ID: seq.ID(len(si.windows)), Point: f.Vector()})
+				si.windows = append(si.windows, windowRef{id: id, offset: int32(off), length: int32(w)})
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		tree.Close()
 		return nil, err
 	}
-	if err := tree.BulkLoad(entries); err != nil {
-		tree.Close()
+	if err := si.idx.BulkLoad(entries); err != nil {
 		return nil, err
 	}
 	return si, nil
@@ -120,8 +121,8 @@ func (si *SubseqIndex) NumWindows() int { return len(si.windows) }
 // WindowLengths returns the indexed window lengths.
 func (si *SubseqIndex) WindowLengths() []int { return append([]int(nil), si.lens...) }
 
-// Search returns every indexed window whose time warping distance to q is
-// at most epsilon, sorted by distance (then source id, then offset).
+// Search returns every indexed window of a live record whose time warping
+// distance to q is at most epsilon, in SubMatchLess order.
 func (si *SubseqIndex) Search(q seq.Sequence, epsilon float64) (*SubseqResult, error) {
 	if q.Empty() {
 		return nil, seq.ErrEmpty
@@ -131,77 +132,68 @@ func (si *SubseqIndex) Search(q seq.Sequence, epsilon float64) (*SubseqResult, e
 	if err != nil {
 		return nil, err
 	}
-	center := fq.Vector()
-	lo := make([]float64, 4)
-	hi := make([]float64, 4)
-	for i := range center {
-		lo[i] = center[i] - epsilon
-		hi[i] = center[i] + epsilon
-	}
-	query, err := rtree.NewRect(lo, hi)
-	if err != nil {
-		return nil, err
+	lo, hi := queryRect(fq, epsilon)
+	hits := si.idx.AppendRange(nil, &lo, &hi)
+	cands := make([]windowRef, len(hits))
+	for i, e := range hits {
+		cands[i] = si.windows[e.ID]
 	}
 	res := &SubseqResult{}
-	var candidates []windowRef
-	if err := si.tree.Search(query, func(_ rtree.Rect, wid uint32) bool {
-		candidates = append(candidates, si.windows[wid])
-		return true
-	}); err != nil {
+	res.Stats.Candidates = len(cands)
+	if res.Matches, err = refineWindows(si.DB, si.Base, q, epsilon, cands, &res.Stats); err != nil {
 		return nil, err
 	}
-	res.Stats.Candidates = len(candidates)
-
-	// Refine, fetching each source sequence once per contiguous candidate
-	// group (candidates are grouped by sequence to bound fetches).
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].id != candidates[j].id {
-			return candidates[i].id < candidates[j].id
-		}
-		if candidates[i].offset != candidates[j].offset {
-			return candidates[i].offset < candidates[j].offset
-		}
-		return candidates[i].length < candidates[j].length
-	})
-	sc := seqdb.AcquireScratch()
-	defer sc.Release()
-	r := dtw.AcquireRefiner()
-	defer r.Release()
-	var cur seq.Sequence // aliases sc until the next Fetch
-	curID := seq.InvalidID
-	for _, ref := range candidates {
-		if ref.id != curID {
-			s, err := si.DB.Fetch(ref.id, sc)
-			if err != nil {
-				return nil, err
-			}
-			cur, curID = s, ref.id
-		}
-		window := cur[ref.offset : ref.offset+ref.length]
-		res.Stats.DTWCalls++
-		if d, v := r.DistanceWithin(window, q, si.Base, epsilon); v == dtw.VerdictWithin {
-			res.Matches = append(res.Matches, SubMatch{
-				ID:     ref.id,
-				Offset: int(ref.offset),
-				Len:    int(ref.length),
-				Dist:   d,
-			})
-		}
-	}
-	sort.Slice(res.Matches, func(i, j int) bool {
-		a, b := res.Matches[i], res.Matches[j]
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Offset < b.Offset
-	})
 	res.Stats.Results = len(res.Matches)
 	res.Stats.Wall = time.Since(start)
 	return res, nil
 }
 
+// refineWindows is the window-refine loop of both subsequence methods. It
+// sorts cands by (ID, offset, length), fetches each source record once into
+// a pooled scratch, and keeps every window whose exact distance to q is
+// within epsilon, in SubMatchLess order. A record removed since the
+// candidates were collected is skipped, as the whole-matching cascade skips
+// a dangling index entry, and its windows are not DTW calls.
+func refineWindows(db *seqdb.DB, base seq.Base, q seq.Sequence, epsilon float64,
+	cands []windowRef, stats *QueryStats) ([]SubMatch, error) {
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.id != b.id {
+			return a.id < b.id
+		}
+		if a.offset != b.offset {
+			return a.offset < b.offset
+		}
+		return a.length < b.length
+	})
+	sc := seqdb.AcquireScratch()
+	defer sc.Release()
+	r := dtw.AcquireRefiner()
+	defer r.Release()
+	var matches []SubMatch
+	var cur seq.Sequence // aliases sc until the next Fetch; nil for a removed record
+	curID := seq.InvalidID
+	for _, c := range cands {
+		if c.id != curID {
+			s, err := db.Fetch(c.id, sc)
+			if errors.Is(err, seqdb.ErrDeleted) || errors.Is(err, seqdb.ErrNotFound) {
+				s = nil
+			} else if err != nil {
+				return nil, err
+			}
+			cur, curID = s, c.id
+		}
+		if cur == nil {
+			continue
+		}
+		stats.DTWCalls++
+		if d, v := r.DistanceWithin(cur[c.offset:c.offset+c.length], q, base, epsilon); v == dtw.VerdictWithin {
+			matches = append(matches, SubMatch{ID: c.id, Offset: int(c.offset), Len: int(c.length), Dist: d})
+		}
+	}
+	sort.Slice(matches, func(i, j int) bool { return SubMatchLess(matches[i], matches[j]) })
+	return matches, nil
+}
+
 // Close releases the index.
-func (si *SubseqIndex) Close() error { return si.tree.Close() }
+func (si *SubseqIndex) Close() error { return si.idx.Close() }

@@ -20,16 +20,19 @@ func TestSubseqIndexAgainstBruteForce(t *testing.T) {
 	}
 	defer si.Close()
 
-	// Brute force over the same window set.
+	// Brute force over the same window set of the live records.
 	type key struct {
 		id      seq.ID
 		off, ln int
 	}
-	for trial := 0; trial < 10; trial++ {
-		q := synth.Query(rng, data)[:10]
-		eps := 0.1 + rng.Float64()*0.3
+	removed := map[seq.ID]bool{}
+	check := func(q seq.Sequence, eps float64) QueryStats {
+		t.Helper()
 		want := map[key]float64{}
 		for i, s := range data {
+			if removed[seq.ID(i)] {
+				continue
+			}
 			for _, w := range lens {
 				for off := 0; off+w <= len(s); off++ {
 					d := dtw.Distance(s[off:off+w], q, seq.LInf)
@@ -44,7 +47,7 @@ func TestSubseqIndexAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Matches) != len(want) {
-			t.Fatalf("trial %d eps %g: %d matches, want %d", trial, eps, len(res.Matches), len(want))
+			t.Fatalf("eps %g: %d matches, want %d", eps, len(res.Matches), len(want))
 		}
 		for _, m := range res.Matches {
 			d, ok := want[key{m.ID, m.Offset, m.Len}]
@@ -58,6 +61,25 @@ func TestSubseqIndexAgainstBruteForce(t *testing.T) {
 		if res.Stats.Candidates < len(want) {
 			t.Fatalf("candidates %d < answers %d", res.Stats.Candidates, len(want))
 		}
+		return res.Stats
+	}
+	for trial := 0; trial < 10; trial++ {
+		check(synth.Query(rng, data)[:10], 0.1+rng.Float64()*0.3)
+	}
+
+	// Records removed after the build keep their windows in the index; a
+	// search skips them, without a DTW call, instead of failing.
+	for _, id := range []seq.ID{3, 17, 29} {
+		if _, err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		removed[id] = true
+	}
+	if st := check(data[17][:8], 0.1); st.DTWCalls >= st.Candidates {
+		t.Fatalf("removed record refined: %d DTW calls for %d candidates", st.DTWCalls, st.Candidates)
+	}
+	for trial := 0; trial < 10; trial++ {
+		check(synth.Query(rng, data)[:10], 0.1+rng.Float64()*0.3)
 	}
 }
 
@@ -122,6 +144,28 @@ func TestSubseqIndexMatchesAreSorted(t *testing.T) {
 	}
 	if !found {
 		t.Error("exact window not found at distance 0")
+	}
+
+	// Windows of two lengths at one offset, at equal distance, come out
+	// ordered by length: every window of a constant record is at distance 0
+	// from a constant query of the same value.
+	cdb, _ := buildFixture(t, []seq.Sequence{{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}})
+	csi, err := BuildSubseqIndex(cdb, seq.LInf, []int{5, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer csi.Close()
+	res3, err := csi.Search(seq.Sequence{1, 1, 1, 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res3.Matches) != csi.NumWindows() {
+		t.Fatalf("%d matches of %d windows", len(res3.Matches), csi.NumWindows())
+	}
+	for i, m := range res3.Matches {
+		if m.Offset != i/2 || m.Len != 4+i%2 {
+			t.Fatalf("match %d is %+v, want offset %d length %d", i, m, i/2, 4+i%2)
+		}
 	}
 }
 

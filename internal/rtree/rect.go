@@ -2,7 +2,7 @@
 // Guttman (the index structure the paper employs, §5.1), stored on the paged
 // storage layer so that index accesses are charged through the same buffer
 // pool cost model as data accesses. Supported operations: insert with
-// quadratic or linear node splitting, window (range) search, delete with
+// Guttman's quadratic node split, window (range) search, delete with
 // tree condensation, STR bulk loading (§4.3.1 points at bulk loading for
 // initial construction), and best-first k-nearest-neighbor search under L∞
 // or L2 point-to-rectangle distance.
@@ -56,15 +56,6 @@ func (r Rect) Area() float64 {
 		a *= r.Hi[i] - r.Lo[i]
 	}
 	return a
-}
-
-// Margin returns the sum of edge lengths (used by the linear split pick).
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
 }
 
 // Union returns the minimal rectangle covering r and s.

@@ -117,19 +117,3 @@ func TestDuplicatePointsDistinctIDs(t *testing.T) {
 		}
 	}
 }
-
-func TestLinearSplitDegenerateIdenticalEntries(t *testing.T) {
-	tree := newTree(t, 2, Options{Split: LinearSplit})
-	p := NewPoint([]float64{1, 1})
-	for i := 0; i < 100; i++ {
-		if err := tree.Insert(p, uint32(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != 100 {
-		t.Fatalf("Len = %d", tree.Len())
-	}
-}

@@ -8,30 +8,6 @@ import (
 	"repro/internal/pagefile"
 )
 
-// SplitStrategy selects the node splitting heuristic on overflow.
-type SplitStrategy int
-
-const (
-	// QuadraticSplit is Guttman's quadratic-cost split (the default).
-	QuadraticSplit SplitStrategy = iota
-	// LinearSplit is Guttman's linear-cost split.
-	LinearSplit
-	// RStarSplit is the margin/overlap-driven split of the R*-tree
-	// (Beckmann et al.), without forced reinsertion.
-	RStarSplit
-)
-
-func (s SplitStrategy) String() string {
-	switch s {
-	case LinearSplit:
-		return "linear"
-	case RStarSplit:
-		return "rstar"
-	default:
-		return "quadratic"
-	}
-}
-
 const (
 	metaMagic   = 0x54575254 // "TWRT"
 	metaVersion = 1
@@ -45,11 +21,10 @@ var ErrDimension = errors.New("rtree: dimensionality mismatch")
 // Tree is a disk-resident R-tree. It is not safe for concurrent mutation;
 // concurrent read-only searches are safe with respect to each other.
 type Tree struct {
-	pool  *pagefile.Pool
-	dim   int
-	max   int // node capacity M
-	min   int // minimum fill m
-	split SplitStrategy
+	pool *pagefile.Pool
+	dim  int
+	max  int // node capacity M
+	min  int // minimum fill m
 
 	root   pagefile.PageID
 	height int // 1 = root is a leaf
@@ -60,8 +35,6 @@ type Tree struct {
 
 // Options configures tree creation.
 type Options struct {
-	// Split selects the overflow split heuristic.
-	Split SplitStrategy
 	// MaxEntries caps the node fanout below the page-derived capacity
 	// (0 = use full capacity). Used by tests to force deep trees.
 	MaxEntries int
@@ -85,11 +58,10 @@ func Create(pool *pagefile.Pool, dim int, opts Options) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: page size too small: node capacity %d < 4", max)
 	}
 	t := &Tree{
-		pool:  pool,
-		dim:   dim,
-		max:   max,
-		min:   minFill(max),
-		split: opts.Split,
+		pool: pool,
+		dim:  dim,
+		max:  max,
+		min:  minFill(max),
 	}
 	meta, err := pool.Alloc()
 	if err != nil {
@@ -112,7 +84,7 @@ func Create(pool *pagefile.Pool, dim int, opts Options) (*Tree, error) {
 }
 
 // Open loads an existing tree from pool.
-func Open(pool *pagefile.Pool, opts Options) (*Tree, error) {
+func Open(pool *pagefile.Pool) (*Tree, error) {
 	p, err := pool.Fetch(metaPage)
 	if err != nil {
 		return nil, err
@@ -129,7 +101,6 @@ func Open(pool *pagefile.Pool, opts Options) (*Tree, error) {
 	t := &Tree{
 		pool:   pool,
 		dim:    dim,
-		split:  SplitStrategy(binary.LittleEndian.Uint32(buf[12:])),
 		root:   pagefile.PageID(binary.LittleEndian.Uint32(buf[16:])),
 		height: int(binary.LittleEndian.Uint32(buf[20:])),
 		size:   int(binary.LittleEndian.Uint64(buf[24:])),
@@ -139,9 +110,6 @@ func Open(pool *pagefile.Pool, opts Options) (*Tree, error) {
 	nfree := int(binary.LittleEndian.Uint32(buf[36:]))
 	for i := 0; i < nfree; i++ {
 		t.free = append(t.free, pagefile.PageID(binary.LittleEndian.Uint32(buf[40+4*i:])))
-	}
-	if opts.Split != t.split && opts.Split != QuadraticSplit {
-		t.split = opts.Split
 	}
 	return t, nil
 }
@@ -164,7 +132,7 @@ func (t *Tree) saveMeta() error {
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
 	binary.LittleEndian.PutUint32(buf[4:], metaVersion)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(t.dim))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(t.split))
+	binary.LittleEndian.PutUint32(buf[12:], 0) // reserved: written 0, ignored on read
 	binary.LittleEndian.PutUint32(buf[16:], uint32(t.root))
 	binary.LittleEndian.PutUint32(buf[20:], uint32(t.height))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(t.size))

@@ -62,46 +62,44 @@ func equalIDs(a, b []uint32) bool {
 }
 
 func TestInsertSearchAgainstBruteForce(t *testing.T) {
-	for _, split := range []SplitStrategy{QuadraticSplit, LinearSplit, RStarSplit} {
-		for _, dim := range []int{2, 4} {
-			rng := rand.New(rand.NewSource(int64(dim)))
-			tree := newTree(t, dim, Options{Split: split})
-			var points [][]float64
-			for i := 0; i < 500; i++ {
-				p := randPoint(rng, dim)
-				points = append(points, p)
-				if err := tree.Insert(NewPoint(p), uint32(i)); err != nil {
-					t.Fatal(err)
-				}
+	for _, dim := range []int{2, 4} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		tree := newTree(t, dim, Options{})
+		var points [][]float64
+		for i := 0; i < 500; i++ {
+			p := randPoint(rng, dim)
+			points = append(points, p)
+			if err := tree.Insert(NewPoint(p), uint32(i)); err != nil {
+				t.Fatal(err)
 			}
-			if err := tree.CheckInvariants(); err != nil {
-				t.Fatalf("split=%v dim=%d: %v", split, dim, err)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("dim=%d: %v", dim, err)
+		}
+		if tree.Len() != 500 {
+			t.Fatalf("Len = %d", tree.Len())
+		}
+		for trial := 0; trial < 50; trial++ {
+			lo := randPoint(rng, dim)
+			hi := make([]float64, dim)
+			for i := range hi {
+				hi[i] = lo[i] + rng.Float64()*30
 			}
-			if tree.Len() != 500 {
-				t.Fatalf("Len = %d", tree.Len())
+			query, err := NewRect(lo, hi)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for trial := 0; trial < 50; trial++ {
-				lo := randPoint(rng, dim)
-				hi := make([]float64, dim)
-				for i := range hi {
-					hi[i] = lo[i] + rng.Float64()*30
-				}
-				query, err := NewRect(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []uint32
-				if err := tree.Search(query, func(_ Rect, id uint32) bool {
-					got = append(got, id)
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				want := bruteRange(points, query)
-				if !equalIDs(sortedIDs(got), sortedIDs(want)) {
-					t.Fatalf("split=%v dim=%d query %v: got %v, want %v",
-						split, dim, query, sortedIDs(got), sortedIDs(want))
-				}
+			var got []uint32
+			if err := tree.Search(query, func(_ Rect, id uint32) bool {
+				got = append(got, id)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := bruteRange(points, query)
+			if !equalIDs(sortedIDs(got), sortedIDs(want)) {
+				t.Fatalf("dim=%d query %v: got %v, want %v",
+					dim, query, sortedIDs(got), sortedIDs(want))
 			}
 		}
 	}
@@ -302,7 +300,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree2, err := Open(pool2, Options{})
+	tree2, err := Open(pool2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +330,6 @@ func TestRectOps(t *testing.T) {
 	b, _ := NewRect([]float64{1, 1}, []float64{4, 4})
 	if got := a.Area(); got != 6 {
 		t.Errorf("Area = %g", got)
-	}
-	if got := a.Margin(); got != 5 {
-		t.Errorf("Margin = %g", got)
 	}
 	u := a.Union(b)
 	if !u.Equal(Rect{Lo: []float64{0, 0}, Hi: []float64{4, 4}}) {

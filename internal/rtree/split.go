@@ -3,19 +3,10 @@ package rtree
 import "math"
 
 // splitNode distributes n's (overflowing) entries between n and a fresh
-// sibling according to the tree's split strategy, stores both nodes, and
-// returns the sibling.
+// sibling with Guttman's quadratic split, stores both nodes, and returns the
+// sibling.
 func (t *Tree) splitNode(n *node) (*node, error) {
-	entries := n.entries
-	var groupA, groupB []Entry
-	switch t.split {
-	case LinearSplit:
-		groupA, groupB = t.linearSplit(entries)
-	case RStarSplit:
-		groupA, groupB = t.rstarSplit(entries)
-	default:
-		groupA, groupB = t.quadraticSplit(entries)
-	}
+	groupA, groupB := t.quadraticSplit(n.entries)
 	sibling, err := t.allocNode(n.leaf)
 	if err != nil {
 		return nil, err
@@ -116,77 +107,4 @@ func pickSeedsQuadratic(entries []Entry) (int, int) {
 		}
 	}
 	return seedA, seedB
-}
-
-// linearSplit implements Guttman's linear split: choose seeds with the
-// greatest normalized separation along any dimension, then assign the rest
-// by least enlargement in arbitrary order.
-func (t *Tree) linearSplit(entries []Entry) (groupA, groupB []Entry) {
-	dim := entries[0].Rect.Dim()
-	bestDim, seedA, seedB := -1, 0, 1
-	bestSep := math.Inf(-1)
-	for d := 0; d < dim; d++ {
-		// Highest low side and lowest high side, plus overall width.
-		hiLo, loHi := 0, 0
-		minLo, maxHi := entries[0].Rect.Lo[d], entries[0].Rect.Hi[d]
-		for i, e := range entries {
-			if e.Rect.Lo[d] > entries[hiLo].Rect.Lo[d] {
-				hiLo = i
-			}
-			if e.Rect.Hi[d] < entries[loHi].Rect.Hi[d] {
-				loHi = i
-			}
-			if e.Rect.Lo[d] < minLo {
-				minLo = e.Rect.Lo[d]
-			}
-			if e.Rect.Hi[d] > maxHi {
-				maxHi = e.Rect.Hi[d]
-			}
-		}
-		width := maxHi - minLo
-		if width <= 0 || hiLo == loHi {
-			continue
-		}
-		sep := (entries[hiLo].Rect.Lo[d] - entries[loHi].Rect.Hi[d]) / width
-		if sep > bestSep {
-			bestSep, bestDim, seedA, seedB = sep, d, loHi, hiLo
-		}
-	}
-	if bestDim == -1 {
-		// Degenerate: all entries identical along every dimension.
-		seedA, seedB = 0, 1
-	}
-	groupA = append(groupA, entries[seedA])
-	groupB = append(groupB, entries[seedB])
-	rectA := entries[seedA].Rect.Clone()
-	rectB := entries[seedB].Rect.Clone()
-	remaining := make([]Entry, 0, len(entries)-2)
-	for i, e := range entries {
-		if i != seedA && i != seedB {
-			remaining = append(remaining, e)
-		}
-	}
-	for k, e := range remaining {
-		left := len(remaining) - k // unassigned entries, including e
-		switch {
-		case len(groupA)+left <= t.min:
-			groupA = append(groupA, e)
-			rectA = rectA.Union(e.Rect)
-			continue
-		case len(groupB)+left <= t.min:
-			groupB = append(groupB, e)
-			rectB = rectB.Union(e.Rect)
-			continue
-		}
-		d1 := rectA.Enlargement(e.Rect)
-		d2 := rectB.Enlargement(e.Rect)
-		if d1 < d2 || (d1 == d2 && len(groupA) <= len(groupB)) {
-			groupA = append(groupA, e)
-			rectA = rectA.Union(e.Rect)
-		} else {
-			groupB = append(groupB, e)
-			rectB = rectB.Union(e.Rect)
-		}
-	}
-	return groupA, groupB
 }

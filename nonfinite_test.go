@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	twsim "repro"
@@ -81,6 +82,13 @@ func TestNonFiniteRejected(t *testing.T) {
 					check("NearestKCtx", err)
 					_, err = db.SearchBatchCtx(ctx, [][]float64{{1, 2, 3}, bad}, 1, 0, 2)
 					check("SearchBatchCtx", err)
+					if math.IsNaN(p.v) {
+						// A NaN tolerance is refused like a NaN element.
+						_, err = db.SearchCtx(ctx, []float64{1, 2, 3}, p.v, 0)
+						check("SearchCtx(ε NaN)", err)
+						_, err = db.SearchBatchCtx(ctx, [][]float64{{1, 2, 3}}, p.v, 0, 2)
+						check("SearchBatchCtx(ε NaN)", err)
+					}
 				})
 			}
 		})
@@ -88,7 +96,8 @@ func TestNonFiniteRejected(t *testing.T) {
 }
 
 // TestNonFiniteRejectedSingleOnly covers the entry points that exist only
-// on *DB: AddAll (with rollback) and subsequence search.
+// on *DB: AddAll (with rollback) and subsequence search, its tolerance
+// included.
 func TestNonFiniteRejectedSingleOnly(t *testing.T) {
 	db, err := twsim.OpenMem(twsim.Options{})
 	if err != nil {
@@ -119,5 +128,13 @@ func TestNonFiniteRejectedSingleOnly(t *testing.T) {
 				t.Errorf("SubseqIndex.Search: err = %v, want ErrNonFinite", err)
 			}
 		})
+	}
+	// The subsequence door checks its tolerance too: NaN is ErrNonFinite,
+	// a negative one is refused as negative.
+	if _, err := si.Search([]float64{1, 2, 3}, math.NaN()); !errors.Is(err, twsim.ErrNonFinite) {
+		t.Errorf("SubseqIndex.Search(ε NaN): err = %v, want ErrNonFinite", err)
+	}
+	if _, err := si.Search([]float64{1, 2, 3}, -1); err == nil || !strings.Contains(err.Error(), "negative tolerance") {
+		t.Errorf("SubseqIndex.Search(ε -1): err = %v, want a negative-tolerance error", err)
 	}
 }

@@ -122,3 +122,58 @@ func TestRemovePersists(t *testing.T) {
 		}
 	}
 }
+
+// TestSubseqSearchSkipsRemovedRecords: a window index built before a Remove
+// still holds the removed record's windows. A search skips them, on both
+// engines, instead of failing with the heap's "sequence deleted".
+func TestSubseqSearchSkipsRemovedRecords(t *testing.T) {
+	data := randomWalks(93, 30, 20, 40)
+	backends := []struct {
+		name string
+		open func() (twsim.Backend, error)
+	}{
+		{"single", func() (twsim.Backend, error) { return twsim.OpenMem(twsim.Options{}) }},
+		{"sharded", func() (twsim.Backend, error) { return twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 3}) }},
+	}
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			db, err := be.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			ids, err := db.AddBatch(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := db.BuildSubseqIndex([]int{8}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			q, gone := data[5][4:12], ids[5]
+			found := func() bool {
+				t.Helper()
+				res, err := idx.Search(q, 0)
+				if err != nil {
+					t.Fatalf("Search: %v", err)
+				}
+				for _, m := range res.Matches {
+					if m.ID == gone {
+						return true
+					}
+				}
+				return false
+			}
+			if !found() {
+				t.Fatalf("window cut from record %d not found before Remove", gone)
+			}
+			if ok, err := db.Remove(gone); err != nil || !ok {
+				t.Fatalf("Remove(%d) = %v, %v", gone, ok, err)
+			}
+			if found() {
+				t.Fatalf("removed record %d still matched", gone)
+			}
+		})
+	}
+}

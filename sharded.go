@@ -320,8 +320,8 @@ func (s *ShardedDB) Search(query []float64, epsilon float64) (*Result, error) {
 // enabled, is consulted first under the summed write generation (see
 // Generation), so a hit skips the entire fan-out.
 func (s *ShardedDB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error) {
-	if epsilon < 0 {
-		return nil, errNegativeTolerance(epsilon)
+	if err := validateTolerance(epsilon); err != nil {
+		return nil, err
 	}
 	return runQuery(ctx, s.opts, s.rcache, s.Generation, rangeCall(query, epsilon, band),
 		func(ctx context.Context) (*Result, error) { return s.eng.SearchCtx(ctx, query, epsilon, band) })

@@ -57,8 +57,8 @@ func (db *DB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error)
 // engine's worker pool, each shard's own BuildSubseqIndex) and composes them
 // behind one SubseqIndex: searches fan out the same way, per-shard matches
 // have their source IDs lifted to the global space, and the merged list is
-// re-sorted by (distance, ID, offset) — bit-identical to the single-DB
-// index over the same logical contents.
+// re-sorted by core.SubMatchLess — bit-identical to the single-DB index over
+// the same logical contents.
 func (s *ShardedDB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error) {
 	inners := make([]*SubseqIndex, len(s.dbs))
 	err := s.eng.FanOut(func(si int) error {
@@ -109,18 +109,7 @@ func (ss *shardedSubseq) Search(q seq.Sequence, epsilon float64) (*core.SubseqRe
 		}
 		out.Stats.Add(r.Stats)
 	}
-	// The same order the single-DB index produces: distance, then source
-	// ID, then window offset.
-	sort.Slice(out.Matches, func(i, j int) bool {
-		a, b := out.Matches[i], out.Matches[j]
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Offset < b.Offset
-	})
+	sort.Slice(out.Matches, func(i, j int) bool { return core.SubMatchLess(out.Matches[i], out.Matches[j]) })
 	out.Stats.Results = len(out.Matches)
 	out.Stats.Wall = time.Since(start)
 	return out, nil
@@ -147,8 +136,12 @@ func (ss *shardedSubseq) Close() error {
 // Search returns every indexed window whose time warping distance to query
 // is at most epsilon, sorted by distance. Queries containing NaN or ±Inf
 // are rejected with ErrNonFinite (a non-finite query feature would make
-// every window invisible to the index filter).
+// every window invisible to the index filter), and so is a NaN epsilon; a
+// negative epsilon is an error. A record removed after the build is skipped.
 func (si *SubseqIndex) Search(query []float64, epsilon float64) (*SubseqResult, error) {
+	if err := validateTolerance(epsilon); err != nil {
+		return nil, err
+	}
 	if err := seq.CheckFinite(query); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -731,6 +732,21 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 	return res, nil
 }
 
+// validateTolerance is the check every tolerance door runs before it
+// touches an index. A NaN ε is refused with ErrNonFinite: every comparison
+// with NaN is false, so the index filter would admit every record and the
+// refinement reject them all. A negative ε is refused with
+// errNegativeTolerance. +Inf is legal: it asks for every record.
+func validateTolerance(epsilon float64) error {
+	if math.IsNaN(epsilon) {
+		return fmt.Errorf("twsim: tolerance %v: %w", epsilon, ErrNonFinite)
+	}
+	if epsilon < 0 {
+		return errNegativeTolerance(epsilon)
+	}
+	return nil
+}
+
 func errNegativeTolerance(epsilon float64) error {
 	return fmt.Errorf("twsim: negative tolerance %g", epsilon)
 }
@@ -768,8 +784,8 @@ func (db *DB) SearchCtx(ctx context.Context, query []float64, epsilon float64, b
 // It is the form the sharded engine calls per shard (shard.Store) to spread
 // one refine budget across the shards a query fans out to.
 func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*Result, error) {
-	if epsilon < 0 {
-		return nil, errNegativeTolerance(epsilon)
+	if err := validateTolerance(epsilon); err != nil {
+		return nil, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
