@@ -5,7 +5,7 @@ GO ?= go
 # Full gate: formatting, static checks (vet plus the query-surface check),
 # build, the whole test suite (including the fault-injection recovery tests)
 # under the race detector, a short fuzz pass over the envelope/lower-bound
-# oracles and the snapshot-file readers, the observability smoke (boots twsimd, scrapes /metrics, validates the
+# oracles, the snapshot-file readers and the HTTP request decoder, the observability smoke (boots twsimd, scrapes /metrics, validates the
 # exposition), the WAL crash-simulation suite (torn tail, corrupt middle
 # record, duplicate replay — each recovered state compared record-for-record
 # against a never-crashed database), and the benchmark's smoke run.
@@ -28,7 +28,8 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # and walks without faulting), the heap's scratch fetch vs Get over scripted
 # appends, rollbacks, deletes, flushes and reopens at every page size, and
 # the heap directory loader (whatever dir.bin opens must read without a
-# panic).
+# panic), and the HTTP request decoder vs encoding/json (same verdict,
+# status, error text and decoded bits for every request struct).
 # Go permits one fuzz target per -fuzz run, so each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s ./internal/seqdb
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s ./internal/seqdb
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s ./internal/server
 
 # Boots a real twsimd on an ephemeral port, drives traffic, and verifies
 # GET /metrics is valid Prometheus exposition with the key series present
@@ -94,10 +96,12 @@ bench-smoke:
 # per-tier counts (the ε 1.0 shape on fewer queries: one costs ≈ 13 ms),
 # and last the DP as the other callers run it, through a pooled Refiner:
 # the public Distance / BandDistance, a Naive-Scan pass at ε 0.1 and at
-# +Inf, and subsequence search.
+# +Inf, and subsequence search; then the HTTP request decoder on one
+# 1 000-sequence load batch and one 128-element /knn body (bytes, allocations).
 # To compare two commits, build the binaries on both and alternate them
 # (internal/dtw/refiner_bench_test.go, internal/core/lbpaa_test.go,
-# internal/seqdb/fetch_bench_test.go, banded_bench_test.go, bench_test.go).
+# internal/seqdb/fetch_bench_test.go, banded_bench_test.go, bench_test.go,
+# internal/server/decode_test.go).
 kernels:
 	$(GO) test -c -o bin/dtw.test ./internal/dtw
 	./bin/dtw.test -test.run '^$$' -test.bench 'Refiner(Range|KNN)Shaped|^BenchmarkDecide$$' -test.cpu 1 -test.count 5
@@ -109,6 +113,8 @@ kernels:
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^(knn_k10|range_eps0\.3)$$' -test.benchtime 2000x -test.cpu 1 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^range_eps1\.0$$' -test.benchtime 200x -test.cpu 1 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench '^Benchmark(DTW|AblationEarlyAbandon|SubseqSearch)$$' -test.cpu 1 -test.count 5
+	$(GO) test -c -o bin/server.test ./internal/server
+	./bin/server.test -test.run '^$$' -test.bench '^BenchmarkDecodeBody/(batch1000|query128)$$' -test.benchmem -test.cpu 1 -test.count 5
 
 # The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
 # plus the paper-API wrappers. Fails if a deleted variant, option or alias
@@ -171,6 +177,11 @@ MMAP_DELETED = mapfile|TWSIM_NO_MMAP|DecodeLite|releaseMapping|MmapBytes|OpenByt
 # and FastMap's k-d tree (internal/core/fastmapsearch.go) import it: the
 # serving path, subsequence search included, stays on the flat engine.
 SPLIT_DELETED = SplitStrategy|QuadraticSplit|LinearSplit|RStarSplit|rstarSplit|linearSplit|intersectionArea
+# The ninth keeps one request decoder: every handler in internal/server
+# reads its body through decodeBody (read once under the cap, the scanner,
+# then encoding/json over the same bytes), so no non-test Go there streams
+# encoding/json from a request body.
+BODY_DECODER = json\.NewDecoder\(r\.Body\)
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -211,6 +222,10 @@ surface:
 	@out=$$(grep -l '"repro/internal/rtree"' *.go $$(find internal cmd examples -name '*.go' ! -path 'internal/rtree/*' ! -path 'internal/core/index.go' ! -path 'internal/core/fastmapsearch.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*') | grep -v '_test\.go$$'); \
 	if [ -n "$$out" ]; then \
 		echo "only the paper's baselines may import internal/rtree:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(BODY_DECODER)' $$(find internal/server -name '*.go' ! -name '*_test.go')); \
+	if [ -n "$$out" ]; then \
+		echo "a handler decodes its request body outside decodeBody:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

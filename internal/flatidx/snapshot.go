@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/seq"
 )
@@ -108,6 +108,11 @@ func levelSizes(n int) []int {
 // ordering (the same packing discipline the Guttman engine's BulkLoad
 // uses). gen is the snapshot generation recorded in the header.
 func Build(entries []Entry, gen uint64) *Snapshot {
+	return build(entries, strOrder(entries), gen)
+}
+
+// build packs entries in the item order ord.
+func build(entries []Entry, ord []int, gen uint64) *Snapshot {
 	n := len(entries)
 	sizes := levelSizes(n)
 	nNodes := 0
@@ -138,7 +143,6 @@ func Build(entries []Entry, gen uint64) *Snapshot {
 	}
 
 	// Items, in STR order.
-	ord := strOrder(entries)
 	for j, oi := range ord {
 		putItem(s.slab[s.itemsOff+j*itemSize:], entries[oi])
 	}
@@ -213,22 +217,42 @@ func Build(entries []Entry, gen uint64) *Snapshot {
 
 // strOrder returns the Sort-Tile-Recursive permutation of entries: sort by
 // the first dimension, cut into slabs sized to whole leaves, recurse on the
-// next dimension within each slab. The stable sort makes the packing
-// deterministic for a given input order.
+// next dimension within each slab. Ties on a coordinate keep their order in
+// the slice, so the packing is deterministic for a given input order.
 func strOrder(entries []Entry) []int {
 	ord := make([]int, len(entries))
 	for i := range ord {
 		ord[i] = i
 	}
+	// Each level sorts (coordinate, position in the slice): a total order,
+	// so one unstable O(n log n) sort yields exactly a stable sort's result.
+	type strKey struct {
+		v       float64
+		pos, id int
+	}
+	keys := make([]strKey, len(entries))
 	var tile func(idx []int, dims int)
 	tile = func(idx []int, dims int) {
 		if len(idx) <= Fanout {
 			return
 		}
 		dim := 4 - dims
-		sort.SliceStable(idx, func(a, b int) bool {
-			return entries[idx[a]].Point[dim] < entries[idx[b]].Point[dim]
+		ks := keys[:len(idx)]
+		for p, id := range idx {
+			ks[p] = strKey{entries[id].Point[dim], p, id}
+		}
+		slices.SortFunc(ks, func(a, b strKey) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case b.v < a.v:
+				return 1
+			}
+			return a.pos - b.pos
 		})
+		for p, k := range ks {
+			idx[p] = k.id
+		}
 		if dims <= 1 {
 			return
 		}

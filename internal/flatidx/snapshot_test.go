@@ -1,6 +1,8 @@
 package flatidx
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -204,6 +206,63 @@ func TestNodeDistMatchesRtreeAxisDist(t *testing.T) {
 		}
 		if got := snap.nodeDistLInf(0, &p); got != want {
 			t.Fatalf("nodeDistLInf=%g want %g (bit-identity matters)", got, want)
+		}
+	}
+}
+
+// stableSTROrder is strOrder as a stable sort per level: the reference the
+// one-sort packing must reproduce exactly.
+func stableSTROrder(entries []Entry) []int {
+	ord := make([]int, len(entries))
+	for i := range ord {
+		ord[i] = i
+	}
+	var tile func(idx []int, dims int)
+	tile = func(idx []int, dims int) {
+		if len(idx) <= Fanout {
+			return
+		}
+		dim := 4 - dims
+		sort.SliceStable(idx, func(a, b int) bool {
+			return entries[idx[a]].Point[dim] < entries[idx[b]].Point[dim]
+		})
+		if dims <= 1 {
+			return
+		}
+		pages := (len(idx) + Fanout - 1) / Fanout
+		slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dims))))
+		per := (len(idx) + slabs - 1) / slabs
+		if rem := per % Fanout; rem != 0 {
+			per += Fanout - rem
+		}
+		for off := 0; off < len(idx); off += per {
+			tile(idx[off:min(off+per, len(idx))], dims-1)
+		}
+	}
+	tile(ord, 4)
+	return ord
+}
+
+// Points on a coarse grid (±0 included) tie on every coordinate, so the
+// packing's tie order decides the slab: it must be the stable sort's, byte
+// for byte.
+func TestBuildMatchesStableSTRPacking(t *testing.T) {
+	grid := []float64{-2, -1, math.Copysign(0, -1), 0, 0.5, 1, 3}
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 40; trial++ {
+		n := []int{0, 1, Fanout, Fanout + 1, 100, 1000, 5000}[trial%7]
+		levels := 1 + rng.Intn(len(grid))
+		entries := make([]Entry, n)
+		for i := range entries {
+			entries[i].ID = seq.ID(rng.Intn(n + 1))
+			for d := range entries[i].Point {
+				entries[i].Point[d] = grid[rng.Intn(levels)]
+			}
+		}
+		got := Build(entries, 5).Bytes()
+		want := build(entries, stableSTROrder(entries), 5).Bytes()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, %d grid levels): the packed slab differs from the stable-sort packing", trial, n, levels)
 		}
 	}
 }

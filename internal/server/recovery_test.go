@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -33,22 +34,47 @@ func newStormServer(t *testing.T) (*twsim.DB, *Client, string) {
 
 // Oversized request bodies must be rejected with 413 Request Entity Too
 // Large, not a generic 400 (clients distinguish "shrink your batch" from
-// "your JSON is malformed").
+// "your JSON is malformed"). The body is read whole before it is decoded, so
+// any body over the cap is 413 whatever its content, sent with a
+// Content-Length or chunked.
 func TestOversizedBodyReturns413(t *testing.T) {
 	_, _, base := newStormServer(t)
-	// One number whose digits alone cross the body cap.
-	body := `{"values":[` + strings.Repeat("9", MaxBodyBytes+16) + `]}`
-	resp, err := http.Post(base+"/sequences", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	digits := strings.Repeat("9", MaxBodyBytes+16) // one number whose digits alone cross the cap
+	cases := []struct {
+		name, path, body string
+		chunked          bool
+	}{
+		{"values", "/sequences", `{"values":[` + digits + `]}`, false},
+		{"values-chunked", "/sequences", `{"values":[` + digits + `]}`, true},
+		{"batch", "/sequences/batch", `{"sequences":[[` + digits + `]]}`, false},
+		{"batch-chunked", "/sequences/batch", `{"sequences":[[` + digits + `]]}`, true},
+		{"malformed", "/sequences", "x" + digits, false},
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
-	}
-	var ae apiError
-	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil || ae.Error == "" {
-		t.Fatalf("oversized body: error envelope = %+v, %v", ae, err)
+	for _, tc := range cases {
+		var body io.Reader = strings.NewReader(tc.body)
+		if tc.chunked {
+			body = io.MultiReader(body) // hides the length: the client sends it chunked
+		}
+		req, err := http.NewRequest(http.MethodPost, base+tc.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.chunked != (req.ContentLength <= 0) {
+			t.Fatalf("%s: request Content-Length = %d", tc.name, req.ContentLength)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var ae apiError
+		derr := json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want %d", tc.name, resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
+		if derr != nil || ae.Error == "" {
+			t.Fatalf("%s: error envelope = %+v, %v", tc.name, ae, derr)
+		}
 	}
 	// A small malformed body is still a plain 400.
 	resp2, err := http.Post(base+"/sequences", "application/json", strings.NewReader(`{"values":`))

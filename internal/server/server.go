@@ -46,7 +46,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -65,7 +64,9 @@ import (
 const StatusClientClosedRequest = 499
 
 // MaxBodyBytes bounds request bodies to keep a misbehaving client from
-// exhausting memory (16 MiB ≈ a 2M-element sequence).
+// exhausting memory (16 MiB ≈ a 2M-element sequence). A body is read whole
+// before it is decoded, so any body over the cap answers 413, whatever its
+// content.
 const MaxBodyBytes = 16 << 20
 
 // Limits configures the admission-control tier in front of the query
@@ -447,9 +448,7 @@ func (s *Server) handleSequences(w http.ResponseWriter, r *http.Request) {
 	if s.denyWrites(w) {
 		return
 	}
-	var req struct {
-		Values []float64 `json:"values"`
-	}
+	var req valuesRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -469,9 +468,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.denyWrites(w) {
 		return
 	}
-	var req struct {
-		Sequences [][]float64 `json:"sequences"`
-	}
+	var req batchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -535,14 +532,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req struct {
-		Query   []float64 `json:"query"`
-		Epsilon float64   `json:"epsilon"`
-		// Band is the optional Sakoe–Chiba band half-width this query
-		// answers under: omitted = the backend's configured default, 0 =
-		// unconstrained, ≥ 1 = banded, negative = 400.
-		Band *int `json:"band"`
-	}
+	var req searchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -574,13 +564,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req struct {
-		Query []float64 `json:"query"`
-		K     int       `json:"k"`
-		// Band as in /search: omitted = backend default, 0 = unconstrained,
-		// ≥ 1 = banded, negative = 400.
-		Band *int `json:"band"`
-	}
+	var req knnRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -616,10 +600,7 @@ func (s *Server) handleSubseqBuild(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req struct {
-		WindowLens []int `json:"window_lens"`
-		Step       int   `json:"step"`
-	}
+	var req subseqBuildRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -642,10 +623,7 @@ func (s *Server) handleSubseqSearch(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req struct {
-		Query   []float64 `json:"query"`
-		Epsilon float64   `json:"epsilon"`
-	}
+	var req subseqSearchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -710,27 +688,6 @@ func toSearchResponse(res *twsim.Result) SearchResponse {
 		out.Matches[i] = MatchJSON{ID: uint32(m.ID), Dist: m.Dist}
 	}
 	return out
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return false
-	}
-	// Reject trailing garbage.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		writeError(w, http.StatusBadRequest, errors.New("trailing data after JSON body"))
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
