@@ -10,61 +10,29 @@ import (
 	"strconv"
 )
 
-// Request bodies are read once and decoded by one of two paths. A request
-// struct that carries numbers has a scan method: a hand-written scanner for
-// the canonical shape of its JSON that decodes into locals and commits to
-// the struct only when the whole body is accepted. Anything the scanner
-// declines — a key that differs only in case, an escaped or duplicate key,
-// null, a number outside JSON's grammar or float64's range, a syntax error,
-// trailing data — goes to decodeJSON, encoding/json's decoder over the same
-// bytes. The scanner accepts only input that encoding/json decodes to the
-// same values (the same strconv calls on the same text), so the accepted
-// language, the decoded values, the status codes and the error texts are
-// encoding/json's; FuzzDecodeMatchesEncodingJSON holds the two together.
+// Request bodies are read once and decoded by one of two paths. The load's
+// body, batchRequest, has a hand-written scanner for its canonical shape that
+// decodes into locals and commits only when the whole body is accepted.
+// Every other body, and anything the scanner declines — a key that differs
+// only in case, an escaped or duplicate key, null, a number outside JSON's
+// grammar or float64's range, a syntax error, trailing data — goes to
+// decodeJSON, encoding/json's decoder over the same bytes. The scanner
+// accepts only input that encoding/json decodes to the same values (the same
+// strconv call on the same text), so the accepted language, the decoded
+// values, the status codes and the error texts are encoding/json's;
+// FuzzDecodeMatchesEncodingJSON holds the two together.
 
-// scannable is a request struct with a reflection-free fast path.
-type scannable interface {
-	// scan decodes body into the receiver and reports true, or leaves the
-	// receiver untouched and reports false.
-	scan(body []byte) bool
-}
-
-type valuesRequest struct {
-	Values []float64 `json:"values"`
-}
-
-type batchRequest struct {
+// batchRequest is the /sequences/batch body. It is an alias, so the struct
+// stays unnamed and encoding/json's type errors name its field ".sequences",
+// in the same form as every other handler's inline request struct.
+type batchRequest = struct {
 	Sequences [][]float64 `json:"sequences"`
 }
 
-type searchRequest struct {
-	Query   []float64 `json:"query"`
-	Epsilon float64   `json:"epsilon"`
-	// Band is the optional Sakoe–Chiba band half-width this query
-	// answers under: omitted = the backend's configured default, 0 =
-	// unconstrained, ≥ 1 = banded, negative = 400.
-	Band *int `json:"band"`
-	band int  // Band's target when the scanner sets it, so it allocates nothing
-}
-
-type knnRequest struct {
-	Query []float64 `json:"query"`
-	K     int       `json:"k"`
-	// Band as in searchRequest.
-	Band *int `json:"band"`
-	band int  // Band's target when the scanner sets it
-}
-
-// subseqBuildRequest has no fast path: its body is a handful of integers.
-type subseqBuildRequest struct {
-	WindowLens []int `json:"window_lens"`
-	Step       int   `json:"step"`
-}
-
-type subseqSearchRequest struct {
-	Query   []float64 `json:"query"`
-	Epsilon float64   `json:"epsilon"`
-}
+// firstRead bounds the buffer readBody allocates before any body byte has
+// arrived: a client that declares a large Content-Length and then stalls
+// holds at most this much until it sends more.
+const firstRead = 64 << 10
 
 // decodeBody reads the request body once and decodes it into dst. A body
 // over MaxBodyBytes answers 413 whatever its content; one that does not
@@ -81,8 +49,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return false
 	}
-	if s, ok := dst.(scannable); ok && s.scan(body) {
-		return true
+	if req, ok := dst.(*batchRequest); ok {
+		if seqs, ok := scanBatch(body); ok {
+			req.Sequences = seqs
+			return true
+		}
 	}
 	if err := decodeJSON(body, dst); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -91,18 +62,32 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// readBody reads the whole body: into a buffer of exactly Content-Length
-// bytes when the client sent one within the cap, otherwise by a growing
-// read that the server's MaxBytesReader stops at the cap.
+// readBody reads the whole body. When the client sent a Content-Length
+// within the cap, the buffer starts at min(Content-Length, firstRead) and
+// doubles as reads fill it, up to exactly Content-Length bytes, so memory
+// follows the bytes received and a body of up to firstRead bytes is one
+// exact-size allocation. Otherwise it is a growing read that the server's
+// MaxBytesReader stops at the cap.
 func readBody(r *http.Request) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 && n <= MaxBodyBytes {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.Body, buf); err != nil {
+	n := r.ContentLength
+	if n < 0 || n > MaxBodyBytes {
+		return io.ReadAll(r.Body)
+	}
+	buf, filled := make([]byte, min(n, firstRead)), 0
+	for {
+		if _, err := io.ReadFull(r.Body, buf[filled:]); err != nil {
+			if err == io.EOF && filled > 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
-		return buf, nil
+		if int64(len(buf)) == n {
+			return buf, nil
+		}
+		next := make([]byte, min(n, 2*int64(len(buf))))
+		filled = copy(next, buf)
+		buf = next
 	}
-	return io.ReadAll(r.Body)
 }
 
 // decodeJSON is the reference path: encoding/json with unknown fields
@@ -119,97 +104,15 @@ func decodeJSON(body []byte, dst any) error {
 	return nil
 }
 
-func (req *valuesRequest) scan(body []byte) bool {
-	var r valuesRequest
+// scanBatch decodes a canonical /sequences/batch body, or reports false.
+func scanBatch(body []byte) ([][]float64, bool) {
+	var seqs [][]float64
 	s := scanner{b: body}
-	ok := s.object([]string{"values"}, func(int) (ok bool) {
-		r.Values, ok = s.floats()
+	ok := s.object("sequences", func() (ok bool) {
+		seqs, ok = s.floatArrays()
 		return ok
 	})
-	if ok {
-		*req = r
-	}
-	return ok
-}
-
-func (req *batchRequest) scan(body []byte) bool {
-	var r batchRequest
-	s := scanner{b: body}
-	ok := s.object([]string{"sequences"}, func(int) (ok bool) {
-		r.Sequences, ok = s.floatArrays()
-		return ok
-	})
-	if ok {
-		*req = r
-	}
-	return ok
-}
-
-func (req *searchRequest) scan(body []byte) bool {
-	var r searchRequest
-	hasBand := false
-	s := scanner{b: body}
-	ok := s.object([]string{"query", "epsilon", "band"}, func(f int) (ok bool) {
-		switch f {
-		case 0:
-			r.Query, ok = s.floats()
-		case 1:
-			r.Epsilon, ok = s.float()
-		case 2:
-			r.band, ok = s.integer()
-			hasBand = true
-		}
-		return ok
-	})
-	if ok {
-		*req = r
-		if hasBand {
-			req.Band = &req.band
-		}
-	}
-	return ok
-}
-
-func (req *knnRequest) scan(body []byte) bool {
-	var r knnRequest
-	hasBand := false
-	s := scanner{b: body}
-	ok := s.object([]string{"query", "k", "band"}, func(f int) (ok bool) {
-		switch f {
-		case 0:
-			r.Query, ok = s.floats()
-		case 1:
-			r.K, ok = s.integer()
-		case 2:
-			r.band, ok = s.integer()
-			hasBand = true
-		}
-		return ok
-	})
-	if ok {
-		*req = r
-		if hasBand {
-			req.Band = &req.band
-		}
-	}
-	return ok
-}
-
-func (req *subseqSearchRequest) scan(body []byte) bool {
-	var r subseqSearchRequest
-	s := scanner{b: body}
-	ok := s.object([]string{"query", "epsilon"}, func(f int) (ok bool) {
-		if f == 0 {
-			r.Query, ok = s.floats()
-		} else {
-			r.Epsilon, ok = s.float()
-		}
-		return ok
-	})
-	if ok {
-		*req = r
-	}
-	return ok
+	return seqs, ok
 }
 
 // scanner walks a request body in canonical JSON. Every method reports
@@ -243,50 +146,34 @@ func (s *scanner) next(c byte) bool {
 	return false
 }
 
-// object walks a body that is one JSON object followed only by whitespace.
-// Each key must be one of names, spelt exactly, unescaped and at most
-// once; value(f) consumes the value of names[f].
-func (s *scanner) object(names []string, value func(f int) bool) bool {
+// object walks a body that is one JSON object followed only by whitespace:
+// {} or {"name": value}, the key spelt exactly and unescaped; value consumes
+// the value. Any other key, or a second one, declines.
+func (s *scanner) object(name string, value func() bool) bool {
 	if !s.next('{') {
 		return false
 	}
-	var seen uint32
 	if !s.next('}') {
-		for {
-			f := s.key(names)
-			if f < 0 || seen&(1<<f) != 0 || !s.next(':') || !value(f) {
-				return false
-			}
-			seen |= 1 << f
-			if s.next('}') {
-				break
-			}
-			if !s.next(',') {
-				return false
-			}
+		if !s.key(name) || !s.next(':') || !value() || !s.next('}') {
+			return false
 		}
 	}
 	s.ws()
 	return s.i == len(s.b)
 }
 
-// key consumes a quoted key and returns its index in names, or -1.
-func (s *scanner) key(names []string) int {
+// key consumes a quoted key and reports whether it is name.
+func (s *scanner) key(name string) bool {
 	if !s.next('"') {
-		return -1
+		return false
 	}
 	end := bytes.IndexByte(s.b[s.i:], '"')
 	if end < 0 {
-		return -1
+		return false
 	}
 	k := s.b[s.i : s.i+end]
 	s.i += end + 1
-	for f, name := range names {
-		if string(k) == name {
-			return f
-		}
-	}
-	return -1 // unknown, a case variant, or escaped: encoding/json decides
+	return string(k) == name // else unknown, a case variant or escaped: encoding/json decides
 }
 
 // number consumes one number in JSON's grammar,
@@ -345,17 +232,6 @@ func (s *scanner) float() (float64, bool) {
 	return v, err == nil
 }
 
-// integer consumes a number as encoding/json decodes it into an int: a
-// fraction, an exponent or an overflow declines.
-func (s *scanner) integer() (int, bool) {
-	t, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(t), 10, 0)
-	return int(v), err == nil
-}
-
 // floats consumes an array of numbers into a slice of its exact length;
 // [] is an empty, non-nil slice, as encoding/json makes it.
 func (s *scanner) floats() ([]float64, bool) {
@@ -364,7 +240,8 @@ func (s *scanner) floats() ([]float64, bool) {
 	}
 	// Count before filling: in an array of numbers the first ']' closes
 	// it, and its n elements are n-1 commas apart. Input that is not such
-	// an array fails the filling pass below.
+	// an array fails the filling pass below; n numbers take at least 2n-1
+	// bytes, so a run of bare commas declines before it allocates.
 	end := bytes.IndexByte(s.b[s.i:], ']')
 	if end < 0 {
 		return nil, false
@@ -372,6 +249,9 @@ func (s *scanner) floats() ([]float64, bool) {
 	n := 0
 	if c := *s; !c.next(']') {
 		n = bytes.Count(s.b[s.i:s.i+end], []byte{','}) + 1
+	}
+	if 2*n-1 > end {
+		return nil, false
 	}
 	out := make([]float64, n)
 	for k := range out {

@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/benchkit"
@@ -41,6 +43,37 @@ func legacyDecodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
+// The request structs as the handlers declared them inline before
+// decodeBody existed. They are unnamed, so encoding/json's type errors name
+// a field ".k", not "knnRequest.k"; the oracle decodes into these, which
+// pins that text as well.
+type (
+	legacyValues = struct {
+		Values []float64 `json:"values"`
+	}
+	legacyBatch = struct {
+		Sequences [][]float64 `json:"sequences"`
+	}
+	legacySearch = struct {
+		Query   []float64 `json:"query"`
+		Epsilon float64   `json:"epsilon"`
+		Band    *int      `json:"band"`
+	}
+	legacyKNN = struct {
+		Query []float64 `json:"query"`
+		K     int       `json:"k"`
+		Band  *int      `json:"band"`
+	}
+	legacySubseqBuild = struct {
+		WindowLens []int `json:"window_lens"`
+		Step       int   `json:"step"`
+	}
+	legacySubseqSearch = struct {
+		Query   []float64 `json:"query"`
+		Epsilon float64   `json:"epsilon"`
+	}
+)
+
 type decodeFunc func(http.ResponseWriter, *http.Request, any) bool
 
 // runDecode sends body through decode as the server would (under the
@@ -53,10 +86,12 @@ func runDecode(decode decodeFunc, body []byte, dst any) (bool, int, string) {
 	return ok, rec.Code, rec.Body.String()
 }
 
-// checkDecode holds decodeBody to legacyDecodeBody on one request type.
-func checkDecode[T any](t *testing.T, body []byte) {
+// checkDecode holds decodeBody into a handler's request type T to
+// legacyDecodeBody into the struct L that handler used to declare.
+func checkDecode[T, L any](t *testing.T, body []byte) {
 	t.Helper()
-	var got, want T
+	var got T
+	var want L
 	gotOK, gotCode, gotText := runDecode(decodeBody, body, &got)
 	wantOK, wantCode, wantText := runDecode(legacyDecodeBody, body, &want)
 	if gotOK != wantOK || gotCode != wantCode || gotText != wantText {
@@ -102,7 +137,7 @@ func sameBits(a, b reflect.Value) bool {
 }
 
 // canonicalBodies are the shapes the benchmark's client and the Go client
-// send, one per request type with a fast path.
+// send; only the batch body has a fast path.
 var canonicalBodies = []string{
 	`{"values":[1.5,-2,3e-7,0]}`,
 	`{"sequences":[[1,2,3],[4.25],[]]}`,
@@ -123,35 +158,123 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 		`{"sequences":[[1],[2,[3]]]}`, `{"query":[1],"epsilon":1e-400}`,
 		"{\"values\" : [ 1 , 2 ] }\n", `{"values":[1]}`, `{}`, ``,
 		`{"window_lens":[4,8],"step":2}`, `{"values":[1,]}`, `{"band":99999999999999999999}`,
+		`{"values":[,,,]}`, `{"sequences":[[,,,]]}`, `{"sequences":[[1,,2]]}`,
+		`{"sequences":[[1e400]]}`, `{"Sequences":[[1]]}`, `{"sequences":[[1]],"sequences":[[2]]}`,
+		`{"sequences":null}`, `{"sequences":[null]}`, `{"sequences":"x"}`, `{"sequences":[["x"]]}`,
+		`{"k":"x"}`, `{"query":"x","epsilon":1}`, `{"sequences":[[1]]}` + " \t\r\n",
 	} {
 		f.Add([]byte(b))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkDecode[valuesRequest](t, body)
-		checkDecode[batchRequest](t, body)
-		checkDecode[searchRequest](t, body)
-		checkDecode[knnRequest](t, body)
-		checkDecode[subseqBuildRequest](t, body)
-		checkDecode[subseqSearchRequest](t, body)
+		checkDecode[legacyValues, legacyValues](t, body)
+		checkDecode[batchRequest, legacyBatch](t, body)
+		checkDecode[legacySearch, legacySearch](t, body)
+		checkDecode[legacyKNN, legacyKNN](t, body)
+		checkDecode[legacySubseqBuild, legacySubseqBuild](t, body)
+		checkDecode[legacySubseqSearch, legacySubseqSearch](t, body)
 	})
 }
 
 // The fuzz target's equality would hold vacuously if the scanner declined
-// everything; the canonical bodies must take the fast path.
+// everything; the canonical batch bodies must take the fast path.
 func TestScannerTakesTheCanonicalShape(t *testing.T) {
-	reqs := []scannable{&valuesRequest{}, &batchRequest{}, &searchRequest{}, &knnRequest{}, &subseqSearchRequest{}}
-	for i, req := range reqs {
-		if !req.scan([]byte(canonicalBodies[i])) {
-			t.Errorf("%T declined its canonical body %s", req, canonicalBodies[i])
+	rng := rand.New(rand.NewSource(1))
+	for _, body := range [][]byte{
+		[]byte(canonicalBodies[1]),
+		[]byte(`{}`),
+		[]byte(" {\"sequences\" : [ [ 1 , -2.5e3 ] , [ ] ] }\n"),
+		benchkit.BatchBody(synth.RandomWalkSet(rng, 50, 128)),
+	} {
+		if _, ok := scanBatch(body); !ok {
+			t.Errorf("the scanner declined %.60q", body)
 		}
 	}
-	rng := rand.New(rand.NewSource(1))
-	batch := benchkit.BatchBody(synth.RandomWalkSet(rng, 50, 128))
-	if !new(batchRequest).scan(batch) {
-		t.Error("the benchmark's batch body took the reference path")
+}
+
+// A canonical batch allocates its body buffer, the outer slice and one
+// slice per sequence, nothing else: no reflection, no string copy of a
+// number.
+func TestDecodeBatchAllocs(t *testing.T) {
+	const seqs = 20
+	body := benchkit.BatchBody(synth.RandomWalkSet(rand.New(rand.NewSource(2)), seqs, 64))
+	if len(body) > firstRead {
+		t.Fatalf("body of %d bytes takes more than one read buffer", len(body))
 	}
-	if !new(knnRequest).scan(knnBody(rng, 128)) {
-		t.Error("a benchmark-shaped /knn body took the reference path")
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/sequences/batch", rd)
+	w := httptest.NewRecorder()
+	var req batchRequest
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(body)
+		if !decodeBody(w, r, &req) {
+			t.Fatal("decode failed")
+		}
+	})
+	if allocs > 2+seqs {
+		t.Fatalf("decoding a %d-sequence batch: %v allocations, want ≤ %d", seqs, allocs, 2+seqs)
+	}
+	if len(req.Sequences) != seqs || len(req.Sequences[seqs-1]) != 64 {
+		t.Fatalf("decoded %d sequences", len(req.Sequences))
+	}
+}
+
+// A run of bare commas is not an array of numbers: the scanner declines it
+// before it sizes a slice from the comma count.
+func TestScannerCommaRunAllocatesLittle(t *testing.T) {
+	body := []byte(`{"sequences":[[` + strings.Repeat(",", 1<<20) + `]]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, ok := scanBatch(body); ok {
+		t.Fatal("the scanner accepted a run of commas")
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 { // 8 MiB without the check
+		t.Fatalf("declining a %d-byte comma run allocated %d bytes", len(body), n)
+	}
+}
+
+// stallReader hands out a few bytes and then ends, recording the largest
+// read it was asked to fill: the size of the buffer readBody allocated.
+type stallReader struct {
+	data    []byte
+	largest int
+}
+
+func (s *stallReader) Read(p []byte) (int, error) {
+	s.largest = max(s.largest, len(p))
+	if len(s.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// A client that declares the largest Content-Length the cap allows and then
+// sends a few bytes makes the server hold firstRead bytes, not the
+// declared length; a body that does arrive in full is read exactly.
+func TestReadBodyFollowsTheBytesReceived(t *testing.T) {
+	sr := &stallReader{data: []byte(`{"sequences":[[1,2`)}
+	r := httptest.NewRequest(http.MethodPost, "/sequences/batch", sr)
+	r.ContentLength = MaxBodyBytes
+	w := httptest.NewRecorder()
+	var req batchRequest
+	if decodeBody(w, r, &req) || w.Code != http.StatusBadRequest {
+		t.Fatalf("short body: ok or status %d, want 400", w.Code)
+	}
+	if sr.largest > firstRead {
+		t.Fatalf("a %d-byte body with Content-Length %d got a %d-byte buffer, want ≤ %d",
+			len(`{"sequences":[[1,2`), MaxBodyBytes, sr.largest, firstRead)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for _, seqs := range []int{1, 300} { // under firstRead, and several doublings over it
+		body := benchkit.BatchBody(synth.RandomWalkSet(rng, seqs, 128))
+		r := httptest.NewRequest(http.MethodPost, "/sequences/batch", bytes.NewReader(body))
+		got, err := readBody(r)
+		if err != nil || !bytes.Equal(got, body) || cap(got) != len(body) {
+			t.Fatalf("%d-byte body: read %d bytes (cap %d), %v", len(body), len(got), cap(got), err)
+		}
 	}
 }
 
@@ -167,31 +290,10 @@ func knnBody(rng *rand.Rand, n int) []byte {
 	return append(b, `],"k":10,"band":8}`...)
 }
 
-// A canonical query allocates its body buffer and its query slice, nothing
-// else: no reflection, no string copy of a number, no *int for the band.
-func TestDecodeQueryAllocs(t *testing.T) {
-	body := knnBody(rand.New(rand.NewSource(2)), 128)
-	rd := bytes.NewReader(body)
-	r := httptest.NewRequest(http.MethodPost, "/knn", rd)
-	w := httptest.NewRecorder()
-	var req knnRequest
-	allocs := testing.AllocsPerRun(100, func() {
-		rd.Reset(body)
-		if !decodeBody(w, r, &req) {
-			t.Fatal("decode failed")
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("decoding a 128-element /knn body: %v allocations, want ≤ 2", allocs)
-	}
-	if len(req.Query) != 128 || req.K != 10 || req.Band == nil || *req.Band != 8 {
-		t.Fatalf("decoded %+v", req)
-	}
-}
-
 // BenchmarkDecodeBody times decodeBody on the benchmark's request shapes:
-// one 1 000-sequence /sequences/batch body (the load) and one 128-element
-// /knn body (every query). Run at -cpu 1 with -benchmem.
+// one 1 000-sequence /sequences/batch body (the load, through the scanner)
+// and one 128-element /knn body (every query, through encoding/json). Run at
+// -cpu 1 with -benchmem.
 func BenchmarkDecodeBody(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, bc := range []struct {
@@ -200,7 +302,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 		dst  func() any
 	}{
 		{"batch1000", benchkit.BatchBody(synth.RandomWalkSetVaryLen(rng, 1000, 64, 192)), func() any { return new(batchRequest) }},
-		{"query128", knnBody(rng, 128), func() any { return new(knnRequest) }},
+		{"query128", knnBody(rng, 128), func() any { return new(legacyKNN) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rd := bytes.NewReader(bc.body)

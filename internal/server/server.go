@@ -448,7 +448,9 @@ func (s *Server) handleSequences(w http.ResponseWriter, r *http.Request) {
 	if s.denyWrites(w) {
 		return
 	}
-	var req valuesRequest
+	var req struct {
+		Values []float64 `json:"values"`
+	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -532,7 +534,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req searchRequest
+	var req struct {
+		Query   []float64 `json:"query"`
+		Epsilon float64   `json:"epsilon"`
+		// Band is the optional Sakoe–Chiba band half-width this query
+		// answers under: omitted = the backend's configured default, 0 =
+		// unconstrained, ≥ 1 = banded, negative = 400.
+		Band *int `json:"band"`
+	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -564,7 +573,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req knnRequest
+	var req struct {
+		Query []float64 `json:"query"`
+		K     int       `json:"k"`
+		// Band as in /search: omitted = backend default, 0 = unconstrained,
+		// ≥ 1 = banded, negative = 400.
+		Band *int `json:"band"`
+	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -600,7 +615,10 @@ func (s *Server) handleSubseqBuild(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req subseqBuildRequest
+	var req struct {
+		WindowLens []int `json:"window_lens"`
+		Step       int   `json:"step"`
+	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -623,7 +641,10 @@ func (s *Server) handleSubseqSearch(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req subseqSearchRequest
+	var req struct {
+		Query   []float64 `json:"query"`
+		Epsilon float64   `json:"epsilon"`
+	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
