@@ -45,8 +45,8 @@ func legacyDecodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 
 // The request structs as the handlers declared them inline before
 // decodeBody existed. They are unnamed, so encoding/json's type errors name
-// a field ".k", not "knnRequest.k"; the oracle decodes into these, which
-// pins that text as well.
+// a field ".k", where a named type T would make it "T.k"; the oracle
+// decodes into these, which pins that text as well.
 type (
 	legacyValues = struct {
 		Values []float64 `json:"values"`
