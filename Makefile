@@ -25,7 +25,8 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # the flat-slab and snapshot-file codec (slab, delta section), and the
 # snapshot loader (hostile files, a delta section that contradicts its slab
 # included, must error out or load into an index that holds every invariant
-# and walks without faulting), the heap's scratch fetch vs Get over scripted
+# and walks without faulting), the k-NN walk's branch-free L∞ keys vs the
+# branchy loops they replaced and rtree's MinDist (the same bits), the heap's scratch fetch vs Get over scripted
 # appends, rollbacks, deletes, flushes and reopens at every page size, and
 # the heap directory loader (whatever dir.bin opens must read without a
 # panic), and the HTTP request decoder vs encoding/json (same verdict,
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzCorridorMatchesDistance$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
+	$(GO) test -run=^$$ -fuzz='^FuzzLInfKernelsMatchReference$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s ./internal/seqdb
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s ./internal/seqdb
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s ./internal/server
@@ -94,6 +96,8 @@ bench-smoke:
 # banded cascade as served — k-NN k 10 and range search at ε 0.3 and 1.0
 # through the public API on a file-backed database, per query with the
 # per-tier counts (the ε 1.0 shape on fewer queries: one costs ≈ 13 ms),
+# and k-NN k 10 again on a database whose index holds a 2 000-add
+# unmerged delta, as a server's does after its load,
 # and last the DP as the other callers run it, through a pooled Refiner:
 # the public Distance / BandDistance, a Naive-Scan pass at ε 0.1 and at
 # +Inf, and subsequence search; then the HTTP request decoder on one
@@ -110,7 +114,7 @@ kernels:
 	$(GO) test -c -o bin/seqdb.test ./internal/seqdb
 	cd internal/seqdb && ../../bin/seqdb.test -test.run '^$$' -test.bench 'HeapFetch' -test.cpu 1 -test.count 5
 	$(GO) test -c -o bin/twsim.test .
-	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^(knn_k10|range_eps0\.3)$$' -test.benchtime 2000x -test.cpu 1 -test.count 5
+	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^(knn_k10|range_eps0\.3|knn_k10_delta2000)$$' -test.benchtime 2000x -test.cpu 1 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^range_eps1\.0$$' -test.benchtime 200x -test.cpu 1 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench '^Benchmark(DTW|AblationEarlyAbandon|SubseqSearch)$$' -test.cpu 1 -test.count 5
 	$(GO) test -c -o bin/server.test ./internal/server

@@ -21,6 +21,11 @@ import (
 //	              dismisses ≈ 142, ≈ 21 reach the DP
 //	range_eps1.0  range search at ε 1.0: ≈ 2 450 candidates, ≈ 1 880 reach
 //	              the DP and ≈ 1 770 of them are results
+//	knn_k10_delta2000
+//	              knn_k10 on a second database of the same walks, loaded
+//	              as the server is: 18 000 bulk-loaded, the last 2 000
+//	              inserted by a second AddBatch, so the walk runs over a
+//	              2 000-add unmerged delta (below the 4 096 merge threshold)
 //
 // One op is one query; the queries cycle in order, so an op count that is a
 // multiple of 200 averages every query the same number of times. Per op it
@@ -28,7 +33,7 @@ import (
 // tiers' dismissals) and dtw/op (the candidates the DP decided). `make
 // kernels` runs it from a test binary, in the form:
 //
-//	go test -run '^$' -bench 'BandedServed/^(knn_k10|range_eps0\.3)$' -benchtime 2000x -cpu 1 .
+//	go test -run '^$' -bench 'BandedServed/^(knn_k10|range_eps0\.3|knn_k10_delta2000)$' -benchtime 2000x -cpu 1 .
 //	go test -run '^$' -bench 'BandedServed/^range_eps1\.0$' -benchtime 200x -cpu 1 .
 func BenchmarkBandedServed(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
@@ -38,15 +43,33 @@ func BenchmarkBandedServed(b *testing.B) {
 	for i, s := range corpus {
 		data[i] = s
 	}
-	db, err := twsim.Create(b.TempDir(), twsim.Options{RefineWorkers: 1})
-	if err != nil {
-		b.Fatal(err)
+	// load creates a database in dir and adds data in one AddBatch per
+	// part: the first bulk-loads the index, the rest go through its delta.
+	load := func(b *testing.B, dir string, parts ...[][]float64) *twsim.DB {
+		db, err := twsim.Create(dir, twsim.Options{RefineWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, part := range parts {
+			if _, err := db.AddBatch(part); err != nil {
+				db.Close()
+				b.Fatal(err)
+			}
+		}
+		return db
 	}
+	db := load(b, b.TempDir(), data)
 	defer db.Close()
-	if _, err := db.AddBatch(data); err != nil {
-		b.Fatal(err)
-	}
-	const band = 8
+	const band, deltaN = 8, 2_000
+	// The delta database is built on first use, so only its case pays
+	// for the load.
+	deltaDir := b.TempDir()
+	var deltaDB *twsim.DB
+	defer func() {
+		if deltaDB != nil {
+			deltaDB.Close()
+		}
+	}()
 	ctx := context.Background()
 	for _, bc := range []struct {
 		name string
@@ -55,8 +78,16 @@ func BenchmarkBandedServed(b *testing.B) {
 		{"knn_k10", func(q []float64) (*twsim.Result, error) { return db.NearestKCtx(ctx, q, 10, band) }},
 		{"range_eps0.3", func(q []float64) (*twsim.Result, error) { return db.SearchCtx(ctx, q, 0.3, band) }},
 		{"range_eps1.0", func(q []float64) (*twsim.Result, error) { return db.SearchCtx(ctx, q, 1.0, band) }},
+		{"knn_k10_delta2000", func(q []float64) (*twsim.Result, error) { return deltaDB.NearestKCtx(ctx, q, 10, band) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			if bc.name == "knn_k10_delta2000" && deltaDB == nil {
+				deltaDB = load(b, deltaDir, data[:len(data)-deltaN], data[len(data)-deltaN:])
+				if got := deltaDB.IndexEngineStats().DeltaEntries; got != deltaN {
+					b.Fatalf("the second AddBatch left %d delta entries, want %d", got, deltaN)
+				}
+				b.ResetTimer()
+			}
 			var st twsim.QueryStats
 			for i := 0; i < b.N; i++ {
 				res, err := bc.run(queries[i%len(queries)])

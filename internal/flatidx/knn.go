@@ -1,6 +1,7 @@
 package flatidx
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/seq"
@@ -22,9 +23,18 @@ import (
 // it just fires earlier than the mindist alone would let it.
 
 // heapItem is one frontier element: a packed node (node >= 0), a snapshot
-// item (node == snapItem), or a delta add (node == deltaItem, item indexes
-// the view's adds array). The keyed variants mark an item whose priority
-// was raised by the sharpener — already sharpened, never re-keyed.
+// item (node == snapItem), a delta add (node == deltaItem, item indexes the
+// view's adds array), or the delta cursor. The keyed variants mark an item
+// whose priority was raised by the sharpener — already sharpened, never
+// re-keyed.
+//
+// The delta is a second frontier (deltaFrontier): its adds are keyed by raw
+// L∞ distance apart from the main heap, which holds one deltaCursor entry
+// keyed by the transform of the delta's minimum (xform is monotone, so raw
+// order is key order). Popping the cursor pops the delta's minimum as a
+// deltaItem and re-pushes the cursor at the next minimum, so a walk keys a
+// D-add delta in one pass and orders only the adds it reaches, instead of
+// pushing all D onto the main heap.
 type heapItem struct {
 	dist float64
 	node int32
@@ -36,6 +46,7 @@ const (
 	deltaItem      = -2
 	keyedSnapItem  = -3
 	keyedDeltaItem = -4
+	deltaCursor    = -5
 )
 
 type knnHeap []heapItem
@@ -78,10 +89,94 @@ func (h *knnHeap) pop() heapItem {
 	return top
 }
 
+// deltaBlock is the block size of a walk's delta frontier.
+const deltaBlock = 64
+
+// deltaFrontier hands out a walk's delta adds in non-decreasing raw L∞
+// distance, on demand. The adds' distances sit in blocks of deltaBlock in
+// array order; each block keeps its adds not yet popped at its front, and
+// their minimum. Keying D adds is one pass of branch-free kernels with no
+// ordering work; popping the minimum scans one block and the block minima,
+// O(deltaBlock + D/deltaBlock). A walk pops only the few adds that reach
+// its frontier minimum, so it never orders the rest (a heapify would, on
+// every query, with a mispredicted branch per level).
+type deltaFrontier struct {
+	adds   []deltaAdd // block by block
+	blocks []deltaBlockMin
+	min    float64 // the smallest distance of an add not yet popped
+	left   int     // adds not yet popped
+}
+
+type deltaAdd struct {
+	dist float64 // raw L∞ distance from the query point
+	i    int32   // index in the view's adds array
+}
+
+type deltaBlockMin struct {
+	min  float64 // minimum distance over the block's live adds; +Inf when none
+	live int     // the block's live adds are adds[b*deltaBlock:][:live]
+}
+
+// reset keys the adds by their L∞ distance from p.
+func (f *deltaFrontier) reset(adds []Entry, p *[4]float64) {
+	f.adds, f.blocks, f.left = f.adds[:0], f.blocks[:0], len(adds)
+	for lo := 0; lo < len(adds); lo += deltaBlock {
+		hi := min(lo+deltaBlock, len(adds))
+		m := math.Inf(1)
+		for i := lo; i < hi; i++ {
+			d := pointDistLInf(&adds[i].Point, p)
+			f.adds = append(f.adds, deltaAdd{d, int32(i)})
+			m = min(m, d)
+		}
+		f.blocks = append(f.blocks, deltaBlockMin{min: m, live: hi - lo})
+	}
+	f.setMin()
+}
+
+func (f *deltaFrontier) setMin() {
+	f.min = math.Inf(1)
+	for _, b := range f.blocks {
+		f.min = min(f.min, b.min)
+	}
+}
+
+// pop removes an add at distance f.min and returns its index in the adds
+// array; the last live add of its block moves into its slot. Nothing lies
+// below f.min, so the tests skip what lies above it: a NaN (which the
+// finite-input contract rules out) then matches the first live add
+// instead of none.
+func (f *deltaFrontier) pop() int32 {
+	for bi := range f.blocks {
+		b := &f.blocks[bi]
+		if b.live == 0 || b.min > f.min {
+			continue
+		}
+		live := f.adds[bi*deltaBlock:][:b.live]
+		for j := range live {
+			if live[j].dist > f.min {
+				continue
+			}
+			i := live[j].i
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			b.live--
+			b.min = math.Inf(1)
+			for _, a := range live {
+				b.min = min(b.min, a.dist)
+			}
+			f.left--
+			f.setMin()
+			return i
+		}
+	}
+	panic("flatidx: delta frontier lost its minimum")
+}
+
 // WalkStats counts one nearest walk's frontier work.
 type WalkStats struct {
 	// Pushes is the total number of frontier pushes (nodes, items, and
-	// envelope re-keys).
+	// envelope re-keys). Every delta add counts as one push, the cursor
+	// that stands for the delta in the main heap as none.
 	Pushes int64
 	// Repushes counts items that re-entered the frontier with an
 	// envelope-sharpened priority (the second frontier level).
@@ -92,8 +187,12 @@ type WalkStats struct {
 	EnvStops int64
 }
 
-// walkPool recycles frontier arrays across walks.
-var walkPool = sync.Pool{New: func() any { h := make(knnHeap, 0, 128); return &h }}
+// walkPool recycles frontier arrays across walks, and deltaPool the delta
+// frontiers (one per walk over a non-empty delta, sized to the delta).
+var (
+	walkPool  = sync.Pool{New: func() any { h := make(knnHeap, 0, 128); return &h }}
+	deltaPool = sync.Pool{New: func() any { return new(deltaFrontier) }}
+)
 
 // NearestWalk streams live entries in non-decreasing L∞ distance from p,
 // calling fn with each entry and its distance; fn returning false stops
@@ -126,31 +225,35 @@ func (x *Index) NearestWalkKeyed(p *[4]float64, xform func(float64) float64,
 	}
 	hp := walkPool.Get().(*knnHeap)
 	h := (*hp)[:0]
+	var df *deltaFrontier
 	defer func() {
 		*hp = h[:0]
 		walkPool.Put(hp)
+		if df != nil {
+			deltaPool.Put(df)
+		}
 	}()
 	if v.snap.Len() > 0 {
 		h.push(heapItem{dist: xf(v.snap.nodeDistLInf(0, p)), node: 0})
 		ws.Pushes++
 	}
-	for i := range v.adds {
-		e := &v.adds[i]
-		max := 0.0
-		for d := 0; d < 4; d++ {
-			g := e.Point[d] - p[d]
-			if g < 0 {
-				g = -g
-			}
-			if g > max {
-				max = g
-			}
-		}
-		h.push(heapItem{dist: xf(max), node: deltaItem, item: int32(i)})
-		ws.Pushes++
+	if len(v.adds) > 0 {
+		df = deltaPool.Get().(*deltaFrontier)
+		df.reset(v.adds, p)
+		h.push(heapItem{dist: xf(df.min), node: deltaCursor})
+		ws.Pushes += int64(len(v.adds))
 	}
 	for len(h) > 0 {
 		top := h.pop()
+		if top.node == deltaCursor {
+			// The cursor's key is the delta minimum's: hand that add to the
+			// deltaItem case, and re-enter the cursor at the next minimum
+			// first, so the sharpener's frontier test below sees it.
+			top.node, top.item = deltaItem, df.pop()
+			if df.left > 0 {
+				h.push(heapItem{dist: xf(df.min), node: deltaCursor})
+			}
+		}
 		switch top.node {
 		case snapItem:
 			e := v.snap.item(int(top.item))

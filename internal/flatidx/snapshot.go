@@ -528,41 +528,46 @@ func (s *Snapshot) nodeContainsPoint(n int, p *[4]float64) bool {
 	return true
 }
 
+// The L∞ keys of the k-NN walk are branch-free: a data-dependent "is the
+// gap negative" / "is it the largest yet" branch mispredicts often on a
+// walk's pushes. math.Abs clears the sign bit and the max builtin compiles
+// without branches, so the kernels below run straight through. On
+// finite inputs they are bit-identical to the branchy reference loops in
+// knn_test.go and to rtree.Rect.MinDist(·, NormLInf): a zero gap is +0 in
+// all of them (math.Abs(−0) is +0, and max(−0, 0) is +0). A NaN
+// coordinate propagates into the key (DESIGN §10: none reaches the index).
+
 // nodeDistLInf is the L∞ minimum distance from p to node n's rect — the
 // same axis-gap maximum rtree.MinDist computes under NormLInf, so the k-NN
-// walk streams bit-identical lower bounds.
+// walk streams bit-identical lower bounds. On an axis at most one of
+// lo−p and p−hi is positive (lo ≤ hi), and it is that axis's gap.
 func (s *Snapshot) nodeDistLInf(n int, p *[4]float64) float64 {
 	off := headerSize + n*nodeSize
-	max := 0.0
-	for d := 0; d < 4; d++ {
-		var g float64
-		if lo := s.f64(off + d*8); p[d] < lo {
-			g = lo - p[d]
-		} else if hi := s.f64(off + 32 + d*8); p[d] > hi {
-			g = p[d] - hi
-		}
-		if g > max {
-			max = g
-		}
-	}
-	return max
+	b := s.slab[off : off+64 : off+64]
+	return max(
+		f64le(b[0:])-p[0], p[0]-f64le(b[32:]),
+		f64le(b[8:])-p[1], p[1]-f64le(b[40:]),
+		f64le(b[16:])-p[2], p[2]-f64le(b[48:]),
+		f64le(b[24:])-p[3], p[3]-f64le(b[56:]),
+		0)
 }
 
 // itemDistLInf is the L∞ distance from p to item j's point.
 func (s *Snapshot) itemDistLInf(j int, p *[4]float64) float64 {
 	off := s.itemsOff + j*itemSize
-	max := 0.0
-	for d := 0; d < 4; d++ {
-		g := s.f64(off+d*8) - p[d]
-		if g < 0 {
-			g = -g
-		}
-		if g > max {
-			max = g
-		}
-	}
-	return max
+	b := s.slab[off : off+32 : off+32]
+	x := [4]float64{f64le(b[0:]), f64le(b[8:]), f64le(b[16:]), f64le(b[24:])}
+	return pointDistLInf(&x, p)
 }
+
+// pointDistLInf is the L∞ distance between two points: the key of a
+// snapshot item and of a delta add alike.
+func pointDistLInf(x, p *[4]float64) float64 {
+	return max(math.Abs(x[0]-p[0]), math.Abs(x[1]-p[1]), math.Abs(x[2]-p[2]), math.Abs(x[3]-p[3]))
+}
+
+// f64le decodes the little-endian float64 at the front of b.
+func f64le(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // appendRange appends every live item inside the closed rect [lo, hi] to
 // dst, skipping tombstoned entries. Allocation-free beyond dst growth.
