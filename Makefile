@@ -14,8 +14,10 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # Short coverage-guided fuzz passes over the ordering oracles: the block
 # sliding min/max envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
-# the banded two-sided LB_PAA <= BandDistance (exactly) and >= the
-# interval-gap form it replaced,
+# the banded two-sided LB_PAA on the packed float32 record <= BandDistance
+# (exactly, on values float32 cannot hold) and >= the interval-gap form on
+# the inward-read bounds, the envelope sidecar's slot codec (no panic on any
+# bytes, encode∘decode the identity, a flipped bit fails the CRC),
 # the refine tier's windowed kernel vs the dense DP and its banded pass vs
 # the reference banded loop (verdict and bits), the bit-parallel L∞
 # decision vs the dense DP (Within(t) == Distance ≤ t, LB_Kim ≤ Distance,
@@ -36,6 +38,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzLBPAASound$$' -fuzztime=5s ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzEnvSlotRoundtrip$$' -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s ./internal/dtw

@@ -189,6 +189,20 @@ func run(bin string) error {
 			return err
 		}
 	}
+	// Memory: the Go runtime's heap series and the envelope store's gauge,
+	// which holds one 132-byte packed record for every live sequence.
+	var mem [5]float64
+	for i, name := range []string{"twsim_go_heap_inuse_bytes", "twsim_go_heap_sys_bytes", "twsim_go_next_gc_bytes", "twsim_envelope_store_bytes", "twsim_sequences"} {
+		if mem[i], err = need(name, nil); err != nil {
+			return err
+		}
+	}
+	if inuse, sys, goal := mem[0], mem[1], mem[2]; inuse <= 0 || sys < inuse || goal <= 0 {
+		return fmt.Errorf("Go heap series: in use %g, sys %g, next GC %g; want 0 < in use <= sys and a positive GC goal", inuse, sys, goal)
+	}
+	if envBytes, live := mem[3], mem[4]; live < 1 || envBytes < 132*live {
+		return fmt.Errorf("twsim_envelope_store_bytes = %g for %g live sequences, want at least 132 a sequence", envBytes, live)
+	}
 	// The queries fetched their candidates from the heap, and the fetch
 	// counts into the data pool's counters whichever way it read the pages.
 	readsAfter, err := need("twsim_pool_reads_total", dataPool)

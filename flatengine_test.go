@@ -666,3 +666,108 @@ func TestFlatEngineStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEnvelopeSidecarV2Rederived: a directory whose envelopes.paa is the
+// version-2 sidecar (the chunked slots with float64 bounds) opens with the
+// file refused and every envelope re-derived from the heap into a
+// version-3 file, and then answers banded k-NN and range queries exactly as
+// a database that never held the old file.
+func TestEnvelopeSidecarV2Rederived(t *testing.T) {
+	data, qs := knnCorpus(rand.New(rand.NewSource(2043)), 1500, 48, 6)
+	dir := t.TempDir()
+	db, err := twsim.Create(dir, twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := filepath.Join(dir, "envelopes.paa")
+	writeV2Sidecar(t, sidecar, data)
+
+	db, err = twsim.Open(dir, twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := strings.Join(db.OpenDiagnostics(), "\n")
+	if !strings.Contains(notes, "envelope-sidecar rebuilt-on-open") || !strings.Contains(notes, "version 2") {
+		t.Fatalf("open diagnostics do not name the version-2 sidecar:\n%s", notes)
+	}
+	if err := db.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, err := fresh.AddBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		for _, run := range []func(twsim.Backend) (*twsim.Result, error){
+			func(b twsim.Backend) (*twsim.Result, error) { return b.NearestKCtx(nil, q, 10, 4) },
+			func(b twsim.Backend) (*twsim.Result, error) { return b.SearchCtx(nil, q, 1.5, 4) },
+		} {
+			want, err := run(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := run(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got.Matches) != fmt.Sprint(want.Matches) {
+				t.Fatalf("after re-deriving the envelopes: %v, want %v", got.Matches, want.Matches)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const v3Slot = 1024*(4+8*seq.PAASegments) + 4
+	if fi, err := os.Stat(sidecar); err != nil || fi.Size() != 16+2*v3Slot {
+		t.Fatalf("sidecar after the rebuild: %v bytes (err %v), want the header and two version-3 slots, %d", fi.Size(), err, 16+2*v3Slot)
+	}
+	db, err = twsim.Open(dir, twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+		t.Fatalf("the re-derived sidecar needed another repair: %+v %q", db.LastRepair(), db.OpenDiagnostics())
+	}
+}
+
+// writeV2Sidecar writes the envelope sidecar the way version 2 did: the
+// chunked slots of 1 024 records, each record a u32 length and float64
+// bounds, under one CRC a slot.
+func writeV2Sidecar(t *testing.T, path string, data [][]float64) {
+	t.Helper()
+	const chunk = 1024
+	buf := append([]byte("TWPE"), 2, 0, 0, 0, seq.PAASegments, 0, 0, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, chunk)
+	for lo := 0; lo < len(data); lo += chunk {
+		start := len(buf)
+		for id := lo; id < lo+chunk; id++ {
+			var e seq.PAAEnvelope
+			if id < len(data) {
+				var err error
+				if e, err = seq.ExtractPAAEnvelope(data[id]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Len))
+			for _, v := range append(e.Min[:], e.Max[:]...) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -236,7 +236,8 @@ func (c *cascade) admitEnvelope(id seq.ID, cutoff float64, stats *QueryStats) bo
 func (c *paaPruner) inert() bool { return c.base == seq.LInf && c.band == 0 }
 
 // lbPAA computes the LB_PAA bound between the query and one stored record
-// profile: a lower bound of the distance the query answers.
+// profile (packed, see PackedEnvelope): a lower bound of the distance the
+// query answers.
 //
 // Under L∞ it is the two-sided form of lbPAABanded for a banded query over a
 // record of the query's length, and 0 for every other pair. There the only
@@ -251,9 +252,11 @@ func (c *paaPruner) inert() bool { return c.base == seq.LInf && c.band == 0 }
 // otherwise. It costs at least the interval gap between [Min_k, Max_k] and
 // Q's range over that window, and every element is matched at least once,
 // so Σ_k |segment k|·Elem(0, gap_k) lower-bounds the total — the
-// unconstrained one, and so the banded one too.
-func (c *paaPruner) lbPAA(pe *seq.PAAEnvelope) float64 {
-	banded := c.band >= 1 && pe.Len == len(c.q)
+// unconstrained one, and so the banded one too. The gap is taken from the
+// stored interval, which contains [Min_k, Max_k], so it can only be smaller.
+func (c *paaPruner) lbPAA(pe *PackedEnvelope) float64 {
+	n := int(pe.Len)
+	banded := c.band >= 1 && n == len(c.q)
 	if c.base == seq.LInf {
 		if !banded {
 			return 0
@@ -267,12 +270,12 @@ func (c *paaPruner) lbPAA(pe *seq.PAAEnvelope) float64 {
 	}
 	acc := 0.0
 	for k := 0; k < seq.PAASegments; k++ {
-		lo, hi := seq.PAABounds(pe.Len, k)
+		lo, hi := seq.PAABounds(n, k)
 		if lo >= hi {
 			continue
 		}
 		qlo, qhi := c.paaWindow(banded, k)
-		if g := intervalGap(pe.Min[k], pe.Max[k], qlo, qhi); g > 0 {
+		if g := intervalGap(float64(pe.Min[k]), float64(pe.Max[k]), qlo, qhi); g > 0 {
 			acc += float64(hi-lo) * c.base.Elem(0, g)
 		}
 	}
@@ -290,14 +293,23 @@ func (c *paaPruner) lbPAA(pe *seq.PAAEnvelope) float64 {
 //	         k are matched to some s_i with i ∈ W_k, and [sl_k, sh_k] is the
 //	         range of the stored segments covering W_k
 //
-// Each term is one rounded subtraction of operands no farther apart than the
-// pair's, and rounding is monotone, so it is ≤ the cost |s_i − q_j| the DP
-// charges that pair; the DP combines by max, so the bound is ≤ BandDistance
-// bit for bit (FuzzLBPAASound). The forward half alone dominates the
-// interval gap between [Min_k, Max_k] and [qlo_k, qhi_k]. Each term keeps
-// its own running max so the four chains overlap (BenchmarkLBPAA: one
-// shared chain costs ≈ 2×).
-func (c *paaPruner) lbPAABanded(pe *seq.PAAEnvelope) float64 {
+// The record is packed, and the two halves read it in opposite directions.
+// The reverse terms need only intervals that contain the segments' values,
+// so they read sl_k and sh_k from the stored, outward-rounded bounds. The
+// forward terms need the value of an element of S, and an outward bound is
+// not one: a Min rounded down makes qlo_k − Min_k larger than the pair's
+// cost. They read each bound one float32 ulp inward instead (minIn, maxIn):
+// a value ≥ the true Min_k and ≤ the true Max_k, at a cost of at most that
+// ulp of tightness.
+//
+// So each term is one rounded subtraction of operands no farther apart than
+// the pair's, and rounding is monotone, so it is ≤ the cost |s_i − q_j| the
+// DP charges that pair; the DP combines by max, so the bound is ≤
+// BandDistance bit for bit (FuzzLBPAASound). The forward half alone
+// dominates the interval gap between the inward-read bounds and
+// [qlo_k, qhi_k]. Each term keeps its own running max so the four chains
+// overlap (BenchmarkLBPAA: one shared chain costs ≈ 2×).
+func (c *paaPruner) lbPAABanded(pe *PackedEnvelope) float64 {
 	c.ensureSegWindows()
 	p := &c.paa
 	fLo, fHi, rLo, rHi := 0.0, 0.0, 0.0, 0.0
@@ -311,10 +323,10 @@ func (c *paaPruner) lbPAABanded(pe *seq.PAAEnvelope) float64 {
 				sl, sh = min(sl, pe.Min[j]), max(sh, pe.Max[j])
 			}
 		}
-		fLo = max(fLo, p.segMin[k]-pe.Min[k])
-		fHi = max(fHi, pe.Max[k]-p.segMax[k])
-		rLo = max(rLo, sl-p.ownMin[k])
-		rHi = max(rHi, p.ownMax[k]-sh)
+		fLo = max(fLo, p.segMin[k]-pe.minIn(k))
+		fHi = max(fHi, pe.maxIn(k)-p.segMax[k])
+		rLo = max(rLo, float64(sl)-p.ownMin[k])
+		rHi = max(rHi, p.ownMax[k]-float64(sh))
 	}
 	return max(fLo, fHi, rLo, rHi)
 }

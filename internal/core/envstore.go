@@ -17,6 +17,9 @@ import (
 // index stores. The filter phase uses it for the LB_PAA cascade tier: a
 // candidate streamed from the index can be pruned against its stored
 // segment profile before its sequence is ever fetched from the heap.
+// Each envelope is held packed (PackedEnvelope: float32 bounds rounded
+// outward), at half the size of the float64 seq.PAAEnvelope it is
+// extracted as.
 //
 // IDs are dense, so the store is a list of fixed envChunk-envelope chunks
 // indexed by ID: growing it allocates one chunk and never copies the
@@ -39,12 +42,79 @@ type EnvStore struct {
 // envChunk is the number of envelopes per chunk.
 const envChunk = 1024
 
-type envChunkData [envChunk]seq.PAAEnvelope
+type envChunkData [envChunk]PackedEnvelope
+
+// PackedEnvelope is a record's PAA envelope as EnvStore holds it: the
+// length and each segment's Min and Max as float32, 132 bytes against
+// seq.PAAEnvelope's 264. PackEnvelope rounds outward — Min toward −∞, Max
+// toward +∞ — so the stored [Min_k, Max_k] contains every value of segment
+// k. A bound that only needs the interval to contain the segment reads the
+// stored value; one that needs an element equal to the extreme reads it
+// one float32 ulp inward (minIn, maxIn), which lies on the far side of the
+// true extreme (see lbPAABanded).
+type PackedEnvelope struct {
+	Len      int32
+	Min, Max [seq.PAASegments]float32
+}
+
+// PackEnvelope rounds e outward into the stored form. A zero Min is stored
+// as +0 and a zero Max as −0, so that minIn and maxIn are one step of the
+// bit pattern away from every stored value.
+func PackEnvelope(e seq.PAAEnvelope) PackedEnvelope {
+	p := PackedEnvelope{Len: int32(e.Len)}
+	for k := range p.Min {
+		p.Min[k], p.Max[k] = roundDown32(e.Min[k]), roundUp32(e.Max[k])
+	}
+	return p
+}
+
+// roundDown32 is the largest float32 ≤ x, +0 for a zero.
+func roundDown32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	if f == 0 {
+		return 0
+	}
+	return f
+}
+
+// roundUp32 is the smallest float32 ≥ x, −0 for a zero.
+func roundUp32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	if f == 0 {
+		return negZero32
+	}
+	return f
+}
+
+var negZero32 = math.Float32frombits(1 << 31)
+
+// minIn is Min_k one float32 ulp up: above the segment's true minimum,
+// since the stored value is the largest float32 at or below it. The bit
+// pattern steps by +1 for a non-negative value and −1 for a negative one;
+// the stored +0 for zero keeps that step away from the −0 ↔ NaN wrap, and a
+// Min rounded down to −Inf steps to −MaxFloat32.
+func (p *PackedEnvelope) minIn(k int) float64 {
+	b := math.Float32bits(p.Min[k])
+	return float64(math.Float32frombits(b + 1 - b>>31<<1))
+}
+
+// maxIn is Max_k one float32 ulp down: below the segment's true maximum,
+// by the mirror argument (the stored −0 for zero, +Inf steps to MaxFloat32).
+func (p *PackedEnvelope) maxIn(k int) float64 {
+	b := math.Float32bits(p.Max[k])
+	return float64(math.Float32frombits(b - 1 + b>>31<<1))
+}
 
 // NewEnvStore returns an empty in-memory store.
 func NewEnvStore() *EnvStore { return &EnvStore{} }
 
-// Put records the envelope for id, replacing any existing entry. All
+// Put records the envelope for id, packed, replacing any existing entry. All
 // methods tolerate a nil receiver as an always-empty store, so callers
 // composing the engine by hand (tests, tools) need not wire envelopes in.
 func (es *EnvStore) Put(id seq.ID, env seq.PAAEnvelope) {
@@ -62,15 +132,15 @@ func (es *EnvStore) Put(id seq.ID, env seq.PAAEnvelope) {
 	if e.Len == 0 {
 		es.n++
 	}
-	*e = env
+	*e = PackEnvelope(env)
 	es.dirty[c] = true
 }
 
-// Get returns the envelope stored for id, nil when there is none. It points
-// into the store's chunk rather than copying: the envelope stays put until
-// Put or Remove rewrites that slot, and callers read it under the read half
-// of the owning database's lock (twsim.DB.mu), which excludes both.
-func (es *EnvStore) Get(id seq.ID) *seq.PAAEnvelope {
+// Get returns the packed envelope stored for id, nil when there is none. It
+// points into the store's chunk rather than copying: the envelope stays put
+// until Put or Remove rewrites that slot, and callers read it under the read
+// half of the owning database's lock (twsim.DB.mu), which excludes both.
+func (es *EnvStore) Get(id seq.ID) *PackedEnvelope {
 	if es == nil || int(id)/envChunk >= len(es.chunks) {
 		return nil
 	}
@@ -87,7 +157,7 @@ func (es *EnvStore) Remove(id seq.ID) {
 	}
 	c := int(id) / envChunk
 	if e := &es.chunks[c][int(id)%envChunk]; e.Len != 0 {
-		*e = seq.PAAEnvelope{}
+		*e = PackedEnvelope{}
 		es.n--
 		es.dirty[c] = true
 	}
@@ -101,6 +171,12 @@ func (es *EnvStore) Len() int {
 	return es.n
 }
 
+// Bytes returns the memory the allocated chunks hold: one packed record per
+// ID they cover, live or not.
+func (es *EnvStore) Bytes() int64 {
+	return int64(es.span()) * envRecordSize
+}
+
 // span returns the size of the ID space the allocated chunks cover.
 func (es *EnvStore) span() int {
 	if es == nil {
@@ -109,28 +185,31 @@ func (es *EnvStore) span() int {
 	return len(es.chunks) * envChunk
 }
 
-// Sidecar file format, version 2 (little endian):
+// Sidecar file format, version 3 (little endian):
 //
 //	header: magic "TWPE" | version u32 | segments u32 | envelopes per chunk u32
 //	then one fixed-size slot per chunk, chunk i at envHeaderSize + i*envSlotSize:
-//	  envChunk × ( len u32 | segments × min f64 | segments × max f64 )   len 0 = absent
+//	  envChunk × ( len u32 | segments × min f32 | segments × max f32 )   len 0 = absent
 //	  crc32(IEEE) of the records above, u32
 //
-// The header never changes after creation and a record's position is its
-// ID, so a Save touches only the slots of dirty chunks. A slot torn by a
-// crash fails its own checksum and costs that one chunk, not the file.
-// Version 1 was a single checksummed run of (id, envelope) records rewritten
-// whole on every save; such a file is replaced on open.
+// A record is the PackedEnvelope bit for bit, 132 bytes, the same as in
+// memory. The header never changes after creation and a record's position
+// is its ID, so a Save touches only the slots of dirty chunks. A slot torn
+// by a crash fails its own checksum and costs that one chunk, not the file.
+// Version 2 held the same slots with float64 bounds (264-byte records);
+// version 1 was a single checksummed run of (id, envelope) records
+// rewritten whole on every save. Either is refused on open and the store
+// re-derived from the heap.
 const (
 	envMagic      = "TWPE"
-	envVersion    = 2
+	envVersion    = 3
 	envHeaderSize = 16
-	envRecordSize = 4 + 16*seq.PAASegments
+	envRecordSize = 4 + 8*seq.PAASegments
 	envSlotSize   = envChunk*envRecordSize + 4
 )
 
 // CreateEnvStore creates (or replaces) the sidecar at path with an empty
-// version-2 file and returns the empty store bound to it.
+// version-3 file and returns the empty store bound to it.
 func CreateEnvStore(path string) (*EnvStore, error) {
 	header := make([]byte, 0, envHeaderSize)
 	header = append(header, envMagic...)
@@ -259,8 +338,8 @@ func encodeEnvSlot(slot []byte, chunk *envChunkData) {
 		e, rec := &chunk[i], slot[i*envRecordSize:]
 		binary.LittleEndian.PutUint32(rec, uint32(e.Len))
 		for k := 0; k < seq.PAASegments; k++ {
-			binary.LittleEndian.PutUint64(rec[4+8*k:], math.Float64bits(e.Min[k]))
-			binary.LittleEndian.PutUint64(rec[4+8*(seq.PAASegments+k):], math.Float64bits(e.Max[k]))
+			binary.LittleEndian.PutUint32(rec[4+4*k:], math.Float32bits(e.Min[k]))
+			binary.LittleEndian.PutUint32(rec[4+4*(seq.PAASegments+k):], math.Float32bits(e.Max[k]))
 		}
 	}
 	body := slot[:envSlotSize-4]
@@ -274,10 +353,10 @@ func decodeEnvSlot(slot []byte, chunk *envChunkData) error {
 	}
 	for i := range chunk {
 		e, rec := &chunk[i], slot[i*envRecordSize:]
-		e.Len = int(binary.LittleEndian.Uint32(rec))
+		e.Len = int32(binary.LittleEndian.Uint32(rec))
 		for k := 0; k < seq.PAASegments; k++ {
-			e.Min[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4+8*k:]))
-			e.Max[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4+8*(seq.PAASegments+k):]))
+			e.Min[k] = math.Float32frombits(binary.LittleEndian.Uint32(rec[4+4*k:]))
+			e.Max[k] = math.Float32frombits(binary.LittleEndian.Uint32(rec[4+4*(seq.PAASegments+k):]))
 		}
 	}
 	return nil

@@ -10,16 +10,16 @@ import (
 )
 
 // intervalGapPAA is a test-local copy of the interval-gap form of LB_PAA
-// under L∞: the max over non-empty segments k of the gap between the
-// record's [Min_k, Max_k] and Q's range over the band-expanded window
-// [lo_k − r, hi_k − 1 + r] ∩ [0, |Q|−1], or over the whole of Q when r < 0
-// (the global-range form). The banded form is what lbPAA computed before it
-// became two-sided; the global one is what it computed for every other L∞
-// pair before that form was deleted.
-func intervalGapPAA(pe *seq.PAAEnvelope, q seq.Sequence, r int) float64 {
+// under L∞ for a record of length n: the max over non-empty segments k of
+// the gap between [mins[k], maxs[k]] and Q's range over the band-expanded
+// window [lo_k − r, hi_k − 1 + r] ∩ [0, |Q|−1], or over the whole of Q when
+// r < 0 (the global-range form). The banded form is what lbPAA computed
+// before it became two-sided; the global one is what it computed for every
+// other L∞ pair before that form was deleted.
+func intervalGapPAA(n int, mins, maxs *[seq.PAASegments]float64, q seq.Sequence, r int) float64 {
 	lb := 0.0
 	for k := 0; k < seq.PAASegments; k++ {
-		lo, hi := seq.PAABounds(pe.Len, k)
+		lo, hi := seq.PAABounds(n, k)
 		if lo >= hi {
 			continue
 		}
@@ -28,11 +28,23 @@ func intervalGapPAA(pe *seq.PAAEnvelope, q seq.Sequence, r int) float64 {
 			wlo, whi = max(lo-r, 0), min(hi-1+r, len(q)-1)
 		}
 		qlo, qhi := q[wlo : whi+1].MinMax()
-		if g := intervalGap(pe.Min[k], pe.Max[k], qlo, qhi); g > lb {
+		if g := intervalGap(mins[k], maxs[k], qlo, qhi); g > lb {
 			lb = g
 		}
 	}
 	return lb
+}
+
+// inwardGapPAA is intervalGapPAA on the bounds lbPAABanded's forward terms
+// read from a packed record, each one float32 ulp inward. A segment whose
+// stored interval is at most two ulps wide (a constant one, say) reads
+// inverted, Min above Max; its interval is the one the two reads span.
+func inwardGapPAA(pe *PackedEnvelope, q seq.Sequence, r int) float64 {
+	var mins, maxs [seq.PAASegments]float64
+	for k := range mins {
+		mins[k], maxs[k] = min(pe.minIn(k), pe.maxIn(k)), max(pe.minIn(k), pe.maxIn(k))
+	}
+	return intervalGapPAA(int(pe.Len), &mins, &maxs, q, r)
 }
 
 // TestGlobalPAABelowKim is dtw.TestGlobalBoundsBelowKim for LB_PAA: under L∞
@@ -57,29 +69,38 @@ func TestGlobalPAABelowKim(t *testing.T) {
 			t.Fatal(err)
 		}
 		kim := dtw.LBKim(s, q)
-		if g := intervalGapPAA(&pe, q, -1); g > kim {
+		if g := intervalGapPAA(pe.Len, &pe.Min, &pe.Max, q, -1); g > kim {
 			t.Fatalf("trial %d |s|=%d |q|=%d: global-range LB_PAA %v > LB_Kim %v", trial, len(s), len(q), g, kim)
 		}
 		band := rng.Intn(3)
 		if band >= 1 && len(s) == len(q) {
 			continue // a banded equal-length pair takes the two-sided form
 		}
-		if lb := newPAAPruner(q, seq.LInf, band).lbPAA(&pe); lb > kim {
+		packed := PackEnvelope(pe)
+		if lb := newPAAPruner(q, seq.LInf, band).lbPAA(&packed); lb > kim {
 			t.Fatalf("trial %d band %d: lbPAA %v > LB_Kim %v", trial, band, lb, kim)
 		}
 	}
 }
 
 // FuzzLBPAASound fuzzes the banded L∞ form of LB_PAA on fuzzer-chosen
-// equal-length pairs and bands (decoded as FuzzBandedBoundChain decodes
-// them): it must not exceed BandDistance — compared exactly, which is what
-// the strict `key > cutoff` stop of the k-NN walk needs — and must not fall
-// below the interval-gap form it replaced. `make fuzz-smoke` runs it briefly.
+// equal-length pairs and bands, through the packed record the store holds:
+// it must not exceed BandDistance — compared exactly, which is what the
+// strict `key > cutoff` stop of the k-NN walk needs — and must not fall
+// below the interval-gap form on the inward-read bounds. Bytes decode as
+// FuzzBandedBoundChain decodes them, b/16 − 8, except that an odd byte adds
+// 0.1: that value is not a float32, so packing moves its stored bounds,
+// while even bytes stay exact, zero included. `make fuzz-smoke` runs it
+// briefly.
 func FuzzLBPAASound(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{4, 3, 2, 1}, 1)
 	f.Add([]byte{0, 255, 0, 255, 128}, []byte{128, 128, 128, 128, 128}, 2)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200}, []byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, 3)
 	f.Add([]byte{9}, []byte{200}, 0)
+	// A constant S below a constant Q, both off the float32 grid: every
+	// pair costs q − s, and a forward term that read the stored Min (one
+	// rounding below s) would exceed it.
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, []byte{201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201, 201}, 2)
 	f.Fuzz(func(t *testing.T, sraw, qraw []byte, r int) {
 		n := min(len(sraw), len(qraw), 130)
 		if n == 0 {
@@ -89,21 +110,30 @@ func FuzzLBPAASound(f *testing.F) {
 		s := make(seq.Sequence, n)
 		q := make(seq.Sequence, n)
 		for i := 0; i < n; i++ {
-			s[i] = float64(sraw[i])/16 - 8
-			q[i] = float64(qraw[i])/16 - 8
+			s[i], q[i] = fuzzValue(sraw[i]), fuzzValue(qraw[i])
 		}
 		pe, err := seq.ExtractPAAEnvelope(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := newPAAPruner(q, seq.LInf, r).lbPAA(&pe)
+		packed := PackEnvelope(pe)
+		lb := newPAAPruner(q, seq.LInf, r).lbPAA(&packed)
 		if bd := dtw.BandDistance(s, q, seq.LInf, r); lb > bd {
 			t.Fatalf("n=%d r=%d: LB_PAA %v > BandDistance %v", n, r, lb, bd)
 		}
-		if gap := intervalGapPAA(&pe, q, r); lb < gap {
+		if gap := inwardGapPAA(&packed, q, r); lb < gap {
 			t.Fatalf("n=%d r=%d: LB_PAA %v < interval-gap form %v", n, r, lb, gap)
 		}
 	})
+}
+
+// fuzzValue decodes one fuzz byte: b/16 − 8, plus 0.1 for an odd b.
+func fuzzValue(b byte) float64 {
+	v := float64(b)/16 - 8
+	if b&1 == 1 {
+		v += 0.1
+	}
+	return v
 }
 
 var lbPAASink float64
@@ -117,9 +147,10 @@ var lbPAASink float64
 func BenchmarkLBPAA(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	data := synth.RandomWalkSet(rng, 4096, 128)
-	envs := make([]seq.PAAEnvelope, len(data))
+	envs := make([]PackedEnvelope, len(data))
 	for i, s := range data {
-		envs[i], _ = seq.ExtractPAAEnvelope(s)
+		pe, _ := seq.ExtractPAAEnvelope(s)
+		envs[i] = PackEnvelope(pe)
 	}
 	qs := synth.Queries(rng, data, 16)
 	pruners := make([]*paaPruner, len(qs))

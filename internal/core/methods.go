@@ -113,12 +113,7 @@ func filterRadius(base seq.Base, epsilon float64) float64 {
 }
 
 func sortMatches(matches []Match) {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Dist != matches[j].Dist {
-			return matches[i].Dist < matches[j].Dist
-		}
-		return matches[i].ID < matches[j].ID
-	})
+	sort.Slice(matches, func(i, j int) bool { return matchLess(matches[i], matches[j]) })
 }
 
 // NaiveScan is the sequential-scan baseline (§3.1): it reads every data
@@ -358,7 +353,7 @@ func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, stats *QueryStats,
 type knnTop struct {
 	mu     sync.Mutex
 	k      int
-	best   []Match // sorted ascending by (Dist, ID), ≤ k entries
+	best   []Match // a max-heap on (Dist, ID) of ≤ k entries: best[0] is the worst kept
 	shared *SharedBound
 }
 
@@ -368,7 +363,7 @@ func (kt *knnTop) cutoff() float64 {
 	kt.mu.Lock()
 	c := math.Inf(1)
 	if len(kt.best) == kt.k {
-		c = kt.best[kt.k-1].Dist
+		c = kt.best[0].Dist
 	}
 	kt.mu.Unlock()
 	if kt.shared != nil {
@@ -380,18 +375,58 @@ func (kt *knnTop) cutoff() float64 {
 }
 
 // admit records one candidate's exact distance, publishing the k-th best to
-// the shared bound once k survivors exist.
+// the shared bound once k survivors exist. It costs O(log k) under the lock:
+// a candidate fills the heap until k are kept, and after that replaces the
+// top only when it orders before it.
 func (kt *knnTop) admit(id seq.ID, d float64) {
+	m := Match{ID: id, Dist: d}
 	kt.mu.Lock()
-	kt.best = append(kt.best, Match{ID: id, Dist: d})
-	sortMatches(kt.best)
-	if len(kt.best) > kt.k {
-		kt.best = kt.best[:kt.k]
+	h := kt.best
+	switch {
+	case len(h) < kt.k:
+		h = append(h, m)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !matchLess(h[p], h[i]) {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		kt.best = h
+	case matchLess(m, h[0]):
+		h[0] = m
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && matchLess(h[c], h[c+1]) {
+				c++
+			}
+			if !matchLess(h[i], h[c]) {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
 	}
-	if kt.shared != nil && len(kt.best) == kt.k {
-		kt.shared.Update(kt.best[kt.k-1].Dist)
+	if kt.shared != nil && len(h) == kt.k {
+		kt.shared.Update(h[0].Dist)
 	}
 	kt.mu.Unlock()
+}
+
+// sorted returns the kept matches ascending by (Dist, ID). Call it once the
+// evaluations are done.
+func (kt *knnTop) sorted() []Match {
+	sortMatches(kt.best)
+	return kt.best
+}
+
+// matchLess orders matches the way answers are reported: by distance, then ID.
+func matchLess(a, b Match) bool {
+	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
 }
 
 // knnCandidate is the one k-NN candidate body, called inline by the serial
@@ -470,5 +505,5 @@ func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound,
 	if err != nil {
 		return nil, err
 	}
-	return top.best, nil
+	return top.sorted(), nil
 }

@@ -114,8 +114,8 @@ func workerCascades(first *cascade, n int) []*cascade {
 // member m has Dtw(m) ≤ final k-th best ≤ every cutoff ever observed, so the
 // walk cannot stop before streaming m (comparableLB(m) ≤ Dtw(m) ≤ cutoff)
 // and m's verification cannot reject it (verify accepts at ≤ cutoff).
-// Staleness therefore only admits extra candidates, which the final
-// sort-and-truncate removes; the returned set is the (Dist, ID)-ordered
+// Staleness therefore only admits extra candidates, which the bounded heap
+// never keeps past k; the returned set is the (Dist, ID)-ordered
 // top-k of all streamed candidates — exactly the serial result, bit for bit.
 func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, top *knnTop, stats *QueryStats) ([]Match, error) {
 	workers := t.Workers
@@ -179,5 +179,5 @@ func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, top *knnT
 	if ctxAbort != nil {
 		return nil, ctxAbort
 	}
-	return top.best, nil
+	return top.sorted(), nil
 }

@@ -262,3 +262,52 @@ func TestWorkerCascadesShareEnvelopes(t *testing.T) {
 		t.Fatalf("a disabled cascade's worker: disabled %v refiner %v", off.disabled, off.refiner)
 	}
 }
+
+// TestNearestKTopMatchesSort pins the bounded k-best heap (knnTop) to a
+// brute-force sort: banded k-NN over equal-length walks, some stored twice
+// so that distances tie and the ID breaks them, returns exactly the first k
+// of all records sorted by (BandDistance, ID) — the same IDs and the same
+// distance bits — for k of 1, 10, n and n + 7, with one refine worker and
+// with two.
+func TestNearestKTopMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	data := synth.RandomWalkSet(rng, 200, 32)
+	data = append(data, data[:40]...) // ties: records 200..239 repeat 0..39
+	db, idx := buildFixture(t, data)
+	envs := NewEnvStore()
+	for i, s := range data {
+		pe, err := seq.ExtractPAAEnvelope(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs.Put(seq.ID(i), pe)
+	}
+	const band = 4
+	n := len(data)
+	for trial := 0; trial < 4; trial++ {
+		q := synth.Query(rng, data)
+		all := make([]Match, n)
+		for i, s := range data {
+			all[i] = Match{ID: seq.ID(i), Dist: dtw.BandDistance(s, q, seq.LInf, band)}
+		}
+		sortMatches(all)
+		for _, k := range []int{1, 10, n, n + 7} {
+			want := all[:min(k, n)]
+			for _, workers := range []int{1, 2} {
+				tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, Envs: envs, Workers: workers}
+				got, err := tw.NearestK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d k=%d workers %d: %d matches, want %d", trial, k, workers, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Fatalf("trial %d k=%d workers %d rank %d: %+v, want %+v", trial, k, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -166,14 +166,21 @@ func (s QueryStats) String() string {
 
 // StorageStats is a point-in-time snapshot of the storage-layer counters:
 // the heap file's buffer pool (the flat index has no pool: it is walked in
-// place). The snapshot is wait-free and weakly consistent — good for
-// monitoring ratios, not for exact accounting.
+// place) and the memory the envelope store holds. The snapshot is wait-free
+// and weakly consistent — good for monitoring ratios, not for exact
+// accounting.
 type StorageStats struct {
 	Data pagefile.Stats
+	// EnvelopeBytes is EnvStore.Bytes: the packed PAA envelopes held in
+	// memory, one record per ID the store's chunks cover.
+	EnvelopeBytes int64
 }
 
 // Add accumulates other into s (used to aggregate across shards).
-func (s *StorageStats) Add(other StorageStats) { s.Data.Add(other.Data) }
+func (s *StorageStats) Add(other StorageStats) {
+	s.Data.Add(other.Data)
+	s.EnvelopeBytes += other.EnvelopeBytes
+}
 
 // Match is one qualifying sequence with its exact time warping distance.
 type Match struct {

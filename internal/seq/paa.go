@@ -1,14 +1,17 @@
 package seq
 
 // PAASegments is the number of segments in a stored PAA envelope. 16 keeps
-// the per-record footprint at 16·2 float64s + a length — small enough to
-// hold every record's profile in memory alongside the 4-d Kim feature, yet
-// fine-grained enough for the segment ranges to separate diverging walks.
+// the per-record footprint at 16·2 float32s + a length, 132 bytes, as
+// core.EnvStore packs it — small enough to hold every record's profile in
+// memory alongside the 4-d Kim feature, yet fine-grained enough for the
+// segment ranges to separate diverging walks.
 const PAASegments = 16
 
 // PAAEnvelope is the piecewise-aggregate min/max profile of a sequence: the
 // sequence is cut into PAASegments contiguous segments and each segment
-// stores the min and max of its values, plus the original length. It is the
+// stores the min and max of its values, plus the original length. This is
+// the float64 extraction form; core.EnvStore stores it packed to float32,
+// rounded outward (core.PackEnvelope). It is the
 // per-record half of the LB_PAA filter tier and k-NN walk key, so candidate
 // records can be pruned before their sequences are fetched. For a banded
 // query of the record's length the bound is two-sided: each segment's min

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -117,6 +118,19 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("twsim_pool_misses_total", dataPool, "Page reads that went to the backend, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Misses) }))
 	reg.CounterFunc("twsim_pool_writes_total", dataPool, "Physical page write-backs, by buffer pool.", pool(func(st twsim.StorageStats) float64 { return float64(st.Data.Writes) }))
 	reg.GaugeFunc("twsim_pool_hit_ratio", dataPool, "Buffer pool hit ratio (1 - misses/reads).", pool(func(st twsim.StorageStats) float64 { return st.Data.HitRatio() }))
+	reg.GaugeFunc("twsim_envelope_store_bytes", "", "Memory held by the packed PAA envelopes of the LB_PAA tier (summed over shards).",
+		pool(func(st twsim.StorageStats) float64 { return float64(st.EnvelopeBytes) }))
+
+	// Go runtime memory, read from runtime/metrics at scrape time: the heap
+	// in use (MemStats.HeapInuse), the heap obtained from the OS
+	// (MemStats.HeapSys) and the heap size the next GC cycle targets.
+	reg.GaugeFunc("twsim_go_heap_inuse_bytes", "", "Go heap bytes in in-use spans (objects plus their unused slack).",
+		runtimeSum("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"))
+	reg.GaugeFunc("twsim_go_heap_sys_bytes", "", "Go heap bytes obtained from the OS (in use, free and released).",
+		runtimeSum("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes",
+			"/memory/classes/heap/free:bytes", "/memory/classes/heap/released:bytes"))
+	reg.GaugeFunc("twsim_go_next_gc_bytes", "", "Go heap size the next garbage collection targets.",
+		runtimeSum("/gc/heap/goal:bytes"))
 
 	// Whole-query result cache: collectors snapshot ResultCacheStats at
 	// scrape time (all series read 0 with the cache disabled).
@@ -240,4 +254,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.reg.WriteText(w)
+}
+
+// runtimeSum returns a collector that reads the named runtime/metrics
+// samples, all uint64 byte counts, and returns their sum.
+func runtimeSum(names ...string) func() float64 {
+	return func() float64 {
+		samples := make([]metrics.Sample, len(names))
+		for i, name := range names {
+			samples[i].Name = name
+		}
+		metrics.Read(samples)
+		sum := 0.0
+		for _, sm := range samples {
+			if sm.Value.Kind() == metrics.KindUint64 {
+				sum += float64(sm.Value.Uint64())
+			}
+		}
+		return sum
+	}
 }

@@ -179,6 +179,16 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	mustValue(t, s, "twsim_pool_reads_total", map[string]string{"pool": "data"})
 	mustValue(t, s, "twsim_pool_hit_ratio", map[string]string{"pool": "data"})
+	// Memory: 20 sequences fill part of one 1 024-record chunk of packed
+	// 132-byte envelopes; the Go heap series are live runtime readings.
+	if got := mustValue(t, s, "twsim_envelope_store_bytes", nil); got != 1024*132 {
+		t.Errorf("twsim_envelope_store_bytes = %g, want one chunk, %d", got, 1024*132)
+	}
+	for _, name := range []string{"twsim_go_heap_inuse_bytes", "twsim_go_heap_sys_bytes", "twsim_go_next_gc_bytes"} {
+		if got := mustValue(t, s, name, nil); got <= 0 {
+			t.Errorf("%s = %g, want > 0", name, got)
+		}
+	}
 }
 
 // conservation reads both sides of the conservation law from a scrape:

@@ -239,7 +239,8 @@ func (e *Engine) IndexPages() int {
 	return total
 }
 
-// StorageStats aggregates the data heaps' buffer pool counters across shards.
+// StorageStats aggregates the data heaps' buffer pool counters and the
+// envelope stores' memory across shards.
 func (e *Engine) StorageStats() core.StorageStats {
 	var total core.StorageStats
 	for i := range e.stores {

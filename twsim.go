@@ -57,8 +57,8 @@ type Result = core.Result
 type QueryStats = core.QueryStats
 
 // StorageStats snapshots the storage-layer counters: the data heap's buffer
-// pool. Snapshots are wait-free and weakly consistent (see the core type's
-// godoc).
+// pool and the envelope store's memory. Snapshots are wait-free and weakly
+// consistent (see the core type's godoc).
 type StorageStats = core.StorageStats
 
 // CostModel converts buffer pool misses into modeled disk time.
@@ -829,11 +829,12 @@ func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*R
 		})
 }
 
-// StorageStats snapshots the storage-layer counters: the data buffer pool.
+// StorageStats snapshots the storage-layer counters: the data buffer pool
+// and the envelope store's memory.
 func (db *DB) StorageStats() StorageStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return StorageStats{Data: db.store.Stats()}
+	return StorageStats{Data: db.store.Stats(), EnvelopeBytes: db.envs.Bytes()}
 }
 
 // Distance computes the exact time warping distance between a stored

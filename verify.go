@@ -3,6 +3,7 @@ package twsim
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/dtw"
 	"repro/internal/seq"
 )
@@ -18,8 +19,9 @@ import (
 //     exactness of the lower bound makes this sound);
 //  3. the index entry count matches the live sequence count;
 //  4. the PAA envelope store holds exactly the envelope re-derivable from
-//     every live sequence (the LB_PAA filter tier prunes on these before
-//     fetching, so a stale envelope could silently mis-prune).
+//     every live sequence, in its packed form (the LB_PAA filter tier
+//     prunes on these before fetching, so a stale envelope could silently
+//     mis-prune).
 //
 // Verify reads every page of the database; cost is one sequential sweep
 // plus one point query per sequence.
@@ -70,7 +72,7 @@ func (db *DB) Verify() error {
 			if pe == nil {
 				return fmt.Errorf("sequence %d: missing PAA envelope", id)
 			}
-			if want, err := seq.ExtractPAAEnvelope(s); err != nil || *pe != want {
+			if want, err := seq.ExtractPAAEnvelope(s); err != nil || *pe != core.PackEnvelope(want) {
 				return fmt.Errorf("sequence %d: PAA envelope does not match the stored record", id)
 			}
 		}
