@@ -5,40 +5,42 @@ GO ?= go
 # Full gate: formatting, static checks (vet plus the query-surface check),
 # build, the whole test suite (including the fault-injection recovery tests)
 # under the race detector, a short fuzz pass over the envelope/lower-bound
-# oracles, the snapshot-file readers and the HTTP request decoder, the observability smoke (boots twsimd, scrapes /metrics, validates the
+# oracles, the readers of untrusted bytes and the HTTP request decoder, the observability smoke (boots twsimd, scrapes /metrics, validates the
 # exposition), the WAL crash-simulation suite (torn tail, corrupt middle
 # record, duplicate replay — each recovered state compared record-for-record
 # against a never-crashed database), and the benchmark's smoke run.
 ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 
-# Short coverage-guided fuzz passes over the ordering oracles: the block
+# Short coverage-guided fuzz passes. The ordering oracles: the block
 # sliding min/max envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
 # the banded two-sided LB_PAA on the packed float32 record <= BandDistance
 # (exactly, on values float32 cannot hold) and >= the interval-gap form on
-# the inward-read bounds, the envelope sidecar's slot codec (no panic on any
-# bytes, encode∘decode the identity, a flipped bit fails the CRC),
-# the refine tier's windowed kernel vs the dense DP and its banded pass vs
-# the reference banded loop (verdict and bits), the bit-parallel L∞
-# decision vs the dense DP (Within(t) == Distance ≤ t, LB_Kim ≤ Distance,
-# and Within(LB_Kim) only when the two are the same bits), the DP inside
-# the decision's co-reach windows vs the dense DP (the same bits at the
-# distance, one ulp above it and a cutoff further up),
-# the flat-slab and snapshot-file codec (slab, delta section), and the
-# snapshot loader (hostile files, a delta section that contradicts its slab
-# included, must error out or load into an index that holds every invariant
-# and walks without faulting), the k-NN walk's branch-free L∞ keys vs the
-# branchy loops they replaced and rtree's MinDist (the same bits), the heap's scratch fetch vs Get over scripted
-# appends, rollbacks, deletes, flushes and reopens at every page size, and
-# the heap directory loader (whatever dir.bin opens must read without a
-# panic), and the HTTP request decoder vs encoding/json (same verdict,
-# status, error text and decoded bits for every request struct).
-# Go permits one fuzz target per -fuzz run, so each gets its own pass.
+# the inward-read bounds, the refine tier's windowed kernel vs the dense DP
+# and its banded pass vs the reference banded loop (verdict and bits), the
+# bit-parallel L∞ decision vs the dense DP (Within(t) == Distance ≤ t,
+# LB_Kim ≤ Distance, and Within(LB_Kim) only when the two are the same
+# bits), the DP inside the decision's co-reach windows vs the dense DP (the
+# same bits at the distance, one ulp above it and a cutoff further up), the
+# flat slab built from entries vs a brute-force range scan, the k-NN walk's
+# branch-free L∞ keys vs the branchy loops they replaced and rtree's
+# MinDist (the same bits), and the heap's scratch fetch vs Get over scripted
+# appends, rollbacks, deletes, flushes and reopens at every page size. The
+# readers of bytes from outside the process — the index and envelopes are
+# derived from the heap at Open and have none: the heap directory loader
+# (whatever dir.bin opens must read without a panic), the WAL record reader
+# (no panic; the accepted prefix re-encodes byte for byte), the replication
+# snapshot a replica bootstraps from (no panic; an accepted snapshot
+# re-encodes to its input), the index image cmd/bench's replay reads (a
+# hostile file errors out or loads an index that holds every invariant and
+# walks without faulting), and the HTTP request decoder vs encoding/json
+# (same verdict, status, error text and decoded bits for every request
+# struct). Go permits one fuzz target per -fuzz run, so each gets its own
+# pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzLBPAASound$$' -fuzztime=5s ./internal/core
-	$(GO) test -run=^$$ -fuzz='^FuzzEnvSlotRoundtrip$$' -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s ./internal/dtw
@@ -48,6 +50,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzLInfKernelsMatchReference$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s ./internal/seqdb
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s ./internal/seqdb
+	$(GO) test -run=^$$ -fuzz='^FuzzScanRecords$$' -fuzztime=5s ./internal/wal
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s ./internal/server
 
 # Boots a real twsimd on an ephemeral port, drives traffic, and verifies
@@ -100,7 +104,9 @@ bench-smoke:
 # through the public API on a file-backed database, per query with the
 # per-tier counts (the ε 1.0 shape on fewer queries: one costs ≈ 13 ms),
 # and k-NN k 10 again on a database whose index holds a 2 000-add
-# unmerged delta, as a server's does after its load,
+# unmerged delta, as a server's does after its load, then one clean Open
+# of a 20 000-walk database (the derive scan and the bulk load) on one and
+# on two CPUs,
 # and last the DP as the other callers run it, through a pooled Refiner:
 # the public Distance / BandDistance, a Naive-Scan pass at ε 0.1 and at
 # +Inf, and subsequence search; then the HTTP request decoder on one
@@ -119,6 +125,7 @@ kernels:
 	$(GO) test -c -o bin/twsim.test .
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^(knn_k10|range_eps0\.3|knn_k10_delta2000)$$' -test.benchtime 2000x -test.cpu 1 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench 'BandedServed/^range_eps1\.0$$' -test.benchtime 200x -test.cpu 1 -test.count 5
+	./bin/twsim.test -test.run '^$$' -test.bench '^BenchmarkOpen$$' -test.benchtime 10x -test.cpu 1,2 -test.count 5
 	./bin/twsim.test -test.run '^$$' -test.bench '^Benchmark(DTW|AblationEarlyAbandon|SubseqSearch)$$' -test.cpu 1 -test.count 5
 	$(GO) test -c -o bin/server.test ./internal/server
 	./bin/server.test -test.run '^$$' -test.bench '^BenchmarkDecodeBody/(batch1000|query128)$$' -test.benchmem -test.cpu 1 -test.count 5
@@ -139,8 +146,12 @@ SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|Ne
 # deferred k-NN loop and the engine switch (NewIndex/OpenIndex, the merge
 # threshold option) stay out of the non-test Go of internal/core and
 # internal/flatidx (PAA envelopes live in core.EnvStore only; FlatIndex and
-# the R-tree baseline offer NearestWalkKeyed through core.Index).
-CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|envTightIndex|knnEnvWalker|yiComplete|deferHeap|admitPoint|FlatMergeThreshold|NewIndex\b|OpenIndex\b
+# the R-tree baseline offer NearestWalkKeyed through core.Index) — and
+# neither can a file behind the derived state: Open derives the index and
+# the envelopes from the heap, so the envelope sidecar's reader and writer,
+# the index file's delta section, the checkpoint's index save and the
+# reconcile diff stay deleted.
+CORE_DELETED = NearestWalkEnv|RangeQueryEntriesEnv|AppendRangeEnv|EnvBulkLoader|envTightIndex|knnEnvWalker|yiComplete|deferHeap|admitPoint|FlatMergeThreshold|NewIndex\b|OpenIndex\b|OpenEnvStore|CreateEnvStore|EnvStore\) Save\(|func Reconcile\(|deltaMagic|loadDelta|FlatIndex\) Flush\(
 # The third does it for the heap's record reader: seqdb.Fetch (recordLocked)
 # is the only way a record leaves the heap, so the decoded-sequence LRU, its
 # stats type, flag and gauges stay deleted everywhere outside the benchmark
@@ -170,8 +181,9 @@ LINGER_DELETED = WALFlushInterval|wal-flush-ms|DefaultFlushInterval|DefaultFlush
 # checker; every other caller refines through a pooled dtw.Refiner.
 KERNELS_DELETED = PooledRowCap|rowPool|acquireRows|releaseRows|distKernel|withinKernel|distanceGeneric|withinGeneric
 REFERENCE_CALL = dtw\.(Band)?Distance(Within)?\(
-# The seventh keeps one way to open the index file: Load reads it whole and
-# checks its CRC and structure before it serves a query, so the mmap
+# The seventh keeps one way to open the index image a clean Close leaves
+# for cmd/bench's replay: Load reads it whole and checks its CRC and
+# structure before anything walks it (Open never reads it), so the mmap
 # package, its environment switch, the header-only decode, the finalizer
 # munmap fence and the mapping's stats, accessor and series stay deleted
 # everywhere outside the benchmark.

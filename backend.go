@@ -60,7 +60,7 @@ type Backend interface {
 	DataBytes() int64
 	// IndexPages returns the feature index size in pages.
 	IndexPages() int
-	// LastRepair reports what the Open-time reconciliation fixed.
+	// LastRepair reports what the last Repair rebuilt.
 	LastRepair() RepairStats
 	// StorageStats snapshots the data heap's buffer pool counters (summed
 	// over shards for a sharded backend).
@@ -70,8 +70,8 @@ type Backend interface {
 	// shards for a sharded backend).
 	IndexEngineStats() core.IndexEngineStats
 	// OpenDiagnostics returns the human-readable notes recorded while
-	// opening the database (rebuild-on-open, reconciliation, sidecar
-	// rebuilds). Empty for a clean open.
+	// opening the database (WAL replay, stray files of older versions and
+	// stale temp files removed). Empty for a clean open.
 	OpenDiagnostics() []string
 	// WALStats snapshots the write-ahead-log counters (summed over shards
 	// for a sharded backend; all zero when the WAL is disabled).

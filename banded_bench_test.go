@@ -104,3 +104,41 @@ func BenchmarkBandedServed(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOpen times one clean Open of a file-backed database of 20 000
+// random walks of 128 (seed 7), closed cleanly: the heap scan that derives
+// the feature index and the PAA envelopes, and the bulk load. One op is one
+// Open; the Close after it is not timed. `make kernels` runs it.
+func BenchmarkOpen(b *testing.B) {
+	corpus := synth.RandomWalkSet(rand.New(rand.NewSource(7)), 20_000, 128)
+	data := make([][]float64, len(corpus))
+	for i, s := range corpus {
+		data[i] = s
+	}
+	dir := b.TempDir()
+	db, err := twsim.Create(dir, twsim.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.AddBatch(data); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := twsim.Open(dir, twsim.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if db.Len() != len(data) {
+			b.Fatalf("opened %d sequences, want %d", db.Len(), len(data))
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

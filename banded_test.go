@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	twsim "repro"
@@ -210,8 +211,9 @@ func TestNegativeBandRejected(t *testing.T) {
 }
 
 // TestEnvelopeSidecarPersistence: the PAA envelope store survives a
-// close/reopen through its sidecar file, and any corruption of the sidecar
-// is healed by a rebuild from the heap — never trusted, never fatal.
+// close/reopen with no file of its own — Open derives it from the heap —
+// and a sidecar an older version left is removed unread, never trusted,
+// never fatal.
 func TestEnvelopeSidecarPersistence(t *testing.T) {
 	dir := t.TempDir()
 	data := randomWalks(2039, 40, 8, 24)
@@ -227,11 +229,11 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sidecar := filepath.Join(dir, "envelopes.paa")
-	if _, err := os.Stat(sidecar); err != nil {
-		t.Fatalf("sidecar not written on close: %v", err)
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Fatalf("an envelope sidecar was written on close (stat: %v)", err)
 	}
 
-	// Reopen: the sidecar loads and the store passes the full fsck.
+	// Reopen: the derived store passes the full fsck.
 	db, err = twsim.Open(dir, twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -247,34 +249,35 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the sidecar (flip one payload byte). Open must fall back to a
-	// rebuild from the heap and still answer identically.
-	raw, err := os.ReadFile(sidecar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(sidecar, raw, 0o644); err != nil {
+	// A garbage sidecar in the directory: Open removes it, says so, and
+	// answers identically.
+	if err := os.WriteFile(sidecar, []byte("TWPE and then nonsense"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db, err = twsim.Open(dir, twsim.Options{})
 	if err != nil {
-		t.Fatalf("open with corrupt sidecar: %v", err)
+		t.Fatalf("open with a stray sidecar: %v", err)
 	}
 	defer db.Close()
+	if notes := db.OpenDiagnostics(); len(notes) != 1 || !strings.Contains(notes[0], "envelopes.paa removed-on-open") {
+		t.Fatalf("open diagnostics %q, want one line for the removed sidecar", notes)
+	}
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Fatalf("the stray sidecar survived Open (stat: %v)", err)
+	}
 	if err := db.Verify(); err != nil {
-		t.Fatalf("verify after rebuild: %v", err)
+		t.Fatalf("verify after reopen: %v", err)
 	}
 	got, err := db.SearchCtx(context.Background(), data[3], 0.4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("after rebuild: %d matches, want %d", len(got.Matches), len(want.Matches))
+		t.Fatalf("after reopen: %d matches, want %d", len(got.Matches), len(want.Matches))
 	}
 	for i := range want.Matches {
 		if got.Matches[i] != want.Matches[i] {
-			t.Fatalf("after rebuild match %d: %+v, want %+v", i, got.Matches[i], want.Matches[i])
+			t.Fatalf("after reopen match %d: %+v, want %+v", i, got.Matches[i], want.Matches[i])
 		}
 	}
 	// A removal keeps the store in lockstep (fsck checks env count == live).

@@ -24,11 +24,10 @@
 // are bit-identical at every setting.
 //
 // The feature index is the flat engine: an immutable packed snapshot plus a
-// mutable delta overlay with background merges, persisted as feature.flat
-// (see README). A directory that still holds an older version's
-// feature.rtree is converted on first open: the index is derived data, so
-// it is rebuilt from the heap, the R-tree file is removed, and the startup
-// log says "index converted from guttman to flat". Snapshot generation,
+// mutable delta overlay with background merges. It is derived data: every
+// open builds it, and the PAA envelopes, from the heap in one scan (see
+// README). A feature.rtree or envelopes.paa an older version left behind is
+// removed at open, with one startup log line each. Snapshot generation,
 // delta size, and merge latency are exported on GET /metrics
 // (twsim_index_snapshot_generation, twsim_index_delta_entries,
 // twsim_index_merges_total, twsim_index_merge_seconds) and under
@@ -213,11 +212,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("twsimd: opening database: %v", err)
 	}
-	if rs := db.LastRepair(); rs.Repaired() {
-		log.Printf("twsimd: database recovered on open: %s", rs.String())
-	}
-	// One line per open-time note: snapshot rebuild-on-open, heap/index
-	// reconciliation, envelope-sidecar rebuilds.
+	// One line per open-time note: WAL replay, stray files of older
+	// versions removed, stale temp files removed.
 	for _, note := range db.OpenDiagnostics() {
 		log.Printf("twsimd: open: %s", note)
 	}

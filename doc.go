@@ -7,9 +7,9 @@
 // in a paged heap file and maintains the paper's 4-dimensional feature
 // index: each sequence S contributes the time-warping-invariant point
 // (First(S), Last(S), Greatest(S), Smallest(S)) to an R-tree — served as one
-// packed, pointer-free slab plus a small delta of recent writes
-// (feature.flat), which answers bit-identically to the paper's paged
-// Guttman R-tree (kept as the experiments' baseline). Range queries under
+// packed, pointer-free slab plus a small delta of recent writes, which
+// answers bit-identically to the paper's paged Guttman R-tree (kept as the
+// experiments' baseline). Range queries under
 // the time warping distance run as a square range query on the index using
 // the lower-bound metric Dtw-lb followed by exact dynamic-programming
 // refinement — guaranteed free of false dismissal (the paper's Theorems 1
@@ -69,23 +69,23 @@
 //   - AddAll is all-or-nothing: on a mid-batch failure every appended
 //     sequence (and any index entry already made for it) is rolled back.
 //     The STR bulk load used on an empty database is internally atomic.
-//   - Open reconciles after a crash, in one pass over the heap. The heap
-//     is the source of truth; the index and the envelope sidecar are always
-//     derivable from it: orphaned heap records (a crash between append and
-//     index insert) are re-indexed, dangling index entries are deleted,
-//     missing envelopes derived (a sidecar chunk that fails its checksum
-//     costs that chunk only), and an unopenable index file is rebuilt
-//     outright — as it is, once, for a directory that still holds an older
-//     version's feature.rtree, which is then removed. Temp files a killed
-//     Flush left behind are removed. LastRepair reports what was fixed,
-//     OpenDiagnostics why.
-//   - Flush (and the WAL checkpoint built on it) costs what changed: the
-//     index file is rewritten as slab plus delta with no merge, the sidecar
-//     only in the 1024-envelope chunks touched since the last Flush. The
-//     delta is folded into the slab by background merges (every 4096
-//     entries) and by Close.
+//   - Open derives. The heap is the source of truth, and the feature index
+//     and the PAA envelopes are functions of it: every Open builds both in
+//     one heap scan and one bulk load, and no index or envelope file is
+//     ever read. A heap record a crash left unindexed, or an index entry
+//     whose record never became durable, therefore cannot outlive an Open.
+//     A feature.rtree or envelopes.paa an older version kept, and temp
+//     files a killed Flush left, are removed with a line in
+//     OpenDiagnostics. A heap page that fails its checksum makes Open fail,
+//     naming the page: an index cannot be derived from records that cannot
+//     be read.
+//   - Flush (and the WAL checkpoint built on it) writes the heap's dirty
+//     pages and its directory, nothing else. Close also leaves the merged
+//     index in feature.flat for tools outside the database; Open removes
+//     it unread.
 //   - Verify is the read-only integrity check (fsck); Repair is its
-//     fixing counterpart, usable on a live database.
+//     fixing counterpart, usable on a live database: it derives the index
+//     and the envelopes again, as Open does. LastRepair reports it.
 //
 // Searches additionally skip index entries whose heap record is missing,
 // so a not-yet-repaired database degrades to extra filtering work rather
@@ -102,8 +102,8 @@
 // k-nearest-neighbor fan-out shares an atomic best-k bound across shards
 // so each prunes with the globally tightest cutoff. Both DB and ShardedDB
 // satisfy the Backend interface and are safe for concurrent use; CreateSharded, OpenSharded, and
-// OpenMemSharded mirror the single-database constructors, with per-shard
-// crash reconciliation on open.
+// OpenMemSharded mirror the single-database constructors, each shard
+// deriving its index from its own heap on open.
 //
 // # Intra-query parallelism and caching
 //

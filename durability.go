@@ -169,7 +169,7 @@ func (db *DB) undoAppends(ids []ID, ss []seq.Sequence) {
 
 // maybeCheckpoint runs a full Flush (which resets the log) when the log
 // file outgrows Options.WALCheckpointBytes, bounding replay length and
-// amortizing the index/sidecar saves over tens of megabytes of records. The
+// amortizing the heap's fsyncs over tens of megabytes of records. The
 // caller holds mu.
 func (db *DB) maybeCheckpoint() error {
 	limit := db.opts.walCheckpointBytes()
@@ -184,8 +184,8 @@ func (db *DB) maybeCheckpoint() error {
 // idempotent: IDs are dense and never reused, so an add record applies
 // only when its ID is exactly the next heap slot (an already-present ID
 // was applied before the crash and is skipped), and a remove applies only
-// to a live record. Index and envelope divergence introduced by replay is
-// healed by the same Repair/reconcile pass every Open runs.
+// to a live record. The index and the envelopes are derived from the heap
+// after the replay, like on every Open.
 func (db *DB) openWAL() error {
 	wlog, recs, note, err := wal.Open(filepath.Join(db.dir, walFileName))
 	if err != nil {
@@ -200,10 +200,10 @@ func (db *DB) openWAL() error {
 		db.walReplayed = true
 	}
 	if rerr != nil {
-		// A replay stop (gap, storage fault) is diagnosable, not fatal:
-		// the heap stays the source of truth and the reconcile pass runs
-		// regardless. The unapplied tail is dropped at the checkpoint
-		// that follows a replayed open.
+		// A replay stop (gap, non-finite value, storage fault) is
+		// diagnosable, not fatal: the heap stays the source of truth and
+		// the derive scan runs regardless. The unapplied tail is dropped at
+		// the checkpoint that follows a replayed open.
 		db.note("wal: replay stopped early: %v", rerr)
 		db.walReplayed = true
 	}
@@ -213,7 +213,9 @@ func (db *DB) openWAL() error {
 
 // replayWAL applies logged mutations to the heap, skipping records whose
 // effects are already present (see openWAL). It returns the number of
-// mutations actually applied.
+// mutations actually applied. An add carrying a NaN or ±Inf value stops
+// the replay, as every other write door refuses one: its index entry would
+// sit at a point no range query reaches.
 func replayWAL(store *seqdb.DB, recs []wal.Record) (applied int, err error) {
 	for _, r := range recs {
 		switch r.Type {
@@ -226,6 +228,9 @@ func replayWAL(store *seqdb.DB, recs []wal.Record) (applied int, err error) {
 					// Already applied before the crash (or by an earlier
 					// duplicate record): skip.
 				case id == next:
+					if err := seq.CheckFinite(s); err != nil {
+						return applied, fmt.Errorf("wal: record %d: %w", id, err)
+					}
 					got, aerr := store.Append(s)
 					if aerr != nil {
 						return applied, aerr

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -257,10 +258,12 @@ func TestFlatEngineMergesFire(t *testing.T) {
 	checkIdentical(t, guttman, flat, rng, data, 0, true)
 }
 
-// TestFlatEnginePersistence: an on-disk database round-trips its index
-// through Close/Open, survives snapshot corruption by rebuilding on open
-// (with a diagnostic note), and keeps answering queries identically to its
-// baseline twin after both.
+// TestFlatEnginePersistence: an on-disk database round-trips through
+// Close/Open with its index derived from the heap, and Open never reads an
+// index file. A feature.flat (the image Close leaves for outside tools)
+// with one stored point moved far away under a valid checksum — a walk
+// over that slab would miss the record, a false dismissal — or with a
+// flipped byte changes no answer: Open removes it unread.
 func TestFlatEnginePersistence(t *testing.T) {
 	dir := t.TempDir()
 	flatDir := filepath.Join(dir, "flat")
@@ -276,8 +279,9 @@ func TestFlatEnginePersistence(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(flatDir, "feature.flat")); err != nil {
-		t.Fatalf("flat snapshot file not written: %v", err)
+	snapPath := filepath.Join(flatDir, "feature.flat")
+	if _, err := os.Stat(snapPath); err != nil {
+		t.Fatalf("index image not written on close: %v", err)
 	}
 
 	guttman, err := twsim.OpenMemBaseline(twsim.Options{})
@@ -296,6 +300,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
 		t.Fatalf("clean reopen repaired something: %+v %q", db.LastRepair(), db.OpenDiagnostics())
 	}
+	requireNoDerivedFiles(t, flatDir)
 	rng := rand.New(rand.NewSource(11))
 	checkIdentical(t, guttman, db, rng, data, 0, false)
 	if err := db.Verify(); err != nil {
@@ -305,30 +310,25 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Move one stored point far away and leave the header intact: a walk
-	// over that slab would miss the record (a false dismissal), so Open must
-	// refuse the file on its checksum and rebuild the index from the heap.
-	snapPath := filepath.Join(flatDir, "feature.flat")
+	// Move one stored point far away and re-seal the checksum.
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const headerSize, nodeSize, itemSize = 32, 72, 36
-	item := raw[headerSize+int(binary.LittleEndian.Uint32(raw[12:]))*nodeSize+39*itemSize:]
+	slab := raw[:len(raw)-4]
+	item := slab[headerSize+int(binary.LittleEndian.Uint32(slab[12:]))*nodeSize+39*itemSize:]
 	moved := twsim.ID(binary.LittleEndian.Uint32(item[32:]))
 	binary.LittleEndian.PutUint64(item, math.Float64bits(1e6)) // its First
-	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+	if err := os.WriteFile(snapPath, binary.LittleEndian.AppendUint32(slab, crc32.ChecksumIEEE(slab)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db, err = twsim.Open(flatDir, twsim.Options{})
 	if err != nil {
 		t.Fatalf("open after moving a stored point: %v", err)
 	}
-	if !db.LastRepair().Rebuilt {
-		t.Fatal("a snapshot with a moved point was served instead of rebuilt")
-	}
-	if notes := db.OpenDiagnostics(); len(notes) == 0 || !strings.Contains(strings.Join(notes, "\n"), "feature.flat") {
-		t.Fatalf("rebuild-on-open diagnostics %q do not name feature.flat", notes)
+	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+		t.Fatalf("open over a doctored image: %+v %q, want neither a repair nor a note", db.LastRepair(), db.OpenDiagnostics())
 	}
 	values, err := db.Get(moved)
 	if err != nil {
@@ -353,8 +353,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the snapshot payload; the CRC must catch it and Open must
-	// rebuild from the heap, noting the repair.
+	// Flip a byte of the image: the same.
 	if raw, err = os.ReadFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
@@ -367,24 +366,20 @@ func TestFlatEnginePersistence(t *testing.T) {
 		t.Fatalf("open after corruption: %v", err)
 	}
 	defer db.Close()
-	if !db.LastRepair().Rebuilt {
-		t.Fatal("corrupted snapshot did not trigger rebuild-on-open")
-	}
-	if notes := db.OpenDiagnostics(); len(notes) == 0 {
-		t.Fatal("rebuild-on-open left no open diagnostic")
+	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+		t.Fatalf("open over a corrupt image: %+v %q, want neither a repair nor a note", db.LastRepair(), db.OpenDiagnostics())
 	}
 	checkIdentical(t, guttman, db, rng, data, 0, false)
 	if err := db.Verify(); err != nil {
-		t.Fatalf("Verify after rebuild: %v", err)
+		t.Fatalf("Verify: %v", err)
 	}
 }
 
 // TestFlatEngineRebuildsEnvelopeSnapshot: a feature.flat written before the
 // slab lost its per-item PAA envelope region (header flag bit 0 set, 260
-// more bytes per item, checksum valid) is a layout this reader no longer
-// knows. Open must refuse it, rebuild the index from the heap, say why in
-// the diagnostics, answer exactly as before, and leave a current-layout
-// file behind.
+// more bytes per item, checksum valid) is a layout nothing reads any more.
+// Open removes it unread, derives the index, answers exactly as before, and
+// the next Close leaves a current-layout image.
 func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	data := randomWalks(5151, 90, 12, 40)
@@ -413,6 +408,7 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	current := append([]byte(nil), raw...)
 	slab := raw[:len(raw)-4]
 	slab[8] |= 1 // the retired flagEnvelopes
 	nItems := int(binary.LittleEndian.Uint32(slab[16:]))
@@ -426,13 +422,10 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over an envelope-carrying snapshot: %v", err)
 	}
-	if !db.LastRepair().Rebuilt {
-		t.Fatal("envelope-carrying snapshot did not trigger rebuild-on-open")
+	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+		t.Fatalf("open over an envelope-carrying snapshot: %+v %q, want neither a repair nor a note", db.LastRepair(), db.OpenDiagnostics())
 	}
-	notes := strings.Join(db.OpenDiagnostics(), "\n")
-	if !strings.Contains(notes, "rebuilt-on-open") || !strings.Contains(notes, "envelope-carrying snapshot") {
-		t.Fatalf("open diagnostics do not explain the rebuild:\n%s", notes)
-	}
+	requireNoDerivedFiles(t, dir)
 	rng := rand.New(rand.NewSource(13))
 	checkIdentical(t, guttman, db, rng, data, 4, false)
 	if err := db.Verify(); err != nil {
@@ -441,23 +434,17 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	db, err = twsim.Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.LastRepair().Repaired() {
-		t.Fatalf("the rebuilt snapshot needed another repair: %+v", db.LastRepair())
+	if raw, err := os.ReadFile(snapPath); err != nil || string(raw) != string(current) {
+		t.Fatalf("the image after Close is not the current layout of the same index (err %v)", err)
 	}
 }
 
 // TestFlatEngineSwitchFromGuttman: a directory last served by a version that
 // kept the index as a paged R-tree (feature.rtree, no feature.flat, a
-// version-1 envelope sidecar) must open: the flat index is built from the
-// heap (the source of truth), the R-tree file removed and the sidecar
-// replaced, the open diagnostics call it a conversion, not a missing file,
-// every answer is what it was, and the next open finds nothing to do.
+// version-1 envelope sidecar) must open: both files are removed unread, with
+// one diagnostic line each, the flat index and the envelopes are derived
+// from the heap (the source of truth), every answer is what it was, and the
+// next open finds nothing to do.
 func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	dir := t.TempDir()
 	data := randomWalks(61, 50, 10, 30)
@@ -508,14 +495,8 @@ func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	if got := db.IndexEngineStats().Engine; got != "flat" {
 		t.Fatalf("engine = %q, want flat", got)
 	}
-	notes := strings.Join(db.OpenDiagnostics(), "\n")
-	if !strings.Contains(notes, "converted from guttman to flat") {
-		t.Fatalf("open diagnostics do not name the conversion:\n%s", notes)
-	}
-	if !strings.Contains(notes, "envelope-sidecar rebuilt-on-open") || !strings.Contains(notes, "version 1") {
-		t.Fatalf("open diagnostics do not name the version-1 sidecar:\n%s", notes)
-	}
-	requireIndexFiles(t, dir)
+	requireStrayNotes(t, db.OpenDiagnostics(), "feature.rtree", "envelopes.paa")
+	requireNoDerivedFiles(t, dir)
 	checkIdentical(t, guttman, db, rand.New(rand.NewSource(19)), data, 0, false)
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
@@ -532,17 +513,32 @@ func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
 		t.Fatalf("the converted directory needed another repair: %+v %q", db.LastRepair(), db.OpenDiagnostics())
 	}
-	requireIndexFiles(t, dir)
+	requireNoDerivedFiles(t, dir)
 }
 
-// requireIndexFiles: the directory holds feature.flat and no feature.rtree.
-func requireIndexFiles(t *testing.T, dir string) {
+// requireNoDerivedFiles: an open database's directory holds no index or
+// envelope file — neither the image of the last Close nor an older
+// version's feature.rtree or envelopes.paa.
+func requireNoDerivedFiles(t *testing.T, dir string) {
 	t.Helper()
-	if _, err := os.Stat(filepath.Join(dir, "feature.flat")); err != nil {
-		t.Fatalf("feature.flat: %v", err)
+	for _, name := range []string{"feature.flat", "feature.rtree", "envelopes.paa"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s present in an open database's directory (stat: %v)", name, err)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "feature.rtree")); !os.IsNotExist(err) {
-		t.Fatalf("feature.rtree still present (stat: %v)", err)
+}
+
+// requireStrayNotes: the open diagnostics are one removal line for each
+// named file, and nothing else.
+func requireStrayNotes(t *testing.T, notes []string, names ...string) {
+	t.Helper()
+	if len(notes) != len(names) {
+		t.Fatalf("open diagnostics %q, want one line for each of %v", notes, names)
+	}
+	for i, name := range names {
+		if !strings.Contains(notes[i], "stray "+name+" removed-on-open") {
+			t.Fatalf("open diagnostic %q does not name the removal of %s", notes[i], name)
+		}
 	}
 }
 
@@ -669,9 +665,9 @@ func TestFlatEngineStorm(t *testing.T) {
 
 // TestEnvelopeSidecarV2Rederived: a directory whose envelopes.paa is the
 // version-2 sidecar (the chunked slots with float64 bounds) opens with the
-// file refused and every envelope re-derived from the heap into a
-// version-3 file, and then answers banded k-NN and range queries exactly as
-// a database that never held the old file.
+// file removed unread and one line saying so, the envelopes derived from
+// the heap, and then answers banded k-NN and range queries exactly as a
+// database that never held the old file; no sidecar is written again.
 func TestEnvelopeSidecarV2Rederived(t *testing.T) {
 	data, qs := knnCorpus(rand.New(rand.NewSource(2043)), 1500, 48, 6)
 	dir := t.TempDir()
@@ -692,10 +688,7 @@ func TestEnvelopeSidecarV2Rederived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notes := strings.Join(db.OpenDiagnostics(), "\n")
-	if !strings.Contains(notes, "envelope-sidecar rebuilt-on-open") || !strings.Contains(notes, "version 2") {
-		t.Fatalf("open diagnostics do not name the version-2 sidecar:\n%s", notes)
-	}
+	requireStrayNotes(t, db.OpenDiagnostics(), "envelopes.paa")
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -707,30 +700,12 @@ func TestEnvelopeSidecarV2Rederived(t *testing.T) {
 	if _, err := fresh.AddBatch(data); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range qs {
-		for _, run := range []func(twsim.Backend) (*twsim.Result, error){
-			func(b twsim.Backend) (*twsim.Result, error) { return b.NearestKCtx(nil, q, 10, 4) },
-			func(b twsim.Backend) (*twsim.Result, error) { return b.SearchCtx(nil, q, 1.5, 4) },
-		} {
-			want, err := run(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := run(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got.Matches) != fmt.Sprint(want.Matches) {
-				t.Fatalf("after re-deriving the envelopes: %v, want %v", got.Matches, want.Matches)
-			}
-		}
-	}
+	requireSameAnswers(t, db, fresh, qs)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	const v3Slot = 1024*(4+8*seq.PAASegments) + 4
-	if fi, err := os.Stat(sidecar); err != nil || fi.Size() != 16+2*v3Slot {
-		t.Fatalf("sidecar after the rebuild: %v bytes (err %v), want the header and two version-3 slots, %d", fi.Size(), err, 16+2*v3Slot)
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Fatalf("a sidecar is back after Close (stat: %v)", err)
 	}
 	db, err = twsim.Open(dir, twsim.Options{})
 	if err != nil {
@@ -738,7 +713,143 @@ func TestEnvelopeSidecarV2Rederived(t *testing.T) {
 	}
 	defer db.Close()
 	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
-		t.Fatalf("the re-derived sidecar needed another repair: %+v %q", db.LastRepair(), db.OpenDiagnostics())
+		t.Fatalf("the reopened directory needed another repair: %+v %q", db.LastRepair(), db.OpenDiagnostics())
+	}
+}
+
+// requireSameAnswers: for every query, banded k-NN (k 10, band 4) and
+// banded and unbanded range searches on got return want's matches, the
+// same IDs in the same order at the same distance bits.
+func requireSameAnswers(t *testing.T, got, want twsim.Backend, qs [][]float64) {
+	t.Helper()
+	for _, q := range qs {
+		for name, run := range map[string]func(twsim.Backend) (*twsim.Result, error){
+			"knn k10 band4":    func(b twsim.Backend) (*twsim.Result, error) { return b.NearestKCtx(nil, q, 10, 4) },
+			"range 1.5 band4":  func(b twsim.Backend) (*twsim.Result, error) { return b.SearchCtx(nil, q, 1.5, 4) },
+			"range 0.6 band 0": func(b twsim.Backend) (*twsim.Result, error) { return b.SearchCtx(nil, q, 0.6, 0) },
+		} {
+			w, err := run(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := run(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.Matches) != len(w.Matches) {
+				t.Fatalf("%s: %d matches, want %d", name, len(g.Matches), len(w.Matches))
+			}
+			for i := range w.Matches {
+				if g.Matches[i].ID != w.Matches[i].ID || math.Float64bits(g.Matches[i].Dist) != math.Float64bits(w.Matches[i].Dist) {
+					t.Fatalf("%s match %d: %+v, want %+v", name, i, g.Matches[i], w.Matches[i])
+				}
+			}
+		}
+	}
+}
+
+// TestOpenDerivesEverythingFromTheHeap: after adds, a batch, removes, a
+// checkpoint and a close, the directory holds the heap (data.twp, dir.bin),
+// the log with the WAL, and the index image Close leaves for outside
+// tools; an open database's directory holds no index or envelope file at
+// all. The reopened database answers range and banded k-NN queries
+// bit-identically to an in-memory database fed the same operations, and
+// still does when garbage feature.flat, feature.rtree and envelopes.paa
+// files sit in the directory: Open removes all three unread, with one
+// line each for the two an older version kept.
+func TestOpenDerivesEverythingFromTheHeap(t *testing.T) {
+	data, qs := knnCorpus(rand.New(rand.NewSource(2047)), 700, 40, 5)
+	for _, wal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := twsim.Options{WAL: wal}
+			db, err := twsim.Create(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, err := twsim.OpenMem(twsim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mem.Close()
+			for _, b := range []twsim.Backend{db, mem} {
+				if _, err := b.AddBatch(data[:500]); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range data[500:600] {
+					if _, err := b.Add(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := twsim.ID(3); id < 600; id += 11 {
+					if _, err := b.Remove(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := b.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.AddBatch(data[600:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireDirHolds(t, dir, wal, "data.twp", "dir.bin")
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireDirHolds(t, dir, wal, "data.twp", "dir.bin", "feature.flat")
+
+			db, err = twsim.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
+				t.Fatalf("clean open: %+v %q", db.LastRepair(), db.OpenDiagnostics())
+			}
+			requireDirHolds(t, dir, wal, "data.twp", "dir.bin")
+			requireSameAnswers(t, db, mem, qs)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, name := range []string{"feature.flat", "feature.rtree", "envelopes.paa"} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db, err = twsim.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			requireStrayNotes(t, db.OpenDiagnostics(), "feature.rtree", "envelopes.paa")
+			requireDirHolds(t, dir, wal, "data.twp", "dir.bin")
+			requireSameAnswers(t, db, mem, qs)
+			if err := db.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// requireDirHolds: dir holds exactly the named files, plus wal.log when
+// the WAL is on.
+func requireDirHolds(t *testing.T, dir string, wal bool, names ...string) {
+	t.Helper()
+	if wal {
+		names = append(names, "wal.log")
+	}
+	sort.Strings(names)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if strings.Join(got, " ") != strings.Join(names, " ") {
+		t.Fatalf("the directory holds %v, want %v", got, names)
 	}
 }
 

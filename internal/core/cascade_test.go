@@ -204,7 +204,11 @@ func TestNearestKHugeKAndBandedReference(t *testing.T) {
 	data := synth.RandomWalkSet(rng, 40, 24)
 	db, idx := buildFixture(t, data)
 	envs := NewEnvStore()
-	if _, err := Reconcile(db, idx, envs); err != nil { // derives every envelope
+	fresh, err := NewFlatIndex(IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Derive(db, fresh, envs); err != nil { // derives every envelope
 		t.Fatal(err)
 	}
 	q := synth.Query(rng, data)

@@ -15,10 +15,7 @@ import (
 // required to produce bit-identical query results.
 type Index interface {
 	Insert(id seq.ID, s seq.Sequence) error
-	InsertFeature(id seq.ID, f seq.Feature) error
 	Delete(id seq.ID, s seq.Sequence) (bool, error)
-	DeleteEntry(id seq.ID, point [4]float64) (bool, error)
-	Entries() ([]IndexEntry, error)
 	BulkLoad(ids []seq.ID, features []seq.Feature) error
 	RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, error)
 	// NearestWalkKeyed streams IDs in non-decreasing key order from a
@@ -37,7 +34,6 @@ type Index interface {
 	ResetStats()
 	EngineStats() IndexEngineStats
 	CheckInvariants() error
-	Flush() error
 	Close() error
 }
 

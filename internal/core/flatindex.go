@@ -16,32 +16,31 @@ import (
 // background merge repacks the slab and swaps it in atomically.
 type FlatIndex struct {
 	idx      *flatidx.Index
-	path     string // snapshot file; "" for memory-only
-	pageSize int    // page-equivalent unit for Pages()
+	pageSize int // page-equivalent unit for Pages()
 }
 
-// NewFlatIndex creates an empty flat index. With OnDiskPath set, Flush and
-// Close persist it there as a single CRC-checked file.
+// NewFlatIndex creates an empty in-memory flat index.
 func NewFlatIndex(opts IndexOptions) (*FlatIndex, error) {
 	opts = opts.withDefaults()
-	return &FlatIndex{
-		idx:      flatidx.New(flatidx.Options{}),
-		path:     opts.OnDiskPath,
-		pageSize: opts.PageSize,
-	}, nil
+	return &FlatIndex{idx: flatidx.New(flatidx.Options{}), pageSize: opts.PageSize}, nil
 }
 
-// OpenFlatIndex loads a persisted snapshot file, delta section included.
-// Corruption (bad CRC, structural damage, a delta that contradicts the
-// slab) is an error; callers rebuild from the heap.
+// OpenFlatIndex loads a file Export wrote. A database never calls it: Open
+// derives its index from the heap. cmd/bench/traced.go reads the image a
+// database leaves at a clean close with it; both go once that replay packs
+// its own index.
 func OpenFlatIndex(path string, opts IndexOptions) (*FlatIndex, error) {
 	opts = opts.withDefaults()
 	idx, err := flatidx.Load(path, flatidx.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &FlatIndex{idx: idx, path: path, pageSize: opts.PageSize}, nil
+	return &FlatIndex{idx: idx, pageSize: opts.PageSize}, nil
 }
+
+// Export folds the delta into the slab and writes the slab, under a
+// checksum, to path (flatidx.Save). Nothing in the database reads it back.
+func (x *FlatIndex) Export(path string) error { return x.idx.Save(path) }
 
 // Insert adds the entry <Feature(S), ID(S)>.
 func (x *FlatIndex) Insert(id seq.ID, s seq.Sequence) error {
@@ -49,11 +48,6 @@ func (x *FlatIndex) Insert(id seq.ID, s seq.Sequence) error {
 	if err != nil {
 		return err
 	}
-	return x.InsertFeature(id, f)
-}
-
-// InsertFeature adds <f, id> from a pre-extracted feature vector.
-func (x *FlatIndex) InsertFeature(id seq.ID, f seq.Feature) error {
 	x.idx.Insert(flatidx.Entry{ID: id, Point: f.Vector()})
 	return nil
 }
@@ -64,12 +58,7 @@ func (x *FlatIndex) Delete(id seq.ID, s seq.Sequence) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return x.DeleteEntry(id, f.Vector())
-}
-
-// DeleteEntry removes the entry keyed at exactly the given point.
-func (x *FlatIndex) DeleteEntry(id seq.ID, point [4]float64) (bool, error) {
-	return x.idx.Delete(flatidx.Entry{ID: id, Point: point}), nil
+	return x.idx.Delete(flatidx.Entry{ID: id, Point: f.Vector()}), nil
 }
 
 // Entries returns every live entry (snapshot minus tombstones plus delta).
@@ -202,25 +191,6 @@ func (x *FlatIndex) CheckInvariants() error {
 	return nil
 }
 
-// Flush persists the current snapshot and delta (on-disk mode). It never
-// merges: a checkpoint costs what the file costs to write, not a repack.
-func (x *FlatIndex) Flush() error {
-	if x.path == "" {
-		return nil
-	}
-	return x.idx.Save(x.path)
-}
-
-// Close waits out any background merge and releases the index; on disk it
-// first folds the delta into the slab, so a cleanly closed database reopens
-// on a packed snapshot with nothing pending.
-func (x *FlatIndex) Close() error {
-	err := x.idx.Close()
-	if x.path != "" {
-		x.idx.Merge()
-		if serr := x.idx.Save(x.path); err == nil {
-			err = serr
-		}
-	}
-	return err
-}
+// Close waits out any background merge. The index stays readable, so a
+// caller may Export it afterwards.
+func (x *FlatIndex) Close() error { return x.idx.Close() }

@@ -34,9 +34,8 @@ type IndexOptions struct {
 	PageSize int
 	// PoolPages is the R-tree's buffer pool capacity (0 = 64).
 	PoolPages int
-	// OnDiskPath, when non-empty, stores the index in a page file (R-tree)
-	// or a CRC-checked snapshot file (flat) at that path instead of in
-	// memory.
+	// OnDiskPath, when non-empty, stores the R-tree in a page file at that
+	// path instead of in memory. The flat index is always in memory.
 	OnDiskPath string
 	// WrapBackend, when non-nil, wraps the raw page backend before the
 	// buffer pool is built on it. Fault-injection tests use it to fail
@@ -117,13 +116,6 @@ func (fi *FeatureIndex) Insert(id seq.ID, s seq.Sequence) error {
 	if err != nil {
 		return err
 	}
-	return fi.InsertFeature(id, f)
-}
-
-// InsertFeature adds the entry <f, id> from a pre-extracted feature vector
-// (used by the Open-time reconciliation pass, which has already derived
-// features from the heap records).
-func (fi *FeatureIndex) InsertFeature(id seq.ID, f seq.Feature) error {
 	v := f.Vector()
 	return fi.tree.Insert(rtree.NewPoint(v[:]), uint32(id))
 }
@@ -134,15 +126,8 @@ func (fi *FeatureIndex) Delete(id seq.ID, s seq.Sequence) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return fi.DeleteEntry(id, f.Vector())
-}
-
-// DeleteEntry removes the entry keyed at exactly the given point. The
-// reconciliation pass uses this form to remove dangling or stale entries
-// whose stored point no longer matches any live sequence's feature (so the
-// point cannot be re-derived from data).
-func (fi *FeatureIndex) DeleteEntry(id seq.ID, point [4]float64) (bool, error) {
-	return fi.tree.Delete(rtree.NewPoint(point[:]), uint32(id))
+	v := f.Vector()
+	return fi.tree.Delete(rtree.NewPoint(v[:]), uint32(id))
 }
 
 // IndexEntry is one <point, id> pair stored in the index, as reported by
@@ -153,8 +138,7 @@ type IndexEntry struct {
 }
 
 // Entries returns every data entry the index currently holds, in tree
-// order. The reconciliation pass diffs this listing against the live heap
-// records.
+// order.
 func (fi *FeatureIndex) Entries() ([]IndexEntry, error) {
 	var out []IndexEntry
 	err := fi.tree.Walk(func(_ int, leaf bool, _ rtree.Rect, entries []rtree.Entry) error {
@@ -294,9 +278,6 @@ func (fi *FeatureIndex) CheckInvariants() error {
 	}
 	return fi.tree.CheckInvariants()
 }
-
-// Flush persists the index.
-func (fi *FeatureIndex) Flush() error { return fi.tree.Flush() }
 
 // Close flushes and releases the index.
 func (fi *FeatureIndex) Close() error { return fi.tree.Close() }

@@ -7,156 +7,89 @@ import (
 	"repro/internal/seqdb"
 )
 
-// RepairStats summarizes what an Open-time reconciliation (or an explicit
-// Repair call) had to do to restore the store/index agreement the paper's
-// no-false-dismissal guarantee depends on.
+// RepairStats summarizes an explicit Repair: the feature index and the
+// envelope store derived again from the live heap records.
 type RepairStats struct {
 	// LiveSequences is the number of live heap records scanned.
 	LiveSequences int
-	// IndexedBefore is the number of index entries found before repair.
-	IndexedBefore int
-	// Orphans is the number of live heap records that had no index entry
-	// and were re-indexed (e.g. a crash between append and insert).
-	Orphans int
-	// Dangling is the number of index entries with no live heap record
-	// behind them (deleted sequences, duplicates) that were removed.
-	Dangling int
-	// Mismatched is the number of index entries whose stored point
-	// disagreed with the record's actual feature vector and were re-keyed.
-	Mismatched int
-	// Rebuilt reports that the index could not be opened or walked at all
-	// and was rebuilt from scratch by scanning the heap.
+	// Rebuilt reports that the index and the envelopes were rebuilt from
+	// the heap.
 	Rebuilt bool
-	// Envelopes is the number of PAA envelopes re-derived from heap records
-	// because the envelope store lacked them. The store is a cache beside
-	// the index, so this alone does not count as a repair.
-	Envelopes int
 }
 
-// Repaired reports whether the reconciliation changed anything.
-func (rs RepairStats) Repaired() bool {
-	return rs.Rebuilt || rs.Orphans+rs.Dangling+rs.Mismatched > 0
+// Repaired reports whether the repair changed anything.
+func (rs RepairStats) Repaired() bool { return rs.Rebuilt }
+
+// deriveBatch is the number of records the scan hands the derive goroutine
+// at a time.
+const deriveBatch = 256
+
+type derivedRecord struct {
+	id seq.ID
+	s  seq.Sequence
 }
 
-// String renders a one-line human-readable summary.
-func (rs RepairStats) String() string {
-	if rs.Rebuilt {
-		return fmt.Sprintf("index rebuilt from %d live sequences", rs.LiveSequences)
-	}
-	if !rs.Repaired() {
-		return fmt.Sprintf("consistent: %d sequences indexed", rs.LiveSequences)
-	}
-	return fmt.Sprintf("repaired: %d orphans re-indexed, %d dangling removed, %d re-keyed (%d live, %d indexed before)",
-		rs.Orphans, rs.Dangling, rs.Mismatched, rs.LiveSequences, rs.IndexedBefore)
-}
-
-// Reconcile diffs the feature index and the envelope store against the live
-// heap records in one heap scan and patches both in place: orphaned records
-// are re-indexed (bulk-loaded when the index is empty — the rebuild of an
-// index file that could not be opened), dangling and duplicate entries
-// deleted, mis-keyed entries re-inserted at the record's true feature
-// point, an envelope derived for every live record that lacks one and
-// dropped for every ID that is no longer live. Envelopes already held are
-// trusted: an ID is never reused and its envelope never changes, and a
-// damaged sidecar chunk was emptied when it was loaded. After a nil return
-// every live sequence is indexed exactly once at its current feature vector,
-// so searches are again free of false dismissal (Theorems 1-2). envs may be
-// nil.
-func Reconcile(store *seqdb.DB, index Index, envs *EnvStore) (RepairStats, error) {
-	var rs RepairStats
-	entries, err := index.Entries()
-	if err != nil {
-		return rs, fmt.Errorf("core: walking index: %w", err)
-	}
-	rs.IndexedBefore = len(entries)
-
-	// state[id] is what the index and the scan know about a record slot.
-	// Entries naming a slot the heap never had, or a slot already claimed,
-	// are dangling whatever the scan finds. Deletions are applied after the
-	// walk above, never during it.
-	type slotState struct {
-		point         [4]float64
-		indexed, live bool
-	}
-	state := make([]slotState, store.NumRecords())
-	drop := func(e IndexEntry) error {
-		if _, err := index.DeleteEntry(e.ID, e.Point); err != nil {
-			return fmt.Errorf("core: removing dangling entry %d: %w", e.ID, err)
+// Derive fills an empty index and envelope store from the live heap records
+// in one heap scan and returns the number of records it scanned. The scan
+// hands each record, which it owns, to one goroutine in batches; that
+// goroutine extracts the record's Kim feature and packs its envelope while
+// the scan decodes the next pages, and the index is bulk-loaded once at the
+// end. Both are pure functions of the heap, so after a nil return every
+// live sequence is indexed exactly once at its feature vector and holds
+// exactly its envelope, and searches are free of false dismissal
+// (Theorems 1-2).
+func Derive(store *seqdb.DB, index Index, envs *EnvStore) (live int, err error) {
+	var ids []seq.ID
+	var features []seq.Feature
+	var derr error // the first record that fails; the ones after it are drained unread
+	derive := func(r derivedRecord) error {
+		f, err := seq.ExtractFeature(r.s)
+		if err != nil {
+			return err
 		}
-		rs.Dangling++
+		e, err := seq.ExtractPAAEnvelope(r.s)
+		if err != nil {
+			return err
+		}
+		envs.Put(r.id, e)
+		ids, features = append(ids, r.id), append(features, f)
 		return nil
 	}
-	for _, e := range entries {
-		if int(e.ID) >= len(state) || state[e.ID].indexed {
-			if err := drop(e); err != nil {
-				return rs, err
+	batches := make(chan []derivedRecord, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for batch := range batches {
+			for _, r := range batch {
+				if derr != nil {
+					break
+				}
+				if err := derive(r); err != nil {
+					derr = fmt.Errorf("core: record %d: %w", r.id, err)
+				}
 			}
-			continue
 		}
-		state[e.ID].point, state[e.ID].indexed = e.Point, true
-	}
-
-	var orphanIDs []seq.ID
-	var orphans []seq.Feature
+	}()
+	batch := make([]derivedRecord, 0, deriveBatch)
 	err = store.Scan(func(id seq.ID, s seq.Sequence) error {
-		rs.LiveSequences++
-		st := &state[id]
-		st.live = true
-		f, err := seq.ExtractFeature(s)
-		if err != nil {
-			return fmt.Errorf("core: record %d: %w", id, err)
-		}
-		switch {
-		case !st.indexed:
-			orphanIDs, orphans = append(orphanIDs, id), append(orphans, f)
-		case st.point != f.Vector():
-			if _, err := index.DeleteEntry(id, st.point); err != nil {
-				return fmt.Errorf("core: removing stale entry %d: %w", id, err)
-			}
-			if err := index.InsertFeature(id, f); err != nil {
-				return fmt.Errorf("core: re-keying entry %d: %w", id, err)
-			}
-			rs.Mismatched++
-		}
-		if envs != nil && envs.Get(id) == nil {
-			e, err := seq.ExtractPAAEnvelope(s)
-			if err != nil {
-				return fmt.Errorf("core: envelope of record %d: %w", id, err)
-			}
-			envs.Put(id, e)
-			rs.Envelopes++
+		live++
+		if batch = append(batch, derivedRecord{id, s}); len(batch) == deriveBatch {
+			batches <- batch
+			batch = make([]derivedRecord, 0, deriveBatch)
 		}
 		return nil
 	})
+	batches <- batch
+	close(batches)
+	<-done
 	if err != nil {
-		return rs, err
+		return live, fmt.Errorf("core: scanning the heap: %w", err)
 	}
-
-	for id := range state {
-		if st := &state[id]; st.indexed && !st.live {
-			if err := drop(IndexEntry{ID: seq.ID(id), Point: st.point}); err != nil {
-				return rs, err
-			}
-		}
+	if derr != nil {
+		return live, derr
 	}
-	for id := 0; id < envs.span(); id++ {
-		if id >= len(state) || !state[id].live {
-			envs.Remove(seq.ID(id))
-		}
+	if err := index.BulkLoad(ids, features); err != nil {
+		return live, fmt.Errorf("core: bulk-loading %d records: %w", len(ids), err)
 	}
-
-	// Index every live record the index did not know about, in ID order.
-	rs.Orphans = len(orphans)
-	if len(orphans) > 0 && index.Len() == 0 {
-		if err := index.BulkLoad(orphanIDs, orphans); err != nil {
-			return rs, fmt.Errorf("core: bulk-loading %d records: %w", len(orphans), err)
-		}
-		return rs, nil
-	}
-	for i, id := range orphanIDs {
-		if err := index.InsertFeature(id, orphans[i]); err != nil {
-			return rs, fmt.Errorf("core: re-indexing orphan %d: %w", id, err)
-		}
-	}
-	return rs, nil
+	return live, nil
 }

@@ -14,8 +14,8 @@ import (
 //
 //  1. as entry data: build a snapshot, re-decode its slab, and require the
 //     decoded tree to be byte-identical and to agree with a brute-force
-//     range scan (the generative oracle); then encode a snapshot file with
-//     a delta section over the same entries and load it back;
+//     range scan (the generative oracle); then put the same entries in an
+//     index with a delta, save it (which merges) and load it back;
 //  2. as a hostile file and a hostile slab: load and Decode must never
 //     panic, and whenever they accept, the invariants must hold and the
 //     slab's re-encoded bytes must be the identity (validation is total).
@@ -28,7 +28,7 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		{ID: 2, Point: [4]float64{4, 5, 6, 7}},
 	}
 	f.Add(Build(seedEntries, 1).Bytes())
-	valid, bad := deltaFiles()
+	valid, bad := snapshotFiles()
 	f.Add(valid)
 	for _, data := range bad {
 		f.Add(data)
@@ -64,9 +64,9 @@ func FuzzSlabRoundtrip(f *testing.F) {
 			}
 		}
 
-		// The same entries as a snapshot file: the first half packed, the
-		// second half delta adds, every third packed entry tombstoned. load
-		// must bring back exactly that view.
+		// The same entries in an index: the first half packed, the second
+		// half delta adds, every third packed entry tombstoned. Saved, which
+		// folds the delta in, and loaded, it must hold exactly those entries.
 		half := len(entries) / 2
 		x := New(Options{MergeThreshold: -1})
 		if err := x.BulkLoad(entries[:half]); err != nil {
@@ -80,13 +80,13 @@ func FuzzSlabRoundtrip(f *testing.F) {
 		}
 		want := x.Entries(nil)
 		sortEntries(want)
-		file := x.view.Load().encode()
-		y, err := load(file, Options{MergeThreshold: -1})
+		x.Merge()
+		y, err := load(x.view.Load().snap.encode(), Options{MergeThreshold: -1})
 		if err != nil {
 			t.Fatalf("load rejected a freshly encoded file: %v", err)
 		}
-		if y.DeltaEntries() != x.DeltaEntries() {
-			t.Fatalf("loaded %d delta entries, saved %d", y.DeltaEntries(), x.DeltaEntries())
+		if y.DeltaEntries() != 0 {
+			t.Fatalf("loaded %d delta entries, want 0", y.DeltaEntries())
 		}
 		got := y.Entries(nil)
 		sortEntries(got)

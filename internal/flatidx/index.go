@@ -316,7 +316,7 @@ func (x *Index) CheckInvariants() error {
 }
 
 // Close waits for any in-flight background merge. The index stays readable
-// (Save-on-close callers read it after Close returns).
+// (a caller may Save it after Close returns).
 func (x *Index) Close() error {
 	x.mu.Lock()
 	x.closed = true

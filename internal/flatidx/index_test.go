@@ -89,8 +89,8 @@ func lInf(a, b [4]float64) float64 {
 // TestInsertDeleteMergeAgainstModel drives random inserts, deletes (of
 // snapshot entries: tombstones; of delta adds: removed outright),
 // re-inserts of tombstoned entries, merges, saves and reloads against the
-// model. A Save persists the view as it stands — no merge, the delta
-// unchanged — and a Load brings back exactly that view.
+// model. A Save folds the delta into the slab first, so a Load brings back
+// the same entries with an empty delta.
 func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	opts := Options{MergeThreshold: -1} // merge only when the test says so
@@ -98,7 +98,7 @@ func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 	x := New(opts)
 	m := model{}
 	pool := randEntries(rng, 400)
-	saves, loadedDeltas := 0, 0
+	saves, savedDeltas := 0, 0
 	for step := 0; step < 4000; step++ {
 		e := pool[rng.Intn(len(pool))]
 		switch op := rng.Intn(40); {
@@ -117,26 +117,24 @@ func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: delta non-empty after Merge", step)
 			}
 		default:
-			merges, delta, gen := x.Merges(), x.DeltaEntries(), x.Generation()
+			if x.DeltaEntries() > 0 {
+				savedDeltas++
+			}
 			if err := x.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			if x.Merges() != merges || x.DeltaEntries() != delta || x.Generation() != gen {
-				t.Fatalf("step %d: Save moved merges %d→%d, delta %d→%d, generation %d→%d",
-					step, merges, x.Merges(), delta, x.DeltaEntries(), gen, x.Generation())
+			if x.DeltaEntries() != 0 {
+				t.Fatalf("step %d: delta non-empty after Save", step)
 			}
 			saves++
 			if op == 39 {
 				y, err := Load(path, opts)
 				if err != nil {
-					t.Fatalf("step %d: Load of a file with %d delta entries: %v", step, delta, err)
+					t.Fatalf("step %d: Load: %v", step, err)
 				}
-				if y.DeltaEntries() != delta || y.Generation() != gen {
-					t.Fatalf("step %d: loaded delta=%d generation=%d, saved %d/%d",
-						step, y.DeltaEntries(), y.Generation(), delta, gen)
-				}
-				if delta > 0 {
-					loadedDeltas++
+				if y.DeltaEntries() != 0 || y.Generation() != x.Generation() {
+					t.Fatalf("step %d: loaded delta=%d generation=%d, saved 0/%d",
+						step, y.DeltaEntries(), y.Generation(), x.Generation())
 				}
 				x = y
 				checkAgainstModel(t, x, m, rng)
@@ -147,8 +145,8 @@ func TestInsertDeleteMergeAgainstModel(t *testing.T) {
 		}
 	}
 	checkAgainstModel(t, x, m, rng)
-	if saves == 0 || loadedDeltas == 0 {
-		t.Fatalf("%d saves, %d loads of a non-empty delta: the schedule never exercised the file", saves, loadedDeltas)
+	if saves == 0 || savedDeltas == 0 {
+		t.Fatalf("%d saves, %d of a non-empty delta: the schedule never exercised the file", saves, savedDeltas)
 	}
 }
 
@@ -297,16 +295,16 @@ func TestSaveLoadRoundtripAndCorruption(t *testing.T) {
 	if err := x.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if x.DeltaEntries() != 100 || x.Merges() != 0 {
-		t.Fatalf("Save merged: delta=%d merges=%d, want 100/0", x.DeltaEntries(), x.Merges())
+	if x.DeltaEntries() != 0 || x.Merges() != 1 {
+		t.Fatalf("Save did not fold the delta in: delta=%d merges=%d, want 0/1", x.DeltaEntries(), x.Merges())
 	}
 
 	y, err := Load(path, Options{MergeThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y.Len() != 300 || y.DeltaEntries() != 100 || y.Generation() != x.Generation() {
-		t.Fatalf("loaded Len=%d delta=%d gen=%d, want 300/100/%d", y.Len(), y.DeltaEntries(), y.Generation(), x.Generation())
+	if y.Len() != 300 || y.DeltaEntries() != 0 || y.Generation() != x.Generation() {
+		t.Fatalf("loaded Len=%d delta=%d gen=%d, want 300/0/%d", y.Len(), y.DeltaEntries(), y.Generation(), x.Generation())
 	}
 	got := y.Entries(nil)
 	want := x.Entries(nil)

@@ -309,9 +309,7 @@ func Decode(data []byte) (*Snapshot, error) {
 
 // headerLayout validates the slab header at the front of data (magic,
 // version, flags, counts consistent with the deterministic layout) and
-// returns the counts. data may run past the slab: a snapshot file carries
-// a checksum and a delta section behind it, and Load sizes the slab from
-// this header before it splits the file.
+// returns the counts.
 func headerLayout(data []byte) (nNodes, nItems, height int, err error) {
 	if len(data) < headerSize {
 		return 0, 0, 0, fmt.Errorf("flatidx: slab too short (%d bytes)", len(data))
@@ -324,8 +322,8 @@ func headerLayout(data []byte) (nNodes, nItems, height int, err error) {
 		return 0, 0, 0, fmt.Errorf("flatidx: unsupported version %d", v)
 	}
 	// Bit 0 marked the per-item PAA envelope region older snapshots carried;
-	// envelopes now live only in the envelope store, so such a file is
-	// refused like any other unknown layout and the caller rebuilds it.
+	// envelopes now live only in the envelope store, so such a slab is
+	// refused like any other unknown layout.
 	if flags := u32(8); flags != 0 {
 		return 0, 0, 0, fmt.Errorf("flatidx: unsupported flags %#x (an envelope-carrying snapshot from an older layout?)", flags)
 	}
@@ -487,8 +485,8 @@ func (s *Snapshot) item(j int) Entry {
 	return getItem(s.slab[s.itemsOff+j*itemSize:])
 }
 
-// putItem and getItem are the itemSize-byte item encoding the slab's item
-// region and the snapshot file's delta section share.
+// putItem and getItem are the itemSize-byte item encoding of the slab's
+// item region.
 func putItem(b []byte, e Entry) {
 	for d := 0; d < 4; d++ {
 		binary.LittleEndian.PutUint64(b[d*8:], math.Float64bits(e.Point[d]))

@@ -2,8 +2,8 @@
 // leans on. The one that matters is RenameAndSyncDir: a temp-file +
 // rename is only atomic, not durable — after a power failure the rename
 // itself can be rolled back unless the parent directory entry is fsynced.
-// Every persistence path in the tree (flat snapshot, envelope sidecar,
-// seqdb manifest, WAL creation, shipped replica snapshots) funnels
+// Every persistence path in the tree (seqdb manifest, the flat index's
+// image, WAL creation, shipped replica snapshots) funnels
 // through this package so new files inherit the fix automatically.
 package fsx
 

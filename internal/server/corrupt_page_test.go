@@ -18,7 +18,11 @@ import (
 // page that fails its checksum has no answer — leaving those candidates out
 // would be a false dismissal — so /search and /knn say 500 and name the
 // page, never 200 with fewer matches, and a query that needs none of the
-// damaged page's records still answers.
+// damaged page's records still answers. The page goes bad on disk while
+// the database is open, after Open's derive scan read it (and the buffer
+// pool, 64 pages against the heap's 157, evicted it); a heap that is
+// already damaged at Open is refused, naming the page, because the index
+// cannot be derived from records that cannot be read.
 func TestSearchOnCorruptHeapPageIs500(t *testing.T) {
 	dir := t.TempDir()
 	db, err := twsim.Create(dir, twsim.Options{})
@@ -32,17 +36,25 @@ func TestSearchOnCorruptHeapPageIs500(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if db, err = twsim.Open(dir, twsim.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	const victim = 50 // 1020 payload bytes a page: records 63 and 64 touch page 50
 	path := filepath.Join(dir, "data.twp")
-	raw, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[16+victim*1024+300] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	var b [1]byte
+	off := int64(16 + victim*1024 + 300)
+	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	if db, err = twsim.Open(dir, twsim.Options{}); err != nil {
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(db)
@@ -84,5 +96,13 @@ func TestSearchOnCorruptHeapPageIs500(t *testing.T) {
 	}
 	if w := get(len(data)); w.Code != http.StatusNotFound {
 		t.Fatalf("GET of an ID never stored: status %d, want 404: %s", w.Code, w.Body.String())
+	}
+	srv.Close()
+	db.Close()
+	if re, err := twsim.Open(dir, twsim.Options{}); err == nil || !strings.Contains(err.Error(), "checksum mismatch (page 50)") {
+		if re != nil {
+			re.Close()
+		}
+		t.Fatalf("Open of a heap with a damaged page = %v, want an error naming page 50", err)
 	}
 }

@@ -184,7 +184,9 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
-// /stats must expose the Open-time repair summary.
+// /stats must expose the repair summary: whether the last Repair rebuilt
+// the index, and nothing else — Open derives the index, so there is no
+// per-entry reconciliation to count.
 func TestStatsReportsRepair(t *testing.T) {
 	_, _, base := newStormServer(t)
 	resp, err := http.Get(base + "/stats")
@@ -193,12 +195,7 @@ func TestStatsReportsRepair(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Repair *struct {
-			Repaired bool `json:"repaired"`
-			Rebuilt  bool `json:"rebuilt"`
-			Orphans  int  `json:"orphans_reindexed"`
-			Dangling int  `json:"dangling_removed"`
-		} `json:"repair"`
+		Repair map[string]any `json:"repair"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -206,7 +203,7 @@ func TestStatsReportsRepair(t *testing.T) {
 	if out.Repair == nil {
 		t.Fatal("/stats response is missing the repair section")
 	}
-	if out.Repair.Repaired || out.Repair.Rebuilt {
-		t.Fatalf("fresh database reports repair: %+v", out.Repair)
+	if len(out.Repair) != 2 || out.Repair["repaired"] != false || out.Repair["rebuilt"] != false {
+		t.Fatalf("repair section = %v, want exactly repaired and rebuilt, both false", out.Repair)
 	}
 }

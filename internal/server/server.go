@@ -345,11 +345,8 @@ func storageJSON(st twsim.StorageStats) map[string]any {
 
 func repairJSON(rs twsim.RepairStats) map[string]any {
 	return map[string]any{
-		"repaired":           rs.Repaired(),
-		"rebuilt":            rs.Rebuilt,
-		"orphans_reindexed":  rs.Orphans,
-		"dangling_removed":   rs.Dangling,
-		"mismatched_rekeyed": rs.Mismatched,
+		"repaired": rs.Repaired(),
+		"rebuilt":  rs.Rebuilt,
 	}
 }
 

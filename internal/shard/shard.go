@@ -186,7 +186,8 @@ func (e *Engine) AddAll(values [][]float64) ([]seq.ID, error) {
 	})
 	if err != nil {
 		// Best-effort cross-shard rollback; whatever removal cannot undo is
-		// caught by each shard's own Open-time reconciliation.
+		// gone from each shard's index at its next Open, which derives the
+		// index from the heap.
 		for si := range e.stores {
 			if !stored[si] {
 				continue

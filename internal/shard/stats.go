@@ -70,7 +70,7 @@ type ShardStat struct {
 	DataBytes int64
 	// IndexPages is the shard's feature index size in pages.
 	IndexPages int
-	// Repair is what the shard's Open-time reconciliation had to fix.
+	// Repair is what the shard's last Repair rebuilt.
 	Repair core.RepairStats
 	// Queries is the shard's cumulative query work since the engine was
 	// built, including the per-tier cascade prune counters.
@@ -93,18 +93,13 @@ func (e *Engine) ShardStats() []ShardStat {
 	return out
 }
 
-// LastRepair aggregates the per-shard Open-time repair statistics: counters
-// sum; Rebuilt reports whether any shard's index was rebuilt outright.
+// LastRepair aggregates the per-shard repair statistics: the live counts
+// sum; Rebuilt reports whether any shard's index was rebuilt.
 func (e *Engine) LastRepair() core.RepairStats {
 	var agg core.RepairStats
 	for si := range e.stores {
 		rs := e.stores[si].LastRepair()
 		agg.LiveSequences += rs.LiveSequences
-		agg.IndexedBefore += rs.IndexedBefore
-		agg.Orphans += rs.Orphans
-		agg.Dangling += rs.Dangling
-		agg.Mismatched += rs.Mismatched
-		agg.Envelopes += rs.Envelopes
 		agg.Rebuilt = agg.Rebuilt || rs.Rebuilt
 	}
 	return agg

@@ -8,8 +8,8 @@
 // load a batch is every writer that arrived during the previous fsync, so
 // batches grow with fsync latency without a timer to tune. Open scans the
 // log, truncates a torn tail at the first invalid record, and hands the
-// valid prefix back for replay; Checkpoint (taken after the heap, index,
-// and sidecars are durable by other means) resets the log to an empty
+// valid prefix back for replay; Checkpoint (taken after the heap is
+// durable by other means) resets the log to an empty
 // file with a higher base sequence number. Sequence numbers are dense,
 // monotone across checkpoints, and never reused — they double as the
 // replication cursor.

@@ -2,8 +2,9 @@ package twsim
 
 // Internal (same-package) fault-injection tests for the crash-consistent
 // write path: Add/AddAll must be atomic under injected index storage
-// faults, and Open must reconcile a database whose previous writer was
-// interrupted between the heap append and the index insert.
+// faults, and Open, which derives the index from the heap, must serve a
+// database whose previous writer was interrupted between the heap append
+// and the index insert as if nothing had happened.
 
 import (
 	"math"
@@ -230,8 +231,9 @@ func mustCreatePopulated(t *testing.T, dir string, count int) (*DB, [][]float64)
 	return db, data
 }
 
-// A crash between the heap append and the index insert leaves an orphaned
-// heap record; Open must re-index it.
+// A crash between the heap append and the index insert leaves a heap
+// record the index never saw; Open derives the index from the heap, so the
+// record is indexed like any other and there is nothing to repair.
 func TestOpenReindexesOrphanedHeapRecord(t *testing.T) {
 	dir := t.TempDir()
 	db, data := mustCreatePopulated(t, dir, 20)
@@ -250,23 +252,22 @@ func TestOpenReindexesOrphanedHeapRecord(t *testing.T) {
 		t.Fatalf("Open after simulated crash: %v", err)
 	}
 	defer db2.Close()
-	rs := db2.LastRepair()
-	if rs.Orphans != 1 || !rs.Repaired() {
-		t.Fatalf("LastRepair = %+v, want 1 orphan re-indexed", rs)
+	if rs := db2.LastRepair(); rs.Repaired() {
+		t.Fatalf("LastRepair = %+v after Open, want the zero value", rs)
 	}
 	if err := db2.Verify(); err != nil {
-		t.Fatalf("Verify after reconciliation: %v", err)
+		t.Fatalf("Verify after Open: %v", err)
 	}
 	if err := db2.CheckInvariants(); err != nil {
-		t.Fatalf("CheckInvariants after reconciliation: %v", err)
+		t.Fatalf("CheckInvariants after Open: %v", err)
 	}
-	// The orphan must now be findable — no false dismissal after repair.
+	// The record must be findable — no false dismissal.
 	res, err := db2.Search(orphan, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) == 0 {
-		t.Fatal("re-indexed orphan not found by Search")
+		t.Fatal("the record the index never saw is not found by Search")
 	}
 	assertOracleEqual(t, db2, orphan, 0.5)
 	assertOracleEqual(t, db2, data[5], 3)
@@ -285,8 +286,8 @@ func TestOpenReindexesOrphanedHeapRecord(t *testing.T) {
 	}
 }
 
-// A dangling index entry (insert survived, heap record did not) must be
-// deleted by the Open-time reconciliation.
+// An index entry whose heap record never became durable is gone after
+// Open: the index is derived from the heap alone.
 func TestOpenRemovesDanglingIndexEntry(t *testing.T) {
 	dir := t.TempDir()
 	db, data := mustCreatePopulated(t, dir, 12)
@@ -304,19 +305,18 @@ func TestOpenRemovesDanglingIndexEntry(t *testing.T) {
 		t.Fatalf("Open with dangling entry: %v", err)
 	}
 	defer db2.Close()
-	rs := db2.LastRepair()
-	if rs.Dangling != 1 {
-		t.Fatalf("LastRepair = %+v, want 1 dangling entry removed", rs)
+	if db2.index.Len() != db2.store.Len() || db2.index.Len() != len(data) {
+		t.Fatalf("index holds %d entries, heap %d live records, want %d each", db2.index.Len(), db2.store.Len(), len(data))
 	}
 	if err := db2.Verify(); err != nil {
-		t.Fatalf("Verify after reconciliation: %v", err)
+		t.Fatalf("Verify after Open: %v", err)
 	}
 	assertOracleEqual(t, db2, data[0], 2)
 }
 
-// Balanced divergence (one orphan plus one dangling entry) keeps the entry
-// counts equal, so Open cannot detect it cheaply — the explicit Repair
-// must fix it.
+// Balanced divergence (one record missing from the index plus one entry
+// with no record) keeps the entry counts equal; Verify finds it and the
+// explicit Repair, which derives the index again from the heap, fixes it.
 func TestRepairFixesBalancedDivergence(t *testing.T) {
 	db, err := OpenMem(Options{})
 	if err != nil {
@@ -352,8 +352,8 @@ func TestRepairFixesBalancedDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	if rs.Orphans != 1 || rs.Dangling != 1 {
-		t.Fatalf("Repair = %+v, want 1 orphan + 1 dangling", rs)
+	if !rs.Rebuilt || rs.LiveSequences != 10 || db.LastRepair() != rs {
+		t.Fatalf("Repair = %+v (LastRepair %+v), want a rebuild from 10 live sequences", rs, db.LastRepair())
 	}
 	if err := db.Verify(); err != nil {
 		t.Fatalf("Verify after Repair: %v", err)
@@ -361,8 +361,9 @@ func TestRepairFixesBalancedDivergence(t *testing.T) {
 	assertOracleEqual(t, db, stored[4], 1)
 }
 
-// An index file that cannot be opened at all (corrupt or missing) must be
-// rebuilt from the heap, which is the source of truth.
+// An index file in the directory — a garbage one, or none — changes
+// nothing: Open never reads feature.flat, removes it, and derives the index
+// from the heap, which is the source of truth.
 func TestOpenRebuildsUnopenableIndex(t *testing.T) {
 	for name, corrupt := range map[string]func(t *testing.T, path string){
 		"corrupt": func(t *testing.T, path string) {
@@ -382,22 +383,25 @@ func TestOpenRebuildsUnopenableIndex(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(t, filepath.Join(dir, indexFileName))
+			path := filepath.Join(dir, exportFileName)
+			corrupt(t, path)
 
 			db2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("Open with %s index: %v", name, err)
 			}
 			defer db2.Close()
-			rs := db2.LastRepair()
-			if !rs.Rebuilt {
-				t.Fatalf("LastRepair = %+v, want Rebuilt", rs)
+			if rs := db2.LastRepair(); rs.Repaired() || len(db2.OpenDiagnostics()) != 0 {
+				t.Fatalf("LastRepair = %+v, diagnostics %q: want neither", rs, db2.OpenDiagnostics())
 			}
-			if rs.LiveSequences != 15 {
-				t.Fatalf("rebuilt from %d sequences, want 15", rs.LiveSequences)
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("%s survived Open (stat: %v)", exportFileName, err)
+			}
+			if db2.Len() != 15 {
+				t.Fatalf("Len = %d, want 15", db2.Len())
 			}
 			if err := db2.Verify(); err != nil {
-				t.Fatalf("Verify after rebuild: %v", err)
+				t.Fatalf("Verify: %v", err)
 			}
 			assertOracleEqual(t, db2, data[7], 3)
 		})

@@ -188,6 +188,9 @@ func DecodeReplSnapshot(raw []byte) (*ReplSnapshot, error) {
 		if len(body) < off+5 {
 			return nil, fmt.Errorf("twsim: snapshot truncated at record %d", i)
 		}
+		if body[off] > 1 {
+			return nil, fmt.Errorf("twsim: snapshot record %d bad deleted flag %d", i, body[off])
+		}
 		deleted := body[off] == 1
 		n := int(binary.LittleEndian.Uint32(body[off+1:]))
 		off += 5

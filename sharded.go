@@ -176,9 +176,9 @@ func CreateSharded(dir string, opts ShardedOptions) (*ShardedDB, error) {
 // OpenSharded opens an existing on-disk sharded database. The shard count
 // comes from the manifest written at creation; a non-zero
 // opts.Shards that disagrees is an error (repartitioning would scramble
-// the ID routing). Each shard opens through the same self-healing path as
-// a single DB — per-shard heap/index reconciliation — and LastRepair
-// aggregates what every shard had to fix.
+// the ID routing). Each shard opens through the same path as a single DB,
+// deriving its index from its heap, and LastRepair aggregates what every
+// shard's last Repair rebuilt.
 func OpenSharded(dir string, opts ShardedOptions) (*ShardedDB, error) {
 	m, err := readShardManifest(dir)
 	if err != nil {

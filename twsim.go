@@ -161,8 +161,7 @@ func (o Options) applyDeadline(ctx context.Context) (context.Context, context.Ca
 	return context.WithTimeout(ctx, o.QueryDeadline)
 }
 
-// RepairStats summarizes the Open-time reconciliation between the sequence
-// heap and the feature index (see Open and Repair).
+// RepairStats summarizes what the last Repair rebuilt from the heap.
 type RepairStats = core.RepairStats
 
 // DB is a sequence database with the paper's 4-d feature index kept in sync
@@ -189,7 +188,7 @@ type DB struct {
 	dir       string // empty when in-memory
 	opts      Options
 	repair    RepairStats
-	openNotes []string // one line per Open-time repair/rebuild (OpenDiagnostics)
+	openNotes []string // one line per Open-time replay or removal (OpenDiagnostics)
 	// gen is the write generation: bumped after every mutation
 	// (Add/AddAll/Remove/Repair) and read by queries before their first
 	// index or heap access, it stamps result-cache entries so a cached
@@ -199,25 +198,26 @@ type DB struct {
 	rcache *core.ResultCache // nil when Options.ResultCacheBytes == 0
 	// wal is the group-commit write-ahead log (nil unless Options.WAL on
 	// an on-disk database); walReplayed records that Open applied logged
-	// mutations, forcing a reconcile + checkpoint before Open returns.
+	// mutations (or stopped short of some), forcing a checkpoint before Open
+	// returns.
 	wal         *wal.Log
 	walReplayed bool
 }
 
-const (
-	indexFileName = "feature.flat"  // the index: packed snapshot + delta section
-	rtreeFileName = "feature.rtree" // the paged R-tree older versions served from; converted on open
-	envsFileName  = "envelopes.paa"
-)
+// exportFileName is the index image a clean Close leaves for tools outside
+// the database (cmd/bench's stage replay reads it). Open never reads it and
+// removes it, so it exists only while the database is closed and is then
+// current.
+const exportFileName = "feature.flat"
 
-// indexOptions assembles the index options of a database in dir ("" = in
-// memory).
-func (o Options) indexOptions(dir string) core.IndexOptions {
-	io := core.IndexOptions{PageSize: o.PageSize}
-	if dir != "" {
-		io.OnDiskPath = filepath.Join(dir, indexFileName)
-	}
-	return io
+// strayFileNames are the derived-state files older versions kept beside
+// the heap: the paged R-tree index and the envelope sidecar. Open removes
+// them unread.
+var strayFileNames = []string{"feature.rtree", "envelopes.paa"}
+
+// indexOptions assembles the options of a database's in-memory index.
+func (o Options) indexOptions() core.IndexOptions {
+	return core.IndexOptions{PageSize: o.PageSize}
 }
 
 // note records one Open-time diagnostic line (see OpenDiagnostics).
@@ -225,10 +225,10 @@ func (db *DB) note(format string, args ...any) {
 	db.openNotes = append(db.openNotes, fmt.Sprintf(format, args...))
 }
 
-// OpenDiagnostics returns one human-readable line per repair or rebuild the
-// most recent Open performed — index rebuilt from the heap,
-// snapshot file rejected by its checksum, envelope sidecar re-derived.
-// Empty when the database opened clean. twsimd logs each line at startup so
+// OpenDiagnostics returns one human-readable line per thing the most recent
+// Open did besides deriving the index: WAL records replayed, a replay that
+// stopped early, a stray file of an older version or a stale temp file
+// removed. Empty when the database opened clean. twsimd logs each line at startup so
 // silent self-healing leaves a trace. (Only Open writes the notes, before the
 // database is shared, so reading them takes no lock.)
 func (db *DB) OpenDiagnostics() []string {
@@ -250,7 +250,7 @@ func OpenMem(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, err := core.NewFlatIndex(opts.indexOptions(""))
+	index, err := core.NewFlatIndex(opts.indexOptions())
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -265,17 +265,13 @@ func Create(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, err := core.NewFlatIndex(opts.indexOptions(dir))
+	index, err := core.NewFlatIndex(opts.indexOptions())
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	db := &DB{store: store, index: index, base: opts.Base, dir: dir, opts: opts,
+	db := &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, dir: dir, opts: opts,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}
-	if db.envs, err = core.CreateEnvStore(filepath.Join(dir, envsFileName)); err != nil {
-		db.Close()
-		return nil, fmt.Errorf("twsim: creating envelope store: %w", err)
-	}
 	if opts.WAL {
 		if db.wal, err = wal.Create(filepath.Join(dir, walFileName), 1, wal.Options{}); err != nil {
 			db.Close()
@@ -287,28 +283,21 @@ func Create(dir string, opts Options) (*DB, error) {
 
 // Open opens an existing on-disk database.
 //
-// Open is self-healing: when the feature index and the sequence heap
-// disagree — an interrupted write left an orphaned heap record or a
-// dangling index entry — Open reconciles them by re-deriving feature
-// vectors from the live heap records and patching the index, and when the
-// index file is missing or unreadable it is rebuilt from scratch by
-// scanning the heap. The envelope sidecar is healed by the same scan. The
-// heap is the source of truth; index and sidecar are always derivable from
-// it. LastRepair reports what, if anything, was fixed.
-//
-// A directory last served by a version that kept the index as a paged
-// R-tree (feature.rtree) is converted the same way, once: the flat index
-// is built from the heap and the R-tree file removed. Temp files a killed
-// Flush left in the directory are removed too. Both leave a line in
-// OpenDiagnostics.
+// The heap is the source of truth, and Open derives everything else from
+// it: one heap scan builds the feature index and the PAA envelopes
+// (core.Derive), so no index or envelope file is ever read. With the WAL
+// on, the log tail is replayed over the heap first. Open removes
+// feature.flat, the index image the last clean Close left; a feature.rtree
+// or envelopes.paa an older version kept and the temp files a killed Flush
+// left are removed too, each with a line in OpenDiagnostics.
 func Open(dir string, opts Options) (*DB, error) {
 	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize})
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
 	}
 	if err != nil {
-		// The heap is the source of truth: unlike a bad index file or
-		// sidecar there is nothing to rebuild a damaged heap from.
+		// The heap is the source of truth: there is nothing to rebuild a
+		// damaged heap from.
 		return nil, fmt.Errorf("twsim: the sequence heap in %s cannot be opened: %w", dir, err)
 	}
 	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts,
@@ -321,95 +310,60 @@ func Open(dir string, opts Options) (*DB, error) {
 		// Leftovers waste space, nothing reads them: not worth failing Open.
 		db.note("stale temp cleanup stopped: %v", err)
 	}
+	db.removeStrays()
 	if opts.WAL {
-		// Replay the WAL tail over the heap before the index opens: the
-		// reconcile pass below works against whatever the heap holds, so
-		// recovered appends and tombstones are re-indexed (or dropped) by
-		// the exact same LastRepair machinery an unlogged crash uses.
+		// Replay the WAL tail over the heap before the derive scan, which
+		// then sees the recovered appends and tombstones like any others.
 		if err := db.openWAL(); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("twsim: write-ahead log: %w", err)
 		}
 	}
 	// From here db.Close releases whatever was opened so far.
-	rtreePath := filepath.Join(dir, rtreeFileName)
-	_, statErr := os.Stat(rtreePath)
-	hasRtree := statErr == nil
-	index, err := core.OpenFlatIndex(filepath.Join(dir, indexFileName), opts.indexOptions(dir))
-	rebuilt := err != nil
-	if rebuilt {
-		// Unopenable (missing, truncated, corrupt CRC, a delta contradicting
-		// the slab): start from an empty index the reconcile pass bulk-loads.
-		if hasRtree && errors.Is(err, fs.ErrNotExist) {
-			db.note("index converted from guttman to flat: %s built from the heap, %s removed", indexFileName, rtreeFileName)
-		} else {
-			db.note("index file=%s rebuilt-on-open: %v", indexFileName, err)
-		}
-		if index, err = core.NewFlatIndex(opts.indexOptions(dir)); err != nil {
-			db.Close()
-			return nil, err
-		}
+	if _, err := db.derive(); err != nil {
+		db.Close()
+		return nil, err
 	}
-	db.index = index
-	envs, envNotes, err := core.OpenEnvStore(filepath.Join(dir, envsFileName))
-	if err != nil {
-		// Missing, written by an older version, or unreadable: start an
-		// empty sidecar the reconcile pass fills.
-		db.note("envelope-sidecar rebuilt-on-open: %v", err)
-		if envs, err = core.CreateEnvStore(filepath.Join(dir, envsFileName)); err != nil {
-			db.Close()
-			return nil, fmt.Errorf("twsim: creating envelope store: %w", err)
-		}
-	}
-	db.envs = envs
-	for _, line := range envNotes {
-		db.note("%s", line)
-	}
-	// Replayed mutations can leave the live count unchanged (an add plus a
-	// remove) while contents diverge, so any replay forces the reconcile
-	// rather than trusting the count checks alone. Those suffice otherwise:
-	// IDs are never reused, so an index entry or a stored envelope can only
-	// be present-or-absent, never wrong for a live ID.
-	if rebuilt || db.walReplayed || index.Len() != store.Len() || envs.Len() != store.Len() {
-		indexed, stored := index.Len(), envs.Len()
-		if _, err := db.reconcile(rebuilt); err != nil {
-			db.Close()
-			return nil, err
-		}
-		if !rebuilt && (db.walReplayed || indexed != store.Len()) {
-			db.note("index reconciled-on-open: indexed=%d live=%d", indexed, store.Len())
-		}
-		if db.repair.Envelopes > 0 || stored != envs.Len() {
-			db.note("envelope-sidecar reconciled-on-open: stored=%d derived=%d live=%d", stored, db.repair.Envelopes, store.Len())
-		}
+	if db.walReplayed {
+		// The replayed mutations are in the heap now: a checkpoint makes
+		// them durable there and drops a tail the replay stopped short of.
 		if err := db.Flush(); err != nil {
 			db.Close()
 			return nil, err
 		}
 	}
-	if hasRtree {
-		if err := os.Remove(rtreePath); err != nil {
-			db.note("removing %s: %v", rtreeFileName, err)
-		}
-	}
 	return db, nil
 }
 
-// LastRepair returns the statistics of the reconciliation Open (or Repair)
-// performed. The zero value means the database opened consistent.
+// removeStrays deletes the files Open never reads: the index image of the
+// last clean Close, and the derived-state files of older versions, which
+// get a diagnostic line each.
+func (db *DB) removeStrays() {
+	// Every clean Close writes a fresh image, so one that cannot be removed
+	// here is only ever replaced, never read.
+	_ = os.Remove(filepath.Join(db.dir, exportFileName))
+	for _, name := range strayFileNames {
+		switch err := os.Remove(filepath.Join(db.dir, name)); {
+		case err == nil:
+			db.note("stray %s removed-on-open (an older version's derived state; derived from the heap instead)", name)
+		case !errors.Is(err, fs.ErrNotExist):
+			db.note("stray %s not removed: %v", name, err)
+		}
+	}
+}
+
+// LastRepair returns the statistics of the last Repair. It is the zero
+// value after Open: opening derives the index, it does not repair one.
 func (db *DB) LastRepair() RepairStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.repair
 }
 
-// Repair reconciles the feature index and the envelope store with the live
-// heap records on demand — the fsck-and-fix counterpart to Verify, usable
-// on any database (not just at Open time). When the index structure is
-// intact it is patched in place (orphans re-indexed, dangling entries
-// removed); when it is damaged beyond entry-level patching the index is
-// rebuilt from the heap, which is always possible because the heap is the
-// source of truth. It returns what it had to change.
+// Repair derives the feature index and the envelope store again from the
+// live heap records, exactly as Open does — the fix counterpart to Verify,
+// usable on any database at any time. The heap is the source of truth, so
+// whatever diverged from it is replaced. It returns what it rebuilt.
 func (db *DB) Repair() (RepairStats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -417,43 +371,33 @@ func (db *DB) Repair() (RepairStats, error) {
 }
 
 func (db *DB) repairLocked() (RepairStats, error) {
-	// Whatever inconsistency prompted the repair may have touched the
-	// envelopes too, and Open's reconcile trusts the ones it finds: drop
-	// them all, so the scan below re-derives every one.
-	for id := 0; id < db.store.NumRecords(); id++ {
-		db.envs.Remove(ID(id))
+	live, err := db.derive()
+	if err != nil {
+		return db.repair, err
 	}
-	return db.reconcile(false)
+	db.repair = RepairStats{LiveSequences: live, Rebuilt: true}
+	return db.repair, nil
 }
 
-// reconcile brings index and envelope store back in line with the heap in
-// one heap scan (core.Reconcile), patching the index in place. fresh says
-// the index is an empty replacement for a file that could not be opened;
-// an index whose structure is damaged, or that cannot be patched, is
-// replaced the same way here. The scan then bulk-loads it and the repair
-// counts as a rebuild.
-func (db *DB) reconcile(fresh bool) (RepairStats, error) {
-	defer db.gen.Add(1)
-	if !fresh {
-		if db.index.CheckInvariants() == nil {
-			if rs, err := core.Reconcile(db.store, db.index, db.envs); err == nil {
-				db.repair = rs
-				return rs, nil
-			}
-		}
-		db.index.Close()
-		index, err := core.NewFlatIndex(db.opts.indexOptions(db.dir))
-		if err != nil {
-			return db.repair, fmt.Errorf("twsim: rebuilding index: %w", err)
-		}
-		db.index = index
-	}
-	rs, err := core.Reconcile(db.store, db.index, db.envs)
+// derive builds a fresh feature index and envelope store from the heap in
+// one scan (core.Derive) and swaps them in for the ones they replace. On
+// an error the database keeps what it had.
+func (db *DB) derive() (live int, err error) {
+	index, err := core.NewFlatIndex(db.opts.indexOptions())
 	if err != nil {
-		return rs, fmt.Errorf("twsim: rebuilding index: %w", err)
+		return 0, err
 	}
-	db.repair = RepairStats{Rebuilt: true, LiveSequences: rs.LiveSequences, Envelopes: rs.Envelopes}
-	return db.repair, nil
+	envs := core.NewEnvStore()
+	if live, err = core.Derive(db.store, index, envs); err != nil {
+		index.Close()
+		return live, fmt.Errorf("twsim: deriving the index from the heap: %w", err)
+	}
+	if db.index != nil {
+		db.index.Close()
+	}
+	db.index, db.envs = index, envs
+	db.gen.Add(1)
+	return live, nil
 }
 
 // Base returns the configured base distance.
@@ -512,8 +456,8 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 	appended := make([]ID, 0, len(values))
 	indexed := make([]seq.Sequence, 0, len(values)) // sequences with index entries
 	// rollback undoes the partial batch in reverse append order; storage
-	// errors during rollback are secondary — Open-time reconciliation
-	// covers whatever best effort could not.
+	// errors during rollback are secondary — the next Open derives the
+	// index from the heap, covering whatever best effort could not.
 	rollback := func() {
 		for i := len(appended) - 1; i >= 0; i-- {
 			if i < len(indexed) {
@@ -873,15 +817,15 @@ func (db *DB) CheckInvariants() error {
 	return db.index.CheckInvariants()
 }
 
-// Flush persists all state to disk (no-op for in-memory databases) at a
+// Flush persists the heap to disk (no-op for in-memory databases) at a
 // cost set by what changed, not by the database's size: the heap's dirty
-// pages and its directory, the index file (slab plus delta, never a merge)
-// and the envelope chunks touched since the last Flush. With the WAL
-// enabled a successful Flush is also a checkpoint: once the heap pages are
-// fsynced, the manifest renamed and dir-synced, and the index and envelope
-// sidecar saved, every logged mutation is durable by other means, so the
-// log resets to an empty file with a higher base sequence number (pending
-// waiters are released — their records are durable too).
+// pages and its directory. The index and the envelopes are derived from
+// the heap at Open, so nothing else is written. With the WAL enabled a
+// successful Flush is also a checkpoint: once the heap pages are fsynced
+// and the manifest renamed and dir-synced, every logged mutation is durable
+// by other means, so the log resets to an empty file with a higher base
+// sequence number (pending waiters are released — their records are
+// durable too).
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -892,12 +836,6 @@ func (db *DB) flushLocked() error {
 	if err := db.store.Flush(); err != nil {
 		return err
 	}
-	if err := db.index.Flush(); err != nil {
-		return err
-	}
-	if err := db.envs.Save(); err != nil {
-		return fmt.Errorf("twsim: saving envelope store: %w", err)
-	}
 	if db.wal != nil {
 		if err := db.wal.Checkpoint(); err != nil {
 			return fmt.Errorf("twsim: wal checkpoint: %w", err)
@@ -906,11 +844,10 @@ func (db *DB) flushLocked() error {
 	return nil
 }
 
-// Close flushes and releases the database; the index folds its delta into
-// the packed snapshot on the way out. With the WAL enabled the log is
+// Close flushes and releases the database. With the WAL enabled the log is
 // checkpointed (emptied) on a clean close, so the next Open has nothing to
-// replay. The heap is made durable first: the index and the sidecar must
-// never be ahead of it on disk.
+// replay. An on-disk database then exports its index, merged, to
+// feature.flat for tools outside the database; Open never reads it.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -919,9 +856,6 @@ func (db *DB) Close() error {
 		if ierr := db.index.Close(); err == nil {
 			err = ierr
 		}
-	}
-	if eerr := db.envs.Close(); eerr != nil && err == nil {
-		err = fmt.Errorf("twsim: saving envelope store: %w", eerr)
 	}
 	if db.wal != nil {
 		// The store Close above flushed and fsynced the heap + manifest,
@@ -934,6 +868,11 @@ func (db *DB) Close() error {
 		}
 		if cerr := db.wal.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("twsim: wal close: %w", cerr)
+		}
+	}
+	if fi, ok := db.index.(*core.FlatIndex); ok && db.dir != "" && err == nil {
+		if xerr := fi.Export(filepath.Join(db.dir, exportFileName)); xerr != nil {
+			err = fmt.Errorf("twsim: exporting the index: %w", xerr)
 		}
 	}
 	return err

@@ -64,7 +64,7 @@ func (db *DB) Verify() error {
 		}
 		// The envelope store must hold exactly the profile this record
 		// derives to (envelopes are immutable per ID — IDs are never reused
-		// — so a mismatch means sidecar corruption, not staleness). A nil
+		// — so a mismatch means the store diverged from the heap). A nil
 		// store means the DB was composed without envelopes (hand-wired
 		// tests); the LB_PAA tier is simply inert then, nothing to check.
 		if db.envs != nil {

@@ -8,7 +8,6 @@ package twsim
 // for record and query for query.
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -80,7 +79,7 @@ func copyTree(t *testing.T, src, dst string) {
 
 // requireIdentical asserts got holds exactly the state of want: same live
 // count, same per-ID contents (including tombstones), and bit-identical
-// Search answers for a probe query.
+// range and banded k-NN answers for a probe query.
 func requireIdentical(t *testing.T, got, want *DB, probe []float64) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -122,6 +121,23 @@ func requireIdentical(t *testing.T, got, want *DB, probe []float64) {
 		if wres.Matches[i].ID != gres.Matches[i].ID ||
 			math.Float64bits(wres.Matches[i].Dist) != math.Float64bits(gres.Matches[i].Dist) {
 			t.Fatalf("search match %d differs: %+v vs %+v", i, gres.Matches[i], wres.Matches[i])
+		}
+	}
+	wk, err := want.NearestKCtx(nil, probe, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk, err := got.NearestKCtx(nil, probe, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wk.Matches) != len(gk.Matches) {
+		t.Fatalf("k-NN matches = %d, want %d", len(gk.Matches), len(wk.Matches))
+	}
+	for i := range wk.Matches {
+		if wk.Matches[i].ID != gk.Matches[i].ID ||
+			math.Float64bits(wk.Matches[i].Dist) != math.Float64bits(gk.Matches[i].Dist) {
+			t.Fatalf("k-NN match %d differs: %+v vs %+v", i, gk.Matches[i], wk.Matches[i])
 		}
 	}
 }
@@ -344,10 +360,10 @@ func TestCrashDuplicateReplayAfterCheckpointedHeap(t *testing.T) {
 
 // deltaCheckpointImage builds the state the remaining crash tests start
 // from: a bulk-loaded snapshot of bulk sequences, then 15 single adds and 2
-// removes checkpointed by a Flush — which saves the index as it stands, so
-// feature.flat carries a delta section of adds and tombstones — then 15 more
-// adds and 3 removes, acknowledged but seen by no file save. It returns the
-// open database, every sequence added and every ID removed.
+// removes checkpointed by a Flush — which writes the heap and resets the
+// log, leaving the index's delta of adds and tombstones unmerged in memory —
+// then 15 more adds and 3 removes, acknowledged and only in the log. It
+// returns the open database, every sequence added and every ID removed.
 func deltaCheckpointImage(t *testing.T, dir string, bulk int) (*DB, [][]float64, []ID) {
 	t.Helper()
 	db, err := Create(dir, crashOpts())
@@ -391,10 +407,10 @@ func deltaCheckpointImage(t *testing.T, dir string, bulk int) (*DB, [][]float64,
 }
 
 // TestCrashAfterDeltaCheckpoint: kill -9 some writes after a checkpoint
-// that persisted a non-empty delta. The reopened index starts from that
-// snapshot + delta, the WAL tail brings the heap forward, and one heap scan
-// re-indexes exactly the tail: nothing acknowledged is lost, nothing is
-// rebuilt, and the diagnostics say what happened.
+// taken while the index held a delta. The WAL tail brings the heap
+// forward, and the one derive scan indexes exactly the live records:
+// nothing acknowledged is lost, the answers are a never-crashed twin's, and
+// the diagnostics say what the replay did.
 func TestCrashAfterDeltaCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	_, seqs, removes := deltaCheckpointImage(t, dir, 30)
@@ -406,37 +422,28 @@ func TestCrashAfterDeltaCheckpoint(t *testing.T) {
 		t.Fatalf("reopening crash image: %v", err)
 	}
 	defer re.Close()
-	requireIdentical(t, re, buildReferenceBulk(t, seqs, 30, removes), seqs[5])
+	twin := buildReferenceBulk(t, seqs, 30, removes)
+	for _, probe := range [][]float64{seqs[5], seqs[40], seqs[50]} {
+		requireIdentical(t, re, twin, probe)
+	}
 	if err := re.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// The tail: 15 adds, one of them (50) removed again, plus the removes of
-	// 7 and 40, which the persisted index still holds.
-	rs := re.LastRepair()
-	if rs.Rebuilt || rs.Orphans != 14 || rs.Dangling != 2 || rs.Mismatched != 0 || rs.Envelopes != 14 {
-		t.Fatalf("LastRepair = %+v, want 14 orphans re-indexed, 2 dangling removed, 14 envelopes derived, no rebuild", rs)
+	if rs := re.LastRepair(); rs.Repaired() {
+		t.Fatalf("LastRepair = %+v after Open, want the zero value", rs)
 	}
+	// The tail: 15 adds and 3 removes.
 	notes := strings.Join(re.OpenDiagnostics(), "\n")
-	for _, want := range []string{
-		"wal: replayed 18 mutations",
-		"index reconciled-on-open: indexed=43 live=55",
-		"envelope-sidecar reconciled-on-open: stored=43 derived=14 live=55",
-	} {
-		if !strings.Contains(notes, want) {
-			t.Errorf("open diagnostics lack %q:\n%s", want, notes)
-		}
-	}
-	if strings.Contains(notes, "rebuilt-on-open") {
-		t.Errorf("open diagnostics speak of a rebuild:\n%s", notes)
+	if !strings.Contains(notes, "wal: replayed 18 mutations") {
+		t.Errorf("open diagnostics lack the replay:\n%s", notes)
 	}
 }
 
 // TestCrashBetweenHeapSyncAndIndexSave kills a checkpoint after its heap
-// fsync and before its index save: the heap and its directory hold every
-// record, feature.flat and the sidecar are the previous checkpoint's, and
-// the WAL still holds the whole tail. Replay must skip every record as
-// already applied, and the reconcile pass must still run — the counts
-// disagree — and bring index and envelopes up to the heap.
+// fsync and before its log reset: the heap and its directory hold every
+// record, and the WAL still holds the whole tail. Replay must skip every
+// record as already applied, and the derive scan must index exactly what
+// the heap holds: the answers are a never-crashed twin's.
 func TestCrashBetweenHeapSyncAndIndexSave(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, seqs, removes := deltaCheckpointImage(t, dir, 30)
@@ -451,23 +458,84 @@ func TestCrashBetweenHeapSyncAndIndexSave(t *testing.T) {
 		t.Fatalf("reopening mid-checkpoint image: %v", err)
 	}
 	defer re.Close()
-	requireIdentical(t, re, buildReferenceBulk(t, seqs, 30, removes), seqs[5])
+	twin := buildReferenceBulk(t, seqs, 30, removes)
+	for _, probe := range [][]float64{seqs[5], seqs[40], seqs[50]} {
+		requireIdentical(t, re, twin, probe)
+	}
 	if err := re.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if rs := re.LastRepair(); rs.Rebuilt || rs.Orphans != 14 || rs.Dangling != 2 || rs.Envelopes != 14 {
-		t.Fatalf("LastRepair = %+v, want 14 orphans, 2 dangling, 14 envelopes, no rebuild", rs)
+	if rs := re.LastRepair(); rs.Repaired() {
+		t.Fatalf("LastRepair = %+v after Open, want the zero value", rs)
 	}
 	if notes := strings.Join(re.OpenDiagnostics(), "\n"); strings.Contains(notes, "wal: replayed") {
 		t.Errorf("replay applied records the heap already held:\n%s", notes)
 	}
 }
 
-// TestReopenReadsTheHeapOnce: recovery after a kill costs one pass over the
-// heap, not three (the index reconcile, an envelope rebuild and a second
-// envelope rebuild used to scan it each), and a reopen after a clean
-// checkpoint costs none: index, delta and envelopes all come from their
-// files.
+// TestWALReplayRefusesNonFinite: a CRC-valid add record carrying a NaN —
+// written with the log's own encoder, so only the replay stands between it
+// and the heap — stops the replay like a gap does. The record never
+// reaches the heap (its index entry would sit at a point no range query
+// reaches), Open says why, the database verifies, and the checkpoint that
+// follows drops the refused tail, so the next open replays nothing.
+func TestWALReplayRefusesNonFinite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Create(dir, crashOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	seqs := crashSequences(8, 24, 31)
+	for _, s := range seqs {
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poisoned := append([]float64(nil), seqs[0]...)
+	poisoned[5] = math.NaN()
+	commit, err := db.wal.Begin(wal.NewAdd(ID(len(seqs)), poisoned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(); err != nil {
+		t.Fatal(err)
+	}
+	crash := filepath.Join(t.TempDir(), "crash")
+	copyTree(t, dir, crash)
+
+	re, err := Open(crash, crashOpts())
+	if err != nil {
+		t.Fatalf("reopening an image with a NaN add logged: %v", err)
+	}
+	notes := strings.Join(re.OpenDiagnostics(), "\n")
+	if !strings.Contains(notes, "wal: replay stopped early") || !strings.Contains(notes, "non-finite") {
+		t.Fatalf("open diagnostics do not say the replay stopped at the NaN:\n%s", notes)
+	}
+	if n := re.NumRecords(); n != len(seqs) {
+		t.Fatalf("NumRecords = %d, want the %d finite adds only", n, len(seqs))
+	}
+	if err := re.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, re, buildReference(t, seqs, nil), seqs[2])
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(crash, crashOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if notes := re.OpenDiagnostics(); len(notes) != 0 {
+		t.Fatalf("the refused tail is still in the log: %q", notes)
+	}
+}
+
+// TestReopenReadsTheHeapOnce: every open costs exactly one pass over the
+// heap — after a kill, the replay and the derive scan, and after a clean
+// checkpoint, the derive scan alone (index and envelopes have no file to
+// come from). The reopened index is bulk-loaded: no delta.
 func TestReopenReadsTheHeapOnce(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, _, _ := deltaCheckpointImage(t, dir, 600)
@@ -479,8 +547,7 @@ func TestReopenReadsTheHeapOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One scan fetches each heap page once and the replay's 15 appends a
-	// page or two each; the three scans this used to cost fetch every page
-	// three times.
+	// page or two each; a second scan would fetch every page again.
 	pages := re.DataBytes() / 1024
 	if reads := re.store.Stats().Reads; reads < pages || reads >= 2*pages {
 		t.Fatalf("recovery fetched %d heap pages of %d: want one scan's worth", reads, pages)
@@ -493,7 +560,6 @@ func TestReopenReadsTheHeapOnce(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	merges := db.IndexEngineStats().Merges
 	clean := filepath.Join(t.TempDir(), "clean")
 	copyTree(t, dir, clean)
 	re, err = Open(clean, crashOpts())
@@ -501,14 +567,14 @@ func TestReopenReadsTheHeapOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if reads := re.store.Stats().Reads; reads != 0 {
-		t.Fatalf("reopening a checkpointed image fetched %d heap pages, want 0", reads)
+	if reads := re.store.Stats().Reads; reads < pages || reads >= 2*pages {
+		t.Fatalf("reopening a checkpointed image fetched %d heap pages of %d: want one scan's worth", reads, pages)
 	}
 	if notes := re.OpenDiagnostics(); len(notes) != 0 || re.LastRepair().Repaired() {
 		t.Fatalf("reopening a checkpointed image repaired something: %+v %q", re.LastRepair(), notes)
 	}
-	if st := re.IndexEngineStats(); st.DeltaEntries == 0 || merges != 0 {
-		t.Fatalf("the checkpoint merged (merges=%d) or lost its delta (%d entries)", merges, st.DeltaEntries)
+	if st := re.IndexEngineStats(); st.DeltaEntries != 0 || st.Merges != 0 {
+		t.Fatalf("the derived index has delta=%d merges=%d, want a bulk load: 0 and 0", st.DeltaEntries, st.Merges)
 	}
 	if err := re.Verify(); err != nil {
 		t.Fatal(err)
@@ -516,9 +582,8 @@ func TestReopenReadsTheHeapOnce(t *testing.T) {
 }
 
 // TestCheckpointCostsWhatChanged: a Flush after a small batch merges
-// nothing and rewrites only what the batch touched — feature.flat keeps its
-// slab byte for byte and gains the batch as a delta section, and the
-// envelope sidecar changes inside the one chunk slot the new IDs fall in.
+// nothing and writes no index or envelope bytes — the heap and dir.bin are
+// the only files a checkpoint touches, before and after the batch.
 func TestCheckpointCostsWhatChanged(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := Create(dir, Options{})
@@ -530,18 +595,24 @@ func TestCheckpointCostsWhatChanged(t *testing.T) {
 	if _, err := db.AddAll(seqs[:5000]); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	read := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
+	requireFiles := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return raw
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if got := strings.Join(names, " "); got != "data.twp dir.bin" {
+			t.Fatalf("%s the directory holds %s, want data.twp dir.bin", when, got)
+		}
 	}
-	flatBefore, envBefore := read(indexFileName), read(envsFileName)
-
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	requireFiles("after the first checkpoint")
 	if _, err := db.AddAll(seqs[5000:]); err != nil {
 		t.Fatal(err)
 	}
@@ -551,25 +622,7 @@ func TestCheckpointCostsWhatChanged(t *testing.T) {
 	if st := db.IndexEngineStats(); st.Merges != 0 || st.DeltaEntries != 32 {
 		t.Fatalf("after the checkpoint: merges=%d delta=%d, want 0 and the batch's 32", st.Merges, st.DeltaEntries)
 	}
-	flatAfter, envAfter := read(indexFileName), read(envsFileName)
-	const deltaSection = 12 + 32*36 + 4 // header, 32 items, checksum
-	if len(flatAfter) != len(flatBefore)+deltaSection || !bytes.Equal(flatAfter[:len(flatBefore)], flatBefore) {
-		t.Fatalf("feature.flat went from %d to %d bytes: want the same slab and a %d-byte delta section behind it",
-			len(flatBefore), len(flatAfter), deltaSection)
-	}
-	// IDs 5000..5031 sit in the fifth chunk of 1024, which the first
-	// checkpoint already wrote: same size, and no byte outside that slot moved.
-	if len(envAfter) != len(envBefore) {
-		t.Fatalf("envelopes.paa went from %d to %d bytes", len(envBefore), len(envAfter))
-	}
-	const header = 16
-	slot := (len(envAfter) - header) / 5
-	if !bytes.Equal(envAfter[:header+4*slot], envBefore[:header+4*slot]) {
-		t.Fatal("the checkpoint rewrote envelope chunks the batch did not touch")
-	}
-	if bytes.Equal(envAfter[header+4*slot:], envBefore[header+4*slot:]) {
-		t.Fatal("the checkpoint did not save the batch's envelopes")
-	}
+	requireFiles("after the second checkpoint")
 }
 
 // TestDirSyncFailureSurfacesThroughSave proves the shared directory-fsync
