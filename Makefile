@@ -201,6 +201,13 @@ SPLIT_DELETED = SplitStrategy|QuadraticSplit|LinearSplit|RStarSplit|rstarSplit|l
 # then encoding/json over the same bytes), so no non-test Go there streams
 # encoding/json from a request body.
 BODY_DECODER = json\.NewDecoder\(r\.Body\)
+# The tenth keeps the root write path one path under one rule: every check
+# that can refuse a write runs before the first mutation, the heap publishes
+# a batch whole or not at all, and the index and envelope updates after it
+# cannot fail. So the bulk/incremental fork (applyAddAll) and the closure
+# that rolled back a half-applied batch stay out of the root package's
+# non-test Go.
+WRITE_PATH_DELETED = applyAddAll|rollback := func
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -246,6 +253,10 @@ surface:
 	if [ -n "$$out" ]; then \
 		echo "a handler decodes its request body outside decodeBody:"; echo "$$out"; exit 1; \
 	fi
+	@out=$$(grep -nE '$(WRITE_PATH_DELETED)' *.go | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then \
+		echo "the root write path's deleted rollback machinery is back:"; echo "$$out"; exit 1; \
+	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):
 # the number ROADMAP.md and CHANGES.md quote when a PR claims to be smaller.
@@ -255,6 +266,11 @@ loc:
 # The WAL crash-simulation suite on its own: torn final record, CRC-corrupt
 # middle record, duplicate replay after a mid-checkpoint crash, plus the
 # injected directory-fsync failure — each recovered database compared
-# record-for-record and query-for-query against a never-crashed twin.
+# record-for-record and query-for-query against a never-crashed twin. Then
+# the write path's atomicity: adds and batches under injected heap faults
+# (a failed write leaves the heap, the index and the envelopes as they
+# were), a write the log refused taken back whole, and the heap's batch
+# append on its own.
 crash-tests:
-	$(GO) test -run 'TestCrash|TestDirSync' .
+	$(GO) test -run 'TestCrash|TestDirSync|TestAddAtomicUnderHeapFaults|TestAddAllAllOrNothing|TestAddRollbackReusesIDAndSpace|TestUndoAppendsAfterFailedWALAppend' .
+	$(GO) test -run 'TestAppendAllAtomicUnderFaults' ./internal/seqdb

@@ -61,14 +61,16 @@
 // # Crash consistency
 //
 // The no-false-dismissal guarantee only holds while the heap file and the
-// feature index agree, so the write path keeps them in lockstep:
+// feature index agree, so every write follows one rule: every check that
+// can refuse it runs before the first mutation, the heap publishes it only
+// once all of its bytes are written, and the index and envelope updates
+// after that cannot fail:
 //
-//   - Add appends to the heap first and indexes second; when indexing
-//     fails the append is rolled back, so a failed Add can simply be
-//     retried and never leaves a half-written sequence behind.
-//   - AddAll is all-or-nothing: on a mid-batch failure every appended
-//     sequence (and any index entry already made for it) is rolled back.
-//     The STR bulk load used on an empty database is internally atomic.
+//   - Add, AddAll and AddBatch are one path: validate the whole batch, let
+//     the heap take all of it or none, then index it and store its
+//     envelopes. A failed write leaves nothing behind and can be retried.
+//   - With the WAL on, a write the log refuses is taken back whole, which
+//     cannot fail either.
 //   - Open derives. The heap is the source of truth, and the feature index
 //     and the PAA envelopes are functions of it: every Open builds both in
 //     one heap scan and one bulk load, and no index or envelope file is

@@ -1,6 +1,7 @@
 package twsim
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -34,9 +35,9 @@ func (o Options) walCheckpointBytes() int64 {
 // unreachable while scans still see the record, silently breaking the
 // no-false-dismissal guarantee.
 //
-// Add is atomic: when indexing fails after the heap append succeeded, the
-// append is rolled back before the error is returned, so the store and
-// the index never diverge and the failed Add can simply be retried.
+// Add is atomic: every check that can refuse it runs before anything is
+// written, and a failed heap write leaves nothing behind, so the store and
+// the index never diverge and a failed Add can simply be retried.
 //
 // With Options.WAL set, Add returns only after the fsync covering its log
 // record completes — an acknowledged Add survives a crash. A non-nil
@@ -47,7 +48,7 @@ func (o Options) walCheckpointBytes() int64 {
 // and share it (group commit).
 func (db *DB) Add(values []float64) (ID, error) {
 	db.mu.Lock()
-	id, commit, err := db.addLocked(values)
+	id, commit, err := db.addLocked([][]float64{values})
 	db.mu.Unlock()
 	return id, durable(commit, err)
 }
@@ -62,58 +63,39 @@ func durable(commit wal.Commit, err error) error {
 	return commit()
 }
 
-// addLocked applies and logs one Add; the returned commit, when non-nil,
-// blocks until the covering fsync completes.
-func (db *DB) addLocked(values []float64) (ID, wal.Commit, error) {
-	id, err := db.applyAdd(values)
-	if err != nil || db.wal == nil {
-		return id, nil, err
-	}
-	s := seq.Sequence(values)
-	commit, werr := db.wal.Begin(wal.NewAdd(id, s))
-	if werr != nil {
-		// Applied but unloggable: undo so no acknowledged state ever
-		// lacks WAL coverage.
-		db.undoAppends([]ID{id}, []seq.Sequence{s})
-		return seq.InvalidID, nil, fmt.Errorf("twsim: wal append (rolled back): %w", werr)
-	}
-	return id, commit, db.maybeCheckpoint()
-}
-
-// AddAll stores a batch of sequences; when the database is empty the
-// index is STR bulk-loaded, which is substantially faster than repeated
-// Add (§4.3.1). Returns the ID of the first added sequence; IDs are
-// consecutive.
+// AddAll stores a batch of sequences and returns the ID of the first; IDs
+// are consecutive. Into an index that holds nothing the batch is STR
+// bulk-loaded, which is substantially faster than repeated Add (§4.3.1).
 //
-// AddAll is all-or-nothing: on a mid-batch failure every sequence of the
-// batch that was already appended is rolled back (and its index entry, if
-// any, removed) before the error is returned. With Options.WAL set the
-// whole batch is one log record and AddAll returns after its fsync (waited
-// for outside the lock, as in Add).
+// AddAll is all-or-nothing: the whole batch is validated before anything
+// is written, and the heap publishes it only once every byte is written.
+// With Options.WAL set the whole batch is one log record and AddAll returns
+// after its fsync (waited for outside the lock, as in Add).
 func (db *DB) AddAll(values [][]float64) (ID, error) {
 	db.mu.Lock()
-	first, commit, err := db.addAllLocked(values)
+	first, commit, err := db.addLocked(values)
 	db.mu.Unlock()
 	return first, durable(commit, err)
 }
 
-func (db *DB) addAllLocked(values [][]float64) (ID, wal.Commit, error) {
-	first, err := db.applyAddAll(values)
+// addLocked applies and logs one Add or AddAll (a single sequence is an add
+// record, a batch an add-batch record); the returned commit, when non-nil,
+// blocks until the covering fsync completes.
+func (db *DB) addLocked(values [][]float64) (ID, wal.Commit, error) {
+	first, ss, err := db.applyAdd(values)
 	if err != nil || db.wal == nil {
 		return first, nil, err
 	}
-	ss := make([]seq.Sequence, len(values))
-	for i, v := range values {
-		ss[i] = seq.Sequence(v)
+	rec := wal.NewAddBatch(first, ss)
+	if len(ss) == 1 {
+		rec = wal.NewAdd(first, ss[0])
 	}
-	commit, werr := db.wal.Begin(wal.NewAddBatch(first, ss))
+	commit, werr := db.wal.Begin(rec)
 	if werr != nil {
-		ids := make([]ID, len(ss))
-		for i := range ids {
-			ids[i] = first + ID(i)
-		}
-		db.undoAppends(ids, ss)
-		return seq.InvalidID, nil, fmt.Errorf("twsim: wal append (batch rolled back): %w", werr)
+		// Applied but unloggable: undo so no acknowledged state ever
+		// lacks WAL coverage.
+		db.undoAppends(first, ss)
+		return seq.InvalidID, nil, fmt.Errorf("twsim: wal append (rolled back): %w", werr)
 	}
 	return first, commit, db.maybeCheckpoint()
 }
@@ -147,24 +129,19 @@ func (db *DB) removeLocked(id ID) (bool, wal.Commit, error) {
 	return ok, commit, db.maybeCheckpoint()
 }
 
-// undoAppends rolls back freshly-applied appends (reverse order) after a
-// WAL enqueue failure. If a rollback can only tombstone (not truncate)
-// the heap slot, the slot is burned with no covering log record — a gap a
-// later replay would refuse — so the state is forced durable through a
-// checkpoint, leaving an empty, consistent log. The caller holds mu.
-func (db *DB) undoAppends(ids []ID, ss []seq.Sequence) {
-	defer db.gen.Add(1)
-	for i := len(ids) - 1; i >= 0; i-- {
-		_, _ = db.index.Delete(ids[i], ss[i])
-		db.envs.Remove(ids[i])
-		_ = db.store.RollbackLast(ids[i])
+// undoAppends takes back the batch applyAdd just applied at first, newest
+// record first, after its WAL record could not be enqueued. None of it can
+// fail: each record is the heap's newest live one when its turn comes, and
+// RollbackLast reads nothing back, so the IDs and the space are free again
+// and the log needs no record for them. The caller holds mu.
+func (db *DB) undoAppends(first ID, ss []seq.Sequence) {
+	for i := len(ss) - 1; i >= 0; i-- {
+		id := first + ID(i)
+		db.index.Drop(id, seq.MustFeature(ss[i]))
+		db.envs.Remove(id)
+		_ = db.store.RollbackLast(id) // id is the newest live record: cannot fail
 	}
-	if db.index.Len() != db.store.Len() {
-		_, _ = db.repairLocked()
-	}
-	if len(ids) > 0 && db.store.NumRecords() > int(ids[0]) {
-		_ = db.flushLocked()
-	}
+	db.gen.Add(1)
 }
 
 // maybeCheckpoint runs a full Flush (which resets the log) when the log
@@ -180,12 +157,9 @@ func (db *DB) maybeCheckpoint() error {
 }
 
 // openWAL opens (or creates) the log inside db.dir, truncates any torn
-// tail, and replays the valid records over the heap. Replay is
-// idempotent: IDs are dense and never reused, so an add record applies
-// only when its ID is exactly the next heap slot (an already-present ID
-// was applied before the crash and is skipped), and a remove applies only
-// to a live record. The index and the envelopes are derived from the heap
-// after the replay, like on every Open.
+// tail, and replays the valid records over the heap (walkWAL, which skips
+// what the heap already holds). The index and the envelopes are derived
+// from the heap after the replay, like on every Open.
 func (db *DB) openWAL() error {
 	wlog, recs, note, err := wal.Open(filepath.Join(db.dir, walFileName))
 	if err != nil {
@@ -194,7 +168,7 @@ func (db *DB) openWAL() error {
 	if note != "" {
 		db.note("%s", note)
 	}
-	applied, rerr := replayWAL(db.store, recs)
+	applied, _, rerr := walkWAL(heapReplay{db.store}, recs)
 	if applied > 0 {
 		db.note("wal: replayed %d mutations (%d records) over the heap", applied, len(recs))
 		db.walReplayed = true
@@ -211,54 +185,78 @@ func (db *DB) openWAL() error {
 	return nil
 }
 
-// replayWAL applies logged mutations to the heap, skipping records whose
-// effects are already present (see openWAL). It returns the number of
-// mutations actually applied. An add carrying a NaN or ±Inf value stops
-// the replay, as every other write door refuses one: its index entry would
-// sit at a point no range query reaches.
-func replayWAL(store *seqdb.DB, recs []wal.Record) (applied int, err error) {
+// walTarget is what walkWAL writes through: the heap alone at Open's
+// replay (heapReplay), a replica's own write path (*DB) when it applies a
+// primary's tail.
+type walTarget interface {
+	NumRecords() int
+	Add(values []float64) (ID, error)
+	Remove(id ID) (bool, error)
+}
+
+// heapReplay is the walTarget of Open's replay. It refuses an add carrying
+// a NaN or ±Inf value, as every write door does: its index entry would sit
+// at a point no range query reaches.
+type heapReplay struct{ *seqdb.DB }
+
+func (h heapReplay) Add(values []float64) (ID, error) {
+	if err := seq.CheckFinite(values); err != nil {
+		return seq.InvalidID, err
+	}
+	return h.Append(values)
+}
+
+func (h heapReplay) Remove(id ID) (bool, error) { return h.Delete(id) }
+
+// errWALGap marks a record that does not line up with the target's dense ID
+// space, or of a type this version does not know. A replica wraps it in
+// ErrReplicaDiverged.
+var errWALGap = errors.New("wal: record gap")
+
+// walkWAL applies logged mutations to t in log order, skipping what t
+// already holds: IDs are dense and never reused, so an add applies only
+// when its ID is the next slot (a lower one was applied before), and a
+// remove counts only when the record was live. It returns the number of
+// mutations applied and the sequence number of the last record reached.
+func walkWAL(t walTarget, recs []wal.Record) (applied int, last uint64, err error) {
 	for _, r := range recs {
+		last = r.Seq
 		switch r.Type {
 		case wal.TypeAdd, wal.TypeAddBatch:
 			id := r.ID
 			for _, s := range r.Data {
-				next := seq.ID(store.NumRecords())
-				switch {
+				switch next := ID(t.NumRecords()); {
 				case id < next:
-					// Already applied before the crash (or by an earlier
-					// duplicate record): skip.
 				case id == next:
-					if err := seq.CheckFinite(s); err != nil {
-						return applied, fmt.Errorf("wal: record %d: %w", id, err)
-					}
-					got, aerr := store.Append(s)
-					if aerr != nil {
-						return applied, aerr
+					got, err := t.Add(s)
+					if err != nil {
+						return applied, last, fmt.Errorf("wal: record %d: %w", id, err)
 					}
 					if got != id {
-						return applied, fmt.Errorf("wal: replay misalignment: appended at %d, record says %d", got, id)
+						return applied, last, fmt.Errorf("%w: add landed at %d, record says %d", errWALGap, got, id)
 					}
 					applied++
 				default:
-					return applied, fmt.Errorf("wal: record gap: next heap slot is %d, record claims %d", next, id)
+					return applied, last, fmt.Errorf("%w: next slot is %d, record claims %d", errWALGap, next, id)
 				}
 				id++
 			}
 		case wal.TypeRemove:
-			if int(r.ID) >= store.NumRecords() {
-				return applied, fmt.Errorf("wal: remove of unknown record %d", r.ID)
+			if int(r.ID) >= t.NumRecords() {
+				return applied, last, fmt.Errorf("%w: remove of unknown record %d", errWALGap, r.ID)
 			}
-			if !store.Deleted(r.ID) {
-				if _, derr := store.Delete(r.ID); derr != nil {
-					return applied, derr
-				}
+			ok, err := t.Remove(r.ID)
+			if err != nil {
+				return applied, last, fmt.Errorf("wal: remove %d: %w", r.ID, err)
+			}
+			if ok {
 				applied++
 			}
 		default:
-			return applied, fmt.Errorf("wal: unknown record type %d", r.Type)
+			return applied, last, fmt.Errorf("%w: unknown record type %d", errWALGap, r.Type)
 		}
 	}
-	return applied, nil
+	return applied, last, nil
 }
 
 // WALStats snapshots the write-ahead log counters (zero when the WAL is

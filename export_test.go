@@ -1,6 +1,9 @@
 package twsim
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/seq"
+)
 
 // OpenMemBaseline is OpenMem over the paper's paged R-tree
 // (core.FeatureIndex) in place of the flat index. No database serves from
@@ -11,11 +14,39 @@ func OpenMemBaseline(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.index.Close()
-	if db.index, err = core.NewFeatureIndex(core.IndexOptions{PageSize: opts.PageSize}); err != nil {
+	fi, err := core.NewFeatureIndex(core.IndexOptions{PageSize: opts.PageSize})
+	if err != nil {
 		db.store.Close()
 		return nil, err
 	}
+	db.index = baselineIndex{fi}
 	return db, nil
+}
+
+// baselineIndex puts the R-tree behind the database's two writes. Its
+// backend is in memory and does not fail, so a refused write is a broken
+// twin and panics.
+type baselineIndex struct{ *core.FeatureIndex }
+
+func (b baselineIndex) Put(ids []ID, features []seq.Feature) {
+	for i, id := range ids {
+		if err := b.Insert(id, featureSequence(features[i])); err != nil {
+			panic(err)
+		}
+	}
+}
+
+func (b baselineIndex) Drop(id ID, f seq.Feature) bool {
+	ok, err := b.Delete(id, featureSequence(f))
+	if err != nil {
+		panic(err)
+	}
+	return ok
+}
+
+// featureSequence is a sequence whose feature is f.
+func featureSequence(f seq.Feature) seq.Sequence {
+	return seq.Sequence{f.First, f.Greatest, f.Smallest, f.Last}
 }
 
 // OpenMemShardedBaseline is OpenMemSharded over OpenMemBaseline shards.

@@ -42,7 +42,20 @@ func OpenFlatIndex(path string, opts IndexOptions) (*FlatIndex, error) {
 // checksum, to path (flatidx.Save). Nothing in the database reads it back.
 func (x *FlatIndex) Export(path string) error { return x.idx.Save(path) }
 
-// Insert adds the entry <Feature(S), ID(S)>.
+// Put adds the entries <features[i], ids[i]> as one batch: packed as the
+// slab when the index holds nothing at all, else appended to the delta
+// under one lock with one view publish (flatidx.Index.Put). It cannot
+// refuse: the database calls it after the heap has taken the batch.
+func (x *FlatIndex) Put(ids []seq.ID, features []seq.Feature) {
+	x.idx.Put(entriesOf(ids, features))
+}
+
+// Drop removes the entry <f, id>, reporting whether it was present.
+func (x *FlatIndex) Drop(id seq.ID, f seq.Feature) bool {
+	return x.idx.Delete(flatidx.Entry{ID: id, Point: f.Vector()})
+}
+
+// Insert adds the entry <Feature(S), ID(S)> to the delta.
 func (x *FlatIndex) Insert(id seq.ID, s seq.Sequence) error {
 	f, err := seq.ExtractFeature(s)
 	if err != nil {
@@ -58,7 +71,7 @@ func (x *FlatIndex) Delete(id seq.ID, s seq.Sequence) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return x.idx.Delete(flatidx.Entry{ID: id, Point: f.Vector()}), nil
+	return x.Drop(id, f), nil
 }
 
 // Entries returns every live entry (snapshot minus tombstones plus delta).
@@ -77,15 +90,20 @@ func (x *FlatIndex) BulkLoad(ids []seq.ID, features []seq.Feature) error {
 	if len(ids) != len(features) {
 		return fmt.Errorf("core: %d ids but %d features", len(ids), len(features))
 	}
+	return x.idx.BulkLoad(entriesOf(ids, features))
+}
+
+// entriesOf pairs each ID with its feature point.
+func entriesOf(ids []seq.ID, features []seq.Feature) []flatidx.Entry {
 	entries := make([]flatidx.Entry, len(ids))
 	for i := range ids {
 		entries[i] = flatidx.Entry{ID: ids[i], Point: features[i].Vector()}
 	}
-	return x.idx.BulkLoad(entries)
+	return entries
 }
 
 // BulkLoadEnv is BulkLoad; envs is ignored (envelopes live in the EnvStore).
-// cmd/bench/traced.go compiles against this; goes with ROADMAP item 4.
+// cmd/bench/traced.go compiles against this; goes with ROADMAP item 1(d).
 func (x *FlatIndex) BulkLoadEnv(ids []seq.ID, features []seq.Feature, envs []seq.PAAEnvelope) error {
 	return x.BulkLoad(ids, features)
 }
@@ -113,7 +131,7 @@ func (x *FlatIndex) RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, error
 }
 
 // RangeQueryEntries is RangeQuery returning each candidate's stored point.
-// Only cmd/bench's stage replay calls it; goes with ROADMAP item 4.
+// Only cmd/bench's stage replay calls it; goes with ROADMAP item 1(d).
 func (x *FlatIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexEntry, error) {
 	lo, hi := queryRect(fq, epsilon)
 	flat := x.idx.AppendRange(nil, &lo, &hi)

@@ -37,10 +37,6 @@ type IndexOptions struct {
 	// OnDiskPath, when non-empty, stores the R-tree in a page file at that
 	// path instead of in memory. The flat index is always in memory.
 	OnDiskPath string
-	// WrapBackend, when non-nil, wraps the raw page backend before the
-	// buffer pool is built on it. Fault-injection tests use it to fail
-	// index writes at chosen points. R-tree only.
-	WrapBackend func(pagefile.Backend) pagefile.Backend
 }
 
 func (o IndexOptions) withDefaults() IndexOptions {
@@ -66,9 +62,6 @@ func NewFeatureIndex(opts IndexOptions) (*FeatureIndex, error) {
 	} else {
 		backend = pagefile.NewMemBackend(opts.PageSize)
 	}
-	if opts.WrapBackend != nil {
-		backend = opts.WrapBackend(backend)
-	}
 	pool, err := pagefile.NewPool(backend, opts.PageSize, opts.PoolPages)
 	if err != nil {
 		backend.Close()
@@ -89,13 +82,9 @@ func OpenFeatureIndex(path string, opts IndexOptions) (*FeatureIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	var backend pagefile.Backend = fb
-	if opts.WrapBackend != nil {
-		backend = opts.WrapBackend(backend)
-	}
-	pool, err := pagefile.NewPool(backend, fb.PageSize(), opts.PoolPages)
+	pool, err := pagefile.NewPool(fb, fb.PageSize(), opts.PoolPages)
 	if err != nil {
-		backend.Close()
+		fb.Close()
 		return nil, err
 	}
 	tree, err := rtree.Open(pool)
@@ -195,7 +184,7 @@ func (fi *FeatureIndex) RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, e
 
 // RangeQueryEntries is RangeQuery returning each candidate's stored point
 // alongside its ID. Only cmd/bench's stage replay calls it; goes with
-// ROADMAP item 4.
+// ROADMAP item 1(d).
 func (fi *FeatureIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexEntry, error) {
 	center := fq.Vector()
 	lo := make([]float64, 4)

@@ -76,33 +76,59 @@ func New(opts Options) *Index {
 	return x
 }
 
-// Insert adds e to the index. Inserting an entry that is already present
+// Insert adds e to the delta. Inserting an entry that is already present
 // (same ID and point) is a no-op; re-inserting a tombstoned snapshot entry
 // just clears the tombstone (the snapshot copy becomes visible again).
 func (x *Index) Insert(e Entry) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	x.insertLocked([]Entry{e})
+}
+
+// Put adds a batch under one lock with one view publish. Into an index
+// that holds nothing at all — no slab entry, no delta add, no tombstone —
+// the batch is packed as the slab, as BulkLoad packs it; otherwise every
+// entry goes into the delta by Insert's rules. The choice reads the index's
+// own state, so an index whose entries were all deleted (tombstones still
+// unmerged) takes the batch into its delta.
+func (x *Index) Put(entries []Entry) {
+	if len(entries) == 0 {
+		return
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if v := x.view.Load(); v.snap.Len() == 0 && len(v.adds) == 0 && len(v.dels) == 0 {
+		x.view.Store(&view{snap: Build(entries, v.snap.Generation()+1)})
+		return
+	}
+	x.insertLocked(entries)
+}
+
+// insertLocked applies Insert's rules to every entry and publishes one
+// view. Caller holds mu.
+func (x *Index) insertLocked(entries []Entry) {
 	v := x.view.Load()
-	if _, dead := v.dels[e]; dead {
-		// Resurrect: drop the tombstone; the snapshot copy becomes visible
-		// again.
-		dels := copyDels(v.dels)
-		delete(dels, e)
-		if len(dels) == 0 {
-			dels = nil
+	dels, copied := v.dels, false
+	for _, e := range entries {
+		if _, dead := dels[e]; dead {
+			// Resurrect: drop the tombstone (from a copy: the published map
+			// is never mutated); the snapshot copy becomes visible again.
+			if !copied {
+				dels, copied = copyDels(dels), true
+			}
+			delete(dels, e)
+			continue
 		}
-		x.view.Store(&view{snap: v.snap, adds: v.adds, dels: dels})
-		return
+		if _, ok := x.addsSet[e]; ok || v.snap.contains(e) {
+			continue
+		}
+		x.adds = append(x.adds, e)
+		x.addsSet[e] = len(x.adds) - 1
 	}
-	if _, ok := x.addsSet[e]; ok {
-		return
+	if len(dels) == 0 {
+		dels = nil
 	}
-	if v.snap.contains(e) {
-		return
-	}
-	x.adds = append(x.adds, e)
-	x.addsSet[e] = len(x.adds) - 1
-	x.view.Store(&view{snap: v.snap, adds: x.adds, dels: v.dels})
+	x.view.Store(&view{snap: v.snap, adds: x.adds, dels: dels})
 	x.maybeMergeLocked()
 }
 

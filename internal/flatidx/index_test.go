@@ -349,3 +349,58 @@ func TestBulkLoadRequiresEmpty(t *testing.T) {
 		t.Fatal("BulkLoad into non-empty index succeeded")
 	}
 }
+
+// TestPutAgainstModel: Put packs the slab only into an index that holds
+// nothing at all, and otherwise takes the batch into the delta by Insert's
+// rules (duplicates ignored, tombstones cleared) — including after every
+// entry was deleted, when the slab's tombstones are still unmerged.
+func TestPutAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	x := New(Options{MergeThreshold: -1})
+	m := model{}
+	pool := randEntries(rng, 300)
+	x.Put(pool[:100])
+	for _, e := range pool[:100] {
+		m[e] = struct{}{}
+	}
+	if x.DeltaEntries() != 0 || x.Generation() != 1 {
+		t.Fatalf("Put into an empty index: delta %d, generation %d; want a packed slab", x.DeltaEntries(), x.Generation())
+	}
+	checkAgainstModel(t, x, m, rng)
+	for _, e := range pool[:100] {
+		x.Delete(e)
+		delete(m, e)
+	}
+	x.Put(pool[100:110])
+	for _, e := range pool[100:110] {
+		m[e] = struct{}{}
+	}
+	if x.DeltaEntries() != 110 || x.Generation() != 1 {
+		t.Fatalf("Put over 100 tombstones: delta %d, generation %d; want 100 tombstones + 10 adds in generation 1", x.DeltaEntries(), x.Generation())
+	}
+	checkAgainstModel(t, x, m, rng)
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6:
+			batch := make([]Entry, rng.Intn(8))
+			for i := range batch {
+				batch[i] = pool[rng.Intn(len(pool))]
+				m[batch[i]] = struct{}{}
+			}
+			x.Put(batch)
+		case op < 9:
+			e := pool[rng.Intn(len(pool))]
+			_, want := m[e]
+			if got := x.Delete(e); got != want {
+				t.Fatalf("step %d: Delete(%d)=%v, model says %v", step, e.ID, got, want)
+			}
+			delete(m, e)
+		default:
+			x.Merge()
+		}
+		if step%50 == 0 {
+			checkAgainstModel(t, x, m, rng)
+		}
+	}
+	checkAgainstModel(t, x, m, rng)
+}

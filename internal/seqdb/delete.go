@@ -8,8 +8,9 @@ import (
 )
 
 // ErrDeleted is returned by Get for sequences that were removed. Deleted
-// IDs are never reused; the heap file reclaims their space only on Compact
-// (not implemented — the workloads this engine reproduces are append-only).
+// IDs are never reused, and the heap file never reclaims their space: there
+// is no compaction yet (ROADMAP item 6), though writes beside reads delete
+// (mixed_rw_wal removes one operation in 20).
 var ErrDeleted = errors.New("seqdb: sequence deleted")
 
 // Delete tombstones the sequence with the given ID. It reports whether the
@@ -24,15 +25,12 @@ func (db *DB) Delete(id seq.ID) (bool, error) {
 	if db.tombstones[id] {
 		return false, nil
 	}
-	db.tombstoneLocked(id)
+	if db.tombstones == nil {
+		db.tombstones = make(map[seq.ID]bool)
+	}
+	db.tombstones[id] = true
+	db.live--
 	return true, nil
-}
-
-// Deleted reports whether the given ID has been tombstoned.
-func (db *DB) Deleted(id seq.ID) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tombstones[id]
 }
 
 // NumRecords returns the number of records ever appended, including

@@ -24,9 +24,6 @@ func TestDeleteBasics(t *testing.T) {
 	if db.NumRecords() != 5 {
 		t.Errorf("NumRecords = %d, want 5", db.NumRecords())
 	}
-	if !db.Deleted(2) || db.Deleted(1) {
-		t.Error("Deleted() wrong")
-	}
 	if _, err := db.Get(2); !errors.Is(err, ErrDeleted) {
 		t.Errorf("Get(deleted) err = %v", err)
 	}

@@ -412,7 +412,8 @@ func TestFetchBesideAppendAndRollback(t *testing.T) {
 		for i := 0; i < appends/3; i++ {
 			appendMu.Lock()
 			// A deleted record cannot be rolled back; the next append unblocks the loop.
-			if n := db.NumRecords(); n > 0 && !db.Deleted(seq.ID(n-1)) {
+			n := db.NumRecords()
+			if _, err := db.Get(seq.ID(n - 1)); n > 0 && !errors.Is(err, ErrDeleted) {
 				if err := db.RollbackLast(seq.ID(n - 1)); err != nil {
 					t.Errorf("RollbackLast(%d): %v", n-1, err)
 				}
@@ -426,7 +427,7 @@ func TestFetchBesideAppendAndRollback(t *testing.T) {
 		defer writers.Done()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < appends/3; {
-			appendMu.Lock() // against the rollback loop's Deleted-then-RollbackLast
+			appendMu.Lock() // against the rollback loop's Get-then-RollbackLast
 			if n := db.NumRecords(); n > 0 {
 				i++
 				id := seq.ID(n - 1 - rng.Intn(min(n, 6)))

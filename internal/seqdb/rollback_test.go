@@ -106,13 +106,15 @@ func TestRollbackLastRejectsDeleted(t *testing.T) {
 	}
 }
 
-// When the record's bytes cannot be read back (storage fault still active),
-// RollbackLast must fall back to tombstoning: the ID is burned but the
-// store/index agreement is restored.
-func TestRollbackLastTombstoneFallback(t *testing.T) {
+// An AppendAll whose write fails publishes nothing: the directory, the
+// stream length and the counters are exactly as before, every earlier
+// record reads back unchanged, and the next batch lands at the same ID and
+// offset. Tiny pages and a tiny pool make a batch allocate several pages
+// and evict dirty ones, so the fault fires at every lead tried.
+func TestAppendAllAtomicUnderFaults(t *testing.T) {
 	var fb *pagefile.FaultBackend
 	db, err := NewMem(Options{
-		PageSize:  64, // tiny pages + tiny pool force evictions
+		PageSize:  64,
 		PoolPages: 4,
 		WrapBackend: func(b pagefile.Backend) pagefile.Backend {
 			fb = pagefile.NewFaultBackend(b, -1)
@@ -123,35 +125,43 @@ func TestRollbackLastTombstoneFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	long := make(seq.Sequence, 40) // spans more pages than the pool holds
-	for i := range long {
-		long[i] = float64(i)
+	var want []seq.Sequence
+	batch := func(n, at int) []seq.Sequence {
+		ss := make([]seq.Sequence, n)
+		for i := range ss {
+			ss[i] = make(seq.Sequence, 1+(at+i)%9)
+			for k := range ss[i] {
+				ss[i][k] = float64(at*100 + i*10 + k)
+			}
+		}
+		return ss
 	}
-	id, err := db.Append(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.Arm(0) // every backend op now fails; the read-back cannot succeed
-	err = db.RollbackLast(id)
-	fb.Disarm()
-	if err != nil {
-		t.Fatalf("RollbackLast with failed read-back: %v", err)
-	}
-	if db.Len() != 0 {
-		t.Fatalf("Len = %d after fallback rollback, want 0", db.Len())
-	}
-	if db.NumRecords() != 1 {
-		t.Fatalf("NumRecords = %d, want 1 (ID burned, not truncated)", db.NumRecords())
-	}
-	if _, err := db.Get(id); !errors.Is(err, ErrDeleted) {
-		t.Fatalf("Get(%d) = %v, want ErrDeleted", id, err)
-	}
-	// The database stays usable once the fault clears.
-	id2, err := db.Append(seq.Sequence{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 != id+1 {
-		t.Fatalf("next Append got id %d, want %d", id2, id+1)
+	for lead := 0; lead < 4; lead++ {
+		records, bytes, elems, live := db.NumRecords(), db.Bytes(), db.TotalElements(), db.Len()
+		ss := batch(8, lead)
+		fb.Arm(lead)
+		_, err := db.AppendAll(ss)
+		fb.Disarm()
+		if err == nil {
+			t.Fatalf("lead %d: an 8-record batch over 64-byte pages wrote without %d backend ops", lead, lead+1)
+		}
+		if db.NumRecords() != records || db.Bytes() != bytes || db.TotalElements() != elems || db.Len() != live {
+			t.Fatalf("lead %d: a failed batch moved the heap: records %d→%d bytes %d→%d elems %d→%d live %d→%d",
+				lead, records, db.NumRecords(), bytes, db.Bytes(), elems, db.TotalElements(), live, db.Len())
+		}
+		first, err := db.AppendAll(ss)
+		if err != nil {
+			t.Fatalf("lead %d: retry: %v", lead, err)
+		}
+		if int(first) != records {
+			t.Fatalf("lead %d: retry landed at %d, want %d", lead, first, records)
+		}
+		want = append(want, ss...)
+		for id, s := range want {
+			got, err := db.Get(seq.ID(id))
+			if err != nil || len(got) != len(s) || got[len(s)-1] != s[len(s)-1] {
+				t.Fatalf("lead %d: record %d = %v, %v; want %v", lead, id, got, err, s)
+			}
+		}
 	}
 }

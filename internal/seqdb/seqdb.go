@@ -30,7 +30,7 @@ type Options struct {
 	// buffer pool is built on it. Fault-injection tests use it to fail
 	// storage operations at chosen points.
 	WrapBackend func(pagefile.Backend) pagefile.Backend
-	// CacheBytes is accepted and ignored (cmd/bench sets it); goes with ROADMAP 5(c).
+	// CacheBytes is accepted and ignored (cmd/bench sets it); goes with ROADMAP item 1(d).
 	CacheBytes int64
 }
 
@@ -68,7 +68,7 @@ type DB struct {
 	// being appended to — a watermark: every page below it is identical on
 	// the backend, so a record that ends below it is read with one
 	// pool.ReadRun and no frame (recordLocked). total only moves under mu's
-	// write half (Append raises it after the write-backs, RollbackLast
+	// write half (AppendAll raises it after the write-backs, RollbackLast
 	// lowers it before the space is rewritten), so a reader holding the read
 	// half can trust the watermark it computes.
 	total int64
@@ -175,41 +175,47 @@ func (db *DB) Stats() pagefile.Stats { return db.pool.Stats() }
 // ResetStats zeroes the buffer pool counters (between experiment runs).
 func (db *DB) ResetStats() { db.pool.ResetStats() }
 
-// Append stores s and returns its ID. Empty sequences are rejected: their
-// feature vector (and hence their index entry) is undefined.
+// Append stores s and returns its ID: AppendAll of one record.
 func (db *DB) Append(s seq.Sequence) (seq.ID, error) {
-	if s.Empty() {
-		return seq.InvalidID, seq.ErrEmpty
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	id := seq.ID(len(db.offsets))
-	buf := seq.Encode(make([]byte, 0, seq.EncodedSize(s)), s)
-	if err := db.writeAt(db.total, buf); err != nil {
-		return seq.InvalidID, err
-	}
-	db.offsets = append(db.offsets, db.total)
-	db.total += int64(len(buf))
-	db.elems += int64(len(s))
-	db.live++
-	return id, nil
+	return db.AppendAll([]seq.Sequence{s})
 }
 
-// AppendAll stores all sequences, returning the ID of the first; IDs are
-// consecutive.
+// AppendAll stores ss as one batch and returns the ID of the first; IDs are
+// consecutive. Empty sequences are rejected before anything is written:
+// their feature vector (and hence their index entry) is undefined. The
+// batch is atomic: its records are written from the end of the stream, and
+// only once all of its bytes are written are its directory entries, the
+// stream length and the counters published, together. A failed write
+// publishes nothing; the bytes it left lie at or above the watermark (see
+// total), where the next append overwrites them.
 func (db *DB) AppendAll(ss []seq.Sequence) (seq.ID, error) {
 	if len(ss) == 0 {
 		return seq.InvalidID, nil
 	}
-	first, err := db.Append(ss[0])
-	if err != nil {
-		return seq.InvalidID, err
-	}
-	for _, s := range ss[1:] {
-		if _, err := db.Append(s); err != nil {
-			return seq.InvalidID, err
+	for _, s := range ss {
+		if s.Empty() {
+			return seq.InvalidID, seq.ErrEmpty
 		}
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	end, elems := db.total, int64(0)
+	var buf []byte // one record at a time: a batch's encoding is never held whole
+	for _, s := range ss {
+		buf = seq.Encode(buf[:0], s)
+		if err := db.writeAt(end, buf); err != nil {
+			return seq.InvalidID, err
+		}
+		end += int64(len(buf))
+		elems += int64(len(s))
+	}
+	first := seq.ID(len(db.offsets))
+	for _, s := range ss {
+		db.offsets = append(db.offsets, db.total)
+		db.total += int64(seq.EncodedSize(s))
+	}
+	db.elems += elems
+	db.live += len(ss)
 	return first, nil
 }
 

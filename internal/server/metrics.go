@@ -76,7 +76,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// about what the banded DP it saved did); the series stay registered at
 	// a constant 0 because cmd/bench/ledger.go and benchkit.ConservationGap
 	// fail a run on a missing series; likewise the two counters of the
-	// deleted decoded-sequence cache. They go with ROADMAP item 3(d).
+	// deleted decoded-sequence cache. They go with ROADMAP item 1(d).
 	zero := func() float64 { return 0 }
 	reg.CounterFunc("twsim_lb_kim_pruned_total", "", "Always 0: the cascade has no LB_Kim tier (the index walk applies the bound).", zero)
 	reg.CounterFunc("twsim_lb_yi_pruned_total", "", "Always 0: the cascade has no LB_Yi tier.", zero)

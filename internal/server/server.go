@@ -54,6 +54,7 @@ import (
 
 	twsim "repro"
 	"repro/internal/pagefile"
+	"repro/internal/seq"
 	"repro/internal/seqdb"
 )
 
@@ -453,10 +454,21 @@ func (s *Server) handleSequences(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.backend.Add(req.Values)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, writeStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]uint32{"id": uint32(id)})
+}
+
+// writeStatus is the status of a refused add: 400 for input no database
+// accepts (a non-finite element, an empty sequence or batch), 500 for
+// everything else — a failed heap write, or a failed WAL fsync after which
+// the write is applied and visible but its durability unknown.
+func writeStatus(err error) int {
+	if errors.Is(err, twsim.ErrNonFinite) || errors.Is(err, seq.ErrEmpty) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -473,7 +485,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, err := s.backend.AddBatch(req.Sequences)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, writeStatus(err), err)
 		return
 	}
 	wireIDs := make([]uint32, len(ids))

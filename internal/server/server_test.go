@@ -1,7 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -325,5 +328,153 @@ func TestDistNeverNegativeZeroOnTheWire(t *testing.T) {
 		if !strings.Contains(reply, `"dist":0`) || strings.Contains(reply, "-0") {
 			t.Errorf("POST %s: reply %s, want one match at \"dist\":0", path, reply)
 		}
+	}
+}
+
+// TestAddAllAfterRemovingEverything: once every record is removed, the
+// index still holds their unmerged tombstones, and a batch must go into its
+// delta — not into a bulk load that refuses a non-empty index. On a DB (WAL
+// off and on), on a 2-shard ShardedDB and through /sequences/batch.
+func TestAddAllAfterRemovingEverything(t *testing.T) {
+	opens := map[string]func(t *testing.T) twsim.Backend{
+		"db": func(t *testing.T) twsim.Backend {
+			db, err := twsim.OpenMem(twsim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		},
+		"db-wal": func(t *testing.T) twsim.Backend {
+			db, err := twsim.Create(t.TempDir(), twsim.Options{WAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		},
+		"sharded": func(t *testing.T) twsim.Backend {
+			db, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		},
+	}
+	first := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	added := []float64{7, 8, 9, 8}
+	// found checks that a range search at ε 0 finds exactly the new record
+	// and that the backend verifies.
+	found := func(t *testing.T, b twsim.Backend, id twsim.ID) {
+		t.Helper()
+		res, err := b.SearchCtx(context.Background(), added, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 1 || res.Matches[0].ID != id {
+			t.Fatalf("search at ε 0 = %+v, want record %d", res.Matches, id)
+		}
+		if err := b.Verify(); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+	}
+	for name, open := range opens {
+		t.Run(name, func(t *testing.T) {
+			b := open(t)
+			defer b.Close()
+			ids, err := b.AddBatch(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				if ok, err := b.Remove(id); !ok || err != nil {
+					t.Fatalf("Remove(%d) = %v, %v", id, ok, err)
+				}
+			}
+			got, err := b.AddBatch([][]float64{added})
+			if err != nil {
+				t.Fatalf("AddBatch after removing everything: %v", err)
+			}
+			found(t, b, got[0])
+		})
+		t.Run(name+"/http", func(t *testing.T) {
+			b := open(t)
+			srv := NewBackend(b)
+			ts := httptest.NewServer(srv)
+			defer func() {
+				ts.Close()
+				srv.Close()
+				b.Close()
+			}()
+			c := NewClient(ts.URL, ts.Client())
+			ids, err := c.AddBatchIDs(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				if ok, err := c.Remove(id); !ok || err != nil {
+					t.Fatalf("DELETE /sequences/%d = %v, %v", id, ok, err)
+				}
+			}
+			resp, err := ts.Client().Post(ts.URL+"/sequences/batch", "application/json",
+				strings.NewReader(`{"sequences": [[7, 8, 9, 8]]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out struct {
+				IDs []twsim.ID `json:"ids"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated || err != nil || len(out.IDs) != 1 {
+				t.Fatalf("POST /sequences/batch after removing everything: %s, ids %v, %v", resp.Status, out.IDs, err)
+			}
+			found(t, b, out.IDs[0])
+		})
+	}
+}
+
+// failingWrites is a backend whose heap refuses every write with an I/O
+// error; everything else is the wrapped backend's.
+type failingWrites struct{ twsim.Backend }
+
+var errDiskFull = errors.New("seqdb: write data.twp: no space left on device")
+
+func (failingWrites) Add([]float64) (twsim.ID, error)          { return 0, errDiskFull }
+func (failingWrites) AddBatch([][]float64) ([]twsim.ID, error) { return nil, errDiskFull }
+
+// TestWriteStatusSeparatesInputFromStorage: a write refused for its input
+// (non-finite, empty sequence, empty batch) answers 400; one the storage
+// failed answers 500, since the request itself was fine. JSON cannot carry
+// a non-finite value, so that error is checked on writeStatus directly.
+func TestWriteStatusSeparatesInputFromStorage(t *testing.T) {
+	if got := writeStatus(fmt.Errorf("twsim: batch sequence 3: %w", twsim.ErrNonFinite)); got != http.StatusBadRequest {
+		t.Fatalf("writeStatus(ErrNonFinite) = %d, want 400", got)
+	}
+	db, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tc := range []struct {
+		name    string
+		backend twsim.Backend
+		path    string
+		body    string
+		want    int
+	}{
+		{"empty", db, "/sequences", `{"values": []}`, http.StatusBadRequest},
+		{"empty-batch", db, "/sequences/batch", `{"sequences": []}`, http.StatusBadRequest},
+		{"empty-in-batch", db, "/sequences/batch", `{"sequences": [[1], []]}`, http.StatusBadRequest},
+		{"io", failingWrites{db}, "/sequences", `{"values": [1, 2]}`, http.StatusInternalServerError},
+		{"io-batch", failingWrites{db}, "/sequences/batch", `{"sequences": [[1, 2]]}`, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewBackend(tc.backend)
+			defer srv.Close()
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != tc.want {
+				t.Fatalf("POST %s %s = %d %s, want %d", tc.path, tc.body, rec.Code, rec.Body, tc.want)
+			}
+		})
 	}
 }

@@ -156,7 +156,7 @@ func (e *Engine) Add(values []float64) (seq.ID, error) {
 // reused).
 func (e *Engine) AddAll(values [][]float64) ([]seq.ID, error) {
 	if len(values) == 0 {
-		return nil, errors.New("shard: AddAll of empty batch")
+		return nil, fmt.Errorf("shard: AddAll of empty batch: %w", seq.ErrEmpty)
 	}
 	n := len(e.stores)
 	cursor := e.next.Add(uint32(len(values))) - uint32(len(values))

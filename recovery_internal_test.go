@@ -1,16 +1,20 @@
 package twsim
 
 // Internal (same-package) fault-injection tests for the crash-consistent
-// write path: Add/AddAll must be atomic under injected index storage
-// faults, and Open, which derives the index from the heap, must serve a
-// database whose previous writer was interrupted between the heap append
-// and the index insert as if nothing had happened.
+// write path: Add/AddAll must be atomic under injected heap storage faults
+// (the one write in the path that can fail), and Open, which derives the
+// index from the heap, must serve a database whose previous writer was
+// interrupted between the heap append and the index insert as if nothing
+// had happened.
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,38 +22,56 @@ import (
 	"repro/internal/pagefile"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
+	"repro/internal/wal"
 )
 
-// faultPageSize keeps index nodes small (capacity 7 at dim 4) so inserts
-// split — and therefore hit the backend — often enough for injected faults
-// to fire. With the default 1 KB pages and a pool-resident tree, an insert
-// without a split performs no backend I/O at all.
-const faultPageSize = 512
+// faultPageSize and faultPoolPages keep the heap's pages small and its
+// pool tiny, so an append allocates a page and evicts a dirty one — and
+// therefore hits the backend — often enough for injected faults to fire.
+const (
+	faultPageSize  = 128
+	faultPoolPages = 4
+)
 
-// newFaultIndexDB builds an in-memory database whose feature index sits on
-// a fault-injectable backend (the heap stays healthy, mirroring the
-// "index page write fails" scenario the write path must survive).
-func newFaultIndexDB(t *testing.T) (*DB, *pagefile.FaultBackend) {
+// newFaultHeapDB builds an in-memory database whose heap sits on a
+// fault-injectable backend, with the flat index and the envelope store
+// every database has: the heap is the only part of a write that can fail.
+func newFaultHeapDB(t *testing.T) (*DB, *pagefile.FaultBackend) {
 	t.Helper()
-	store, err := seqdb.NewMem(seqdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var fb *pagefile.FaultBackend
-	index, err := core.NewFeatureIndex(core.IndexOptions{
-		PageSize: faultPageSize,
+	store, err := seqdb.NewMem(seqdb.Options{
+		PageSize:  faultPageSize,
+		PoolPages: faultPoolPages,
 		WrapBackend: func(b pagefile.Backend) pagefile.Backend {
 			fb = pagefile.NewFaultBackend(b, -1)
 			return fb
 		},
 	})
 	if err != nil {
-		store.Close()
 		t.Fatal(err)
 	}
-	db := &DB{store: store, index: index, opts: Options{PageSize: faultPageSize}}
+	db := newDB(store, "", Options{PageSize: faultPageSize})
 	t.Cleanup(func() { db.Close() })
 	return db, fb
+}
+
+// writeState is everything a write can move: the heap's counters, the
+// index entries and the envelope count.
+type writeState struct {
+	records, live, envs int
+	bytes               int64
+	entries             string
+}
+
+func stateOf(t *testing.T, db *DB) writeState {
+	t.Helper()
+	entries, err := db.index.(*core.FlatIndex).Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
+	return writeState{records: db.NumRecords(), live: db.Len(), envs: db.envs.Len(),
+		bytes: db.DataBytes(), entries: fmt.Sprint(entries)}
 }
 
 func randSeq(rng *rand.Rand) []float64 {
@@ -85,58 +107,62 @@ func assertOracleEqual(t *testing.T, db *DB, query []float64, epsilon float64) {
 	}
 }
 
-// Add must either fully succeed or leave store and index in agreement, at
-// every injection point. lead = number of backend operations an insert is
-// allowed before the fault fires (lead > 0 exercises mid-split and
-// root-grow failure windows).
-func TestAddAtomicUnderIndexFaults(t *testing.T) {
+// A failed Add leaves the database exactly as it was — heap counters,
+// index entries, envelopes — at every injection point, so Verify passes
+// without a Repair. lead = number of backend operations an Add is allowed
+// before the fault fires (lead > 0 fails it after a page was allocated or
+// a dirty one evicted). The sequences span up to four pages, so every lead
+// fires.
+func TestAddAtomicUnderHeapFaults(t *testing.T) {
 	for _, lead := range []int{0, 1, 2} {
 		rng := rand.New(rand.NewSource(int64(100 + lead)))
-		db, fb := newFaultIndexDB(t)
+		spanning := func() []float64 {
+			s := make([]float64, 4+rng.Intn(60))
+			for i := range s {
+				s[i] = float64(rng.Intn(50))
+			}
+			return s
+		}
+		db, fb := newFaultHeapDB(t)
 		for i := 0; i < 30; i++ {
-			if _, err := db.Add(randSeq(rng)); err != nil {
+			if _, err := db.Add(spanning()); err != nil {
 				t.Fatal(err)
 			}
 		}
 		failures := 0
 		for i := 0; i < 60; i++ {
+			before := stateOf(t, db)
 			fb.Arm(lead)
-			_, err := db.Add(randSeq(rng))
+			_, err := db.Add(spanning())
 			fb.Disarm()
-			if err != nil {
-				failures++
+			if err == nil {
+				continue
 			}
-			if s, n := db.store.Len(), db.index.Len(); s != n {
-				t.Fatalf("lead %d, insert %d: store holds %d, index holds %d", lead, i, s, n)
+			failures++
+			if after := stateOf(t, db); after != before {
+				t.Fatalf("lead %d, add %d failed (%v) and moved the database:\n before %+v\n after  %+v", lead, i, err, before, after)
 			}
 		}
 		if failures == 0 {
-			if lead == 0 {
-				t.Fatalf("lead 0: no injected fault fired across 60 inserts")
-			}
-			continue // deeper failure windows need not occur on this layout
+			t.Fatalf("lead %d: no injected fault fired across 60 adds", lead)
 		}
-		t.Logf("lead %d: %d of 60 inserts failed and rolled back", lead, failures)
-		// A partially applied insert may have damaged the index structure;
-		// Repair must restore exact search behavior.
-		if _, err := db.Repair(); err != nil {
-			t.Fatalf("lead %d: Repair: %v", lead, err)
-		}
+		t.Logf("lead %d: %d of 60 adds failed and left nothing behind", lead, failures)
 		if err := db.Verify(); err != nil {
-			t.Fatalf("lead %d: Verify after repair: %v", lead, err)
+			t.Fatalf("lead %d: Verify: %v", lead, err)
 		}
-		q := randSeq(rng)
+		q := spanning()
 		assertOracleEqual(t, db, q, 3)
 		assertOracleEqual(t, db, q, 10)
 	}
 }
 
-// AddAll on a non-empty database (incremental path) must be all-or-nothing.
+// AddAll on a non-empty database (the batch goes into the index's delta)
+// must be all-or-nothing under heap faults.
 func TestAddAllAllOrNothingIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	failures := 0
 	for n := 0; n < 25; n++ {
-		db, fb := newFaultIndexDB(t)
+		db, fb := newFaultHeapDB(t)
 		if _, err := db.Add([]float64{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
@@ -144,46 +170,42 @@ func TestAddAllAllOrNothingIncremental(t *testing.T) {
 		for i := range batch {
 			batch[i] = randSeq(rng)
 		}
+		before := stateOf(t, db)
 		fb.Arm(n)
 		_, err := db.AddAll(batch)
 		fb.Disarm()
-		wantLen := 21
-		if err != nil {
+		if err == nil {
+			if got := db.Len(); got != 21 {
+				t.Fatalf("injection %d: store holds %d sequences, want 21", n, got)
+			}
+		} else {
 			failures++
-			wantLen = 1 // the whole batch must have been rolled back
-		}
-		if got := db.store.Len(); got != wantLen {
-			t.Fatalf("injection %d: store holds %d sequences, want %d (err=%v)", n, got, wantLen, err)
-		}
-		if s, i := db.store.Len(), db.index.Len(); s != i {
-			t.Fatalf("injection %d: store holds %d, index holds %d", n, s, i)
-		}
-		// The database must remain usable: a clean retry must succeed.
-		if err != nil {
+			if after := stateOf(t, db); after != before {
+				t.Fatalf("injection %d: a failed AddAll (%v) moved the database:\n before %+v\n after  %+v", n, err, before, after)
+			}
+			// The database must remain usable: a clean retry must succeed.
 			if _, err := db.AddAll(batch); err != nil {
-				t.Fatalf("injection %d: retry after rollback: %v", n, err)
+				t.Fatalf("injection %d: retry: %v", n, err)
 			}
-			if _, err := db.Repair(); err != nil {
-				t.Fatalf("injection %d: repair: %v", n, err)
-			}
-			if err := db.Verify(); err != nil {
-				t.Fatalf("injection %d: Verify: %v", n, err)
-			}
-			assertOracleEqual(t, db, batch[3], 2)
 		}
+		if err := db.Verify(); err != nil {
+			t.Fatalf("injection %d: Verify: %v", n, err)
+		}
+		assertOracleEqual(t, db, batch[3], 2)
 	}
 	if failures == 0 {
 		t.Fatal("no injected fault fired; widen the injection schedule")
 	}
 }
 
-// AddAll on an empty database (STR bulk-load path) must leave the database
-// empty on failure, and a clean retry must succeed.
+// AddAll on an empty database (the batch is packed as the index's slab)
+// must leave the database empty on a heap fault, and a clean retry must
+// succeed.
 func TestAddAllAllOrNothingBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	failures := 0
 	for n := 0; n < 25; n++ {
-		db, fb := newFaultIndexDB(t)
+		db, fb := newFaultHeapDB(t)
 		batch := make([][]float64, 60)
 		for i := range batch {
 			batch[i] = randSeq(rng)
@@ -193,11 +215,11 @@ func TestAddAllAllOrNothingBulk(t *testing.T) {
 		fb.Disarm()
 		if err != nil {
 			failures++
-			if s, i := db.store.Len(), db.index.Len(); s != 0 || i != 0 {
-				t.Fatalf("injection %d: after failed bulk AddAll store=%d index=%d, want 0/0", n, s, i)
+			if s := stateOf(t, db); s != (writeState{entries: "[]"}) {
+				t.Fatalf("injection %d: after a failed bulk AddAll (%v) the database holds %+v, want nothing", n, err, s)
 			}
 			if _, err := db.AddAll(batch); err != nil {
-				t.Fatalf("injection %d: retry after abort: %v", n, err)
+				t.Fatalf("injection %d: retry: %v", n, err)
 			}
 		}
 		if s, i := db.store.Len(), db.index.Len(); s != len(batch) || i != len(batch) {
@@ -488,12 +510,13 @@ func TestSearchSkipsDanglingEntries(t *testing.T) {
 	}
 }
 
-// After a rollback the freed ID and heap space must be reused by the next
-// append, so a transient fault costs nothing permanently.
+// A failed Add frees nothing because it took nothing: the next append
+// gets the same ID and heap space, so a transient fault costs nothing
+// permanently.
 func TestAddRollbackReusesIDAndSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	db, fb := newFaultIndexDB(t)
-	fb.Arm(0) // the next insert that touches the backend fails
+	db, fb := newFaultHeapDB(t)
+	fb.Arm(0) // the next Add that touches the backend fails
 	failedAt := -1
 	var failedSeq []float64
 	for i := 0; i < 100; i++ {
@@ -504,50 +527,40 @@ func TestAddRollbackReusesIDAndSpace(t *testing.T) {
 			failedAt = lenBefore
 			failedSeq = v
 			if db.DataBytes() != bytesBefore {
-				t.Fatalf("heap grew from %d to %d across a rolled-back Add", bytesBefore, db.DataBytes())
+				t.Fatalf("heap grew from %d to %d across a failed Add", bytesBefore, db.DataBytes())
 			}
 			if db.Len() != lenBefore {
-				t.Fatalf("Len changed from %d to %d across a rolled-back Add", lenBefore, db.Len())
+				t.Fatalf("Len changed from %d to %d across a failed Add", lenBefore, db.Len())
 			}
 			break
 		}
 	}
 	fb.Disarm()
 	if failedAt < 0 {
-		t.Fatal("no Add touched the index backend within 100 inserts")
+		t.Fatal("no Add touched the heap backend within 100 adds")
 	}
 	id, err := db.Add(failedSeq)
 	if err != nil {
-		t.Fatalf("retry after rollback: %v", err)
+		t.Fatalf("retry: %v", err)
 	}
 	if int(id) != failedAt {
-		t.Fatalf("retry got id %d, want rolled-back id %d reused", id, failedAt)
-	}
-	if _, err := db.Repair(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("retry got id %d, want the failed Add's id %d", id, failedAt)
 	}
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// damagedIndex is an index whose structure check fails, which is what makes
-// a Repair replace it instead of patching it in place.
-type damagedIndex struct{ core.Index }
-
-func (damagedIndex) CheckInvariants() error { return os.ErrInvalid }
-
-// TestSearcherSeesRepairedIndex: a Searcher handed out before a Repair that
-// replaced the index answers from the replacement — it used to keep
-// searching the closed index it captured at construction — and from the
-// database's envelopes: after the Repair and one more Add its answer is
-// db.Search's.
+// TestSearcherSeesRepairedIndex: a Searcher handed out before a Repair,
+// which always replaces the index with one derived from the heap, answers
+// from the replacement — it used to keep searching the closed index it
+// captured at construction — and from the database's envelopes: after the
+// Repair and one more Add its answer is db.Search's.
 func TestSearcherSeesRepairedIndex(t *testing.T) {
 	db, data := mustCreatePopulated(t, t.TempDir(), 30)
 	defer db.Close()
 	s := db.TWSimSearcher()
 
-	db.index = damagedIndex{db.index}
 	rs, err := db.Repair()
 	if err != nil {
 		t.Fatal(err)
@@ -608,5 +621,59 @@ func TestOpenRefusesDamagedHeapDirectory(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sequence heap") || !strings.Contains(err.Error(), "directory damaged") {
 		t.Fatalf("Open error does not say what is wrong: %v", err)
+	}
+}
+
+// TestUndoAppendsAfterFailedWALAppend: a write the heap, the index and the
+// envelopes took but the log refused (here a closed log: Begin returns
+// wal.ErrClosed) is taken back whole — the heap counters, the index and
+// the envelopes are as before, Verify passes, and no search sees it.
+func TestUndoAppendsAfterFailedWALAppend(t *testing.T) {
+	db, err := Create(t.TempDir(), Options{WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(17))
+	data := make([][]float64, 20)
+	for i := range data {
+		data[i] = randSeq(rng)
+	}
+	if _, err := db.AddAll(data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Remove(4); err != nil {
+		t.Fatal(err)
+	}
+	before := stateOf(t, db)
+	if err := db.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused := [][]float64{{70, 71, 72}, {80, 81}, {90}}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !errors.Is(err, wal.ErrClosed) || !strings.Contains(err.Error(), "rolled back") {
+			t.Fatalf("%s with the log closed: err = %v, want a rolled-back wal.ErrClosed", what, err)
+		}
+		if after := stateOf(t, db); after != before {
+			t.Fatalf("%s was not taken back:\n before %+v\n after  %+v", what, before, after)
+		}
+	}
+	_, err = db.Add(refused[0])
+	check("Add", err)
+	_, err = db.AddAll(refused)
+	check("AddAll", err)
+	if err := db.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	for _, q := range refused {
+		res, err := db.Search(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 0 {
+			t.Fatalf("Search(%v, 0) sees %+v, a refused write", q, res.Matches)
+		}
+		assertOracleEqual(t, db, q, 5)
 	}
 }

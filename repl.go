@@ -255,53 +255,17 @@ func SyncFromReplSnapshot(db *DB, snap *ReplSnapshot) (added, removed int, err e
 }
 
 // ApplyWALRecords applies a streamed primary record tail to a replica
-// database through its normal write path. Records whose effects are
-// already present are skipped; a record that neither matches the next slot
-// nor a past one is ErrReplicaDiverged — re-sync from a snapshot. It
-// returns the number of mutations applied and the last record sequence
-// number processed.
+// database through its normal write path (walkWAL over db.Add and
+// db.Remove). Records whose effects are already present are skipped; a
+// record that neither matches the next slot nor a past one is
+// ErrReplicaDiverged — re-sync from a snapshot. It returns the number of
+// mutations applied and the last record sequence number processed.
 func ApplyWALRecords(db *DB, recs []wal.Record) (applied int, last uint64, err error) {
-	for _, r := range recs {
-		last = r.Seq
-		switch r.Type {
-		case wal.TypeAdd, wal.TypeAddBatch:
-			id := r.ID
-			for _, s := range r.Data {
-				next := ID(db.NumRecords())
-				switch {
-				case id < next:
-					// Already present (applied via the snapshot or an
-					// earlier poll).
-				case id == next:
-					got, aerr := db.Add([]float64(s))
-					if aerr != nil {
-						return applied, last, fmt.Errorf("twsim: replica add %d: %w", id, aerr)
-					}
-					if got != id {
-						return applied, last, fmt.Errorf("%w: add landed at %d, want %d", ErrReplicaDiverged, got, id)
-					}
-					applied++
-				default:
-					return applied, last, fmt.Errorf("%w: next slot %d, record claims %d", ErrReplicaDiverged, next, id)
-				}
-				id++
-			}
-		case wal.TypeRemove:
-			if int(r.ID) >= db.NumRecords() {
-				return applied, last, fmt.Errorf("%w: remove of unknown record %d", ErrReplicaDiverged, r.ID)
-			}
-			ok, rerr := db.Remove(r.ID)
-			if rerr != nil {
-				return applied, last, fmt.Errorf("twsim: replica remove %d: %w", r.ID, rerr)
-			}
-			if ok {
-				applied++
-			}
-		default:
-			return applied, last, fmt.Errorf("%w: unknown record type %d", ErrReplicaDiverged, r.Type)
-		}
+	applied, last, err = walkWAL(db, recs)
+	if errors.Is(err, errWALGap) {
+		err = fmt.Errorf("%w: %v", ErrReplicaDiverged, err)
 	}
-	return applied, last, nil
+	return applied, last, err
 }
 
 // ParseWALRecords decodes the raw bytes WALTail serves into records,

@@ -272,11 +272,11 @@ func (s *ShardedDB) ResultCacheStats() core.ResultCacheStats { return s.rcache.S
 func (s *ShardedDB) DefaultBand() int { return s.opts.Band }
 
 // Add stores one sequence, taking only the owning shard's writer lock, and
-// returns its global ID. Sequences containing NaN or ±Inf are rejected with
-// ErrNonFinite before the placement counter advances, so an invalid Add
-// burns no ID.
+// returns its global ID. An empty sequence, or one containing NaN or ±Inf
+// (ErrNonFinite), is rejected before the placement counter advances, so an
+// invalid Add burns no ID.
 func (s *ShardedDB) Add(values []float64) (ID, error) {
-	if err := seq.CheckFinite(values); err != nil {
+	if err := checkSequences([][]float64{values}); err != nil {
 		return seq.InvalidID, err
 	}
 	return s.eng.Add(values)
@@ -286,13 +286,11 @@ func (s *ShardedDB) Add(values []float64) (ID, error) {
 // concurrently) and returns every assigned ID in input order. The IDs are
 // interleaved across shards, not consecutive. A failed batch is rolled
 // back on every shard (see the engine's AddAll for the exact semantics).
-// The whole batch is validated for non-finite elements upfront, before any
-// shard is touched or any ID is burned.
+// The whole batch is validated upfront (checkSequences), before any shard
+// is touched or any ID is burned.
 func (s *ShardedDB) AddBatch(values [][]float64) ([]ID, error) {
-	for i, v := range values {
-		if err := seq.CheckFinite(v); err != nil {
-			return nil, fmt.Errorf("twsim: batch sequence %d: %w", i, err)
-		}
+	if err := checkSequences(values); err != nil {
+		return nil, err
 	}
 	return s.eng.AddAll(values)
 }

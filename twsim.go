@@ -94,7 +94,7 @@ type Options struct {
 	// warpings, so BandDistance ≥ Distance ≥ every unconstrained bound),
 	// and banded results are bit-identical to a brute-force banded scan.
 	Band int
-	// SeqCacheBytes is accepted and ignored (cmd/bench sets it); goes with ROADMAP 5(c).
+	// SeqCacheBytes is accepted and ignored (cmd/bench sets it); goes with ROADMAP item 1(d).
 	SeqCacheBytes int64
 	// SlowQueryThreshold, when positive, makes every query whose wall time
 	// reaches it emit one flat key=value log line (query kind, request ID,
@@ -182,7 +182,7 @@ type DB struct {
 	// lock is internal and never held across a call out.
 	mu        sync.RWMutex
 	store     *seqdb.DB
-	index     core.Index // a *core.FlatIndex outside fault-injection tests
+	index     writeIndex
 	envs      *core.EnvStore
 	base      Base
 	dir       string // empty when in-memory
@@ -204,6 +204,17 @@ type DB struct {
 	walReplayed bool
 }
 
+// writeIndex is the index a database writes through: core.Index's reads
+// plus Put and Drop, the two writes that cannot refuse, so that after the
+// heap has taken a write nothing can fail. Every database serves from a
+// *core.FlatIndex; OpenMemBaseline (export_test.go) puts the paper's R-tree
+// behind it as the twin the engine oracle tests hold answers against.
+type writeIndex interface {
+	core.Index
+	Put(ids []ID, features []seq.Feature)
+	Drop(id ID, f seq.Feature) bool
+}
+
 // exportFileName is the index image a clean Close leaves for tools outside
 // the database (cmd/bench's stage replay reads it). Open never reads it and
 // removes it, so it exists only while the database is closed and is then
@@ -215,9 +226,17 @@ const exportFileName = "feature.flat"
 // them unread.
 var strayFileNames = []string{"feature.rtree", "envelopes.paa"}
 
-// indexOptions assembles the options of a database's in-memory index.
-func (o Options) indexOptions() core.IndexOptions {
-	return core.IndexOptions{PageSize: o.PageSize}
+// newIndex returns an empty in-memory flat index (creating one cannot
+// fail), reporting its size in the heap's page unit.
+func (o Options) newIndex() *core.FlatIndex {
+	index, _ := core.NewFlatIndex(core.IndexOptions{PageSize: o.PageSize})
+	return index
+}
+
+// newDB wraps a heap in a database with an empty index and envelope store.
+func newDB(store *seqdb.DB, dir string, opts Options) *DB {
+	return &DB{store: store, index: opts.newIndex(), envs: core.NewEnvStore(), base: opts.Base, dir: dir,
+		opts: opts, rcache: core.NewResultCache(opts.ResultCacheBytes)}
 }
 
 // note records one Open-time diagnostic line (see OpenDiagnostics).
@@ -250,13 +269,7 @@ func OpenMem(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, err := core.NewFlatIndex(opts.indexOptions())
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	return &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, opts: opts,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}, nil
+	return newDB(store, "", opts), nil
 }
 
 // Create creates a new on-disk database in directory dir.
@@ -265,13 +278,7 @@ func Create(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, err := core.NewFlatIndex(opts.indexOptions())
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	db := &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, dir: dir, opts: opts,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}
+	db := newDB(store, dir, opts)
 	if opts.WAL {
 		if db.wal, err = wal.Create(filepath.Join(dir, walFileName), 1, wal.Options{}); err != nil {
 			db.Close()
@@ -300,8 +307,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		// damaged heap from.
 		return nil, fmt.Errorf("twsim: the sequence heap in %s cannot be opened: %w", dir, err)
 	}
-	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}
+	db := newDB(store, dir, opts)
 	stale, err := fsx.RemoveStaleTemps(dir)
 	for _, name := range stale {
 		db.note("stale temp file %s removed-on-open (left by an interrupted flush)", name)
@@ -367,10 +373,6 @@ func (db *DB) LastRepair() RepairStats {
 func (db *DB) Repair() (RepairStats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.repairLocked()
-}
-
-func (db *DB) repairLocked() (RepairStats, error) {
 	live, err := db.derive()
 	if err != nil {
 		return db.repair, err
@@ -383,18 +385,12 @@ func (db *DB) repairLocked() (RepairStats, error) {
 // one scan (core.Derive) and swaps them in for the ones they replace. On
 // an error the database keeps what it had.
 func (db *DB) derive() (live int, err error) {
-	index, err := core.NewFlatIndex(db.opts.indexOptions())
-	if err != nil {
-		return 0, err
-	}
-	envs := core.NewEnvStore()
+	index, envs := db.opts.newIndex(), core.NewEnvStore()
 	if live, err = core.Derive(db.store, index, envs); err != nil {
 		index.Close()
 		return live, fmt.Errorf("twsim: deriving the index from the heap: %w", err)
 	}
-	if db.index != nil {
-		db.index.Close()
-	}
+	db.index.Close()
 	db.index, db.envs = index, envs
 	db.gen.Add(1)
 	return live, nil
@@ -410,124 +406,57 @@ func (db *DB) Len() int {
 	return db.store.Len()
 }
 
-// applyAdd performs the in-memory/in-heap half of Add: validate, append,
-// index, envelope. addLocked in durability.go owns WAL logging; Add owns the
-// lock and the durability acknowledgment.
-func (db *DB) applyAdd(values []float64) (ID, error) {
-	if err := seq.CheckFinite(values); err != nil {
-		return seq.InvalidID, err
-	}
-	// Bump the write generation after the mutation, before returning —
-	// including on a rolled-back failure (the rollback is best effort, so
-	// over-invalidating the result cache is the conservative side).
-	defer db.gen.Add(1)
-	s := seq.Sequence(values)
-	id, err := db.store.Append(s)
-	if err != nil {
-		return seq.InvalidID, err
-	}
-	if err := db.index.Insert(id, s); err != nil {
-		if rbErr := db.store.RollbackLast(id); rbErr != nil {
-			return seq.InvalidID, fmt.Errorf("twsim: sequence %d not indexed (%w) and not rolled back: %v", id, err, rbErr)
+// checkSequences is the check every add door runs before anything moves:
+// each sequence non-empty (seq.ErrEmpty) and finite (ErrNonFinite).
+func checkSequences(values [][]float64) error {
+	for i, v := range values {
+		if len(v) == 0 {
+			return fmt.Errorf("twsim: batch sequence %d: %w", i, seq.ErrEmpty)
 		}
-		return seq.InvalidID, fmt.Errorf("twsim: sequence %d not indexed (rolled back): %w", id, err)
+		if err := seq.CheckFinite(v); err != nil {
+			return fmt.Errorf("twsim: batch sequence %d: %w", i, err)
+		}
 	}
-	if pe, err := seq.ExtractPAAEnvelope(s); err == nil {
-		db.envs.Put(id, pe)
-	}
-	return id, nil
+	return nil
 }
 
-// applyAddAll performs the in-memory/in-heap half of AddAll (see AddAll in
-// durability.go for the contract).
-func (db *DB) applyAddAll(values [][]float64) (ID, error) {
+// applyAdd performs the in-memory/in-heap half of Add, AddAll and AddBatch
+// (addLocked in durability.go owns WAL logging): every check that can
+// refuse runs first, then the heap takes the whole batch or none of it, and
+// the index and envelope updates after that cannot fail. It returns the
+// first ID and the batch as sequences, which the log record carries.
+func (db *DB) applyAdd(values [][]float64) (ID, []seq.Sequence, error) {
 	if len(values) == 0 {
-		return seq.InvalidID, errors.New("twsim: AddAll of empty batch")
+		return seq.InvalidID, nil, fmt.Errorf("twsim: AddAll of empty batch: %w", seq.ErrEmpty)
 	}
-	defer db.gen.Add(1)
-	// Validate the whole batch before the first append: a non-finite
-	// sequence mid-batch would otherwise trigger the rollback machinery for
-	// an error that was knowable upfront.
+	if err := checkSequences(values); err != nil {
+		return seq.InvalidID, nil, err
+	}
+	ss := make([]seq.Sequence, len(values))
+	features := make([]seq.Feature, len(values))
 	for i, v := range values {
-		if err := seq.CheckFinite(v); err != nil {
-			return seq.InvalidID, fmt.Errorf("twsim: batch sequence %d: %w", i, err)
-		}
+		ss[i] = seq.Sequence(v)
+		features[i] = seq.MustFeature(ss[i])
 	}
-	appended := make([]ID, 0, len(values))
-	indexed := make([]seq.Sequence, 0, len(values)) // sequences with index entries
-	// rollback undoes the partial batch in reverse append order; storage
-	// errors during rollback are secondary — the next Open derives the
-	// index from the heap, covering whatever best effort could not.
-	rollback := func() {
-		for i := len(appended) - 1; i >= 0; i-- {
-			if i < len(indexed) {
-				_, _ = db.index.Delete(appended[i], indexed[i])
-			}
-			db.envs.Remove(appended[i])
-			_ = db.store.RollbackLast(appended[i])
-		}
-		if db.index.Len() != db.store.Len() {
-			// An index delete failed too (the storage fault that aborted
-			// the batch is likely still active). Fall back to rebuilding
-			// the index from the heap, which is the source of truth; if
-			// even that fails the divergence is caught at the next Open.
-			_, _ = db.repairLocked()
-		}
+	first, err := db.store.AppendAll(ss)
+	if err != nil {
+		return seq.InvalidID, nil, err
 	}
-	if db.store.Len() > 0 {
-		for _, v := range values {
-			s := seq.Sequence(v)
-			id, err := db.store.Append(s)
-			if err != nil {
-				rollback()
-				return seq.InvalidID, err
-			}
-			appended = append(appended, id)
-			if err := db.index.Insert(id, s); err != nil {
-				rollback()
-				return seq.InvalidID, fmt.Errorf("twsim: batch aborted at sequence %d: %w", len(appended)-1, err)
-			}
-			indexed = append(indexed, s)
-			if pe, err := seq.ExtractPAAEnvelope(s); err == nil {
-				db.envs.Put(id, pe)
-			}
-		}
-		return appended[0], nil
+	ids := make([]ID, len(values))
+	for i, s := range ss {
+		ids[i] = first + ID(i)
+		env, _ := seq.ExtractPAAEnvelope(s) // fails only on an empty sequence
+		db.envs.Put(ids[i], env)
 	}
-	features := make([]seq.Feature, 0, len(values))
-	for _, v := range values {
-		s := seq.Sequence(v)
-		f, err := seq.ExtractFeature(s)
-		if err != nil {
-			rollback()
-			return seq.InvalidID, err
-		}
-		id, err := db.store.Append(s)
-		if err != nil {
-			rollback()
-			return seq.InvalidID, err
-		}
-		appended = append(appended, id)
-		features = append(features, f)
-	}
-	// BulkLoad is internally atomic: on failure the index is still empty
-	// and only the heap appends need undoing.
-	if err := db.index.BulkLoad(appended, features); err != nil {
-		rollback()
-		return seq.InvalidID, err
-	}
-	for i, id := range appended {
-		if pe, err := seq.ExtractPAAEnvelope(seq.Sequence(values[i])); err == nil {
-			db.envs.Put(id, pe)
-		}
-	}
-	return appended[0], nil
+	db.index.Put(ids, features)
+	db.gen.Add(1)
+	return first, ss, nil
 }
 
 // applyRemove performs the in-memory/in-heap half of Remove (see Remove in
-// durability.go).
+// durability.go): the record's feature is read before anything moves, then
+// the heap tombstones it and the index and envelope updates follow.
 func (db *DB) applyRemove(id ID) (bool, error) {
-	defer db.gen.Add(1)
 	sc := seqdb.AcquireScratch()
 	defer sc.Release()
 	s, err := db.store.Fetch(id, sc)
@@ -537,11 +466,14 @@ func (db *DB) applyRemove(id ID) (bool, error) {
 		}
 		return false, err
 	}
-	if _, err := db.index.Delete(id, s); err != nil {
+	f := seq.MustFeature(s) // a stored record is never empty
+	if ok, err := db.store.Delete(id); !ok || err != nil {
 		return false, err
 	}
+	db.index.Drop(id, f)
 	db.envs.Remove(id)
-	return db.store.Delete(id)
+	db.gen.Add(1)
+	return true, nil
 }
 
 // Get fetches a stored sequence by ID; the result is the caller's own.
@@ -852,10 +784,8 @@ func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	err := db.store.Close()
-	if db.index != nil {
-		if ierr := db.index.Close(); err == nil {
-			err = ierr
-		}
+	if ierr := db.index.Close(); err == nil {
+		err = ierr
 	}
 	if db.wal != nil {
 		// The store Close above flushed and fsynced the heap + manifest,

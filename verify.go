@@ -64,17 +64,13 @@ func (db *DB) Verify() error {
 		}
 		// The envelope store must hold exactly the profile this record
 		// derives to (envelopes are immutable per ID — IDs are never reused
-		// — so a mismatch means the store diverged from the heap). A nil
-		// store means the DB was composed without envelopes (hand-wired
-		// tests); the LB_PAA tier is simply inert then, nothing to check.
-		if db.envs != nil {
-			pe := db.envs.Get(id)
-			if pe == nil {
-				return fmt.Errorf("sequence %d: missing PAA envelope", id)
-			}
-			if want, err := seq.ExtractPAAEnvelope(s); err != nil || *pe != core.PackEnvelope(want) {
-				return fmt.Errorf("sequence %d: PAA envelope does not match the stored record", id)
-			}
+		// — so a mismatch means the store diverged from the heap).
+		pe := db.envs.Get(id)
+		if pe == nil {
+			return fmt.Errorf("sequence %d: missing PAA envelope", id)
+		}
+		if want, err := seq.ExtractPAAEnvelope(s); err != nil || *pe != core.PackEnvelope(want) {
+			return fmt.Errorf("sequence %d: PAA envelope does not match the stored record", id)
 		}
 		// Paranoia: the stored record must be self-consistent under DTW.
 		if d := dtw.LBKim(s, s); d != 0 {
@@ -89,7 +85,7 @@ func (db *DB) Verify() error {
 		return fmt.Errorf("twsim: index holds %d entries, heap holds %d live sequences",
 			idxLen, live)
 	}
-	if envLen := db.envs.Len(); db.envs != nil && envLen != live {
+	if envLen := db.envs.Len(); envLen != live {
 		return fmt.Errorf("twsim: envelope store holds %d entries, heap holds %d live sequences",
 			envLen, live)
 	}
