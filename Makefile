@@ -33,10 +33,12 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # snapshot a replica bootstraps from (no panic; an accepted snapshot
 # re-encodes to its input), the index image cmd/bench's replay reads (a
 # hostile file errors out or loads an index that holds every invariant and
-# walks without faulting), and the HTTP request decoder vs encoding/json
+# walks without faulting), the HTTP request decoder vs encoding/json
 # (same verdict, status, error text and decoded bits for every request
-# struct). Go permits one fuzz target per -fuzz run, so each gets its own
-# pass.
+# struct), and the load scanner's number conversion vs strconv.ParseFloat
+# (same verdict, bits and bytes consumed, on raw bytes and on rendered
+# mantissa/exponent tuples). Go permits one fuzz target per -fuzz run, so
+# each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzScanRecords$$' -fuzztime=5s ./internal/wal
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s ./internal/server
+	$(GO) test -run=^$$ -fuzz='^FuzzScanFloatMatchesParseFloat$$' -fuzztime=5s ./internal/server
 
 # Boots a real twsimd on an ephemeral port, drives traffic, and verifies
 # GET /metrics is valid Prometheus exposition with the key series present
@@ -110,7 +113,8 @@ bench-smoke:
 # and last the DP as the other callers run it, through a pooled Refiner:
 # the public Distance / BandDistance, a Naive-Scan pass at ε 0.1 and at
 # +Inf, and subsequence search; then the HTTP request decoder on one
-# 1 000-sequence load batch and one 128-element /knn body (bytes, allocations).
+# 1 000-sequence load batch and one 128-element /knn body (bytes per second,
+# ns per number in the body, allocations).
 # To compare two commits, build the binaries on both and alternate them
 # (internal/dtw/refiner_bench_test.go, internal/core/lbpaa_test.go,
 # internal/seqdb/fetch_bench_test.go, banded_bench_test.go, bench_test.go,

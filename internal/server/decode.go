@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 )
@@ -17,10 +18,13 @@ import (
 // only in case, an escaped or duplicate key, null, a number outside JSON's
 // grammar or float64's range, a syntax error, trailing data — goes to
 // decodeJSON, encoding/json's decoder over the same bytes. The scanner
-// accepts only input that encoding/json decodes to the same values (the same
-// strconv call on the same text), so the accepted language, the decoded
+// accepts only input that encoding/json decodes to the same values: each
+// number is the correctly rounded float64, which has one answer, found from
+// one pass over its digits (Clinger's exact path or Eisel–Lemire) with
+// strconv.ParseFloat as the fallback. So the accepted language, the decoded
 // values, the status codes and the error texts are encoding/json's;
-// FuzzDecodeMatchesEncodingJSON holds the two together.
+// FuzzDecodeMatchesEncodingJSON holds the whole decoder to encoding/json,
+// and FuzzScanFloatMatchesParseFloat each number to strconv.ParseFloat.
 
 // batchRequest is the /sequences/batch body. It is an alias, so the struct
 // stays unnamed and encoding/json's type errors name its field ".sequences",
@@ -176,60 +180,156 @@ func (s *scanner) key(name string) bool {
 	return string(k) == name // else unknown, a case variant or escaped: encoding/json decides
 }
 
-// number consumes one number in JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its text.
-func (s *scanner) number() ([]byte, bool) {
+// float consumes one number in JSON's grammar as encoding/json decodes it
+// into a float64: the correctly rounded value, the one strconv.ParseFloat
+// gives. It reads the text once, into a decimal that fastFloat rounds; a
+// number fastFloat cannot round goes to strconv.ParseFloat on its text, and
+// an overflow declines, for encoding/json to answer.
+func (s *scanner) float() (float64, bool) {
 	s.ws()
+	start := s.i
+	d, ok := s.decimal()
+	if !ok {
+		return 0, false
+	}
+	if f, ok := d.fastFloat(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+	return f, err == nil
+}
+
+// decimal is a scanned number, ±man × 10^exp10. man holds its first 19
+// significant digits, as strconv's own reader counts them; trunc marks a
+// non-zero digit after those.
+type decimal struct {
+	man        uint64
+	exp10      int
+	neg, trunc bool
+}
+
+// decimal consumes one number in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, at s.i.
+func (s *scanner) decimal() (decimal, bool) {
 	b, i := s.b, s.i
-	start := i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var man uint64
+	nd, exp10, trunc := 0, 0, false // nd significant digits are in man
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		for ; i < len(b); i++ {
+			d := b[i] - '0'
+			if d > 9 {
+				break
+			}
+			if nd < 19 {
+				man = man*10 + uint64(d)
+				nd++
+			} else {
+				exp10++
+				trunc = trunc || d != 0
+			}
+		}
 	default:
-		return nil, false
+		return decimal{}, false
 	}
 	if i < len(b) && b[i] == '.' {
-		if i+1 >= len(b) || !isDigit(b[i+1]) {
-			return nil, false
+		i++
+		frac := i
+		if nd == 0 { // a leading zero is not significant
+			for ; i < len(b) && b[i] == '0'; i++ {
+				exp10--
+			}
 		}
-		i = digits(b, i+1)
+		for ; i < len(b); i++ {
+			d := b[i] - '0'
+			if d > 9 {
+				break
+			}
+			if nd < 19 {
+				man = man*10 + uint64(d)
+				nd++
+				exp10--
+			} else {
+				trunc = trunc || d != 0
+			}
+		}
+		if i == frac {
+			return decimal{}, false
+		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
-			return nil, false
+			return decimal{}, false
 		}
-		i = digits(b, i)
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 { // saturates as strconv's reader does: far outside float64 either way
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 	}
 	s.i = i
-	return b[start:i], true
+	return decimal{man: man, exp10: exp10, neg: neg, trunc: trunc}, true
+}
+
+// fastFloat rounds d without its text: ±0, Clinger's exact path, then
+// Eisel–Lemire. It reports false for what only strconv can round — a
+// truncated mantissa, an exact halfway case Eisel–Lemire cannot settle, a
+// subnormal, an overflow.
+func (d decimal) fastFloat() (float64, bool) {
+	switch {
+	case d.man == 0:
+		if d.neg {
+			return math.Copysign(0, -1), true
+		}
+		return 0, true
+	case d.trunc:
+		return 0, false
+	}
+	if f, ok := exactFloat(d.man, d.exp10, d.neg); ok {
+		return f, true
+	}
+	return eiselLemire64(d.man, d.exp10, d.neg)
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i
-}
+// exactPow10 holds the powers of ten a float64 holds exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// float consumes a number as encoding/json decodes it into a float64.
-func (s *scanner) float() (float64, bool) {
-	t, ok := s.number()
-	if !ok {
+// exactFloat is Clinger's fast path: a mantissa below 2^53 and a power of
+// ten up to 10^22 are both exact float64s, so one multiply or divide rounds
+// ±man × 10^exp10 correctly.
+func exactFloat(man uint64, exp10 int, neg bool) (float64, bool) {
+	if man>>53 != 0 || exp10 < -22 || exp10 > 22 {
 		return 0, false
 	}
-	v, err := strconv.ParseFloat(string(t), 64)
-	return v, err == nil
+	f := float64(man)
+	if exp10 >= 0 {
+		f *= exactPow10[exp10]
+	} else {
+		f /= exactPow10[-exp10]
+	}
+	if neg {
+		f = -f
+	}
+	return f, true
 }
 
 // floats consumes an array of numbers into a slice of its exact length;

@@ -162,6 +162,7 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 		`{"sequences":[[1e400]]}`, `{"Sequences":[[1]]}`, `{"sequences":[[1]],"sequences":[[2]]}`,
 		`{"sequences":null}`, `{"sequences":[null]}`, `{"sequences":"x"}`, `{"sequences":[["x"]]}`,
 		`{"k":"x"}`, `{"query":"x","epsilon":1}`, `{"sequences":[[1]]}` + " \t\r\n",
+		`{"sequences":[[9007199254740993,1.00000000000000011102230246251565404236316680908203125,4.9e-324,-0.0e7]]}`,
 	} {
 		f.Add([]byte(b))
 	}
@@ -292,17 +293,24 @@ func knnBody(rng *rand.Rand, n int) []byte {
 
 // BenchmarkDecodeBody times decodeBody on the benchmark's request shapes:
 // one 1 000-sequence /sequences/batch body (the load, through the scanner)
-// and one 128-element /knn body (every query, through encoding/json). Run at
-// -cpu 1 with -benchmem.
+// and one 128-element /knn body (every query, through encoding/json), in
+// bytes per second and nanoseconds per number in the body. Run at -cpu 1
+// with -benchmem.
 func BenchmarkDecodeBody(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
+	walks := synth.RandomWalkSetVaryLen(rng, 1000, 64, 192)
+	values := 0
+	for _, w := range walks {
+		values += len(w)
+	}
 	for _, bc := range []struct {
-		name string
-		body []byte
-		dst  func() any
+		name    string
+		body    []byte
+		numbers int
+		dst     func() any
 	}{
-		{"batch1000", benchkit.BatchBody(synth.RandomWalkSetVaryLen(rng, 1000, 64, 192)), func() any { return new(batchRequest) }},
-		{"query128", knnBody(rng, 128), func() any { return new(legacyKNN) }},
+		{"batch1000", benchkit.BatchBody(walks), values, func() any { return new(batchRequest) }},
+		{"query128", knnBody(rng, 128), 128 + 2, func() any { return new(legacyKNN) }}, // the query, k and band
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rd := bytes.NewReader(bc.body)
@@ -317,6 +325,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 					b.Fatal("decode failed")
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.numbers), "ns/number")
 		})
 	}
 }

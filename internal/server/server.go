@@ -53,7 +53,6 @@ import (
 	"sync/atomic"
 
 	twsim "repro"
-	"repro/internal/pagefile"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
 )
@@ -291,9 +290,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // queryError maps a failed query to its status: 499 when the client
-// disconnected mid-query, 503 when the per-query deadline expired, 500 when
-// a page the query needed failed its checksum (the answer would be missing
-// candidates, so there is none), 400 for everything else (validation). The
+// disconnected mid-query, 503 when the per-query deadline expired, else
+// errorStatus's 400 for a refused input or 500 for a storage failure. The
 // outcome counters feed /metrics and /stats.
 func (s *Server) queryError(w http.ResponseWriter, err error) {
 	switch {
@@ -303,10 +301,8 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlineExceeded.Add(1)
 		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, pagefile.ErrPageCorrupt):
-		writeError(w, http.StatusInternalServerError, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, errorStatus(err), err)
 	}
 }
 
@@ -454,17 +450,18 @@ func (s *Server) handleSequences(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.backend.Add(req.Values)
 	if err != nil {
-		writeError(w, writeStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]uint32{"id": uint32(id)})
 }
 
-// writeStatus is the status of a refused add: 400 for input no database
-// accepts (a non-finite element, an empty sequence or batch), 500 for
-// everything else — a failed heap write, or a failed WAL fsync after which
-// the write is applied and visible but its durability unknown.
-func writeStatus(err error) int {
+// errorStatus is the status of a refused write or query: 400 for input no
+// database accepts (a non-finite element, an empty sequence, batch or
+// query), 500 for everything else — a failed heap write or read, a page that
+// failed its checksum, or a failed WAL fsync after which the write is
+// applied and visible but its durability unknown.
+func errorStatus(err error) int {
 	if errors.Is(err, twsim.ErrNonFinite) || errors.Is(err, seq.ErrEmpty) {
 		return http.StatusBadRequest
 	}
@@ -485,7 +482,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, err := s.backend.AddBatch(req.Sequences)
 	if err != nil {
-		writeError(w, writeStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	wireIDs := make([]uint32, len(ids))
@@ -552,6 +549,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Band *int `json:"band"`
 	}
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Epsilon < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("negative tolerance %g", req.Epsilon))
 		return
 	}
 	band := s.backend.DefaultBand()

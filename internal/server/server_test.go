@@ -444,10 +444,10 @@ func (failingWrites) AddBatch([][]float64) ([]twsim.ID, error) { return nil, err
 // TestWriteStatusSeparatesInputFromStorage: a write refused for its input
 // (non-finite, empty sequence, empty batch) answers 400; one the storage
 // failed answers 500, since the request itself was fine. JSON cannot carry
-// a non-finite value, so that error is checked on writeStatus directly.
+// a non-finite value, so that error is checked on errorStatus directly.
 func TestWriteStatusSeparatesInputFromStorage(t *testing.T) {
-	if got := writeStatus(fmt.Errorf("twsim: batch sequence 3: %w", twsim.ErrNonFinite)); got != http.StatusBadRequest {
-		t.Fatalf("writeStatus(ErrNonFinite) = %d, want 400", got)
+	if got := errorStatus(fmt.Errorf("twsim: batch sequence 3: %w", twsim.ErrNonFinite)); got != http.StatusBadRequest {
+		t.Fatalf("errorStatus(ErrNonFinite) = %d, want 400", got)
 	}
 	db, err := twsim.OpenMem(twsim.Options{})
 	if err != nil {
@@ -474,6 +474,67 @@ func TestWriteStatusSeparatesInputFromStorage(t *testing.T) {
 			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
 			if rec.Code != tc.want {
 				t.Fatalf("POST %s %s = %d %s, want %d", tc.path, tc.body, rec.Code, rec.Body, tc.want)
+			}
+		})
+	}
+}
+
+// failingReads is a backend whose heap fails every query's read with an I/O
+// error; everything else is the wrapped backend's.
+type failingReads struct{ twsim.Backend }
+
+var errReadFailed = errors.New("seqdb: read data.twp: input/output error")
+
+func (failingReads) SearchCtx(context.Context, []float64, float64, int) (*twsim.Result, error) {
+	return nil, errReadFailed
+}
+
+func (failingReads) NearestKCtx(context.Context, []float64, int, int) (*twsim.Result, error) {
+	return nil, errReadFailed
+}
+
+// TestQueryStatusSeparatesInputFromStorage: a query refused for its input
+// (empty, a negative tolerance) answers 400; one the storage failed answers
+// 500 and counts in the endpoint's 5xx series.
+func TestQueryStatusSeparatesInputFromStorage(t *testing.T) {
+	db, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Add([]float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		backend  twsim.Backend
+		endpoint string
+		body     string
+		want     int
+	}{
+		{"empty", db, "search", `{"query": [], "epsilon": 1}`, http.StatusBadRequest},
+		{"empty-knn", db, "knn", `{"query": [], "k": 1}`, http.StatusBadRequest},
+		{"negative-epsilon", db, "search", `{"query": [1, 2], "epsilon": -0.5}`, http.StatusBadRequest},
+		{"io", failingReads{db}, "search", `{"query": [1, 2], "epsilon": 1}`, http.StatusInternalServerError},
+		{"io-knn", failingReads{db}, "knn", `{"query": [1, 2], "k": 1}`, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewBackend(tc.backend)
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			resp, err := ts.Client().Post(ts.URL+"/"+tc.endpoint, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("POST /%s %s = %s, want %d", tc.endpoint, tc.body, resp.Status, tc.want)
+			}
+			class := fmt.Sprintf("%dxx", tc.want/100)
+			if got := mustValue(t, scrape(t, ts), "twsim_http_requests_total",
+				map[string]string{"endpoint": tc.endpoint, "code": class}); got != 1 {
+				t.Fatalf("%s %s counter = %g, want 1", tc.endpoint, class, got)
 			}
 		})
 	}
