@@ -37,8 +37,11 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # (same verdict, status, error text and decoded bits for every request
 # struct), and the load scanner's number conversion vs strconv.ParseFloat
 # (same verdict, bits and bytes consumed, on raw bytes and on rendered
-# mantissa/exponent tuples). Go permits one fuzz target per -fuzz run, so
-# each gets its own pass.
+# mantissa/exponent tuples). And the result cache's write rule: op lists
+# of adds, batch adds, removes, range and k-NN queries against a cached
+# database and a cache-off twin (the same IDs and distance bits at every
+# step, so an entry kept across a write that changed it fails). Go permits
+# one fuzz target per -fuzz run, so each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
@@ -54,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s ./internal/seqdb
 	$(GO) test -run=^$$ -fuzz='^FuzzScanRecords$$' -fuzztime=5s ./internal/wal
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .
+	$(GO) test -run=^$$ -fuzz='^FuzzResultCacheMatchesRecompute$$' -fuzztime=5s .
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s ./internal/server
 	$(GO) test -run=^$$ -fuzz='^FuzzScanFloatMatchesParseFloat$$' -fuzztime=5s ./internal/server
 

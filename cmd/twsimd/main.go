@@ -47,9 +47,10 @@
 //
 //   - -result-cache-mb M enables the whole-query result cache (default 0 =
 //     off): a repeated /search or /knn answers from memory with zero
-//     index/heap/DTW work. Any write invalidates affected entries via the
-//     database's write generation, so a hit is always bit-identical to
-//     recomputing. Counters: twsim_result_cache_* on /metrics,
+//     index/heap/DTW work. An entry is kept across writes that cannot change
+//     it (an add whose Dtw-lb exceeds its ε or k-th distance, the removal
+//     of a non-member) and dropped on any other, so a hit is always
+//     bit-identical to recomputing. Counters: twsim_result_cache_* on /metrics,
 //     "result_cache" on /stats; hits carry "cache_hit": true.
 //   - -deadline-ms T bounds each query's execution (0 = none); a query past
 //     the deadline is abandoned at its next candidate boundary and answers
@@ -133,7 +134,7 @@ func main() {
 		workers = flag.Int("refine-workers", 0, "intra-query refinement worker budget per search (0 = GOMAXPROCS, 1 = serial)")
 		band    = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
 
-		resultCacheMB = flag.Int("result-cache-mb", 0, "whole-query result cache size in MiB (0 = disabled); repeated queries answer from memory with zero index/DTW work, invalidated by any write")
+		resultCacheMB = flag.Int("result-cache-mb", 0, "whole-query result cache size in MiB (0 = disabled); repeated queries answer from memory with zero index/DTW work, kept across writes that cannot change it")
 		deadlineMS    = flag.Int("deadline-ms", 0, "per-query execution deadline in milliseconds (0 = none); a query past it is abandoned and answers 503")
 		maxInflight   = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = unlimited); excess queries queue then shed with 429")
 		queueDepth    = flag.Int("queue-depth", 64, "queries allowed to wait for an execution slot when -max-inflight is set; arrivals beyond it shed immediately")

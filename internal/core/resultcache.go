@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,41 +15,78 @@ import (
 // Memoizing entire answers is sound because the pipeline is exact: for a
 // fixed (query, kind, parameter, band, base) the matches are a pure
 // function of the database contents, so a stored result is bit-identical to
-// a recomputation as long as no write intervened.
+// a recomputation as long as no write that could change it intervened.
 //
-// Write tracking is a single per-database generation counter (an atomic
-// uint64 the owner bumps after every Add/AddAll/AddBatch/Remove/Repair):
-// every entry is stamped with the generation the owner read BEFORE the
-// query ran, and Get compares that stamp against the current generation.
-// The protocol makes stale hits impossible without any per-entry
-// bookkeeping on the write path:
+// Write tracking is a per-database generation counter (an atomic uint64 the
+// owner bumps after every Add/AddAll/AddBatch/Remove/Repair): every entry is
+// stamped with the generation the owner read BEFORE the query ran, and Get
+// compares that stamp against the current generation.
 //
 //   - A query reads gen g, computes, and Puts its result stamped g. If any
 //     write overlapped the computation — even one the query half-observed —
 //     the writer bumps the generation after mutating and before returning,
 //     so by the time that write is acknowledged the current generation
-//     exceeds g and the possibly-tainted entry can never be served again.
-//   - Invalidation is lazy: a generation-mismatched entry is evicted by the
-//     Get that finds it (counted as an invalidation AND a miss), so writes
-//     cost one atomic increment regardless of cache size.
+//     exceeds g and the entry is judged against that write before it is
+//     served again.
+//   - Beside the counter the cache keeps a short log of the writes
+//     themselves, one note per generation (NoteAdd: the added sequences'
+//     features; NoteRemove: the removed ID), bounded to writeLogCap
+//     features and IDs. A write the owner does not note (a Repair, an undo,
+//     any write of an owner that keeps no notes) leaves a gap, and a gap
+//     clears the log.
+//   - A Get that finds an entry stamped older than the current generation
+//     keeps it, restamped, when the log holds every generation after the
+//     stamp and no note in that range can change the answer; otherwise it
+//     drops the entry. An add cannot change the answer when every added
+//     feature f has comparableLB(base, f.DistLInf(fq)) > bound, with fq the
+//     query's feature and bound the entry's ε (range) or k-th distance
+//     (a full k-NN answer; +Inf otherwise): that value is the LB_Kim of
+//     Theorem 1, which never exceeds Dtw bit for bit under every base, and
+//     BandDistance ≥ Dtw, so the added sequence is neither within ε nor
+//     closer than the k-th match. A remove cannot change the answer when the
+//     removed ID is not one of its matches. Invalidation stays lazy: a write
+//     costs one note, whatever the cache holds.
+//
+// The owner must write a generation's note while no query of its database
+// runs (the DB does so under DB.mu held exclusively, queries hold it shared
+// across Get, compute and Put), so the notes after a stamp are complete
+// whenever a Get reads them.
 //
 // The key carries the raw query bits (see ResultCacheKey), so lookups are
 // exact string equality — no digest collisions to reason about.
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use; NoteAdd and NoteRemove are also
+// safe on a nil cache.
 type ResultCache struct {
 	budget int64 // per stripe
 	shards [resultCacheStripes]resultCacheShard
+	log    writeLog
 
-	hits, misses, evictions, invalidations atomic.Int64
+	hits, misses, evictions, invalidations, revalidations atomic.Int64
+}
+
+// ResultGuard is what an entry needs to judge a later add: the query's
+// feature, the base distance, and the bound an added sequence's distance
+// must exceed to leave the answer as it is (ε for a range answer, the k-th
+// distance for a k-NN answer that holds k matches, +Inf otherwise).
+type ResultGuard struct {
+	Feature seq.Feature
+	Base    seq.Base
+	Bound   float64
 }
 
 const resultCacheStripes = 8
 
 // resultCacheEntryOverhead approximates the per-entry bookkeeping bytes
-// (map bucket share, list element, entry struct, string header) charged
-// against the budget on top of the key and match payload.
-const resultCacheEntryOverhead = 128
+// (map bucket share, list element, entry struct with its guard, string
+// header) charged against the budget on top of the key and match payload.
+const resultCacheEntryOverhead = 176
+
+// writeLogCap bounds the write log in features and removed IDs (≈ 128 KiB
+// of features): enough for the adds and removes of a serving workload
+// between two lookups of a hot query, not for a bulk load, whose batches
+// push the oldest notes out.
+const writeLogCap = 4096
 
 type resultCacheShard struct {
 	mu    sync.Mutex
@@ -61,18 +99,39 @@ type resultCacheEntry struct {
 	key     string
 	gen     uint64
 	matches []Match
+	guard   ResultGuard
 	bytes   int64
 }
 
+// writeLog holds one note per generation for the generations first,
+// first+1, …, first+len(notes)-1, and size features and IDs in all.
+type writeLog struct {
+	mu    sync.RWMutex
+	first uint64
+	notes []writeNote
+	size  int
+}
+
+// writeNote is one write: an add's features, or (added nil) a removed ID.
+type writeNote struct {
+	added   []seq.Feature
+	removed seq.ID
+}
+
+func (n *writeNote) cost() int { return max(len(n.added), 1) }
+
 // ResultCacheStats is a point-in-time snapshot of the cache counters.
-// Invalidations count generation-mismatched entries discarded on lookup;
-// each such lookup also counts as a miss, so HitRatio stays an honest
-// fraction of lookups served from memory.
+// Invalidations count stale entries discarded on lookup because a write
+// since they were stored could change them or the write log no longer
+// covers them; each such lookup also counts as a miss, so HitRatio stays an
+// honest fraction of lookups served from memory. Revalidations count stale
+// entries the log proved unchanged and served (each is also a hit).
 type ResultCacheStats struct {
 	Hits          int64
 	Misses        int64
 	Evictions     int64
 	Invalidations int64
+	Revalidations int64
 	Bytes         int64
 	Entries       int
 }
@@ -92,6 +151,7 @@ func (s *ResultCacheStats) Add(other ResultCacheStats) {
 	s.Misses += other.Misses
 	s.Evictions += other.Evictions
 	s.Invalidations += other.Invalidations
+	s.Revalidations += other.Revalidations
 	s.Bytes += other.Bytes
 	s.Entries += other.Entries
 }
@@ -143,9 +203,10 @@ func (c *ResultCache) stripeFor(key string) *resultCacheShard {
 }
 
 // Get returns the cached matches for key if an entry exists and its
-// generation stamp equals curGen. A generation mismatch discards the entry
-// (lazy invalidation) and reports a miss. The returned slice is a private
-// copy the caller owns.
+// generation stamp equals curGen, or the write log proves that no write
+// since the stamp changed it (the entry is then restamped curGen). Any
+// other stale entry is discarded (lazy invalidation) and reported as a
+// miss. The returned slice is a private copy the caller owns.
 func (c *ResultCache) Get(key string, curGen uint64) ([]Match, bool) {
 	sh := c.stripeFor(key)
 	sh.mu.Lock()
@@ -157,11 +218,15 @@ func (c *ResultCache) Get(key string, curGen uint64) ([]Match, bool) {
 	}
 	ent := el.Value.(*resultCacheEntry)
 	if ent.gen != curGen {
-		sh.removeLocked(el, ent)
-		sh.mu.Unlock()
-		c.invalidations.Add(1)
-		c.misses.Add(1)
-		return nil, false
+		if !c.log.unchanged(ent, curGen) {
+			sh.removeLocked(el, ent)
+			sh.mu.Unlock()
+			c.invalidations.Add(1)
+			c.misses.Add(1)
+			return nil, false
+		}
+		ent.gen = curGen
+		c.revalidations.Add(1)
 	}
 	sh.lru.MoveToFront(el)
 	out := append([]Match(nil), ent.matches...)
@@ -170,13 +235,14 @@ func (c *ResultCache) Get(key string, curGen uint64) ([]Match, bool) {
 	return out, true
 }
 
-// Put stores the result a query computed after reading generation preGen.
-// The caller must have loaded preGen BEFORE issuing any index or heap read
-// of the query: any write that could have tainted the computation bumps the
-// generation before it is acknowledged, so a tainted entry's stamp is stale
-// by construction and Get will never serve it. Entries larger than a whole
-// stripe's budget are not stored.
-func (c *ResultCache) Put(key string, preGen uint64, matches []Match) {
+// Put stores the result a query computed after reading generation preGen,
+// with the guard a later Get judges writes against. The caller must have
+// loaded preGen BEFORE issuing any index or heap read of the query: any
+// write that could have tainted the computation bumps the generation before
+// it is acknowledged, so a tainted entry's stamp is stale by construction
+// and Get serves it again only past that write's note. Entries larger than
+// a whole stripe's budget are not stored.
+func (c *ResultCache) Put(key string, preGen uint64, matches []Match, guard ResultGuard) {
 	size := int64(len(key)) + int64(len(matches))*16 + resultCacheEntryOverhead
 	if size > c.budget {
 		return
@@ -185,6 +251,7 @@ func (c *ResultCache) Put(key string, preGen uint64, matches []Match) {
 		key:     key,
 		gen:     preGen,
 		matches: append([]Match(nil), matches...),
+		guard:   guard,
 		bytes:   size,
 	}
 	sh := c.stripeFor(key)
@@ -211,6 +278,84 @@ func (c *ResultCache) Put(key string, preGen uint64, matches []Match) {
 	sh.mu.Unlock()
 }
 
+// NoteAdd records that generation gen added sequences with these features
+// (the cache keeps the slice; the caller must not modify it). A nil cache
+// ignores it.
+func (c *ResultCache) NoteAdd(gen uint64, features []seq.Feature) {
+	if c != nil {
+		c.log.note(gen, writeNote{added: features})
+	}
+}
+
+// NoteRemove records that generation gen removed id. A nil cache ignores it.
+func (c *ResultCache) NoteRemove(gen uint64, id seq.ID) {
+	if c != nil {
+		c.log.note(gen, writeNote{removed: id})
+	}
+}
+
+// note appends gen's note. A generation that does not follow the last
+// noted one means writes went by unnoted, so the log restarts at gen; the
+// oldest notes leave once the log holds more than writeLogCap, and a note
+// larger than the cap empties it, so it covers nothing up to gen.
+func (l *writeLog) note(gen uint64, n writeNote) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if gen != l.first+uint64(len(l.notes)) {
+		l.reset(gen)
+	}
+	if n.cost() > writeLogCap {
+		l.reset(gen + 1)
+		return
+	}
+	l.notes = append(l.notes, n)
+	l.size += n.cost()
+	for l.size > writeLogCap {
+		l.size -= l.notes[0].cost()
+		l.notes[0] = writeNote{}
+		l.notes = l.notes[1:]
+		l.first++
+	}
+}
+
+// reset empties the log; the next note it takes in order is for next.
+func (l *writeLog) reset(next uint64) {
+	clear(l.notes)
+	l.notes, l.first, l.size = l.notes[:0], next, 0
+}
+
+// unchanged reports whether the log holds a note for every generation in
+// (ent.gen, cur] and none of them can change ent's answer.
+func (l *writeLog) unchanged(ent *resultCacheEntry, cur uint64) bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if ent.gen >= cur || ent.gen+1 < l.first || cur >= l.first+uint64(len(l.notes)) {
+		return false
+	}
+	for _, n := range l.notes[ent.gen+1-l.first : cur+1-l.first] {
+		if n.changes(ent) {
+			return false
+		}
+	}
+	return true
+}
+
+// changes reports whether the write n can change ent's answer: an added
+// sequence whose LB_Kim does not exceed the entry's bound, or the removal
+// of one of its matches.
+func (n *writeNote) changes(ent *resultCacheEntry) bool {
+	if n.added == nil {
+		return slices.ContainsFunc(ent.matches, func(m Match) bool { return m.ID == n.removed })
+	}
+	g := &ent.guard
+	for _, f := range n.added {
+		if !(comparableLB(g.Base, f.DistLInf(g.Feature)) > g.Bound) {
+			return true
+		}
+	}
+	return false
+}
+
 func (sh *resultCacheShard) removeLocked(el *list.Element, ent *resultCacheEntry) {
 	sh.lru.Remove(el)
 	delete(sh.items, ent.key)
@@ -229,6 +374,7 @@ func (c *ResultCache) Stats() ResultCacheStats {
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
+		Revalidations: c.revalidations.Load(),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]

@@ -142,8 +142,9 @@ func TestServerQueryDeadline(t *testing.T) {
 }
 
 // TestServerCacheHitOnWire: with the result cache enabled a repeated
-// /search answers cache_hit=true with identical matches and the counters
-// appear on /stats and /metrics.
+// /search answers cache_hit=true with identical matches, also after an add
+// that cannot change the answer, and the counters appear on /stats and
+// /metrics.
 func TestServerCacheHitOnWire(t *testing.T) {
 	_, c, ts := newLimitedServer(t, twsim.Options{ResultCacheBytes: 1 << 20}, Limits{})
 	walks := shardedWalks(43, 20, 12, 24)
@@ -170,13 +171,28 @@ func TestServerCacheHitOnWire(t *testing.T) {
 	if len(hot.Matches) != len(cold.Matches) {
 		t.Fatalf("cached matches %d, cold %d", len(hot.Matches), len(cold.Matches))
 	}
+	// A record far outside ε cannot change the answer: the entry is kept
+	// across the add and counted as a revalidation.
+	if _, err := c.Add([]float64{1e6, 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := c.Search(walks[3], 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kept.CacheHit || len(kept.Matches) != len(cold.Matches) {
+		t.Fatalf("query after a far add: cache_hit %v, %d matches, want a hit with %d", kept.CacheHit, len(kept.Matches), len(cold.Matches))
+	}
 	rc := statsSection(t, ts, "result_cache")
-	if rc["hits"].(float64) < 1 {
-		t.Fatalf("result_cache.hits = %v, want >= 1", rc["hits"])
+	if rc["hits"].(float64) < 1 || rc["revalidations"].(float64) != 1 {
+		t.Fatalf("result_cache.hits = %v, revalidations = %v, want >= 1 and 1", rc["hits"], rc["revalidations"])
 	}
 	s := scrape(t, ts)
-	if got := mustValue(t, s, "twsim_result_cache_hits_total", nil); got != 1 {
-		t.Fatalf("twsim_result_cache_hits_total = %g, want 1", got)
+	if got := mustValue(t, s, "twsim_result_cache_hits_total", nil); got != 2 {
+		t.Fatalf("twsim_result_cache_hits_total = %g, want 2", got)
+	}
+	if got := mustValue(t, s, "twsim_result_cache_revalidations_total", nil); got != 1 {
+		t.Fatalf("twsim_result_cache_revalidations_total = %g, want 1", got)
 	}
 	if got := mustValue(t, s, "twsim_result_cache_hit_ratio", nil); got <= 0 || got >= 1 {
 		t.Fatalf("twsim_result_cache_hit_ratio = %g, want in (0, 1)", got)

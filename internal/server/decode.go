@@ -68,10 +68,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 
 // readBody reads the whole body. When the client sent a Content-Length
 // within the cap, the buffer starts at min(Content-Length, firstRead) and
-// doubles as reads fill it, up to exactly Content-Length bytes, so memory
-// follows the bytes received and a body of up to firstRead bytes is one
-// exact-size allocation. Otherwise it is a growing read that the server's
-// MaxBytesReader stops at the cap.
+// doubles as reads fill it, so memory follows the bytes received and a body
+// of up to firstRead bytes is one exact-size allocation. Once the next
+// doubling would reach a quarter of Content-Length it grows straight to
+// Content-Length instead: the buffer still holds at most eight times the
+// bytes received, and a large body skips the last doublings' zeroing and
+// copying. Otherwise it is a growing read that the server's MaxBytesReader
+// stops at the cap.
 func readBody(r *http.Request) ([]byte, error) {
 	n := r.ContentLength
 	if n < 0 || n > MaxBodyBytes {
@@ -88,7 +91,11 @@ func readBody(r *http.Request) ([]byte, error) {
 		if int64(len(buf)) == n {
 			return buf, nil
 		}
-		next := make([]byte, min(n, 2*int64(len(buf))))
+		size := 2 * int64(len(buf))
+		if 4*size >= n {
+			size = n
+		}
+		next := make([]byte, size)
 		filled = copy(next, buf)
 		buf = next
 	}

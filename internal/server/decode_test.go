@@ -272,9 +272,18 @@ func TestReadBodyFollowsTheBytesReceived(t *testing.T) {
 	for _, seqs := range []int{1, 300} { // under firstRead, and several doublings over it
 		body := benchkit.BatchBody(synth.RandomWalkSet(rng, seqs, 128))
 		r := httptest.NewRequest(http.MethodPost, "/sequences/batch", bytes.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		got, err := readBody(r)
+		runtime.ReadMemStats(&after)
 		if err != nil || !bytes.Equal(got, body) || cap(got) != len(body) {
 			t.Fatalf("%d-byte body: read %d bytes (cap %d), %v", len(body), len(got), cap(got), err)
+		}
+		// The doublings stop below a quarter of the length and the last
+		// step goes straight to it: ≈ 1.25× the body, where doubling all
+		// the way up allocated ≈ 2–3×.
+		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(len(body))*3/2+64<<10 {
+			t.Fatalf("%d-byte body: readBody allocated %d bytes", len(body), n)
 		}
 	}
 }

@@ -143,8 +143,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		rc(func(st core.ResultCacheStats) float64 { return float64(st.Misses) }))
 	reg.CounterFunc("twsim_result_cache_evictions_total", "", "Result cache entries evicted to stay within the byte budget.",
 		rc(func(st core.ResultCacheStats) float64 { return float64(st.Evictions) }))
-	reg.CounterFunc("twsim_result_cache_invalidations_total", "", "Result cache entries dropped because a write advanced the database generation.",
+	reg.CounterFunc("twsim_result_cache_invalidations_total", "", "Result cache entries dropped because a write since they were stored could change them, or the write log no longer covers them.",
 		rc(func(st core.ResultCacheStats) float64 { return float64(st.Invalidations) }))
+	reg.CounterFunc("twsim_result_cache_revalidations_total", "", "Result cache entries served across writes that provably could not change them.",
+		rc(func(st core.ResultCacheStats) float64 { return float64(st.Revalidations) }))
 	reg.GaugeFunc("twsim_result_cache_bytes", "", "Bytes resident in the result cache.",
 		rc(func(st core.ResultCacheStats) float64 { return float64(st.Bytes) }))
 	reg.GaugeFunc("twsim_result_cache_entries", "", "Entries resident in the result cache.",

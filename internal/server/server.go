@@ -373,6 +373,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"misses":        rcs.Misses,
 			"evictions":     rcs.Evictions,
 			"invalidations": rcs.Invalidations,
+			"revalidations": rcs.Revalidations,
 			"bytes":         rcs.Bytes,
 			"entries":       rcs.Entries,
 			"hit_ratio":     rcs.HitRatio(),

@@ -1,9 +1,13 @@
 package twsim_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -101,8 +105,9 @@ func TestResultCacheHit(t *testing.T) {
 	}
 }
 
-// TestResultCacheWriteInvalidation: any write (add, remove) makes the next
-// identical query recompute rather than serve the stale entry.
+// TestResultCacheWriteInvalidation: a write that can change the answer (an
+// add within ε, the removal of a match) makes the next identical query
+// recompute rather than serve the stale entry.
 func TestResultCacheWriteInvalidation(t *testing.T) {
 	for name, cb := range openCacheBackends(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -167,11 +172,14 @@ func TestResultCacheWriteInvalidation(t *testing.T) {
 }
 
 // TestResultCacheCoherenceStorm interleaves writers (adds and removes)
-// with readers issuing a small set of repeated queries on both engines.
-// Each reader pairs every cached read with a fresh recompute under the
-// same read lock (the batch path bypasses the cache), so any stale hit
-// surfaces as a mismatch. Run with -race this also proves the cache's
-// internal synchronization.
+// with readers issuing a small set of repeated queries on both engines:
+// range queries unbanded and at band 2, and 3-NN queries unbanded and at
+// band 2. Each reader pairs every cached read with a fresh recompute under
+// the same read lock (the batch path bypasses the cache; a k-NN answer is
+// recomputed as the first k of a batch range query at ε +Inf), so any stale
+// hit — an entry kept across a write that changed it — surfaces as a
+// mismatch. Run with -race this also proves the cache's internal
+// synchronization.
 func TestResultCacheCoherenceStorm(t *testing.T) {
 	for name, cb := range openCacheBackends(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -247,12 +255,15 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 				}
 			}()
 
-			// Four readers hammering the same queries so hits are frequent.
-			for r := 0; r < 4; r++ {
+			// Eight readers hammering the same queries so hits are
+			// frequent: two each of range, banded range, k-NN and banded
+			// k-NN.
+			for r := 0; r < 8; r++ {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(300 + r)))
+					knn, band := r%4 >= 2, 2*(r%2)
 					for {
 						select {
 						case <-stop:
@@ -261,23 +272,14 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 						}
 						q := queries[rng.Intn(len(queries))]
 						cb.mu.RLock()
-						res, err := cb.b.SearchCtx(nil, q, 0.6, 0)
-						if err != nil {
-							cb.mu.RUnlock()
-							errs <- err
-							return
-						}
-						// Fresh recompute under the same lock: the batch
-						// path never consults the cache, so any stale hit
-						// shows up as a mismatch here.
-						fresh, err := cb.b.SearchBatchCtx(context.Background(), [][]float64{q}, 0.6, 0, 1)
+						got, want, err := stormRead(cb.b, q, knn, band)
 						cb.mu.RUnlock()
 						if err != nil {
 							errs <- err
 							return
 						}
-						if !matchesEqual(res.Matches, fresh[0].Matches) {
-							errs <- errors.New("cached result diverged from fresh recompute (stale hit)")
+						if !matchesEqual(got, want) {
+							errs <- fmt.Errorf("cached result (knn %v, band %d) diverged from fresh recompute (stale hit)", knn, band)
 							return
 						}
 					}
@@ -298,11 +300,51 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 			if st.Invalidations == 0 {
 				t.Fatal("storm produced zero invalidations; writers were not interleaved")
 			}
+			// The single database notes its writes and keeps the entries
+			// they cannot change; the sharded engine keeps no notes and
+			// drops every entry a write went past.
+			if name == "single" && st.Revalidations == 0 {
+				t.Fatalf("storm kept no entry across a write: %+v", st)
+			}
+			if name == "sharded" && st.Revalidations != 0 {
+				t.Fatalf("the sharded engine kept an entry across a write: %+v", st)
+			}
 			if err := cb.b.Verify(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// stormRead runs one cached read and its fresh recompute: a range query at
+// ε 0.6 or a 3-NN query under band. The recompute goes through the batch
+// path, which never consults the cache; for k-NN it is the first three of
+// every record at ε +Inf in (distance, ID) order, the order k-NN answers
+// report.
+func stormRead(b twsim.Backend, q []float64, knn bool, band int) (got, want []twsim.Match, err error) {
+	eps := 0.6
+	var res *twsim.Result
+	if knn {
+		eps = math.Inf(1)
+		res, err = b.NearestKCtx(nil, q, 3, band)
+	} else {
+		res, err = b.SearchCtx(nil, q, eps, band)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh, err := b.SearchBatchCtx(context.Background(), [][]float64{q}, eps, band, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	want = fresh[0].Matches
+	if knn {
+		slices.SortFunc(want, func(a, b twsim.Match) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+		})
+		want = want[:min(3, len(want))]
+	}
+	return res.Matches, want, nil
 }
 
 // TestSearchCtxCancellation: a cancelled context aborts range, knn, and
@@ -363,5 +405,127 @@ func TestQueryDeadline(t *testing.T) {
 	_, err = db.SearchCtx(nil, data[0], 1e9, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline query error = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// FuzzResultCacheMatchesRecompute decodes a base distance and an op list —
+// add, batch add, remove, range search and k-NN at small ε, k and band,
+// over values on a coarse grid so that distances tie and adds land on both
+// sides of every bound — and runs it against a database with a 1 MiB
+// result cache and a cache-off twin. Every answer, hit or recompute, must carry the twin's IDs
+// and distance bits, so an entry kept across a write that changed it fails
+// at the next query of that entry.
+func FuzzResultCacheMatchesRecompute(f *testing.F) {
+	// L∞; queries [1 2 1] and [0]; a range query at ε 1, an add far from
+	// it, the query again (kept), an add within ε, the query again
+	// (dropped), then 2-NN, a remove and 2-NN again.
+	f.Add([]byte{0, 2, 4, 8, 4, 0, 0, 3, 4, 0, 0, 60, 3, 4, 0, 0, 5, 3, 4, 4, 4, 2, 0, 4, 4})
+	for seed := int64(0); seed < 8; seed++ {
+		b := make([]byte, 120)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(cacheOpsMatchTwin)
+}
+
+// cacheOpsMatchTwin is FuzzResultCacheMatchesRecompute's body: it decodes
+// and runs one op list against the cached database and its twin.
+func cacheOpsMatchTwin(t *testing.T, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	base := []twsim.Base{twsim.BaseLInf, twsim.BaseL1, twsim.BaseL2Sq}[next()%3]
+	cached, err := twsim.OpenMem(twsim.Options{Base: base, RefineWorkers: 1, ResultCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	plain, err := twsim.OpenMem(twsim.Options{Base: base, RefineWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+
+	values := func() []float64 {
+		v := make([]float64, 1+next()%6)
+		for i := range v {
+			v[i] = float64(int8(next())%16) / 4
+		}
+		return v
+	}
+	queries := [][]float64{values(), values()}
+	var ids []twsim.ID
+	for ops := 0; ops < 64 && len(data) > 0; ops++ {
+		switch op := next() % 5; op {
+		case 0, 1:
+			batch := [][]float64{values()}
+			if op == 1 {
+				for n := next() % 4; n > 0; n-- {
+					batch = append(batch, values())
+				}
+			}
+			got, err := cached.AddBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.AddBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("add IDs %v, twin %v", got, want)
+			}
+			ids = append(ids, got...)
+		case 2:
+			if len(ids) == 0 {
+				continue
+			}
+			id := ids[int(next())%len(ids)]
+			got, err := cached.Remove(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Remove(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("Remove(%d) = %v, twin %v", id, got, want)
+			}
+		case 3, 4:
+			// Twelve keys of each kind, so that queries repeat across
+			// writes: two queries, band 0 or 2, and ε 0.25, 1 or 2.5
+			// (k 1, 2 or 4).
+			b := next()
+			q, band, param := queries[b%2], 2*int(b/2%2), int(b/4%3)
+			var got, want *twsim.Result
+			if op == 3 {
+				eps := []float64{0.25, 1, 2.5}[param]
+				if got, err = cached.SearchCtx(nil, q, eps, band); err == nil {
+					want, err = plain.SearchCtx(nil, q, eps, band)
+				}
+			} else {
+				k := []int{1, 2, 4}[param]
+				if got, err = cached.NearestKCtx(nil, q, k, band); err == nil {
+					want, err = plain.NearestKCtx(nil, q, k, band)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Matches) != len(want.Matches) {
+				t.Fatalf("op %d (hit %v): %+v, twin %+v", op, got.CacheHit, got.Matches, want.Matches)
+			}
+			for i, m := range want.Matches {
+				if g := got.Matches[i]; g.ID != m.ID || math.Float64bits(g.Dist) != math.Float64bits(m.Dist) {
+					t.Fatalf("op %d (hit %v) rank %d: %+v, twin %+v", op, got.CacheHit, i, g, m)
+				}
+			}
+		}
 	}
 }

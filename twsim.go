@@ -110,9 +110,12 @@ type Options struct {
 	// returns the stored matches with zero index, heap, or DTW work and a
 	// fresh RequestID. Coherence is by write generation:
 	// every Add/AddAll/AddBatch/Remove/Repair bumps a per-database counter,
-	// and an entry whose generation stamp is stale is discarded on lookup —
-	// a cached answer is therefore always bit-identical to a recomputation
-	// (see internal/core.ResultCache). 0 disables the cache. On a sharded
+	// and an entry whose generation stamp is stale is kept only when the
+	// cache's notes of the writes since prove none can change it (an add
+	// whose Dtw-lb exceeds the entry's ε or k-th distance, the removal of a
+	// non-member) and discarded on lookup otherwise — a cached answer is
+	// therefore always bit-identical to a recomputation (see
+	// internal/core.ResultCache). 0 disables the cache. On a sharded
 	// database the cache lives at the top level only (per-shard caches would
 	// double the memory for no extra hits).
 	ResultCacheBytes int64
@@ -192,8 +195,9 @@ type DB struct {
 	// gen is the write generation: bumped after every mutation
 	// (Add/AddAll/Remove/Repair) and read by queries before their first
 	// index or heap access, it stamps result-cache entries so a cached
-	// answer is served only while the database is byte-for-byte the one
-	// that computed it.
+	// answer is served only while the database is the one that computed
+	// it or differs from it by writes the cache's notes (applyAdd,
+	// applyRemove) prove cannot change it.
 	gen    atomic.Uint64
 	rcache *core.ResultCache // nil when Options.ResultCacheBytes == 0
 	// wal is the group-commit write-ahead log (nil unless Options.WAL on
@@ -449,7 +453,7 @@ func (db *DB) applyAdd(values [][]float64) (ID, []seq.Sequence, error) {
 		db.envs.Put(ids[i], env)
 	}
 	db.index.Put(ids, features)
-	db.gen.Add(1)
+	db.rcache.NoteAdd(db.gen.Add(1), features)
 	return first, ss, nil
 }
 
@@ -472,7 +476,7 @@ func (db *DB) applyRemove(id ID) (bool, error) {
 	}
 	db.index.Drop(id, f)
 	db.envs.Remove(id)
-	db.gen.Add(1)
+	db.rcache.NoteRemove(db.gen.Add(1), id)
 	return true, nil
 }
 
@@ -561,6 +565,21 @@ func knnCall(query []float64, k, band int) queryCall {
 		logKind: "knn", logParam: fmt.Sprintf("k=%d band=%d", k, band)}
 }
 
+// guard is what the result cache judges a later add against: an added
+// sequence changes a range answer only within ε, and a k-NN answer that
+// holds k matches only at or below its k-th distance (matches ascend). A
+// shorter k-NN answer takes any new sequence in, so its bound is +Inf.
+func (c queryCall) guard(base Base, ms []Match) core.ResultGuard {
+	bound := math.Inf(1)
+	switch {
+	case c.family == 'r':
+		bound = c.epsilon
+	case c.k > 0 && len(ms) == c.k:
+		bound = ms[c.k-1].Dist
+	}
+	return core.ResultGuard{Feature: seq.MustFeature(c.query), Base: base, Bound: bound}
+}
+
 // runQuery is the one protocol every single-query entry point of both
 // backends runs: validate → probe the whole-query result cache → attach the
 // deadline → compute → store → stamp the request ID and slow-log. gen reads
@@ -571,9 +590,10 @@ func knnCall(query []float64, k, band int) queryCall {
 // Coherence (DESIGN.md §13.2) is stated over this function alone: gen() is
 // loaded before any index or heap read of the query — the probe and compute
 // both come after it — a hit is served only when the entry's stamp equals
-// that reading, and a computed answer is stored under the same pre-query
-// reading, so any write that overlaps the computation has bumped the
-// generation past the stamp and the entry is stale on its first lookup.
+// that reading or the cache's write notes since the stamp cannot change the
+// entry, and a computed answer is stored under the same pre-query reading,
+// so any write that overlaps the computation has bumped the generation past
+// the stamp and the entry is judged against that write on its first lookup.
 func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() uint64,
 	c queryCall, compute func(ctx context.Context) (*Result, error)) (*Result, error) {
 	if err := validateQuery(c.query, c.band); err != nil {
@@ -600,7 +620,7 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 			return nil, err
 		}
 		if rc != nil {
-			rc.Put(key, preGen, res.Matches)
+			rc.Put(key, preGen, res.Matches, c.guard(o.Base, res.Matches))
 		}
 	}
 	res.RequestID = nextRequestID()
