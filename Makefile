@@ -41,25 +41,27 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # of adds, batch adds, removes, range and k-NN queries against a cached
 # database and a cache-off twin (the same IDs and distance bits at every
 # step, so an entry kept across a write that changed it fails). Go permits
-# one fuzz target per -fuzz run, so each gets its own pass.
+# one fuzz target per -fuzz run, so each gets its own pass. Minimizing a
+# new input defaults to 60 s, which would eat a 5 s pass; -fuzzminimizetime
+# caps it at 100 runs so the pass spends its time fuzzing.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
-	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
-	$(GO) test -run=^$$ -fuzz='^FuzzLBPAASound$$' -fuzztime=5s ./internal/core
-	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s ./internal/dtw
-	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s ./internal/dtw
-	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s ./internal/dtw
-	$(GO) test -run=^$$ -fuzz='^FuzzCorridorMatchesDistance$$' -fuzztime=5s ./internal/dtw
-	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
-	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
-	$(GO) test -run=^$$ -fuzz='^FuzzLInfKernelsMatchReference$$' -fuzztime=5s ./internal/flatidx
-	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s ./internal/seqdb
-	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s ./internal/seqdb
-	$(GO) test -run=^$$ -fuzz='^FuzzScanRecords$$' -fuzztime=5s ./internal/wal
-	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .
-	$(GO) test -run=^$$ -fuzz='^FuzzResultCacheMatchesRecompute$$' -fuzztime=5s .
-	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s ./internal/server
-	$(GO) test -run=^$$ -fuzz='^FuzzScanFloatMatchesParseFloat$$' -fuzztime=5s ./internal/server
+	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzLBPAASound$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzCorridorMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/flatidx
+	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/flatidx
+	$(GO) test -run=^$$ -fuzz='^FuzzLInfKernelsMatchReference$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/flatidx
+	$(GO) test -run=^$$ -fuzz='^FuzzFetchMatchesGet$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/seqdb
+	$(GO) test -run=^$$ -fuzz='^FuzzLoadDirectory$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/seqdb
+	$(GO) test -run=^$$ -fuzz='^FuzzScanRecords$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/wal
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s -fuzzminimizetime=100x .
+	$(GO) test -run=^$$ -fuzz='^FuzzResultCacheMatchesRecompute$$' -fuzztime=5s -fuzzminimizetime=100x .
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run=^$$ -fuzz='^FuzzScanFloatMatchesParseFloat$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/server
 
 # Boots a real twsimd on an ephemeral port, drives traffic, and verifies
 # GET /metrics is valid Prometheus exposition with the key series present
@@ -216,6 +218,12 @@ BODY_DECODER = json\.NewDecoder\(r\.Body\)
 # that rolled back a half-applied batch stay out of the root package's
 # non-test Go.
 WRITE_PATH_DELETED = applyAddAll|rollback := func
+# The eleventh keeps the pruning cascade on the paper's L∞: an additive base
+# (L1, L2Sq) runs the reference DP with no tier, so the Refiner's additive
+# window, the cascade's global envelope, LB_PAA's additive interval-gap form
+# and the index walks' key transform stay out of the non-test Go of
+# internal/core, internal/dtw, internal/flatidx and internal/rtree.
+ADDITIVE_DELETED = windowAdd|globalEnv|ensureGlobalRange|paaWindow|intervalGap|identityKey|xform
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -264,6 +272,10 @@ surface:
 	@out=$$(grep -nE '$(WRITE_PATH_DELETED)' *.go | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
 		echo "the root write path's deleted rollback machinery is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(ADDITIVE_DELETED)' $$(find internal/core internal/dtw internal/flatidx internal/rtree -name '*.go' ! -name '*_test.go')); \
+	if [ -n "$$out" ]; then \
+		echo "the deleted additive pruning machinery is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

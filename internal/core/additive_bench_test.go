@@ -11,13 +11,12 @@ import (
 )
 
 // BenchmarkRangeAdditiveBases: unbanded range search under the additive
-// bases — the one place the global-envelope LB_Keogh (which the cascade
-// runs there) and the deleted LB_Yi tier can dismiss a candidate the index
-// walk admitted (a sum over positions can exceed the 4-tuple's max). Where
-// LB_Yi would have, the refine kernel abandons the candidate within its
-// first rows instead; CHANGES.md (PR 17) holds the before/after row of this
-// benchmark. The L∞ row is the control: neither bound prunes there, which
-// is why the cascade runs no tier for it (dtw.TestGlobalBoundsBelowKim).
+// bases, which the cascade does not prune: every candidate the index walk
+// admits is fetched and valued by the reference DP, abandoning at ε. The
+// L∞ row is the control, served by the cascade (the decision and the
+// windowed DP, no tier in front: dtw.TestGlobalBoundsBelowKim). CHANGES.md
+// holds this benchmark's rows from before the additive tiers (the
+// global-envelope LB_Keogh, the additive windowed kernel) were deleted.
 func BenchmarkRangeAdditiveBases(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	data := synth.RandomWalkSetVaryLen(rng, 4000, 64, 192)

@@ -19,11 +19,10 @@ import (
 // index filter extends to every tier):
 //
 //	admitEnvelope — LB_PAA on the stored PAA envelope (EnvStore, by ID),
-//	                before any heap fetch: two-sided per segment for banded
-//	                equal-length pairs, against Q's global range otherwise
-//	verify        — LB_Keogh: on the banded envelope for a banded
-//	                equal-length candidate, on the global envelope for any
-//	                other candidate under an additive base (L1, L2Sq)
+//	                before any heap fetch: two-sided per segment for a
+//	                banded equal-length pair
+//	verify        — LB_Keogh on the banded envelope for a banded
+//	                equal-length pair
 //	verifyDP      — the exact DP: the single-window pass (dtw.Refiner),
 //	                over the whole matrix for unconstrained queries and
 //	                over the Sakoe–Chiba band's cells for banded ones; an
@@ -33,16 +32,14 @@ import (
 //	                with the DP confined to the windows the first decision's
 //	                reach rows allow (dtw.Refiner.CorridorDistance)
 //
-// Under the paper's L∞ base nothing sits between the walk and the DP for an
-// unbanded query: the global-range LB_PAA, the global-envelope LB_Keogh and
-// the two-sided LB_Yi are bounded above by the Greatest/Smallest components
-// of Dtw-lb, which the walk has already applied (DESIGN.md §8;
-// TestGlobalPAABelowKim and dtw.TestGlobalBoundsBelowKim hold the chain).
-// Under an additive base the global-range bounds are sums over positions and
-// do exceed the 4-tuple's max, so they stay there
-// (BenchmarkRangeAdditiveBases prices them). Unconstrained bounds stay sound
-// for banded queries because a band only removes permissible warpings:
-// BandDistance ≥ Distance ≥ the bound.
+// The cascade prunes the paper's L∞ base only. Nothing sits between the
+// walk and the DP for an unbanded query: the global-range LB_PAA, the
+// global-envelope LB_Keogh and the two-sided LB_Yi are bounded above by the
+// Greatest/Smallest components of Dtw-lb, which the walk has already applied
+// (DESIGN.md §8; TestGlobalPAABelowKim and dtw.TestGlobalBoundsBelowKim hold
+// the chain). An additive base (L1, L2Sq) disables the cascade: newCascade
+// sends every candidate straight to the reference DP, the path the oracle
+// tests compare against.
 //
 // The cutoff is the query tolerance for range search and the shrinking
 // k-th-best bound for k-NN (including the cross-shard SharedBound), so the
@@ -54,16 +51,16 @@ import (
 // when the query completes. Not safe for concurrent use: a query that
 // refines on several goroutines gives each its own (see worker).
 type cascade struct {
-	// paaPruner carries q, base, band, and the cached query-side PAA
-	// reductions; the k-NN walk keys its frontier with a second pruner of
-	// its own, so both evaluate the identical bound (see newPAAPruner).
+	// paaPruner carries q, band, and the cached query-side PAA reductions;
+	// the k-NN walk keys its frontier with a second pruner of its own, so
+	// both evaluate the identical bound (see newPAAPruner).
 	paaPruner
-	// The envelopes are written once, by newCascade, and only read after:
-	// the cascades of one query's workers share them.
-	bandEnv   dtw.Envelope // banded envelope of q; built only when band ≥ 1
-	globalEnv dtw.Envelope // [min q, max q] everywhere; built only for the additive bases
-	envs      *EnvStore
-	refiner   *dtw.Refiner
+	base seq.Base
+	// The envelope is written once, by newCascade, and only read after:
+	// the cascades of one query's workers share it.
+	bandEnv dtw.Envelope // banded envelope of q; built only when band ≥ 1
+	envs    *EnvStore
+	refiner *dtw.Refiner
 	// decider indexes q for the exact L∞ decision verifyDP runs before the
 	// refiner: unbanded L∞ queries of 1 to 1 024 finite elements only, else
 	// nil. Read-only after newCascade; each worker holds a share.
@@ -76,8 +73,7 @@ type cascade struct {
 // cascade's pre-fetch tier and the k-NN walk's key sharpener. Not safe for
 // concurrent use (the cached reductions fill lazily).
 type paaPruner struct {
-	q    seq.Sequence
-	base seq.Base
+	q seq.Sequence
 	// band is the Sakoe–Chiba half-width the query searches under: 0 means
 	// the paper's unconstrained distance, ≥ 1 answers dtw.BandDistance.
 	band int
@@ -86,22 +82,18 @@ type paaPruner struct {
 
 // newPAAPruner builds a standalone pruner for the k-NN index walk — the
 // cheap subset of newCascade (no envelope, no refiner pool round-trip).
-func newPAAPruner(q seq.Sequence, base seq.Base, band int) *paaPruner {
+func newPAAPruner(q seq.Sequence, band int) *paaPruner {
 	if band < 0 {
 		band = 0
 	}
-	return &paaPruner{q: q, base: base, band: band}
+	return &paaPruner{q: q, band: band}
 }
 
-// paaQuery caches the query-side reductions LB_PAA needs, each computed once
-// per query on first use: the global range of Q (additive bases, any length
-// or band) and, for banded equal-length candidates, per segment k with
-// window W_k = [lo_k − band, hi_k − 1 + band] ∩ [0, |Q|−1]: Q's range over
-// W_k, Q's own range over [lo_k, hi_k), and the segments [coverLo_k,
-// coverHi_k] that cover W_k.
+// paaQuery caches the query-side reductions LB_PAA needs, computed once per
+// query on first use: per segment k with window W_k = [lo_k − band,
+// hi_k − 1 + band] ∩ [0, |Q|−1], Q's range over W_k, Q's own range over
+// [lo_k, hi_k), and the segments [coverLo_k, coverHi_k] that cover W_k.
 type paaQuery struct {
-	qMin, qMax       float64
-	globalReady      bool
 	segMin, segMax   [seq.PAASegments]float64 // Q over W_k
 	ownMin, ownMax   [seq.PAASegments]float64 // Q over segment k
 	coverLo, coverHi [seq.PAASegments]int
@@ -113,27 +105,25 @@ type paaQuery struct {
 // to compare the decision route with the refiner-only route.
 var acquireDecider = dtw.AcquireDecider
 
-// newCascade prepares the per-query state: the envelopes (computed once per
-// query) and a pooled refiner. band ≥ 1 switches the exact distance
+// newCascade prepares the per-query state: the banded envelope (computed
+// once per query) and a pooled refiner. band ≥ 1 switches the exact distance
 // to dtw.BandDistance with that half-width; envs enables the pre-fetch
-// LB_PAA tier. With disabled=true every candidate goes straight to the exact
-// DP — the seed's behavior, kept for benchmarks and oracle tests (the band
-// still applies: a disabled banded cascade is the brute-force banded scan).
+// LB_PAA tier. With disabled=true, or under an additive base, every
+// candidate goes straight to the reference DP — the seed's behavior, and
+// the oracle the tests compare against (the band still applies: a disabled
+// banded cascade is the brute-force banded scan).
 func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disabled bool) *cascade {
 	if band < 0 {
 		band = 0 // public layers validate; never let a bad band weaken a bound
 	}
-	c := &cascade{paaPruner: paaPruner{q: q, base: base, band: band}, envs: envs, disabled: disabled}
+	disabled = disabled || base != seq.LInf
+	c := &cascade{paaPruner: paaPruner{q: q, band: band}, base: base, envs: envs, disabled: disabled}
 	if disabled {
 		return c
 	}
 	if band >= 1 {
 		c.bandEnv = dtw.NewEnvelope(q, band)
-	}
-	if base != seq.LInf {
-		c.globalEnv = dtw.GlobalEnvelope(q)
-	}
-	if base == seq.LInf && band == 0 {
+	} else {
 		c.decider = acquireDecider(q)
 	}
 	c.refiner = dtw.AcquireRefiner()
@@ -141,7 +131,7 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 }
 
 // worker returns a cascade for another goroutine refining the same query.
-// It shares c's envelopes and decider, which nothing writes after
+// It shares c's envelope and decider, which nothing writes after
 // newCascade, and owns what a candidate evaluation does write: the lazily
 // filled PAA reductions, the fetch scratch and a pooled refiner, which holds
 // the decision's reach rows. Close it
@@ -149,8 +139,8 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 // closes.
 func (c *cascade) worker() *cascade {
 	w := &cascade{
-		paaPruner: paaPruner{q: c.q, base: c.base, band: c.band},
-		bandEnv:   c.bandEnv, globalEnv: c.globalEnv,
+		paaPruner: paaPruner{q: c.q, band: c.band},
+		base:      c.base, bandEnv: c.bandEnv,
 		decider: c.decider.Share(),
 		envs:    c.envs, disabled: c.disabled,
 	}
@@ -230,56 +220,27 @@ func (c *cascade) admitEnvelope(id seq.ID, cutoff float64, stats *QueryStats) bo
 }
 
 // inert reports that LB_PAA cannot exceed what the index walk already
-// applied to every candidate it streams: under L∞ an unbanded query has no
-// banded pair, and lbPAA is 0 for all of them. The cascade skips the tier
-// and the k-NN walk runs without a sharpener.
-func (c *paaPruner) inert() bool { return c.base == seq.LInf && c.band == 0 }
+// applied to every candidate it streams: an unbanded query has no banded
+// pair, and lbPAA is 0 for all of them. The cascade skips the tier and the
+// k-NN walk runs without a sharpener.
+func (c *paaPruner) inert() bool { return c.band == 0 }
 
-// lbPAA computes the LB_PAA bound between the query and one stored record
+// lbPAA computes the L∞ LB_PAA bound between the query and one stored record
 // profile (packed, see PackedEnvelope): a lower bound of the distance the
 // query answers.
 //
-// Under L∞ it is the two-sided form of lbPAABanded for a banded query over a
-// record of the query's length, and 0 for every other pair. There the only
-// window a segment has is the whole of Q, and the max over segments of the
-// gap between [Min_k, Max_k] and [min Q, max Q] is at most LB_Kim with no
+// It is the two-sided form of lbPAABanded for a banded query over a record
+// of the query's length, and 0 for every other pair. There the only window a
+// segment has is the whole of Q, and the max over segments of the gap
+// between [Min_k, Max_k] and [min Q, max Q] is at most LB_Kim with no
 // rounding slack — Min_k − max Q ≤ Greatest(S) − Greatest(Q) and
 // min Q − Max_k ≤ Smallest(Q) − Smallest(S), rounding being monotone
 // (TestGlobalPAABelowKim) — which the index walk has applied.
-//
-// Under the additive bases each element of segment k of S matches some q_j:
-// one in W_k for a banded equal-length pair (|i − j| ≤ band), anywhere in Q
-// otherwise. It costs at least the interval gap between [Min_k, Max_k] and
-// Q's range over that window, and every element is matched at least once,
-// so Σ_k |segment k|·Elem(0, gap_k) lower-bounds the total — the
-// unconstrained one, and so the banded one too. The gap is taken from the
-// stored interval, which contains [Min_k, Max_k], so it can only be smaller.
 func (c *paaPruner) lbPAA(pe *PackedEnvelope) float64 {
-	n := int(pe.Len)
-	banded := c.band >= 1 && n == len(c.q)
-	if c.base == seq.LInf {
-		if !banded {
-			return 0
-		}
-		return c.lbPAABanded(pe)
+	if c.band < 1 || int(pe.Len) != len(c.q) {
+		return 0
 	}
-	if banded {
-		c.ensureSegWindows()
-	} else {
-		c.ensureGlobalRange()
-	}
-	acc := 0.0
-	for k := 0; k < seq.PAASegments; k++ {
-		lo, hi := seq.PAABounds(n, k)
-		if lo >= hi {
-			continue
-		}
-		qlo, qhi := c.paaWindow(banded, k)
-		if g := intervalGap(float64(pe.Min[k]), float64(pe.Max[k]), qlo, qhi); g > 0 {
-			acc += float64(hi-lo) * c.base.Elem(0, g)
-		}
-	}
-	return acc
+	return c.lbPAABanded(pe)
 }
 
 // lbPAABanded is LB_PAA under L∞ for a banded query over a record of the
@@ -331,21 +292,6 @@ func (c *paaPruner) lbPAABanded(pe *PackedEnvelope) float64 {
 	return max(fLo, fHi, rLo, rHi)
 }
 
-func (c *paaPruner) paaWindow(banded bool, k int) (float64, float64) {
-	if banded {
-		return c.paa.segMin[k], c.paa.segMax[k]
-	}
-	return c.paa.qMin, c.paa.qMax
-}
-
-func (c *paaPruner) ensureGlobalRange() {
-	if c.paa.globalReady {
-		return
-	}
-	c.paa.qMin, c.paa.qMax = c.q.MinMax()
-	c.paa.globalReady = true
-}
-
 func (c *paaPruner) ensureSegWindows() {
 	if c.paa.segReady {
 		return
@@ -374,26 +320,14 @@ func paaSegmentOf(n, i int) int {
 	}
 }
 
-// intervalGap is the smallest distance between a point of [aLo, aHi] and a
-// point of [bLo, bHi]: 0 when the intervals overlap.
-func intervalGap(aLo, aHi, bLo, bHi float64) float64 {
-	switch {
-	case aLo > bHi:
-		return aLo - bHi
-	case bLo > aHi:
-		return bLo - aHi
-	default:
-		return 0
-	}
-}
-
 // comparableLB converts a raw LB_Kim feature distance into the form
 // comparable against a DTW distance under base: for the additive L2Sq base
 // the single matched pair the bound describes contributes its squared
 // difference, so the comparable bound is the square. Used by the k-NN
 // walk-stop test; since x ↦ x² is monotone on the walk's nonnegative
 // ascending bounds, the converted stream stays ascending and stopping on
-// it is sound.
+// it is sound. (The walk itself keys by the raw bound: an additive base has
+// no sharpener, and a monotone map does not change the order.)
 func comparableLB(base seq.Base, lb float64) float64 {
 	if base == seq.L2Sq {
 		return lb * lb
@@ -407,26 +341,18 @@ func comparableLB(base seq.Base, lb float64) float64 {
 // brute-force DP, while attributing each dismissal to the tier that made it.
 // Only candidates the exact step decides increment DTWCalls (see verifyDP).
 //
-// The one tier before the DP is LB_Keogh, on the envelope the pair allows.
-// A banded equal-length candidate gets the banded envelope (Keogh's theorem;
-// sound for BandDistance with this exact band, and newCascade built it with
-// the query's band, so the pair is matched by construction). Any other
-// candidate under an additive base gets the global envelope — each element
-// of S pays at least its cost to [min Q, max Q] on any warping path, banded
-// or not. An unbanded L∞ candidate gets no tier: the global envelope's bound
-// is below the LB_Kim the index walk applied (DESIGN.md §8).
+// The one tier before the DP is LB_Keogh on the banded envelope, for a
+// banded equal-length candidate (Keogh's theorem; sound for BandDistance
+// with this exact band, and newCascade built it with the query's band, so
+// the pair is matched by construction). An unbanded candidate gets no tier:
+// the global envelope's bound is below the LB_Kim the index walk applied
+// (DESIGN.md §8).
 func (c *cascade) verify(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
-	var lb float64
-	switch {
-	case c.disabled || s.Empty():
-	case c.band >= 1 && len(s) == len(c.q):
-		lb = dtw.LBKeogh(s, c.bandEnv, c.base)
-	case c.base != seq.LInf:
-		lb, _ = dtw.LBKeoghSafe(s, c.globalEnv, c.base, -1)
-	}
-	if lb > cutoff {
-		stats.LBKeoghPruned++
-		return dtw.Inf, false
+	if !c.disabled && c.band >= 1 && len(s) == len(c.q) && !s.Empty() {
+		if dtw.LBKeogh(s, c.bandEnv, seq.LInf) > cutoff {
+			stats.LBKeoghPruned++
+			return dtw.Inf, false
+		}
 	}
 	return c.verifyDP(s, cutoff, stats)
 }

@@ -19,15 +19,13 @@ type Index interface {
 	BulkLoad(ids []seq.ID, features []seq.Feature) error
 	RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, error)
 	// NearestWalkKeyed streams IDs in non-decreasing key order from a
-	// best-first walk with a two-level sharpened frontier: xform (nil =
-	// identity) is a monotone transform applied to every L∞ mindist so the
-	// stream is keyed in the caller's comparable space; sharpen (nil = plain
-	// mindist ordering) maps a surfacing candidate's ID to an additional
-	// lower bound in that space (the search layer resolves it from the
-	// EnvStore), and the candidate is emitted at the max of the two. fn
-	// returning false stops the walk.
-	NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
-		sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error)
+	// best-first walk with a two-level sharpened frontier: the key is the
+	// L∞ mindist; sharpen (nil = plain mindist ordering) maps a surfacing
+	// candidate's ID to an additional lower bound (the search layer
+	// resolves it from the EnvStore), and the candidate is emitted at the
+	// max of the two. fn returning false stops the walk.
+	NearestWalkKeyed(fq seq.Feature, sharpen func(id seq.ID) float64,
+		fn func(id seq.ID, key float64) bool) (KNNWalkStats, error)
 	Len() int
 	Pages() int
 	Stats() pagefile.Stats

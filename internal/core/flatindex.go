@@ -146,16 +146,16 @@ func (x *FlatIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]IndexE
 // layer walks through NearestWalkKeyed; cmd/bench's stage replay calls this
 // form.
 func (x *FlatIndex) NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBound float64) bool) error {
-	_, err := x.NearestWalkKeyed(fq, nil, nil, fn)
+	_, err := x.NearestWalkKeyed(fq, nil, fn)
 	return err
 }
 
 // NearestWalkKeyed streams IDs in non-decreasing key order with the
 // two-level sharpened frontier (see Index).
-func (x *FlatIndex) NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
-	sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
+func (x *FlatIndex) NearestWalkKeyed(fq seq.Feature, sharpen func(id seq.ID) float64,
+	fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
 	p := fq.Vector()
-	ws := x.idx.NearestWalkKeyed(&p, xform, sharpen, func(e flatidx.Entry, key float64) bool {
+	ws := x.idx.NearestWalkKeyed(&p, sharpen, func(e flatidx.Entry, key float64) bool {
 		return fn(e.ID, key)
 	})
 	return KNNWalkStats{Pushes: ws.Pushes, Repushes: ws.Repushes, EnvStops: ws.EnvStops}, nil

@@ -220,15 +220,15 @@ func (fi *FeatureIndex) NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBoun
 
 // NearestWalkKeyed streams IDs in non-decreasing key order with the
 // two-level sharpened frontier (see Index). With nil sharpen the stream
-// reduces to the transformed NearestWalk order.
-func (fi *FeatureIndex) NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
-	sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
+// reduces to the NearestWalk order.
+func (fi *FeatureIndex) NearestWalkKeyed(fq seq.Feature, sharpen func(id seq.ID) float64,
+	fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
 	center := fq.Vector()
 	var sh func(e *rtree.Entry) float64
 	if sharpen != nil {
 		sh = func(e *rtree.Entry) float64 { return sharpen(seq.ID(e.Child)) }
 	}
-	ws, err := fi.tree.NearestWalkKeyed(center[:], rtree.NormLInf, xform, sh, func(n rtree.Neighbor) bool {
+	ws, err := fi.tree.NearestWalkKeyed(center[:], rtree.NormLInf, sh, func(n rtree.Neighbor) bool {
 		return fn(seq.ID(n.Entry.Child), n.Dist)
 	})
 	return KNNWalkStats{Pushes: ws.Pushes, Repushes: ws.Repushes, EnvStops: ws.EnvStops}, err

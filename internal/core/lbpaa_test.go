@@ -35,6 +35,19 @@ func intervalGapPAA(n int, mins, maxs *[seq.PAASegments]float64, q seq.Sequence,
 	return lb
 }
 
+// intervalGap is the smallest distance between a point of [aLo, aHi] and a
+// point of [bLo, bHi]: 0 when the intervals overlap.
+func intervalGap(aLo, aHi, bLo, bHi float64) float64 {
+	switch {
+	case aLo > bHi:
+		return aLo - bHi
+	case bLo > aHi:
+		return bLo - aHi
+	default:
+		return 0
+	}
+}
+
 // inwardGapPAA is intervalGapPAA on the bounds lbPAABanded's forward terms
 // read from a packed record, each one float32 ulp inward. A segment whose
 // stored interval is at most two ulps wide (a constant one, say) reads
@@ -77,7 +90,7 @@ func TestGlobalPAABelowKim(t *testing.T) {
 			continue // a banded equal-length pair takes the two-sided form
 		}
 		packed := PackEnvelope(pe)
-		if lb := newPAAPruner(q, seq.LInf, band).lbPAA(&packed); lb > kim {
+		if lb := newPAAPruner(q, band).lbPAA(&packed); lb > kim {
 			t.Fatalf("trial %d band %d: lbPAA %v > LB_Kim %v", trial, band, lb, kim)
 		}
 	}
@@ -117,7 +130,7 @@ func FuzzLBPAASound(f *testing.F) {
 			t.Fatal(err)
 		}
 		packed := PackEnvelope(pe)
-		lb := newPAAPruner(q, seq.LInf, r).lbPAA(&packed)
+		lb := newPAAPruner(q, r).lbPAA(&packed)
 		if bd := dtw.BandDistance(s, q, seq.LInf, r); lb > bd {
 			t.Fatalf("n=%d r=%d: LB_PAA %v > BandDistance %v", n, r, lb, bd)
 		}
@@ -155,7 +168,7 @@ func BenchmarkLBPAA(b *testing.B) {
 	qs := synth.Queries(rng, data, 16)
 	pruners := make([]*paaPruner, len(qs))
 	for i, q := range qs {
-		pruners[i] = newPAAPruner(q, seq.LInf, 8)
+		pruners[i] = newPAAPruner(q, 8)
 		pruners[i].lbPAA(&envs[0])
 	}
 	b.ResetTimer()

@@ -211,6 +211,8 @@ type TWSimSearch struct {
 	// early-abandoning DP in plain mindist order (the pre-cascade behavior).
 	// Results are bit-identical either way; no serving path sets it — it is
 	// the reference path this package's equivalence tests compare against.
+	// An additive Base takes the same path whatever NoCascade says (see
+	// reference).
 	NoCascade bool
 	// Workers bounds the intra-query refinement parallelism. Values ≤ 1
 	// keep the historical serial execution (the zero value is serial, so
@@ -240,6 +242,12 @@ type TWSimSearch struct {
 // Name implements Searcher.
 func (t *TWSimSearch) Name() string { return "TW-Sim-Search" }
 
+// reference reports whether the query runs the reference path: the index
+// filter, the fetch and the reference DP, with no cascade tier and no walk
+// sharpener. Only the paper's L∞ base is pruned; an additive base always
+// takes this path.
+func (t *TWSimSearch) reference() bool { return t.NoCascade || t.Base != seq.LInf }
+
 // Search implements Searcher.
 func (t *TWSimSearch) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	if err := ctxErr(t.Ctx); err != nil {
@@ -260,7 +268,7 @@ func (t *TWSimSearch) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	res.Stats.FilterWall = time.Since(start)
 	res.Stats.Candidates = len(ids)
 	refineStart := time.Now()
-	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, ids, t.NoCascade, t.Band, t.Envs, t.Workers, &res.Stats)
+	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, ids, t.reference(), t.Band, t.Envs, t.Workers, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -318,22 +326,26 @@ func (t *TWSimSearch) NearestKSharedStats(q seq.Sequence, k int, shared *SharedB
 	return ms, stats, err
 }
 
-// knnWalk runs the index walk for one k-NN query: fn receives candidates in
-// non-decreasing key order, where the key is comparableLB(Base, L∞ mindist)
-// raised to max(·, LB_PAA(Q, the candidate's envelope in Envs)). Both halves
-// of the max lower-bound the candidate's (banded) DTW distance in comparable
-// space, so a stop on `key > cutoff` dismisses only candidates whose exact
-// distance is already above the cutoff (DESIGN.md §12), just earlier than
-// the mindist alone allows. With the cascade off (NoCascade keeps the
-// brute-force baseline honest), no envelopes stored or LB_PAA inert for the
-// query (an unbanded L∞ query, see paaPruner.inert), the same keyed walk
-// runs with a nil sharpener, so the stream is the transformed mindist order
-// and the frontier counters stay comparable across modes. The walk's
-// frontier counters land in stats when it finishes.
-func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, stats *QueryStats,
-	fn func(id seq.ID, key float64) bool) error {
+// knnWalk runs the index walk for one k-NN query and is its one stop test:
+// fn receives candidates in non-decreasing key order, where the key is the
+// L∞ mindist raised to max(·, LB_PAA(Q, the candidate's envelope in Envs)),
+// and the walk ends at the first key whose comparableLB exceeds top's
+// cutoff. Both halves of the max lower-bound the candidate's (banded) DTW
+// distance, so the stop dismisses only candidates whose exact distance is
+// already above the cutoff (DESIGN.md §12), just earlier than the mindist
+// alone allows. Under L2Sq, where a matched pair contributes its squared
+// difference, comparableLB squares the key; x ↦ x² is monotone on the
+// nonnegative keys, so the comparable stream is ascending too. On the
+// reference path (NoCascade or an additive base), with no envelopes stored
+// or with LB_PAA inert for the query (an unbanded query, see
+// paaPruner.inert), the same keyed walk runs with a nil sharpener, so the
+// stream is the mindist order and the frontier counters stay comparable
+// across modes. The walk's frontier counters land in stats when it
+// finishes.
+func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, top *knnTop, stats *QueryStats,
+	fn func(id seq.ID) bool) error {
 	var sharpen func(id seq.ID) float64
-	if pruner := newPAAPruner(q, t.Base, t.Band); !t.NoCascade && len(q) > 0 && t.Envs.Len() > 0 && !pruner.inert() {
+	if pruner := newPAAPruner(q, t.Band); !t.reference() && len(q) > 0 && t.Envs.Len() > 0 && !pruner.inert() {
 		sharpen = func(id seq.ID) float64 {
 			if pe := t.Envs.Get(id); pe != nil {
 				return pruner.lbPAA(pe)
@@ -341,7 +353,12 @@ func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, stats *QueryStats,
 			return 0
 		}
 	}
-	ws, err := t.Index.NearestWalkKeyed(fq, func(d float64) float64 { return comparableLB(t.Base, d) }, sharpen, fn)
+	ws, err := t.Index.NearestWalkKeyed(fq, sharpen, func(id seq.ID, key float64) bool {
+		if comparableLB(t.Base, key) > top.cutoff() {
+			return false // every later candidate has Dtw ≥ its key > cutoff
+		}
+		return fn(id)
+	})
 	stats.addKNNWalk(ws)
 	return err
 }
@@ -463,17 +480,8 @@ func (t *TWSimSearch) knnCandidate(c *cascade, top *knnTop, id seq.ID, stats *Qu
 // nearestKShared is NearestKShared with the per-tier work counters
 // exposed. Once k survivors exist the cutoff is finite and every candidate
 // runs the full cascade against it (and against the cross-shard bound when
-// present), so the tiers tighten as the search proceeds.
-//
-// The walk streams candidates in ascending lower-bound order, so the stop
-// test compares the base-comparable form of the bound (squared for L2Sq,
-// where a single matched pair contributes its squared difference to the
-// additive total) against the cutoff: the comparable bound is monotone in
-// the walk order, so stopping dismisses only candidates whose exact
-// distance is already above the cutoff. The seed compared the raw bound,
-// which for L2Sq cutoffs < 1 kept walking (and fetching) candidates a
-// sound bound dismisses — and, worse, was the same unsquared comparison
-// the range filter made (see filterRadius).
+// present), so the tiers tighten as the search proceeds. The walk stops on
+// the base-comparable form of its key (see knnWalk).
 func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound, stats *QueryStats) ([]Match, error) {
 	fq, err := seq.ExtractFeature(q)
 	if err != nil {
@@ -486,15 +494,12 @@ func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound,
 	if t.Workers > 1 {
 		return t.nearestKParallel(q, fq, top, stats)
 	}
-	c := newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade)
+	c := newCascade(q, t.Base, t.Band, t.Envs, t.reference())
 	defer c.close()
 	var candErr error
-	err = t.knnWalk(q, fq, stats, func(id seq.ID, key float64) bool {
+	err = t.knnWalk(q, fq, top, stats, func(id seq.ID) bool {
 		if candErr = ctxErr(t.Ctx); candErr != nil {
 			return false
-		}
-		if key > top.cutoff() {
-			return false // every later candidate has Dtw >= key > cutoff
 		}
 		candErr = t.knnCandidate(c, top, id, stats)
 		return candErr == nil

@@ -127,7 +127,7 @@ func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, top *knnT
 	workerErrs := make([]error, workers)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w, c := range workerCascades(newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade), workers) {
+	for w, c := range workerCascades(newCascade(q, t.Base, t.Band, t.Envs, t.reference()), workers) {
 		wg.Add(1)
 		go func(w int, c *cascade) {
 			defer wg.Done()
@@ -149,15 +149,12 @@ func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, top *knnT
 	}
 
 	var ctxAbort error
-	walkErr := t.knnWalk(q, fq, stats, func(id seq.ID, key float64) bool {
+	walkErr := t.knnWalk(q, fq, top, stats, func(id seq.ID) bool {
 		if failed.Load() {
 			return false
 		}
 		if ctxAbort = ctxErr(t.Ctx); ctxAbort != nil {
 			return false
-		}
-		if key > top.cutoff() {
-			return false // ascending keys: every later candidate is above too
 		}
 		work <- id
 		return true

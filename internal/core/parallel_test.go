@@ -238,20 +238,67 @@ func TestL2SqBruteForceOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// k-NN over near copies of one walk, where every distance lies in
+	// (0, 1): there the walk's raw LB_Kim key exceeds its comparable
+	// (squared) form, so a walk that stopped on the raw key would dismiss
+	// true neighbours.
+	noisy := func(w seq.Sequence) seq.Sequence {
+		c := append(seq.Sequence(nil), w...)
+		for i := range c {
+			c[i] += (rng.Float64() - 0.5) * 0.08
+		}
+		return c
+	}
+	walk := synth.RandomWalk(rng, 32)
+	near := make([]seq.Sequence, 60)
+	for i := range near {
+		near[i] = noisy(walk)
+	}
+	ndb, nidx := buildFixture(t, near)
+	for trial := 0; trial < 6; trial++ {
+		q := noisy(walk)
+		all := make([]Match, len(near))
+		for i, stored := range near {
+			all[i] = Match{ID: seq.ID(i), Dist: dtw.Distance(stored, q, seq.L2Sq)}
+			if !(all[i].Dist > 0 && all[i].Dist < 1) {
+				t.Fatalf("trial %d id %d: Dtw %g, the case needs every distance in (0, 1)", trial, i, all[i].Dist)
+			}
+		}
+		sortMatches(all)
+		for _, workers := range []int{1, 2} {
+			ns := &TWSimSearch{DB: ndb, Index: nidx, Base: seq.L2Sq, Workers: workers}
+			for _, k := range []int{1, 5, 20} {
+				got, err := ns.NearestK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("trial %d workers %d k=%d: %d matches", trial, workers, k, len(got))
+				}
+				for i := range got {
+					if got[i] != all[i] {
+						t.Fatalf("trial %d workers %d k=%d rank %d: %+v, brute force %+v", trial, workers, k, i, got[i], all[i])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestWorkerCascadesShareEnvelopes: a query refined on several goroutines
-// builds its envelopes once — every worker's cascade reads the first one's —
-// while the state a candidate evaluation writes stays per worker.
+// builds its envelope once — every worker's cascade reads the first one's —
+// while the state a candidate evaluation writes stays per worker. A cascade
+// under an additive base is disabled, like NoCascade's.
 func TestWorkerCascadesShareEnvelopes(t *testing.T) {
 	q := synth.RandomWalk(rand.New(rand.NewSource(5)), 32)
-	cs := workerCascades(newCascade(q, seq.L1, 4, nil, false), 3)
+	cs := workerCascades(newCascade(q, seq.LInf, 4, nil, false), 3)
 	for w, c := range cs {
 		defer c.close()
-		if &c.bandEnv.Lower[0] != &cs[0].bandEnv.Lower[0] || &c.globalEnv.Upper[0] != &cs[0].globalEnv.Upper[0] {
-			t.Fatalf("worker %d rebuilt the query's envelopes", w)
+		if &c.bandEnv.Lower[0] != &cs[0].bandEnv.Lower[0] {
+			t.Fatalf("worker %d rebuilt the query's envelope", w)
 		}
-		if c.band != 4 || c.base != seq.L1 || c.refiner == nil {
+		if c.band != 4 || c.base != seq.LInf || c.refiner == nil {
 			t.Fatalf("worker %d: band %d base %v refiner %v", w, c.band, c.base, c.refiner)
 		}
 		if w > 0 && (c == cs[0] || c.refiner == cs[0].refiner) {
@@ -260,6 +307,13 @@ func TestWorkerCascadesShareEnvelopes(t *testing.T) {
 	}
 	if off := workerCascades(newCascade(q, seq.LInf, 0, nil, true), 2)[1]; !off.disabled || off.refiner != nil {
 		t.Fatalf("a disabled cascade's worker: disabled %v refiner %v", off.disabled, off.refiner)
+	}
+	for _, base := range []seq.Base{seq.L1, seq.L2Sq} {
+		add := newCascade(q, base, 4, nil, false)
+		if !add.disabled || add.refiner != nil || add.decider != nil || add.bandEnv.Lower != nil {
+			t.Fatalf("base %v: the cascade prunes an additive base (disabled %v)", base, add.disabled)
+		}
+		add.close()
 	}
 }
 

@@ -51,10 +51,10 @@ type QueryStats struct {
 	// fetch: LB_PAA evaluated between the query and the candidate's stored
 	// PAA-reduced envelope (EnvStore).
 	LBPAAPruned int
-	// LBKeoghPruned counts candidates dismissed by LB_Keogh after the fetch:
-	// on the banded envelope for banded queries over equal-length pairs, on
-	// the global envelope for every other pair under an additive base. Zero
-	// for unbanded queries under L∞.
+	// LBKeoghPruned counts candidates dismissed by LB_Keogh after the fetch,
+	// on the banded envelope for banded L∞ queries over equal-length pairs.
+	// Zero for unbanded queries and under an additive base, which the
+	// cascade does not prune.
 	LBKeoghPruned int
 	// CorridorPruned counts candidates dismissed inside the DP: the fused
 	// DP's alive region died before the final cell, proving

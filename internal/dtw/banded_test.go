@@ -103,7 +103,7 @@ func FuzzBandedBoundChain(f *testing.F) {
 			s[i] = float64(sraw[i])/16 - 8
 			q[i] = float64(qraw[i])/16 - 8
 		}
-		for _, base := range cascadeBases {
+		for _, base := range allBases {
 			env := NewEnvelope(q, r)
 			keogh := LBKeogh(s, env, base)
 			improved, err := LBImproved(s, q, env, base, r)
@@ -156,7 +156,7 @@ func TestGlobalBoundsBelowKim(t *testing.T) {
 // unconstrained lower bounds sound for banded queries.
 func TestBandDistanceAtLeastUnconstrained(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for _, base := range cascadeBases {
+	for _, base := range allBases {
 		for trial := 0; trial < 300; trial++ {
 			s := randSeq(rng, 48)
 			q := randSeq(rng, 48)
@@ -178,7 +178,7 @@ func TestBandDistanceAtLeastUnconstrained(t *testing.T) {
 // base; the banded cascade's tier relies on the outer inequality.
 func TestBandedBoundChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for _, base := range cascadeBases {
+	for _, base := range allBases {
 		for trial := 0; trial < 400; trial++ {
 			n := 1 + rng.Intn(64)
 			s := make(seq.Sequence, n)
@@ -249,7 +249,7 @@ func TestLBKeoghSafeUnsoundCombinations(t *testing.T) {
 // tolerance, and never a false abandon.
 func TestBandDistanceWithinMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	for _, base := range cascadeBases {
+	for _, base := range allBases {
 		for trial := 0; trial < 400; trial++ {
 			s := randSeq(rng, 40)
 			q := randSeq(rng, 40)

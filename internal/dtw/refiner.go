@@ -20,19 +20,20 @@ const (
 	// VerdictWithin means Dtw(s,q) ≤ epsilon; the returned distance is exact
 	// (bit-identical to DistanceWithin).
 	VerdictWithin
-	// VerdictAbandoned means a dense early-abandoning DP ran to rejection.
-	// The windowed pass never reports this — its rejections are corridor
-	// prunes — so it only arises on the generic fallback for bases without
-	// a corridor soundness argument.
+	// VerdictAbandoned means the reference early-abandoning DP ran to
+	// rejection. The windowed pass never reports this — its rejections are
+	// corridor prunes — so it only arises for the additive bases, which the
+	// Refiner hands to the reference DP.
 	VerdictAbandoned
 )
 
 // Refiner is the filter-and-refine DTW evaluator of the cascade's exact
 // step for every pair the decision route (Decider, CorridorDistance) does
-// not take, fused into one early-abandoning pass over the DP matrix. A
-// cell is alive when its exact DP value is ≤ epsilon; values never decrease
-// along a warping path (max-combine for seq.LInf, non-negative additions
-// for seq.L1/seq.L2Sq), so dead cells can never lie on a qualifying path.
+// not take, fused into one early-abandoning pass over the DP matrix under
+// the paper's L∞ base (the additive bases run the reference DP, see
+// BandDistanceWithin). A cell is alive when its exact DP value is ≤
+// epsilon; values never decrease along a warping path under the max
+// combine, so dead cells can never lie on a qualifying path.
 // Each row therefore computes one contiguous window — from the previous
 // row's first alive column to one past its last, plus a horizontal fill
 // while cells stay alive — and a row with no alive cell ends the pass.
@@ -124,7 +125,17 @@ func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float
 // DistanceWithin, exactly as the reference routes them. (Bit-identical for
 // finite input, differences s_i − q_j that overflow to +Inf included;
 // DESIGN.md §10.)
+//
+// The windowed pass is the L∞ kernel. An additive base (seq.L1, seq.L2Sq)
+// runs the reference DP itself, so its verdict is VerdictWithin or
+// VerdictAbandoned and its distance the reference's bits.
 func (r *Refiner) BandDistanceWithin(s, q seq.Sequence, base seq.Base, band int, epsilon float64) (float64, Verdict) {
+	if base != seq.LInf {
+		if d, ok := BandDistanceWithin(s, q, base, band, epsilon); ok {
+			return d, VerdictWithin
+		}
+		return Inf, VerdictAbandoned
+	}
 	if !(epsilon >= 0) {
 		return Inf, VerdictPruned
 	}
@@ -141,7 +152,6 @@ func (r *Refiner) BandDistanceWithin(s, q seq.Sequence, base seq.Base, band int,
 	}
 	var rb rowBand
 	if n, m := len(s), len(q); band < 0 || n == 1 || m == 1 {
-		band = -1
 		if m > n {
 			s, q = q, s // rows over the longer sequence: the shorter DP rows
 		}
@@ -156,30 +166,11 @@ func (r *Refiner) BandDistanceWithin(s, q seq.Sequence, base seq.Base, band int,
 			rb.half = max(band, int(math.Ceil(rb.slope))/2)
 		}
 	}
-	var (
-		d  float64
-		ok bool
-	)
 	eps := math.Float64bits(epsilon) &^ signBit // -0 is a valid epsilon
-	switch base {
-	case seq.LInf:
-		d, ok = r.windowMax(s, q, eps, rb)
-	case seq.L1:
-		d, ok = r.windowAdd(s, q, false, eps, rb)
-	case seq.L2Sq:
-		d, ok = r.windowAdd(s, q, true, eps, rb)
-	default:
-		// No corridor soundness argument on file for future bases: run the
-		// plain early-abandoning DP.
-		if d, ok := BandDistanceWithin(s, q, base, band, epsilon); ok {
-			return d, VerdictWithin
-		}
-		return Inf, VerdictAbandoned
+	if d, ok := r.windowMax(s, q, eps, rb); ok {
+		return d, VerdictWithin
 	}
-	if !ok {
-		return Inf, VerdictPruned
-	}
-	return d, VerdictWithin
+	return Inf, VerdictPruned
 }
 
 // rowBand is the Sakoe–Chiba column range of each row of a windowed pass:
@@ -274,92 +265,6 @@ func (r *Refiner) windowMax(s, q []float64, eps uint64, rb rowBand) (float64, bo
 		if last == end {
 			for ; j <= bHi; j++ {
 				c = max(c, math.Float64bits(si-q[j])&^signBit)
-				if c > eps {
-					break
-				}
-				cur[j+1] = c
-				last = j
-			}
-		}
-		cur[last+2] = infBits
-		hi = last
-		prev, cur = cur, prev
-	}
-	if hi != m-1 {
-		return Inf, false
-	}
-	return math.Float64frombits(prev[m]), true
-}
-
-// windowAdd is windowMax under an additive combine; squared selects the
-// seq.L2Sq element cost. Cells compare as bits and add as floats.
-// Cumulative sums make the alive predicate stronger than any per-element
-// test, so the corridor here also prunes candidates a dense DP would only
-// reject after a full evaluation.
-func (r *Refiner) windowAdd(s, q []float64, squared bool, eps uint64, rb rowBand) (float64, bool) {
-	n, m := len(s), len(q)
-	prev, cur := r.rows(m)
-	elem := func(x, y float64) float64 {
-		d := math.Abs(x - y)
-		if squared {
-			return d * d
-		}
-		return d
-	}
-
-	s0 := s[0]
-	var c uint64
-	hi := -1
-	_, bHi := rb.cols(0, m)
-	for j := 0; j <= bHi; j++ {
-		c = math.Float64bits(elem(s0, q[j]) + math.Float64frombits(c))
-		if c > eps {
-			break
-		}
-		prev[j+1] = c
-		hi = j
-	}
-	if hi < 0 {
-		return Inf, false
-	}
-	prev[hi+2] = infBits
-	lo := 0
-
-	for i := 1; i < n; i++ {
-		si := s[i]
-		bLo, bHi := rb.cols(i, m)
-		end := min(hi+1, bHi)
-
-		j := max(lo, bLo)
-		diag := prev[j]
-		for ; j <= end; j++ {
-			up := prev[j+1]
-			c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(min(up, diag)))
-			diag = up
-			if c <= eps {
-				break
-			}
-		}
-		if j > end {
-			return Inf, false
-		}
-		cur[j], cur[j+1] = infBits, c
-		lo = j
-		last := j
-
-		for j++; j <= end; j++ {
-			up := prev[j+1]
-			c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(min(up, diag, c)))
-			diag = up
-			cur[j+1] = c
-			if c <= eps {
-				last = j
-			}
-		}
-
-		if last == end {
-			for ; j <= bHi; j++ {
-				c = math.Float64bits(elem(si, q[j]) + math.Float64frombits(c))
 				if c > eps {
 					break
 				}

@@ -131,13 +131,13 @@ func TestRefinerBandMatchesReference(t *testing.T) {
 }
 
 // FuzzRefinerBandMatchesReference fuzzes the banded windowed kernel against
-// the reference loop. Byte 0 picks the base, byte 1 the split between s and
-// q (so lengths are unequal either way round, down to a single row or
-// column, and slopes reach the half-width floor), byte 2 the cutoff — 255,
-// 254, 253 and 252 are +Inf, NaN, −0 and −1, anything else sixteenths —
-// byte 3 the band from −1 up past the row, the rest elements on a 1/16 grid
-// in [−8, 8). Every input is also checked at +Inf and at the pair's own
-// banded distance. `make fuzz-smoke` runs it briefly in CI.
+// the reference loop. Byte 0 picks the base from cascadeBases, byte 1 the
+// split between s and q (so lengths are unequal either way round, down to a
+// single row or column, and slopes reach the half-width floor), byte 2 the
+// cutoff — 255, 254, 253 and 252 are +Inf, NaN, −0 and −1, anything else
+// sixteenths — byte 3 the band from −1 up past the row, the rest elements
+// on a 1/16 grid in [−8, 8). Every input is also checked at +Inf and at the
+// pair's own banded distance. `make fuzz-smoke` runs it briefly in CI.
 func FuzzRefinerBandMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 4, 8, 2, 128, 144, 128, 144, 128, 144, 128, 144})
 	f.Add([]byte{1, 2, 255, 1, 128, 160, 128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139, 140})

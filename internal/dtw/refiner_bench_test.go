@@ -59,7 +59,7 @@ func BenchmarkRefinerRangeShaped(b *testing.B) {
 	for _, bc := range []struct {
 		base    seq.Base
 		epsilon float64
-	}{{seq.LInf, 0.30}, {seq.L1, 14}} {
+	}{{seq.LInf, 0.30}} {
 		b.Run(bc.base.String(), func(b *testing.B) {
 			r := AcquireRefiner()
 			defer r.Release()

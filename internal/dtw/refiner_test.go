@@ -9,7 +9,13 @@ import (
 	"repro/internal/synth"
 )
 
-var cascadeBases = []seq.Base{seq.LInf, seq.L1, seq.L2Sq}
+// cascadeBases are the bases the Refiner's windowed pass serves: the
+// paper's L∞ only. An additive base runs the reference DP inside the
+// Refiner (the "additive" subtest of TestRefinerMatchesDistanceWithin).
+var cascadeBases = []seq.Base{seq.LInf}
+
+// allBases are the bases the package-level reference functions serve.
+var allBases = []seq.Base{seq.LInf, seq.L1, seq.L2Sq}
 
 // checkRefiner asserts one Refiner.DistanceWithin call against the dense
 // oracle: the verdict is VerdictWithin exactly when Distance ≤ eps, and
@@ -130,11 +136,46 @@ func TestRefinerMatchesDistanceWithin(t *testing.T) {
 			}
 		}
 	})
+
+	// An additive base has no windowed pass: the Refiner hands it to the
+	// reference DP, so its verdict is Within or Abandoned (never a corridor
+	// prune) and its distance the reference's bits, banded or not.
+	t.Run("additive", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(53))
+		for _, base := range []seq.Base{seq.L1, seq.L2Sq} {
+			for trial := 0; trial < 200; trial++ {
+				s, q := randSeq(rng, 40), randSeq(rng, 40)
+				if trial%2 == 0 {
+					s, q = workloadPair(rng)
+				}
+				band := rng.Intn(10) - 1
+				d := BandDistance(s, q, base, band)
+				for _, eps := range []float64{-1, 0, d * 0.5, math.Nextafter(d, 0), d, d * 1.5, Inf} {
+					got, verdict := r.BandDistanceWithin(s, q, base, band, eps)
+					want, ok := BandDistanceWithin(s, q, base, band, eps)
+					if verdict != VerdictWithin && verdict != VerdictAbandoned {
+						t.Fatalf("base %v band %d eps=%v: verdict %d, want Within or Abandoned", base, band, eps, verdict)
+					}
+					if ok != (verdict == VerdictWithin) || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("base %v band %d eps=%v: refiner (%v, %d), reference (%v, %v)", base, band, eps, got, verdict, want, ok)
+					}
+					if band < 0 {
+						gotU, vU := r.DistanceWithin(s, q, base, eps)
+						wantU, okU := DistanceWithin(s, q, base, eps)
+						if okU != (vU == VerdictWithin) || math.Float64bits(gotU) != math.Float64bits(wantU) {
+							t.Fatalf("base %v eps=%v: DistanceWithin refiner (%v, %d), reference (%v, %v)", base, eps, gotU, vU, wantU, okU)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // refinerFuzzInput decodes fuzz bytes into a finite pair, cutoff and base:
-// byte 0 picks the base, byte 1 the split between s and q, byte 2 the
-// cutoff in sixteenths, the rest are elements on a 1/16 grid in [-8, 8).
+// byte 0 picks the base from cascadeBases, byte 1 the split between s and
+// q, byte 2 the cutoff in sixteenths, the rest are elements on a 1/16 grid
+// in [-8, 8).
 func refinerFuzzInput(raw []byte) (s, q seq.Sequence, base seq.Base, eps float64) {
 	if len(raw) < 3 {
 		return nil, nil, seq.LInf, 0
@@ -154,8 +195,8 @@ func refinerFuzzInput(raw []byte) (s, q seq.Sequence, base seq.Base, eps float64
 }
 
 // FuzzRefinerMatchesDistance fuzzes the windowed kernel against the dense
-// oracle on fuzzer-chosen finite pairs, cutoffs and bases; `make
-// fuzz-smoke` runs it briefly in CI.
+// oracle on fuzzer-chosen finite pairs and cutoffs; `make fuzz-smoke` runs
+// it briefly in CI.
 func FuzzRefinerMatchesDistance(f *testing.F) {
 	f.Add([]byte{0, 11, 0, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 144, 128, 128, 128, 128, 144})
 	f.Add([]byte{1, 2, 8, 128, 144, 128, 144, 144, 144, 144, 144})
@@ -195,7 +236,7 @@ func TestDistancesNeverNegativeZero(t *testing.T) {
 	s, q := seq.Sequence{negZero, negZero}, seq.Sequence{0, 0}
 	r := AcquireRefiner()
 	defer r.Release()
-	for _, base := range cascadeBases {
+	for _, base := range allBases {
 		for _, p := range [][2]seq.Sequence{{s, q}, {q, s}} {
 			if d := Distance(p[0], p[1], base); d != 0 || math.Signbit(d) {
 				t.Errorf("base %v: Distance = %v (signbit %v), want +0", base, d, math.Signbit(d))
@@ -211,7 +252,9 @@ func TestDistancesNeverNegativeZero(t *testing.T) {
 			}
 		}
 		// A −0 cutoff is a valid zero tolerance, not a huge bit pattern.
-		if _, v := r.DistanceWithin(seq.Sequence{1, 2}, seq.Sequence{1, 3}, base, negZero); v != VerdictPruned {
+		// (Under L∞ the windowed pass prunes; an additive base's reference
+		// DP abandons.)
+		if _, v := r.DistanceWithin(seq.Sequence{1, 2}, seq.Sequence{1, 3}, base, negZero); v == VerdictWithin {
 			t.Errorf("base %v: cutoff -0 admitted a distance-1 pair (verdict %d)", base, v)
 		}
 		if _, v := r.DistanceWithin(s, q, base, negZero); v != VerdictWithin {
@@ -234,7 +277,7 @@ func TestRefinerEdgeCases(t *testing.T) {
 	if _, v := r.DistanceWithin(empty, one, seq.LInf, 100); v != VerdictPruned {
 		t.Fatalf("empty/one: got verdict %d", v)
 	}
-	if _, v := r.DistanceWithin(one, one, seq.L1, -0.5); v != VerdictPruned {
+	if _, v := r.DistanceWithin(one, one, seq.LInf, -0.5); v != VerdictPruned {
 		t.Fatalf("negative eps: got verdict %d", v)
 	}
 	if d, v := r.DistanceWithin(one, seq.Sequence{1, 1, 1}, seq.L2Sq, 0); v != VerdictWithin || d != 0 {
@@ -259,7 +302,7 @@ func TestRefinerEdgeCases(t *testing.T) {
 // never falsely dismiss.
 func TestLBKeoghSafeSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, base := range cascadeBases {
+	for _, base := range allBases {
 		for trial := 0; trial < 400; trial++ {
 			s := randSeq(rng, 40)
 			q := randSeq(rng, 40)
@@ -309,7 +352,7 @@ func TestLBKeoghBandedUnsoundForUnconstrained(t *testing.T) {
 // two passes without changing any value.
 func TestGlobalEnvelopeMatchesYiSide(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, base := range cascadeBases {
+	for _, base := range allBases {
 		for trial := 0; trial < 200; trial++ {
 			s := randSeq(rng, 32)
 			q := randSeq(rng, 32)

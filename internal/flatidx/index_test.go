@@ -61,7 +61,7 @@ func checkAgainstModel(t *testing.T, x *Index, m model, rng *rand.Rand) {
 	}
 	sort.Float64s(dists)
 	walked := 0
-	x.NearestWalkKeyed(&p, nil, nil, func(e Entry, key float64) bool {
+	x.NearestWalkKeyed(&p, nil, func(e Entry, key float64) bool {
 		if _, ok := m[e]; !ok {
 			t.Fatalf("walk yielded %+v, model does not hold it", e)
 		}

@@ -14,10 +14,10 @@ import (
 // steady-state walk allocates nothing at all.
 //
 // The walk optionally runs a two-level frontier: nodes stay ordered by the
-// (transformed) L∞ rect mindist, but an item surfacing for the first time
-// is re-keyed by max(transformed mindist, sharpen(its ID)) before it is
-// emitted — when the sharpened key no longer beats the frontier, the
-// item re-enters the heap and later items surface first. Both levels are
+// L∞ rect mindist, but an item surfacing for the first time is re-keyed by
+// max(mindist, sharpen(its ID)) before it is emitted — when the sharpened
+// key no longer beats the frontier, the item re-enters the heap and later
+// items surface first. Both levels are
 // lower bounds of the distance the caller refines against, so the emitted
 // key stream stays non-decreasing and the caller's stop condition is sound;
 // it just fires earlier than the mindist alone would let it.
@@ -28,13 +28,12 @@ import (
 // whose priority was raised by the sharpener — already sharpened, never
 // re-keyed.
 //
-// The delta is a second frontier (deltaFrontier): its adds are keyed by raw
-// L∞ distance apart from the main heap, which holds one deltaCursor entry
-// keyed by the transform of the delta's minimum (xform is monotone, so raw
-// order is key order). Popping the cursor pops the delta's minimum as a
-// deltaItem and re-pushes the cursor at the next minimum, so a walk keys a
-// D-add delta in one pass and orders only the adds it reaches, instead of
-// pushing all D onto the main heap.
+// The delta is a second frontier (deltaFrontier): its adds are keyed by L∞
+// distance apart from the main heap, which holds one deltaCursor entry
+// keyed by the delta's minimum. Popping the cursor pops the delta's minimum
+// as a deltaItem and re-pushes the cursor at the next minimum, so a walk
+// keys a D-add delta in one pass and orders only the adds it reaches,
+// instead of pushing all D onto the main heap.
 type heapItem struct {
 	dist float64
 	node int32
@@ -201,28 +200,20 @@ var (
 // search layer's stop condition fires at the identical entry on both
 // engines.
 func (x *Index) NearestWalk(p *[4]float64, fn func(e Entry, dist float64) bool) {
-	x.NearestWalkKeyed(p, nil, nil, fn)
+	x.NearestWalkKeyed(p, nil, fn)
 }
-
-func identityKey(d float64) float64 { return d }
 
 // NearestWalkKeyed is NearestWalk with the two-level sharpened frontier —
 // the contract rtree.Tree.NearestWalkKeyed has, so the search layer drives
-// both engines alike. xform (nil = identity) is a monotone non-decreasing
-// transform applied to every L∞ mindist, so the caller can key the whole
-// frontier in its own comparable space; sharpen (nil = disabled) maps a
-// surfacing item's ID to an additional lower bound in that same space (the
+// both engines alike. sharpen (nil = disabled) maps a surfacing item's ID
+// to an additional lower bound of the distance the L∞ mindist bounds (the
 // search layer resolves it from the envelope store), and the item is
 // re-keyed by the max of the two before it is emitted. fn receives the
 // final key; the key stream is non-decreasing.
-func (x *Index) NearestWalkKeyed(p *[4]float64, xform func(float64) float64,
-	sharpen func(id seq.ID) float64, fn func(e Entry, key float64) bool) WalkStats {
+func (x *Index) NearestWalkKeyed(p *[4]float64, sharpen func(id seq.ID) float64,
+	fn func(e Entry, key float64) bool) WalkStats {
 	var ws WalkStats
 	v := x.view.Load()
-	xf := xform
-	if xf == nil {
-		xf = identityKey
-	}
 	hp := walkPool.Get().(*knnHeap)
 	h := (*hp)[:0]
 	var df *deltaFrontier
@@ -234,13 +225,13 @@ func (x *Index) NearestWalkKeyed(p *[4]float64, xform func(float64) float64,
 		}
 	}()
 	if v.snap.Len() > 0 {
-		h.push(heapItem{dist: xf(v.snap.nodeDistLInf(0, p)), node: 0})
+		h.push(heapItem{dist: v.snap.nodeDistLInf(0, p), node: 0})
 		ws.Pushes++
 	}
 	if len(v.adds) > 0 {
 		df = deltaPool.Get().(*deltaFrontier)
 		df.reset(v.adds, p)
-		h.push(heapItem{dist: xf(df.min), node: deltaCursor})
+		h.push(heapItem{dist: df.min, node: deltaCursor})
 		ws.Pushes += int64(len(v.adds))
 	}
 	for len(h) > 0 {
@@ -251,7 +242,7 @@ func (x *Index) NearestWalkKeyed(p *[4]float64, xform func(float64) float64,
 			// first, so the sharpener's frontier test below sees it.
 			top.node, top.item = deltaItem, df.pop()
 			if df.left > 0 {
-				h.push(heapItem{dist: xf(df.min), node: deltaCursor})
+				h.push(heapItem{dist: df.min, node: deltaCursor})
 			}
 		}
 		switch top.node {
@@ -314,11 +305,11 @@ func (x *Index) NearestWalkKeyed(p *[4]float64, xform func(float64) float64,
 			first, count, leaf := v.snap.nodeFirstCount(int(top.node))
 			if leaf {
 				for j := first; j < first+count; j++ {
-					h.push(heapItem{dist: xf(v.snap.itemDistLInf(j, p)), node: snapItem, item: int32(j)})
+					h.push(heapItem{dist: v.snap.itemDistLInf(j, p), node: snapItem, item: int32(j)})
 				}
 			} else {
 				for c := first; c < first+count; c++ {
-					h.push(heapItem{dist: xf(v.snap.nodeDistLInf(c, p)), node: int32(c)})
+					h.push(heapItem{dist: v.snap.nodeDistLInf(c, p), node: int32(c)})
 				}
 			}
 			ws.Pushes += int64(count)

@@ -130,7 +130,7 @@ func TestNearestWalkEnvKeys(t *testing.T) {
 		}
 		seen := make(map[seq.ID]struct{}, 400)
 		prev := -1.0
-		ws := x.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
+		ws := x.NearestWalkKeyed(&p, idLB, func(e Entry, key float64) bool {
 			if key < prev {
 				t.Fatalf("key stream decreased: %g after %g", key, prev)
 			}
@@ -191,7 +191,7 @@ func TestNearestWalkEnvNilSharpenMatchesPlain(t *testing.T) {
 			plain = append(plain, emit{e.ID, dist})
 			return true
 		})
-		x.NearestWalkKeyed(&p, nil, nil, func(e Entry, key float64) bool {
+		x.NearestWalkKeyed(&p, nil, func(e Entry, key float64) bool {
 			keyed = append(keyed, emit{e.ID, key})
 			return true
 		})
@@ -224,10 +224,9 @@ func TestNearestWalkDeltaMatchesMerged(t *testing.T) {
 		}
 		return cmp.Compare(a.id, b.id)
 	}
-	xform := math.Sqrt // monotone, and not linear
 	walk := func(x *Index, p *[4]float64, sharpen func(seq.ID) float64, m int) []emit {
 		var out []emit
-		x.NearestWalkKeyed(p, xform, sharpen, func(e Entry, key float64) bool {
+		x.NearestWalkKeyed(p, sharpen, func(e Entry, key float64) bool {
 			if len(out) > 0 && key < out[len(out)-1].key {
 				t.Fatalf("key stream decreased: %g after %g", key, out[len(out)-1].key)
 			}
@@ -330,7 +329,7 @@ func TestNearestWalkAllocFree(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(20, func() {
 			n = 0
-			x.NearestWalkKeyed(&p, nil, idLB, keyed)
+			x.NearestWalkKeyed(&p, idLB, keyed)
 		}); avg != 0 {
 			t.Fatalf("NearestWalkKeyed over a %d-add delta allocates %.1f per run, want 0", deltaN, avg)
 		}

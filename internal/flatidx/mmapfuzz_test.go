@@ -113,7 +113,7 @@ func FuzzMmapLoad(f *testing.F) {
 		}
 		p := [4]float64{1, 2, 3, 4}
 		n := 0
-		x.NearestWalkKeyed(&p, nil, idLB, func(e Entry, key float64) bool {
+		x.NearestWalkKeyed(&p, idLB, func(e Entry, key float64) bool {
 			n++
 			return n < 64
 		})

@@ -70,32 +70,27 @@ func (t *Tree) NearestK(p []float64, k int, norm Norm) ([]Neighbor, error) {
 // exceeds their current k-th best (exact k-NN without a fixed candidate
 // count).
 func (t *Tree) NearestWalk(p []float64, norm Norm, fn func(Neighbor) bool) error {
-	_, err := t.NearestWalkKeyed(p, norm, nil, nil, fn)
+	_, err := t.NearestWalkKeyed(p, norm, nil, fn)
 	return err
 }
 
 // NearestWalkKeyed is NearestWalk with a two-level envelope-sharpened
-// frontier. xform (nil = identity) is a monotone non-decreasing transform
-// applied to every MinDist so the caller can key the frontier in its own
-// comparable space; sharpen (nil = disabled) maps a surfacing data entry to
-// an additional lower bound in that same space, and the entry is re-keyed
-// by the max of the two before it is emitted — when the sharpened key no
-// longer beats the frontier the entry re-enters the heap and later entries
-// surface first. Both levels lower-bound the distance the caller refines
-// against, so the emitted key stream stays non-decreasing and the caller's
-// stop condition is sound; it just fires earlier than MinDist alone allows.
-func (t *Tree) NearestWalkKeyed(p []float64, norm Norm, xform func(float64) float64,
-	sharpen func(e *Entry) float64, fn func(Neighbor) bool) (WalkStats, error) {
+// frontier. sharpen (nil = disabled) maps a surfacing data entry to an
+// additional lower bound of the distance MinDist bounds, and the entry is
+// re-keyed by the max of the two before it is emitted — when the sharpened
+// key no longer beats the frontier the entry re-enters the heap and later
+// entries surface first. Both levels lower-bound the distance the caller
+// refines against, so the emitted key stream stays non-decreasing and the
+// caller's stop condition is sound; it just fires earlier than MinDist
+// alone allows.
+func (t *Tree) NearestWalkKeyed(p []float64, norm Norm, sharpen func(e *Entry) float64,
+	fn func(Neighbor) bool) (WalkStats, error) {
 	var ws WalkStats
 	if len(p) != t.dim {
 		return ws, fmt.Errorf("%w: point dim %d, tree dim %d", ErrDimension, len(p), t.dim)
 	}
 	if t.size == 0 {
 		return ws, nil
-	}
-	xf := xform
-	if xf == nil {
-		xf = func(d float64) float64 { return d }
 	}
 	q := &pqueue{{dist: 0, pid: t.root}}
 	ws.Pushes++
@@ -126,7 +121,7 @@ func (t *Tree) NearestWalkKeyed(p []float64, norm Norm, xform func(float64) floa
 			return ws, err
 		}
 		for _, e := range n.entries {
-			d := xf(e.Rect.MinDist(p, norm))
+			d := e.Rect.MinDist(p, norm)
 			if n.leaf {
 				heap.Push(q, pqItem{dist: d, israw: true, entry: e})
 			} else {

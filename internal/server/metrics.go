@@ -69,7 +69,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("twsim_dtw_calls_total", "", "Exact DTW evaluations during refinement.", counterOf(&s.totals.dtwCalls))
 	reg.CounterFunc("twsim_dtw_abandoned_total", "", "Dense DTW evaluations that early-abandoned (subset of dtw_calls).", counterOf(&s.totals.dtwAbandoned))
 	reg.CounterFunc("twsim_lb_paa_pruned_total", "", "Candidates dismissed by LB_PAA on the stored segment envelope, before the sequence fetch.", counterOf(&s.totals.lbPAAPruned))
-	reg.CounterFunc("twsim_lb_keogh_pruned_total", "", "Candidates dismissed by LB_Keogh: on the banded envelope for banded equal-length pairs, on the global envelope for other pairs under L1/L2Sq.", counterOf(&s.totals.lbKeoghPruned))
+	reg.CounterFunc("twsim_lb_keogh_pruned_total", "", "Candidates dismissed by LB_Keogh on the banded envelope, for banded equal-length pairs.", counterOf(&s.totals.lbKeoghPruned))
 	reg.CounterFunc("twsim_corridor_pruned_total", "", "Candidates dismissed inside the exact DP (the corridor died before the final cell).", counterOf(&s.totals.corridorPruned))
 	// The cascade no longer runs these three tiers (the index walk applies
 	// LB_Kim, which dominates LB_Yi under L∞; LB_Improved's second pass cost

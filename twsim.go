@@ -25,8 +25,11 @@ import (
 // distance (the paper's Dbase, §4.1).
 type Base = seq.Base
 
-// Base distance choices. The paper's similarity model uses BaseLInf; BaseL1
-// is the classic additive DTW; BaseL2Sq accumulates squared differences.
+// Base distance choices. The paper's similarity model uses BaseLInf, the one
+// base the pruning cascade (LB_PAA, LB_Keogh, the L∞ decision, the windowed
+// DP) serves. BaseL1 is the classic additive DTW; BaseL2Sq accumulates
+// squared differences. Queries under either additive base are exact, but
+// they run the reference DP on every index candidate, with no pruning tier.
 const (
 	BaseLInf = seq.LInf
 	BaseL1   = seq.L1
@@ -67,7 +70,9 @@ type CostModel = core.CostModel
 // Options configures a DB.
 type Options struct {
 	// Base is the per-element distance inside DTW. The zero value is
-	// BaseLInf, the paper's model.
+	// BaseLInf, the paper's model, and the only base the pruning tiers
+	// serve. An additive base (BaseL1, BaseL2Sq) answers exactly, through
+	// the index filter and the reference DP, with no pruning tiers.
 	Base Base
 	// PageSize is the page size of the data heap file (0 = 1 KB, the
 	// paper's setting); the index reports its size in the same unit.
