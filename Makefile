@@ -30,8 +30,9 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # derived from the heap at Open and have none: the heap directory loader
 # (whatever dir.bin opens must read without a panic), the WAL record reader
 # (no panic; the accepted prefix re-encodes byte for byte), the replication
-# snapshot a replica bootstraps from (no panic; an accepted snapshot
-# re-encodes to its input), the index image cmd/bench's replay reads (a
+# snapshot a replica bootstraps from — a header, then WAL frames read by the
+# same record reader — (no panic; an accepted snapshot re-encodes to its
+# input, header and frames), the index image cmd/bench's replay reads (a
 # hostile file errors out or loads an index that holds every invariant and
 # walks without faulting), the HTTP request decoder vs encoding/json
 # (same verdict, status, error text and decoded bits for every request
@@ -224,6 +225,13 @@ WRITE_PATH_DELETED = applyAddAll|rollback := func
 # and the index walks' key transform stay out of the non-test Go of
 # internal/core, internal/dtw, internal/flatidx and internal/rtree.
 ADDITIVE_DELETED = windowAdd|globalEnv|ensureGlobalRange|paaWindow|intervalGap|identityKey|xform
+# The twelfth keeps one replication format: a snapshot is a header and WAL
+# frames that the replica reads with ParseWALRecords and applies with the
+# walker Open's replay runs, so the TWRS codec (its magic, record and
+# snapshot types, reader and differ), the X-Twsim-Seq trailer and the tail
+# size knob nobody set (ReplicaOptions.MaxBatchBytes, /repl/wal's max_bytes)
+# stay out of the non-test Go of the root package, internal/server and cmd/.
+REPL_DELETED = \b(ReplRecord|ReplSnapshot|SyncFromReplSnapshot|ReadReplSnapshot|snapMagic|MaxBatchBytes)\b|max_bytes|X-Twsim-Seq
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -276,6 +284,10 @@ surface:
 	@out=$$(grep -nE '$(ADDITIVE_DELETED)' $$(find internal/core internal/dtw internal/flatidx internal/rtree -name '*.go' ! -name '*_test.go')); \
 	if [ -n "$$out" ]; then \
 		echo "the deleted additive pruning machinery is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(REPL_DELETED)' $$(find . internal/server -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(find cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/bench/*')); \
+	if [ -n "$$out" ]; then \
+		echo "the deleted TWRS snapshot codec or a replica knob is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

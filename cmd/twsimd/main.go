@@ -78,12 +78,14 @@
 //     databases run one log per shard.
 //   - -replica-of URL runs this process as a read-only replica of the
 //     single-database WAL-enabled primary at URL: it bootstraps from
-//     GET /repl/snapshot, then streams the WAL tail (GET /repl/wal) every
-//     -replica-poll-ms and applies it locally, answering queries
-//     bit-identically to the primary at the same sequence number. Writes
-//     answer 403. Lag is exported as twsim_replica_lag_seconds /
-//     twsim_replica_generation_delta on /metrics and "replica" on /stats.
-//     The replica keeps no disk state; every start re-syncs.
+//     GET /repl/snapshot (a header carrying the cut's WAL sequence number,
+//     then WAL frames), then streams the WAL tail (GET /repl/wal) every
+//     -replica-poll-ms, and applies both with the walker WAL replay runs,
+//     answering queries bit-identically to the primary at the same
+//     sequence number. Writes answer 403. Lag is exported as
+//     twsim_replica_lag_seconds / twsim_replica_generation_delta on
+//     /metrics and "replica" on /stats. The replica keeps no disk state;
+//     every start re-syncs.
 //
 // Observability:
 //

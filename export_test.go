@@ -14,7 +14,7 @@ func OpenMemBaseline(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.index.Close()
-	fi, err := core.NewFeatureIndex(core.IndexOptions{PageSize: opts.PageSize})
+	fi, err := core.NewFeatureIndex(core.IndexOptions{})
 	if err != nil {
 		db.store.Close()
 		return nil, err

@@ -11,13 +11,14 @@ import (
 
 // Primary-side replication endpoints. A single-database, WAL-enabled
 // server is a primary: it ships full-state snapshots stamped with a WAL
-// sequence number and serves the durable WAL tail beyond any cursor, and
-// replicas (see replica.go) follow. The sharded engine runs one WAL per
-// shard with no global cut across them, so /repl/* answers 501 there —
-// replicate per shard behind a router instead.
+// sequence number and serves the durable WAL tail beyond any cursor, both
+// as WAL frames, and replicas (see replica.go) follow. The sharded engine
+// runs one WAL per shard with no global cut across them, so /repl/*
+// answers 501 there — replicate per shard behind a router instead.
 //
 //	GET /repl/status              role, WAL cursor, record count (JSON)
-//	GET /repl/snapshot            binary full-state snapshot (X-Twsim-Seq trailer)
+//	GET /repl/snapshot            full-state snapshot: a header carrying the
+//	                              cut's WAL sequence number, then WAL frames
 //	GET /repl/wal?from=N          raw WAL records after cursor N
 //	                              (X-Twsim-Last, X-Twsim-Durable; 410 Gone
 //	                              when N predates the last checkpoint)
@@ -97,10 +98,13 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleReplSnapshot streams the full-state snapshot. WriteReplSnapshot
-// excludes writers for the duration under the database's own read lock, so
-// the snapshot is a consistent cut at the WAL sequence number in its header,
-// repeated in the X-Twsim-Seq trailer (trailing CRC-32 guards the transfer).
+// handleReplSnapshot sends the full-state snapshot. WriteReplSnapshot
+// encodes it under the database's read lock and writes it after releasing
+// the lock, so a replica that reads slowly or stops stalls no writer and
+// no query; the cut's WAL sequence number is in the body's header. An
+// encode failure answers 500 before a byte is sent, and the body's one
+// Write carries a Content-Length, so the replica's HTTP client reports a
+// transfer cut short.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w)
@@ -111,13 +115,25 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Trailer", "X-Twsim-Seq")
-	w.WriteHeader(http.StatusOK)
-	// Mid-stream failures can only abort the connection; the replica's
-	// CRC check catches the truncation.
-	if seqno, err := db.WriteReplSnapshot(w); err == nil {
-		w.Header().Set("X-Twsim-Seq", strconv.FormatUint(seqno, 10))
+	sw := &snapshotWriter{ResponseWriter: w}
+	if _, err := db.WriteReplSnapshot(sw); err != nil && !sw.wrote {
+		writeError(w, http.StatusInternalServerError, err)
 	}
+}
+
+// snapshotWriter stamps the Content-Length of WriteReplSnapshot's one
+// Write and records that the response has begun.
+type snapshotWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (sw *snapshotWriter) Write(p []byte) (int, error) {
+	if !sw.wrote {
+		sw.wrote = true
+		sw.Header().Set("Content-Length", strconv.Itoa(len(p)))
+	}
+	return sw.ResponseWriter.Write(p)
 }
 
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
@@ -134,18 +150,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid from cursor: %v", err))
 		return
 	}
-	maxBytes := maxWALTailBytes
-	if mb := r.URL.Query().Get("max_bytes"); mb != "" {
-		n, err := strconv.Atoi(mb)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid max_bytes %q", mb))
-			return
-		}
-		if n < maxBytes {
-			maxBytes = n
-		}
-	}
-	data, last, err := db.WALTail(from, maxBytes)
+	data, last, err := db.WALTail(from, maxWALTailBytes)
 	if err != nil {
 		if errors.Is(err, twsim.ErrWALCompacted) {
 			// The tail was checkpointed away; the replica must re-sync

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,4 +331,182 @@ func mustGet(t *testing.T, ts *httptest.Server, path string) string {
 		t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, b)
 	}
 	return string(b)
+}
+
+// TestSnapshotReaderThatStopsReadingStallsNoWriter: a client that asks for
+// /repl/snapshot and stops reading must not hold the primary's lock. The
+// body (≈ 17 MB here) overflows the loopback buffers, so a handler that
+// wrote under the read lock would block in the write with the lock held; a
+// pending Add would then wait behind it, and every new reader behind the
+// Add.
+func TestSnapshotReaderThatStopsReadingStallsNoWriter(t *testing.T) {
+	pdb, _, pts := startPrimary(t)
+	seqs := testSequences(16000, 128, 4)
+	if _, err := pdb.AddAll(seqs); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", pts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /repl/snapshot HTTP/1.1\r\nHost: primary\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+
+	added, counted := make(chan error, 1), make(chan int, 1)
+	go func() {
+		_, err := pdb.Add(seqs[0])
+		added <- err
+		counted <- pdb.Len()
+	}()
+	select {
+	case err := <-added:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Add still blocked 2 s behind a snapshot reader that stopped reading")
+	}
+	select {
+	case n := <-counted:
+		if n != len(seqs)+1 {
+			t.Fatalf("Len = %d, want %d", n, len(seqs)+1)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Len still blocked 2 s behind a snapshot reader that stopped reading")
+	}
+}
+
+// snapshotProxy forwards to the primary at url, and hands /repl/snapshot
+// bodies through mangle when it is set.
+type snapshotProxy struct {
+	url    string
+	mangle atomic.Pointer[func([]byte) []byte]
+}
+
+func (p *snapshotProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	resp, err := http.Get(p.url + r.URL.RequestURI())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	if mangle := p.mangle.Load(); mangle != nil && r.URL.Path == "/repl/snapshot" {
+		body = (*mangle)(body)
+	}
+	for _, h := range []string{"X-Twsim-Last", "X-Twsim-Durable"} {
+		w.Header().Set(h, resp.Header.Get(h))
+	}
+	w.WriteHeader(resp.StatusCode)
+	w.Write(body)
+}
+
+// startProxiedReplica bootstraps a replica of the primary at primaryURL
+// through a snapshotProxy.
+func startProxiedReplica(t *testing.T, primaryURL string) (*Replica, *snapshotProxy) {
+	t.Helper()
+	proxy := &snapshotProxy{url: primaryURL}
+	ts := httptest.NewServer(proxy)
+	t.Cleanup(ts.Close)
+	rep, _, _ := startReplica(t, ts.URL)
+	return rep, proxy
+}
+
+// frameStarts returns the offset of each frame in a snapshot body.
+func frameStarts(raw []byte) []int {
+	var starts []int
+	for off := 24; off < len(raw); off += 4 + int(binary.LittleEndian.Uint32(raw[off:])) + 4 {
+		starts = append(starts, off)
+	}
+	return starts
+}
+
+// TestReplicaRefusesACutOrCorruptSnapshot: a re-sync snapshot cut at a
+// frame boundary or carrying a flipped byte applies nothing — the
+// replica's record count, live count and applied cursor stay as they were
+// — and the intact snapshot then applies.
+func TestReplicaRefusesACutOrCorruptSnapshot(t *testing.T) {
+	pdb, _, pts := startPrimary(t)
+	seqs := testSequences(10, 16, 5)
+	if _, err := pdb.AddAll(seqs[:6]); err != nil {
+		t.Fatal(err)
+	}
+	rep, proxy := startProxiedReplica(t, pts.URL)
+	if _, err := pdb.AddAll(seqs[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	cursor := rep.Lag().AppliedSeq
+
+	for name, mangle := range map[string]func([]byte) []byte{
+		"cut before the last add frame": func(raw []byte) []byte {
+			starts := frameStarts(raw)
+			return raw[:starts[len(starts)-1]]
+		},
+		"flipped byte": func(raw []byte) []byte {
+			raw[frameStarts(raw)[7]+20] ^= 0x40
+			return raw
+		},
+	} {
+		proxy.mangle.Store(&mangle)
+		if err := rep.syncSnapshot(); err == nil {
+			t.Fatalf("%s: the snapshot applied", name)
+		}
+		if n, live := rep.db.NumRecords(), rep.db.Len(); n != 6 || live != 6 {
+			t.Fatalf("%s: replica holds %d slots, %d live; want 6, 6", name, n, live)
+		}
+		if got := rep.Lag().AppliedSeq; got != cursor {
+			t.Fatalf("%s: applied cursor moved %d → %d", name, cursor, got)
+		}
+	}
+	proxy.mangle.Store(nil)
+	if err := rep.syncSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n, live := rep.db.NumRecords(), rep.db.Len(); n != 10 || live != 9 {
+		t.Fatalf("after the intact snapshot the replica holds %d slots, %d live; want 10, 9", n, live)
+	}
+	if got, want := rep.Lag().AppliedSeq, pdb.WALStats().Seq; got != want {
+		t.Fatalf("applied cursor = %d, want the primary's %d", got, want)
+	}
+}
+
+// TestReplicaHoldingMoreSlotsThanTheSnapshotDiverges: a replica with more
+// record slots than the snapshot's header counts is ErrReplicaDiverged
+// before anything applies — here the primary's remove of ID 0 stays
+// unapplied.
+func TestReplicaHoldingMoreSlotsThanTheSnapshotDiverges(t *testing.T) {
+	pdb, _, pts := startPrimary(t)
+	seqs := testSequences(5, 16, 6)
+	if _, err := pdb.AddAll(seqs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, _ := startReplica(t, pts.URL)
+	if _, err := rep.db.AddAll(seqs[3:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	cursor := rep.Lag().AppliedSeq
+	if err := rep.syncSnapshot(); !errors.Is(err, twsim.ErrReplicaDiverged) {
+		t.Fatalf("syncSnapshot = %v, want ErrReplicaDiverged", err)
+	}
+	if n, live := rep.db.NumRecords(), rep.db.Len(); n != 5 || live != 5 {
+		t.Fatalf("replica holds %d slots, %d live; want 5, 5 (nothing applied)", n, live)
+	}
+	if got := rep.Lag().AppliedSeq; got != cursor {
+		t.Fatalf("applied cursor moved %d → %d", cursor, got)
+	}
 }

@@ -15,33 +15,31 @@ import (
 
 // Replica follows a primary server: it bootstraps the full state from
 // GET /repl/snapshot, then polls GET /repl/wal for the durable record
-// tail and applies it through the replica database's normal write path.
+// tail. Both are WAL frames, read by twsim.ParseWALRecords and applied by
+// twsim.ApplyWALRecords through the replica database's normal write path.
 // Because the stream replays the primary's mutations in log order over
 // the same dense ID space, a replica at applied sequence S holds exactly
 // the primary's state at S — Search and NearestK answer bit-identically
 // to the primary at the same cut. When the primary checkpoints past the
 // replica's cursor (410 Gone), the replica re-syncs from a fresh
-// snapshot; existing IDs never change retroactively, so the re-sync is
-// an incremental diff, not a rebuild.
+// snapshot; existing IDs never change retroactively, so the walker skips
+// the adds the replica holds and applies only what it lacks: the re-sync
+// is incremental, not a rebuild.
 //
 // The replica's HTTP surface is the owning Server switched read-only:
 // queries flow normally, mutations answer 403. The apply loop is the
 // sole writer, beneath the HTTP layer: it reads and writes through the
 // same *twsim.DB the queries use, under that database's own lock.
 type Replica struct {
-	db     *twsim.DB
-	client *http.Client
+	db *twsim.DB
 
 	primaryURL string
 	interval   time.Duration
-	maxBytes   int
 
 	applied    atomic.Uint64 // last WAL seq applied locally
 	primarySeq atomic.Uint64 // last observed primary durable seq
 	caughtUpAt atomic.Int64  // unix nanos of the last applied==primary observation
 	resyncs    atomic.Int64
-	polls      atomic.Int64
-	appliedMut atomic.Int64
 	lastErr    atomic.Value // string
 
 	quit chan struct{}
@@ -65,18 +63,17 @@ type ReplicaLag struct {
 type ReplicaOptions struct {
 	// PollInterval is the WAL tail polling cadence (default 500ms).
 	PollInterval time.Duration
-	// MaxBatchBytes caps one tail fetch (default 4 MiB).
-	MaxBatchBytes int
-	// Client is the HTTP client used against the primary (default
-	// http.DefaultClient with a 30s timeout).
-	Client *http.Client
 }
+
+// replicaClient is the HTTP client every replica talks to its primary
+// through. One tail fetch is capped at the primary's maxWALTailBytes.
+var replicaClient = &http.Client{Timeout: 30 * time.Second}
 
 // NewReplica turns srv — a Server over a fresh or previously-synced
 // single in-process database — into a read-only replica of the primary
-// at primaryURL. It bootstraps synchronously (snapshot fetch + apply, or
-// an incremental diff when the database already has records), then
-// Start begins the tail-polling loop.
+// at primaryURL. It bootstraps synchronously (snapshot fetch + apply, which
+// skips what the database already holds), then Start begins the
+// tail-polling loop.
 func NewReplica(srv *Server, primaryURL string, opts ReplicaOptions) (*Replica, error) {
 	if srv.primary == nil {
 		return nil, errors.New("server: replica requires a single-database backend")
@@ -84,18 +81,10 @@ func NewReplica(srv *Server, primaryURL string, opts ReplicaOptions) (*Replica, 
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 500 * time.Millisecond
 	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = maxWALTailBytes
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	rep := &Replica{
 		db:         srv.primary,
-		client:     opts.Client,
 		primaryURL: primaryURL,
 		interval:   opts.PollInterval,
-		maxBytes:   opts.MaxBatchBytes,
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -167,10 +156,8 @@ func (rep *Replica) run() {
 // poll fetches and applies one WAL tail batch; on ErrWALCompacted it
 // re-syncs from a snapshot instead.
 func (rep *Replica) poll() error {
-	rep.polls.Add(1)
 	from := rep.applied.Load()
-	url := fmt.Sprintf("%s/repl/wal?from=%d&max_bytes=%d", rep.primaryURL, from, rep.maxBytes)
-	resp, err := rep.client.Get(url)
+	resp, err := replicaClient.Get(fmt.Sprintf("%s/repl/wal?from=%d", rep.primaryURL, from))
 	if err != nil {
 		return err
 	}
@@ -200,8 +187,7 @@ func (rep *Replica) poll() error {
 		if err != nil {
 			return err
 		}
-		applied, last, err := twsim.ApplyWALRecords(rep.db, recs)
-		rep.appliedMut.Add(int64(applied))
+		_, last, err := twsim.ApplyWALRecords(rep.db, recs)
 		if err != nil {
 			if errors.Is(err, twsim.ErrReplicaDiverged) {
 				rep.resyncs.Add(1)
@@ -217,10 +203,13 @@ func (rep *Replica) poll() error {
 	return nil
 }
 
-// syncSnapshot fetches the primary's snapshot and diffs the replica up
-// to it (both the initial bootstrap and the 410 recovery path).
+// syncSnapshot fetches the primary's snapshot and applies it (both the
+// initial bootstrap and the 410 recovery path). Nothing applies unless the
+// body decodes whole and the replica holds no more record slots than the
+// snapshot; then the walker skips the adds the replica holds and applies
+// the rest, and the removes of slots still live here.
 func (rep *Replica) syncSnapshot() error {
-	resp, err := rep.client.Get(rep.primaryURL + "/repl/snapshot")
+	resp, err := replicaClient.Get(rep.primaryURL + "/repl/snapshot")
 	if err != nil {
 		return err
 	}
@@ -232,16 +221,19 @@ func (rep *Replica) syncSnapshot() error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("primary snapshot answered %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
-	snap, err := twsim.DecodeReplSnapshot(body)
+	seqno, slots, recs, err := twsim.DecodeReplSnapshot(body)
 	if err != nil {
 		return err
 	}
-	if _, _, err := twsim.SyncFromReplSnapshot(rep.db, snap); err != nil {
+	if have := rep.db.NumRecords(); have > slots {
+		return fmt.Errorf("%w: replica holds %d record slots, the snapshot %d", twsim.ErrReplicaDiverged, have, slots)
+	}
+	if _, _, err := twsim.ApplyWALRecords(rep.db, recs); err != nil {
 		return err
 	}
-	rep.applied.Store(snap.Seq)
-	if snap.Seq >= rep.primarySeq.Load() {
-		rep.primarySeq.Store(snap.Seq)
+	rep.applied.Store(seqno)
+	if seqno >= rep.primarySeq.Load() {
+		rep.primarySeq.Store(seqno)
 		rep.caughtUpAt.Store(time.Now().UnixNano())
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 // FuzzScanRecords drives the log's record reader with arbitrary bytes and
 // an arbitrary base sequence number. It never panics, the valid prefix it
 // reports fits the input, the records it accepts carry dense sequence
-// numbers from base, and re-encoding them through appendRecord gives the
+// numbers from base, and re-encoding them through AppendRecord gives the
 // accepted prefix back byte for byte: the reader accepts exactly what the
 // writer writes. `make fuzz-smoke` runs it briefly.
 func FuzzScanRecords(f *testing.F) {
@@ -23,7 +23,7 @@ func FuzzScanRecords(f *testing.F) {
 		NewAdd(4, seq.Sequence{math.NaN(), math.Inf(-1), -0.0}),
 	} {
 		r.Seq = uint64(7 + i)
-		log = appendRecord(log, &r)
+		log = AppendRecord(log, &r)
 	}
 	f.Add(log, uint64(7))
 	f.Add(log, uint64(8))
@@ -46,7 +46,7 @@ func FuzzScanRecords(f *testing.F) {
 			if recs[i].Seq != base+uint64(i) {
 				t.Fatalf("record %d has seq %d, want %d", i, recs[i].Seq, base+uint64(i))
 			}
-			again = appendRecord(again, &recs[i])
+			again = AppendRecord(again, &recs[i])
 		}
 		if !bytes.Equal(again, data[:n]) {
 			t.Fatalf("re-encoding %d accepted records gives %d bytes, not the %d-byte prefix", len(recs), len(again), n)

@@ -69,7 +69,9 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 // ErrCorrupt reports a structurally-invalid record mid-scan.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-func appendRecord(dst []byte, r *Record) []byte {
+// AppendRecord appends r's frame to dst: the one encoder of the log's
+// records and of a replication snapshot's body (twsim.WriteReplSnapshot).
+func AppendRecord(dst []byte, r *Record) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // frame length, patched below
 	body := len(dst)

@@ -275,7 +275,7 @@ func (l *Log) Begin(recs ...Record) (Commit, error) {
 		l.seq++
 		l.offs = append(l.offs, l.endOff)
 		before := len(l.buf)
-		l.buf = appendRecord(l.buf, &recs[i])
+		l.buf = AppendRecord(l.buf, &recs[i])
 		l.endOff += int64(len(l.buf) - before)
 	}
 	l.stats.Records += int64(len(recs))

@@ -50,7 +50,7 @@ func newFaultHeapDB(t *testing.T) (*DB, *pagefile.FaultBackend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := newDB(store, "", Options{PageSize: faultPageSize})
+	db := newDB(store, "", Options{})
 	t.Cleanup(func() { db.Close() })
 	return db, fb
 }

@@ -4,27 +4,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/seq"
 	"repro/internal/wal"
 )
 
 // Replication model: a WAL-enabled on-disk primary ships (1) a full-state
-// snapshot — every heap record slot in ID order, tombstones included, so
-// the replica's dense ID space is identical to the primary's — stamped
-// with the WAL sequence number it reflects, and (2) the WAL tail beyond
-// any sequence number, served as raw record bytes. A replica bootstraps
-// from the snapshot, then applies the streamed tail through its own
-// normal write path; because log order equals apply order and IDs are
-// dense and never reused, the replica's state at applied sequence S is
-// byte-for-byte the primary's state at S, and queries answer
+// snapshot — a header stamped with the WAL sequence number of its cut,
+// then one WAL add frame per heap record slot in ID order with a remove
+// frame after each tombstone, so the replica's dense ID space is identical
+// to the primary's — and (2) the WAL tail beyond any sequence number,
+// served as raw record bytes. Both are WAL frames, read by ParseWALRecords
+// and applied by ApplyWALRecords, the walker Open's replay runs, through
+// the replica's own write path. Because log order equals apply order and
+// IDs are dense and never reused, the replica's state at applied sequence
+// S is byte-for-byte the primary's state at S, and queries answer
 // bit-identically. A tail request from before the primary's last
 // checkpoint returns wal.ErrCompacted, and the replica re-syncs from a
-// fresh snapshot — an incremental diff, since existing IDs never change
-// retroactively (a slot only ever flips live → tombstoned).
+// fresh snapshot: the walker skips the adds it already holds and applies
+// the removes to IDs still live, since a slot only ever flips live →
+// tombstoned.
 
 // ErrNoWAL is returned by the replication entry points on a database
 // without a write-ahead log: without the log there is no sequence-number
@@ -41,23 +41,16 @@ var ErrWALCompacted = wal.ErrCompacted
 // snapshot.
 var ErrReplicaDiverged = errors.New("twsim: replica diverged from primary record stream")
 
+// The snapshot header, little-endian: u32 magic "TWRF" | u32 version |
+// u64 WAL sequence number of the cut | u64 record slots.
 const (
-	snapMagic   = 0x53525754 // "TWRS"
-	snapVersion = 1
+	replMagic     = 0x46525754 // "TWRF"
+	replVersion   = 2
+	replHeaderLen = 24
+	// replFrameBytes is a frame's size besides its sequence: length, type,
+	// sequence number, ID and CRC (an add adds seq.EncodedSize).
+	replFrameBytes = 4 + 1 + 8 + 4 + 4
 )
-
-// ReplRecord is one heap slot in a shipped snapshot.
-type ReplRecord struct {
-	Deleted bool
-	Values  []float64
-}
-
-// ReplSnapshot is a primary's full state at WAL sequence number Seq:
-// every record slot in ID order, tombstones included.
-type ReplSnapshot struct {
-	Seq     uint64
-	Records []ReplRecord
-}
 
 // WALTail returns the serialized durable log records after sequence
 // number from, capped near maxBytes on a record boundary, plus the
@@ -80,178 +73,108 @@ func (db *DB) WALTailBase() (uint64, error) {
 	return db.wal.Base(), nil
 }
 
-// WriteReplSnapshot streams the database's full state to w in the
-// snapshot wire format and returns the WAL sequence number it reflects.
-// The read lock is held from reading that number to the last record, so
-// the snapshot is a consistent cut: writers wait, queries proceed.
-// Tombstoned slots whose bytes no longer decode are shipped as a
-// one-element placeholder — they are unreadable on the primary too, so
-// replica queries cannot observe the difference.
+// WriteReplSnapshot writes the database's full state to w and returns the
+// WAL sequence number it reflects. The body is encoded under the read
+// lock, so it is a consistent cut (writers wait, queries proceed), and
+// written with one Write after the lock is released, so a reader that
+// stops reading holds up its own connection only. An error before that
+// Write means w received nothing.
 //
-// Wire format, little-endian, CRC-32 (IEEE) of everything before the
-// trailer: u32 magic "TWRS" | u32 version | u64 seq | u64 count |
-// count × (u8 deleted | u32 len | len × f64) | u32 crc.
+// The body is a 24-byte header (u32 magic "TWRF" | u32 version 2 | u64
+// seq | u64 record slots) followed by WAL frames (wal.AppendRecord)
+// numbered from 1: one add frame per heap slot in ID order, and a remove
+// frame after each tombstoned slot. A tombstone whose bytes no longer
+// decode ships as a one-element placeholder — it is unreadable on the
+// primary too, so replica queries cannot observe the difference.
 func (db *DB) WriteReplSnapshot(w io.Writer) (seqno uint64, err error) {
 	if db.wal == nil {
 		return 0, ErrNoWAL
 	}
+	body, seqno, err := db.encodeReplSnapshot()
+	if err != nil {
+		return 0, err
+	}
+	_, err = w.Write(body)
+	return seqno, err
+}
+
+func (db *DB) encodeReplSnapshot() (body []byte, seqno uint64, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	seqno = db.wal.LastSeq()
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	var scratch [16]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := mw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := mw.Write(scratch[:8])
-		return err
-	}
-	if err := writeU32(snapMagic); err != nil {
-		return 0, err
-	}
-	if err := writeU32(snapVersion); err != nil {
-		return 0, err
-	}
-	if err := writeU64(seqno); err != nil {
-		return 0, err
-	}
-	if err := writeU64(uint64(db.store.NumRecords())); err != nil {
-		return 0, err
+	slots := db.store.NumRecords()
+	tombs := slots - db.store.Len()
+	body = make([]byte, 0, replHeaderLen+int(db.store.Bytes())+replFrameBytes*(slots+tombs))
+	body = binary.LittleEndian.AppendUint32(body, replMagic)
+	body = binary.LittleEndian.AppendUint32(body, replVersion)
+	body = binary.LittleEndian.AppendUint64(body, seqno)
+	body = binary.LittleEndian.AppendUint64(body, uint64(slots))
+	frame := uint64(0)
+	appendFrame := func(r wal.Record) {
+		frame++
+		r.Seq = frame
+		body = wal.AppendRecord(body, &r)
 	}
 	err = db.store.ScanAll(func(id seq.ID, s seq.Sequence, deleted bool) error {
 		if s == nil {
 			s = seq.Sequence{0} // undecodable tombstone placeholder
 		}
-		flag := byte(0)
+		appendFrame(wal.NewAdd(id, s))
 		if deleted {
-			flag = 1
-		}
-		if _, err := mw.Write([]byte{flag}); err != nil {
-			return err
-		}
-		if err := writeU32(uint32(len(s))); err != nil {
-			return err
-		}
-		for _, v := range s {
-			if err := writeU64(math.Float64bits(v)); err != nil {
-				return err
-			}
+			appendFrame(wal.NewRemove(id))
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	sum := crc.Sum32()
-	binary.LittleEndian.PutUint32(scratch[:4], sum)
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return 0, err
-	}
-	return seqno, nil
+	return body, seqno, nil
 }
 
-// ReadReplSnapshot parses a snapshot produced by WriteReplSnapshot,
-// verifying magic, version, framing, and checksum.
-func ReadReplSnapshot(r io.Reader) (*ReplSnapshot, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
+// DecodeReplSnapshot reads a snapshot WriteReplSnapshot wrote: the WAL
+// sequence number of its cut, its record slot count and its frames, read
+// by ParseWALRecords. It refuses a body whose add frames do not cover
+// slots 0 … slots−1 in ID order exactly — which is what catches a body cut
+// at a frame boundary, unless the cut drops only the remove frames after
+// the last add — a remove of a slot not yet added, and an add no
+// write door would take (empty or non-finite), so a snapshot it accepts
+// applies through ApplyWALRecords without a gap or a refusal.
+func DecodeReplSnapshot(raw []byte) (seqno uint64, slots int, recs []wal.Record, err error) {
+	if len(raw) < replHeaderLen {
+		return 0, 0, nil, fmt.Errorf("twsim: snapshot too short (%d bytes)", len(raw))
 	}
-	return DecodeReplSnapshot(raw)
-}
-
-// DecodeReplSnapshot parses snapshot bytes (see WriteReplSnapshot for
-// the format).
-func DecodeReplSnapshot(raw []byte) (*ReplSnapshot, error) {
-	if len(raw) < 24+4 {
-		return nil, fmt.Errorf("twsim: snapshot too short (%d bytes)", len(raw))
+	if binary.LittleEndian.Uint32(raw) != replMagic {
+		return 0, 0, nil, errors.New("twsim: snapshot bad magic")
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("twsim: snapshot checksum mismatch (got %08x want %08x)", got, want)
+	if v := binary.LittleEndian.Uint32(raw[4:]); v != replVersion {
+		return 0, 0, nil, fmt.Errorf("twsim: unsupported snapshot version %d", v)
 	}
-	if binary.LittleEndian.Uint32(body[0:]) != snapMagic {
-		return nil, errors.New("twsim: snapshot bad magic")
+	seqno, count := binary.LittleEndian.Uint64(raw[8:]), binary.LittleEndian.Uint64(raw[16:])
+	if recs, err = ParseWALRecords(raw[replHeaderLen:], 1); err != nil {
+		return 0, 0, nil, err
 	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != snapVersion {
-		return nil, fmt.Errorf("twsim: unsupported snapshot version %d", v)
-	}
-	snap := &ReplSnapshot{Seq: binary.LittleEndian.Uint64(body[8:])}
-	count := binary.LittleEndian.Uint64(body[16:])
-	off := 24
-	for i := uint64(0); i < count; i++ {
-		if len(body) < off+5 {
-			return nil, fmt.Errorf("twsim: snapshot truncated at record %d", i)
-		}
-		if body[off] > 1 {
-			return nil, fmt.Errorf("twsim: snapshot record %d bad deleted flag %d", i, body[off])
-		}
-		deleted := body[off] == 1
-		n := int(binary.LittleEndian.Uint32(body[off+1:]))
-		off += 5
-		if n <= 0 || len(body) < off+8*n {
-			return nil, fmt.Errorf("twsim: snapshot record %d bad length %d", i, n)
-		}
-		vals := make([]float64, n)
-		for k := 0; k < n; k++ {
-			vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-			off += 8
-		}
-		snap.Records = append(snap.Records, ReplRecord{Deleted: deleted, Values: vals})
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("twsim: %d trailing snapshot bytes", len(body)-off)
-	}
-	return snap, nil
-}
-
-// SyncFromReplSnapshot brings a replica database up to the snapshot's
-// state through its normal write path. Because a replica's record stream is
-// always a prefix of the primary's, syncing is purely incremental: slots
-// the replica does not have yet are added (and tombstoned where the
-// snapshot says so), and existing slots that the snapshot marks deleted are
-// removed. It returns the mutation counts. The replication apply loop is
-// the replica's only writer, so the record count read first stays current.
-func SyncFromReplSnapshot(db *DB, snap *ReplSnapshot) (added, removed int, err error) {
-	have := db.NumRecords()
-	if have > len(snap.Records) {
-		return 0, 0, fmt.Errorf("%w: replica has %d records, snapshot only %d", ErrReplicaDiverged, have, len(snap.Records))
-	}
-	for id := have; id < len(snap.Records); id++ {
-		rec := snap.Records[id]
-		got, err := db.Add(rec.Values)
-		if err != nil {
-			return added, removed, fmt.Errorf("twsim: snapshot sync add %d: %w", id, err)
-		}
-		if got != ID(id) {
-			return added, removed, fmt.Errorf("%w: snapshot add landed at %d, want %d", ErrReplicaDiverged, got, id)
-		}
-		added++
-		if rec.Deleted {
-			if _, err := db.Remove(ID(id)); err != nil {
-				return added, removed, fmt.Errorf("twsim: snapshot sync remove %d: %w", id, err)
+	next := uint64(0) // the slot the next add frame must start at
+	for _, r := range recs {
+		if r.Type == wal.TypeRemove {
+			if uint64(r.ID) >= next {
+				return 0, 0, nil, fmt.Errorf("twsim: snapshot frame %d removes slot %d before its add", r.Seq, r.ID)
 			}
-			removed++
-		}
-	}
-	for id := 0; id < have; id++ {
-		if !snap.Records[id].Deleted {
 			continue
 		}
-		ok, err := db.Remove(ID(id))
-		if err != nil {
-			return added, removed, fmt.Errorf("twsim: snapshot sync remove %d: %w", id, err)
+		if uint64(r.ID) != next {
+			return 0, 0, nil, fmt.Errorf("twsim: snapshot frame %d adds at slot %d, want %d", r.Seq, r.ID, next)
 		}
-		if ok {
-			removed++
+		for _, s := range r.Data {
+			if len(s) == 0 || seq.CheckFinite(s) != nil {
+				return 0, 0, nil, fmt.Errorf("twsim: snapshot frame %d adds an empty or non-finite sequence at slot %d", r.Seq, next)
+			}
+			next++
 		}
 	}
-	return added, removed, nil
+	if next != count {
+		return 0, 0, nil, fmt.Errorf("twsim: snapshot add frames cover %d record slots, its header %d", next, count)
+	}
+	return seqno, int(count), recs, nil
 }
 
 // ApplyWALRecords applies a streamed primary record tail to a replica
@@ -268,13 +191,13 @@ func ApplyWALRecords(db *DB, recs []wal.Record) (applied int, last uint64, err e
 	return applied, last, err
 }
 
-// ParseWALRecords decodes the raw bytes WALTail serves into records,
-// validating per-record CRCs and the dense sequence numbering starting
-// at firstSeq (the cursor + 1).
+// ParseWALRecords decodes WAL frames — the bytes WALTail serves and a
+// snapshot's body — into records, validating per-record CRCs and the
+// dense sequence numbering starting at firstSeq (the cursor + 1).
 func ParseWALRecords(data []byte, firstSeq uint64) ([]wal.Record, error) {
 	recs, n, err := wal.ScanRecords(data, firstSeq)
 	if err != nil {
-		return nil, fmt.Errorf("twsim: wal tail corrupt at byte %d: %w", n, err)
+		return nil, fmt.Errorf("twsim: wal frames corrupt at byte %d: %w", n, err)
 	}
 	return recs, nil
 }

@@ -3,40 +3,43 @@ package twsim_test
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"testing"
 
 	twsim "repro"
+	"repro/internal/wal"
 )
 
-// encodeReplSnapshot writes snap in the wire format WriteReplSnapshot
-// documents: u32 magic "TWRS" | u32 version 1 | u64 seq | u64 count |
-// count × (u8 deleted | u32 len | len × f64) | u32 crc of the rest.
-func encodeReplSnapshot(snap *twsim.ReplSnapshot) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, 0x53525754)
-	buf = binary.LittleEndian.AppendUint32(buf, 1)
-	buf = binary.LittleEndian.AppendUint64(buf, snap.Seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap.Records)))
-	for _, r := range snap.Records {
-		flag := byte(0)
-		if r.Deleted {
-			flag = 1
-		}
-		buf = append(buf, flag)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Values)))
-		for _, v := range r.Values {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+// encodeReplSnapshot writes a snapshot in the format WriteReplSnapshot
+// documents: u32 magic "TWRF" | u32 version 2 | u64 seq | u64 slots |
+// the records as WAL frames.
+func encodeReplSnapshot(seqno uint64, slots int, recs []wal.Record) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 0x46525754)
+	buf = binary.LittleEndian.AppendUint32(buf, 2)
+	buf = binary.LittleEndian.AppendUint64(buf, seqno)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(slots))
+	for i := range recs {
+		buf = wal.AppendRecord(buf, &recs[i])
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return buf
+}
+
+// lastFrameStart returns the offset of a snapshot's last frame.
+func lastFrameStart(raw []byte) int {
+	off, last := 24, 24
+	for off < len(raw) {
+		last = off
+		off += 4 + int(binary.LittleEndian.Uint32(raw[off:])) + 4
+	}
+	return last
 }
 
 // FuzzDecodeReplSnapshot drives the reader of the snapshot a replica
 // bootstraps from with arbitrary bytes. It never panics, and a snapshot it
-// accepts re-encodes to exactly the input bytes: the reader accepts one
-// encoding of each state and nothing else. The seeds include a snapshot
-// written by a real primary. `make fuzz-smoke` runs it briefly.
+// accepts re-encodes to exactly the input bytes. The seeds are a snapshot
+// written by a real primary, the empty state, a frame with a bad CRC, a
+// body cut at a frame boundary and no bytes. `make fuzz-smoke` runs it
+// briefly.
 func FuzzDecodeReplSnapshot(f *testing.F) {
 	db, err := twsim.Create(f.TempDir(), twsim.Options{WAL: true})
 	if err != nil {
@@ -57,21 +60,21 @@ func FuzzDecodeReplSnapshot(f *testing.F) {
 	if err := db.Close(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(primary.Bytes())
-	f.Add(encodeReplSnapshot(&twsim.ReplSnapshot{Seq: 9}))
-	flagged := append([]byte(nil), primary.Bytes()...)
-	flagged[24] = 2 // record 0's deleted flag, neither 0 nor 1
-	binary.LittleEndian.PutUint32(flagged[len(flagged)-4:], crc32.ChecksumIEEE(flagged[:len(flagged)-4]))
-	f.Add(flagged)
-	f.Add(primary.Bytes()[:len(primary.Bytes())-5])
+	raw := primary.Bytes()
+	f.Add(raw)
+	f.Add(encodeReplSnapshot(9, 0, nil))
+	badCRC := append([]byte(nil), raw...)
+	badCRC[len(badCRC)-1] ^= 0x01 // the last frame's CRC
+	f.Add(badCRC)
+	f.Add(raw[:lastFrameStart(raw)])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		snap, err := twsim.DecodeReplSnapshot(raw)
+		seqno, slots, recs, err := twsim.DecodeReplSnapshot(raw)
 		if err != nil {
 			return
 		}
-		if again := encodeReplSnapshot(snap); !bytes.Equal(again, raw) {
+		if again := encodeReplSnapshot(seqno, slots, recs); !bytes.Equal(again, raw) {
 			t.Fatalf("an accepted %d-byte snapshot re-encodes to %d different bytes", len(raw), len(again))
 		}
 	})

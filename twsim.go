@@ -74,9 +74,6 @@ type Options struct {
 	// serve. An additive base (BaseL1, BaseL2Sq) answers exactly, through
 	// the index filter and the reference DP, with no pruning tiers.
 	Base Base
-	// PageSize is the page size of the data heap file (0 = 1 KB, the
-	// paper's setting); the index reports its size in the same unit.
-	PageSize int
 	// RefineWorkers bounds the intra-query parallelism of the refinement
 	// step (candidate fetch + cascade + exact DTW): 0 means GOMAXPROCS,
 	// 1 restores the fully serial execution, and results are bit-identical
@@ -236,15 +233,16 @@ const exportFileName = "feature.flat"
 var strayFileNames = []string{"feature.rtree", "envelopes.paa"}
 
 // newIndex returns an empty in-memory flat index (creating one cannot
-// fail), reporting its size in the heap's page unit.
-func (o Options) newIndex() *core.FlatIndex {
-	index, _ := core.NewFlatIndex(core.IndexOptions{PageSize: o.PageSize})
+// fail), reporting its size in the heap's page unit, 1 KB (the paper's
+// setting).
+func newIndex() *core.FlatIndex {
+	index, _ := core.NewFlatIndex(core.IndexOptions{})
 	return index
 }
 
 // newDB wraps a heap in a database with an empty index and envelope store.
 func newDB(store *seqdb.DB, dir string, opts Options) *DB {
-	return &DB{store: store, index: opts.newIndex(), envs: core.NewEnvStore(), base: opts.Base, dir: dir,
+	return &DB{store: store, index: newIndex(), envs: core.NewEnvStore(), base: opts.Base, dir: dir,
 		opts: opts, rcache: core.NewResultCache(opts.ResultCacheBytes)}
 }
 
@@ -274,7 +272,7 @@ func (db *DB) IndexEngineStats() core.IndexEngineStats {
 // OpenMem creates an ephemeral in-memory database (page layout and buffer
 // accounting identical to the on-disk form).
 func OpenMem(opts Options) (*DB, error) {
-	store, err := seqdb.NewMem(seqdb.Options{PageSize: opts.PageSize})
+	store, err := seqdb.NewMem(seqdb.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +281,7 @@ func OpenMem(opts Options) (*DB, error) {
 
 // Create creates a new on-disk database in directory dir.
 func Create(dir string, opts Options) (*DB, error) {
-	store, err := seqdb.Create(dir, seqdb.Options{PageSize: opts.PageSize})
+	store, err := seqdb.Create(dir, seqdb.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +305,7 @@ func Create(dir string, opts Options) (*DB, error) {
 // or envelopes.paa an older version kept and the temp files a killed Flush
 // left are removed too, each with a line in OpenDiagnostics.
 func Open(dir string, opts Options) (*DB, error) {
-	store, err := seqdb.Open(dir, seqdb.Options{PageSize: opts.PageSize})
+	store, err := seqdb.Open(dir, seqdb.Options{})
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
 	}
@@ -394,7 +392,7 @@ func (db *DB) Repair() (RepairStats, error) {
 // one scan (core.Derive) and swaps them in for the ones they replace. On
 // an error the database keeps what it had.
 func (db *DB) derive() (live int, err error) {
-	index, envs := db.opts.newIndex(), core.NewEnvStore()
+	index, envs := newIndex(), core.NewEnvStore()
 	if live, err = core.Derive(db.store, index, envs); err != nil {
 		index.Close()
 		return live, fmt.Errorf("twsim: deriving the index from the heap: %w", err)
