@@ -232,6 +232,14 @@ ADDITIVE_DELETED = windowAdd|globalEnv|ensureGlobalRange|paaWindow|intervalGap|i
 # size knob nobody set (ReplicaOptions.MaxBatchBytes, /repl/wal's max_bytes)
 # stay out of the non-test Go of the root package, internal/server and cmd/.
 REPL_DELETED = \b(ReplRecord|ReplSnapshot|SyncFromReplSnapshot|ReadReplSnapshot|snapMagic|MaxBatchBytes)\b|max_bytes|X-Twsim-Seq
+# The thirteenth keeps one query on one goroutine: a query refines its
+# candidates in the loop of the paper's TW-Sim-Search on the goroutine that
+# serves it, so the intra-query refine pool, the parallel k-NN verify, the
+# worker budget split across shards, the per-call worker-count doors, the
+# server's -refine-workers flag and the decider's reference count stay out
+# of the non-test Go of the root package, internal/core, internal/dtw,
+# internal/shard and cmd/twsimd.
+WORKERS_DELETED = refineParallel|nearestKParallel|workerCascades|perShardWorkers|SearchBandWorkersCtx|NearestKStatsBandWorkersCtx|"refine-workers"|Decider\) Share
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -288,6 +296,10 @@ surface:
 	@out=$$(grep -nE '$(REPL_DELETED)' $$(find . internal/server -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(find cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/bench/*')); \
 	if [ -n "$$out" ]; then \
 		echo "the deleted TWRS snapshot codec or a replica knob is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(WORKERS_DELETED)' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(find internal/core internal/dtw internal/shard cmd/twsimd -name '*.go' ! -name '*_test.go')); \
+	if [ -n "$$out" ]; then \
+		echo "the deleted intra-query refine workers are back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

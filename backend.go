@@ -104,13 +104,12 @@ func (db *DB) AddBatch(values [][]float64) ([]ID, error) {
 	return ids, nil
 }
 
-// NearestKStatsBandWorkersCtx is the per-partition k-NN walk: explicit
-// context (nil never cancels; a done context abandons the walk at its next
-// candidate boundary), Sakoe–Chiba band half-width (0 = unconstrained),
-// optional cross-partition shared bound, and explicit worker count (≤ 1
-// means serial; results are bit-identical at every count). Concurrent walks
-// over disjoint partitions publishing into one bound prune each other, and
-// the merged, re-sorted, truncated-to-k union of their survivors equals the
+// NearestKStatsBandCtx is the per-partition k-NN walk: explicit context
+// (nil never cancels; a done context abandons the walk at its next
+// candidate boundary), Sakoe–Chiba band half-width (0 = unconstrained) and
+// optional cross-partition shared bound. Concurrent walks over disjoint
+// partitions publishing into one bound prune each other, and the merged,
+// re-sorted, truncated-to-k union of their survivors equals the
 // unpartitioned answer — so under a bound the survivors (at most k,
 // ascending) need not be this partition's own true top-k; nil means no
 // bound. The walk bypasses the result cache, the deadline and the
@@ -118,15 +117,14 @@ func (db *DB) AddBatch(values [][]float64) ([]ID, error) {
 // form the sharded engine calls per shard (shard.Store), so k-NN work shows
 // up in per-shard counters and the exported conservation law
 // (Candidates = ΣPruned + DTWCalls) covers k-NN traffic too.
-func (db *DB) NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]Match, QueryStats, error) {
+func (db *DB) NearestKStatsBandCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound) ([]Match, QueryStats, error) {
 	if err := validateQuery(query, band); err != nil {
 		return nil, QueryStats{}, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.searcher(ctx, workers, band).NearestKSharedStats(seq.Sequence(query), k, bound)
+	return db.searcher(ctx, band).NearestKSharedStats(seq.Sequence(query), k, bound)
 }
 
-// SearchBandWorkersCtx on *DB lives in twsim.go; together with
-// NearestKStatsBandWorkersCtx it satisfies the sharded engine's
-// shard.Store interface.
+// SearchCtx on *DB lives in twsim.go; together with NearestKStatsBandCtx it
+// satisfies the sharded engine's shard.Store interface.

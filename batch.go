@@ -65,10 +65,8 @@ func (db *DB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon f
 	// One read lock covers the batch: the workers run under it.
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	// One worker per query already fills the machine; nesting intra-query
-	// refine workers under that would oversubscribe. The searcher is
-	// read-only configuration, so the workers share it.
-	m := db.searcher(ctx, 1, band)
+	// The searcher is read-only configuration, so the workers share it.
+	m := db.searcher(ctx, band)
 	out := make([]*Result, len(queries))
 	err := core.RunBatch(len(queries), parallelism, func(i int) error {
 		res, err := m.Search(seq.Sequence(queries[i]), epsilon)

@@ -17,11 +17,9 @@
 // the number of cores you want one query's DTW verification to use (see
 // the README's sharding section).
 //
-// -refine-workers B is the total intra-query refinement budget per search
-// (candidate fetch + cascade + exact DTW run on up to B goroutines; on a
-// sharded database the budget is split across the shards a search fans out
-// to). 0, the default, means GOMAXPROCS; 1 forces the serial path. Results
-// are bit-identical at every setting.
+// Every query refines its candidates (fetch, cascade, exact DTW) on the
+// goroutine that serves it: the server's parallelism is its concurrent
+// requests, plus the shard fan-out on a sharded database.
 //
 // The feature index is the flat engine: an immutable packed snapshot plus a
 // mutable delta overlay with background merges. It is derived data: every
@@ -127,14 +125,13 @@ import (
 
 func main() {
 	var (
-		dbDir   = flag.String("db", "", "database directory")
-		addr    = flag.String("addr", ":7474", "listen address")
-		create  = flag.Bool("create", false, "create the database if it does not exist")
-		mem     = flag.Bool("mem", false, "serve an ephemeral in-memory database")
-		shards  = flag.Int("shards", 0, "shard count for -create/-mem (0 = unsharded); on open, must match the existing layout")
-		verify  = flag.Bool("verify", false, "run a full heap/index integrity check before serving")
-		workers = flag.Int("refine-workers", 0, "intra-query refinement worker budget per search (0 = GOMAXPROCS, 1 = serial)")
-		band    = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
+		dbDir  = flag.String("db", "", "database directory")
+		addr   = flag.String("addr", ":7474", "listen address")
+		create = flag.Bool("create", false, "create the database if it does not exist")
+		mem    = flag.Bool("mem", false, "serve an ephemeral in-memory database")
+		shards = flag.Int("shards", 0, "shard count for -create/-mem (0 = unsharded); on open, must match the existing layout")
+		verify = flag.Bool("verify", false, "run a full heap/index integrity check before serving")
+		band   = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
 
 		resultCacheMB = flag.Int("result-cache-mb", 0, "whole-query result cache size in MiB (0 = disabled); repeated queries answer from memory with zero index/DTW work, kept across writes that cannot change it")
 		deadlineMS    = flag.Int("deadline-ms", 0, "per-query execution deadline in milliseconds (0 = none); a query past it is abandoned and answers 503")
@@ -163,7 +160,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts := twsim.Options{
-		RefineWorkers:      *workers,
 		Band:               *band,
 		ResultCacheBytes:   int64(*resultCacheMB) << 20,
 		QueryDeadline:      time.Duration(*deadlineMS) * time.Millisecond,

@@ -77,7 +77,7 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref := db.searcher(nil, 1, 0)
+		ref := db.searcher(nil, 0)
 		ref.NoCascade = true
 		check := func(what string, q seq.Sequence, eps float64, res *Result) {
 			t.Helper()

@@ -107,20 +107,19 @@
 // OpenMemSharded mirror the single-database constructors, each shard
 // deriving its index from its own heap on open.
 //
-// # Intra-query parallelism and caching
+// # One query, one goroutine, and caching
 //
-// Options.RefineWorkers sets the per-query refinement budget: the
-// candidate fetch, lower-bound cascade, and exact DTW verification run on
-// up to that many goroutines (0 selects GOMAXPROCS; 1 is the exact serial
-// path). On a sharded database the budget is divided among the shards a
-// query fans out to, so fan-out times refine workers never exceeds the
-// budget. Results are bit-identical at every setting — for range queries
-// the fixed tolerance makes each candidate's verdict order-independent,
-// and for k-NN the shrinking cutoff is only ever read conservatively
-// (stale reads admit extra candidates, never dismiss true neighbors).
+// A query refines its candidates — the heap fetch, the lower-bound cascade
+// and the exact DTW — in one loop on the goroutine that serves it, the
+// paper's TW-Sim-Search. Throughput comes from running queries side by
+// side (a DB is safe for concurrent use) and, on a sharded database, from
+// the shard fan-out; Options.RefineWorkers is accepted and ignored. On a
+// single database a query's work counters follow the data and the index's
+// state, not the scheduler: a k-NN walk reads only its own k-th-best
+// cutoff. Only a sharded k-NN query shares state, its cross-shard bound.
 //
-// Each refinement worker fetches its candidates into scratch of its own: on
-// a file-backed database one positional read of the pages the record
+// Each query fetches its candidates into scratch of its own: on a
+// file-backed database one positional read of the pages the record
 // covers, checksums verified, no pool frame and no allocation; the record
 // still being appended to, and every record of an in-memory database, is
 // copied out of the lock-striped buffer pool (pages hash to independently

@@ -45,25 +45,23 @@ import (
 // k-th-best bound for k-NN (including the cross-shard SharedBound), so the
 // tiers tighten as a k-NN search proceeds.
 //
-// A cascade holds a pooled dtw.Refiner, a share of the query's pooled
-// dtw.Decider when it has one, and, once it has fetched a candidate, a
-// pooled seqdb.Scratch; build one per query with newCascade and close it
-// when the query completes. Not safe for concurrent use: a query that
-// refines on several goroutines gives each its own (see worker).
+// A cascade holds a pooled dtw.Refiner, a pooled dtw.Decider when the query
+// has one, and, once it has fetched a candidate, a pooled seqdb.Scratch;
+// build one per query with newCascade and close it when the query
+// completes. Not safe for concurrent use: a query refines on the goroutine
+// that serves it.
 type cascade struct {
 	// paaPruner carries q, band, and the cached query-side PAA reductions;
 	// the k-NN walk keys its frontier with a second pruner of its own, so
 	// both evaluate the identical bound (see newPAAPruner).
 	paaPruner
-	base seq.Base
-	// The envelope is written once, by newCascade, and only read after:
-	// the cascades of one query's workers share it.
+	base    seq.Base
 	bandEnv dtw.Envelope // banded envelope of q; built only when band ≥ 1
 	envs    *EnvStore
 	refiner *dtw.Refiner
 	// decider indexes q for the exact L∞ decision verifyDP runs before the
 	// refiner: unbanded L∞ queries of 1 to 1 024 finite elements only, else
-	// nil. Read-only after newCascade; each worker holds a share.
+	// nil.
 	decider  *dtw.Decider
 	scratch  *seqdb.Scratch // the candidate under evaluation lives here; see fetch
 	disabled bool
@@ -128,26 +126,6 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 	}
 	c.refiner = dtw.AcquireRefiner()
 	return c
-}
-
-// worker returns a cascade for another goroutine refining the same query.
-// It shares c's envelope and decider, which nothing writes after
-// newCascade, and owns what a candidate evaluation does write: the lazily
-// filled PAA reductions, the fetch scratch and a pooled refiner, which holds
-// the decision's reach rows. Close it
-// like c: the decider goes back to its pool when the last cascade holding it
-// closes.
-func (c *cascade) worker() *cascade {
-	w := &cascade{
-		paaPruner: paaPruner{q: c.q, band: c.band},
-		base:      c.base, bandEnv: c.bandEnv,
-		decider: c.decider.Share(),
-		envs:    c.envs, disabled: c.disabled,
-	}
-	if !c.disabled {
-		w.refiner = dtw.AcquireRefiner()
-	}
-	return w
 }
 
 func (c *cascade) close() {

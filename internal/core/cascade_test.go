@@ -10,12 +10,21 @@ import (
 
 // The cascade is an optimization, not a semantics change: with and without
 // it, every search method must return bit-identical matches (same IDs, same
-// float64 distances) on length-mismatched corpora under all three bases.
+// float64 distances) on length-mismatched corpora under all three bases. A
+// cascade under an additive base is disabled, like NoCascade's: it holds no
+// refiner, decider or envelope.
 func TestCascadeOracleBitIdentical(t *testing.T) {
 	for _, base := range []seq.Base{seq.LInf, seq.L1, seq.L2Sq} {
 		t.Run(base.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			data := synth.RandomWalkSetVaryLen(rng, 150, 5, 40)
+			if base != seq.LInf {
+				add := newCascade(data[0], base, 4, nil, false)
+				if !add.disabled || add.refiner != nil || add.decider != nil || add.bandEnv.Lower != nil {
+					t.Fatalf("the cascade prunes an additive base (disabled %v)", add.disabled)
+				}
+				add.close()
+			}
 			db, idx := buildFixture(t, data)
 			plain := &TWSimSearch{DB: db, Index: idx, Base: base, NoCascade: true}
 			cascaded := &TWSimSearch{DB: db, Index: idx, Base: base}
@@ -198,7 +207,7 @@ func TestDanglingEntriesNotCountedAsDTWCalls(t *testing.T) {
 // reference-path comparison: with the envelope store attached and a band
 // set, the default searcher runs the envelope-ordered walk and the banded
 // cascade, and must stay bit-identical to NoCascade (plain mindist order,
-// exact DP only) serially and with workers.
+// exact DP only).
 func TestNearestKHugeKAndBandedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	data := synth.RandomWalkSet(rng, 40, 24)
@@ -213,28 +222,26 @@ func TestNearestKHugeKAndBandedReference(t *testing.T) {
 	}
 	q := synth.Query(rng, data)
 	for _, band := range []int{0, 2} {
-		for _, workers := range []int{1, 3} {
-			for _, k := range []int{3, len(data), 1 << 40} {
-				ref := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, NoCascade: true}
-				want, err := ref.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantLen := min(k, len(data)); len(want) != wantLen {
-					t.Fatalf("band %d k=%d: reference returned %d matches, want %d", band, k, len(want), wantLen)
-				}
-				tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, Envs: envs, Workers: workers}
-				got, err := tw.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("band %d workers %d k=%d: %d matches, reference %d", band, workers, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("band %d workers %d k=%d rank %d: %+v, reference %+v", band, workers, k, i, got[i], want[i])
-					}
+		for _, k := range []int{3, len(data), 1 << 40} {
+			ref := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, NoCascade: true}
+			want, err := ref.NearestK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantLen := min(k, len(data)); len(want) != wantLen {
+				t.Fatalf("band %d k=%d: reference returned %d matches, want %d", band, k, len(want), wantLen)
+			}
+			tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, Envs: envs}
+			got, err := tw.NearestK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("band %d k=%d: %d matches, reference %d", band, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("band %d k=%d rank %d: %+v, reference %+v", band, k, i, got[i], want[i])
 				}
 			}
 		}

@@ -46,9 +46,7 @@ func conserved(st QueryStats) bool {
 // TestDeciderRouteKeepsAnswersAndStats: with the decision in front of the
 // refiner, unbanded L∞ range and k-NN queries over a mixed-length corpus
 // (lengths across the 64-column words) return the matches of the disabled
-// cascade to the bit, and every work counter the refiner-only route counts
-// — serially and with workers (k-NN counts serially: parallel k-NN workers
-// see cutoffs that depend on timing).
+// cascade to the bit, and every work counter the refiner-only route counts.
 func TestDeciderRouteKeepsAnswersAndStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	data := synth.RandomWalkSetVaryLen(rng, 400, 20, 260)
@@ -57,59 +55,57 @@ func TestDeciderRouteKeepsAnswersAndStats(t *testing.T) {
 	queries[1] = queries[1][:len(queries[1])*2/3]
 	plain := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, NoCascade: true}
 	decided := 0
-	for _, workers := range []int{1, 3} {
-		tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Workers: workers}
-		for qi, q := range queries {
-			c := newCascade(q, seq.LInf, 0, nil, false)
-			if c.decider == nil {
-				t.Fatalf("query %d (|Q| = %d): no decider", qi, len(q))
+	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf}
+	for qi, q := range queries {
+		c := newCascade(q, seq.LInf, 0, nil, false)
+		if c.decider == nil {
+			t.Fatalf("query %d (|Q| = %d): no decider", qi, len(q))
+		}
+		c.close()
+		for _, eps := range []float64{0.05, 0.3, 0.8} {
+			got, err := tw.Search(q, eps)
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.close()
-			for _, eps := range []float64{0.05, 0.3, 0.8} {
-				got, err := tw.Search(q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var ref *Result
-				withoutDecider(func() { ref, err = tw.Search(q, eps) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.Search(q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameMatches(t, "range", got.Matches, want.Matches)
-				sameMatches(t, "refiner-only range", ref.Matches, want.Matches)
-				if workCounts(got.Stats) != workCounts(ref.Stats) || !conserved(got.Stats) {
-					t.Fatalf("workers %d query %d eps %g: stats %+v, refiner-only %+v",
-						workers, qi, eps, workCounts(got.Stats), workCounts(ref.Stats))
-				}
-				decided += got.Stats.Candidates
+			var ref *Result
+			withoutDecider(func() { ref, err = tw.Search(q, eps) })
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, k := range []int{1, 7, 40} {
-				got, gs, err := tw.NearestKSharedStats(q, k, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var (
-					ref []Match
-					rs  QueryStats
-				)
-				withoutDecider(func() { ref, rs, err = tw.NearestKSharedStats(q, k, nil) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameMatches(t, "k-NN", got, want)
-				sameMatches(t, "refiner-only k-NN", ref, want)
-				if !conserved(gs) || (workers == 1 && workCounts(gs) != workCounts(rs)) {
-					t.Fatalf("workers %d query %d k %d: stats %+v, refiner-only %+v",
-						workers, qi, k, workCounts(gs), workCounts(rs))
-				}
+			want, err := plain.Search(q, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatches(t, "range", got.Matches, want.Matches)
+			sameMatches(t, "refiner-only range", ref.Matches, want.Matches)
+			if workCounts(got.Stats) != workCounts(ref.Stats) || !conserved(got.Stats) {
+				t.Fatalf("query %d eps %g: stats %+v, refiner-only %+v",
+					qi, eps, workCounts(got.Stats), workCounts(ref.Stats))
+			}
+			decided += got.Stats.Candidates
+		}
+		for _, k := range []int{1, 7, 40} {
+			got, gs, err := tw.NearestKSharedStats(q, k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				ref []Match
+				rs  QueryStats
+			)
+			withoutDecider(func() { ref, rs, err = tw.NearestKSharedStats(q, k, nil) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.NearestK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatches(t, "k-NN", got, want)
+			sameMatches(t, "refiner-only k-NN", ref, want)
+			if !conserved(gs) || workCounts(gs) != workCounts(rs) {
+				t.Fatalf("query %d k %d: stats %+v, refiner-only %+v",
+					qi, k, workCounts(gs), workCounts(rs))
 			}
 		}
 	}
@@ -182,7 +178,7 @@ func TestLongQueryKeepsRefinerRoute(t *testing.T) {
 	data := synth.RandomWalkSetVaryLen(rng, 40, 1025, 1100)
 	data = append(data, data[0][:1024], data[0][:1025])
 	db, idx := buildFixture(t, data)
-	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Workers: 2}
+	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf}
 	plain := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, NoCascade: true}
 	for _, m := range []int{1024, 1025} {
 		q := data[0][:m].Clone()
@@ -248,7 +244,7 @@ func TestLongCandidateKeepsRefinerRoute(t *testing.T) {
 	}
 
 	db, idx := buildFixture(t, data)
-	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Workers: 2}
+	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf}
 	plain := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, NoCascade: true}
 	got, err := tw.Search(q, 0.6)
 	if err != nil {
@@ -267,29 +263,6 @@ func TestLongCandidateKeepsRefinerRoute(t *testing.T) {
 	}
 }
 
-// TestWorkersShareDeciderNotReachRows: the cascades of one unbanded L∞
-// query's workers share its decider, but each keeps reach rows in its own
-// refiner: a decision on one worker leaves another's rows, and the windowed
-// DP it feeds, as they were.
-func TestWorkersShareDeciderNotReachRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	s0, s1 := synth.RandomWalk(rng, 150), synth.RandomWalk(rng, 90)
-	q := synth.Query(rng, []seq.Sequence{s0})
-	cs := workerCascades(newCascade(q, seq.LInf, 0, nil, false), 2)
-	defer cs[0].close()
-	defer cs[1].close()
-	if cs[0].decider == nil || cs[1].decider != cs[0].decider || cs[1].refiner == cs[0].refiner {
-		t.Fatalf("decider %p / %p, refiner %p / %p", cs[0].decider, cs[1].decider, cs[0].refiner, cs[1].refiner)
-	}
-	d0 := dtw.Distance(s0, q, seq.LInf)
-	if !cs[0].decider.WithinKeep(s0, d0, cs[0].refiner) || !cs[1].decider.WithinKeep(s1, dtw.Inf, cs[1].refiner) {
-		t.Fatal("a decision at or above the distance said no")
-	}
-	if d, ok := cs[0].refiner.CorridorDistance(s0, q); !ok || math.Float64bits(d) != math.Float64bits(d0) {
-		t.Fatalf("worker 0 after worker 1 decided: (%v, %v), Distance %v", d, ok, d0)
-	}
-}
-
 // TestWarmUnbandedRangeQueryAllocs: a warmed serial unbanded range query
 // allocates no more with the decision than on the refiner-only route (1 754
 // allocations a query on this fixture, as before the decision existed): the
@@ -303,7 +276,7 @@ func TestWarmUnbandedRangeQueryAllocs(t *testing.T) {
 	data := synth.RandomWalkSetVaryLen(rng, 2000, 64, 192)
 	db, idx := buildFixture(t, data)
 	q := synth.Query(rng, data)
-	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Workers: 1}
+	tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf}
 	for i := 0; i < 5; i++ {
 		if _, err := tw.Search(q, 0.5); err != nil {
 			t.Fatal(err)

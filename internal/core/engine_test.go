@@ -13,16 +13,14 @@ import (
 
 // TestFlatEngineOracle: the flat index a database serves from must answer
 // bit-identically to the paper's R-tree (FeatureIndex) for Search and
-// NearestK — across all three bases, serial and parallel refinement, and
-// unbanded plus banded queries — over the same heap, the same envelope
+// NearestK — across all three bases and unbanded plus banded queries — over the same heap, the same envelope
 // store and the same entries: first a bulk-loaded snapshot, then with delta
 // adds and tombstones on top of it.
 //
 // The engines walk different structures but answer from the same closed
 // query rect and the same refinement cascade, so the match sets — unique by
 // (Dist, ID) with overwhelming probability on random walks — must agree
-// exactly, and so must the range candidates. With one refine worker nothing
-// reads a momentarily stale cutoff, so the k-NN work must agree too: both
+// exactly, and so must the range candidates. The k-NN work must agree too: both
 // engines key their walk through the same envelope store, stream the same
 // candidates at the same keys and stop on the same one. Frontier re-pushes
 // are not compared: an item re-enters the frontier when its sharpened key
@@ -59,45 +57,43 @@ func TestFlatEngineOracle(t *testing.T) {
 			}
 		}()
 		for name, base := range bases {
-			for _, workers := range []int{1, 4} {
-				for _, band := range []int{0, 8} {
-					label := fmt.Sprintf("%s/workers%d/band%d", name, workers, band)
-					searcher := func(idx Index) *TWSimSearch {
-						return &TWSimSearch{DB: store, Index: idx, Base: base, Workers: workers, Band: band, Envs: envs}
+			for _, band := range []int{0, 8} {
+				label := fmt.Sprintf("%s/band%d", name, band)
+				searcher := func(idx Index) *TWSimSearch {
+					return &TWSimSearch{DB: store, Index: idx, Base: base, Band: band, Envs: envs}
+				}
+				qrng := rand.New(rand.NewSource(99))
+				for trial := 0; trial < 6; trial++ {
+					q := synth.Query(qrng, live)
+					eps := 0.1 + qrng.Float64()*0.7
+					gr, err := searcher(rtree).Search(q, eps)
+					if err != nil {
+						t.Fatal(err)
 					}
-					qrng := rand.New(rand.NewSource(99))
-					for trial := 0; trial < 6; trial++ {
-						q := synth.Query(qrng, live)
-						eps := 0.1 + qrng.Float64()*0.7
-						gr, err := searcher(rtree).Search(q, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fr, err := searcher(flat).Search(q, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(gr.Matches, fr.Matches) || gr.Stats.Candidates != fr.Stats.Candidates {
-							t.Fatalf("%s trial %d eps=%g: Search diverged: rtree %d matches of %d candidates, flat %d of %d",
-								label, trial, eps, len(gr.Matches), gr.Stats.Candidates, len(fr.Matches), fr.Stats.Candidates)
-						}
-						matches += len(fr.Matches)
-						k := 1 + qrng.Intn(8)
-						gk, gs, err := searcher(rtree).NearestKSharedStats(q, k, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fk, fs, err := searcher(flat).NearestKSharedStats(q, k, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(gk, fk) {
-							t.Fatalf("%s trial %d k=%d: NearestK diverged", label, trial, k)
-						}
-						if workers == 1 && (gs.Candidates != fs.Candidates || gs.KNNEnvCutoffs != fs.KNNEnvCutoffs) {
-							t.Fatalf("%s trial %d k=%d: k-NN work diverged: rtree candidates=%d envCutoffs=%d, flat %d/%d",
-								label, trial, k, gs.Candidates, gs.KNNEnvCutoffs, fs.Candidates, fs.KNNEnvCutoffs)
-						}
+					fr, err := searcher(flat).Search(q, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(gr.Matches, fr.Matches) || gr.Stats.Candidates != fr.Stats.Candidates {
+						t.Fatalf("%s trial %d eps=%g: Search diverged: rtree %d matches of %d candidates, flat %d of %d",
+							label, trial, eps, len(gr.Matches), gr.Stats.Candidates, len(fr.Matches), fr.Stats.Candidates)
+					}
+					matches += len(fr.Matches)
+					k := 1 + qrng.Intn(8)
+					gk, gs, err := searcher(rtree).NearestKSharedStats(q, k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fk, fs, err := searcher(flat).NearestKSharedStats(q, k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(gk, fk) {
+						t.Fatalf("%s trial %d k=%d: NearestK diverged", label, trial, k)
+					}
+					if gs.Candidates != fs.Candidates || gs.KNNEnvCutoffs != fs.KNNEnvCutoffs {
+						t.Fatalf("%s trial %d k=%d: k-NN work diverged: rtree candidates=%d envCutoffs=%d, flat %d/%d",
+							label, trial, k, gs.Candidates, gs.KNNEnvCutoffs, fs.Candidates, fs.KNNEnvCutoffs)
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/dtw"
@@ -14,9 +13,9 @@ import (
 
 // ctxErr reports the context's error when it is already done; a nil context
 // never cancels. Cancellation is checked at candidate boundaries (one check
-// per dispatch slot, never per DP cell), so an abandoned query stops issuing
-// DTW calls after at most one in-flight candidate per worker — cheap enough
-// to sit on the hot path, prompt enough to matter under load.
+// per candidate, never per DP cell), so an abandoned query stops issuing
+// DTW calls after at most the candidate in flight — cheap enough to sit on
+// the hot path, prompt enough to matter under load.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -52,17 +51,8 @@ type Searcher interface {
 // and it keeps reads available until the next Repair removes the entries.
 // Skipped candidates never touch DTWCalls — the counter reflects only
 // candidates the exact step actually decided.
-//
-// With workers > 1 the candidates fan out to a bounded worker pool (see
-// refineParallel); the matches and the aggregated stats are bit-identical
-// to the serial loop because the pruning cutoff is the fixed tolerance ε,
-// so every candidate's verdict is independent of evaluation order.
 func refine(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequence, epsilon float64,
-	ids []seq.ID, noCascade bool, band int, envs *EnvStore,
-	workers int, stats *QueryStats) ([]Match, error) {
-	if workers > 1 && len(ids) > 1 {
-		return refineParallel(ctx, db, base, q, epsilon, ids, noCascade, band, envs, workers, stats)
-	}
+	ids []seq.ID, noCascade bool, band int, envs *EnvStore, stats *QueryStats) ([]Match, error) {
 	c := newCascade(q, base, band, envs, noCascade)
 	defer c.close()
 	var matches []Match
@@ -214,12 +204,6 @@ type TWSimSearch struct {
 	// An additive Base takes the same path whatever NoCascade says (see
 	// reference).
 	NoCascade bool
-	// Workers bounds the intra-query refinement parallelism. Values ≤ 1
-	// keep the historical serial execution (the zero value is serial, so
-	// direct constructions — including the experiment drivers, whose
-	// per-query I/O accounting depends on a deterministic fetch order —
-	// are unchanged). The public layer resolves its default to GOMAXPROCS.
-	Workers int
 	// Band is the Sakoe–Chiba half-width the query searches under: 0 (the
 	// zero value) answers the paper's unconstrained distance, ≥ 1 answers
 	// dtw.BandDistance with that half-width. The index filter and the LB_PAA
@@ -231,11 +215,11 @@ type TWSimSearch struct {
 	// per-record PAA envelopes.
 	Envs *EnvStore
 	// Ctx, when set, cancels the query at the next candidate boundary: the
-	// refine loop (serial or parallel) and the k-NN walk check it once per
-	// candidate and return its error, so an abandoned query stops issuing
-	// DTW calls promptly. Cancellation can only abandon work, never skip a
-	// qualifying candidate, so a completed query is bit-identical whether or
-	// not a context was attached. Nil never cancels.
+	// refine loop and the k-NN walk check it once per candidate and return
+	// its error, so an abandoned query stops issuing DTW calls promptly.
+	// Cancellation can only abandon work, never skip a qualifying
+	// candidate, so a completed query is bit-identical whether or not a
+	// context was attached. Nil never cancels.
 	Ctx context.Context
 }
 
@@ -268,7 +252,7 @@ func (t *TWSimSearch) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	res.Stats.FilterWall = time.Since(start)
 	res.Stats.Candidates = len(ids)
 	refineStart := time.Now()
-	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, ids, t.reference(), t.Band, t.Envs, t.Workers, &res.Stats)
+	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, ids, t.reference(), t.Band, t.Envs, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -363,12 +347,10 @@ func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, top *knnTop, stats
 	return err
 }
 
-// knnTop is the state the candidate evaluations of one k-NN query share: the
-// k best exact distances so far and the cross-shard bound. The serial walk
-// and the parallel workers go through the same methods; mu is uncontended in
-// the serial case.
+// knnTop is one k-NN query's running answer: the k best exact distances so
+// far and the cross-shard bound. Each query owns its own; only the atomic
+// SharedBound crosses shards.
 type knnTop struct {
-	mu     sync.Mutex
 	k      int
 	best   []Match // a max-heap on (Dist, ID) of ≤ k entries: best[0] is the worst kept
 	shared *SharedBound
@@ -377,12 +359,10 @@ type knnTop struct {
 // cutoff is the current pruning bound: min(k-th best exact, shared bound).
 // Both only ever shrink.
 func (kt *knnTop) cutoff() float64 {
-	kt.mu.Lock()
 	c := math.Inf(1)
 	if len(kt.best) == kt.k {
 		c = kt.best[0].Dist
 	}
-	kt.mu.Unlock()
 	if kt.shared != nil {
 		if g := kt.shared.Load(); g < c {
 			c = g
@@ -392,12 +372,11 @@ func (kt *knnTop) cutoff() float64 {
 }
 
 // admit records one candidate's exact distance, publishing the k-th best to
-// the shared bound once k survivors exist. It costs O(log k) under the lock:
-// a candidate fills the heap until k are kept, and after that replaces the
-// top only when it orders before it.
+// the shared bound once k survivors exist. It costs O(log k): a candidate
+// fills the heap until k are kept, and after that replaces the top only
+// when it orders before it.
 func (kt *knnTop) admit(id seq.ID, d float64) {
 	m := Match{ID: id, Dist: d}
-	kt.mu.Lock()
 	h := kt.best
 	switch {
 	case len(h) < kt.k:
@@ -431,7 +410,6 @@ func (kt *knnTop) admit(id seq.ID, d float64) {
 	if kt.shared != nil && len(h) == kt.k {
 		kt.shared.Update(h[0].Dist)
 	}
-	kt.mu.Unlock()
 }
 
 // sorted returns the kept matches ascending by (Dist, ID). Call it once the
@@ -446,11 +424,10 @@ func matchLess(a, b Match) bool {
 	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
 }
 
-// knnCandidate is the one k-NN candidate body, called inline by the serial
-// walk and from the parallel workers: LB_PAA by ID against the current
-// cutoff, the heap fetch (a dangling index entry is skipped, not an error),
-// then the full DP while the cutoff is still infinite and the cascade
-// afterwards. A candidate LB_PAA dismisses is still a candidate, so it is
+// knnCandidate is the k-NN candidate body, called inline by the walk: LB_PAA
+// by ID against the current cutoff, the heap fetch (a dangling index entry
+// is skipped, not an error), then the full DP while the cutoff is still
+// infinite and the cascade afterwards. A candidate LB_PAA dismisses is still a candidate, so it is
 // counted before the fetch; the others are counted after it, where dangling
 // entries are excluded — Candidates = ΣPruned + DTWCalls either way.
 func (t *TWSimSearch) knnCandidate(c *cascade, top *knnTop, id seq.ID, stats *QueryStats) error {
@@ -491,9 +468,6 @@ func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound,
 		return nil, nil
 	}
 	top := &knnTop{k: k, shared: shared}
-	if t.Workers > 1 {
-		return t.nearestKParallel(q, fq, top, stats)
-	}
 	c := newCascade(q, t.Base, t.Band, t.Envs, t.reference())
 	defer c.close()
 	var candErr error

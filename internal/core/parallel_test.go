@@ -3,20 +3,22 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dtw"
 	"repro/internal/seq"
+	"repro/internal/seqdb"
 	"repro/internal/synth"
 )
 
-// scrubIO zeroes the fields that legitimately vary between serial and
-// parallel execution: wall time, and the buffer-pool counters (concurrent
-// fetch interleavings change eviction order, hence miss counts). Everything
-// else — candidate counts, per-tier prune counts, DTW work — must be
-// identical, because with a fixed cutoff every candidate's verdict is
-// independent of evaluation order.
+// scrubIO zeroes the fields that legitimately vary between a query run alone
+// and the same query run beside others: wall time, and the buffer-pool
+// counters, which are the heap's and the index's shared counters read
+// before and after the query, so they include the other queries' reads.
+// Everything else — candidate counts, per-tier prune counts, DTW work, the
+// k-NN walk's frontier counters — is the query's own and must be identical.
 func scrubIO(s QueryStats) QueryStats {
 	s.Wall, s.FilterWall, s.RefineWall = 0, 0, 0
 	s.DataReads, s.DataMisses, s.DataSeqMisses = 0, 0, 0
@@ -26,8 +28,7 @@ func scrubIO(s QueryStats) QueryStats {
 
 // checkConservation asserts the refinement ledger balances: every candidate
 // the filter admitted was either pruned by exactly one cascade tier or paid
-// an exact DTW call. Parallel refinement sums per-worker stats, so a lost or
-// double-counted candidate would break this.
+// an exact DTW call.
 func checkConservation(t *testing.T, s QueryStats) {
 	t.Helper()
 	pruned := s.LBPAAPruned + s.LBKeoghPruned + s.CorridorPruned
@@ -37,11 +38,48 @@ func checkConservation(t *testing.T, s QueryStats) {
 	}
 }
 
-// TestParallelRefineOracle: range search with a worker pool returns
-// bit-identical matches and identical work counters versus the serial path,
-// for every base, with and without the cascade.
+// concurrentFixture is buildFixture's heap behind the index a database
+// serves from (a flat slab) with every record's envelope in one EnvStore,
+// so concurrent queries share the index, the store and the heap.
+func concurrentFixture(t *testing.T, data []seq.Sequence) (*seqdb.DB, Index, *EnvStore) {
+	t.Helper()
+	db, _ := buildFixture(t, data)
+	idx, err := NewFlatIndex(IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	envs := NewEnvStore()
+	if _, err := Derive(db, idx, envs); err != nil {
+		t.Fatal(err)
+	}
+	return db, idx, envs
+}
+
+// concurrently calls fn(i) for every i in [0, n) on each of four
+// goroutines at once, each starting a quarter further along, so that
+// different queries overlap in time.
+func concurrently(n int, fn func(i int)) {
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				fn((j + g*n/goroutines) % n)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestParallelRefineOracle: range queries run from several goroutines at
+// once against one fixture — sharing the refiner, decider and scratch pools
+// and one EnvStore — each return the matches and the work counters of the
+// same query run alone, bit for bit, for every base, unbanded and banded,
+// with and without the cascade.
 func TestParallelRefineOracle(t *testing.T) {
-	workerCounts := []int{2, 3, runtime.GOMAXPROCS(0) + 1}
 	for _, base := range []seq.Base{seq.LInf, seq.L1, seq.L2Sq} {
 		for _, noCascade := range []bool{false, true} {
 			name := base.String()
@@ -51,106 +89,107 @@ func TestParallelRefineOracle(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(59))
 				data := synth.RandomWalkSetVaryLen(rng, 150, 5, 40)
-				db, idx := buildFixture(t, data)
-				serial := &TWSimSearch{DB: db, Index: idx, Base: base, NoCascade: noCascade}
+				db, idx, envs := concurrentFixture(t, data)
 				epsilons := []float64{0.05, 0.3, 1.2}
 				if base == seq.L2Sq || base == seq.L1 {
 					epsilons = []float64{0.5, 3, 15}
 				}
-				for qi, q := range synth.Queries(rng, data, 8) {
+				type call struct {
+					tw   *TWSimSearch
+					q    seq.Sequence
+					eps  float64
+					want *Result
+				}
+				var calls []call
+				for _, q := range synth.Queries(rng, data, 8) {
 					for _, eps := range epsilons {
-						want, err := serial.Search(q, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkConservation(t, want.Stats)
-						for _, w := range workerCounts {
-							par := &TWSimSearch{DB: db, Index: idx, Base: base, NoCascade: noCascade, Workers: w}
-							got, err := par.Search(q, eps)
+						for _, band := range []int{0, 3} {
+							tw := &TWSimSearch{DB: db, Index: idx, Base: base, NoCascade: noCascade, Band: band, Envs: envs}
+							want, err := tw.Search(q, eps)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if len(got.Matches) != len(want.Matches) {
-								t.Fatalf("query %d eps %g workers %d: %d matches, serial %d",
-									qi, eps, w, len(got.Matches), len(want.Matches))
-							}
-							for i := range want.Matches {
-								if got.Matches[i] != want.Matches[i] {
-									t.Fatalf("query %d eps %g workers %d match %d: %+v, serial %+v",
-										qi, eps, w, i, got.Matches[i], want.Matches[i])
-								}
-							}
-							if g, s := scrubIO(got.Stats), scrubIO(want.Stats); g != s {
-								t.Fatalf("query %d eps %g workers %d: stats diverge\nparallel %+v\nserial   %+v",
-									qi, eps, w, g, s)
-							}
-							checkConservation(t, got.Stats)
+							checkConservation(t, want.Stats)
+							calls = append(calls, call{tw, q, eps, want})
 						}
 					}
 				}
+				concurrently(len(calls), func(i int) {
+					c := calls[i]
+					got, err := c.tw.Search(c.q, c.eps)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !slices.Equal(got.Matches, c.want.Matches) {
+						t.Errorf("call %d (eps %g band %d): %+v, alone %+v", i, c.eps, c.tw.Band, got.Matches, c.want.Matches)
+					}
+					if g, w := scrubIO(got.Stats), scrubIO(c.want.Stats); g != w {
+						t.Errorf("call %d (eps %g band %d): stats diverge\nconcurrent %+v\nalone      %+v", i, c.eps, c.tw.Band, g, w)
+					}
+				})
 			})
 		}
 	}
 }
 
-// TestParallelNearestKOracle: parallel k-NN verification returns the exact
-// serial result — same IDs, same float64 distances, same order — with and
-// without a cross-partition shared bound. (Work counters may differ: a
-// worker can observe a momentarily stale cutoff and run a DTW the serial
-// path would have pruned; the result set is still provably identical.)
+// TestParallelNearestKOracle: k-NN queries run from several goroutines at
+// once against one fixture each return the matches — same IDs, same
+// float64 distances, same order — and the work counters of the same query
+// run alone, with and without a cross-partition shared bound of their own,
+// unbanded and banded.
 func TestParallelNearestKOracle(t *testing.T) {
 	for _, base := range []seq.Base{seq.LInf, seq.L1, seq.L2Sq} {
 		t.Run(base.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(61))
 			data := synth.RandomWalkSetVaryLen(rng, 120, 5, 35)
-			db, idx := buildFixture(t, data)
-			serial := &TWSimSearch{DB: db, Index: idx, Base: base}
+			db, idx, envs := concurrentFixture(t, data)
+			type call struct {
+				tw     *TWSimSearch
+				q      seq.Sequence
+				k      int
+				shared bool
+				want   []Match
+				stats  QueryStats
+			}
+			var calls []call
 			for trial := 0; trial < 8; trial++ {
 				q := synth.Query(rng, data)
 				k := 1 + rng.Intn(9)
-				want, err := serial.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range []int{2, 4} {
-					par := &TWSimSearch{DB: db, Index: idx, Base: base, Workers: w}
-					got, err := par.NearestK(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("trial %d k=%d workers %d: %d matches, serial %d",
-							trial, k, w, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("trial %d k=%d workers %d rank %d: %+v, serial %+v",
-								trial, k, w, i, got[i], want[i])
+				for _, band := range []int{0, 3} {
+					tw := &TWSimSearch{DB: db, Index: idx, Base: base, Band: band, Envs: envs}
+					for _, shared := range []bool{false, true} {
+						var bound *SharedBound
+						if shared {
+							bound = NewSharedBound()
 						}
-					}
-					// Shared bound seeded identically on both sides: the
-					// parallel walk must still produce the serial answer.
-					wb, gb := NewSharedBound(), NewSharedBound()
-					wantB, err := serial.NearestKShared(q, k, wb)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotB, err := par.NearestKShared(q, k, gb)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(gotB) != len(wantB) {
-						t.Fatalf("trial %d k=%d workers %d shared: %d matches, serial %d",
-							trial, k, w, len(gotB), len(wantB))
-					}
-					for i := range wantB {
-						if gotB[i] != wantB[i] {
-							t.Fatalf("trial %d k=%d workers %d shared rank %d: %+v, serial %+v",
-								trial, k, w, i, gotB[i], wantB[i])
+						want, stats, err := tw.NearestKSharedStats(q, k, bound)
+						if err != nil {
+							t.Fatal(err)
 						}
+						checkConservation(t, stats)
+						calls = append(calls, call{tw, q, k, shared, want, stats})
 					}
 				}
 			}
+			concurrently(len(calls), func(i int) {
+				c := calls[i]
+				var bound *SharedBound
+				if c.shared {
+					bound = NewSharedBound()
+				}
+				got, stats, err := c.tw.NearestKSharedStats(c.q, c.k, bound)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, c.want) {
+					t.Errorf("call %d (k=%d band %d shared %v): %+v, alone %+v", i, c.k, c.tw.Band, c.shared, got, c.want)
+				}
+				if g, w := scrubIO(stats), scrubIO(c.stats); g != w {
+					t.Errorf("call %d (k=%d band %d shared %v): stats diverge\nconcurrent %+v\nalone      %+v", i, c.k, c.tw.Band, c.shared, g, w)
+				}
+			})
 		})
 	}
 }
@@ -256,6 +295,7 @@ func TestL2SqBruteForceOracle(t *testing.T) {
 		near[i] = noisy(walk)
 	}
 	ndb, nidx := buildFixture(t, near)
+	ns := &TWSimSearch{DB: ndb, Index: nidx, Base: seq.L2Sq}
 	for trial := 0; trial < 6; trial++ {
 		q := noisy(walk)
 		all := make([]Match, len(near))
@@ -266,54 +306,20 @@ func TestL2SqBruteForceOracle(t *testing.T) {
 			}
 		}
 		sortMatches(all)
-		for _, workers := range []int{1, 2} {
-			ns := &TWSimSearch{DB: ndb, Index: nidx, Base: seq.L2Sq, Workers: workers}
-			for _, k := range []int{1, 5, 20} {
-				got, err := ns.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != k {
-					t.Fatalf("trial %d workers %d k=%d: %d matches", trial, workers, k, len(got))
-				}
-				for i := range got {
-					if got[i] != all[i] {
-						t.Fatalf("trial %d workers %d k=%d rank %d: %+v, brute force %+v", trial, workers, k, i, got[i], all[i])
-					}
+		for _, k := range []int{1, 5, 20} {
+			got, err := ns.NearestK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k {
+				t.Fatalf("trial %d k=%d: %d matches", trial, k, len(got))
+			}
+			for i := range got {
+				if got[i] != all[i] {
+					t.Fatalf("trial %d k=%d rank %d: %+v, brute force %+v", trial, k, i, got[i], all[i])
 				}
 			}
 		}
-	}
-}
-
-// TestWorkerCascadesShareEnvelopes: a query refined on several goroutines
-// builds its envelope once — every worker's cascade reads the first one's —
-// while the state a candidate evaluation writes stays per worker. A cascade
-// under an additive base is disabled, like NoCascade's.
-func TestWorkerCascadesShareEnvelopes(t *testing.T) {
-	q := synth.RandomWalk(rand.New(rand.NewSource(5)), 32)
-	cs := workerCascades(newCascade(q, seq.LInf, 4, nil, false), 3)
-	for w, c := range cs {
-		defer c.close()
-		if &c.bandEnv.Lower[0] != &cs[0].bandEnv.Lower[0] {
-			t.Fatalf("worker %d rebuilt the query's envelope", w)
-		}
-		if c.band != 4 || c.base != seq.LInf || c.refiner == nil {
-			t.Fatalf("worker %d: band %d base %v refiner %v", w, c.band, c.base, c.refiner)
-		}
-		if w > 0 && (c == cs[0] || c.refiner == cs[0].refiner) {
-			t.Fatalf("worker %d shares the first cascade's mutable state", w)
-		}
-	}
-	if off := workerCascades(newCascade(q, seq.LInf, 0, nil, true), 2)[1]; !off.disabled || off.refiner != nil {
-		t.Fatalf("a disabled cascade's worker: disabled %v refiner %v", off.disabled, off.refiner)
-	}
-	for _, base := range []seq.Base{seq.L1, seq.L2Sq} {
-		add := newCascade(q, base, 4, nil, false)
-		if !add.disabled || add.refiner != nil || add.decider != nil || add.bandEnv.Lower != nil {
-			t.Fatalf("base %v: the cascade prunes an additive base (disabled %v)", base, add.disabled)
-		}
-		add.close()
 	}
 }
 
@@ -321,8 +327,7 @@ func TestWorkerCascadesShareEnvelopes(t *testing.T) {
 // brute-force sort: banded k-NN over equal-length walks, some stored twice
 // so that distances tie and the ID breaks them, returns exactly the first k
 // of all records sorted by (BandDistance, ID) — the same IDs and the same
-// distance bits — for k of 1, 10, n and n + 7, with one refine worker and
-// with two.
+// distance bits — for k of 1, 10, n and n + 7.
 func TestNearestKTopMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	data := synth.RandomWalkSet(rng, 200, 32)
@@ -347,19 +352,17 @@ func TestNearestKTopMatchesSort(t *testing.T) {
 		sortMatches(all)
 		for _, k := range []int{1, 10, n, n + 7} {
 			want := all[:min(k, n)]
-			for _, workers := range []int{1, 2} {
-				tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, Envs: envs, Workers: workers}
-				got, err := tw.NearestK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("trial %d k=%d workers %d: %d matches, want %d", trial, k, workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("trial %d k=%d workers %d rank %d: %+v, want %+v", trial, k, workers, i, got[i], want[i])
-					}
+			tw := &TWSimSearch{DB: db, Index: idx, Base: seq.LInf, Band: band, Envs: envs}
+			got, err := tw.NearestK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d matches, want %d", trial, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("trial %d k=%d rank %d: %+v, want %+v", trial, k, i, got[i], want[i])
 				}
 			}
 		}

@@ -89,7 +89,7 @@ func (f *STFilter) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	candidates := f.collectCandidates(q, epsilon, &res.Stats)
 	res.Stats.Candidates = len(candidates)
 	var err error
-	res.Matches, err = refine(nil, f.DB, f.Base, q, epsilon, candidates, false, 0, nil, 1, &res.Stats)
+	res.Matches, err = refine(nil, f.DB, f.Base, q, epsilon, candidates, false, 0, nil, &res.Stats)
 	if err != nil {
 		return nil, err
 	}

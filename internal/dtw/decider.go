@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/seq"
 )
@@ -19,7 +18,7 @@ const maxDeciderLen = 1024
 // maxReachWords caps the reach rows WithinKeep keeps in a Refiner:
 // n·⌈m/64⌉ words, 256 KiB. A pooled Refiner keeps what it grew to, so
 // without a cap one 10⁵-element candidate against a 1 024-element query
-// would leave 12.8 MB in each worker's pool. A pair over the cap keeps no
+// would leave 12.8 MB in each pooled Refiner. A pair over the cap keeps no
 // rows, and the caller values it with Refiner.DistanceWithin instead.
 const maxReachWords = 1 << 15
 
@@ -53,10 +52,8 @@ const bucketsPerElem = 16
 // widening, and "no" and "yes" are both exact.
 //
 // Acquire one per query with AcquireDecider and Release it when the query
-// completes; Share hands the same read-only index to another goroutine,
-// which releases its share in turn. Within keeps its reach row on its own
-// stack and WithinKeep its rows in the caller's Refiner, so a Decider is
-// safe for concurrent use.
+// completes. Within keeps its reach row on its own stack and WithinKeep its
+// rows in the caller's Refiner, so a Decider is safe for concurrent use.
 type Decider struct {
 	m, words int
 	sorted   []float64 // Q's values, ascending
@@ -71,7 +68,6 @@ type Decider struct {
 	table     []int32
 	lo, scale float64
 	feat      seq.Feature
-	refs      atomic.Int32
 }
 
 var deciderPool = sync.Pool{New: func() any { return &Decider{} }}
@@ -90,21 +86,12 @@ func AcquireDecider(q seq.Sequence) *Decider {
 	}
 	d := deciderPool.Get().(*Decider)
 	d.build(q)
-	d.refs.Store(1)
 	return d
 }
 
-// Share adds a holder of d; each holder calls Release once. Nil-safe.
-func (d *Decider) Share() *Decider {
-	if d != nil {
-		d.refs.Add(1)
-	}
-	return d
-}
-
-// Release drops one holder; the last returns d to the pool. Nil-safe.
+// Release returns d to the pool. Nil-safe.
 func (d *Decider) Release() {
-	if d != nil && d.refs.Add(-1) == 0 {
+	if d != nil {
 		deciderPool.Put(d)
 	}
 }

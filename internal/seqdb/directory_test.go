@@ -88,6 +88,12 @@ func TestLoadDirectoryRefusesDamage(t *testing.T) {
 		"offset repeated":               func(b []byte) { put64(b, offsetAt(5), u64(b, offsetAt(4))) },
 		"offsets out of order":          func(b []byte) { put64(b, offsetAt(5), u64(b, offsetAt(3))) },
 		"negative offset":               func(b []byte) { put64(b, offsetAt(0), 1<<63) },
+		// offset 4 − offset 3 wraps around to a positive int64.
+		"offsets whose difference overflows": func(b []byte) {
+			put64(b, offsetAt(3), 0x6ca9a9a9a9a9a907)
+			put64(b, offsetAt(4), 0xa000000000000000)
+			put64(b, offsetAt(5), 0xdc00010000000000)
+		},
 		"record shorter than a header and one element": func(b []byte) {
 			put64(b, offsetAt(5), u64(b, offsetAt(4))+4)
 		},

@@ -546,10 +546,12 @@ func (db *DB) loadDirectory() error {
 	if capacity := int64(db.pool.NumPages()) * int64(db.pool.PayloadSize()); total < 0 || total > capacity {
 		return fmt.Errorf("seqdb: directory damaged: %d bytes recorded, the data file holds at most %d", total, capacity)
 	}
-	if n > 0 && offsets[0] < 0 {
-		return fmt.Errorf("seqdb: directory damaged: record 0 at offset %d", offsets[0])
-	}
 	for i := 0; i < n; i++ {
+		// A negative offset is refused before its difference is taken:
+		// between two nonnegative int64s the subtraction cannot overflow.
+		if offsets[i] < 0 {
+			return fmt.Errorf("seqdb: directory damaged: record %d at offset %d", i, offsets[i])
+		}
 		if offsets[i+1]-offsets[i] < minRecord {
 			return fmt.Errorf("seqdb: directory damaged: record %d spans offsets %d..%d", i, offsets[i], offsets[i+1])
 		}

@@ -25,35 +25,11 @@ func (e *Engine) SearchCtx(ctx context.Context, query []float64, epsilon float64
 	return e.search(ctx, query, epsilon, band, true)
 }
 
-// perShardWorkers splits the engine's refine budget across the shards one
-// search visits concurrently: with C = min(parallelism, shards) shard
-// workers in flight, each may spend ⌊budget/C⌋ (at least 1) intra-query
-// refinement workers, so one search runs at most ~budget refinement
-// goroutines no matter how the shard count and fan-out pool are
-// configured. Serial shard visits (SearchBatchCtx's per-query workers) get 1:
-// the batch dispatcher already runs one worker per query, and nesting
-// intra-query pools under that is what the budget exists to prevent.
-func (e *Engine) perShardWorkers(parallel bool) int {
-	if !parallel {
-		return 1
-	}
-	conc := e.parallelism
-	if conc > len(e.stores) {
-		conc = len(e.stores)
-	}
-	per := e.refineWorkers / conc
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
 func (e *Engine) search(ctx context.Context, query []float64, epsilon float64, band int, parallel bool) (*core.Result, error) {
 	start := time.Now()
-	workers := e.perShardWorkers(parallel)
 	results := make([]*core.Result, len(e.stores))
 	run := func(si int) error {
-		res, err := e.stores[si].SearchBandWorkersCtx(ctx, query, epsilon, band, workers)
+		res, err := e.stores[si].SearchCtx(ctx, query, epsilon, band)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
@@ -109,11 +85,10 @@ func (e *Engine) NearestKCtx(ctx context.Context, query []float64, k, band int) 
 	}
 	start := time.Now()
 	bound := core.NewSharedBound()
-	workers := e.perShardWorkers(true)
 	perShard := make([][]core.Match, len(e.stores))
 	perStats := make([]core.QueryStats, len(e.stores))
 	err := e.FanOut(func(si int) error {
-		ms, qs, err := e.stores[si].NearestKStatsBandWorkersCtx(ctx, query, k, band, bound, workers)
+		ms, qs, err := e.stores[si].NearestKStatsBandCtx(ctx, query, k, band, bound)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}

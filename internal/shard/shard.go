@@ -40,18 +40,15 @@ type Store interface {
 	AddAll(values [][]float64) (seq.ID, error)
 	Remove(id seq.ID) (bool, error)
 	Get(id seq.ID) ([]float64, error)
-	// SearchBandWorkersCtx and NearestKStatsBandWorkersCtx take the context
-	// governing the query (nil never cancels; a done context abandons the
-	// shard's work at the next candidate boundary), the Sakoe–Chiba band
-	// half-width the query answers under (0 = unconstrained), and the
-	// number of intra-query refinement workers the shard may use for this
-	// call; the engine computes the latter from its refine budget so
-	// fan-out × intra-query parallelism never oversubscribes (workers ≤ 1
-	// means serial). NearestKStatsBandWorkersCtx reports the query work
-	// alongside the matches so the engine can accumulate k-NN traffic into
-	// the per-shard counters.
-	SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*core.Result, error)
-	NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]core.Match, core.QueryStats, error)
+	// SearchCtx and NearestKStatsBandCtx take the context governing the
+	// query (nil never cancels; a done context abandons the shard's work at
+	// the next candidate boundary) and the Sakoe–Chiba band half-width the
+	// query answers under (0 = unconstrained); each refines on the calling
+	// goroutine. NearestKStatsBandCtx reports the query work alongside the
+	// matches so the engine can accumulate k-NN traffic into the per-shard
+	// counters.
+	SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*core.Result, error)
+	NearestKStatsBandCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound) ([]core.Match, core.QueryStats, error)
 	StorageStats() core.StorageStats
 	IndexEngineStats() core.IndexEngineStats
 	OpenDiagnostics() []string
@@ -69,34 +66,26 @@ type Store interface {
 // use because its Stores are: readers never block each other, and a writer
 // blocks only operations on the same shard.
 type Engine struct {
-	stores        []Store
-	counters      []queryCounters // cumulative per-shard query work
-	next          atomic.Uint32   // insertion counter; placement = next mod N
-	parallelism   int             // fan-out worker bound per search
-	refineWorkers int             // total intra-query refinement budget per search
+	stores      []Store
+	counters    []queryCounters // cumulative per-shard query work
+	next        atomic.Uint32   // insertion counter; placement = next mod N
+	parallelism int             // fan-out worker bound per search
 }
 
 // New builds an engine over the given shards. parallelism bounds the
-// per-search fan-out worker pool; refineWorkers is the total intra-query
-// refinement budget one search may spend across all shards it fans out to,
-// so fan-out and refinement parallelism multiply to at most
-// max(parallelism, refineWorkers) goroutines rather than their product
-// (<= 0 means GOMAXPROCS for either).
-func New(stores []Store, parallelism, refineWorkers int) (*Engine, error) {
+// per-search fan-out worker pool (<= 0 means GOMAXPROCS); each shard's part
+// of a search refines on its fan-out worker.
+func New(stores []Store, parallelism int) (*Engine, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no shards")
 	}
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if refineWorkers <= 0 {
-		refineWorkers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		stores:        stores,
-		counters:      make([]queryCounters, len(stores)),
-		parallelism:   parallelism,
-		refineWorkers: refineWorkers,
+		stores:      stores,
+		counters:    make([]queryCounters, len(stores)),
+		parallelism: parallelism,
 	}
 	// Start the insertion counter past the current contents so placement
 	// stays balanced when an existing database is reopened.

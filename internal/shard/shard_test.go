@@ -69,11 +69,11 @@ func (f *fakeStore) Get(id seq.ID) ([]float64, error) {
 	return v, nil
 }
 
-func (f *fakeStore) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*core.Result, error) {
+func (f *fakeStore) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*core.Result, error) {
 	return &core.Result{}, nil
 }
 
-func (f *fakeStore) NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]core.Match, core.QueryStats, error) {
+func (f *fakeStore) NearestKStatsBandCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound) ([]core.Match, core.QueryStats, error) {
 	return nil, core.QueryStats{}, nil
 }
 
@@ -107,7 +107,7 @@ func newFakeEngine(t *testing.T, n int) (*Engine, []*fakeStore) {
 		fakes[i] = newFakeStore()
 		stores[i] = fakes[i]
 	}
-	e, err := New(stores, 2, 1)
+	e, err := New(stores, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAddAllIDsInInputOrder(t *testing.T) {
 
 // TestEngineRequiresShards: an empty shard set is rejected.
 func TestEngineRequiresShards(t *testing.T) {
-	if _, err := New(nil, 0, 0); err == nil {
+	if _, err := New(nil, 0); err == nil {
 		t.Fatal("New with no shards succeeded")
 	}
 }

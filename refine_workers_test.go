@@ -9,12 +9,12 @@ import (
 	twsim "repro"
 )
 
-// TestRefineWorkersPublicOracle: every (engine, worker budget) combination
-// — the serial single database included — returns Search and NearestK
-// results bit-identical to the brute-force scan, and therefore to one
-// another, for every base distance. This is the end-to-end guarantee behind
-// Options.RefineWorkers: parallel refinement and the striped buffer pool are
-// pure performance features with zero result drift.
+// TestRefineWorkersPublicOracle: every (engine, RefineWorkers) combination
+// returns Search and NearestK results bit-identical to the brute-force scan,
+// and therefore to one another, for every base distance. RefineWorkers is
+// accepted and ignored — every query refines on the goroutine that serves
+// it — so the single database's k-NN work counters at RefineWorkers 4 must
+// equal those at 1 too.
 func TestRefineWorkersPublicOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	for name, base := range bases {
@@ -64,6 +64,7 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 			addSharded("sharded3+serial+cache", twsim.ShardedOptions{Shards: 3, Options: twsim.Options{RefineWorkers: 1, SeqCacheBytes: 1 << 20}})
 
 			rng := rand.New(rand.NewSource(71))
+			knnStats := map[string]twsim.QueryStats{}
 			for trial := 0; trial < 8; trial++ {
 				q := data[rng.Intn(len(data))]
 				eps := rng.Float64() * 2.5
@@ -83,19 +84,33 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 							t.Fatalf("trial %d eps %g %s pass %d: %+v, brute force %+v",
 								trial, eps, v.name, pass, got.Matches, want)
 						}
-						gotK, err := nearestK(v.backend, q, k, 0)
+						res, err := v.backend.NearestKCtx(context.Background(), q, k, 0)
 						if err != nil {
 							t.Fatalf("%s: %v", v.name, err)
 						}
+						gotK := res.Matches
+						knnStats[v.name] = workOf(res.Stats)
 						if !matchesEqual(gotK, wantK) {
 							t.Fatalf("trial %d k=%d %s pass %d: %+v, brute force %+v",
 								trial, k, v.name, pass, gotK, wantK)
 						}
 					}
 				}
+				if one, four := knnStats["workers=1"], knnStats["workers=4"]; one != four {
+					t.Fatalf("trial %d k=%d: k-NN stats at RefineWorkers 4 %+v, at 1 %+v", trial, k, four, one)
+				}
 			}
 		})
 	}
+}
+
+// workOf is a query's work counters: its stats without the wall times and
+// the buffer-pool reads, which vary with timing and with the pool's state.
+func workOf(s twsim.QueryStats) twsim.QueryStats {
+	s.Wall, s.FilterWall, s.RefineWall = 0, 0, 0
+	s.DataReads, s.DataMisses, s.DataSeqMisses = 0, 0, 0
+	s.IndexReads, s.IndexMisses, s.IndexSeqMisses = 0, 0, 0
+	return s
 }
 
 // TestStorageStatsSurface: the public StorageStats snapshot reports the data

@@ -42,11 +42,11 @@ var ErrWALCompacted = wal.ErrCompacted
 var ErrReplicaDiverged = errors.New("twsim: replica diverged from primary record stream")
 
 // The snapshot header, little-endian: u32 magic "TWRF" | u32 version |
-// u64 WAL sequence number of the cut | u64 record slots.
+// u64 WAL sequence number of the cut | u64 record slots | u64 frames.
 const (
 	replMagic     = 0x46525754 // "TWRF"
-	replVersion   = 2
-	replHeaderLen = 24
+	replVersion   = 3
+	replHeaderLen = 32
 	// replFrameBytes is a frame's size besides its sequence: length, type,
 	// sequence number, ID and CRC (an add adds seq.EncodedSize).
 	replFrameBytes = 4 + 1 + 8 + 4 + 4
@@ -80,8 +80,9 @@ func (db *DB) WALTailBase() (uint64, error) {
 // stops reading holds up its own connection only. An error before that
 // Write means w received nothing.
 //
-// The body is a 24-byte header (u32 magic "TWRF" | u32 version 2 | u64
-// seq | u64 record slots) followed by WAL frames (wal.AppendRecord)
+// The body is a 32-byte header (u32 magic "TWRF" | u32 version 3 | u64
+// seq | u64 record slots | u64 frames) followed by WAL frames
+// (wal.AppendRecord)
 // numbered from 1: one add frame per heap slot in ID order, and a remove
 // frame after each tombstoned slot. A tombstone whose bytes no longer
 // decode ships as a one-element placeholder — it is unreadable on the
@@ -109,6 +110,7 @@ func (db *DB) encodeReplSnapshot() (body []byte, seqno uint64, err error) {
 	body = binary.LittleEndian.AppendUint32(body, replVersion)
 	body = binary.LittleEndian.AppendUint64(body, seqno)
 	body = binary.LittleEndian.AppendUint64(body, uint64(slots))
+	body = binary.LittleEndian.AppendUint64(body, 0) // frames, set below
 	frame := uint64(0)
 	appendFrame := func(r wal.Record) {
 		frame++
@@ -128,17 +130,19 @@ func (db *DB) encodeReplSnapshot() (body []byte, seqno uint64, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	binary.LittleEndian.PutUint64(body[24:], frame)
 	return body, seqno, nil
 }
 
 // DecodeReplSnapshot reads a snapshot WriteReplSnapshot wrote: the WAL
 // sequence number of its cut, its record slot count and its frames, read
-// by ParseWALRecords. It refuses a body whose add frames do not cover
-// slots 0 … slots−1 in ID order exactly — which is what catches a body cut
-// at a frame boundary, unless the cut drops only the remove frames after
-// the last add — a remove of a slot not yet added, and an add no
-// write door would take (empty or non-finite), so a snapshot it accepts
-// applies through ApplyWALRecords without a gap or a refusal.
+// by ParseWALRecords. It refuses a body that holds a frame count other
+// than its header's — which is what catches a body cut at a frame
+// boundary, the remove frames after the last add included — add frames
+// that do not cover slots 0 … slots−1 in ID order exactly, a remove of a
+// slot not yet added, and an add no write door would take (empty or
+// non-finite), so a snapshot it accepts applies through ApplyWALRecords
+// without a gap or a refusal.
 func DecodeReplSnapshot(raw []byte) (seqno uint64, slots int, recs []wal.Record, err error) {
 	if len(raw) < replHeaderLen {
 		return 0, 0, nil, fmt.Errorf("twsim: snapshot too short (%d bytes)", len(raw))
@@ -150,8 +154,12 @@ func DecodeReplSnapshot(raw []byte) (seqno uint64, slots int, recs []wal.Record,
 		return 0, 0, nil, fmt.Errorf("twsim: unsupported snapshot version %d", v)
 	}
 	seqno, count := binary.LittleEndian.Uint64(raw[8:]), binary.LittleEndian.Uint64(raw[16:])
+	frames := binary.LittleEndian.Uint64(raw[24:])
 	if recs, err = ParseWALRecords(raw[replHeaderLen:], 1); err != nil {
 		return 0, 0, nil, err
+	}
+	if uint64(len(recs)) != frames {
+		return 0, 0, nil, fmt.Errorf("twsim: snapshot holds %d frames, its header %d", len(recs), frames)
 	}
 	next := uint64(0) // the slot the next add frame must start at
 	for _, r := range recs {

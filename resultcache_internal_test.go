@@ -90,7 +90,7 @@ func knnAgainst(t *testing.T, db *DB, what string, q []float64, k int, wantHit b
 		t.Fatal(err)
 	}
 	db.mu.RLock()
-	fresh, _, err := db.searcher(nil, 1, 0).NearestKSharedStats(seq.Sequence(q), k, nil)
+	fresh, _, err := db.searcher(nil, 0).NearestKSharedStats(seq.Sequence(q), k, nil)
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)

@@ -118,7 +118,7 @@ func newShardedDB(dbs []*DB, dir string, opts ShardedOptions) (*ShardedDB, error
 	for i, db := range dbs {
 		stores[i] = db
 	}
-	eng, err := shard.New(stores, opts.Parallelism, opts.refineWorkers())
+	eng, err := shard.New(stores, opts.Parallelism)
 	if err != nil {
 		closeAll(dbs)
 		return nil, err

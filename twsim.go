@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,12 +73,8 @@ type Options struct {
 	// serve. An additive base (BaseL1, BaseL2Sq) answers exactly, through
 	// the index filter and the reference DP, with no pruning tiers.
 	Base Base
-	// RefineWorkers bounds the intra-query parallelism of the refinement
-	// step (candidate fetch + cascade + exact DTW): 0 means GOMAXPROCS,
-	// 1 restores the fully serial execution, and results are bit-identical
-	// at every setting. On a sharded database this is the total budget one
-	// query spends across the shards it fans out to, so fan-out × refine
-	// parallelism never oversubscribes the machine.
+	// RefineWorkers is accepted and ignored (cmd/bench sets it): every query
+	// refines on the goroutine that serves it; goes with ROADMAP item 1(d).
 	RefineWorkers int
 	// Band is the default Sakoe–Chiba band half-width queries search under.
 	// 0 (the zero value) answers the paper's unconstrained time warping
@@ -140,16 +135,6 @@ type Options struct {
 	// replica can lag before needing a snapshot re-bootstrap
 	// (0 = 64 MiB; negative disables auto-checkpointing).
 	WALCheckpointBytes int64
-}
-
-// refineWorkers resolves the intra-query parallelism default. The public
-// layer (not core) owns the GOMAXPROCS resolution so zero-valued direct
-// core constructions stay serial and deterministic.
-func (o Options) refineWorkers() int {
-	if o.RefineWorkers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.RefineWorkers
 }
 
 // applyDeadline attaches Options.QueryDeadline to the caller's context (nil
@@ -490,12 +475,12 @@ func (db *DB) Get(id ID) ([]float64, error) {
 	return db.store.Get(id)
 }
 
-// searcher builds the query engine with the given intra-query worker count
-// and Sakoe–Chiba band half-width (0 = unconstrained). ctx, when non-nil,
-// cancels the query at its next candidate boundary.
-func (db *DB) searcher(ctx context.Context, workers, band int) *core.TWSimSearch {
+// searcher builds the query engine for one Sakoe–Chiba band half-width
+// (0 = unconstrained). ctx, when non-nil, cancels the query at its next
+// candidate boundary.
+func (db *DB) searcher(ctx context.Context, band int) *core.TWSimSearch {
 	return &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base,
-		Workers: workers, Band: band, Envs: db.envs, Ctx: ctx}
+		Band: band, Envs: db.envs, Ctx: ctx}
 }
 
 // Generation returns the database's current write generation — the counter
@@ -674,15 +659,6 @@ func (db *DB) Search(query []float64, epsilon float64) (*Result, error) {
 // whole-query result cache, when enabled, is consulted first (see
 // Options.ResultCacheBytes).
 func (db *DB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error) {
-	return db.SearchBandWorkersCtx(ctx, query, epsilon, band, db.opts.refineWorkers())
-}
-
-// SearchBandWorkersCtx is SearchCtx with an explicit intra-query refinement
-// worker count for this call (≤ 1 means serial), overriding
-// Options.RefineWorkers; results are bit-identical at every worker count.
-// It is the form the sharded engine calls per shard (shard.Store) to spread
-// one refine budget across the shards a query fans out to.
-func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*Result, error) {
 	if err := validateTolerance(epsilon); err != nil {
 		return nil, err
 	}
@@ -690,7 +666,7 @@ func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon
 	defer db.mu.RUnlock()
 	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, rangeCall(query, epsilon, band),
 		func(ctx context.Context) (*Result, error) {
-			return db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
+			return db.searcher(ctx, band).Search(seq.Sequence(query), epsilon)
 		})
 }
 
@@ -720,7 +696,7 @@ func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*R
 	defer db.mu.RUnlock()
 	return runQuery(ctx, db.opts, db.rcache, db.gen.Load, knnCall(query, k, band),
 		func(ctx context.Context) (*Result, error) {
-			ms, stats, err := db.searcher(ctx, db.opts.refineWorkers(), band).NearestKSharedStats(seq.Sequence(query), k, nil)
+			ms, stats, err := db.searcher(ctx, band).NearestKSharedStats(seq.Sequence(query), k, nil)
 			if err != nil {
 				return nil, err
 			}
