@@ -141,8 +141,8 @@ kernels:
 	$(GO) test -c -o bin/server.test ./internal/server
 	./bin/server.test -test.run '^$$' -test.bench '^BenchmarkDecodeBody/(batch1000|query128)$$' -test.benchmem -test.cpu 1 -test.count 5
 
-# The query surface is three doors (SearchCtx, NearestKCtx, SearchBatchCtx)
-# plus the paper-API wrappers. Fails if a deleted variant, option or alias
+# The query surface is two doors (SearchCtx, NearestKCtx) plus the
+# paper-API wrappers. Fails if a deleted variant, option or alias
 # reappears in the non-test Go of the root package, internal/shard,
 # internal/server, cmd/ or examples/, so the cross-product cannot grow back
 # one wrapper at a time (internal/core keeps its own NearestKShared*
@@ -240,6 +240,13 @@ REPL_DELETED = \b(ReplRecord|ReplSnapshot|SyncFromReplSnapshot|ReadReplSnapshot|
 # of the non-test Go of the root package, internal/core, internal/dtw,
 # internal/shard and cmd/twsimd.
 WORKERS_DELETED = refineParallel|nearestKParallel|workerCascades|perShardWorkers|SearchBandWorkersCtx|NearestKStatsBandWorkersCtx|"refine-workers"|Decider\) Share
+# The fourteenth keeps two query doors: the paper's TW-Sim-Search answers
+# one query at a time, so the batch door (DB/ShardedDB.SearchBatch*, the
+# Backend method), its dispatcher pool (core.RunBatch), its upfront check
+# and its per-result stamping stay out of the non-test Go of the root
+# package, internal/core, internal/shard, internal/server, cmd/ and
+# examples/. A caller with many queries runs them from its own goroutines.
+BATCH_DELETED = SearchBatch|RunBatch|validateBatch|stampBatch
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -300,6 +307,10 @@ surface:
 	@out=$$(grep -nE '$(WORKERS_DELETED)' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(find internal/core internal/dtw internal/shard cmd/twsimd -name '*.go' ! -name '*_test.go')); \
 	if [ -n "$$out" ]; then \
 		echo "the deleted intra-query refine workers are back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(BATCH_DELETED)' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(find internal/core internal/shard internal/server cmd examples -name '*.go' ! -name '*_test.go')); \
+	if [ -n "$$out" ]; then \
+		echo "the deleted batch query door is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

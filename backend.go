@@ -40,10 +40,6 @@ type Backend interface {
 	// work counters and the request ID — so serving layers can export k-NN
 	// traffic into the same metrics as range searches.
 	NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error)
-	// SearchBatchCtx runs many range queries concurrently under one band
-	// and one context: a done context stops dispatching and abandons
-	// in-flight queries, failing the whole batch with the context's error.
-	SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error)
 	// DefaultBand returns the band half-width queries run under when no
 	// per-call override is given (Options.Band) — serving layers use it to
 	// resolve requests that omit the band.

@@ -203,9 +203,6 @@ func TestNegativeBandRejected(t *testing.T) {
 			if _, err := db.NearestKCtx(ctx, q, 3, -2); err == nil {
 				t.Error("NearestKCtx(band -2) succeeded, want error")
 			}
-			if _, err := db.SearchBatchCtx(ctx, [][]float64{q}, 0.5, -3, 0); err == nil {
-				t.Error("SearchBatchCtx(band -3) succeeded, want error")
-			}
 		})
 	}
 }

@@ -178,8 +178,10 @@ func readEverything(db *twsim.DB, seed [][]float64, seedIDs []twsim.ID, step int
 			return fmt.Errorf("NearestKCtx: %v (want 5 matches)", err)
 		}
 	case 2:
-		if _, err := db.SearchBatchCtx(nil, seed[:3], 0.5, 0, 2); err != nil {
-			return fmt.Errorf("SearchBatchCtx: %w", err)
+		for _, s := range seed[:3] {
+			if _, err := db.SearchCtx(nil, s, 0.5, 0); err != nil {
+				return fmt.Errorf("SearchCtx: %w", err)
+			}
 		}
 	case 3:
 		if _, err := db.Get(id); err != nil {

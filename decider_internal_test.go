@@ -52,20 +52,15 @@ func sameMatchBits(t *testing.T, what string, got, want []Match) {
 
 // TestUnbandedDecisionKeepsAnswersAndCounts: on an OpenMem corpus of
 // random walks whose lengths (20–300) straddle the decision's 64-column
-// words, unbanded L∞ range, k-NN and batch queries — serial and with
-// workers — return the disabled cascade's matches to the bit, and range and
-// batch queries put exactly the refiner's verdicts in CorridorPruned and
-// DTWCalls, with Candidates = Σ pruned + DTWCalls throughout. With two
+// words, unbanded L∞ range and k-NN queries — serial and with workers —
+// return the disabled cascade's matches to the bit, and range queries put
+// exactly the refiner's verdicts in CorridorPruned and DTWCalls, with Candidates = Σ pruned + DTWCalls throughout. With two
 // refine workers the range queries also run from two goroutines at once.
 func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	data := synth.RandomWalkSetVaryLen(rng, 1500, 20, 300)
 	queries := synth.Queries(rng, data, 6)
 	queries[2] = queries[2][:len(queries[2])/2]
-	batch := make([][]float64, len(queries))
-	for i, q := range queries {
-		batch[i] = q
-	}
 	for _, workers := range []int{1, 2} {
 		db, err := OpenMem(Options{RefineWorkers: workers})
 		if err != nil {
@@ -121,13 +116,6 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 		}
 		if decided == 0 {
 			t.Fatal("no range query both pruned and accepted a candidate")
-		}
-		results, err := db.SearchBatchCtx(nil, batch, 0.3, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			check("batch", queries[i], 0.3, res)
 		}
 		if workers == 2 {
 			concurrentQueriesKeepBits(t, db, ref, queries)

@@ -27,10 +27,12 @@
 //	}
 //
 // Search and NearestK are the paper's API. Each is a two-line wrapper over
-// the one door its query kind has — SearchCtx, NearestKCtx, and
-// SearchBatchCtx for many range queries at once — which take a context
-// (cancellation, deadlines) and an explicit Sakoe–Chiba band half-width;
-// those three are the whole query surface of the Backend interface.
+// the one door its query kind has — SearchCtx and NearestKCtx — which take
+// a context (cancellation, deadlines) and an explicit Sakoe–Chiba band
+// half-width; those two are the whole query surface of the Backend
+// interface. A query runs on the goroutine that calls it (a sharded
+// backend fans it out across its shards); a caller with many queries runs
+// them from its own goroutines.
 //
 // Beyond the paper's range search the package provides exact k-nearest-
 // neighbor search (enabled by Dtw-lb being a true lower bound), direct

@@ -64,7 +64,7 @@ func matchesEqual(a, b []twsim.Match) bool {
 	return true
 }
 
-// checkIdentical runs Search, NearestK, and SearchBatch on both backends
+// checkIdentical runs Search and NearestK on both backends
 // and demands bit-identical matches (same IDs, same float64 distances, same
 // order). The engines walk different structures but answer from the same
 // closed query rect and the same refinement cascade, so the match sets —
@@ -133,29 +133,10 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 				trial, k, band, gs.Candidates, gs.KNNEnvCutoffs, fs.Candidates, fs.KNNEnvCutoffs)
 		}
 	}
-
-	batch := make([][]float64, 5)
-	for i := range batch {
-		batch[i] = data[rng.Intn(len(data))]
-	}
-	eps := 0.4
-	grs, err := guttman.SearchBatchCtx(context.Background(), batch, eps, band, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frs, err := flat.SearchBatchCtx(context.Background(), batch, eps, band, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range grs {
-		if !matchesEqual(grs[i].Matches, frs[i].Matches) {
-			t.Fatalf("SearchBatch query %d diverged", i)
-		}
-	}
 }
 
-// TestFlatEngineOracle: a database must answer Search, NearestK, and
-// SearchBatch bit-identically to its R-tree baseline twin — across all three
+// TestFlatEngineOracle: a database must answer Search and NearestK
+// bit-identically to its R-tree baseline twin — across all three
 // bases, both backends (DB and ShardedDB), serial and parallel refinement,
 // and unbanded plus banded queries — through a lifecycle of bulk load and
 // interleaved inserts and removes, so queries run against the packed

@@ -31,7 +31,6 @@ type SubseqIndex struct {
 	idx     *flatidx.Index
 	windows []windowRef // by window number, the ID of its flat entry
 	lens    []int
-	step    int
 }
 
 // windowRef locates one window inside its source sequence: an indexed
@@ -73,14 +72,21 @@ type SubseqResult struct {
 
 // BuildSubseqIndex indexes sliding windows of each length in windowLens
 // (advanced by step positions; step 0 means 1) over every sequence in db.
+// A length may appear once: a repeated one would index every window twice
+// and return each match twice.
 func BuildSubseqIndex(db *seqdb.DB, base seq.Base, windowLens []int, step int) (*SubseqIndex, error) {
 	if len(windowLens) == 0 {
 		return nil, fmt.Errorf("core: no window lengths given")
 	}
+	seen := make(map[int]bool, len(windowLens))
 	for _, w := range windowLens {
 		if w < 1 {
 			return nil, fmt.Errorf("core: invalid window length %d", w)
 		}
+		if seen[w] {
+			return nil, fmt.Errorf("core: window length %d given twice", w)
+		}
+		seen[w] = true
 	}
 	if step <= 0 {
 		step = 1
@@ -90,12 +96,17 @@ func BuildSubseqIndex(db *seqdb.DB, base seq.Base, windowLens []int, step int) (
 		Base: base,
 		idx:  flatidx.New(flatidx.Options{MergeThreshold: -1}),
 		lens: append([]int(nil), windowLens...),
-		step: step,
 	}
 	var entries []flatidx.Entry
 	err := db.Scan(func(id seq.ID, s seq.Sequence) error {
 		for _, w := range windowLens {
-			for off := 0; off+w <= len(s); off += step {
+			if w > len(s) {
+				continue
+			}
+			// Count the windows rather than add step to an offset, which
+			// overflows when step is near math.MaxInt.
+			for i := 0; i <= (len(s)-w)/step; i++ {
+				off := i * step
 				f, err := seq.ExtractFeature(s[off : off+w])
 				if err != nil {
 					return err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -172,6 +173,61 @@ func TestShardedServerFlatStatsForSingleDB(t *testing.T) {
 	}
 	if _, ok := raw["shards"]; ok {
 		t.Fatal(`single-DB /stats grew a "shards" key`)
+	}
+}
+
+// TestSubseqBuildRequests: /subseq/build on a single and a two-shard
+// backend answers 201 with one window per record and fitting length for a
+// step of math.MaxInt (the window loop used to overflow and panic), and
+// 400 for a window length given twice (which used to return every match
+// twice).
+func TestSubseqBuildRequests(t *testing.T) {
+	records := [][]float64{{1, 2, 3, 4, 5, 6}, {9, 8, 7, 6, 5, 4}}
+	single, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 2, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	for name, b := range map[string]twsim.Backend{"single": single, "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := b.AddBatch(records); err != nil {
+				t.Fatal(err)
+			}
+			srv := NewBackend(b)
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			for _, c := range []struct {
+				body       string
+				wantStatus int
+				wantBody   string
+			}{
+				{`{"window_lens":[3,5,7],"step":9223372036854775807}`, http.StatusCreated, `{"windows":4}`},
+				{`{"window_lens":[3,3]}`, http.StatusBadRequest, ""},
+				{`{"window_lens":[3,4,3],"step":2}`, http.StatusBadRequest, ""},
+			} {
+				resp, err := ts.Client().Post(ts.URL+"/subseq/build", "application/json", strings.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != c.wantStatus {
+					t.Fatalf("%s: status %d (%s), want %d", c.body, resp.StatusCode, body, c.wantStatus)
+				}
+				if c.wantBody != "" && strings.TrimSpace(string(body)) != c.wantBody {
+					t.Fatalf("%s: body %s, want %s", c.body, body, c.wantBody)
+				}
+			}
+		})
 	}
 }
 

@@ -13,29 +13,16 @@ import (
 )
 
 // defaultBand in a surface case means "do not name a band": the door is
-// entered through its default-band wrapper (Search / NearestK / SearchBatch
-// on the concrete types, an omitted "band" field on the wire), which must
+// entered through its default-band wrapper (Search / NearestK on the
+// concrete types, an omitted "band" field on the wire), which must
 // answer exactly as the explicit door does under Options.Band.
 const defaultBand = -1
 
-// door is one way into the query engine. batch is nil where the door has no
-// batch form (the HTTP API).
+// door is one way into the query engine.
 type door struct {
 	name   string
 	search func(q []float64, eps float64, band int) ([]twsim.Match, error)
 	knn    func(q []float64, k, band int) ([]twsim.Match, error)
-	batch  func(qs [][]float64, eps float64, band int) ([][]twsim.Match, error)
-}
-
-func batchMatches(rs []*twsim.Result, err error) ([][]twsim.Match, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]twsim.Match, len(rs))
-	for i, r := range rs {
-		out[i] = r.Matches
-	}
-	return out, nil
 }
 
 func resultMatches(r *twsim.Result, err error) ([]twsim.Match, error) {
@@ -56,7 +43,7 @@ func wireMatches(r *SearchResponse, err error) ([]twsim.Match, error) {
 	return out, nil
 }
 
-// backendDoor enters through the three Backend query methods; a default-band
+// backendDoor enters through the two Backend query methods; a default-band
 // case resolves the band the way the server does, from DefaultBand().
 func backendDoor(name string, b twsim.Backend) door {
 	resolve := func(band int) int {
@@ -74,9 +61,6 @@ func backendDoor(name string, b twsim.Backend) door {
 		knn: func(q []float64, k, band int) ([]twsim.Match, error) {
 			return resultMatches(b.NearestKCtx(ctx, q, k, resolve(band)))
 		},
-		batch: func(qs [][]float64, eps float64, band int) ([][]twsim.Match, error) {
-			return batchMatches(b.SearchBatchCtx(ctx, qs, eps, resolve(band), 2))
-		},
 	}
 }
 
@@ -85,7 +69,6 @@ type paperAPI interface {
 	twsim.Backend
 	Search(query []float64, epsilon float64) (*twsim.Result, error)
 	NearestK(query []float64, k int) ([]twsim.Match, error)
-	SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*twsim.Result, error)
 }
 
 // concreteDoor is backendDoor for *DB / *ShardedDB, whose default-band cases
@@ -104,12 +87,6 @@ func concreteDoor(name string, b paperAPI) door {
 			return b.NearestK(q, k)
 		}
 		return explicit.knn(q, k, band)
-	}
-	d.batch = func(qs [][]float64, eps float64, band int) ([][]twsim.Match, error) {
-		if band == defaultBand {
-			return batchMatches(b.SearchBatch(qs, eps, 2))
-		}
-		return explicit.batch(qs, eps, band)
 	}
 	return d
 }
@@ -180,9 +157,7 @@ func sameMatches(a, b []twsim.Match) bool {
 // names: Options.Band for a default-band case, the unconstrained distance for
 // an explicit band 0 (which overrides the default, it does not fall back to
 // it). Invalid cases must fail on every door, and
-// the in-process doors must fail with the same error text — in particular a
-// negative ε on the batch path, which the two backends used to word
-// differently.
+// the in-process doors must fail with the same error text.
 func TestQueryDoorsAgree(t *testing.T) {
 	const optBand = 2
 	opts := twsim.Options{Band: optBand}
@@ -227,7 +202,6 @@ func TestQueryDoorsAgree(t *testing.T) {
 	}
 
 	q := data[5]
-	qs := [][]float64{data[5], data[17], data[40]}
 	// The band-0 cases prove "explicit 0 overrides Options.Band" only if the
 	// two distances answer this query differently.
 	if sameMatches(bruteMatches(data, q, 0.6, 0), bruteMatches(data, q, 0.6, optBand)) ||
@@ -235,7 +209,7 @@ func TestQueryDoorsAgree(t *testing.T) {
 		t.Fatal("workload does not separate band 0 from the default band")
 	}
 	cases := []struct {
-		kind    string // "search", "knn" or "batch"
+		kind    string // "search" or "knn"
 		eps     float64
 		k, band int
 		wantErr bool
@@ -251,11 +225,6 @@ func TestQueryDoorsAgree(t *testing.T) {
 		{kind: "knn", k: 5, band: defaultBand},
 		{kind: "knn", k: 0, band: 0},
 		{kind: "knn", k: len(data) + 7, band: 3},
-		{kind: "batch", eps: 0.6, band: 0},
-		{kind: "batch", eps: 0.6, band: 3},
-		{kind: "batch", eps: 0.6, band: defaultBand},
-		{kind: "batch", eps: -1, band: 0, wantErr: true},
-		{kind: "batch", eps: 0.6, band: -2, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/eps=%g/k=%d/band=%d", c.kind, c.eps, c.k, c.band), func(t *testing.T) {
@@ -265,27 +234,16 @@ func TestQueryDoorsAgree(t *testing.T) {
 				// "server default"); TestNegativeBandRejected400 covers the wire.
 				doors = doors[:3]
 			}
-			run := func(d door, band int) ([][]twsim.Match, error) {
-				switch c.kind {
-				case "search":
-					ms, err := d.search(q, c.eps, band)
-					return [][]twsim.Match{ms}, err
-				case "knn":
-					ms, err := d.knn(q, c.k, band)
-					return [][]twsim.Match{ms}, err
+			run := func(d door, band int) ([]twsim.Match, error) {
+				if c.kind == "knn" {
+					return d.knn(q, c.k, band)
 				}
-				if d.batch == nil {
-					return nil, nil
-				}
-				return d.batch(qs, c.eps, band)
+				return d.search(q, c.eps, band)
 			}
-			var ref [][]twsim.Match
+			var ref []twsim.Match
 			var refErr error
 			for i, d := range doors {
 				got, err := run(d, c.band)
-				if got == nil && err == nil {
-					continue // door has no batch form
-				}
 				if (err != nil) != c.wantErr {
 					t.Fatalf("%s: err = %v, want error %v", d.name, err, c.wantErr)
 				}
@@ -299,10 +257,8 @@ func TestQueryDoorsAgree(t *testing.T) {
 					}
 					continue
 				}
-				for j := range ref {
-					if !sameMatches(got[j], ref[j]) {
-						t.Errorf("%s query %d: %+v, %s %+v", d.name, j, got[j], doors[0].name, ref[j])
-					}
+				if !sameMatches(got, ref) {
+					t.Errorf("%s: %+v, %s %+v", d.name, got, doors[0].name, ref)
 				}
 			}
 			if c.wantErr {
@@ -312,21 +268,15 @@ func TestQueryDoorsAgree(t *testing.T) {
 			if band == defaultBand {
 				band = optBand
 			}
-			queries := qs
-			if c.kind != "batch" {
-				queries = qs[:1]
-			}
 			if c.kind == "knn" {
 				eps = math.Inf(1)
 			}
-			for j, query := range queries {
-				want := bruteMatches(data, query, eps, band)
-				if c.kind == "knn" && len(want) > c.k {
-					want = want[:c.k]
-				}
-				if !sameMatches(ref[j], want) {
-					t.Errorf("query %d at band %d: %s %+v, brute force %+v", j, band, doors[0].name, ref[j], want)
-				}
+			want := bruteMatches(data, q, eps, band)
+			if c.kind == "knn" && len(want) > c.k {
+				want = want[:c.k]
+			}
+			if !sameMatches(ref, want) {
+				t.Errorf("band %d: %s %+v, brute force %+v", band, doors[0].name, ref, want)
 			}
 		})
 	}

@@ -22,13 +22,9 @@ import (
 // context's error; cancellation can only abandon work, never skip a
 // qualifying candidate.
 func (e *Engine) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*core.Result, error) {
-	return e.search(ctx, query, epsilon, band, true)
-}
-
-func (e *Engine) search(ctx context.Context, query []float64, epsilon float64, band int, parallel bool) (*core.Result, error) {
 	start := time.Now()
 	results := make([]*core.Result, len(e.stores))
-	run := func(si int) error {
+	err := e.FanOut(func(si int) error {
 		res, err := e.stores[si].SearchCtx(ctx, query, epsilon, band)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
@@ -36,17 +32,7 @@ func (e *Engine) search(ctx context.Context, query []float64, epsilon float64, b
 		e.counters[si].accumulate(res.Stats)
 		results[si] = res
 		return nil
-	}
-	var err error
-	if parallel {
-		err = e.FanOut(run)
-	} else {
-		for si := range e.stores {
-			if err = run(si); err != nil {
-				break
-			}
-		}
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -113,30 +99,6 @@ func (e *Engine) NearestKCtx(ctx context.Context, query []float64, k, band int) 
 	}
 	out.Stats.Results = len(out.Matches)
 	out.Stats.Wall = time.Since(start)
-	return out, nil
-}
-
-// SearchBatchCtx runs many range queries concurrently, one worker per query.
-// Each worker visits the shards of its query serially: with P workers spread
-// over N shards that keeps every buffer pool busy without nesting worker
-// pools, which is what maximizes batch throughput. parallelism <= 0 selects
-// GOMAXPROCS. The first error aborts the batch (see core.RunBatch); a done
-// context abandons in-flight queries at their next candidate boundary and
-// fails the whole batch with the context's error. The caller validates ε,
-// band and the queries.
-func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*core.Result, error) {
-	out := make([]*core.Result, len(queries))
-	err := core.RunBatch(len(queries), parallelism, func(i int) error {
-		res, err := e.search(ctx, queries[i], epsilon, band, false)
-		if err != nil {
-			return fmt.Errorf("shard: query %d: %w", i, err)
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 

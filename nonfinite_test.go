@@ -80,14 +80,10 @@ func TestNonFiniteRejected(t *testing.T) {
 					check("SearchCtx", err)
 					_, err = db.NearestKCtx(ctx, bad, 1, 0)
 					check("NearestKCtx", err)
-					_, err = db.SearchBatchCtx(ctx, [][]float64{{1, 2, 3}, bad}, 1, 0, 2)
-					check("SearchBatchCtx", err)
 					if math.IsNaN(p.v) {
 						// A NaN tolerance is refused like a NaN element.
 						_, err = db.SearchCtx(ctx, []float64{1, 2, 3}, p.v, 0)
 						check("SearchCtx(ε NaN)", err)
-						_, err = db.SearchBatchCtx(ctx, [][]float64{{1, 2, 3}}, p.v, 0, 2)
-						check("SearchBatchCtx(ε NaN)", err)
 					}
 				})
 			}

@@ -30,7 +30,7 @@ func (o Options) slowLogger() *log.Logger {
 //	  wall=120ms filter=8ms refine=112ms candidates=140 results=3 dtw=41
 //	  pruned_paa=0 pruned_keogh=90 pruned_corridor=9
 //
-// kind is "search", "knn", or "batch"; param carries the query-kind
+// kind is "search" or "knn"; param carries the query-kind
 // specific parameters ("epsilon=… band=…" or "k=… band=…"); request_id
 // matches the Result.RequestID returned to the caller.
 func (o Options) logSlowQuery(kind string, requestID uint64, queryLen int, param string, stats QueryStats) {

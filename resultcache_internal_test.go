@@ -1,7 +1,6 @@
 package twsim
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -62,7 +61,7 @@ func eachWALMode(t *testing.T, body func(t *testing.T, db *DB, ids []ID)) {
 }
 
 // searchAgainst runs a cached range query and requires its answer to
-// equal the batch path's recompute (which bypasses the cache) bit for bit
+// equal the searcher's recompute (which bypasses the cache) bit for bit
 // and its CacheHit to be wantHit.
 func searchAgainst(t *testing.T, db *DB, what string, q []float64, eps float64, band int, wantHit bool) []Match {
 	t.Helper()
@@ -70,11 +69,13 @@ func searchAgainst(t *testing.T, db *DB, what string, q []float64, eps float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := db.SearchBatchCtx(context.Background(), [][]float64{q}, eps, band, 1)
+	db.mu.RLock()
+	fresh, err := db.searcher(nil, band).Search(seq.Sequence(q), eps)
+	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMatchBits(t, what, res.Matches, fresh[0].Matches)
+	sameMatchBits(t, what, res.Matches, fresh.Matches)
 	if res.CacheHit != wantHit {
 		t.Fatalf("%s: CacheHit = %v, want %v", what, res.CacheHit, wantHit)
 	}

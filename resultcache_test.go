@@ -317,8 +317,8 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 }
 
 // stormRead runs one cached read and its fresh recompute: a range query at
-// ε 0.6 or a 3-NN query under band. The recompute goes through the batch
-// path, which never consults the cache; for k-NN it is the first three of
+// ε 0.6 or a 3-NN query under band. The recompute is a range query that
+// skips the cache (twsim.SearchUncached); for k-NN it is the first three of
 // every record at ε +Inf in (distance, ID) order, the order k-NN answers
 // report.
 func stormRead(b twsim.Backend, q []float64, knn bool, band int) (got, want []twsim.Match, err error) {
@@ -333,11 +333,10 @@ func stormRead(b twsim.Backend, q []float64, knn bool, band int) (got, want []tw
 	if err != nil {
 		return nil, nil, err
 	}
-	fresh, err := b.SearchBatchCtx(context.Background(), [][]float64{q}, eps, band, 1)
+	want, err = twsim.SearchUncached(b, q, eps, band)
 	if err != nil {
 		return nil, nil, err
 	}
-	want = fresh[0].Matches
 	if knn {
 		slices.SortFunc(want, func(a, b twsim.Match) int {
 			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
@@ -347,8 +346,8 @@ func stormRead(b twsim.Backend, q []float64, knn bool, band int) (got, want []tw
 	return res.Matches, want, nil
 }
 
-// TestSearchCtxCancellation: a cancelled context aborts range, knn, and
-// batch queries with context.Canceled instead of computing an answer, and
+// TestSearchCtxCancellation: a cancelled context aborts range and knn
+// queries with context.Canceled instead of computing an answer, and
 // an expired Options.QueryDeadline surfaces context.DeadlineExceeded. A
 // live context leaves results bit-identical to the nil-context call.
 func TestSearchCtxCancellation(t *testing.T) {
@@ -366,9 +365,6 @@ func TestSearchCtxCancellation(t *testing.T) {
 			}
 			if _, err := cb.b.NearestKCtx(ctx, q, 5, 0); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled NearestKCtx error = %v, want context.Canceled", err)
-			}
-			if _, err := cb.b.SearchBatchCtx(ctx, [][]float64{q}, 0.5, 0, 1); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled SearchBatchCtx error = %v, want context.Canceled", err)
 			}
 			// A live context is inert: results equal the nil-context call's
 			// (what the context-free Search wrappers pass).

@@ -345,30 +345,6 @@ func (s *ShardedDB) NearestKCtx(ctx context.Context, query []float64, k, band in
 		func(ctx context.Context) (*Result, error) { return s.eng.NearestKCtx(ctx, query, k, band) })
 }
 
-// SearchBatch runs many range queries concurrently under the default band.
-// It is SearchBatchCtx with no context.
-func (s *ShardedDB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*Result, error) {
-	return s.SearchBatchCtx(nil, queries, epsilon, s.opts.Band, parallelism)
-}
-
-// SearchBatchCtx is the batch door (see DB.SearchBatchCtx): one worker per
-// query, each visiting shards serially — see the engine for why that
-// maximizes batch throughput. Validation, errors, request IDs and the
-// deadline behave exactly as on a single database.
-func (s *ShardedDB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	if err := validateBatch(queries, epsilon, band); err != nil {
-		return nil, err
-	}
-	ctx, cancel := s.opts.applyDeadline(ctx)
-	defer cancel()
-	out, err := s.eng.SearchBatchCtx(ctx, queries, epsilon, band, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	s.opts.stampBatch(queries, out, epsilon, band)
-	return out, nil
-}
-
 // Distance computes the exact time warping distance between a stored
 // sequence and a query under the database's base distance.
 func (s *ShardedDB) Distance(id ID, query []float64) (float64, error) {

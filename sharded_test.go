@@ -129,8 +129,9 @@ func TestShardedNearestKOracle(t *testing.T) {
 	}
 }
 
-// TestShardedBatchOracle: AddBatch distributes across shards and
-// SearchBatch merges per-query exactly like individual Search calls.
+// TestShardedBatchOracle: AddBatch distributes across shards, and a range
+// query over the sharded batch answers exactly as an unsharded twin loaded
+// with the same data.
 func TestShardedBatchOracle(t *testing.T) {
 	data := randomWalks(99, 70, 10, 30)
 	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 4})
@@ -157,23 +158,31 @@ func TestShardedBatchOracle(t *testing.T) {
 			t.Fatalf("ShardID(%d) = %d, want %d", id, sharded.ShardID(id), want)
 		}
 	}
-	queries := data[:15]
-	const eps = 0.4
-	batch, err := sharded.SearchBatch(queries, eps, 3)
+	twin, err := twsim.OpenMem(twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range queries {
-		want, err := sharded.Search(q, eps)
+	defer twin.Close()
+	first, err := twin.AddAll(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 0.4
+	for i, q := range data[:15] {
+		got, err := sharded.Search(q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch[i].Matches) != len(want.Matches) {
-			t.Fatalf("query %d: batch %d matches, single %d", i, len(batch[i].Matches), len(want.Matches))
+		want, err := twin.Search(q, eps)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range want.Matches {
-			if batch[i].Matches[j] != want.Matches[j] {
-				t.Fatalf("query %d match %d differs", i, j)
+		if len(got.Matches) != len(want.Matches) {
+			t.Fatalf("query %d: sharded %d matches, unsharded %d", i, len(got.Matches), len(want.Matches))
+		}
+		for j, w := range want.Matches {
+			if g := got.Matches[j]; g.ID != ids[w.ID-first] || g.Dist != w.Dist {
+				t.Fatalf("query %d match %d: sharded %+v, unsharded %+v (id %d)", i, j, g, w, ids[w.ID-first])
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 	twsim "repro"
 )
 
-// syncBuffer is a goroutine-safe bytes.Buffer; SearchBatch workers finish
-// before the batch logs, but the sharded engine may log from fan-out paths.
+// syncBuffer is a goroutine-safe bytes.Buffer: the sharded engine may log
+// from fan-out paths.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -43,7 +43,7 @@ func seedSlowLogDB(t *testing.T, db twsim.Backend) {
 
 // TestSlowQueryLog: with a 1ns threshold every query logs one flat
 // key=value line whose request_id matches the RequestID stamped on the
-// returned Result, for range searches, k-NN, and batches, on both engines.
+// returned Result, for range searches and k-NN, on both engines.
 func TestSlowQueryLog(t *testing.T) {
 	engines := []struct {
 		name string
@@ -85,10 +85,6 @@ func TestSlowQueryLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := db.SearchBatchCtx(ctx, [][]float64{q, {0, 1, 2, 1}}, 0.5, 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			out := buf.String()
 			wantLines := []struct {
@@ -98,8 +94,6 @@ func TestSlowQueryLog(t *testing.T) {
 			}{
 				{"search", res.RequestID, "epsilon=0.5"},
 				{"knn", knn.RequestID, "k=3"},
-				{"batch", batch[0].RequestID, "epsilon=0.5"},
-				{"batch", batch[1].RequestID, "epsilon=0.5"},
 			}
 			for _, w := range wantLines {
 				if w.reqID == 0 {
@@ -129,7 +123,7 @@ func TestSlowQueryLog(t *testing.T) {
 			}
 			// IDs are unique per query.
 			seen := map[uint64]bool{}
-			for _, id := range []uint64{res.RequestID, knn.RequestID, batch[0].RequestID, batch[1].RequestID} {
+			for _, id := range []uint64{res.RequestID, knn.RequestID} {
 				if seen[id] {
 					t.Errorf("request_id %d reused across queries", id)
 				}

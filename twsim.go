@@ -84,7 +84,7 @@ type Options struct {
 	// similarity model and unlocks the banded envelope cascade tiers
 	// (the two-sided LB_PAA and LB_Keogh on the banded envelope). Negative
 	// values are rejected at query time. Per-query override: the band
-	// argument of SearchCtx, NearestKCtx and SearchBatchCtx.
+	// argument of SearchCtx and NearestKCtx.
 	//
 	// Every search remains exact for the distance it answers: all filter
 	// tiers lower-bound BandDistance (a band only removes permissible
