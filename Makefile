@@ -41,7 +41,11 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # mantissa/exponent tuples). And the result cache's write rule: op lists
 # of adds, batch adds, removes, range and k-NN queries against a cached
 # database and a cache-off twin (the same IDs and distance bits at every
-# step, so an entry kept across a write that changed it fails). Go permits
+# step, so an entry kept across a write that changed it fails), and the
+# model harness: op lists of adds, removes, queries, flushes, reopens and
+# crash images against a database and the brute-force model, at a lattice
+# point the first byte picks (the same IDs and distance bits at every
+# step). Go permits
 # one fuzz target per -fuzz run, so each gets its own pass. Minimizing a
 # new input defaults to 60 s, which would eat a 5 s pass; -fuzzminimizetime
 # caps it at 100 runs so the pass spends its time fuzzing.
@@ -61,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzScanRecords$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/wal
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s -fuzzminimizetime=100x .
 	$(GO) test -run=^$$ -fuzz='^FuzzResultCacheMatchesRecompute$$' -fuzztime=5s -fuzzminimizetime=100x .
+	$(GO) test -run=^$$ -fuzz='^FuzzModelMatchesDB$$' -fuzztime=5s -fuzzminimizetime=100x .
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeMatchesEncodingJSON$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/server
 	$(GO) test -run=^$$ -fuzz='^FuzzScanFloatMatchesParseFloat$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/server
 
@@ -157,7 +162,9 @@ SURFACE_DELETED = SearchBand\b|SearchWorkers|SearchBandWorkers\b|NearestKBand|Ne
 # deferred k-NN loop and the engine switch (NewIndex/OpenIndex, the merge
 # threshold option) stay out of the non-test Go of internal/core and
 # internal/flatidx (PAA envelopes live in core.EnvStore only; FlatIndex and
-# the R-tree baseline offer NearestWalkKeyed through core.Index) — and
+# the R-tree baseline offer NearestWalkKeyed through core.Index, the read
+# seam TWSimSearch walks, while a database writes its *core.FlatIndex
+# directly) — and
 # neither can a file behind the derived state: Open derives the index and
 # the envelopes from the heap, so the envelope sidecar's reader and writer,
 # the index file's delta section, the checkpoint's index save and the
@@ -247,6 +254,13 @@ WORKERS_DELETED = refineParallel|nearestKParallel|workerCascades|perShardWorkers
 # package, internal/core, internal/shard, internal/server, cmd/ and
 # examples/. A caller with many queries runs them from its own goroutines.
 BATCH_DELETED = SearchBatch|RunBatch|validateBatch|stampBatch
+# The fifteenth keeps one index under the database: a *DB holds a
+# *core.FlatIndex and writes through it directly, and its answers are held
+# to a brute-force model (model_test.go), so the R-tree-wired twin database
+# (OpenMemBaseline, its baselineIndex adapter), the root writeIndex seam and
+# the R-tree's engine name stay out of all Go, tests included, of the root
+# package, internal/, cmd/ and examples/ outside the benchmark.
+TWIN_DELETED = OpenMemBaseline|baselineIndex|writeIndex|EngineGuttman
 surface:
 	@out=$$(grep -nE '$(SURFACE_DELETED)' *.go $$(find internal/shard internal/server cmd examples -name '*.go') | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then \
@@ -311,6 +325,10 @@ surface:
 	@out=$$(grep -nE '$(BATCH_DELETED)' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(find internal/core internal/shard internal/server cmd examples -name '*.go' ! -name '*_test.go')); \
 	if [ -n "$$out" ]; then \
 		echo "the deleted batch query door is back:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -nE '$(TWIN_DELETED)' *.go $$(find internal cmd examples -name '*.go' ! -path 'cmd/bench/*' ! -path 'internal/benchkit/*')); \
+	if [ -n "$$out" ]; then \
+		echo "the deleted R-tree twin or the write-index seam is back:"; echo "$$out"; exit 1; \
 	fi
 
 # Non-test Go lines outside the benchmark (cmd/bench, internal/benchkit):

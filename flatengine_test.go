@@ -1,7 +1,6 @@
 package twsim_test
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,68 +19,34 @@ import (
 	"repro/internal/seq"
 )
 
-// openEngine opens an in-memory backend over the named index engine: "flat",
-// the one every database serves from, or "guttman", the paper's paged R-tree
-// wired in as the baseline twin (OpenMemBaseline).
-func openEngine(t *testing.T, engine string, opts twsim.Options, sharded bool) twsim.Backend {
+// openBackend opens an in-memory database, or three shards of one.
+func openBackend(t *testing.T, opts twsim.Options, sharded bool) twsim.Backend {
 	t.Helper()
 	var b twsim.Backend
 	var err error
-	so := twsim.ShardedOptions{Options: opts, Shards: 3}
-	switch {
-	case engine == "guttman" && sharded:
-		b, err = twsim.OpenMemShardedBaseline(so)
-	case engine == "guttman":
-		b, err = twsim.OpenMemBaseline(opts)
-	case sharded:
-		b, err = twsim.OpenMemSharded(so)
-	default:
+	if sharded {
+		b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
+	} else {
 		b, err = twsim.OpenMem(opts)
 	}
 	if err != nil {
-		t.Fatalf("open %s backend: %v", engine, err)
+		t.Fatal(err)
 	}
 	return b
 }
 
-// openPair builds an R-tree baseline and a flat backend over the same
-// options, so every query can be checked for bit-identity between engines.
-func openPair(t *testing.T, base twsim.Base, workers, band int, sharded bool) (guttman, flat twsim.Backend) {
-	t.Helper()
-	opts := twsim.Options{Base: base, RefineWorkers: workers, Band: band}
-	return openEngine(t, "guttman", opts, sharded), openEngine(t, "flat", opts, sharded)
-}
+// matchesEqual reports whether a and b hold the same IDs in the same order
+// at the same distance bits.
+func matchesEqual(a, b []twsim.Match) bool { return diffMatches(a, b) == "" }
 
-func matchesEqual(a, b []twsim.Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-			return false
-		}
-	}
-	return true
-}
-
-// checkIdentical runs Search and NearestK on both backends
-// and demands bit-identical matches (same IDs, same float64 distances, same
-// order). The engines walk different structures but answer from the same
-// closed query rect and the same refinement cascade, so the match sets —
-// unique by (Dist, ID) with overwhelming probability on random walks — must
-// agree exactly.
-//
-// With exactWork set (one refine worker, one partition: nothing reads a
-// momentarily stale cutoff) the k-NN work must agree too. Both engines key
-// their walk through the same envelope store, so they stream the same
-// candidates at the same keys and stop on the same one: equal candidate
-// counts and envelope cutoffs, over snapshot items and delta adds alike.
-// Frontier re-pushes are not compared: an item re-enters the frontier when
-// its sharpened key exceeds the frontier's minimum, and that minimum is
-// often a node, whose mindist depends on how the engine packed it (15 of 180
-// k-NN queries over a 3 000-sequence corpus differed in re-pushes, none in
-// candidates or cutoffs).
-func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, data [][]float64, band int, exactWork bool) {
+// checkIdentical runs Search and NearestK on b and demands the model's
+// answers bit for bit (same IDs, same float64 distances, same order), the
+// conservation law on both query kinds, and the model's count of range
+// candidates. Whether the k-NN walk does the same work over the R-tree and
+// the flat slab is an index-level question: internal/core's
+// TestFlatEngineOracle asks it of the two engines, and TestCountFence pins
+// the flat engine's counts.
+func checkIdentical(t *testing.T, m *model, b twsim.Backend, rng *rand.Rand, data [][]float64, band int) {
 	t.Helper()
 	for trial := 0; trial < 6; trial++ {
 		q := append([]float64(nil), data[rng.Intn(len(data))]...)
@@ -89,60 +54,20 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 			q[i] += (rng.Float64() - 0.5) * 0.1
 		}
 		eps := 0.1 + rng.Float64()*0.7
-
-		gr, err := guttman.SearchCtx(context.Background(), q, eps, band)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, err := flat.SearchCtx(context.Background(), q, eps, band)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(gr.Matches, fr.Matches) {
-			t.Fatalf("trial %d eps=%g: Search diverged: guttman %d matches, flat %d",
-				trial, eps, len(gr.Matches), len(fr.Matches))
-		}
-		k := 1 + rng.Intn(8)
-		gk, err := guttman.NearestKCtx(context.Background(), q, k, band)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fk, err := flat.NearestKCtx(context.Background(), q, k, band)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(gk.Matches, fk.Matches) {
-			t.Fatalf("trial %d k=%d: NearestK diverged", trial, k)
-		}
-		// Both engines must satisfy the conservation law independently, on
-		// both query kinds.
-		for _, r := range []*twsim.Result{gr, fr, gk, fk} {
-			pruned := r.Stats.LBPAAPruned + r.Stats.LBKeoghPruned + r.Stats.CorridorPruned
-			if r.Stats.Candidates != pruned+r.Stats.DTWCalls {
-				t.Fatalf("trial %d: conservation law broken: candidates=%d pruned=%d dtw=%d",
-					trial, r.Stats.Candidates, pruned, r.Stats.DTWCalls)
-			}
-		}
-		if gr.Stats.Candidates != fr.Stats.Candidates {
-			t.Fatalf("trial %d eps=%g: Search candidates diverged: guttman %d, flat %d",
-				trial, eps, gr.Stats.Candidates, fr.Stats.Candidates)
-		}
-		if gs, fs := gk.Stats, fk.Stats; exactWork &&
-			(gs.Candidates != fs.Candidates || gs.KNNEnvCutoffs != fs.KNNEnvCutoffs) {
-			t.Fatalf("trial %d k=%d band=%d: k-NN work diverged: guttman candidates=%d envCutoffs=%d, flat %d/%d",
-				trial, k, band, gs.Candidates, gs.KNNEnvCutoffs, fs.Candidates, fs.KNNEnvCutoffs)
-		}
+		requireModelSearch(t, b, m, q, eps, band)
+		requireModelNearestK(t, b, m, q, 1+rng.Intn(8), band)
 	}
 }
 
 // TestFlatEngineOracle: a database must answer Search and NearestK
-// bit-identically to its R-tree baseline twin — across all three
-// bases, both backends (DB and ShardedDB), serial and parallel refinement,
-// and unbanded plus banded queries — through a lifecycle of bulk load and
-// interleaved inserts and removes, so queries run against the packed
-// snapshot alone and against snapshot + delta adds + tombstones.
-// (TestFlatEngineMergesFire carries the comparison across a merge; the
-// index-level twin of this test is internal/core's TestFlatEngineOracle.)
+// bit-identically to the brute-force model — across all three bases, both
+// backends (DB and ShardedDB), the worker counts a caller may still pass
+// (Options.RefineWorkers is ignored), and unbanded plus banded queries —
+// through a lifecycle of bulk load and interleaved inserts and removes, so
+// queries run against the packed snapshot alone and against snapshot +
+// delta adds + tombstones. (TestFlatEngineMergesFire carries the
+// comparison across a merge; internal/core's TestFlatEngineOracle compares
+// the flat index with the paper's R-tree index against index.)
 func TestFlatEngineOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	data := randomWalks(4243, 130, 12, 40)
@@ -154,44 +79,42 @@ func TestFlatEngineOracle(t *testing.T) {
 					label := fmt.Sprintf("%s/%s/workers%d/band%d",
 						name, map[bool]string{false: "db", true: "sharded"}[sharded], workers, band)
 					t.Run(label, func(t *testing.T) {
-						guttman, flat := openPair(t, base, workers, band, sharded)
-						defer guttman.Close()
+						flat := openBackend(t, twsim.Options{Base: base, RefineWorkers: workers, Band: band}, sharded)
 						defer flat.Close()
+						m := newModel(base)
 
 						// Phase 1: bulk load (flat: STR-packed snapshot).
-						for _, b := range []twsim.Backend{guttman, flat} {
-							if _, err := b.AddBatch(data); err != nil {
-								t.Fatal(err)
-							}
+						ids, err := flat.AddBatch(data)
+						if err != nil {
+							t.Fatal(err)
 						}
+						m.add(ids, data)
 						rng := rand.New(rand.NewSource(99))
-						checkIdentical(t, guttman, flat, rng, data, band, workers == 1 && !sharded)
+						checkIdentical(t, m, flat, rng, data, band)
 
 						// Phase 2: interleaved inserts and removes, all of
 						// which stay in the delta.
 						live := append([][]float64(nil), data...)
-						gids, err := guttman.AddBatch(extra)
-						if err != nil {
-							t.Fatal(err)
-						}
 						fids, err := flat.AddBatch(extra)
 						if err != nil {
 							t.Fatal(err)
 						}
+						m.add(fids, extra)
 						live = append(live, extra...)
 						for i := 0; i < 25; i++ {
-							j := rng.Intn(len(extra))
-							if _, err := guttman.Remove(gids[j]); err != nil {
+							id := fids[rng.Intn(len(extra))]
+							got, err := flat.Remove(id)
+							if err != nil {
 								t.Fatal(err)
 							}
-							if _, err := flat.Remove(fids[j]); err != nil {
-								t.Fatal(err)
+							if want := m.remove(id); got != want {
+								t.Fatalf("Remove(%d) = %v, the model says %v", id, got, want)
 							}
 						}
-						checkIdentical(t, guttman, flat, rng, live, band, workers == 1 && !sharded)
+						checkIdentical(t, m, flat, rng, live, band)
 
-						if got, want := flat.Len(), guttman.Len(); got != want {
-							t.Fatalf("Len diverged: flat %d, guttman %d", got, want)
+						if got, want := flat.Len(), len(m.seqs); got != want {
+							t.Fatalf("Len = %d, the model holds %d", got, want)
 						}
 						if err := flat.Verify(); err != nil {
 							t.Fatalf("flat Verify: %v", err)
@@ -205,21 +128,21 @@ func TestFlatEngineOracle(t *testing.T) {
 
 // TestFlatEngineMergesFire: single inserts past the delta threshold (4096
 // entries) make a background merge swap in a new snapshot generation, and
-// the database answers like its baseline twin before and after the swap.
+// the database answers like the model before and after the swap.
 func TestFlatEngineMergesFire(t *testing.T) {
-	guttman, flat := openPair(t, twsim.BaseLInf, 1, 0, false)
-	defer guttman.Close()
+	flat := openBackend(t, twsim.Options{RefineWorkers: 1}, false)
 	defer flat.Close()
+	m := newModel(twsim.BaseLInf)
 	data := randomWalks(7, 4300, 8, 16)
 	for _, s := range data {
-		for _, b := range []twsim.Backend{guttman, flat} {
-			if _, err := b.Add(s); err != nil {
-				t.Fatal(err)
-			}
+		id, err := flat.Add(s)
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.add([]twsim.ID{id}, [][]float64{s})
 	}
 	rng := rand.New(rand.NewSource(17))
-	checkIdentical(t, guttman, flat, rng, data, 0, true)
+	checkIdentical(t, m, flat, rng, data, 0)
 	st := flat.IndexEngineStats()
 	if st.Engine != "flat" {
 		t.Fatalf("engine = %q, want flat", st.Engine)
@@ -236,7 +159,7 @@ func TestFlatEngineMergesFire(t *testing.T) {
 	if st.Generation == 0 {
 		t.Fatal("snapshot generation still 0 after merges")
 	}
-	checkIdentical(t, guttman, flat, rng, data, 0, true)
+	checkIdentical(t, m, flat, rng, data, 0)
 }
 
 // TestFlatEnginePersistence: an on-disk database round-trips through
@@ -254,7 +177,8 @@ func TestFlatEnginePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddAll(data); err != nil {
+	first, err := db.AddAll(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -264,15 +188,8 @@ func TestFlatEnginePersistence(t *testing.T) {
 	if _, err := os.Stat(snapPath); err != nil {
 		t.Fatalf("index image not written on close: %v", err)
 	}
-
-	guttman, err := twsim.OpenMemBaseline(twsim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer guttman.Close()
-	if _, err := guttman.AddAll(data); err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(twsim.BaseLInf)
+	m.addFrom(first, data)
 
 	db, err = twsim.Open(flatDir, twsim.Options{})
 	if err != nil {
@@ -283,7 +200,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 	}
 	requireNoDerivedFiles(t, flatDir)
 	rng := rand.New(rand.NewSource(11))
-	checkIdentical(t, guttman, db, rng, data, 0, false)
+	checkIdentical(t, m, db, rng, data, 0)
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +267,7 @@ func TestFlatEnginePersistence(t *testing.T) {
 	if db.LastRepair().Repaired() || len(db.OpenDiagnostics()) != 0 {
 		t.Fatalf("open over a corrupt image: %+v %q, want neither a repair nor a note", db.LastRepair(), db.OpenDiagnostics())
 	}
-	checkIdentical(t, guttman, db, rng, data, 0, false)
+	checkIdentical(t, m, db, rng, data, 0)
 	if err := db.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -369,20 +286,15 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddAll(data); err != nil {
+	first, err := db.AddAll(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	guttman, err := twsim.OpenMemBaseline(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer guttman.Close()
-	if _, err := guttman.AddAll(data); err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(twsim.BaseLInf)
+	m.addFrom(first, data)
 
 	snapPath := filepath.Join(dir, "feature.flat")
 	raw, err := os.ReadFile(snapPath)
@@ -408,7 +320,7 @@ func TestFlatEngineRebuildsEnvelopeSnapshot(t *testing.T) {
 	}
 	requireNoDerivedFiles(t, dir)
 	rng := rand.New(rand.NewSource(13))
-	checkIdentical(t, guttman, db, rng, data, 4, false)
+	checkIdentical(t, m, db, rng, data, 4)
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -433,20 +345,15 @@ func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddAll(data); err != nil {
+	first, err := db.AddAll(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	guttman, err := twsim.OpenMemBaseline(twsim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer guttman.Close()
-	if _, err := guttman.AddAll(data); err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(twsim.BaseLInf)
+	m.addFrom(first, data)
 
 	// Turn the directory into what the older version left behind.
 	if err := os.Remove(filepath.Join(dir, "feature.flat")); err != nil {
@@ -478,7 +385,7 @@ func TestFlatEngineSwitchFromGuttman(t *testing.T) {
 	}
 	requireStrayNotes(t, db.OpenDiagnostics(), "feature.rtree", "envelopes.paa")
 	requireNoDerivedFiles(t, dir)
-	checkIdentical(t, guttman, db, rand.New(rand.NewSource(19)), data, 0, false)
+	checkIdentical(t, m, db, rand.New(rand.NewSource(19)), data, 0)
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
 	}

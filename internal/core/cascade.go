@@ -20,7 +20,8 @@ import (
 //
 //	admitEnvelope — LB_PAA on the stored PAA envelope (EnvStore, by ID),
 //	                before any heap fetch: two-sided per segment for a
-//	                banded equal-length pair
+//	                banded equal-length pair (range search; the k-NN walk
+//	                keys its candidates with the same bound instead)
 //	verify        — LB_Keogh on the banded envelope for a banded
 //	                equal-length pair
 //	verifyDP      — the exact DP: the single-window pass (dtw.Refiner),
@@ -51,9 +52,10 @@ import (
 // completes. Not safe for concurrent use: a query refines on the goroutine
 // that serves it.
 type cascade struct {
-	// paaPruner carries q, band, and the cached query-side PAA reductions;
-	// the k-NN walk keys its frontier with a second pruner of its own, so
-	// both evaluate the identical bound (see newPAAPruner).
+	// paaPruner carries q, band, and the cached query-side PAA reductions
+	// that range search prunes with; the k-NN walk keys its frontier with a
+	// second pruner of its own, which evaluates the identical bound (see
+	// newPAAPruner).
 	paaPruner
 	base    seq.Base
 	bandEnv dtw.Envelope // banded envelope of q; built only when band ≥ 1
@@ -178,10 +180,10 @@ func (c *cascade) exactDistance(s seq.Sequence) float64 {
 	return d
 }
 
-// admitEnvelope is the pre-fetch tier: LB_PAA evaluated between the query
-// and the candidate's stored PAA envelope. Candidates without a stored
-// envelope pass through unharmed, and so does every candidate of a query
-// for which LB_PAA is inert.
+// admitEnvelope is range search's pre-fetch tier: LB_PAA evaluated between
+// the query and the candidate's stored PAA envelope. Candidates without a
+// stored envelope pass through unharmed, and so does every candidate of a
+// query for which LB_PAA is inert.
 func (c *cascade) admitEnvelope(id seq.ID, cutoff float64, stats *QueryStats) bool {
 	if c.disabled || c.inert() || len(c.q) == 0 || math.IsInf(cutoff, 1) {
 		return true

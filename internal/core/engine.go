@@ -6,17 +6,16 @@ import (
 	"repro/internal/seq"
 )
 
-// Index is the feature-index seam the search and storage layers program
-// against. FlatIndex (immutable packed snapshot + mutable delta,
-// internal/flatidx) is the one a database serves from; FeatureIndex (the
-// paper's paged Guttman R-tree) implements it as the baseline the
-// experiments, the benchmark's ledger and the engine oracle walk. Both index
-// the paper's 4-d feature vectors under the Dtw-lb (L∞) metric and are
-// required to produce bit-identical query results.
+// Index is the read seam TW-Sim-Search walks: the paper's square range
+// query, the keyed k-NN walk and the index's buffer counters. FlatIndex
+// (immutable packed snapshot + mutable delta, internal/flatidx) is the one
+// index a database serves from and writes through; FeatureIndex (the
+// paper's paged Guttman R-tree) implements it so that cmd/experiments runs
+// the paper's method over the R-tree and this package's engine oracle
+// compares the two index against index. Both index the paper's 4-d feature
+// vectors under the Dtw-lb (L∞) metric and are required to produce
+// bit-identical query results.
 type Index interface {
-	Insert(id seq.ID, s seq.Sequence) error
-	Delete(id seq.ID, s seq.Sequence) (bool, error)
-	BulkLoad(ids []seq.ID, features []seq.Feature) error
 	RangeQuery(fq seq.Feature, epsilon float64) ([]seq.ID, error)
 	// NearestWalkKeyed streams IDs in non-decreasing key order from a
 	// best-first walk with a two-level sharpened frontier: the key is the
@@ -26,13 +25,7 @@ type Index interface {
 	// max of the two. fn returning false stops the walk.
 	NearestWalkKeyed(fq seq.Feature, sharpen func(id seq.ID) float64,
 		fn func(id seq.ID, key float64) bool) (KNNWalkStats, error)
-	Len() int
-	Pages() int
 	Stats() pagefile.Stats
-	ResetStats()
-	EngineStats() IndexEngineStats
-	CheckInvariants() error
-	Close() error
 }
 
 // KNNWalkStats counts one k-NN walk's frontier work, engine-independent
@@ -50,8 +43,8 @@ type KNNWalkStats struct {
 	EnvStops int64
 }
 
-// IndexEngineStats describes an index engine instance for /stats and
-// /metrics. The snapshot/delta fields are zero for the R-tree baseline.
+// IndexEngineStats describes a database's flat index for /stats and
+// /metrics.
 type IndexEngineStats struct {
 	// Engine is the engine name: EngineFlat for every database.
 	Engine string `json:"engine"`
@@ -77,11 +70,6 @@ func (s *IndexEngineStats) Add(other IndexEngineStats) {
 	s.Merges += other.Merges
 	s.SlabBytes += other.SlabBytes
 	s.MergeHist.Add(other.MergeHist)
-}
-
-// EngineStats identifies the R-tree baseline (no snapshot/delta machinery).
-func (fi *FeatureIndex) EngineStats() IndexEngineStats {
-	return IndexEngineStats{Engine: EngineGuttman}
 }
 
 var (

@@ -9,7 +9,7 @@ import (
 )
 
 // FlatIndex adapts the flat snapshot + delta engine (internal/flatidx) to
-// the Index seam: the index every database serves from. Where the R-tree
+// the Index seam: the one index every database serves from. Where the R-tree
 // pays a page-pool round-trip and pointer chase per node, the flat engine
 // walks one contiguous slab with implicit child offsets: reads are
 // lock-free and allocation-free, writes land in a small delta, and a
@@ -63,15 +63,6 @@ func (x *FlatIndex) Insert(id seq.ID, s seq.Sequence) error {
 	}
 	x.idx.Insert(flatidx.Entry{ID: id, Point: f.Vector()})
 	return nil
-}
-
-// Delete removes a sequence's entry, reporting whether it was present.
-func (x *FlatIndex) Delete(id seq.ID, s seq.Sequence) (bool, error) {
-	f, err := seq.ExtractFeature(s)
-	if err != nil {
-		return false, err
-	}
-	return x.Drop(id, f), nil
 }
 
 // Entries returns every live entry (snapshot minus tombstones plus delta).
@@ -173,9 +164,6 @@ func (x *FlatIndex) Pages() int {
 // Stats returns zeroes: the flat engine has no buffer pool — reads touch
 // the slab directly.
 func (x *FlatIndex) Stats() pagefile.Stats { return pagefile.Stats{} }
-
-// ResetStats is a no-op for the flat engine.
-func (x *FlatIndex) ResetStats() {}
 
 // EngineStats reports snapshot generation, delta size, merge counters and
 // the merge-duration histogram.

@@ -16,15 +16,10 @@ type FeatureIndex struct {
 	tree *rtree.Tree
 }
 
-// Index engine names, as IndexEngineStats.Engine reports them.
-const (
-	// EngineGuttman is the classic paged Guttman R-tree (FeatureIndex).
-	EngineGuttman = "guttman"
-	// EngineFlat is the flat snapshot + delta engine: an immutable packed
-	// tree with a mutable overlay and atomic snapshot swap (FlatIndex,
-	// internal/flatidx).
-	EngineFlat = "flat"
-)
+// EngineFlat is the index engine name IndexEngineStats.Engine reports: the
+// flat snapshot + delta engine, an immutable packed tree with a mutable
+// overlay and atomic snapshot swap (FlatIndex, internal/flatidx).
+const EngineFlat = "flat"
 
 // IndexOptions configures feature index construction.
 type IndexOptions struct {
@@ -242,9 +237,6 @@ func (fi *FeatureIndex) Pages() int { return fi.tree.NodePages() }
 
 // Stats exposes the index buffer pool counters.
 func (fi *FeatureIndex) Stats() pagefile.Stats { return fi.tree.Stats() }
-
-// ResetStats zeroes the index buffer pool counters.
-func (fi *FeatureIndex) ResetStats() { fi.tree.ResetStats() }
 
 // CheckInvariants validates the stored feature points and the underlying
 // R-tree structure. The point check runs first: an entry whose feature is

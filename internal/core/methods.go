@@ -424,17 +424,14 @@ func matchLess(a, b Match) bool {
 	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
 }
 
-// knnCandidate is the k-NN candidate body, called inline by the walk: LB_PAA
-// by ID against the current cutoff, the heap fetch (a dangling index entry
-// is skipped, not an error), then the full DP while the cutoff is still
-// infinite and the cascade afterwards. A candidate LB_PAA dismisses is still a candidate, so it is
-// counted before the fetch; the others are counted after it, where dangling
-// entries are excluded — Candidates = ΣPruned + DTWCalls either way.
+// knnCandidate is the k-NN candidate body, called inline by the walk: the
+// heap fetch (a dangling index entry is skipped, not an error), then the
+// full DP while the cutoff is still infinite and the cascade afterwards.
+// There is no LB_PAA check here: the walk emitted the candidate at a key of
+// at least its LB_PAA and only because that key did not exceed the cutoff.
+// A candidate is counted after the fetch, where dangling entries are
+// excluded, so Candidates = ΣPruned + DTWCalls.
 func (t *TWSimSearch) knnCandidate(c *cascade, top *knnTop, id seq.ID, stats *QueryStats) error {
-	if !c.admitEnvelope(id, top.cutoff(), stats) {
-		stats.Candidates++
-		return nil
-	}
 	s, ok, err := c.fetch(t.DB, id)
 	if !ok {
 		return err

@@ -38,7 +38,7 @@ type derivedRecord struct {
 // live sequence is indexed exactly once at its feature vector and holds
 // exactly its envelope, and searches are free of false dismissal
 // (Theorems 1-2).
-func Derive(store *seqdb.DB, index Index, envs *EnvStore) (live int, err error) {
+func Derive(store *seqdb.DB, index *FlatIndex, envs *EnvStore) (live int, err error) {
 	var ids []seq.ID
 	var features []seq.Feature
 	var derr error // the first record that fails; the ones after it are drained unread

@@ -170,9 +170,6 @@ func (t *Tree) NodePages() int { return t.pool.NumPages() }
 // Stats exposes the underlying buffer pool counters.
 func (t *Tree) Stats() pagefile.Stats { return t.pool.Stats() }
 
-// ResetStats zeroes the underlying buffer pool counters.
-func (t *Tree) ResetStats() { t.pool.ResetStats() }
-
 // Flush persists all dirty pages and the metadata.
 func (t *Tree) Flush() error {
 	if err := t.saveMeta(); err != nil {

@@ -65,7 +65,7 @@ type writeState struct {
 
 func stateOf(t *testing.T, db *DB) writeState {
 	t.Helper()
-	entries, err := db.index.(*core.FlatIndex).Entries()
+	entries, err := db.index.Entries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +358,8 @@ func TestRepairFixesBalancedDivergence(t *testing.T) {
 		stored = append(stored, v)
 	}
 	// Orphan: drop a live record's index entry. Dangling: add a phantom.
-	if _, err := db.index.Delete(ids[4], seq.Sequence(stored[4])); err != nil {
-		t.Fatal(err)
+	if !db.index.Drop(ids[4], seq.MustFeature(stored[4])) {
+		t.Fatal("test setup: the entry to orphan is not indexed")
 	}
 	if err := db.index.Insert(seq.ID(700), seq.Sequence{1, 2}); err != nil {
 		t.Fatal(err)

@@ -383,6 +383,41 @@ func TestSearchCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestCachedAnswerUnderDoneContext: a query whose answer the result cache
+// holds still returns (nil, ctx.Err()) under a done context (DESIGN.md
+// §13.3), for both query kinds on both backends; with a live context the
+// same call is a cache hit.
+func TestCachedAnswerUnderDoneContext(t *testing.T) {
+	for name, cb := range openCacheBackends(t, 1<<20) {
+		t.Run(name, func(t *testing.T) {
+			data := randomWalks(82, 40, 12, 24)
+			if _, err := cb.b.AddBatch(data); err != nil {
+				t.Fatal(err)
+			}
+			q := data[5]
+			queries := map[string]func(ctx context.Context) (*twsim.Result, error){
+				"range": func(ctx context.Context) (*twsim.Result, error) { return cb.b.SearchCtx(ctx, q, 0.5, 0) },
+				"knn":   func(ctx context.Context) (*twsim.Result, error) { return cb.b.NearestKCtx(ctx, q, 3, 0) },
+			}
+			done, cancel := context.WithCancel(context.Background())
+			cancel()
+			for kind, run := range queries {
+				for i := 0; i < 2; i++ { // the second run is a hit
+					if _, err := run(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if res, err := run(done); res != nil || !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s under a cancelled context = (%v, %v), want (nil, context.Canceled)", kind, res, err)
+				}
+				if res, err := run(context.Background()); err != nil || !res.CacheHit {
+					t.Fatalf("%s after the cancelled call: hit %v, err %v; want the cached answer", kind, res != nil && res.CacheHit, err)
+				}
+			}
+		})
+	}
+}
+
 // TestQueryDeadline: Options.QueryDeadline bounds query execution — a
 // deadline far shorter than the workload aborts with
 // context.DeadlineExceeded rather than running to completion.

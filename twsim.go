@@ -172,7 +172,7 @@ type DB struct {
 	// lock is internal and never held across a call out.
 	mu        sync.RWMutex
 	store     *seqdb.DB
-	index     writeIndex
+	index     *core.FlatIndex
 	envs      *core.EnvStore
 	base      Base
 	dir       string // empty when in-memory
@@ -193,17 +193,6 @@ type DB struct {
 	// returns.
 	wal         *wal.Log
 	walReplayed bool
-}
-
-// writeIndex is the index a database writes through: core.Index's reads
-// plus Put and Drop, the two writes that cannot refuse, so that after the
-// heap has taken a write nothing can fail. Every database serves from a
-// *core.FlatIndex; OpenMemBaseline (export_test.go) puts the paper's R-tree
-// behind it as the twin the engine oracle tests hold answers against.
-type writeIndex interface {
-	core.Index
-	Put(ids []ID, features []seq.Feature)
-	Drop(id ID, f seq.Feature) bool
 }
 
 // exportFileName is the index image a clean Close leaves for tools outside
@@ -569,11 +558,11 @@ func (c queryCall) guard(base Base, ms []Match) core.ResultGuard {
 }
 
 // runQuery is the one protocol every single-query entry point of both
-// backends runs: validate → probe the whole-query result cache → attach the
-// deadline → compute → store → stamp the request ID and slow-log. gen reads
-// the backend's write generation; compute runs the actual search under the
-// deadline-bearing context. (A range door rejects a negative tolerance
-// before calling.)
+// backends runs: validate → check the context → probe the whole-query
+// result cache → attach the deadline → compute → store → stamp the request
+// ID and slow-log. gen reads the backend's write generation; compute runs
+// the actual search under the deadline-bearing context. (A range door
+// rejects a negative tolerance before calling.)
 //
 // Coherence (DESIGN.md §13.2) is stated over this function alone: gen() is
 // loaded before any index or heap read of the query — the probe and compute
@@ -586,6 +575,11 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 	c queryCall, compute func(ctx context.Context) (*Result, error)) (*Result, error) {
 	if err := validateQuery(c.query, c.band); err != nil {
 		return nil, err
+	}
+	// A done context returns its error whether or not the cache holds the
+	// answer (DESIGN.md §13.3).
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	start := time.Now()
 	var (
@@ -799,8 +793,8 @@ func (db *DB) Close() error {
 			err = fmt.Errorf("twsim: wal close: %w", cerr)
 		}
 	}
-	if fi, ok := db.index.(*core.FlatIndex); ok && db.dir != "" && err == nil {
-		if xerr := fi.Export(filepath.Join(db.dir, exportFileName)); xerr != nil {
+	if db.dir != "" && err == nil {
+		if xerr := db.index.Export(filepath.Join(db.dir, exportFileName)); xerr != nil {
 			err = fmt.Errorf("twsim: exporting the index: %w", xerr)
 		}
 	}

@@ -25,9 +25,8 @@ func TestVerifyDetectsMissingIndexEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Desynchronize: remove the index entry but leave the heap record live.
-	found, err := db.index.Delete(id, seq.Sequence(s))
-	if err != nil || !found {
-		t.Fatalf("index delete = %v, %v", found, err)
+	if !db.index.Drop(id, seq.MustFeature(s)) {
+		t.Fatal("index drop found nothing")
 	}
 	err = db.Verify()
 	if err == nil {
