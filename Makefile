@@ -124,9 +124,10 @@ bench-smoke:
 # on two CPUs,
 # and last the DP as the other callers run it, through a pooled Refiner:
 # the public Distance / BandDistance, a Naive-Scan pass at ε 0.1 and at
-# +Inf, and subsequence search; then the HTTP request decoder on one
-# 1 000-sequence load batch and one 128-element /knn body (bytes per second,
-# ns per number in the body, allocations).
+# +Inf, and subsequence search; then the HTTP request decoder's scanner on
+# one 1 000-sequence load batch and on one 128-element /knn body, the shape
+# every query sends (bytes per second, ns per number in the body,
+# allocations).
 # To compare two commits, build the binaries on both and alternate them
 # (internal/dtw/refiner_bench_test.go, internal/core/lbpaa_test.go,
 # internal/seqdb/fetch_bench_test.go, banded_bench_test.go, bench_test.go,

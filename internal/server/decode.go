@@ -11,27 +11,49 @@ import (
 	"strconv"
 )
 
-// Request bodies are read once and decoded by one of two paths. The load's
-// body, batchRequest, has a hand-written scanner for its canonical shape that
-// decodes into locals and commits only when the whole body is accepted.
-// Every other body, and anything the scanner declines — a key that differs
-// only in case, an escaped or duplicate key, null, a number outside JSON's
-// grammar or float64's range, a syntax error, trailing data — goes to
-// decodeJSON, encoding/json's decoder over the same bytes. The scanner
-// accepts only input that encoding/json decodes to the same values: each
-// number is the correctly rounded float64, which has one answer, found from
-// one pass over its digits (Clinger's exact path or Eisel–Lemire) with
-// strconv.ParseFloat as the fallback. So the accepted language, the decoded
-// values, the status codes and the error texts are encoding/json's;
+// Request bodies are read once and decoded by one of two paths. The bodies
+// the benchmark and the Go client send — /sequences, /sequences/batch,
+// /search and /knn — have a hand-written scanner for their canonical shape:
+// one JSON object whose keys are the request's field names, spelt exactly,
+// unescaped, each at most once, in any order. It decodes into locals and
+// commits only when the whole body is accepted. The /subseq/* bodies, and
+// anything the scanner declines — a key that differs only in case, an
+// escaped or duplicate key, null, a fraction or an exponent where an int
+// goes, a number outside JSON's grammar or its field's range, a syntax
+// error, trailing data — go to decodeJSON, encoding/json's decoder over the
+// same bytes. The scanner accepts only input that encoding/json decodes to
+// the same values: each float is the correctly rounded float64, which has
+// one answer, found from one pass over its digits (Clinger's exact path or
+// Eisel–Lemire) with strconv.ParseFloat as the fallback, and each int is
+// read exactly or declined. So the accepted language, the decoded values,
+// the status codes and the error texts are encoding/json's;
 // FuzzDecodeMatchesEncodingJSON holds the whole decoder to encoding/json,
 // and FuzzScanFloatMatchesParseFloat each number to strconv.ParseFloat.
 
-// batchRequest is the /sequences/batch body. It is an alias, so the struct
-// stays unnamed and encoding/json's type errors name its field ".sequences",
-// in the same form as every other handler's inline request struct.
-type batchRequest = struct {
-	Sequences [][]float64 `json:"sequences"`
-}
+// The request bodies the scanner reads. They are aliases, so the structs
+// stay unnamed and encoding/json's type errors name a field ".k", as they
+// did when each handler declared its struct inline.
+type (
+	valuesRequest = struct {
+		Values []float64 `json:"values"`
+	}
+	batchRequest = struct {
+		Sequences [][]float64 `json:"sequences"`
+	}
+	// Band, in a query body, is the optional Sakoe–Chiba band half-width
+	// the query answers under: omitted = the backend's configured default,
+	// 0 = unconstrained, ≥ 1 = banded, negative = 400.
+	searchRequest = struct {
+		Query   []float64 `json:"query"`
+		Epsilon float64   `json:"epsilon"`
+		Band    *int      `json:"band"`
+	}
+	knnRequest = struct {
+		Query []float64 `json:"query"`
+		K     int       `json:"k"`
+		Band  *int      `json:"band"`
+	}
+)
 
 // firstRead bounds the buffer readBody allocates before any body byte has
 // arrived: a client that declares a large Content-Length and then stalls
@@ -53,11 +75,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return false
 	}
-	if req, ok := dst.(*batchRequest); ok {
-		if seqs, ok := scanBatch(body); ok {
-			req.Sequences = seqs
-			return true
-		}
+	if scan(body, dst) {
+		return true
 	}
 	if err := decodeJSON(body, dst); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -115,21 +134,53 @@ func decodeJSON(body []byte, dst any) error {
 	return nil
 }
 
-// scanBatch decodes a canonical /sequences/batch body, or reports false.
-func scanBatch(body []byte) ([][]float64, bool) {
-	var seqs [][]float64
+// scan decodes a canonical body into dst, one of the request types above,
+// or reports false and leaves dst as it was.
+func scan(body []byte, dst any) bool {
 	s := scanner{b: body}
-	ok := s.object("sequences", func() (ok bool) {
-		seqs, ok = s.floatArrays()
-		return ok
-	})
-	return seqs, ok
+	switch req := dst.(type) {
+	case *valuesRequest:
+		var r valuesRequest
+		if !s.object(field{"values", func() (ok bool) { r.Values, ok = s.floats(); return ok }}) {
+			return false
+		}
+		*req = r
+	case *batchRequest:
+		var r batchRequest
+		if !s.object(field{"sequences", func() (ok bool) { r.Sequences, ok = s.floatArrays(); return ok }}) {
+			return false
+		}
+		*req = r
+	case *searchRequest:
+		var r searchRequest
+		if !s.object(
+			field{"query", func() (ok bool) { r.Query, ok = s.floats(); return ok }},
+			field{"epsilon", func() (ok bool) { r.Epsilon, ok = s.float(); return ok }},
+			field{"band", func() (ok bool) { r.Band, ok = s.intPtr(); return ok }},
+		) {
+			return false
+		}
+		*req = r
+	case *knnRequest:
+		var r knnRequest
+		if !s.object(
+			field{"query", func() (ok bool) { r.Query, ok = s.floats(); return ok }},
+			field{"k", func() (ok bool) { r.K, ok = s.int(); return ok }},
+			field{"band", func() (ok bool) { r.Band, ok = s.intPtr(); return ok }},
+		) {
+			return false
+		}
+		*req = r
+	default:
+		return false
+	}
+	return true
 }
 
 // scanner walks a request body in canonical JSON. Every method reports
 // false on anything outside that shape and leaves the decision to
 // decodeJSON; none of them allocates but floats and floatArrays, each once
-// per array, at the array's exact length.
+// per array, at the array's exact length, and intPtr.
 type scanner struct {
 	b []byte
 	i int
@@ -157,34 +208,96 @@ func (s *scanner) next(c byte) bool {
 	return false
 }
 
-// object walks a body that is one JSON object followed only by whitespace:
-// {} or {"name": value}, the key spelt exactly and unescaped; value consumes
-// the value. Any other key, or a second one, declines.
-func (s *scanner) object(name string, value func() bool) bool {
+// field is one key an object may hold and the reader of its value.
+type field struct {
+	name  string
+	value func() bool
+}
+
+// object walks a body that is one JSON object followed only by whitespace,
+// each key one of fields' names spelt exactly and unescaped, at most once,
+// in any order; the field's value reads the value. Any other key, or one
+// given twice, declines. A field that is absent keeps its zero value, as
+// encoding/json leaves it.
+func (s *scanner) object(fields ...field) bool {
 	if !s.next('{') {
 		return false
 	}
 	if !s.next('}') {
-		if !s.key(name) || !s.next(':') || !value() || !s.next('}') {
-			return false
+		var seen uint64
+		for {
+			j := s.key(fields)
+			if j < 0 || seen&(1<<j) != 0 || !s.next(':') || !fields[j].value() {
+				return false
+			}
+			seen |= 1 << j
+			if s.next('}') {
+				break
+			}
+			if !s.next(',') {
+				return false
+			}
 		}
 	}
 	s.ws()
 	return s.i == len(s.b)
 }
 
-// key consumes a quoted key and reports whether it is name.
-func (s *scanner) key(name string) bool {
+// key consumes a quoted key and returns the index of the field it names,
+// or -1.
+func (s *scanner) key(fields []field) int {
 	if !s.next('"') {
-		return false
+		return -1
 	}
 	end := bytes.IndexByte(s.b[s.i:], '"')
 	if end < 0 {
-		return false
+		return -1
 	}
 	k := s.b[s.i : s.i+end]
 	s.i += end + 1
-	return string(k) == name // else unknown, a case variant or escaped: encoding/json decides
+	for j, f := range fields {
+		if string(k) == f.name {
+			return j
+		}
+	}
+	return -1 // unknown, a case variant or escaped: encoding/json decides
+}
+
+// int consumes an integer as encoding/json decodes it into an int,
+// -?(0|[1-9][0-9]*). A fraction or an exponent, which encoding/json refuses
+// for an int, declines, and so does a number of more than 18 digits, which
+// may not fit.
+func (s *scanner) int() (int, bool) {
+	s.ws()
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var v uint64
+	for ; i < len(b) && isDigit(b[i]); i++ { // past 18 digits v may wrap, and declines
+		v = v*10 + uint64(b[i]-'0')
+	}
+	n := i - start
+	if n == 0 || n > 18 || v > math.MaxInt || (n > 1 && b[start] == '0') ||
+		(i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E')) {
+		return 0, false
+	}
+	s.i = i
+	if neg {
+		return -int(v), true
+	}
+	return int(v), true
+}
+
+// intPtr is int for a *int field: a new int, as encoding/json allocates one.
+func (s *scanner) intPtr() (*int, bool) {
+	v, ok := s.int()
+	if !ok {
+		return nil, false
+	}
+	return &v, true
 }
 
 // float consumes one number in JSON's grammar as encoding/json decodes it

@@ -137,7 +137,7 @@ func sameBits(a, b reflect.Value) bool {
 }
 
 // canonicalBodies are the shapes the benchmark's client and the Go client
-// send; only the batch body has a fast path.
+// send; the scanner takes each of them (TestScannerTakesTheCanonicalShape).
 var canonicalBodies = []string{
 	`{"values":[1.5,-2,3e-7,0]}`,
 	`{"sequences":[[1,2,3],[4.25],[]]}`,
@@ -163,6 +163,10 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 		`{"sequences":null}`, `{"sequences":[null]}`, `{"sequences":"x"}`, `{"sequences":[["x"]]}`,
 		`{"k":"x"}`, `{"query":"x","epsilon":1}`, `{"sequences":[[1]]}` + " \t\r\n",
 		`{"sequences":[[9007199254740993,1.00000000000000011102230246251565404236316680908203125,4.9e-324,-0.0e7]]}`,
+		`{"band":2,"k":3,"query":[1,2]}`, `{"epsilon":0.5,"query":[1],"band":0}`,
+		`{"query":[1],"band":1,"band":2}`, `{"query":[1],"k":1e1}`,
+		`{"query":[1],"k":9223372036854775808}`, `{"query":[1],"k":-0}`,
+		`{"query":[1],"epsilon":-0}`, `{"band":null,"query":[1],"k":1}`,
 	} {
 		f.Add([]byte(b))
 	}
@@ -177,19 +181,52 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 }
 
 // The fuzz target's equality would hold vacuously if the scanner declined
-// everything; the canonical batch bodies must take the fast path.
+// everything; the canonical bodies of every scanned request type must take
+// the fast path.
 func TestScannerTakesTheCanonicalShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, body := range [][]byte{
-		[]byte(canonicalBodies[1]),
-		[]byte(`{}`),
-		[]byte(" {\"sequences\" : [ [ 1 , -2.5e3 ] , [ ] ] }\n"),
-		benchkit.BatchBody(synth.RandomWalkSet(rng, 50, 128)),
+	knn := knnBody(rng, 128)
+	search := bytes.Replace(knn, []byte(`"k":10`), []byte(`"epsilon":0.30000000000000004`), 1)
+	for _, c := range []struct {
+		body []byte
+		dst  any
+	}{
+		{[]byte(canonicalBodies[0]), new(valuesRequest)},
+		{[]byte(canonicalBodies[1]), new(batchRequest)},
+		{[]byte(canonicalBodies[2]), new(searchRequest)},
+		{[]byte(canonicalBodies[3]), new(knnRequest)},
+		{[]byte(canonicalBodies[4]), new(searchRequest)},
+		{[]byte(`{}`), new(batchRequest)},
+		{[]byte(" {\"sequences\" : [ [ 1 , -2.5e3 ] , [ ] ] }\n"), new(batchRequest)},
+		{benchkit.BatchBody(synth.RandomWalkSet(rng, 50, 128)), new(batchRequest)},
+		// The benchmark's /knn and /search bodies: query first, band last.
+		{knn, new(knnRequest)},
+		{search, new(searchRequest)},
+		// The Go client's: encoding/json writes a map's keys sorted.
+		{[]byte(`{"band":3,"epsilon":0.25,"query":[1,-2.5,3e-7]}`), new(searchRequest)},
+		{[]byte(`{"epsilon":0.25,"query":[1,-2.5,3e-7]}`), new(searchRequest)},
+		{[]byte(`{"band":3,"k":5,"query":[1,-2.5,3e-7]}`), new(knnRequest)},
+		{[]byte(`{"k":5,"query":[1,-2.5,3e-7]}`), new(knnRequest)},
+		{[]byte("\t{ \"k\" :\n5 ,\r\"query\" : [ 1 , 2 ] , \"band\" : -1 }\n "), new(knnRequest)},
 	} {
-		if _, ok := scanBatch(body); !ok {
-			t.Errorf("the scanner declined %.60q", body)
+		if !scan(c.body, c.dst) {
+			t.Errorf("the scanner declined %T %.60q", c.dst, c.body)
 		}
 	}
+}
+
+// decodeAllocs is the allocations of one decodeBody of body into dst.
+func decodeAllocs(t *testing.T, body []byte, dst any) float64 {
+	t.Helper()
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/", rd)
+	w := httptest.NewRecorder()
+	return testing.AllocsPerRun(100, func() {
+		rd.Reset(body)
+		if !decodeBody(w, r, dst) {
+			t.Fatal("decode failed")
+		}
+	})
 }
 
 // A canonical batch allocates its body buffer, the outer slice and one
@@ -201,21 +238,25 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if len(body) > firstRead {
 		t.Fatalf("body of %d bytes takes more than one read buffer", len(body))
 	}
-	rd := bytes.NewReader(body)
-	r := httptest.NewRequest(http.MethodPost, "/sequences/batch", rd)
-	w := httptest.NewRecorder()
 	var req batchRequest
-	allocs := testing.AllocsPerRun(100, func() {
-		rd.Reset(body)
-		if !decodeBody(w, r, &req) {
-			t.Fatal("decode failed")
-		}
-	})
-	if allocs > 2+seqs {
+	if allocs := decodeAllocs(t, body, &req); allocs > 2+seqs {
 		t.Fatalf("decoding a %d-sequence batch: %v allocations, want ≤ %d", seqs, allocs, 2+seqs)
 	}
 	if len(req.Sequences) != seqs || len(req.Sequences[seqs-1]) != 64 {
 		t.Fatalf("decoded %d sequences", len(req.Sequences))
+	}
+}
+
+// A canonical 128-element /knn body allocates its body buffer, the query
+// slice and the band, nothing else: the field list's closures stay on the
+// stack.
+func TestDecodeQueryAllocs(t *testing.T) {
+	var req knnRequest
+	if allocs := decodeAllocs(t, knnBody(rand.New(rand.NewSource(2)), 128), &req); allocs > 3 {
+		t.Fatalf("decoding a 128-element /knn body: %v allocations, want ≤ 3", allocs)
+	}
+	if len(req.Query) != 128 || req.K != 10 || req.Band == nil || *req.Band != 8 {
+		t.Fatalf("decoded %d elements, k %d, band %v", len(req.Query), req.K, req.Band)
 	}
 }
 
@@ -225,7 +266,7 @@ func TestScannerCommaRunAllocatesLittle(t *testing.T) {
 	body := []byte(`{"sequences":[[` + strings.Repeat(",", 1<<20) + `]]}`)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, ok := scanBatch(body); ok {
+	if scan(body, new(batchRequest)) {
 		t.Fatal("the scanner accepted a run of commas")
 	}
 	runtime.ReadMemStats(&after)
@@ -301,8 +342,8 @@ func knnBody(rng *rand.Rand, n int) []byte {
 }
 
 // BenchmarkDecodeBody times decodeBody on the benchmark's request shapes:
-// one 1 000-sequence /sequences/batch body (the load, through the scanner)
-// and one 128-element /knn body (every query, through encoding/json), in
+// one 1 000-sequence /sequences/batch body (the load) and one 128-element
+// /knn body (every query), both through the scanner, in
 // bytes per second and nanoseconds per number in the body. Run at -cpu 1
 // with -benchmem.
 func BenchmarkDecodeBody(b *testing.B) {

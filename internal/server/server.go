@@ -443,9 +443,7 @@ func (s *Server) handleSequences(w http.ResponseWriter, r *http.Request) {
 	if s.denyWrites(w) {
 		return
 	}
-	var req struct {
-		Values []float64 `json:"values"`
-	}
+	var req valuesRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -541,14 +539,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req struct {
-		Query   []float64 `json:"query"`
-		Epsilon float64   `json:"epsilon"`
-		// Band is the optional Sakoe–Chiba band half-width this query
-		// answers under: omitted = the backend's configured default, 0 =
-		// unconstrained, ≥ 1 = banded, negative = 400.
-		Band *int `json:"band"`
-	}
+	var req searchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -584,13 +575,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	var req struct {
-		Query []float64 `json:"query"`
-		K     int       `json:"k"`
-		// Band as in /search: omitted = backend default, 0 = unconstrained,
-		// ≥ 1 = banded, negative = 400.
-		Band *int `json:"band"`
-	}
+	var req knnRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}

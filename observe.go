@@ -1,6 +1,7 @@
 package twsim
 
 import (
+	"fmt"
 	"log"
 	"sync/atomic"
 )
@@ -30,15 +31,20 @@ func (o Options) slowLogger() *log.Logger {
 //	  wall=120ms filter=8ms refine=112ms candidates=140 results=3 dtw=41
 //	  pruned_paa=0 pruned_keogh=90 pruned_corridor=9
 //
-// kind is "search" or "knn"; param carries the query-kind
-// specific parameters ("epsilon=… band=…" or "k=… band=…"); request_id
-// matches the Result.RequestID returned to the caller.
-func (o Options) logSlowQuery(kind string, requestID uint64, queryLen int, param string, stats QueryStats) {
+// kind is "search" or "knn", followed after qlen by the kind's parameters
+// ("epsilon=… band=…" or "k=… band=…"); request_id matches the
+// Result.RequestID returned to the caller. The line is formatted only once
+// the query is known to be slow.
+func (o Options) logSlowQuery(c queryCall, requestID uint64, stats QueryStats) {
 	if o.SlowQueryThreshold <= 0 || stats.Wall < o.SlowQueryThreshold {
 		return
 	}
+	kind, param := "knn", fmt.Sprintf("k=%d band=%d", c.k, c.band)
+	if c.family == 'r' {
+		kind, param = "search", fmt.Sprintf("epsilon=%g band=%d", c.epsilon, c.band)
+	}
 	o.slowLogger().Printf("twsim: slow query kind=%s request_id=%d qlen=%d %s wall=%s filter=%s refine=%s candidates=%d results=%d dtw=%d pruned_paa=%d pruned_keogh=%d pruned_corridor=%d",
-		kind, requestID, queryLen, param, stats.Wall, stats.FilterWall, stats.RefineWall,
+		kind, requestID, len(c.query), param, stats.Wall, stats.FilterWall, stats.RefineWall,
 		stats.Candidates, stats.Results, stats.DTWCalls,
 		stats.LBPAAPruned, stats.LBKeoghPruned, stats.CorridorPruned)
 }

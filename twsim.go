@@ -521,25 +521,21 @@ func validateQuery(query []float64, band int) error {
 }
 
 // queryCall names one single-query call: the inputs of its result-cache key
-// and the wording of its slow-log line. rangeCall and knnCall build the two
-// kinds, so runQuery never asks which one it is serving.
+// and of its slow-log line. rangeCall and knnCall build the two kinds, so
+// runQuery never asks which one it is serving.
 type queryCall struct {
-	family   byte // core.ResultCacheKey family: 'r' = range, 'k' = k-NN
-	query    []float64
-	epsilon  float64 // range tolerance; 0 for k-NN
-	k, band  int     // k is the neighbour count; 0 for range
-	logKind  string
-	logParam string
+	family  byte // core.ResultCacheKey family: 'r' = range, 'k' = k-NN
+	query   []float64
+	epsilon float64 // range tolerance; 0 for k-NN
+	k, band int     // k is the neighbour count; 0 for range
 }
 
 func rangeCall(query []float64, epsilon float64, band int) queryCall {
-	return queryCall{family: 'r', query: query, epsilon: epsilon, band: band,
-		logKind: "search", logParam: fmt.Sprintf("epsilon=%g band=%d", epsilon, band)}
+	return queryCall{family: 'r', query: query, epsilon: epsilon, band: band}
 }
 
 func knnCall(query []float64, k, band int) queryCall {
-	return queryCall{family: 'k', query: query, k: k, band: band,
-		logKind: "knn", logParam: fmt.Sprintf("k=%d band=%d", k, band)}
+	return queryCall{family: 'k', query: query, k: k, band: band}
 }
 
 // guard is what the result cache judges a later add against: an added
@@ -606,7 +602,7 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 		}
 	}
 	res.RequestID = nextRequestID()
-	o.logSlowQuery(c.logKind, res.RequestID, len(c.query), c.logParam, res.Stats)
+	o.logSlowQuery(c, res.RequestID, res.Stats)
 	return res, nil
 }
 
