@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet surface loc build test race fuzz-smoke metrics-smoke bench-smoke crash-tests kernels
+.PHONY: ci fmt vet surface loc build test race fuzz-smoke metrics-smoke bench-smoke crash-tests kernels pairs
 
 # Full gate: formatting, static checks (vet plus the query-surface check),
 # build, the whole test suite (including the fault-injection recovery tests)
@@ -16,7 +16,10 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
 # the banded two-sided LB_PAA on the packed float32 record <= BandDistance
 # (exactly, on values float32 cannot hold) and >= the interval-gap form on
-# the inward-read bounds, the refine tier's windowed kernel vs the dense DP
+# the inward-read bounds, the unbanded pre-fetch tier's decision over a
+# record's 16 stored segments vs the DP (a "no" only when Distance > t, at t
+# on and one ulp either side of a pair's cost, records of 1–300 elements),
+# the refine tier's windowed kernel vs the dense DP
 # and its banded pass vs the reference banded loop (verdict and bits), the
 # bit-parallel L∞ decision vs the dense DP (Within(t) == Distance ≤ t,
 # LB_Kim ≤ Distance, and Within(LB_Kim) only when the two are the same
@@ -53,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzLBPAASound$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzSegmentDecisionSound$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
@@ -108,7 +112,10 @@ bench-smoke:
 # keeping its reach rows and at LB_Kim, then the DP in the rows' co-reach
 # windows; and that last step alone on the pairs that reach it, as the
 # refiner and as the windowed DP, in ns per window cell and the windows'
-# share of the matrix), and the calls knn_banded's DP tier
+# share of the matrix; and the unbanded pre-fetch tier, the decision over
+# the 16 stored segments, alone at ε 0.30 and 0.20 — ns per pair, the
+# non-results it dismisses, its false dismissals — and in front of the
+# route), and the calls knn_banded's DP tier
 # sees after banded LB_Keogh — and the decision alone over the
 # range pairs (ns per decision), from one test binary on one CPU, five
 # times each, then the banded
@@ -146,6 +153,17 @@ kernels:
 	./bin/twsim.test -test.run '^$$' -test.bench '^Benchmark(DTW|AblationEarlyAbandon|SubseqSearch)$$' -test.cpu 1 -test.count 5
 	$(GO) test -c -o bin/server.test ./internal/server
 	./bin/server.test -test.run '^$$' -test.bench '^BenchmarkDecodeBody/(batch1000|query128)$$' -test.benchmem -test.cpu 1 -test.count 5
+
+# One workload in alternated pairs of runs between HEAD and the working tree
+# (cmd/pairs): each side exported into a temporary directory, then
+# `go run ./cmd/bench -workload $(W) -seed 7 -seconds 12 -trace 0` in each,
+# odd pairs HEAD first, and per end-to-end metric both medians, both
+# interquartile ranges and the change's wins out of $(N). A pair of
+# mixed_rw_wal runs takes about two minutes.
+W ?= mixed_rw_wal
+N ?= 10
+pairs:
+	$(GO) run ./cmd/pairs -workload $(W) -n $(N)
 
 # The query surface is two doors (SearchCtx, NearestKCtx) plus the
 # paper-API wrappers. Fails if a deleted variant, option or alias

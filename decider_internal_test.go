@@ -54,7 +54,9 @@ func sameMatchBits(t *testing.T, what string, got, want []Match) {
 // random walks whose lengths (20–300) straddle the decision's 64-column
 // words, unbanded L∞ range and k-NN queries — serial and with workers —
 // return the disabled cascade's matches to the bit, and range queries put
-// exactly the refiner's verdicts in CorridorPruned and DTWCalls, with Candidates = Σ pruned + DTWCalls throughout. With two
+// exactly the refiner's verdicts in DTWCalls and its rejections in
+// LBPAAPruned (the segment decision before the fetch) plus CorridorPruned
+// (the decision after it), with Candidates = Σ pruned + DTWCalls throughout. With two
 // refine workers the range queries also run from two goroutines at once.
 func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
@@ -83,12 +85,12 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 			sameMatchBits(t, what, res.Matches, want.Matches)
 			pruned, calls := refinerOnlyCounts(t, db, q, eps)
 			st := res.Stats
-			if st.CorridorPruned != pruned || st.DTWCalls != calls || st.Candidates != pruned+calls ||
-				st.LBPAAPruned+st.LBKeoghPruned != 0 {
+			if st.LBPAAPruned+st.CorridorPruned != pruned || st.DTWCalls != calls || st.Candidates != pruned+calls ||
+				st.LBKeoghPruned != 0 {
 				t.Fatalf("%s workers %d eps %g: %+v, refiner-only %d pruned + %d calls", what, workers, eps, st, pruned, calls)
 			}
 		}
-		decided := 0
+		decided, segment, corridor := 0, 0, 0
 		for qi, q := range queries {
 			for _, eps := range []float64{0.1, 0.3, 0.6} {
 				res, err := db.Search(q, eps)
@@ -96,7 +98,9 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("range", q, eps, res)
-				decided += res.Stats.CorridorPruned * res.Stats.DTWCalls
+				decided += (res.Stats.LBPAAPruned + res.Stats.CorridorPruned) * res.Stats.DTWCalls
+				segment += res.Stats.LBPAAPruned
+				corridor += res.Stats.CorridorPruned
 			}
 			for _, k := range []int{1, 10} {
 				res, err := db.NearestKCtx(nil, q, k, 0)
@@ -114,8 +118,9 @@ func TestUnbandedDecisionKeepsAnswersAndCounts(t *testing.T) {
 				}
 			}
 		}
-		if decided == 0 {
-			t.Fatal("no range query both pruned and accepted a candidate")
+		if decided == 0 || segment == 0 || corridor == 0 {
+			t.Fatalf("range queries: %d pruned × accepted, %d segment prunes, %d corridor prunes; want each > 0",
+				decided, segment, corridor)
 		}
 		if workers == 2 {
 			concurrentQueriesKeepBits(t, db, ref, queries)

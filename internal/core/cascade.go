@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/dtw"
 	"repro/internal/seq"
@@ -18,10 +17,12 @@ import (
 // a false dismissal (the guarantee the paper's Theorem 1 establishes for the
 // index filter extends to every tier):
 //
-//	admitEnvelope — LB_PAA on the stored PAA envelope (EnvStore, by ID),
-//	                before any heap fetch: two-sided per segment for a
-//	                banded equal-length pair (range search; the k-NN walk
-//	                keys its candidates with the same bound instead)
+//	admitEnvelope — on the stored PAA envelope (EnvStore, by ID), before
+//	                any heap fetch (range search): LB_PAA, two-sided per
+//	                segment, for a banded equal-length pair (the k-NN walk
+//	                keys its candidates with the same bound instead); for an
+//	                unbanded L∞ query with a decider, the decision at the
+//	                cutoff over the 16 stored segments (segmentsWithin)
 //	verify        — LB_Keogh on the banded envelope for a banded
 //	                equal-length pair
 //	verifyDP      — the exact DP: the single-window pass (dtw.Refiner),
@@ -33,14 +34,15 @@ import (
 //	                with the DP confined to the windows the first decision's
 //	                reach rows allow (dtw.Refiner.CorridorDistance)
 //
-// The cascade prunes the paper's L∞ base only. Nothing sits between the
-// walk and the DP for an unbanded query: the global-range LB_PAA, the
+// The cascade prunes the paper's L∞ base only. No value bound sits between
+// the walk and the DP for an unbanded query: the global-range LB_PAA, the
 // global-envelope LB_Keogh and the two-sided LB_Yi are bounded above by the
 // Greatest/Smallest components of Dtw-lb, which the walk has already applied
 // (DESIGN.md §8; TestGlobalPAABelowKim and dtw.TestGlobalBoundsBelowKim hold
-// the chain). An additive base (L1, L2Sq) disables the cascade: newCascade
-// sends every candidate straight to the reference DP, the path the oracle
-// tests compare against.
+// the chain). Only the path-aware segment decision does, and it dismisses
+// only candidates the decision after the fetch would. An additive base (L1,
+// L2Sq) disables the cascade: newCascade sends every candidate straight to
+// the reference DP, the path the oracle tests compare against.
 //
 // The cutoff is the query tolerance for range search and the shrinking
 // k-th-best bound for k-NN (including the cross-shard SharedBound), so the
@@ -62,8 +64,8 @@ type cascade struct {
 	envs    *EnvStore
 	refiner *dtw.Refiner
 	// decider indexes q for the exact L∞ decision verifyDP runs before the
-	// refiner: unbanded L∞ queries of 1 to 1 024 finite elements only, else
-	// nil.
+	// refiner, and admitEnvelope over the stored segments before the fetch:
+	// unbanded L∞ queries of 1 to 1 024 finite elements only, else nil.
 	decider  *dtw.Decider
 	scratch  *seqdb.Scratch // the candidate under evaluation lives here; see fetch
 	disabled bool
@@ -108,7 +110,7 @@ var acquireDecider = dtw.AcquireDecider
 // newCascade prepares the per-query state: the banded envelope (computed
 // once per query) and a pooled refiner. band ≥ 1 switches the exact distance
 // to dtw.BandDistance with that half-width; envs enables the pre-fetch
-// LB_PAA tier. With disabled=true, or under an additive base, every
+// tier. With disabled=true, or under an additive base, every
 // candidate goes straight to the reference DP — the seed's behavior, and
 // the oracle the tests compare against (the band still applies: a disabled
 // banded cascade is the brute-force banded scan).
@@ -180,29 +182,51 @@ func (c *cascade) exactDistance(s seq.Sequence) float64 {
 	return d
 }
 
-// admitEnvelope is range search's pre-fetch tier: LB_PAA evaluated between
-// the query and the candidate's stored PAA envelope. Candidates without a
-// stored envelope pass through unharmed, and so does every candidate of a
-// query for which LB_PAA is inert.
+// admitEnvelope is range search's pre-fetch tier, on the candidate's stored
+// PAA envelope: LB_PAA for a banded query, and for an unbanded query with a
+// decider the decision at the cutoff run over the 16 stored segments instead
+// of the n elements (segmentsWithin). Either way a "no" dismisses the
+// candidate unread. Candidates without a stored envelope pass through
+// unharmed, and so does every candidate of a query that has neither.
 func (c *cascade) admitEnvelope(id seq.ID, cutoff float64, stats *QueryStats) bool {
-	if c.disabled || c.inert() || len(c.q) == 0 || math.IsInf(cutoff, 1) {
+	if c.disabled || len(c.q) == 0 || !(cutoff < dtw.Inf) || c.inert() && c.decider == nil {
 		return true
 	}
 	pe := c.envs.Get(id)
 	if pe == nil {
 		return true
 	}
-	if c.lbPAA(pe) > cutoff {
+	// A decider means an unbanded query, and no decider here a banded one.
+	admit := c.decider != nil && c.segmentsWithin(pe, cutoff) || c.decider == nil && c.lbPAA(pe) <= cutoff
+	if !admit {
 		stats.LBPAAPruned++
-		return false
 	}
-	return true
+	return admit
+}
+
+// segmentsWithin is the decider's pass at t with segment k of the stored
+// envelope as row k, admitting every rank between Min_k's first within t
+// and Max_k's last (dtw.Decider.WithinBounds). Its "no" is the fine
+// decision's "no" at the same t, so it prunes only what the decision after
+// the fetch would have pruned (DESIGN.md §8): PackEnvelope rounds outward,
+// so each element of segment k lies in [Min_k, Max_k] and its row's mask
+// inside row k's; a path of cells costing ≤ t projects onto a path through
+// the segment rows, stepping down one segment at a boundary, or through the
+// empty segments of a record shorter than 16, each of which stores the next
+// element, at that element's column.
+func (c *cascade) segmentsWithin(pe *PackedEnvelope, t float64) bool {
+	var lo, hi [seq.PAASegments]float64
+	for k := range lo {
+		lo[k], hi[k] = float64(pe.Min[k]), float64(pe.Max[k])
+	}
+	return c.decider.WithinBounds(lo[:], hi[:], t)
 }
 
 // inert reports that LB_PAA cannot exceed what the index walk already
 // applied to every candidate it streams: an unbanded query has no banded
-// pair, and lbPAA is 0 for all of them. The cascade skips the tier and the
-// k-NN walk runs without a sharpener.
+// pair, and lbPAA is 0 for all of them. The k-NN walk runs without a
+// sharpener, and range search's pre-fetch tier runs the segment decision
+// (segmentsWithin) instead, a path-aware pass over the same envelopes.
 func (c *paaPruner) inert() bool { return c.band == 0 }
 
 // lbPAA computes the L∞ LB_PAA bound between the query and one stored record

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -136,6 +137,57 @@ func FuzzLBPAASound(f *testing.F) {
 		}
 		if gap := inwardGapPAA(&packed, q, r); lb < gap {
 			t.Fatalf("n=%d r=%d: LB_PAA %v < interval-gap form %v", n, r, lb, gap)
+		}
+	})
+}
+
+// FuzzSegmentDecisionSound: the unbanded pre-fetch tier — the decision at t
+// over a record's 16 stored segments (cascade.segmentsWithin) — says no only
+// when Distance(s, q, L∞) > t, for records of 1–300 elements (those under 16
+// store degenerate segments) and t one ulp either side of, or on, the cost
+// fl|s_i − q_j| of a pair pick chooses: the costs are where a verdict can
+// flip. Bytes decode as in FuzzLBPAASound, so packing moves the stored bounds
+// of odd bytes. `make fuzz-smoke` runs it briefly.
+func FuzzSegmentDecisionSound(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4}, []byte{4, 3, 2, 1}, uint16(5), int8(-1))
+	f.Add([]byte{1, 2, 3, 4}, []byte{4, 3, 2, 1}, uint16(5), int8(1))
+	f.Add([]byte{9}, []byte{200, 9, 201}, uint16(1), int8(-1))
+	f.Add([]byte{0, 255, 0, 255, 128, 7, 31}, []byte{128, 128, 128, 128, 128}, uint16(3), int8(1))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, []byte{201, 201, 201}, uint16(0), int8(-1))
+	f.Add([]byte{10, 40, 70, 100, 130, 160, 190, 220, 250, 220, 190, 160, 130, 100, 70, 40, 10, 11, 13},
+		[]byte{10, 70, 130, 190, 250, 190, 130, 70, 10}, uint16(77), int8(-1))
+	f.Fuzz(func(t *testing.T, sraw, qraw []byte, pick uint16, nudge int8) {
+		n, m := min(len(sraw), 300), min(len(qraw), 300)
+		if n == 0 || m == 0 {
+			return
+		}
+		s, q := make(seq.Sequence, n), make(seq.Sequence, m)
+		for i := range s {
+			s[i] = fuzzValue(sraw[i])
+		}
+		for j := range q {
+			q[j] = fuzzValue(qraw[j])
+		}
+		i, j := int(pick)%n, int(pick)/n%m
+		tol := math.Abs(s[i] - q[j])
+		switch {
+		case nudge < 0:
+			tol = math.Nextafter(tol, math.Inf(-1))
+		case nudge > 0:
+			tol = math.Nextafter(tol, math.Inf(1))
+		}
+		pe, err := seq.ExtractPAAEnvelope(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed := PackEnvelope(pe)
+		c := newCascade(q, seq.LInf, 0, nil, false)
+		defer c.close()
+		if c.segmentsWithin(&packed, tol) {
+			return
+		}
+		if d := dtw.Distance(s, q, seq.LInf); d <= tol {
+			t.Fatalf("n=%d m=%d t=%v: segment decision says no, Distance %v", n, m, tol, d)
 		}
 	})
 }

@@ -48,8 +48,10 @@ type QueryStats struct {
 	// LowerBoundCalls counts scan-time lower-bound evaluations (LB-Scan).
 	LowerBoundCalls int
 	// LBPAAPruned counts candidates the cascade dismissed before the heap
-	// fetch: LB_PAA evaluated between the query and the candidate's stored
-	// PAA-reduced envelope (EnvStore).
+	// fetch, on the candidate's stored PAA-reduced envelope (EnvStore):
+	// LB_PAA for a banded query, the decision at ε over the 16 stored
+	// segments for an unbanded L∞ one (a candidate the decision after the
+	// fetch would have counted in CorridorPruned).
 	LBPAAPruned int
 	// LBKeoghPruned counts candidates dismissed by LB_Keogh after the fetch,
 	// on the banded envelope for banded L∞ queries over equal-length pairs.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -70,23 +71,73 @@ type SubseqResult struct {
 	Stats   QueryStats
 }
 
-// BuildSubseqIndex indexes sliding windows of each length in windowLens
-// (advanced by step positions; step 0 means 1) over every sequence in db.
-// A length may appear once: a repeated one would index every window twice
-// and return each match twice.
-func BuildSubseqIndex(db *seqdb.DB, base seq.Base, windowLens []int, step int) (*SubseqIndex, error) {
+// subseqBytesPerWindow is what one indexed window costs a build: 363 bytes
+// allocated while it runs (the feature entries and window list as they grow,
+// the bulk load), of which 55 stay live in the index (measured over
+// 1 235 200 windows: 200 stored sequences of 128, lengths 1–64, step 1).
+const subseqBytesPerWindow = 363
+
+// MaxSubseqWindows is the most windows one subsequence build indexes,
+// summed over the shards of a sharded database: 1 GiB of allocation at
+// subseqBytesPerWindow, ≈ 2.96 M windows and ≈ 163 MB live. One window
+// length of 1 with step 1 over a 100 000 × 128 corpus is 12.8 M windows,
+// so a build over a corpus that size names a few long windows or a step.
+const MaxSubseqWindows = (1 << 30) / subseqBytesPerWindow
+
+// CheckSubseqBuild validates a build's window lengths and refuses it when
+// the windows it would index over dbs — counted from the stored record
+// lengths before anything is scanned or allocated — exceed
+// MaxSubseqWindows. The error names the count.
+func CheckSubseqBuild(dbs []*seqdb.DB, windowLens []int, step int) error {
 	if len(windowLens) == 0 {
-		return nil, fmt.Errorf("core: no window lengths given")
+		return fmt.Errorf("core: no window lengths given")
 	}
 	seen := make(map[int]bool, len(windowLens))
 	for _, w := range windowLens {
 		if w < 1 {
-			return nil, fmt.Errorf("core: invalid window length %d", w)
+			return fmt.Errorf("core: invalid window length %d", w)
 		}
 		if seen[w] {
-			return nil, fmt.Errorf("core: window length %d given twice", w)
+			return fmt.Errorf("core: window length %d given twice", w)
 		}
 		seen[w] = true
+	}
+	total := 0
+	for _, db := range dbs {
+		db.RecordLens(func(n int) { total = addWindows(total, n, windowLens, step) })
+	}
+	if total > MaxSubseqWindows {
+		return fmt.Errorf("core: subsequence build of %d windows is over the budget of %d", total, MaxSubseqWindows)
+	}
+	return nil
+}
+
+// addWindows adds to total the windows of each length in windowLens a record
+// of n elements holds at this step (≤ 0 means 1): (n − w)/step + 1 for each
+// w ≤ n, saturating at math.MaxInt instead of overflowing.
+func addWindows(total, n int, windowLens []int, step int) int {
+	step = max(step, 1)
+	for _, w := range windowLens {
+		if w < 1 || w > n {
+			continue
+		}
+		k := (n-w)/step + 1
+		if total > math.MaxInt-k {
+			return math.MaxInt
+		}
+		total += k
+	}
+	return total
+}
+
+// BuildSubseqIndex indexes sliding windows of each length in windowLens
+// (advanced by step positions; step 0 means 1) over every sequence in db.
+// A length may appear once: a repeated one would index every window twice
+// and return each match twice. A build over MaxSubseqWindows windows is
+// refused before it starts (CheckSubseqBuild).
+func BuildSubseqIndex(db *seqdb.DB, base seq.Base, windowLens []int, step int) (*SubseqIndex, error) {
+	if err := CheckSubseqBuild([]*seqdb.DB{db}, windowLens, step); err != nil {
+		return nil, err
 	}
 	if step <= 0 {
 		step = 1

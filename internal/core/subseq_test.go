@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -205,5 +206,46 @@ func TestSubseqWindowsLongerThanSequences(t *testing.T) {
 	}
 	if len(res.Matches) != 0 {
 		t.Error("matches from empty window set")
+	}
+}
+
+// TestAddWindowsCountsAndSaturates: the window count a build is refused by
+// equals the windows the build loop enumerates, on synthetic record lengths
+// with no database, and saturates at math.MaxInt instead of wrapping.
+func TestAddWindowsCountsAndSaturates(t *testing.T) {
+	lens := []int{1, 3, 7, 16, 64}
+	for _, n := range []int{0, 1, 2, 6, 7, 15, 16, 17, 100} {
+		for _, step := range []int{-1, 0, 1, 2, 3, 5, 8, math.MaxInt} {
+			want := 0
+			for _, w := range lens {
+				for off := 0; off+w <= n; off += max(step, 1) {
+					want++
+					if n-off < max(step, 1) {
+						break // the next offset is past n, or would wrap
+					}
+				}
+			}
+			if got := addWindows(0, n, lens, step); got != want {
+				t.Fatalf("n=%d step=%d: %d windows, want %d", n, step, got, want)
+			}
+		}
+	}
+	// The served corpus's shape: 100 000 records of 128, lengths 1–64, step 1.
+	wide := make([]int, 64)
+	for i := range wide {
+		wide[i] = i + 1
+	}
+	total := 0
+	for i := 0; i < 100_000; i++ {
+		total = addWindows(total, 128, wide, 1)
+	}
+	if total != 617_600_000 {
+		t.Fatalf("served shape: %d windows, want 617 600 000", total)
+	}
+	if got := addWindows(math.MaxInt-3, math.MaxInt, []int{1, 2}, 1); got != math.MaxInt {
+		t.Fatalf("near math.MaxInt: %d, want saturation", got)
+	}
+	if got := addWindows(0, math.MaxInt, []int{1, 2}, 1); got != math.MaxInt {
+		t.Fatalf("two windows of a math.MaxInt record: %d, want saturation", got)
 	}
 }

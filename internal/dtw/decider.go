@@ -165,7 +165,26 @@ func (d *Decider) LBKim(s seq.Sequence) float64 {
 // A NaN s_i makes both searches return m: an empty row.)
 func (d *Decider) Within(s seq.Sequence, t float64) bool {
 	var row [maxDeciderLen / 64]uint64
-	return d.reach(s, t, row[:d.words], 0)
+	return d.reach(s, s, t, row[:d.words], 0)
+}
+
+// WithinBounds is Within's pass over rows given as value ranges: row i
+// admits the ranks [l, h) with l the first rank whose cost from lo[i] is
+// ≤ t and h the first whose fl(hi[i] − q) < −t — Within's row of any value
+// in [lo[i], hi[i]], widened to the union of all of them. Both searches are
+// non-decreasing in the value (fl(x − q) is monotone in x), so row i admits
+// every column Within's row of any s_r ∈ [lo[i], hi[i]] admits, and
+// lo = hi = s is Within(s, t).
+//
+// Its "no" is therefore Within's "no" for every s whose every cheap warping
+// path projects onto a path through these rows: a map g from s's positions
+// to rows with s_r ∈ [lo[g(r)], hi[g(r)]], g(0) = 0, g(n−1) = len(lo)−1,
+// that steps by 0 or 1 — or by more, through rows whose range also holds
+// the element stepped to. The stored PAA segments are such rows (DESIGN.md
+// §8); a "yes" says nothing. lo and hi have the same length.
+func (d *Decider) WithinBounds(lo, hi []float64, t float64) bool {
+	var row [maxDeciderLen / 64]uint64
+	return d.reach(lo, hi[:len(lo)], t, row[:d.words], 0)
 }
 
 // WithinKeep is Within that also keeps every row's reach bitset in r, for
@@ -180,17 +199,19 @@ func (d *Decider) WithinKeep(s seq.Sequence, t float64, r *Refiner) bool {
 	if cap(r.reach) < need {
 		r.reach = make([]uint64, min(max(need, 2*cap(r.reach)), maxReachWords))
 	}
-	if !d.reach(s, t, r.reach[:need], d.words) {
+	if !d.reach(s, s, t, r.reach[:need], d.words) {
 		return false
 	}
 	r.kept = len(s)
 	return true
 }
 
-// reach runs the forward pass at t, writing row i's bitset to
-// rows[i·stride:][:words]: stride 0 reuses one row, stride words keeps all.
-func (d *Decider) reach(s seq.Sequence, t float64, rows []uint64, stride int) bool {
-	if !(t >= 0) || s.Empty() {
+// reach runs the forward pass at t over rows whose values lie in
+// [lo[i], hi[i]] — the element twice for Within, a segment's bounds for
+// WithinBounds — writing row i's bitset to rows[i·stride:][:words]: stride 0
+// reuses one row, stride words keeps all. len(hi) ≥ len(lo).
+func (d *Decider) reach(lo, hi []float64, t float64, rows []uint64, stride int) bool {
+	if !(t >= 0) || len(lo) == 0 {
 		return false
 	}
 	under := math.Nextafter(-t, math.Inf(-1))
@@ -201,17 +222,17 @@ func (d *Decider) reach(s seq.Sequence, t float64, rows []uint64, stride int) bo
 	prev := rows[:w]
 	clear(prev)       // row −1 reaches nothing
 	seed := uint64(1) // column 0 starts row 0
-	for _, si := range s {
-		l, h := d.firstAtMost(si, t), d.firstAtMost(si, under)
+	for i, x := range lo {
+		l, h := d.firstAtMost(x, t), d.firstAtMost(hi[i], under)
 		if l >= h {
 			return false
 		}
 		row := rows[:w]
-		lo, hi, up := d.prefix[l*w:][:len(row)], d.prefix[h*w:][:len(row)], prev[:len(row)]
+		below, upto, up := d.prefix[l*w:][:len(row)], d.prefix[h*w:][:len(row)], prev[:len(row)]
 		var carry, any uint64
 		top := seed // the bit R_{i−1}<<1 carries into this word
 		for k := range row {
-			mask := hi[k] &^ lo[k]
+			mask := upto[k] &^ below[k]
 			p := up[k]
 			seeds := (p | p<<1 | top) & mask
 			top = p >> 63

@@ -1,6 +1,8 @@
 package dtw
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -53,7 +55,8 @@ var refinerSink float64
 // One op is one pass over all pairs; ns/cell divides by the full n×m
 // matrices, whether or not the kernel visits every cell. The route,
 // refiner and corridor sub-benchmarks price verifyDP's unbanded L∞ route
-// and its step (3).
+// and its step (3); envelope and envelope_route the pre-fetch tier in front
+// of it.
 func BenchmarkRefinerRangeShaped(b *testing.B) {
 	pairs, cells := rangeShaped()
 	for _, bc := range []struct {
@@ -109,6 +112,62 @@ func BenchmarkRefinerRangeShaped(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
 		b.ReportMetric(float64(within), "within")
 		b.ReportMetric(float64(atLB), "at_lb")
+	})
+	// envelope prices the unbanded pre-fetch tier on its own: the decision
+	// at ε over each candidate's 16 stored segments (WithinBounds on the
+	// bounds segmentBounds packs as the envelope store does), at ε 0.30 and,
+	// over the pairs whose LB_Kim admits them there, at 0.20. It reports the
+	// non-results (the pairs Within rejects), the share of them the tier
+	// dismisses and its false dismissals, which must be 0.
+	// envelope_route is the route with that tier in front, as range search
+	// runs it, in ns per pair beside route's.
+	for _, eps := range []float64{0.30, 0.20} {
+		b.Run(fmt.Sprintf("envelope/eps%.2f", eps), func(b *testing.B) {
+			env := envelopePairs(pairs, eps)
+			dismissed := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dismissed = 0
+				for k := range env.pairs {
+					if !env.deciders[k].WithinBounds(env.lo[k][:], env.hi[k][:], eps) {
+						dismissed++
+					}
+				}
+			}
+			b.StopTimer()
+			falseDismissals := 0
+			for k, p := range env.pairs {
+				if !env.deciders[k].WithinBounds(env.lo[k][:], env.hi[k][:], eps) && env.deciders[k].Within(p.s, eps) {
+					falseDismissals++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(env.pairs)), "ns/pair")
+			b.ReportMetric(float64(len(env.pairs)), "pairs")
+			b.ReportMetric(float64(env.nonResults), "nonresults")
+			b.ReportMetric(float64(dismissed), "dismissed")
+			b.ReportMetric(float64(dismissed)/float64(env.nonResults), "dismissed_share")
+			b.ReportMetric(float64(falseDismissals), "false_dismissals")
+		})
+	}
+	b.Run("envelope_route", func(b *testing.B) {
+		env := envelopePairs(pairs, rangeEpsilon)
+		r := AcquireRefiner()
+		defer r.Release()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, p := range env.pairs {
+				d := env.deciders[k]
+				if !d.WithinBounds(env.lo[k][:], env.hi[k][:], rangeEpsilon) || !d.WithinKeep(p.s, rangeEpsilon, r) {
+					continue
+				}
+				if lb := d.LBKim(p.s); d.Within(p.s, lb) {
+					refinerSink = lb
+					continue
+				}
+				refinerSink, _ = r.CorridorDistance(p.s, p.q)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(env.pairs)), "ns/pair")
 	})
 	// refiner and corridor price the route's step (3) on the pairs that
 	// reach it, the two ways it can value them: the refiner at ε, as before
@@ -187,6 +246,56 @@ func windowCells(lo, hi []int32) (cells int64) {
 		cells += int64(hi[n-1] - lo[n-1] + 1)
 	}
 	return cells
+}
+
+// envPairs is what envelopePairs collects: the pairs a range query at one
+// tolerance refines, each with its query's Decider and its record's stored
+// segment bounds, and how many of them are not results.
+type envPairs struct {
+	pairs      []rangePair
+	deciders   []*Decider
+	lo, hi     [][seq.PAASegments]float64
+	nonResults int
+}
+
+// envelopePairs keeps the rangeShaped pairs whose LB_Kim is ≤ eps (all of
+// them at rangeEpsilon) with what the unbanded pre-fetch tier reads.
+func envelopePairs(pairs []rangePair, eps float64) (env envPairs) {
+	deciders := rangeDeciders(pairs)
+	for k, p := range pairs {
+		d := deciders[k]
+		if d.LBKim(p.s) > eps {
+			continue
+		}
+		lo, hi := segmentBounds(p.s)
+		env.pairs = append(env.pairs, p)
+		env.deciders = append(env.deciders, d)
+		env.lo, env.hi = append(env.lo, lo), append(env.hi, hi)
+		if !d.Within(p.s, eps) {
+			env.nonResults++
+		}
+	}
+	return env
+}
+
+// segmentBounds is s's PAA envelope as the envelope store holds it: each
+// segment's min rounded down and max rounded up to a float32.
+func segmentBounds(s seq.Sequence) (lo, hi [seq.PAASegments]float64) {
+	pe, err := seq.ExtractPAAEnvelope(s)
+	if err != nil {
+		panic(err)
+	}
+	for k := range lo {
+		l, h := float32(pe.Min[k]), float32(pe.Max[k])
+		if float64(l) > pe.Min[k] {
+			l = math.Nextafter32(l, float32(math.Inf(-1)))
+		}
+		if float64(h) < pe.Max[k] {
+			h = math.Nextafter32(h, float32(math.Inf(1)))
+		}
+		lo[k], hi[k] = float64(l), float64(h)
+	}
+	return lo, hi
 }
 
 // rangeDeciders indexes each query of the pairs once, as a query's cascade

@@ -227,6 +227,9 @@ type SubMatchJSON struct {
 // StatsJSON summarizes per-query work on the wire. The per-tier prune
 // counters were added with the refinement cascade; they are additive
 // fields, so pre-cascade clients keep decoding the original shape.
+// LBPAAPruned counts the candidates dismissed before the heap fetch on the
+// stored PAA envelope, banded (LB_PAA) or not (the decision at ε over the
+// 16 stored segments).
 type StatsJSON struct {
 	Candidates     int   `json:"candidates"`
 	Results        int   `json:"results"`

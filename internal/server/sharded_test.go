@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -360,5 +361,57 @@ func TestShardedServerConcurrentWrites(t *testing.T) {
 	}
 	if err := db.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubseqBuildOverBudget: /subseq/build answers 400 naming the window
+// count when the build is over core.MaxSubseqWindows, on a single and a
+// sharded backend. Eight records of 1 000 elements and window lengths
+// 1–800 at step 1 hold 3 843 200 windows; nothing that size is allocated.
+func TestSubseqBuildOverBudget(t *testing.T) {
+	records := make([][]float64, 8)
+	for i := range records {
+		records[i] = make([]float64, 1000)
+		for j := range records[i] {
+			records[i][j] = float64((i + j) % 11)
+		}
+	}
+	lens := make([]string, 800)
+	for i := range lens {
+		lens[i] = strconv.Itoa(i + 1)
+	}
+	body := `{"window_lens":[` + strings.Join(lens, ",") + `],"step":1}`
+	single, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 2, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	for name, b := range map[string]twsim.Backend{"single": single, "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := b.AddBatch(records); err != nil {
+				t.Fatal(err)
+			}
+			srv := NewBackend(b)
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			resp, err := ts.Client().Post(ts.URL+"/subseq/build", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), "3843200 windows") {
+				t.Fatalf("status %d, body %s; want 400 naming 3843200 windows", resp.StatusCode, got)
+			}
+		})
 	}
 }

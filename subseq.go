@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seq"
+	"repro/internal/seqdb"
 	"repro/internal/shard"
 )
 
@@ -42,7 +43,9 @@ type SubseqIndex struct {
 // BuildSubseqIndex indexes sliding windows of each length in windowLens
 // over the database's current contents, advancing the window start by step
 // positions (step <= 0 means 1). Sequences added to the database afterwards
-// are not visible to the returned index.
+// are not visible to the returned index. A build of more than
+// core.MaxSubseqWindows windows, counted from the stored lengths, is refused
+// before anything is scanned.
 func (db *DB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -58,8 +61,16 @@ func (db *DB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error)
 // behind one SubseqIndex: searches fan out the same way, per-shard matches
 // have their source IDs lifted to the global space, and the merged list is
 // re-sorted by core.SubMatchLess — bit-identical to the single-DB index over
-// the same logical contents.
+// the same logical contents. The window budget (core.MaxSubseqWindows) holds
+// for the sum over the shards, counted before the fan-out.
 func (s *ShardedDB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error) {
+	stores := make([]*seqdb.DB, len(s.dbs))
+	for si, db := range s.dbs {
+		stores[si] = db.store
+	}
+	if err := core.CheckSubseqBuild(stores, windowLens, step); err != nil {
+		return nil, err
+	}
 	inners := make([]*SubseqIndex, len(s.dbs))
 	err := s.eng.FanOut(func(si int) error {
 		inner, err := s.dbs[si].BuildSubseqIndex(windowLens, step)

@@ -2,6 +2,7 @@ package twsim_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	twsim "repro"
@@ -80,6 +81,60 @@ func TestSubseqRepeatedWindowLength(t *testing.T) {
 			defer idx.Close()
 			if got := idx.NumWindows(); got != 14 {
 				t.Fatalf("NumWindows = %d, want 14", got)
+			}
+		})
+	}
+}
+
+// overBudgetRecords and overBudgetLens make a build the window budget
+// refuses by arithmetic alone: eight records of 1 000 elements (8 000
+// elements in all) and window lengths 1–800 at step 1 hold
+// 8 · Σ_{w=1}^{800} (1 001 − w) = 3 843 200 windows, over
+// core.MaxSubseqWindows. Split over two shards each half is under it.
+func overBudgetRecords() [][]float64 {
+	records := make([][]float64, 8)
+	for i := range records {
+		records[i] = make([]float64, 1000)
+		for j := range records[i] {
+			records[i][j] = float64((i*7 + j) % 13)
+		}
+	}
+	return records
+}
+
+func overBudgetLens() []int {
+	lens := make([]int, 800)
+	for i := range lens {
+		lens[i] = i + 1
+	}
+	return lens
+}
+
+// TestSubseqBuildOverBudget: a build whose window count, from the stored
+// lengths, is over the budget is refused before it scans, with the count in
+// the error — on a sharded backend for the sum over the shards, though each
+// shard's share is under it — and a build under it still succeeds.
+func TestSubseqBuildOverBudget(t *testing.T) {
+	for name, b := range subseqBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := b.AddBatch(overBudgetRecords()); err != nil {
+				t.Fatal(err)
+			}
+			idx, err := b.BuildSubseqIndex(overBudgetLens(), 1)
+			if err == nil {
+				idx.Close()
+				t.Fatal("a build of 3 843 200 windows succeeded")
+			}
+			if !strings.Contains(err.Error(), "3843200 windows") {
+				t.Fatalf("error %q does not name the count", err)
+			}
+			idx, err = b.BuildSubseqIndex([]int{100}, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			if got := idx.NumWindows(); got != 8*91 {
+				t.Fatalf("NumWindows = %d, want %d", got, 8*91)
 			}
 		})
 	}
