@@ -19,6 +19,8 @@ ci: fmt vet surface build race fuzz-smoke metrics-smoke crash-tests bench-smoke
 # the inward-read bounds, the unbanded pre-fetch tier's decision over a
 # record's 16 stored segments vs the DP (a "no" only when Distance > t, at t
 # on and one ulp either side of a pair's cost, records of 1–300 elements),
+# the rank table that pass reads vs the exact rank searches (its ranks hold
+# the exact row at every value, and its "no" is theirs),
 # the refine tier's windowed kernel vs the dense DP
 # and its banded pass vs the reference banded loop (verdict and bits), the
 # bit-parallel L∞ decision vs the dense DP (Within(t) == Distance ≤ t,
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzRefinerBandMatchesReference$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzDeciderMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzBoundsTableBrackets$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzCorridorMatchesDistance$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/flatidx
@@ -159,7 +162,7 @@ kernels:
 # `go run ./cmd/bench -workload $(W) -seed 7 -seconds 12 -trace 0` in each,
 # odd pairs HEAD first, and per end-to-end metric both medians, both
 # interquartile ranges and the change's wins out of $(N). A pair of
-# mixed_rw_wal runs takes about two minutes.
+# mixed_rw_wal runs takes about 40 s on a 2-core box.
 W ?= mixed_rw_wal
 N ?= 10
 pairs:

@@ -13,9 +13,10 @@
 // in each, n times, alternating: odd pairs run the base first, even pairs
 // the change first, so a drift of the machine over the session falls on
 // both sides. Every run must finish with all its operations correct. For
-// each end-to-end metric it prints both medians, both interquartile ranges
+// each end-to-end metric it prints both medians, both nearest-rank quartile ranges
 // and how many of the n pairs the change won, in the metric's better
-// direction; a tie is not a win. The directories are removed at the end.
+// direction; a tie is not a win. Each run's metrics go to standard error as
+// it ends, so batches can be pooled. The directories are removed at the end.
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/benchkit"
@@ -40,20 +40,19 @@ func main() {
 		n        = flag.Int("n", 10, "pairs of runs")
 		base     = flag.String("base", "HEAD", "the commit the working tree is compared with")
 		seed     = flag.Int64("seed", 7, "cmd/bench -seed")
-		seconds  = flag.Float64("seconds", 12, "cmd/bench -seconds")
 	)
 	flag.Parse()
 	if *workload == "" || *n < 1 {
 		fmt.Fprintln(os.Stderr, "usage: pairs -workload W [-n pairs] [-base commit]")
 		os.Exit(2)
 	}
-	if err := run(*workload, *n, *base, *seed, *seconds, os.Stdout); err != nil {
+	if err := run(*workload, *n, *base, *seed, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pairs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload string, n int, base string, seed int64, seconds float64, out io.Writer) error {
+func run(workload string, n int, base string, seed int64, out io.Writer) error {
 	tmp, err := os.MkdirTemp("", "twsim-pairs-")
 	if err != nil {
 		return err
@@ -72,7 +71,7 @@ func run(workload string, n int, base string, seed int64, seconds float64, out i
 	}
 
 	args := []string{"run", "./cmd/bench", "-workload", workload,
-		"-seed", fmt.Sprint(seed), "-seconds", fmt.Sprint(seconds), "-trace", "0"}
+		"-seed", fmt.Sprint(seed), "-seconds", "12", "-trace", "0"}
 	baseSide, changeSide := &side{name: "base", dir: baseDir}, &side{name: "change", dir: changeDir}
 	for i := 1; i <= n; i++ {
 		order := []*side{baseSide, changeSide}
@@ -80,24 +79,29 @@ func run(workload string, n int, base string, seed int64, seconds float64, out i
 			order[0], order[1] = changeSide, baseSide
 		}
 		for _, s := range order {
-			fmt.Fprintf(os.Stderr, "pairs: pair %d/%d, %s\n", i, n, s.name)
 			m, err := bench(s.dir, args)
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", i, s.name, err)
 			}
 			s.runs = append(s.runs, m)
+			fmt.Fprintf(os.Stderr, "pairs: pair %d/%d, %s:", i, n, s.name)
+			for _, def := range benchkit.EndToEnd {
+				fmt.Fprintf(os.Stderr, " %s=%.4g", def.Name, m[def.Name])
+			}
+			fmt.Fprintln(os.Stderr)
 		}
 	}
-	fmt.Fprintf(out, "%s, seed %d, %g s, %d pairs: %s (base) vs the working tree (change)\n",
-		workload, seed, seconds, n, base)
+	fmt.Fprintf(out, "%s, seed %d, %d pairs: %s (base) vs the working tree (change)\n",
+		workload, seed, n, base)
 	fmt.Fprintf(out, "%-26s %12s %12s %8s %25s %25s %6s\n",
 		"metric", "base p50", "change p50", "Δ", "base IQR", "change IQR", "wins")
 	for _, def := range benchkit.EndToEnd {
 		b, c := column(baseSide.runs, def.Name), column(changeSide.runs, def.Name)
-		bs, cs := summarize(b), summarize(c)
+		bm, cm := benchkit.Median(b), benchkit.Median(c)
 		fmt.Fprintf(out, "%-26s %12.4g %12.4g %+7.1f%% %12.4g–%-12.4g %12.4g–%-12.4g %3d/%d\n",
-			def.Name, bs.median, cs.median, 100*(cs.median/bs.median-1),
-			bs.q1, bs.q3, cs.q1, cs.q3, wins(b, c, def.Better), n)
+			def.Name, bm, cm, 100*(cm/bm-1),
+			benchkit.Percentile(b, 25), benchkit.Percentile(b, 75),
+			benchkit.Percentile(c, 25), benchkit.Percentile(c, 75), wins(b, c, def.Better), n)
 	}
 	return nil
 }
@@ -204,29 +208,6 @@ func column(runs []map[string]float64, name string) []float64 {
 		out[i] = r[name]
 	}
 	return out
-}
-
-type summary struct{ q1, median, q3 float64 }
-
-// summarize returns the quartiles of xs, interpolating between ranks.
-func summarize(xs []float64) summary {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return summary{quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75)}
-}
-
-// quantile is the p-quantile of sorted, linear between the two nearest
-// ranks.
-func quantile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := p * float64(len(sorted)-1)
-	i := int(pos)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }
 
 // wins counts the pairs whose change value beats the base value in the

@@ -2,14 +2,7 @@ package main
 
 import "testing"
 
-func TestSummarizeAndWins(t *testing.T) {
-	s := summarize([]float64{5, 1, 4, 2, 3})
-	if s != (summary{2, 3, 4}) {
-		t.Fatalf("summarize: %+v", s)
-	}
-	if s := summarize([]float64{1, 2, 3, 4}); s != (summary{1.75, 2.5, 3.25}) {
-		t.Fatalf("summarize of four: %+v", s)
-	}
+func TestWins(t *testing.T) {
 	base, change := []float64{10, 10, 10}, []float64{9, 10, 11}
 	if w := wins(base, change, "lower"); w != 1 {
 		t.Fatalf("lower: %d wins", w)

@@ -206,7 +206,8 @@ func (c *cascade) admitEnvelope(id seq.ID, cutoff float64, stats *QueryStats) bo
 
 // segmentsWithin is the decider's pass at t with segment k of the stored
 // envelope as row k, admitting every rank between Min_k's first within t
-// and Max_k's last (dtw.Decider.WithinBounds). Its "no" is the fine
+// and Max_k's last, or a range that holds them, read from a rank table the
+// decider builds once for t (dtw.Decider.WithinBounds). Its "no" is the fine
 // decision's "no" at the same t, so it prunes only what the decision after
 // the fetch would have pruned (DESIGN.md §8): PackEnvelope rounds outward,
 // so each element of segment k lies in [Min_k, Max_k] and its row's mask

@@ -29,6 +29,16 @@ const maxReachWords = 1 << 15
 // ≈ 3 % and doubles the table, already 64 KiB at 1 024 elements.
 const bucketsPerElem = 16
 
+// boundsPerElem sizes the rank table WithinBounds reads: 8m buckets over
+// [min Q − t, max Q + t]. A table row is widened by at most a bucket and a
+// half of value on each side, so finer buckets dismiss more and cost more
+// to build (two sweeps over them a query and tolerance). On the
+// range_unbanded pairs at ε 0.20, with the build in the price, 4m, 8m and
+// 16m dismissed 54.5, 55.3 and 55.7 % of the non-results (the searches
+// 56.0) at ≈ 240, 270 and 300 ns a pair (BenchmarkRefinerRangeShaped/
+// envelope, one CPU).
+const boundsPerElem = 8
+
 // Decider answers Distance(s, Q, seq.LInf) ≤ t exactly, for one query Q and
 // any candidate s and tolerance t, without computing the distance.
 //
@@ -68,6 +78,12 @@ type Decider struct {
 	table     []int32
 	lo, scale float64
 	feat      seq.Feature
+	// The rank table of WithinBounds at tolerance boundsT (NaN: none), over
+	// the len(boundsL) equal buckets of [boundsLo, max Q + boundsT], clamped:
+	// boundsL[b] ≤ l(x) and boundsH[b] ≥ h(x) for every x in bucket b, where
+	// l and h are the exact rank searches of a row at boundsT.
+	boundsT, boundsLo, boundsScale float64
+	boundsL, boundsH               []int32
 }
 
 var deciderPool = sync.Pool{New: func() any { return &Decider{} }}
@@ -132,6 +148,73 @@ func (d *Decider) build(q seq.Sequence) {
 		}
 		d.table[b] = int32(r)
 	}
+	d.boundsT = math.NaN()
+}
+
+// buildBounds fills the rank table of WithinBounds for tolerance t, finite
+// and ≥ 0; it leaves none (boundsT NaN) when [min Q − t, max Q + t] has no
+// finite positive width. boundsL[b] is the exact l of a point y in a bucket
+// below b (the midpoint of bucket b − 1), so below every x in bucket b;
+// boundsH[b] is the exact h of a point z in a bucket above b (the midpoint
+// of b + 1). Both searches are non-decreasing in the value, so
+// boundsL[b] ≤ l(x) and boundsH[b] ≥ h(x): a table row holds the exact row.
+// The end buckets take every value beyond them, so boundsL[0] is 0 and
+// boundsH[last] is m. Where rounding puts the point in bucket b itself, the
+// entry copies its neighbour's, which holds too. The points rise with the
+// bucket, so one rank pointer sweeps each array.
+func (d *Decider) buildBounds(t, under float64) {
+	m := d.m
+	d.boundsT = math.NaN()
+	lo := d.sorted[0] - t
+	span := d.sorted[m-1] + t - lo
+	if !(span > 0 && span < Inf) {
+		return
+	}
+	n := boundsPerElem * m
+	d.boundsLo, d.boundsScale = lo, float64(n)/span
+	d.boundsL = slices.Grow(d.boundsL[:0], n)[:n]
+	d.boundsH = slices.Grow(d.boundsH[:0], n)[:n]
+	// (y − lo)·scale < b puts y in a bucket below b, and ≥ b + 1 puts z in
+	// one above b, whatever boundsBucket's clamps do.
+	v, width, scale := d.sorted, span/float64(n), d.boundsScale
+	d.boundsL[0] = 0
+	for b, r := 1, 0; b < n; b++ {
+		y := lo + (float64(b)-0.5)*width
+		if !((y-lo)*scale < float64(b)) {
+			d.boundsL[b] = d.boundsL[b-1]
+			continue
+		}
+		for r < m && !(y-v[r] <= t) {
+			r++
+		}
+		d.boundsL[b] = int32(r)
+	}
+	d.boundsH[n-1] = int32(m)
+	for b, r := n-2, m; b >= 0; b-- {
+		z := lo + (float64(b)+1.5)*width
+		if !((z-lo)*scale >= float64(b+1)) {
+			d.boundsH[b] = d.boundsH[b+1]
+			continue
+		}
+		for r > 0 && z-v[r-1] <= under {
+			r--
+		}
+		d.boundsH[b] = int32(r)
+	}
+	d.boundsT = t
+}
+
+// boundsBucket maps x to its bucket of the WithinBounds table, clamped to
+// [0, len(boundsL)−1]; monotone in x.
+func (d *Decider) boundsBucket(x float64) int {
+	f := (x - d.boundsLo) * d.boundsScale
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= float64(len(d.boundsL)-1):
+		return len(d.boundsL) - 1
+	}
+	return int(f)
 }
 
 // bucket maps x to its bucket, clamped to [0, len(table)−1]; monotone in x.
@@ -165,7 +248,7 @@ func (d *Decider) LBKim(s seq.Sequence) float64 {
 // A NaN s_i makes both searches return m: an empty row.)
 func (d *Decider) Within(s seq.Sequence, t float64) bool {
 	var row [maxDeciderLen / 64]uint64
-	return d.reach(s, s, t, row[:d.words], 0)
+	return d.reach(s, s, t, row[:d.words], 0, false)
 }
 
 // WithinBounds is Within's pass over rows given as value ranges: row i
@@ -182,9 +265,20 @@ func (d *Decider) Within(s seq.Sequence, t float64) bool {
 // that steps by 0 or 1 — or by more, through rows whose range also holds
 // the element stepped to. The stored PAA segments are such rows (DESIGN.md
 // §8); a "yes" says nothing. lo and hi have the same length.
+//
+// A finite t reads the rows from a rank table built on the first call at
+// that t (buildBounds) instead of searching: each row is widened to whole
+// buckets, at most a bucket and a half of value on each side, which keeps
+// the "no" sound and costs a few dismissals. The table makes WithinBounds
+// unsafe to call concurrently with any other method of d.
 func (d *Decider) WithinBounds(lo, hi []float64, t float64) bool {
 	var row [maxDeciderLen / 64]uint64
-	return d.reach(lo, hi[:len(lo)], t, row[:d.words], 0)
+	table := t >= 0 && t < Inf
+	if table && t != d.boundsT {
+		d.buildBounds(t, math.Nextafter(-t, math.Inf(-1)))
+		table = t == d.boundsT
+	}
+	return d.reach(lo, hi[:len(lo)], t, row[:d.words], 0, table)
 }
 
 // WithinKeep is Within that also keeps every row's reach bitset in r, for
@@ -199,7 +293,7 @@ func (d *Decider) WithinKeep(s seq.Sequence, t float64, r *Refiner) bool {
 	if cap(r.reach) < need {
 		r.reach = make([]uint64, min(max(need, 2*cap(r.reach)), maxReachWords))
 	}
-	if !d.reach(s, s, t, r.reach[:need], d.words) {
+	if !d.reach(s, s, t, r.reach[:need], d.words, false) {
 		return false
 	}
 	r.kept = len(s)
@@ -209,8 +303,10 @@ func (d *Decider) WithinKeep(s seq.Sequence, t float64, r *Refiner) bool {
 // reach runs the forward pass at t over rows whose values lie in
 // [lo[i], hi[i]] — the element twice for Within, a segment's bounds for
 // WithinBounds — writing row i's bitset to rows[i·stride:][:words]: stride 0
-// reuses one row, stride words keeps all. len(hi) ≥ len(lo).
-func (d *Decider) reach(lo, hi []float64, t float64, rows []uint64, stride int) bool {
+// reuses one row, stride words keeps all. len(hi) ≥ len(lo). With table
+// set, row i's ranks come from the WithinBounds table built for t, not the
+// exact searches.
+func (d *Decider) reach(lo, hi []float64, t float64, rows []uint64, stride int, table bool) bool {
 	if !(t >= 0) || len(lo) == 0 {
 		return false
 	}
@@ -223,7 +319,12 @@ func (d *Decider) reach(lo, hi []float64, t float64, rows []uint64, stride int) 
 	clear(prev)       // row −1 reaches nothing
 	seed := uint64(1) // column 0 starts row 0
 	for i, x := range lo {
-		l, h := d.firstAtMost(x, t), d.firstAtMost(hi[i], under)
+		var l, h int
+		if table {
+			l, h = int(d.boundsL[d.boundsBucket(x)]), int(d.boundsH[d.boundsBucket(hi[i])])
+		} else {
+			l, h = d.firstAtMost(x, t), d.firstAtMost(hi[i], under)
+		}
 		if l >= h {
 			return false
 		}

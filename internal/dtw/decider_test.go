@@ -238,3 +238,51 @@ func addDeciderSeeds(f *testing.F) {
 		f.Add(raw)
 	}
 }
+
+// FuzzBoundsTableBrackets: the rank table WithinBounds reads holds the exact
+// row at every value. For each probe x, the table's low rank at x's bucket
+// is ≤ the first rank within t and its high rank ≥ the first rank below −t.
+// The probes are s's values, ±Inf, and each q_j ± t with the doubles either
+// side, where the exact ranks step. So a table "no" is the searches' "no",
+// which the segment pairs of s check directly. `make fuzz-smoke` runs it
+// briefly.
+func FuzzBoundsTableBrackets(f *testing.F) {
+	addDeciderSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, q, cell := deciderFuzzInput(raw)
+		if s == nil {
+			return
+		}
+		d := AcquireDecider(q)
+		defer d.Release()
+		lo, hi := make([]float64, len(s)), make([]float64, len(s))
+		for i := range s {
+			lo[i], hi[i] = min(s[i], s[min(i+1, len(s)-1)]), max(s[i], s[min(i+1, len(s)-1)])
+		}
+		var row [maxDeciderLen / 64]uint64
+		for _, tol := range cellCost(s, q, cell, cell/len(s)) {
+			if !d.WithinBounds(lo, hi, tol) && d.reach(lo, hi, tol, row[:d.words], 0, false) {
+				t.Fatalf("t=%v: the table says no, the searches yes", tol)
+			}
+			if d.boundsT != tol {
+				continue // no table at this t: WithinBounds searched
+			}
+			under := math.Nextafter(-tol, math.Inf(-1))
+			probes := append(seq.Sequence{math.Inf(-1), math.Inf(1)}, s...)
+			for _, v := range q {
+				for _, x := range []float64{v + tol, v - tol} {
+					probes = append(probes, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+				}
+			}
+			for _, x := range probes {
+				b := d.boundsBucket(x)
+				if l, want := int(d.boundsL[b]), d.firstAtMost(x, tol); l > want {
+					t.Fatalf("t=%v x=%v: table low rank %d above the exact %d", tol, x, l, want)
+				}
+				if h, want := int(d.boundsH[b]), d.firstAtMost(x, under); h < want {
+					t.Fatalf("t=%v x=%v: table high rank %d below the exact %d", tol, x, h, want)
+				}
+			}
+		}
+	})
+}
