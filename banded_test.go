@@ -42,7 +42,7 @@ func bruteScan(data [][]float64, ids []twsim.ID, q []float64, base twsim.Base, e
 
 // nearestK runs the k-NN door under an explicit band and returns only the
 // matches.
-func nearestK(db twsim.Backend, q []float64, k, band int) ([]twsim.Match, error) {
+func nearestK(db oracleBackend, q []float64, k, band int) ([]twsim.Match, error) {
 	res, err := db.NearestKCtx(context.Background(), q, k, band)
 	if err != nil {
 		return nil, err
@@ -51,9 +51,10 @@ func nearestK(db twsim.Backend, q []float64, k, band int) ([]twsim.Match, error)
 }
 
 // TestBandedSearchMatchesBruteForce: a banded index search must be
-// bit-identical to the brute-force banded scan — across all three bases,
-// both engines (single DB and ShardedDB), and serial vs parallel
-// refinement. This is the tentpole soundness claim: every cascade tier
+// bit-identical to the brute-force banded scan — across all three bases
+// (the additive ones through TW-Sim-Search over the flat index, see
+// openOracle), both engines (single DB and ShardedDB, or one and three
+// index partitions), and the worker counts a caller may still pass. This is the tentpole soundness claim: every cascade tier
 // lower-bounds BandDistance, so no banded match is ever dismissed.
 func TestBandedSearchMatchesBruteForce(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
@@ -66,17 +67,7 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 					label += "/workers4"
 				}
 				t.Run(label, func(t *testing.T) {
-					opts := twsim.Options{Base: base, RefineWorkers: workers}
-					var db twsim.Backend
-					var err error
-					if sharded {
-						db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
-					} else {
-						db, err = twsim.OpenMem(opts)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
+					db := openOracle(t, base, twsim.Options{RefineWorkers: workers}, sharded)
 					defer db.Close()
 					ids, err := db.AddBatch(data)
 					if err != nil {

@@ -46,20 +46,20 @@ func (db *DB) fixedSearcher(s core.Searcher) Searcher {
 // benchmarking against the baselines.
 func (db *DB) TWSimSearcher() Searcher {
 	return searcherAdapter{db, func() core.Searcher {
-		return &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base, Envs: db.envs}
+		return &core.TWSimSearch{DB: db.store, Index: db.index, Base: seq.LInf, Envs: db.envs}
 	}}
 }
 
 // BaselineNaiveScan returns the sequential-scan baseline (§3.1): full DTW
 // against every stored sequence.
 func (db *DB) BaselineNaiveScan() Searcher {
-	return db.fixedSearcher(&core.NaiveScan{DB: db.store, Base: db.base})
+	return db.fixedSearcher(&core.NaiveScan{DB: db.store, Base: seq.LInf})
 }
 
 // BaselineLBScan returns Yi et al.'s LB-Scan baseline (§3.2): a sequential
 // scan filtered by the O(n+m) lower bound before full DTW.
 func (db *DB) BaselineLBScan() Searcher {
-	return db.fixedSearcher(&core.LBScan{DB: db.store, Base: db.base})
+	return db.fixedSearcher(&core.LBScan{DB: db.store, Base: seq.LInf})
 }
 
 // STFilter is the suffix-tree method of Park et al. (§3.4): whole matching
@@ -77,7 +77,7 @@ type STFilter struct {
 func (db *DB) NewSTFilter(categories int) (*STFilter, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	f, err := core.BuildSTFilter(db.store, db.base, categories)
+	f, err := core.BuildSTFilter(db.store, seq.LInf, categories)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func (db *DB) BaselineSTFilter(categories int) (Searcher, error) {
 func (db *DB) BaselineFastMap(k int, seed int64) (Searcher, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	f, err := core.BuildFastMapSearch(db.store, db.base, k, seed)
+	f, err := core.BuildFastMapSearch(db.store, seq.LInf, k, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,17 +13,15 @@ import (
 
 // The refinement cascade must be invisible in results: range and k-NN
 // queries return matches bit-identical to the brute-force scan — which runs
-// no cascade at all — for every base distance. (The cascade-off engine path
-// itself is compared in internal/core, where NoCascade lives.)
+// no cascade at all — for every base distance (an additive base through
+// TW-Sim-Search over the flat index, see openOracle). (The cascade-off
+// engine path itself is compared in internal/core, where NoCascade lives.)
 func TestCascadeBruteForceOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	for name, base := range bases {
 		t.Run(name, func(t *testing.T) {
 			data := randomWalks(211, 100, 8, 40)
-			cascaded, err := twsim.OpenMem(twsim.Options{Base: base})
-			if err != nil {
-				t.Fatal(err)
-			}
+			cascaded := openOracle(t, base, twsim.Options{}, false)
 			defer cascaded.Close()
 			ids, err := cascaded.AddBatch(data)
 			if err != nil {
@@ -33,7 +32,7 @@ func TestCascadeBruteForceOracle(t *testing.T) {
 				q := data[rng.Intn(len(data))]
 				eps := rng.Float64() * 3
 				want := bruteScan(data, ids, q, base, eps, 0)
-				got, err := cascaded.Search(q, eps)
+				got, err := cascaded.SearchCtx(context.Background(), q, eps, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -42,7 +41,7 @@ func TestCascadeBruteForceOracle(t *testing.T) {
 				}
 				k := 1 + rng.Intn(8)
 				wantK := bruteScan(data, ids, q, base, math.Inf(1), 0)[:k]
-				gotK, err := cascaded.NearestK(q, k)
+				gotK, err := nearestK(cascaded, q, k, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,11 +34,13 @@
 // backend fans it out across its shards); a caller with many queries runs
 // them from its own goroutines.
 //
-// Beyond the paper's range search the package provides exact k-nearest-
-// neighbor search (enabled by Dtw-lb being a true lower bound), direct
-// access to the DTW distance family (Distance, DistanceWithin,
-// BandDistance, warping paths), and the paper's evaluated baselines for
-// benchmarking (see the Baseline* constructors).
+// A database answers the paper's similarity model, the time warping
+// distance over the L∞ base (§4.1). Beyond the paper's range search the
+// package provides exact k-nearest-neighbor search (enabled by Dtw-lb being
+// a true lower bound), direct access to the DTW distance family under the
+// L∞, L1 and squared-L2 bases (Distance, DistanceWithin, BandDistance,
+// warping paths), and the paper's evaluated baselines for benchmarking (see
+// the Baseline* constructors).
 //
 // # Query pipeline
 //
@@ -47,9 +49,9 @@
 // bounds, cheapest first, each kept because a benchmark workload shows it
 // pruning: LB_PAA against the candidate's stored 16-segment envelope (before
 // the heap fetch; every envelope lives in one store, looked up by ID, and
-// the same bound keys the k-NN walk), LB_Keogh (on the banded envelope for
-// banded queries over equal lengths, on the global one under L1 and L2Sq),
-// and finally a fused early-abandoning dynamic program
+// the same bound keys the k-NN walk), LB_Keogh on the banded envelope for
+// banded queries over equal lengths, and finally a fused early-abandoning
+// dynamic program
 // that computes, per row, only the window spanning the DP cells whose exact
 // value stays within the cutoff (compared branch-free as bit patterns) —
 // rejecting hopeless candidates at a fraction of a full evaluation and

@@ -261,7 +261,7 @@ func walkWAL(t walTarget, recs []wal.Record) (applied int, last uint64, err erro
 
 // WALStats snapshots the write-ahead log counters (zero when the WAL is
 // disabled). The log synchronises itself and db.wal is fixed at Open, so
-// this — like WALEnabled, WALTail and WALTailBase — takes no database lock.
+// this — like WALEnabled and WALTail — takes no database lock.
 func (db *DB) WALStats() WALStats {
 	if db.wal == nil {
 		return WALStats{}

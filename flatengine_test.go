@@ -46,7 +46,7 @@ func matchesEqual(a, b []twsim.Match) bool { return diffMatches(a, b) == "" }
 // the flat slab is an index-level question: internal/core's
 // TestFlatEngineOracle asks it of the two engines, and TestCountFence pins
 // the flat engine's counts.
-func checkIdentical(t *testing.T, m *model, b twsim.Backend, rng *rand.Rand, data [][]float64, band int) {
+func checkIdentical(t *testing.T, m *model, b oracleBackend, rng *rand.Rand, data [][]float64, band int) {
 	t.Helper()
 	for trial := 0; trial < 6; trial++ {
 		q := append([]float64(nil), data[rng.Intn(len(data))]...)
@@ -60,9 +60,11 @@ func checkIdentical(t *testing.T, m *model, b twsim.Backend, rng *rand.Rand, dat
 }
 
 // TestFlatEngineOracle: a database must answer Search and NearestK
-// bit-identically to the brute-force model — across all three bases, both
-// backends (DB and ShardedDB), the worker counts a caller may still pass
-// (Options.RefineWorkers is ignored), and unbanded plus banded queries —
+// bit-identically to the brute-force model — on L∞, and TW-Sim-Search over
+// the flat index on the additive bases (openOracle) — across both backends
+// (DB and ShardedDB, or one and three index partitions), the worker counts
+// a caller may still pass (Options.RefineWorkers is ignored), and unbanded
+// plus banded queries —
 // through a lifecycle of bulk load and interleaved inserts and removes, so
 // queries run against the packed snapshot alone and against snapshot +
 // delta adds + tombstones. (TestFlatEngineMergesFire carries the
@@ -79,7 +81,7 @@ func TestFlatEngineOracle(t *testing.T) {
 					label := fmt.Sprintf("%s/%s/workers%d/band%d",
 						name, map[bool]string{false: "db", true: "sharded"}[sharded], workers, band)
 					t.Run(label, func(t *testing.T) {
-						flat := openBackend(t, twsim.Options{Base: base, RefineWorkers: workers, Band: band}, sharded)
+						flat := openOracle(t, base, twsim.Options{RefineWorkers: workers, Band: band}, sharded)
 						defer flat.Close()
 						m := newModel(base)
 

@@ -13,7 +13,7 @@ import (
 
 // ResultCache is a byte-budgeted, lock-striped LRU of whole-query results.
 // Memoizing entire answers is sound because the pipeline is exact: for a
-// fixed (query, kind, parameter, band, base) the matches are a pure
+// fixed (query, kind, parameter, band) the matches are a pure
 // function of the database contents, so a stored result is bit-identical to
 // a recomputation as long as no write that could change it intervened.
 //
@@ -38,14 +38,14 @@ import (
 //     keeps it, restamped, when the log holds every generation after the
 //     stamp and no note in that range can change the answer; otherwise it
 //     drops the entry. An add cannot change the answer when every added
-//     feature f has comparableLB(base, f.DistLInf(fq)) > bound, with fq the
-//     query's feature and bound the entry's ε (range) or k-th distance
-//     (a full k-NN answer; +Inf otherwise): that value is the LB_Kim of
-//     Theorem 1, which never exceeds Dtw bit for bit under every base, and
-//     BandDistance ≥ Dtw, so the added sequence is neither within ε nor
-//     closer than the k-th match. A remove cannot change the answer when the
-//     removed ID is not one of its matches. Invalidation stays lazy: a write
-//     costs one note, whatever the cache holds.
+//     feature f has f.DistLInf(fq) > bound, with fq the query's feature
+//     and bound the entry's ε (range) or k-th distance (a full k-NN
+//     answer; +Inf otherwise): that value is the LB_Kim of Theorem 1, which
+//     never exceeds the L∞ Dtw bit for bit, and BandDistance ≥ Dtw, so the
+//     added sequence is neither within ε nor closer than the k-th match. A
+//     remove cannot change the answer when the removed ID is not one of its
+//     matches. Invalidation stays lazy: a write costs one note, whatever the
+//     cache holds.
 //
 // The owner must write a generation's note while no query of its database
 // runs (the DB does so under DB.mu held exclusively, queries hold it shared
@@ -66,12 +66,11 @@ type ResultCache struct {
 }
 
 // ResultGuard is what an entry needs to judge a later add: the query's
-// feature, the base distance, and the bound an added sequence's distance
-// must exceed to leave the answer as it is (ε for a range answer, the k-th
-// distance for a k-NN answer that holds k matches, +Inf otherwise).
+// feature and the bound an added sequence's distance must exceed to leave
+// the answer as it is (ε for a range answer, the k-th distance for a k-NN
+// answer that holds k matches, +Inf otherwise).
 type ResultGuard struct {
 	Feature seq.Feature
-	Base    seq.Base
 	Bound   float64
 }
 
@@ -174,15 +173,15 @@ func NewResultCache(budgetBytes int64) *ResultCache {
 }
 
 // ResultCacheKey builds the lookup key for one query. kind distinguishes
-// the query families sharing a cache ('r' = range/ε, 'k' = k-NN); base and
-// band pin the distance answered; epsilon/k are the family parameter (the
+// the query families sharing a cache ('r' = range/ε, 'k' = k-NN); band pins
+// the distance answered (always L∞); epsilon/k are the family parameter (the
 // unused one is zero); the query's raw float64 bits complete the key, so two
 // queries collide only if they are the same query in every respect. band and
 // k are written at full width: both arrive off the wire, and a k of 2^32+1
 // must not be served the cached answer for k = 1.
-func ResultCacheKey(kind byte, base seq.Base, band int, epsilon float64, k int, query []float64) string {
+func ResultCacheKey(kind byte, band int, epsilon float64, k int, query []float64) string {
 	buf := make([]byte, 0, 32+8*len(query))
-	buf = append(buf, kind, byte(base))
+	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(band))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(epsilon))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
@@ -349,7 +348,7 @@ func (n *writeNote) changes(ent *resultCacheEntry) bool {
 	}
 	g := &ent.guard
 	for _, f := range n.added {
-		if !(comparableLB(g.Base, f.DistLInf(g.Feature)) > g.Bound) {
+		if !(f.DistLInf(g.Feature) > g.Bound) {
 			return true
 		}
 	}

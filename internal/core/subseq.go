@@ -84,21 +84,27 @@ const subseqBytesPerWindow = 363
 // so a build over a corpus that size names a few long windows or a step.
 const MaxSubseqWindows = (1 << 30) / subseqBytesPerWindow
 
+// ErrSubseqBuildRefused is wrapped by every refusal of CheckSubseqBuild: a
+// build no database accepts, as opposed to a storage failure during its
+// scan. Test with errors.Is.
+var ErrSubseqBuildRefused = errors.New("core: subsequence build refused")
+
 // CheckSubseqBuild validates a build's window lengths and refuses it when
 // the windows it would index over dbs — counted from the stored record
 // lengths before anything is scanned or allocated — exceed
-// MaxSubseqWindows. The error names the count.
+// MaxSubseqWindows. The error names the count and wraps
+// ErrSubseqBuildRefused.
 func CheckSubseqBuild(dbs []*seqdb.DB, windowLens []int, step int) error {
 	if len(windowLens) == 0 {
-		return fmt.Errorf("core: no window lengths given")
+		return fmt.Errorf("%w: no window lengths given", ErrSubseqBuildRefused)
 	}
 	seen := make(map[int]bool, len(windowLens))
 	for _, w := range windowLens {
 		if w < 1 {
-			return fmt.Errorf("core: invalid window length %d", w)
+			return fmt.Errorf("%w: invalid window length %d", ErrSubseqBuildRefused, w)
 		}
 		if seen[w] {
-			return fmt.Errorf("core: window length %d given twice", w)
+			return fmt.Errorf("%w: window length %d given twice", ErrSubseqBuildRefused, w)
 		}
 		seen[w] = true
 	}
@@ -107,7 +113,7 @@ func CheckSubseqBuild(dbs []*seqdb.DB, windowLens []int, step int) error {
 		db.RecordLens(func(n int) { total = addWindows(total, n, windowLens, step) })
 	}
 	if total > MaxSubseqWindows {
-		return fmt.Errorf("core: subsequence build of %d windows is over the budget of %d", total, MaxSubseqWindows)
+		return fmt.Errorf("%w: %d windows is over the budget of %d", ErrSubseqBuildRefused, total, MaxSubseqWindows)
 	}
 	return nil
 }

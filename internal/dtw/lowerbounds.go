@@ -86,11 +86,8 @@ type Envelope struct {
 }
 
 // Band returns the Sakoe–Chiba half-width the envelope was built with.
-// It is meaningful only for banded envelopes (Full() == false).
+// It is meaningful only for banded envelopes (not a GlobalEnvelope).
 func (e Envelope) Band() int { return e.band }
-
-// Full reports whether e is a GlobalEnvelope (position-independent windows).
-func (e Envelope) Full() bool { return e.full }
 
 // NewEnvelope builds the envelope of q for band half-width r in O(|Q|) time
 // with the block sliding min/max (slidingMinMax). A negative r is clamped

@@ -33,9 +33,6 @@ const maxWALTailBytes = 4 << 20
 // operates on the backend directly, beneath the HTTP surface.
 func (s *Server) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 
-// ReadOnly reports whether the server rejects mutations.
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
-
 // denyWrites is the guard every mutating handler runs first; it reports
 // whether the request was rejected (and answered) because the server is
 // read-only.

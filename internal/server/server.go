@@ -53,6 +53,7 @@ import (
 	"sync/atomic"
 
 	twsim "repro"
+	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
 )
@@ -69,8 +70,9 @@ const StatusClientClosedRequest = 499
 // content.
 const MaxBodyBytes = 16 << 20
 
-// Limits configures the admission-control tier in front of the query
-// endpoints (/search, /knn). The zero value disables admission control.
+// Limits configures the admission-control tier in front of the endpoints
+// that burn CPU on DTW work or a heap scan: /search, /knn, /subseq/build and
+// /subseq/search. The zero value disables admission control.
 type Limits struct {
 	// MaxInflight bounds the queries executing concurrently. 0 disables
 	// admission control entirely (no semaphore, no queue, no shedding).
@@ -177,8 +179,9 @@ func NewBackend(b twsim.Backend) *Server { return NewBackendLimits(b, Limits{}) 
 // limits.MaxInflight queries execute at once, up to limits.QueueDepth more
 // wait for a slot (abandoning the wait if the client disconnects), and any
 // further arrival is shed immediately with 429 + Retry-After. Mutation and
-// introspection endpoints are not throttled — only /search, /knn and
-// /subseq/search, the handlers that burn CPU on DTW work.
+// introspection endpoints are not throttled — only /search, /knn,
+// /subseq/build and /subseq/search, the handlers that burn CPU on DTW work
+// or a heap scan.
 func NewBackendLimits(b twsim.Backend, limits Limits) *Server {
 	s := &Server{backend: b, mux: http.NewServeMux(), limits: limits}
 	s.primary, _ = b.(*twsim.DB)
@@ -458,13 +461,15 @@ func (s *Server) handleSequences(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]uint32{"id": uint32(id)})
 }
 
-// errorStatus is the status of a refused write or query: 400 for input no
-// database accepts (a non-finite element, an empty sequence, batch or
-// query), 500 for everything else — a failed heap write or read, a page that
-// failed its checksum, or a failed WAL fsync after which the write is
-// applied and visible but its durability unknown.
+// errorStatus is the status of a refused write, query or subsequence build:
+// 400 for input no database accepts (a non-finite element, an empty
+// sequence, batch or query, a build's window lengths or window count), 500
+// for everything else — a failed heap write or read, a page that failed its
+// checksum, or a failed WAL fsync after which the write is applied and
+// visible but its durability unknown.
 func errorStatus(err error) int {
-	if errors.Is(err, twsim.ErrNonFinite) || errors.Is(err, seq.ErrEmpty) {
+	if errors.Is(err, twsim.ErrNonFinite) || errors.Is(err, seq.ErrEmpty) ||
+		errors.Is(err, core.ErrSubseqBuildRefused) {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
@@ -621,9 +626,14 @@ func (s *Server) handleSubseqBuild(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	defer release()
 	idx, err := s.backend.BuildSubseqIndex(req.WindowLens, req.Step)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	s.smu.Lock()

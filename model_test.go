@@ -129,7 +129,7 @@ func diffMatches(got, want []twsim.Match) string {
 // requireModelSearch runs a range query on b and requires the model's
 // answer, the conservation law, and — unless the result cache answered —
 // the model's count of square-range candidates.
-func requireModelSearch(t *testing.T, b twsim.Backend, m *model, q []float64, eps float64, band int) *twsim.Result {
+func requireModelSearch(t *testing.T, b oracleBackend, m *model, q []float64, eps float64, band int) *twsim.Result {
 	t.Helper()
 	r, err := b.SearchCtx(context.Background(), q, eps, band)
 	if err != nil {
@@ -148,7 +148,7 @@ func requireModelSearch(t *testing.T, b twsim.Backend, m *model, q []float64, ep
 
 // requireModelNearestK runs a k-NN query on b and requires the model's
 // answer and the conservation law.
-func requireModelNearestK(t *testing.T, b twsim.Backend, m *model, q []float64, k, band int) *twsim.Result {
+func requireModelNearestK(t *testing.T, b oracleBackend, m *model, q []float64, k, band int) *twsim.Result {
 	t.Helper()
 	r, err := b.NearestKCtx(context.Background(), q, k, band)
 	if err != nil {
@@ -175,17 +175,16 @@ func requireConserved(t *testing.T, r *twsim.Result) {
 // harnessConfig is one point of the model harness's lattice.
 type harnessConfig struct {
 	storage    string // "mem", "file" (WAL off) or "wal" (file-backed, WAL on)
-	base       twsim.Base
 	band       int
 	cacheBytes int64
 }
 
 func (c harnessConfig) String() string {
-	return fmt.Sprintf("%s/%v/band%d/cache%dKiB", c.storage, c.base, c.band, c.cacheBytes>>10)
+	return fmt.Sprintf("%s/Linf/band%d/cache%dKiB", c.storage, c.band, c.cacheBytes>>10)
 }
 
 func (c harnessConfig) options() twsim.Options {
-	return twsim.Options{Base: c.base, Band: c.band, ResultCacheBytes: c.cacheBytes, WAL: c.storage == "wal"}
+	return twsim.Options{Band: c.band, ResultCacheBytes: c.cacheBytes, WAL: c.storage == "wal"}
 }
 
 // harness drives one database and the model through one op list.
@@ -417,7 +416,7 @@ func (h *harness) step() {
 // runModelOps runs the op list data (at most 500 operations) against a new
 // database of the given configuration and the model.
 func runModelOps(t *testing.T, cfg harnessConfig, data []byte) *harness {
-	h := &harness{t: t, cfg: cfg, m: newModel(cfg.base), data: data}
+	h := &harness{t: t, cfg: cfg, m: newModel(twsim.BaseLInf), data: data}
 	if cfg.storage != "mem" {
 		h.dir = filepath.Join(t.TempDir(), "db")
 	}
@@ -439,7 +438,7 @@ func TestModelHarness(t *testing.T) {
 	for _, storage := range []string{"mem", "file", "wal"} {
 		for _, band := range []int{0, 3} {
 			for _, cacheBytes := range []int64{0, 1 << 20} {
-				cfg := harnessConfig{storage: storage, base: twsim.BaseLInf, band: band, cacheBytes: cacheBytes}
+				cfg := harnessConfig{storage: storage, band: band, cacheBytes: cacheBytes}
 				t.Run(cfg.String(), func(t *testing.T) {
 					data := make([]byte, 8192)
 					rand.New(rand.NewSource(int64(len(storage)*10 + band + int(cacheBytes>>20)))).Read(data)
@@ -454,8 +453,8 @@ func TestModelHarness(t *testing.T) {
 	}
 }
 
-// FuzzModelMatchesDB decodes a lattice point (storage, base, band, cache)
-// from the first byte and an op list from the rest, and holds the database
+// FuzzModelMatchesDB decodes a lattice point (storage, band, cache) from
+// the first byte and an op list from the rest, and holds the database
 // to the model at every step.
 func FuzzModelMatchesDB(f *testing.F) {
 	// In memory, L∞, unbanded, cache off: add [1]; a batch of [1] and [2];
@@ -477,7 +476,6 @@ func FuzzModelMatchesDB(f *testing.F) {
 			storage:    []string{"mem", "file", "wal"}[c%3],
 			band:       []int{0, 3}[c/3%2],
 			cacheBytes: []int64{0, 1 << 20}[c/6%2],
-			base:       []twsim.Base{twsim.BaseLInf, twsim.BaseL1, twsim.BaseL2Sq}[c/12%3],
 		}
 		runModelOps(t, cfg, data[1:])
 	})

@@ -90,7 +90,7 @@ func assertOracleEqual(t *testing.T, db *DB, query []float64, epsilon float64) {
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	oracle := &core.NaiveScan{DB: db.store, Base: db.base}
+	oracle := &core.NaiveScan{DB: db.store, Base: seq.LInf}
 	truth, err := oracle.Search(seq.Sequence(query), epsilon)
 	if err != nil {
 		t.Fatalf("NaiveScan: %v", err)

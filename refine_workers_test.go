@@ -11,7 +11,8 @@ import (
 
 // TestRefineWorkersPublicOracle: every (engine, RefineWorkers) combination
 // returns Search and NearestK results bit-identical to the brute-force scan,
-// and therefore to one another, for every base distance. RefineWorkers is
+// and therefore to one another, for every base distance (an additive base
+// through TW-Sim-Search over the flat index, see openOracle). RefineWorkers is
 // accepted and ignored — every query refines on the goroutine that serves
 // it — so the single database's k-NN work counters at RefineWorkers 4 must
 // equal those at 1 too.
@@ -23,7 +24,7 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 
 			type variant struct {
 				name    string
-				backend twsim.Backend
+				backend oracleBackend
 			}
 			var variants []variant
 			// Every variant assigns the i-th sequence ID i (a sharded
@@ -33,35 +34,19 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 			for i := range ids {
 				ids[i] = twsim.ID(i)
 			}
-			addSingle := func(vname string, opts twsim.Options) {
-				opts.Base = base
-				db, err := twsim.OpenMem(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+			add := func(vname string, opts twsim.Options, sharded bool) {
+				db := openOracle(t, base, opts, sharded)
 				t.Cleanup(func() { db.Close() })
 				if _, err := db.AddBatch(data); err != nil {
 					t.Fatal(err)
 				}
 				variants = append(variants, variant{vname, db})
 			}
-			addSharded := func(vname string, opts twsim.ShardedOptions) {
-				opts.Base = base
-				db, err := twsim.OpenMemSharded(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { db.Close() })
-				if _, err := db.AddBatch(data); err != nil {
-					t.Fatal(err)
-				}
-				variants = append(variants, variant{vname, db})
-			}
-			addSingle("workers=1", twsim.Options{RefineWorkers: 1})
-			addSingle("workers=4", twsim.Options{RefineWorkers: 4})
-			addSingle("workers=4+cache", twsim.Options{RefineWorkers: 4, SeqCacheBytes: 1 << 20})
-			addSharded("sharded3+workers=4", twsim.ShardedOptions{Shards: 3, Options: twsim.Options{RefineWorkers: 4}})
-			addSharded("sharded3+serial+cache", twsim.ShardedOptions{Shards: 3, Options: twsim.Options{RefineWorkers: 1, SeqCacheBytes: 1 << 20}})
+			add("workers=1", twsim.Options{RefineWorkers: 1}, false)
+			add("workers=4", twsim.Options{RefineWorkers: 4}, false)
+			add("workers=4+cache", twsim.Options{RefineWorkers: 4, SeqCacheBytes: 1 << 20}, false)
+			add("sharded3+workers=4", twsim.Options{RefineWorkers: 4}, true)
+			add("sharded3+serial+cache", twsim.Options{RefineWorkers: 1, SeqCacheBytes: 1 << 20}, true)
 
 			rng := rand.New(rand.NewSource(71))
 			knnStats := map[string]twsim.QueryStats{}

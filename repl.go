@@ -64,15 +64,6 @@ func (db *DB) WALTail(from uint64, maxBytes int) (data []byte, last uint64, err 
 	return db.wal.TailSince(from, maxBytes)
 }
 
-// WALTailBase returns the oldest sequence number still present in the
-// log (tails from before it are compacted away).
-func (db *DB) WALTailBase() (uint64, error) {
-	if db.wal == nil {
-		return 0, ErrNoWAL
-	}
-	return db.wal.Base(), nil
-}
-
 // WriteReplSnapshot writes the database's full state to w and returns the
 // WAL sequence number it reflects. The body is encoded under the read
 // lock, so it is a consistent cut (writers wait, queries proceed), and

@@ -439,18 +439,18 @@ func TestQueryDeadline(t *testing.T) {
 	}
 }
 
-// FuzzResultCacheMatchesRecompute decodes a base distance and an op list —
-// add, batch add, remove, range search and k-NN at small ε, k and band,
-// over values on a coarse grid so that distances tie and adds land on both
-// sides of every bound — and runs it against a database with a 1 MiB
-// result cache and a cache-off twin. Every answer, hit or recompute, must carry the twin's IDs
+// FuzzResultCacheMatchesRecompute decodes an op list — add, batch add,
+// remove, range search and k-NN at small ε, k and band, over values on a
+// coarse grid so that distances tie and adds land on both sides of every
+// bound — and runs it against a database with a 1 MiB result cache and a
+// cache-off twin. Every answer, hit or recompute, must carry the twin's IDs
 // and distance bits, so an entry kept across a write that changed it fails
 // at the next query of that entry.
 func FuzzResultCacheMatchesRecompute(f *testing.F) {
-	// L∞; queries [1 2 1] and [0]; a range query at ε 1, an add far from
-	// it, the query again (kept), an add within ε, the query again
-	// (dropped), then 2-NN, a remove and 2-NN again.
-	f.Add([]byte{0, 2, 4, 8, 4, 0, 0, 3, 4, 0, 0, 60, 3, 4, 0, 0, 5, 3, 4, 4, 4, 2, 0, 4, 4})
+	// Queries [1 2 1] and [0]; a range query at ε 1, an add far from it,
+	// the query again (kept), an add within ε, the query again (dropped),
+	// then 2-NN, a remove and 2-NN again.
+	f.Add([]byte{2, 4, 8, 4, 0, 0, 3, 4, 0, 0, 60, 3, 4, 0, 0, 5, 3, 4, 4, 4, 2, 0, 4, 4})
 	for seed := int64(0); seed < 8; seed++ {
 		b := make([]byte, 120)
 		rand.New(rand.NewSource(seed)).Read(b)
@@ -470,13 +470,12 @@ func cacheOpsMatchTwin(t *testing.T, data []byte) {
 		data = data[1:]
 		return b
 	}
-	base := []twsim.Base{twsim.BaseLInf, twsim.BaseL1, twsim.BaseL2Sq}[next()%3]
-	cached, err := twsim.OpenMem(twsim.Options{Base: base, RefineWorkers: 1, ResultCacheBytes: 1 << 20})
+	cached, err := twsim.OpenMem(twsim.Options{RefineWorkers: 1, ResultCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cached.Close()
-	plain, err := twsim.OpenMem(twsim.Options{Base: base, RefineWorkers: 1})
+	plain, err := twsim.OpenMem(twsim.Options{RefineWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

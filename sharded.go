@@ -15,7 +15,7 @@ import (
 
 // ShardedOptions configures a ShardedDB.
 type ShardedOptions struct {
-	// Options configures each shard (base distance, page size, band, WAL).
+	// Options configures each shard (band, WAL, checkpoints).
 	Options
 	// Shards is the number of hash partitions (0 = 1). The count is fixed
 	// at creation and persisted; OpenSharded rejects a conflicting value.
@@ -62,8 +62,7 @@ type QueryTotals = shard.QueryTotals
 // Close/Open. Like *DB, a ShardedDB is safe for fully concurrent use.
 type ShardedDB struct {
 	eng  *shard.Engine
-	dbs  []*DB // the shards, in shard-ID order (eng routes over the same slice)
-	base Base
+	dbs  []*DB   // the shards, in shard-ID order (eng routes over the same slice)
 	dir  string  // empty when in-memory
 	opts Options // top-level options; also carries the slow-query config
 	// rcache is the engine-level whole-query result cache (nil when
@@ -123,7 +122,7 @@ func newShardedDB(dbs []*DB, dir string, opts ShardedOptions) (*ShardedDB, error
 		closeAll(dbs)
 		return nil, err
 	}
-	return &ShardedDB{eng: eng, dbs: dbs, base: opts.Base, dir: dir, opts: opts.Options,
+	return &ShardedDB{eng: eng, dbs: dbs, dir: dir, opts: opts.Options,
 		rcache: core.NewResultCache(opts.ResultCacheBytes)}, nil
 }
 
@@ -200,9 +199,6 @@ func OpenSharded(dir string, opts ShardedOptions) (*ShardedDB, error) {
 	opts.Shards = m.Shards
 	return newShardedDB(dbs, dir, opts)
 }
-
-// Base returns the configured base distance.
-func (s *ShardedDB) Base() Base { return s.base }
 
 // NumShards returns the number of partitions.
 func (s *ShardedDB) NumShards() int { return s.eng.NumShards() }
@@ -346,13 +342,13 @@ func (s *ShardedDB) NearestKCtx(ctx context.Context, query []float64, k, band in
 }
 
 // Distance computes the exact time warping distance between a stored
-// sequence and a query under the database's base distance.
+// sequence and a query: the paper's L∞ distance, unconstrained.
 func (s *ShardedDB) Distance(id ID, query []float64) (float64, error) {
 	values, err := s.eng.Get(id)
 	if err != nil {
 		return 0, err
 	}
-	return Distance(values, query, s.base), nil
+	return Distance(values, query, BaseLInf), nil
 }
 
 // Verify runs every shard's full heap/index integrity check.

@@ -13,17 +13,14 @@ import (
 // buildPair loads the same data into a single DB and an N-shard ShardedDB,
 // returning both plus the sharded-ID → single-ID mapping (insertion order
 // is the shared key: the i-th inserted sequence has single ID i).
-func buildPair(t *testing.T, data [][]float64, shards int, base twsim.Base) (*twsim.DB, *twsim.ShardedDB, map[twsim.ID]twsim.ID) {
+func buildPair(t *testing.T, data [][]float64, shards int) (*twsim.DB, *twsim.ShardedDB, map[twsim.ID]twsim.ID) {
 	t.Helper()
-	single, err := twsim.OpenMem(twsim.Options{Base: base})
+	single, err := twsim.OpenMem(twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { single.Close() })
-	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{
-		Options: twsim.Options{Base: base},
-		Shards:  shards,
-	})
+	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,26 +40,53 @@ func buildPair(t *testing.T, data [][]float64, shards int, base twsim.Base) (*tw
 	return single, sharded, mapping
 }
 
+// corePair loads data into a coreBackend over one flat index and one over
+// shards of them, under an additive base; both assign the i-th sequence
+// ID i, so the mapping is the identity.
+func corePair(t *testing.T, data [][]float64, shards int, base twsim.Base) (single, sharded oracleBackend, mapping map[twsim.ID]twsim.ID) {
+	t.Helper()
+	single, sharded = newCoreBackend(t, "flat", base, 1), newCoreBackend(t, "flat", base, shards)
+	t.Cleanup(func() { single.Close(); sharded.Close() })
+	mapping = make(map[twsim.ID]twsim.ID, len(data))
+	for _, b := range []oracleBackend{single, sharded} {
+		ids, err := b.AddBatch(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			mapping[id] = id
+		}
+	}
+	return single, sharded, mapping
+}
+
 // TestShardedSearchOracle: for randomized datasets and tolerances, the
 // sharded range search returns exactly the single-database result (IDs
 // modulo the mapping, distances bitwise equal) for every base distance and
-// shard count.
+// shard count — under an additive base, TW-Sim-Search over shards flat
+// indexes against one (corePair).
 func TestShardedSearchOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	for _, shards := range []int{1, 3, 8} {
 		for name, base := range bases {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, name), func(t *testing.T) {
 				data := randomWalks(int64(shards)*100+7, 90, 12, 40)
-				single, sharded, mapping := buildPair(t, data, shards, base)
+				var single, sharded oracleBackend
+				var mapping map[twsim.ID]twsim.ID
+				if base == twsim.BaseLInf {
+					single, sharded, mapping = buildPair(t, data, shards)
+				} else {
+					single, sharded, mapping = corePair(t, data, shards, base)
+				}
 				rng := rand.New(rand.NewSource(int64(shards) + 13))
 				for trial := 0; trial < 12; trial++ {
 					q := data[rng.Intn(len(data))]
 					eps := rng.Float64() * 2
-					want, err := single.Search(q, eps)
+					want, err := single.SearchCtx(context.Background(), q, eps, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sharded.Search(q, eps)
+					got, err := sharded.SearchCtx(context.Background(), q, eps, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,7 +121,7 @@ func TestShardedNearestKOracle(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			data := randomWalks(int64(shards)*57+3, 80, 10, 35)
-			single, sharded, mapping := buildPair(t, data, shards, twsim.BaseLInf)
+			single, sharded, mapping := buildPair(t, data, shards)
 			rng := rand.New(rand.NewSource(int64(shards) * 31))
 			for _, band := range []int{0, 2} {
 				for _, k := range []int{1, 3, 10, 80, 200, 1 << 40} {

@@ -49,7 +49,7 @@ type SubseqIndex struct {
 func (db *DB) BuildSubseqIndex(windowLens []int, step int) (*SubseqIndex, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	inner, err := core.BuildSubseqIndex(db.store, db.base, windowLens, step)
+	inner, err := core.BuildSubseqIndex(db.store, seq.LInf, windowLens, step)
 	if err != nil {
 		return nil, err
 	}

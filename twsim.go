@@ -24,11 +24,11 @@ import (
 // distance (the paper's Dbase, §4.1).
 type Base = seq.Base
 
-// Base distance choices. The paper's similarity model uses BaseLInf, the one
-// base the pruning cascade (LB_PAA, LB_Keogh, the L∞ decision, the windowed
-// DP) serves. BaseL1 is the classic additive DTW; BaseL2Sq accumulates
-// squared differences. Queries under either additive base are exact, but
-// they run the reference DP on every index candidate, with no pruning tier.
+// Base distance choices for the distance helpers (Distance, BandDistance,
+// WarpingPath, …). The paper's similarity model uses BaseLInf, the one base
+// a database answers (§4.1: under L∞ a tolerance does not depend on the
+// sequence lengths). BaseL1 is the classic additive DTW; BaseL2Sq
+// accumulates squared differences.
 const (
 	BaseLInf = seq.LInf
 	BaseL1   = seq.L1
@@ -68,11 +68,6 @@ type CostModel = core.CostModel
 
 // Options configures a DB.
 type Options struct {
-	// Base is the per-element distance inside DTW. The zero value is
-	// BaseLInf, the paper's model, and the only base the pruning tiers
-	// serve. An additive base (BaseL1, BaseL2Sq) answers exactly, through
-	// the index filter and the reference DP, with no pruning tiers.
-	Base Base
 	// RefineWorkers is accepted and ignored (cmd/bench sets it): every query
 	// refines on the goroutine that serves it; goes with ROADMAP item 1(d).
 	RefineWorkers int
@@ -103,7 +98,7 @@ type Options struct {
 	// databases.
 	SlowQueryLogger *log.Logger
 	// ResultCacheBytes sizes the whole-query result cache: a byte-budgeted
-	// LRU of exact answers keyed by (query, kind, ε or k, band, base). A hit
+	// LRU of exact answers keyed by (query, kind, ε or k, band). A hit
 	// returns the stored matches with zero index, heap, or DTW work and a
 	// fresh RequestID. Coherence is by write generation:
 	// every Add/AddAll/AddBatch/Remove/Repair bumps a per-database counter,
@@ -174,7 +169,6 @@ type DB struct {
 	store     *seqdb.DB
 	index     *core.FlatIndex
 	envs      *core.EnvStore
-	base      Base
 	dir       string // empty when in-memory
 	opts      Options
 	repair    RepairStats
@@ -216,7 +210,7 @@ func newIndex() *core.FlatIndex {
 
 // newDB wraps a heap in a database with an empty index and envelope store.
 func newDB(store *seqdb.DB, dir string, opts Options) *DB {
-	return &DB{store: store, index: newIndex(), envs: core.NewEnvStore(), base: opts.Base, dir: dir,
+	return &DB{store: store, index: newIndex(), envs: core.NewEnvStore(), dir: dir,
 		opts: opts, rcache: core.NewResultCache(opts.ResultCacheBytes)}
 }
 
@@ -377,9 +371,6 @@ func (db *DB) derive() (live int, err error) {
 	return live, nil
 }
 
-// Base returns the configured base distance.
-func (db *DB) Base() Base { return db.base }
-
 // Len returns the number of stored sequences.
 func (db *DB) Len() int {
 	db.mu.RLock()
@@ -468,7 +459,7 @@ func (db *DB) Get(id ID) ([]float64, error) {
 // (0 = unconstrained). ctx, when non-nil, cancels the query at its next
 // candidate boundary.
 func (db *DB) searcher(ctx context.Context, band int) *core.TWSimSearch {
-	return &core.TWSimSearch{DB: db.store, Index: db.index, Base: db.base,
+	return &core.TWSimSearch{DB: db.store, Index: db.index, Base: seq.LInf,
 		Band: band, Envs: db.envs, Ctx: ctx}
 }
 
@@ -542,7 +533,7 @@ func knnCall(query []float64, k, band int) queryCall {
 // sequence changes a range answer only within ε, and a k-NN answer that
 // holds k matches only at or below its k-th distance (matches ascend). A
 // shorter k-NN answer takes any new sequence in, so its bound is +Inf.
-func (c queryCall) guard(base Base, ms []Match) core.ResultGuard {
+func (c queryCall) guard(ms []Match) core.ResultGuard {
 	bound := math.Inf(1)
 	switch {
 	case c.family == 'r':
@@ -550,7 +541,7 @@ func (c queryCall) guard(base Base, ms []Match) core.ResultGuard {
 	case c.k > 0 && len(ms) == c.k:
 		bound = ms[c.k-1].Dist
 	}
-	return core.ResultGuard{Feature: seq.MustFeature(c.query), Base: base, Bound: bound}
+	return core.ResultGuard{Feature: seq.MustFeature(c.query), Bound: bound}
 }
 
 // runQuery is the one protocol every single-query entry point of both
@@ -584,7 +575,7 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 		res    *Result
 	)
 	if rc != nil {
-		key = core.ResultCacheKey(c.family, o.Base, c.band, c.epsilon, c.k, c.query)
+		key = core.ResultCacheKey(c.family, c.band, c.epsilon, c.k, c.query)
 		preGen = gen() // before any index/heap read of this query
 		if ms, ok := rc.Get(key, preGen); ok {
 			res = cachedResult(ms, start)
@@ -598,7 +589,7 @@ func runQuery(ctx context.Context, o Options, rc *core.ResultCache, gen func() u
 			return nil, err
 		}
 		if rc != nil {
-			rc.Put(key, preGen, res.Matches, c.guard(o.Base, res.Matches))
+			rc.Put(key, preGen, res.Matches, c.guard(res.Matches))
 		}
 	}
 	res.RequestID = nextRequestID()
@@ -703,7 +694,7 @@ func (db *DB) StorageStats() StorageStats {
 }
 
 // Distance computes the exact time warping distance between a stored
-// sequence and an arbitrary query under the database's base distance.
+// sequence and an arbitrary query: the paper's L∞ distance, unconstrained.
 func (db *DB) Distance(id ID, query []float64) (float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -713,7 +704,7 @@ func (db *DB) Distance(id ID, query []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return Distance(s, query, db.base), nil
+	return Distance(s, query, BaseLInf), nil
 }
 
 // IndexPages returns the number of pages the feature index occupies — the

@@ -309,14 +309,11 @@ func TestDistanceHelpers(t *testing.T) {
 }
 
 func TestDBDistanceAndAccessors(t *testing.T) {
-	db, err := twsim.OpenMem(twsim.Options{Base: twsim.BaseL1})
+	db, err := twsim.OpenMem(twsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.Base() != twsim.BaseL1 {
-		t.Errorf("Base = %v", db.Base())
-	}
 	id, err := db.Add([]float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
